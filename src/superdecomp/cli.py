@@ -69,6 +69,15 @@ def _load_algebra(path):
     return algebra_from_json_dict(obj), obj
 
 
+def _is_superalgebra(alg):
+    """verify_superalgebra, saying on stderr what fails."""
+    viol = verify_superalgebra(alg)
+    if viol is not None:
+        print("error: input is not a Lie superalgebra: %s at (%s)"
+              % (viol.kind, ", ".join(str(i) for i in viol.indices)), file=sys.stderr)
+    return viol is None
+
+
 def _seed_of(args):
     if args.seed is not None:
         return args.seed
@@ -161,6 +170,8 @@ def cmd_decompose(args):
     except (OSError, ValueError, KeyError) as exc:
         print("error: cannot read algebra file: %s" % exc, file=sys.stderr)
         return USAGE
+    if not _is_superalgebra(alg):
+        return FAIL
     seed = _seed_of(args)
     try:
         rep = structure_report(alg, seed=seed)
@@ -183,6 +194,8 @@ def cmd_unitarity(args):
     except (OSError, ValueError, KeyError) as exc:
         print("error: cannot read algebra file: %s" % exc, file=sys.stderr)
         return USAGE
+    if not _is_superalgebra(alg):
+        return FAIL
     rep = necessary_conditions_report(alg, seed=_seed_of(args))
     obj = rep.to_json_dict()
     obj["name"] = raw.get("name", "")

@@ -12,6 +12,8 @@ All values are immutable after construction; operations are pure.
 """
 
 from fractions import Fraction
+from math import lcm
+from types import MappingProxyType
 
 from .exact import (
     Echelon, LinSolver, Matrix, Scalar, ZERO, ONE,
@@ -19,8 +21,16 @@ from .exact import (
 )
 
 
+# the entry of every vanishing bracket in adjoint tables; read-only because shared
+_NO_TERMS = MappingProxyType({})
+
+
 class SuperAlgebraError(Exception):
     pass
+
+
+class AlgebraFileError(ValueError):
+    """An algebra file that does not describe a well-formed table."""
 
 
 class NotClosedError(SuperAlgebraError):
@@ -49,11 +59,14 @@ class SuperSpace:
     __slots__ = ("labels", "parities", "d0", "d1")
 
     def __init__(self, labels, parities):
-        assert len(labels) == len(set(labels)), "labels must be unique"
-        assert len(labels) == len(parities)
+        if len(labels) != len(set(labels)):
+            raise SuperAlgebraError("labels must be unique")
+        if len(labels) != len(parities):
+            raise SuperAlgebraError("one parity per label required")
         seen_odd = False
         for p in parities:
-            assert p in (0, 1)
+            if p not in (0, 1):
+                raise SuperAlgebraError("parity must be 0 or 1, not %r" % (p,))
             if p == 1:
                 seen_odd = True
             elif seen_odd:
@@ -170,27 +183,35 @@ class Subspace:
 class SuperAlgebra:
     """Real Lie superalgebra given by rational structure constants.
 
-    table maps (i, j) with i <= j to {k: Scalar}; missing pairs bracket to
-    zero.  Structure constants must be real (im = 0); complex realizations
-    live in the attached metadata, not in the table.
+    table maps (i, j) with 0 <= i <= j < dim to {k: Scalar}; missing pairs
+    bracket to zero.  Structure constants must be real (im = 0); complex
+    realizations live in the attached metadata, not in the table.
     """
 
-    __slots__ = ("space", "table", "meta")
+    __slots__ = ("space", "table", "meta", "_ad")
 
     def __init__(self, space, table, meta=None):
         self.space = space
+        n = space.dim
         clean = {}
         for (i, j), terms in table.items():
-            assert i <= j, "store brackets for i <= j only"
-            terms = {k: v for k, v in terms.items() if not v.is_zero()}
-            if not terms:
-                continue
+            if not 0 <= i <= j < n:
+                raise SuperAlgebraError(
+                    "bracket (%d, %d): store 0 <= i <= j < %d only" % (i, j, n))
+            nonzero = {}
             for k, v in terms.items():
-                if not v.is_real():
-                    raise SuperAlgebraError("structure constants must be rational")
-            clean[(i, j)] = terms
+                if not 0 <= k < n:
+                    raise SuperAlgebraError(
+                        "bracket (%d, %d): basis index %d out of range" % (i, j, k))
+                if not v.is_zero():
+                    if not v.is_real():
+                        raise SuperAlgebraError("structure constants must be rational")
+                    nonzero[k] = v
+            if nonzero:
+                clean[(i, j)] = nonzero
         self.table = clean
         self.meta = meta or {}
+        self._ad = None
 
     @property
     def dim(self):
@@ -218,10 +239,27 @@ class SuperAlgebra:
             return row                        # odd-odd brackets are symmetric
         return {k: -v for k, v in row.items()}
 
+    def adjoint_table(self):
+        """(ad, den): ad[i][j] = {k: den * c_ij^k as int} for every ordered
+        pair, den the lcm of the table's denominators.  Built once."""
+        if self._ad is None:
+            den = 1
+            for terms in self.table.values():
+                for v in terms.values():
+                    den = lcm(den, v.re.denominator)
+            n = self.dim
+            ad = [[{k: v.re.numerator * (den // v.re.denominator)
+                    for k, v in terms.items()} if terms else _NO_TERMS
+                   for terms in (self.bracket_pair(i, j) for j in range(n))]
+                  for i in range(n)]
+            self._ad = (ad, den)
+        return self._ad
+
     def bracket(self, x, y):
         """[x, y] for dense coordinate vectors."""
         n = self.dim
-        assert len(x) == n and len(y) == n, "dimension mismatch"
+        if len(x) != n or len(y) != n:
+            raise ValueError("dimension mismatch")
         out = vec_zero(n)
         for i, xi in enumerate(x):
             if xi.is_zero():
@@ -299,6 +337,12 @@ def verify_superalgebra(g):
 
     Returns None when everything holds, otherwise the first Violation with
     both sides of the failing identity.
+
+    Jacobi runs on the integer adjoint table, where both sides are scaled
+    by den**2.  Once skew symmetry holds, the defect of triple (j, i, k) is
+    -(-1)^{|i||j|} times that of (i, j, k), so pairs i <= j suffice, and
+    the first failing triple in lexicographic order is the same as over
+    all pairs.
     """
     par = g.space.parities
     for (i, j), terms in g.table.items():
@@ -308,22 +352,42 @@ def verify_superalgebra(g):
                 return Violation("parity", (i, j, k))
         if i == j and par[i] == 0 and terms:
             return Violation("skew", (i, i))
+    ad, _ = g.adjoint_table()
     n = g.dim
-    basis = [g.basis_vector(i) for i in range(n)]
     for i in range(n):
-        for j in range(n):
-            ij = g.bracket(basis[i], basis[j])
+        ad_i = ad[i]
+        for j in range(i, n):
+            ad_j = ad[j]
+            ij = ad_i[j]
+            sign = -1 if par[i] and par[j] else 1
             for k in range(n):
-                lhs = g.bracket_basis_vec(i, g.bracket(basis[j], basis[k]))
-                rhs = g.bracket(ij, basis[k])
-                t2 = g.bracket_basis_vec(j, g.bracket(basis[i], basis[k]))
-                if par[i] and par[j]:
-                    rhs = vec_sub(rhs, t2)
-                else:
-                    rhs = vec_add(rhs, t2)
-                if lhs != rhs:
+                # [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - sign [e_j,[e_i,e_k]]
+                defect = {}
+                for m, a in ad_j[k].items():
+                    for c, b in ad_i[m].items():
+                        defect[c] = defect.get(c, 0) + a * b
+                for m, a in ij.items():
+                    for c, b in ad[m][k].items():
+                        defect[c] = defect.get(c, 0) - a * b
+                for m, a in ad_i[k].items():
+                    a *= sign
+                    for c, b in ad_j[m].items():
+                        defect[c] = defect.get(c, 0) - a * b
+                if any(defect.values()):
+                    lhs, rhs = _jacobi_sides(g, i, j, k)
                     return Violation("jacobi", (i, j, k), lhs, rhs)
     return None
+
+
+def _jacobi_sides(g, i, j, k):
+    """[e_i,[e_j,e_k]] and [[e_i,e_j],e_k] + (-1)^{|i||j|}[e_j,[e_i,e_k]]."""
+    e = g.basis_vector
+    lhs = g.bracket_basis_vec(i, g.bracket(e(j), e(k)))
+    rhs = g.bracket(g.bracket(e(i), e(j)), e(k))
+    t2 = g.bracket_basis_vec(j, g.bracket(e(i), e(k)))
+    if g.parity(i) and g.parity(j):
+        return lhs, vec_sub(rhs, t2)
+    return lhs, vec_add(rhs, t2)
 
 
 # ---------------------------------------------------------------------------
@@ -430,26 +494,30 @@ def ideal_closure(g, s):
 
 
 def killing_form(g):
-    """Gram matrix kappa(e_i, e_j) = str(ad e_i ad e_j) and its rank."""
+    """Gram matrix kappa(e_i, e_j) = str(ad e_i ad e_j) and its rank.
+
+    kappa_ij = den**-2 sum_l sum_{k in ad_i[l]} (-1)^{|k|} ad_i[l][k] ad_j[k][l]
+    over the integer adjoint table.
+    """
     n = g.dim
-    ads = [g.adjoint_index(i) for i in range(n)]
+    ad, den = g.adjoint_table()
+    par = g.space.parities
+    scale = den * den
     gram = Matrix(n, n)
     for i in range(n):
-        a = ads[i]
+        # the nonzero entries of ad e_i, signed by the parity of their row
+        entries = [(l, k, -a if par[k] else a)
+                   for l, col in enumerate(ad[i]) for k, a in col.items()]
+        row = gram.data[i]
         for j in range(n):
-            b = ads[j]
-            acc = ZERO
-            for k in range(n):
-                arow = a.data[k]
-                s = ZERO
-                for l in range(n):
-                    if not arow[l].is_zero():
-                        bv = b.data[l][k]
-                        if not bv.is_zero():
-                            s = s + arow[l] * bv
-                if not s.is_zero():
-                    acc = acc + (-s if g.parity(k) else s)
-            gram.data[i][j] = acc
+            ad_j = ad[j]
+            acc = 0
+            for l, k, a in entries:
+                b = ad_j[k].get(l)
+                if b:
+                    acc += a * b
+            if acc:
+                row[j] = Scalar(Fraction(acc, scale))
     ech = Echelon(n)
     for row in gram.data:
         ech.add_list(row)
@@ -469,7 +537,8 @@ class InvariantForm:
 
     def __init__(self, indices, gram):
         self.indices = tuple(indices)
-        assert gram.rows == gram.cols == len(self.indices)
+        if not gram.rows == gram.cols == len(self.indices):
+            raise ValueError("Gram size must match the index range")
         if not gram.is_symmetric() or not gram.is_real():
             raise SuperAlgebraError("symmetric rational Gram required")
         self.gram = gram
@@ -890,7 +959,8 @@ class BlockMatrix:
     __slots__ = ("p", "q", "full", "parity")
 
     def __init__(self, p, q, full, parity):
-        assert full.rows == full.cols == p + q
+        if not full.rows == full.cols == p + q:
+            raise ValueError("block matrix must be square of size p + q")
         self.p = p
         self.q = q
         self.full = full
@@ -1092,17 +1162,35 @@ def algebra_to_json_dict(g, name):
 
 
 def algebra_from_json_dict(obj):
-    labels = [b["id"] for b in obj["basis"]]
-    parities = [int(b["parity"]) for b in obj["basis"]]
-    space = SuperSpace(labels, parities)
-    table = {}
-    for ent in obj["brackets"]:
-        i, j = int(ent["i"]), int(ent["j"])
-        terms = {}
-        for t in ent["terms"]:
-            terms[int(t["k"])] = Scalar(Fraction(int(t["num"]), int(t["den"])))
-        table[(i, j)] = terms
-    return SuperAlgebra(space, table, meta={"name": obj.get("name", "")})
+    """Parse the JSON file format; AlgebraFileError on any malformed table.
+
+    Beyond what SuperSpace and SuperAlgebra check, a file must not repeat a
+    bracket pair or a basis index within one bracket, nor give a zero
+    denominator.
+    """
+    try:
+        labels = [b["id"] for b in obj["basis"]]
+        parities = [int(b["parity"]) for b in obj["basis"]]
+        space = SuperSpace(labels, parities)
+        table = {}
+        for ent in obj["brackets"]:
+            i, j = int(ent["i"]), int(ent["j"])
+            if (i, j) in table:
+                raise AlgebraFileError("bracket (%d, %d) listed twice" % (i, j))
+            terms = {}
+            for t in ent["terms"]:
+                k = int(t["k"])
+                if k in terms:
+                    raise AlgebraFileError(
+                        "bracket (%d, %d) lists basis index %d twice" % (i, j, k))
+                den = int(t["den"])
+                if den == 0:
+                    raise AlgebraFileError("bracket (%d, %d): zero denominator" % (i, j))
+                terms[k] = Scalar(Fraction(int(t["num"]), den))
+            table[(i, j)] = terms
+        return SuperAlgebra(space, table, meta={"name": obj.get("name", "")})
+    except (SuperAlgebraError, TypeError) as exc:
+        raise AlgebraFileError(str(exc)) from exc
 
 
 def tables_equal(g, h):

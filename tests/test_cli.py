@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from superdecomp.cli import main
 
@@ -151,3 +156,87 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "eq-square", path, "--samples", "5")
     assert code == 0
     assert json.loads(out)["seed"] == "17"
+
+
+# --- inputs that must be refused ---------------------------------------------
+
+def _write(tmp_path, name, obj):
+    path = str(tmp_path / name)
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    return path
+
+
+def _su21():
+    from superdecomp.core import algebra_to_json_dict
+    from superdecomp.families import build_family
+    return algebra_to_json_dict(build_family("su", 2, 1), "su(2|1)")
+
+
+def f1_files(tmp_path):
+    """su(2|1) with one constant raised by one, and with an odd term in
+    [odd, odd]: both load, neither is a Lie superalgebra."""
+    raised = _su21()
+    t = raised["brackets"][0]["terms"][0]
+    t["num"] = str(int(t["num"]) + int(t["den"]))
+    odd_odd = _su21()
+    odd = [str(i) for i, b in enumerate(odd_odd["basis"]) if b["parity"]]
+    # [e_odd0, e_odd1] = e_odd2 (the pair brackets to zero in su(2|1))
+    odd_odd["brackets"].append({"i": odd[0], "j": odd[1],
+                                "terms": [{"k": odd[2], "num": "1", "den": "1"}]})
+    return [_write(tmp_path, "raised.json", raised),
+            _write(tmp_path, "odd_odd.json", odd_odd)]
+
+
+def test_f1_files_load_but_fail_jacobi(tmp_path, capsys):
+    kinds = []
+    for path in f1_files(tmp_path):
+        code, out, _ = run(capsys, "check", "jacobi", path)
+        assert code == 1
+        kinds.append(json.loads(out)["kind"])
+    assert kinds == ["jacobi", "parity"]
+
+
+def test_decompose_and_unitarity_refuse_non_superalgebras(tmp_path, capsys):
+    for path in f1_files(tmp_path):
+        for cmd in ("decompose", "unitarity"):
+            code, out, err = run(capsys, cmd, path, "--seed", "1")
+            assert code == 1, (cmd, path)
+            assert out == ""
+            assert err.startswith("error: input is not a Lie superalgebra: ")
+            assert "Traceback" not in err
+
+
+# run every command on every malformed file in one interpreter, optionally
+# under -O, and print the exit codes and stderr as JSON
+_RUN_ALL = """
+import contextlib, io, json, sys
+from superdecomp.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    out.append([code, err.getvalue()])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_malformed_files_exit_2(tmp_path, optimize):
+    from test_core import MALFORMED, malformed_su21
+    argvs = []
+    for name in sorted(MALFORMED):
+        path = _write(tmp_path, name + ".json", malformed_su21(name))
+        argvs += [["check", "center", path], ["decompose", path],
+                  ["unitarity", path]]
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable] + flags + ["-c", _RUN_ALL, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    for argv, (code, err) in zip(argvs, json.loads(proc.stdout)):
+        assert code == 2, (argv, err)
+        assert err.startswith("error: cannot read algebra file: "), (argv, err)

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from superdecomp.exact import I, Matrix, ONE, Scalar, ZERO, sc, vec_is_zero, vec_zero
+from superdecomp.exact import (
+    Echelon, I, Matrix, ONE, Scalar, ZERO, sc, vec_add, vec_is_zero, vec_sub, vec_zero,
+)
 from superdecomp.core import (
-    BlockMatrix, InvariantForm, SuperAlgebra, SuperAlgebraError, SuperSpace,
-    Violation, algebra_from_json_dict, algebra_to_json_dict, bracket_span,
+    AlgebraFileError, BlockMatrix, InvariantForm, SuperAlgebra, SuperAlgebraError,
+    SuperSpace, Violation, algebra_from_json_dict, algebra_to_json_dict, bracket_span,
     center, central_extension, centralizer, check_derivation, derived,
     direct_sum, from_matrix_span, invariant_odd_forms, is_ideal, is_perfect,
     is_trivial_cocycle, killing_form, quotient_by_central,
@@ -337,3 +340,231 @@ def test_serialization_roundtrip():
     d = algebra_to_json_dict(g, "su(2|1)")
     h = algebra_from_json_dict(d)
     assert tables_equal(g, h)
+
+
+# ---------------------------------------------------------------------------
+# dense reference oracles for the sparse integer Jacobi check and Killing form
+# ---------------------------------------------------------------------------
+
+def dense_verify(g):
+    """Parity, skew and Jacobi over all ordered triples, dense Scalar brackets."""
+    par = g.space.parities
+    for (i, j), terms in g.table.items():
+        want = (par[i] + par[j]) % 2
+        for k, v in terms.items():
+            if par[k] != want:
+                return Violation("parity", (i, j, k))
+        if i == j and par[i] == 0 and terms:
+            return Violation("skew", (i, i))
+    n = g.dim
+    basis = [g.basis_vector(i) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            ij = g.bracket(basis[i], basis[j])
+            for k in range(n):
+                lhs = g.bracket_basis_vec(i, g.bracket(basis[j], basis[k]))
+                rhs = g.bracket(ij, basis[k])
+                t2 = g.bracket_basis_vec(j, g.bracket(basis[i], basis[k]))
+                if par[i] and par[j]:
+                    rhs = vec_sub(rhs, t2)
+                else:
+                    rhs = vec_add(rhs, t2)
+                if lhs != rhs:
+                    return Violation("jacobi", (i, j, k), lhs, rhs)
+    return None
+
+
+def dense_killing(g):
+    """str(ad e_i ad e_j) from dense adjoint matrices, and the Gram rank."""
+    n = g.dim
+    ads = [g.adjoint_index(i) for i in range(n)]
+    gram = Matrix(n, n)
+    for i in range(n):
+        a = ads[i]
+        for j in range(n):
+            b = ads[j]
+            acc = ZERO
+            for k in range(n):
+                s = ZERO
+                for l in range(n):
+                    if not a.data[k][l].is_zero() and not b.data[l][k].is_zero():
+                        s = s + a.data[k][l] * b.data[l][k]
+                acc = acc + (-s if g.parity(k) else s)
+            gram.data[i][j] = acc
+    ech = Echelon(n)
+    for row in gram.data:
+        ech.add_list(row)
+    return gram, ech.rank
+
+
+def same_violation(a, b):
+    if a is None or b is None:
+        return a is b
+    return (a.kind, a.indices, a.lhs, a.rhs) == (b.kind, b.indices, b.lhs, b.rhs)
+
+
+def test_verify_matches_dense_oracle_on_acceptance_families():
+    from test_acceptance import ACCEPT_FAMILIES
+    for tag, params in ACCEPT_FAMILIES:
+        g = build_family(tag, *params)
+        assert same_violation(verify_superalgebra(g), dense_verify(g)), (tag, params)
+
+
+CORRUPTED = [("su", (2, 1)), ("su", (2, 2)), ("q", (2,)), ("c", (2,))]
+
+
+def corrupt(g, i, j, k, delta):
+    """g with delta added to the structure constant c_ij^k (i <= j)."""
+    table = {key: dict(terms) for key, terms in g.table.items()}
+    terms = table.setdefault((i, j), {})
+    terms[k] = terms.get(k, ZERO) + Scalar(delta)
+    return SuperAlgebra(g.space, table)
+
+
+@st.composite
+def corruptions(draw):
+    spec = draw(st.sampled_from(CORRUPTED))
+    g = build_family(spec[0], *spec[1])
+    n = g.dim
+    existing = sorted((i, j, k) for (i, j), terms in g.table.items() for k in terms)
+    anywhere = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                         st.integers(0, n - 1)).map(
+        lambda t: (min(t[0], t[1]), max(t[0], t[1]), t[2]))
+    # mostly existing constants (Jacobi failures), sometimes any position
+    # (parity and skew failures as well)
+    i, j, k = draw(st.sampled_from(existing) if draw(st.integers(0, 3)) else anywhere)
+    num = draw(st.integers(-3, 3).filter(bool))
+    den = draw(st.integers(1, 4))
+    return spec, i, j, k, Fraction(num, den)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(corruptions())
+@example((("su", (2, 2)), 0, 14, 13, Fraction(1, 3)))
+@example((("su", (2, 1)), 0, 4, 4, Fraction(-1, 2)))
+def test_verify_matches_dense_oracle_on_corruptions(case):
+    spec, i, j, k, delta = case
+    bad = corrupt(build_family(spec[0], *spec[1]), i, j, k, delta)
+    assert same_violation(verify_superalgebra(bad), dense_verify(bad))
+
+
+def test_corruption_examples_hit_non_unit_denominators():
+    # the scaling by den**2 is exercised: the corrupted tables need den > 1
+    # beyond what the family itself has
+    bad = corrupt(build_family("su", 2, 2), 0, 14, 13, Fraction(1, 3))
+    assert bad.adjoint_table()[1] % 3 == 0
+    assert verify_superalgebra(bad).kind == "jacobi"
+
+
+@pytest.mark.parametrize("tag,params", [
+    ("psu", (2,)), ("su", (3, 2)), ("q", (2,)), ("T_hat", ("su", 3)), ("c", (3,)),
+])
+def test_killing_matches_dense_oracle(tag, params):
+    g = build_family(tag, *params)
+    gram, rank = killing_form(g)
+    want_gram, want_rank = dense_killing(g)
+    assert gram == want_gram
+    assert rank == want_rank
+
+
+def test_adjoint_table_is_scaled_integer_table():
+    g = build_family("su", 3, 2)
+    ad, den = g.adjoint_table()
+    assert g.adjoint_table() is g.adjoint_table()
+    for i in range(g.dim):
+        for j in range(g.dim):
+            want = {k: v.re * den for k, v in g.bracket_pair(i, j).items()}
+            assert ad[i][j] == want
+            assert all(isinstance(v, int) for v in ad[i][j].values())
+
+
+# ---------------------------------------------------------------------------
+# construction invariants and the strict loader
+# ---------------------------------------------------------------------------
+
+def test_invariants_raise_instead_of_assert():
+    with pytest.raises(SuperAlgebraError):
+        SuperSpace(["a", "a"], [0, 1])
+    with pytest.raises(SuperAlgebraError):
+        SuperSpace(["a", "b"], [0])
+    with pytest.raises(SuperAlgebraError):
+        SuperSpace(["a"], [2])
+    space = SuperSpace.make(1, 2)
+    with pytest.raises(SuperAlgebraError):
+        SuperAlgebra(space, {(2, 1): {0: ONE}})
+    with pytest.raises(SuperAlgebraError):
+        SuperAlgebra(space, {(1, 2): {3: ONE}})
+    with pytest.raises(ValueError):
+        SuperAlgebra(space, {}).bracket(vec_zero(3), vec_zero(2))
+    with pytest.raises(ValueError):
+        InvariantForm([1, 2], Matrix(1, 1))
+    with pytest.raises(ValueError):
+        BlockMatrix(1, 1, Matrix(3, 3), 0)
+
+
+def _su21_json():
+    return algebra_to_json_dict(build_family("su", 2, 1), "su(2|1)")
+
+
+def _first_term(obj):
+    return obj["brackets"][0]["terms"][0]
+
+
+def _set(path_fn, key, value):
+    def change(obj):
+        path_fn(obj)[key] = value
+        return obj
+    return change
+
+
+def _repeat_bracket(obj):
+    obj["brackets"].append(dict(obj["brackets"][0]))
+    return obj
+
+
+def _repeat_k(obj):
+    ent = obj["brackets"][0]
+    ent["terms"] = ent["terms"] + [dict(ent["terms"][0])]
+    return obj
+
+
+def _zero_term_past_basis(obj):
+    obj["brackets"][0]["terms"].append({"k": "-1", "num": "0", "den": "1"})
+    return obj
+
+
+def _duplicate_label(obj):
+    obj["basis"][1]["id"] = obj["basis"][0]["id"]
+    return obj
+
+
+def _swap_ij(obj):
+    ent = obj["brackets"][0]
+    ent["i"], ent["j"] = ent["j"], ent["i"]
+    return obj
+
+
+# name -> change to the su(2|1) file; each must be rejected by the loader
+MALFORMED = {
+    "den_zero": _set(_first_term, "den", "0"),
+    "k_past_basis": _set(_first_term, "k", "11"),
+    "k_negative": _set(_first_term, "k", "-1"),
+    "zero_term_past_basis": _zero_term_past_basis,
+    "i_negative": _set(lambda o: o["brackets"][0], "i", "-1"),
+    "j_past_basis": _set(lambda o: o["brackets"][0], "j", "8"),
+    "i_above_j": _swap_ij,
+    "repeated_bracket": _repeat_bracket,
+    "repeated_k": _repeat_k,
+    "duplicate_label": _duplicate_label,
+    "parity_two": _set(lambda o: o["basis"][0], "parity", 2),
+}
+
+
+def malformed_su21(name):
+    return MALFORMED[name](_su21_json())
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_loader_rejects_malformed(name):
+    with pytest.raises(AlgebraFileError):
+        algebra_from_json_dict(malformed_su21(name))

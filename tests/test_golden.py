@@ -1,0 +1,105 @@
+"""Golden CLI outputs: each command's stdout must match its recorded file
+byte for byte.
+
+The input files are rebuilt from the constructors on every run, so the
+comparison also covers the constructors' basis order.  To record the
+files anew (only when a change of output is intended):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import os
+import random
+import sys
+from contextlib import redirect_stdout
+
+import pytest
+
+from superdecomp.cli import main
+from superdecomp.core import algebra_to_json_dict, direct_sum, quotient_by_central
+from superdecomp.exact import ONE, Scalar, vec_zero
+from superdecomp.families import build_family, family_name
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def family_json(tag, *params):
+    return algebra_to_json_dict(build_family(tag, *params), family_name(tag, params))
+
+
+def corrupted(tag, params, seed):
+    """Add 1 to one structure constant, chosen by seed."""
+    obj = family_json(tag, *params)
+    terms = [t for ent in obj["brackets"] for t in ent["terms"]]
+    t = terms[random.Random(seed).randrange(len(terms))]
+    t["num"] = str(int(t["num"]) + int(t["den"]))
+    obj["name"] += " (corrupted %d)" % seed
+    return obj
+
+
+def glued_su22_q2():
+    """(su(2|2) + q(2)) / R(2 i1 - 2 (first three even generators of q(2)))."""
+    a, b = build_family("su", 2, 2), build_family("q", 2)
+    s = direct_sum(a, b)
+    emb_a, emb_b = s.meta["embeddings"]
+    zvec = vec_zero(s.dim)
+    zvec[emb_a[a.d0 - 1]] = ONE
+    for j in range(3):
+        zvec[emb_b[j]] = Scalar(-2)
+    g, _ = quotient_by_central(s, s.subspace([zvec]))
+    return algebra_to_json_dict(g, "glued su(2|2) + q(2)")
+
+
+def su21_sum():
+    g = build_family("su", 2, 1)
+    return algebra_to_json_dict(direct_sum(g, g), "su(2|1) + su(2|1)")
+
+
+# name -> (input builder, CLI arguments with FILE for the input, expected exit code)
+FILE = object()
+CASES = {
+    "jacobi_su21_c11": (lambda: corrupted("su", (2, 1), 11), ["check", "jacobi", FILE], 1),
+    "jacobi_su21_c12": (lambda: corrupted("su", (2, 1), 12), ["check", "jacobi", FILE], 1),
+    "jacobi_su22_c13": (lambda: corrupted("su", (2, 2), 13), ["check", "jacobi", FILE], 1),
+    "killing_su32": (lambda: family_json("su", 3, 2), ["check", "killing", FILE], 0),
+    "killing_psu22": (lambda: family_json("psu", 2), ["check", "killing", FILE], 0),
+    "decompose_that_su3": (lambda: family_json("T_hat", "su", 3),
+                           ["decompose", FILE, "--seed", "7"], 0),
+    "decompose_glued_su22_q2": (glued_su22_q2, ["decompose", FILE, "--seed", "7"], 0),
+    "unitarity_su21_sum": (su21_sum, ["unitarity", FILE, "--seed", "7"], 0),
+    "unitarity_psu22": (lambda: family_json("psu", 2), ["unitarity", FILE, "--seed", "7"], 0),
+}
+
+
+def run_case(name, workdir):
+    build, argv, _ = CASES[name]
+    path = os.path.join(workdir, name + ".json")
+    with open(path, "w") as fh:
+        json.dump(build(), fh, sort_keys=True)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([path if a is FILE else a for a in argv])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    code, out = run_case(name, str(tmp_path))
+    assert code == CASES[name][2]
+    with open(os.path.join(GOLDEN, name + ".json")) as fh:
+        assert out == fh.read()
+
+
+if __name__ == "__main__":
+    import tempfile
+    os.makedirs(GOLDEN, exist_ok=True)
+    with tempfile.TemporaryDirectory() as work:
+        for name in sorted(CASES):
+            code, out = run_case(name, work)
+            if code != CASES[name][2]:
+                sys.exit("%s: exit %d, expected %d" % (name, code, CASES[name][2]))
+            with open(os.path.join(GOLDEN, name + ".json"), "w") as fh:
+                fh.write(out)
+            print("recorded", name)
