@@ -16,11 +16,11 @@ import tempfile
 from . import __version__
 from .core import (
     SuperAlgebraError, algebra_from_json_dict, algebra_to_json_dict, center,
-    centralizer, killing_form, tables_equal, verify_superalgebra,
+    killing_form, tables_equal, verify_superalgebra,
 )
 from .families import FamilySpec, build, square_identity_samples
 from .decomp import DecompositionError, structure_report
-from .unitar import necessary_conditions_report
+from .unitar import even_center_dim, necessary_conditions_report
 from .fock import (
     check_car, check_unitary_representation, number_spectrum,
     spin_representation, tilde_tangent_representation,
@@ -127,14 +127,15 @@ def cmd_check(args):
         _emit({**base, "verdict": "violation", "kind": viol.kind,
                "indices": [str(i) for i in viol.indices]}, args.out)
         return FAIL
+    if args.what in ("killing", "center") and not _is_superalgebra(alg):
+        return FAIL
     if args.what == "killing":
         _, rank = killing_form(alg)
         _emit({**base, "rank": str(rank), "dim": str(alg.dim)}, args.out)
         return OK
     if args.what == "center":
-        z = center(alg)
-        z0 = centralizer(alg, alg.even_subspace(), alg.even_subspace())
-        _emit({**base, "dim_z": str(z.dim), "dim_z0": str(z0.dim)}, args.out)
+        _emit({**base, "dim_z": str(center(alg).dim),
+               "dim_z0": str(even_center_dim(alg))}, args.out)
         return OK
     # eq-square: rebuild the named constructor to recover the matrices
     name = raw.get("name", "")

@@ -12,7 +12,9 @@ All values are immutable after construction; operations are pure.
 """
 
 from fractions import Fraction
+import functools
 from math import lcm
+import re
 from types import MappingProxyType
 
 from .exact import (
@@ -23,6 +25,25 @@ from .exact import (
 
 # the entry of every vanishing bracket in adjoint tables; read-only because shared
 _NO_TERMS = MappingProxyType({})
+
+
+def per_algebra(fn):
+    """Compute fn(g) at most once per algebra object.
+
+    The value is stored in g._memo[fn], so it lives exactly as long as the
+    algebra.  Sound only because nothing mutates an algebra's table, nor a
+    value returned through here (a Subspace's basis, a Gram matrix, a
+    witness): every caller gets the same object back.  The body is called
+    through the wrapper's __wrapped__ attribute, so a test can count how
+    often it runs.
+    """
+    @functools.wraps(fn)
+    def once(g):
+        memo = g._memo
+        if fn not in memo:
+            memo[fn] = once.__wrapped__(g)
+        return memo[fn]
+    return once
 
 
 class SuperAlgebraError(Exception):
@@ -188,7 +209,7 @@ class SuperAlgebra:
     realizations live in the attached metadata, not in the table.
     """
 
-    __slots__ = ("space", "table", "meta", "_ad")
+    __slots__ = ("space", "table", "meta", "_memo")
 
     def __init__(self, space, table, meta=None):
         self.space = space
@@ -211,7 +232,7 @@ class SuperAlgebra:
                 clean[(i, j)] = nonzero
         self.table = clean
         self.meta = meta or {}
-        self._ad = None
+        self._memo = {}
 
     @property
     def dim(self):
@@ -239,21 +260,20 @@ class SuperAlgebra:
             return row                        # odd-odd brackets are symmetric
         return {k: -v for k, v in row.items()}
 
+    @per_algebra
     def adjoint_table(self):
         """(ad, den): ad[i][j] = {k: den * c_ij^k as int} for every ordered
-        pair, den the lcm of the table's denominators.  Built once."""
-        if self._ad is None:
-            den = 1
-            for terms in self.table.values():
-                for v in terms.values():
-                    den = lcm(den, v.re.denominator)
-            n = self.dim
-            ad = [[{k: v.re.numerator * (den // v.re.denominator)
-                    for k, v in terms.items()} if terms else _NO_TERMS
-                   for terms in (self.bracket_pair(i, j) for j in range(n))]
-                  for i in range(n)]
-            self._ad = (ad, den)
-        return self._ad
+        pair, den the lcm of the table's denominators."""
+        den = 1
+        for terms in self.table.values():
+            for v in terms.values():
+                den = lcm(den, v.re.denominator)
+        n = self.dim
+        ad = [[{k: v.re.numerator * (den // v.re.denominator)
+                for k, v in terms.items()} if terms else _NO_TERMS
+               for terms in (self.bracket_pair(i, j) for j in range(n))]
+              for i in range(n)]
+        return ad, den
 
     def bracket(self, x, y):
         """[x, y] for dense coordinate vectors."""
@@ -394,6 +414,7 @@ def _jacobi_sides(g, i, j, k):
 # subspace calculus
 # ---------------------------------------------------------------------------
 
+@per_algebra
 def center(g):
     """{x : [x, g] = 0}, exact kernel computation."""
     n = g.dim
@@ -439,6 +460,7 @@ def centralizer(g, targets, inside):
     return Subspace(g.dim, vecs, g.space)
 
 
+@per_algebra
 def derived(g):
     """Span of all brackets of basis pairs."""
     vecs = []
@@ -493,6 +515,7 @@ def ideal_closure(g, s):
         cur = Subspace(g.dim, vecs, g.space)
 
 
+@per_algebra
 def killing_form(g):
     """Gram matrix kappa(e_i, e_j) = str(ad e_i ad e_j) and its rank.
 
@@ -543,17 +566,6 @@ class InvariantForm:
             raise SuperAlgebraError("symmetric rational Gram required")
         self.gram = gram
         self.pos = {i: r for r, i in enumerate(self.indices)}
-
-    def value(self, a, b):
-        """Form value on two ambient vectors restricted to the index range."""
-        acc = ZERO
-        for r, i in enumerate(self.indices):
-            if a[i].is_zero():
-                continue
-            for s, j in enumerate(self.indices):
-                if not b[j].is_zero() and not self.gram.data[r][s].is_zero():
-                    acc = acc + a[i] * self.gram.data[r][s] * b[j]
-        return acc
 
     def scaled(self, s):
         return InvariantForm(self.indices, self.gram.scale(s))
@@ -733,14 +745,6 @@ def direct_sum(g, h):
         table[(a, b)] = {mh[k]: sign * v for k, v in terms.items()}
     return SuperAlgebra(space, table,
                         meta={"embeddings": (mg, mh), "summand_dims": (g.dim, h.dim)})
-
-
-def embed_vector(v, index_map, n):
-    out = vec_zero(n)
-    for i, x in enumerate(v):
-        if not x.is_zero():
-            out[index_map[i]] = x
-    return out
 
 
 class QuotientMap:
@@ -1161,32 +1165,45 @@ def algebra_to_json_dict(g, name):
     return {"name": name, "basis": basis, "brackets": brackets}
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _file_int(x):
+    """A JSON integer (not a boolean) or a decimal string, as an int."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str) and _DECIMAL.fullmatch(x):
+        return int(x)
+    raise AlgebraFileError("expected an integer or a decimal string, not %r" % (x,))
+
+
 def algebra_from_json_dict(obj):
     """Parse the JSON file format; AlgebraFileError on any malformed table.
 
-    Beyond what SuperSpace and SuperAlgebra check, a file must not repeat a
+    Beyond what SuperSpace and SuperAlgebra check, every integer field must
+    be a JSON integer or a decimal string, and a file must not repeat a
     bracket pair or a basis index within one bracket, nor give a zero
     denominator.
     """
     try:
         labels = [b["id"] for b in obj["basis"]]
-        parities = [int(b["parity"]) for b in obj["basis"]]
+        parities = [_file_int(b["parity"]) for b in obj["basis"]]
         space = SuperSpace(labels, parities)
         table = {}
         for ent in obj["brackets"]:
-            i, j = int(ent["i"]), int(ent["j"])
+            i, j = _file_int(ent["i"]), _file_int(ent["j"])
             if (i, j) in table:
                 raise AlgebraFileError("bracket (%d, %d) listed twice" % (i, j))
             terms = {}
             for t in ent["terms"]:
-                k = int(t["k"])
+                k = _file_int(t["k"])
                 if k in terms:
                     raise AlgebraFileError(
                         "bracket (%d, %d) lists basis index %d twice" % (i, j, k))
-                den = int(t["den"])
+                den = _file_int(t["den"])
                 if den == 0:
                     raise AlgebraFileError("bracket (%d, %d): zero denominator" % (i, j))
-                terms[k] = Scalar(Fraction(int(t["num"]), den))
+                terms[k] = Scalar(Fraction(_file_int(t["num"]), den))
             table[(i, j)] = terms
         return SuperAlgebra(space, table, meta={"name": obj.get("name", "")})
     except (SuperAlgebraError, TypeError) as exc:

@@ -93,7 +93,7 @@ def reduce_to_odd_generated(g):
     return Reduction(h0, core, comp)
 
 
-def compute_b(g, even=None, check_central_squares=True):
+def compute_b(g, even=None):
     """Odd vectors commuting with the even part (all of it by default).
 
     When the algebra is generated by its odd part, the squares of these
@@ -102,7 +102,7 @@ def compute_b(g, even=None, check_central_squares=True):
     """
     target = even if even is not None else g.even_subspace()
     b = centralizer(g, target, g.odd_subspace())
-    if check_central_squares and even is not None:
+    if even is not None:
         z = center(g)
         for u in b.basis:
             for w in b.basis:
@@ -150,10 +150,6 @@ def spin_up(actions, v, dim):
             u = m.mul_vec(w)
             if ech.add_list(u):
                 vecs.append(u)
-    return span_from(vecs, dim)
-
-
-def span_from(vecs, dim):
     return Subspace(dim, vecs)
 
 
@@ -217,14 +213,6 @@ def _invariant_complement(actions, wbasis, dim):
     def var(r, c):
         return r * q + c
 
-    rows = []
-    rhs = []
-    for r in range(q):
-        for c in range(q):
-            row = {}
-            # pi(s e_c)_r: pi is linear; express via project of unit vectors
-            # build pi as a matrix once
-            rows.append((r, c))
     pi = Matrix(q, dim)
     for i in range(dim):
         col = project(_unit(dim, i))
@@ -393,7 +381,7 @@ class ModuleDecomposition:
         self.certificates = certificates
 
 
-def decompose_odd(g, core_even, rng, cap=SPLIT_CAP):
+def decompose_odd(g, core_even, rng):
     """b + simple summands of the complementary odd module.
 
     core_even must be the generating even part; the complement a of b is
@@ -410,7 +398,7 @@ def decompose_odd(g, core_even, rng, cap=SPLIT_CAP):
     if a.dim == 0:
         return ModuleDecomposition(b, a, [], [])
     actions = module_actions(g, core_even.basis, a.basis)
-    parts = split_module(actions, a.dim, rng, cap)
+    parts = split_module(actions, a.dim, rng)
     summands = []
     for vecs, cert in parts:
         summands.append((Subspace(g.dim, _lift(a.basis, vecs), g.space), cert))
@@ -430,7 +418,7 @@ class IndexClassification:
         self.pairing = pairing            # involution on js
 
 
-def classify_indices(g, dec, require_eq39=True):
+def classify_indices(g, dec):
     """J_s membership via [[a_k, a_j], a_k] = a_k, with the unique partner;
     J_a is the complement and must satisfy [[b, a_k], a_k] = a_k when the
     algebra is generated by its odd part."""
@@ -462,13 +450,12 @@ def classify_indices(g, dec, require_eq39=True):
     z = center(g)
     for k in ja:
         ak = summands[k]
-        if require_eq39:
-            w = bracket_span(g, dec.b, ak)
-            image = bracket_span(g, w, ak)
-            if image != ak:
-                raise DecompositionError(
-                    "[[b, a_k], a_k] = a_k fails for a residue index",
-                    evidence={"k": k, "image_dim": image.dim})
+        w = bracket_span(g, dec.b, ak)
+        image = bracket_span(g, w, ak)
+        if image != ak:
+            raise DecompositionError(
+                "[[b, a_k], a_k] = a_k fails for a residue index",
+                evidence={"k": k, "image_dim": image.dim})
         sq = bracket_span(g, ak, ak)
         for v in sq.basis:
             if not z.contains(v):
@@ -505,10 +492,6 @@ class IdealInfo:
         self.kk_dim = kk_dim
 
 
-def _center_of_subalgebra(g, span):
-    return centralizer(g, span, span)
-
-
 def build_g_ideal(g, dec, j, jp):
     """a_j + a_j' + all mutual brackets; verified ideal with the simple
     adjoint quotient checks."""
@@ -522,7 +505,7 @@ def build_g_ideal(g, dec, j, jp):
     alg, vecs = subalgebra_from_subspace(g, span)
     checks = {}
     zg = center(g)
-    zi = _center_of_subalgebra(g, span)
+    zi = centralizer(g, span, span)
     checks["center_inside_ambient_center"] = all(zg.contains(v) for v in zi.basis)
     if not checks["center_inside_ambient_center"]:
         raise DecompositionError("z(g(j)) is not contained in z(g)",
@@ -568,7 +551,7 @@ def build_c_ideal(g, dec, k, rng):
         raise DecompositionError("[b, a_k] vanishes for a residue index",
                                  evidence={"k": k})
     kk_alg, kk_vecs = subalgebra_from_subspace(g, kk)
-    checks["kk_center_trivial"] = _center_of_subalgebra(g, kk).dim == 0
+    checks["kk_center_trivial"] = centralizer(g, kk, kk).dim == 0
     acts = module_actions(g, kk.basis, kk.basis)
     parts = split_module(acts, kk.dim, rng)
     checks["kk_adjoint_simple"] = len(parts) == 1
@@ -587,7 +570,7 @@ def build_c_ideal(g, dec, k, rng):
     if not checks["tangent_quotient"]:
         raise DecompositionError("c(k)/z(c(k)) is not the expected tangent algebra",
                                  evidence={"k": k})
-    return span, alg, vecs, checks, kk
+    return span, alg, vecs, checks, kk, kk_alg, kk_vecs
 
 
 def _pick_b0(g, b, ak):
@@ -667,15 +650,6 @@ def _verify_tangent_quotient(g, dec, k, kk, kk_alg, kk_vecs, ak,
     return True
 
 
-def _indep(vecs, dim):
-    ech = Echelon(dim)
-    out = []
-    for v in vecs:
-        if ech.add_list(v):
-            out.append(v)
-    return out
-
-
 def build_hat_c(g, dec, k, kk, kk_alg, kk_vecs):
     """hat c(k) = c(k) + K b0 + K [b0, b0]; subalgebra whose central
     quotient is the extended tangent algebra (semisimple by the
@@ -715,7 +689,7 @@ def qhat_embedding_certificate(g, dec, k_index, ideal):
     if not vec_is_zero(bb):
         span = span.sum(Subspace(g.dim, [bb], g.space))
     try:
-        alg, _ = subalgebra_from_subspace(g, span)
+        alg, vecs = subalgebra_from_subspace(g, span)
     except SuperAlgebraError:
         return {"verified": False, "reason": "not closed"}
     n = None
@@ -728,7 +702,7 @@ def qhat_embedding_certificate(g, dec, k_index, ideal):
         "parameter": n,
         "dims_match": (alg.d0, alg.d1) == (model.d0, model.d1),
         "fingerprint_match": unitar.fingerprint(alg) == unitar.fingerprint(model),
-        "hyperplane_ideal": is_ideal(alg, _map_span(ideal.span, g, span, alg)),
+        "hyperplane_ideal": is_ideal(alg, _map_span(ideal.span, g, vecs, alg)),
     }
     # ad b0 annihilates the ideal's even part and has square zero on it
     even_part = Subspace(g.dim, [v for v in ideal.span.basis
@@ -746,11 +720,10 @@ def qhat_embedding_certificate(g, dec, k_index, ideal):
     return cert
 
 
-def _map_span(sub, g, host_span, host_alg):
+def _map_span(sub, g, host_vecs, host_alg):
     """Express an ambient subspace in the coordinates of an extracted
-    subalgebra (host)."""
-    _, vecs = subalgebra_from_subspace(g, host_span)
-    solver = LinSolver(vecs, g.dim)
+    subalgebra (host), given its basis vectors in ambient coordinates."""
+    solver = LinSolver(host_vecs, g.dim)
     coords = []
     for v in sub.basis:
         c = solver.coords(v)
@@ -773,7 +746,7 @@ class DecompositionReport:
         self.kernel_dim = None
         self.kernel_basis = None
         self.assertions = []
-        self.gr = None                    # (z_b_a, b_r, g_r) dims
+        self.gr = None                    # (z_b(a), b_r, g_r) subspaces
         self.hat_c = {}
 
     def record(self, name, ok, detail=None):
@@ -833,16 +806,24 @@ class DecompositionReport:
             "center_dim": str(self.center.dim),
             "summands": entries,
             "kernel_dim": str(self.kernel_dim),
-            "z_b_a_dim": str(self.gr[0]),
-            "b_r_dim": str(self.gr[1]),
+            "z_b_a_dim": str(self.gr[0].dim),
+            "b_r_dim": str(self.gr[1].dim),
             "assertions": self.assertions,
         }
 
 
-def structure_report(g, seed=0, cap=SPLIT_CAP):
+def structure_report(g, seed=0):
     """Run the whole pipeline and certify the decomposition of [g, g]
     into the center and the constructed ideals, with central summation
-    kernel."""
+    kernel.
+
+    report.gr holds (z_b(a), b_r, g_r) of the splitting lemma: the
+    centraliser of a in b, a fixed echelon complement of it in b, and the
+    subalgebra [core, core] + b_r.  The report asserts that z_b(a)
+    brackets into the center of the core (so its image in the central
+    quotient is a central ideal) and that g_r and z_b(a) split the core up
+    to that center.
+    """
     rng = random.Random(seed)
     report = DecompositionReport(g, seed)
     if g.d1 == 0:
@@ -864,7 +845,7 @@ def structure_report(g, seed=0, cap=SPLIT_CAP):
             "odd central vectors in the odd-generated core are rejected",
             evidence={"z_odd_dim": czodd.dim})
     report.center = zc
-    dec = decompose_odd(g, core_even, rng, cap)
+    dec = decompose_odd(g, core_even, rng)
     report.decomposition = dec
     report.b = dec.b
     report.record("b_squares_central",
@@ -899,14 +880,13 @@ def structure_report(g, seed=0, cap=SPLIT_CAP):
         info.checks["theorem42"] = flags
         report.ideals.append(info)
     for k in cls.ja:
-        span, alg, vecs, checks, kk = build_c_ideal(g, dec, k, rng)
+        span, alg, vecs, checks, kk, kk_alg, kk_vecs = build_c_ideal(g, dec, k, rng)
         fp = unitar.fingerprint(alg)
         classification = unitar.classify_fingerprint(alg)
         info = IdealInfo("Ja", (k,), span, alg, vecs, fp, classification,
                          checks, kk_dim=kk.dim)
         info.checks["theorem42"] = {}
         report.ideals.append(info)
-        kk_alg, kk_vecs = subalgebra_from_subspace(g, kk)
         hspan, halg, hok = build_hat_c(g, dec, k, kk, kk_alg, kk_vecs)
         report.record("hat_c_quotient_is_extended_tangent_%d" % k, hok)
         report.hat_c[k] = (hspan, halg)
@@ -953,44 +933,17 @@ def structure_report(g, seed=0, cap=SPLIT_CAP):
                           detail={"ideal": info.indices})
     # the splitting by the centraliser of a inside b
     zba = centralizer(g, dec.a, dec.b)
-    b_r_dim = dec.b.dim - zba.dim
-    gr = dcore.sum(_complement_in(g, zba, dec.b))
+    b_r = _complement_in(g, zba, dec.b)
+    g_r = dcore.sum(b_r)
     report.record("z_b_a_central_mod_even_center",
                   all(zc.contains(g.bracket(u, w))
                       for u in zba.basis for w in dec.b.basis))
-    inter2 = gr.intersection(zba)
+    inter2 = g_r.intersection(zba)
     report.record("gr_split",
                   all(zc.contains(v) for v in inter2.basis)
-                  and gr.sum(zba).dim == red.core.dim)
-    report.gr = (zba.dim, b_r_dim, gr.dim)
+                  and g_r.sum(zba).dim == red.core.dim)
+    report.gr = (zba, b_r, g_r)
     return report
-
-
-def gr_split(g, seed=0, cap=SPLIT_CAP):
-    """(z_b(a), b_r, g_r) of the splitting lemma: the centraliser of a in b,
-    a fixed echelon complement, and the subalgebra [core, core] + b_r.
-
-    Asserts exactly that z_b(a) brackets into the even center (so its image
-    in the central quotient is a central ideal) and that g_r and z_b(a)
-    split the odd-generated core up to that center.
-    """
-    rng = random.Random(seed)
-    red = reduce_to_odd_generated(g)
-    dec = decompose_odd(g, red.core_even, rng, cap)
-    zc = centralizer(g, red.core, red.core)
-    zba = centralizer(g, dec.a, dec.b)
-    b_r = _complement_in(g, zba, dec.b)
-    dcore = _derived_of_span(g, red.core)
-    g_r = dcore.sum(b_r)
-    for u in zba.basis:
-        for w in dec.b.basis:
-            if not zc.contains(g.bracket(u, w)):
-                raise DecompositionError("z_b(a) does not bracket into the center")
-    inter = g_r.intersection(zba)
-    if not all(zc.contains(v) for v in inter.basis) \
-            or g_r.sum(zba).dim != red.core.dim:
-        raise DecompositionError("core does not split along z_b(a)")
-    return zba, b_r, g_r
 
 
 def _derived_of_span(g, span):

@@ -251,10 +251,6 @@ def vec_is_zero(v):
     return all(a.is_zero() for a in v)
 
 
-def vec_eq(u, v):
-    return len(u) == len(v) and all(a == b for a, b in zip(u, v))
-
-
 # ---------------------------------------------------------------------------
 # fraction-free elimination on sparse rows
 # ---------------------------------------------------------------------------

@@ -21,13 +21,16 @@ from .exact import (
     vec_zero,
 )
 from .core import (
-    bracket_span, center, centralizer, even_action_on_even,
+    SuperAlgebraError, bracket_span, center, centralizer, even_action_on_even,
     even_action_on_odd, invariant_symmetric_forms, is_perfect, killing_form,
-    module_commutant,
+    module_commutant, per_algebra,
 )
 from . import families
 
+# candidates tried, and cutting-plane rounds run, by each positive-form search
 WITNESS_CAP = 200
+# the classifier builds no family candidate of a larger dimension
+CLASSIFIER_MAX_DIM = 64
 
 
 class Fingerprint:
@@ -78,10 +81,12 @@ class Fingerprint:
         }
 
 
+@per_algebra
 def even_center_dim(g):
     return centralizer(g, g.even_subspace(), g.even_subspace()).dim
 
 
+@per_algebra
 def fingerprint(g):
     _, krank = killing_form(g)
     comm = module_commutant(even_action_on_odd(g), g.d1) if g.d1 else []
@@ -91,50 +96,28 @@ def fingerprint(g):
         len(comm), is_perfect(g), bracket_span(g, odd, odd).dim)
 
 
-# family table for the classifier: built lazily, only for parameter values
-# whose dimension pair matches the query
-_TABLE_SPECS = None
-
-
-def _table_specs(max_dim):
-    global _TABLE_SPECS
-    if _TABLE_SPECS is not None:
-        return _TABLE_SPECS
-    specs = []
-    for n in range(1, 9):
-        for m in range(1, n + 1):
-            if n > m:
-                specs.append(("su", (n, m)))
-        if n >= 2:
-            # su(1|1) is the 3-dim Clifford-Heisenberg algebra (spin_h(1))
-            # and is listed under that name instead
-            specs.append(("su", (n, n)))
-    for n in range(2, 7):
-        specs.append(("psu", (n,)))
+# the classifier's family table, in matching order; each candidate is built
+# (and its fingerprint computed) only when its dimension pair matches a query
+_TABLE_SPECS = tuple(
+    # su(1|1) is the 3-dim Clifford-Heisenberg algebra (spin_h(1)) and is
+    # listed under that name instead
+    [("su", (n, m)) for n in range(2, 9) for m in range(1, n + 1)]
+    + [("psu", (n,)) for n in range(2, 7)]
     # the queer family is simple only from n = 2 on (pq(1) degenerates to
     # the tangent algebra of su(2))
-    for n in range(2, 6):
-        specs.append(("q", (n,)))
-        specs.append(("pq", (n,)))
-    for n in range(2, 7):
-        specs.append(("c", (n,)))
-    ktags = [("su", 2), ("su", 3), ("su", 4), ("so", 3), ("so", 5), ("sp", 2)]
-    for kt in ktags:
-        for tag in ("T", "T_hat", "T_tilde"):
-            specs.append((tag, kt))
-    for v in range(1, 13):
-        specs.append(("spin_h", (v,)))
-    _TABLE_SPECS = specs
-    return specs
+    + [(tag, (n,)) for n in range(2, 6) for tag in ("q", "pq")]
+    + [("c", (n,)) for n in range(2, 7)]
+    + [(tag, kt)
+       for kt in (("su", 2), ("su", 3), ("su", 4), ("so", 3), ("so", 5), ("sp", 2))
+       for tag in ("T", "T_hat", "T_tilde")]
+    + [("spin_h", (v,)) for v in range(1, 13)])
 
 
-CLASSIFIER_TAGS = {"su": None, "psu": None, "q": None, "pq": None, "c": None,
-                   "T": None, "T_hat": None, "T_tilde": None, "spin_h": None}
-
-
-def classify_fingerprint(g, max_dim=64):
+def classify_fingerprint(g):
     """Match against the family fingerprint table, built from the
-    constructors themselves (never hardcoded).
+    constructors themselves (never hardcoded).  The constructors cache
+    their output and fingerprints are kept per algebra, so each family's
+    fingerprint is computed once per process.
 
     Returns (tag, matches) where tag distinguishes su(n|m) n>m from
     su(n|n); "unknown" comes with the nearest dimension-compatible
@@ -144,9 +127,9 @@ def classify_fingerprint(g, max_dim=64):
     dims = (g.d0, g.d1)
     matches = []
     near = []
-    for tag, params in _table_specs(max_dim):
+    for tag, params in _TABLE_SPECS:
         want = families.expected_dims(tag, params)
-        if want != dims or sum(want) > max_dim:
+        if want != dims or sum(want) > CLASSIFIER_MAX_DIM:
             continue
         cand = families.build_family(tag, *params)
         near.append((tag, params))
@@ -173,6 +156,7 @@ def classify_fingerprint(g, max_dim=64):
 # invariant functionals and the positive-definiteness witness search
 # ---------------------------------------------------------------------------
 
+@per_algebra
 def invariant_functional_basis(g):
     """Basis of the annihilator of [g0, g0] inside the even dual.
 
@@ -241,7 +225,7 @@ class SearchOutcome:
         return self.status == "found"
 
 
-def _sign_patterns(n, limit=3):
+def _sign_patterns(n):
     """Candidate coefficient vectors: unit vectors, then sign patterns."""
     out = []
     for i in range(n):
@@ -261,7 +245,7 @@ def _sign_patterns(n, limit=3):
     return out
 
 
-def find_posdef_in_span(grams, rng, cap=WITNESS_CAP):
+def find_posdef_in_span(grams):
     """Search t with sum t_i G_i positive definite, exactly.
 
     Returns SearchOutcome; "none" only with a certificate (empty span,
@@ -288,7 +272,7 @@ def find_posdef_in_span(grams, rng, cap=WITNESS_CAP):
         res = is_positive_definite(gram_at(t))
         if res.ok:
             return SearchOutcome("found", witness=(t, res.minors, tested))
-        if tested >= cap:
+        if tested >= WITNESS_CAP:
             break
     if n == 1:
         # +-G_1 both failed above: no positive multiple can work
@@ -296,7 +280,7 @@ def find_posdef_in_span(grams, rng, cap=WITNESS_CAP):
             "none", reason="one-dimensional solution space with no definite generator")
     cuts = []
     t = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    for it in range(cap):
+    for it in range(WITNESS_CAP):
         res = is_positive_definite(gram_at(t))
         if res.ok:
             return SearchOutcome("found", witness=(t, res.minors, tested + it))
@@ -314,19 +298,19 @@ def find_posdef_in_span(grams, rng, cap=WITNESS_CAP):
     return SearchOutcome("inconclusive", reason="iteration cap reached")
 
 
-def find_witness(g, rng=None, cap=WITNESS_CAP):
+@per_algebra
+def find_witness(g):
     """Even-invariant functional with positive definite kappa_omega.
 
     no_witness is certified: either the even center is trivial (the
     annihilator is zero) or the exact LP proves no functional in the
     annihilator works.
     """
-    rng = rng or random.Random(0)
     ann = invariant_functional_basis(g)
     if not ann:
         return SearchOutcome("none", reason="center of even part is trivial")
     grams = [gram_of_functional(g, w) for w in ann]
-    out = find_posdef_in_span(grams, rng, cap)
+    out = find_posdef_in_span(grams)
     if not out.found:
         return out
     t, minors, iters = out.witness
@@ -337,7 +321,8 @@ def find_witness(g, rng=None, cap=WITNESS_CAP):
                 functional[k] = functional[k] + Scalar(ti) * w[k]
     gram = gram_of_functional(g, functional)
     res = is_positive_definite(gram)
-    assert res.ok, "witness failed re-verification"
+    if not res.ok:
+        raise SuperAlgebraError("witness failed re-verification")
     # re-check annihilation of [g0, g0]
     for i in range(g.d0):
         for j in range(i, g.d0):
@@ -345,7 +330,8 @@ def find_witness(g, rng=None, cap=WITNESS_CAP):
             for k, v in g.bracket_pair(i, j).items():
                 if k < g.d0:
                     acc = acc + functional[k] * v
-            assert acc.is_zero(), "witness functional fails invariance"
+            if not acc.is_zero():
+                raise SuperAlgebraError("witness functional fails invariance")
     return SearchOutcome("found",
                          witness=Witness(t, functional, gram, res.minors, iters))
 
@@ -362,10 +348,6 @@ class ConeCertificate:
         self.witness = witness
         self.pair = pair                  # (x1, x2) odd with squares cancelling
         self.note = note
-
-
-def _odd_square(g, x):
-    return g.bracket(x, x)
 
 
 def _square_map_is_zero(g):
@@ -397,7 +379,7 @@ def _structured_odd_candidates(g, rng, extra=40):
         yield v
 
 
-def cone_pointedness(g, rng=None, cap=WITNESS_CAP):
+def cone_pointedness(g, rng=None):
     """Certificate for the convex cone generated by the odd squares [X, X].
 
     A positive witness functional gives pointedness (the functional is
@@ -408,12 +390,12 @@ def cone_pointedness(g, rng=None, cap=WITNESS_CAP):
     rng = rng or random.Random(0)
     if _square_map_is_zero(g):
         return ConeCertificate("pointed", note="all odd squares vanish: trivial cone")
-    res = find_witness(g, rng, cap)
+    res = find_witness(g)
     if res.found:
         return ConeCertificate("pointed", witness=res.witness)
     squares = []
     for x in _structured_odd_candidates(g, rng):
-        s = _odd_square(g, x)
+        s = g.bracket(x, x)
         if vec_is_zero(s):
             continue
         for (y, sy) in squares:
@@ -444,7 +426,7 @@ def cone_pointedness(g, rng=None, cap=WITNESS_CAP):
                 if rn is not None and rd is not None:
                     c = Scalar(Fraction(rn, rd))
                     y2 = [c * w for w in y]
-                    s2 = _odd_square(g, y2)
+                    s2 = g.bracket(y2, y2)
                     if vec_is_zero([a + b for a, b in zip(s, s2)]):
                         return ConeCertificate("not_pointed", pair=(x, y2))
     return ConeCertificate("inconclusive")
@@ -468,7 +450,7 @@ class CompactnessResult:
         self.reason = reason
 
 
-def _no_posdef_pair_certificate(g, grams, dim, actions):
+def _no_posdef_pair_certificate(grams, dim, actions):
     """Nonzero v, w with S(v,v) + S(w,w) = 0 for every S in the span.
 
     Looked for among basis vectors paired through commutant candidates
@@ -502,13 +484,12 @@ def _no_posdef_pair_certificate(g, grams, dim, actions):
     return None
 
 
-def compactness_check(g, rng=None, cap=WITNESS_CAP):
+def compactness_check(g):
     """Invariant positive definite forms on the even and odd parts.
 
     yes needs certified positive forms on both; no needs a certificate
     that one of the two solution spaces admits none.
     """
-    rng = rng or random.Random(0)
     results = {}
     for part, actions, dim in (
             ("even", even_action_on_even(g), g.d0),
@@ -517,14 +498,12 @@ def compactness_check(g, rng=None, cap=WITNESS_CAP):
             results[part] = SearchOutcome("found", witness=([], [], 0))
             continue
         grams = invariant_symmetric_forms(actions, dim)
-        out = find_posdef_in_span(grams, rng, cap)
+        out = find_posdef_in_span(grams)
         if out.status == "inconclusive":
-            pair = _no_posdef_pair_certificate(g, grams, dim, actions)
+            pair = _no_posdef_pair_certificate(grams, dim, actions)
             if pair is not None:
                 out = SearchOutcome("none", reason="sign-conflict pair",
                                     certificate=pair)
-        if out.status == "none" and out.reason == "empty solution space":
-            pass
         results[part] = out
     if all(r.found for r in results.values()):
         return CompactnessResult("yes", results["even"], results["odd"])
@@ -563,7 +542,7 @@ class ConditionReport:
         self.detail = detail
 
 
-def necessary_conditions_report(g, seed=0, cap=WITNESS_CAP):
+def necessary_conditions_report(g, seed=0):
     """All five necessary unitarity conditions with per-item verdicts.
 
     (i) compactness, (ii) nonzero odd squares, (iii) pointed cone,
@@ -572,13 +551,13 @@ def necessary_conditions_report(g, seed=0, cap=WITNESS_CAP):
     rng = random.Random(seed)
     items = []
 
-    comp = compactness_check(g, rng, cap)
+    comp = compactness_check(g)
     items.append(ConditionReport(
         "i_compact", {"yes": "pass", "no": "fail"}.get(comp.verdict, "inconclusive"),
         certificate=comp.reason))
 
-    wit = find_witness(g, rng, cap)
-    cone = cone_pointedness(g, rng, cap)
+    wit = find_witness(g)
+    cone = cone_pointedness(g, rng)
 
     sq_verdict, sq_cert = _nonzero_square_check(g, wit.found, rng)
     if sq_verdict == "fail":

@@ -243,8 +243,8 @@ def check_report(rep, want):
     assert rep.reduction.complement.dim == want["comp"]
     assert rep.b.dim == want["b"]
     assert rep.center.dim == want["z"]
-    assert rep.gr[0] == want["zba"]
-    assert rep.gr[1] == want["b"] - want["zba"]
+    assert rep.gr[0].dim == want["zba"]
+    assert rep.gr[1].dim == want["b"] - want["zba"]
     assert rep.kernel_dim == want.get("kernel", 0)
     got = sorted((e["kind"], e["dim"], e["classification"])
                  for e in rep.summand_entries())

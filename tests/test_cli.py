@@ -199,8 +199,9 @@ def test_f1_files_load_but_fail_jacobi(tmp_path, capsys):
 
 def test_decompose_and_unitarity_refuse_non_superalgebras(tmp_path, capsys):
     for path in f1_files(tmp_path):
-        for cmd in ("decompose", "unitarity"):
-            code, out, err = run(capsys, cmd, path, "--seed", "1")
+        for cmd in (["decompose"], ["unitarity"], ["check", "killing"],
+                    ["check", "center"]):
+            code, out, err = run(capsys, *cmd, path, "--seed", "1")
             assert code == 1, (cmd, path)
             assert out == ""
             assert err.startswith("error: input is not a Lie superalgebra: ")

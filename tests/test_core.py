@@ -478,6 +478,30 @@ def test_adjoint_table_is_scaled_integer_table():
             assert all(isinstance(v, int) for v in ad[i][j].values())
 
 
+def test_invariants_are_computed_once_per_algebra():
+    g = direct_sum(build_family("su", 2, 1), build_family("q", 2))
+    twin = direct_sum(build_family("su", 2, 1), build_family("q", 2))
+    for fn in (center, derived, killing_form):
+        assert fn(g) is fn(g)
+        # kept on the object, not keyed by its table
+        assert fn(twin) is not fn(g)
+    assert center(twin) == center(g)
+
+
+def test_library_checks_do_not_use_assert():
+    # python -O strips assert statements, so these modules must raise instead
+    import ast
+    import os
+    import superdecomp
+    root = os.path.dirname(superdecomp.__file__)
+    for name in ("core.py", "decomp.py", "unitar.py"):
+        path = os.path.join(root, name)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert lines == [], (name, lines)
+
+
 # ---------------------------------------------------------------------------
 # construction invariants and the strict loader
 # ---------------------------------------------------------------------------
@@ -557,6 +581,10 @@ MALFORMED = {
     "repeated_k": _repeat_k,
     "duplicate_label": _duplicate_label,
     "parity_two": _set(lambda o: o["basis"][0], "parity", 2),
+    # JSON numbers that int() would truncate, and a boolean parity
+    "k_float": _set(_first_term, "k", 0.9),
+    "num_float": _set(_first_term, "num", 1.5),
+    "parity_bool": _set(lambda o: o["basis"][-1], "parity", True),
 }
 
 

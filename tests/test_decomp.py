@@ -178,20 +178,15 @@ def test_structure_report_rejects_odd_center():
 
 def test_grsplit_su21_plus_that():
     g = direct_sum(build_family("su", 2, 1), build_family("T_hat", "su", 2))
-    rep = structure_report(g, seed=3)
-    zba_dim, b_r_dim, gr_dim = rep.gr
-    assert zba_dim == 0 and b_r_dim == 1
-    assert gr_dim == g.dim                    # g_r = [g, g] + b_r = g
-    from superdecomp.decomp import gr_split
-    zba, b_r, g_r = gr_split(g, seed=3)
-    assert (zba.dim, b_r.dim, g_r.dim) == (0, 1, g.dim)
+    zba, b_r, g_r = structure_report(g, seed=3).gr
+    assert zba.dim == 0 and b_r.dim == 1
+    assert g_r.dim == g.dim                   # g_r = [g, g] + b_r = g
 
 
 def test_grsplit_b_zero_gives_whole_algebra():
     # perfect input: g_r = [g, g] = g
-    from superdecomp.decomp import gr_split
     g = build_family("q", 2)
-    zba, b_r, g_r = gr_split(g)
+    zba, b_r, g_r = structure_report(g).gr
     assert zba.dim == 0 and b_r.dim == 0 and g_r.dim == g.dim
 
 

@@ -1,6 +1,7 @@
 import random
 
-from superdecomp.core import BlockMatrix, from_matrix_span
+from superdecomp import unitar
+from superdecomp.core import BlockMatrix, direct_sum, from_matrix_span
 from superdecomp.exact import (
     I, Matrix, Scalar, ZERO, is_positive_definite, sc, vec_is_zero, vec_zero,
 )
@@ -179,3 +180,39 @@ def test_lemma24_json_shape():
     assert len(d["conditions"]) == 5
     for item in d["conditions"]:
         assert {"condition", "verdict"} <= set(item)
+
+
+def _count_body_calls(monkeypatch, fn):
+    """Algebras the undecorated body of a per-algebra function runs on."""
+    calls = []
+    body = fn.__wrapped__
+
+    def counted(g):
+        calls.append(g)
+        return body(g)
+
+    monkeypatch.setattr(fn, "__wrapped__", counted)
+    return calls
+
+
+def test_fingerprint_is_computed_once_per_algebra():
+    g = direct_sum(build_family("su", 2, 1), build_family("q", 2))
+    assert fingerprint(g) is fingerprint(g)
+
+
+def test_repeat_classify_computes_no_fingerprint(monkeypatch):
+    psu = build_family("psu", 3)
+    first = classify_fingerprint(psu)
+    calls = _count_body_calls(monkeypatch, unitar.fingerprint)
+    assert classify_fingerprint(build_family("psu", 3)) == first
+    assert calls == []
+
+
+def test_report_runs_one_witness_search(monkeypatch):
+    su21 = build_family("su", 2, 1)
+    g = direct_sum(direct_sum(su21, su21), direct_sum(su21, su21))
+    calls = _count_body_calls(monkeypatch, unitar.find_witness)
+    rep = necessary_conditions_report(g, seed=5)
+    assert calls == [g]
+    assert rep.overall == "all necessary conditions pass"
+    assert rep.item("iv_positive_functional").certificate is find_witness(g).witness
