@@ -18,8 +18,8 @@ import re
 from types import MappingProxyType
 
 from .exact import (
-    Echelon, LinSolver, Matrix, Scalar, ZERO, ONE,
-    kernel, solve, span_basis, vec_add, vec_is_zero, vec_scale, vec_sub, vec_zero,
+    Echelon, LinSolver, Matrix, ZERO, ONE,
+    _lin_comb, kernel, solve, span_basis, vec_add, vec_is_zero, vec_sub, vec_zero,
 )
 
 
@@ -159,13 +159,7 @@ class Subspace:
             row += [-other.basis[b][i] for b in range(len(other.basis))]
             rows.append(row)
         ker = kernel(Matrix.from_rows(rows))
-        vecs = []
-        for combo in ker:
-            v = vec_zero(self.ambient_dim)
-            for a, c in enumerate(combo[:len(self.basis)]):
-                if not c.is_zero():
-                    v = vec_add(v, vec_scale(c, self.basis[a]))
-            vecs.append(v)
+        vecs = [_lin_comb(combo, self.basis, self.ambient_dim) for combo in ker]
         return Subspace(self.ambient_dim, vecs, self.space)
 
     def parity_components(self, parities):
@@ -182,14 +176,8 @@ class Subspace:
             else:
                 ker = [[ONE if a == b else ZERO for a in range(len(self.basis))]
                        for b in range(len(self.basis))]
-            vecs = []
-            for combo in ker:
-                v = vec_zero(self.ambient_dim)
-                for a, c in enumerate(combo):
-                    if not c.is_zero():
-                        v = vec_add(v, vec_scale(c, self.basis[a]))
-                vecs.append(v)
-            (even if keep == 0 else odd).extend(vecs)
+            (even if keep == 0 else odd).extend(
+                _lin_comb(combo, self.basis, self.ambient_dim) for combo in ker)
         return (Subspace(self.ambient_dim, even, self.space),
                 Subspace(self.ambient_dim, odd, self.space))
 
@@ -198,14 +186,16 @@ class Subspace:
         return ev.dim + od.dim == self.dim
 
     def sort_key(self):
-        return (self.dim, tuple(tuple(a.key() for a in v) for v in self.basis))
+        """Orders entries by (numerator, denominator), not by value."""
+        return (self.dim, tuple(tuple((a.numerator, a.denominator) for a in v)
+                                for v in self.basis))
 
 
 class SuperAlgebra:
     """Real Lie superalgebra given by rational structure constants.
 
-    table maps (i, j) with 0 <= i <= j < dim to {k: Scalar}; missing pairs
-    bracket to zero.  Structure constants must be real (im = 0); complex
+    table maps (i, j) with 0 <= i <= j < dim to {k: Fraction}; missing pairs
+    bracket to zero.  Structure constants must be rational; complex
     realizations live in the attached metadata, not in the table.
     """
 
@@ -224,9 +214,10 @@ class SuperAlgebra:
                 if not 0 <= k < n:
                     raise SuperAlgebraError(
                         "bracket (%d, %d): basis index %d out of range" % (i, j, k))
-                if not v.is_zero():
-                    if not v.is_real():
-                        raise SuperAlgebraError("structure constants must be rational")
+                if not isinstance(v, Fraction):
+                    raise SuperAlgebraError(
+                        "structure constants must be Fractions, not %r" % (v,))
+                if v:
                     nonzero[k] = v
             if nonzero:
                 clean[(i, j)] = nonzero
@@ -267,9 +258,9 @@ class SuperAlgebra:
         den = 1
         for terms in self.table.values():
             for v in terms.values():
-                den = lcm(den, v.re.denominator)
+                den = lcm(den, v.denominator)
         n = self.dim
-        ad = [[{k: v.re.numerator * (den // v.re.denominator)
+        ad = [[{k: v.numerator * (den // v.denominator)
                 for k, v in terms.items()} if terms else _NO_TERMS
                for terms in (self.bracket_pair(i, j) for j in range(n))]
               for i in range(n)]
@@ -282,10 +273,10 @@ class SuperAlgebra:
             raise ValueError("dimension mismatch")
         out = vec_zero(n)
         for i, xi in enumerate(x):
-            if xi.is_zero():
+            if not xi:
                 continue
             for j, yj in enumerate(y):
-                if yj.is_zero():
+                if not yj:
                     continue
                 c = xi * yj
                 for k, v in self.bracket_pair(i, j).items():
@@ -296,7 +287,7 @@ class SuperAlgebra:
         """[e_i, y] for a dense vector y."""
         out = vec_zero(self.dim)
         for j, yj in enumerate(y):
-            if yj.is_zero():
+            if not yj:
                 continue
             for k, v in self.bracket_pair(i, j).items():
                 out[k] = out[k] + yj * v
@@ -320,7 +311,7 @@ class SuperAlgebra:
         n = self.dim
         m = Matrix(n, n)
         for i, xi in enumerate(x):
-            if xi.is_zero():
+            if not xi:
                 continue
             for j in range(n):
                 for k, v in self.bracket_pair(i, j).items():
@@ -446,17 +437,11 @@ def centralizer(g, targets, inside):
             row = {}
             for a in range(len(inside.basis)):
                 v = brackets[a][ti][k]
-                if not v.is_zero():
+                if v:
                     row[a] = v
             if row:
                 ech.add(row)
-    vecs = []
-    for combo in ech.kernel_basis():
-        v = vec_zero(g.dim)
-        for a, c in enumerate(combo):
-            if not c.is_zero():
-                v = vec_add(v, vec_scale(c, inside.basis[a]))
-        vecs.append(v)
+    vecs = [_lin_comb(combo, inside.basis, g.dim) for combo in ech.kernel_basis()]
     return Subspace(g.dim, vecs, g.space)
 
 
@@ -540,7 +525,7 @@ def killing_form(g):
                 if b:
                     acc += a * b
             if acc:
-                row[j] = Scalar(Fraction(acc, scale))
+                row[j] = Fraction(acc, scale)
     ech = Echelon(n)
     for row in gram.data:
         ech.add_list(row)
@@ -587,7 +572,7 @@ def check_even_invariance(g, form):
                 for k, v in bj.items():
                     if k in pos:
                         acc = acc + form.gram.data[r][pos[k]] * v
-                if not acc.is_zero():
+                if acc:
                     return Violation("invariance", (x, i, j))
     return None
 
@@ -614,14 +599,14 @@ def invariant_symmetric_forms(actions, dim):
                 row = {}
                 for r in range(dim):
                     a = m.data[r][j]
-                    if not a.is_zero():
+                    if a:
                         v = var(r, k)
                         row[v] = row.get(v, ZERO) + a
                     b = m.data[r][k]
-                    if not b.is_zero():
+                    if b:
                         v = var(j, r)
                         row[v] = row.get(v, ZERO) + b
-                row = {v: a for v, a in row.items() if not a.is_zero()}
+                row = {v: a for v, a in row.items() if a}
                 if row:
                     ech.add(row)
     out = []
@@ -648,14 +633,14 @@ def module_commutant(actions, dim):
                 row = {}
                 for s in range(dim):
                     v = a.data[r][s]
-                    if not v.is_zero():
+                    if v:
                         key = var(s, c)
                         row[key] = row.get(key, ZERO) + v
                     w = a.data[s][c]
-                    if not w.is_zero():
+                    if w:
                         key = var(r, s)
                         row[key] = row.get(key, ZERO) - w
-                row = {k: v for k, v in row.items() if not v.is_zero()}
+                row = {k: v for k, v in row.items() if v}
                 if row:
                     ech.add(row)
     out = []
@@ -731,17 +716,17 @@ def direct_sum(g, h):
         a, b = mg[i], mg[j]
         if a > b:
             a, b = b, a
-            sign = ONE if (g.parity(i) and g.parity(j)) else Scalar(-1)
+            sign = 1 if (g.parity(i) and g.parity(j)) else -1
         else:
-            sign = ONE
+            sign = 1
         table[(a, b)] = {mg[k]: sign * v for k, v in terms.items()}
     for (i, j), terms in h.table.items():
         a, b = mh[i], mh[j]
         if a > b:
             a, b = b, a
-            sign = ONE if (h.parity(i) and h.parity(j)) else Scalar(-1)
+            sign = 1 if (h.parity(i) and h.parity(j)) else -1
         else:
-            sign = ONE
+            sign = 1
         table[(a, b)] = {mh[k]: sign * v for k, v in terms.items()}
     return SuperAlgebra(space, table,
                         meta={"embeddings": (mg, mh), "summand_dims": (g.dim, h.dim)})
@@ -763,7 +748,7 @@ class QuotientMap:
     def lift(self, w):
         v = vec_zero(self._n)
         for a, idx in enumerate(self.kept):
-            if not w[a].is_zero():
+            if w[a]:
                 v[idx] = w[a]
         return v
 
@@ -797,7 +782,7 @@ def quotient_by_central(g, z):
             for k, val in terms.items():
                 v[k] = val
             w = qmap.project(v)
-            row = {c: val for c, val in enumerate(w) if not val.is_zero()}
+            row = {c: val for c, val in enumerate(w) if val}
             if row:
                 table[(a, b)] = row
     return SuperAlgebra(space, table, meta={"quotient_of_dim": g.dim}), qmap
@@ -809,7 +794,7 @@ def check_derivation(g, dmat, parity):
     cols = [[dmat.data[k][j] for k in range(n)] for j in range(n)]
     for j, col in enumerate(cols):
         for k, v in enumerate(col):
-            if v.is_zero():
+            if not v:
                 continue
             if (g.parity(k) + g.parity(j)) % 2 != parity % 2:
                 return Violation("derivation parity", (j, k))
@@ -853,15 +838,14 @@ def semidirect_by_derivation(g, dmat, parity):
     for (i, j), terms in g.table.items():
         table[(shift(i), shift(j))] = {shift(k): v for k, v in terms.items()}
     for j in range(n):
-        col = {shift(k): dmat.data[k][j] for k in range(n)
-               if not dmat.data[k][j].is_zero()}
+        col = {shift(k): dmat.data[k][j] for k in range(n) if dmat.data[k][j]}
         if not col:
             continue
         sj = shift(j)
         if pos <= sj:
             table[(pos, sj)] = col
         else:
-            sign = ONE if (parity % 2 and g.parity(j)) else Scalar(-1)
+            sign = 1 if (parity % 2 and g.parity(j)) else -1
             table[(sj, pos)] = {k: sign * v for k, v in col.items()}
     alg = SuperAlgebra(space, table, meta={"derivation_index": pos})
     return alg
@@ -891,7 +875,7 @@ def central_extension(g, form):
             if j < i:
                 continue
             val = form.gram.data[pos[i]][pos[j]]
-            if val.is_zero():
+            if not val:
                 continue
             key = (i + 1, j + 1)
             row = dict(table.get(key, {}))
@@ -973,9 +957,9 @@ class BlockMatrix:
             for c in range(p + q):
                 in_diag = (r < p) == (c < p)
                 v = full.data[r][c]
-                if parity == 0 and not in_diag and not v.is_zero():
+                if parity == 0 and not in_diag and v:
                     raise SuperAlgebraError("even block matrix with odd block entries")
-                if parity == 1 and in_diag and not v.is_zero():
+                if parity == 1 and in_diag and v:
                     raise SuperAlgebraError("odd block matrix with even block entries")
 
     @classmethod
@@ -1032,8 +1016,8 @@ def realify_matrix(m):
     out = []
     for row in m.data:
         for a in row:
-            out.append(Scalar(a.re))
-            out.append(Scalar(a.im))
+            out.append(a.real)
+            out.append(a.imag)
     return out
 
 
@@ -1061,19 +1045,13 @@ class MatrixRealization:
         n = self.p + self.q
         out = Matrix(n, n)
         for c, m in zip(coords, self.mats):
-            if not c.is_zero():
+            if c:
                 out = out + m.scale(c)
         return out
 
     def from_matrix(self, m):
         """Real coordinates of a matrix in the spanning basis, or None."""
-        coords = self.solver.coords(realify_matrix(m))
-        if coords is None:
-            return None
-        for c in coords:
-            if not c.is_real():
-                return None
-        return coords
+        return self.solver.coords(realify_matrix(m))
 
 
 def from_matrix_span(blocks):
@@ -1106,7 +1084,7 @@ def from_matrix_span(blocks):
             want = (parities[i] + parities[j]) % 2
             terms = {}
             for k, c in enumerate(coords):
-                if c.is_zero():
+                if not c:
                     continue
                 if parities[k] != want:
                     raise SuperAlgebraError(
@@ -1144,7 +1122,7 @@ def subalgebra_from_subspace(g, s):
             coords = solver.coords(w)
             if coords is None:
                 raise SuperAlgebraError("subspace is not bracket closed")
-            terms = {k: c for k, c in enumerate(coords) if not c.is_zero()}
+            terms = {k: c for k, c in enumerate(coords) if c}
             if terms:
                 table[(a, b)] = terms
     return SuperAlgebra(space, table), vecs
@@ -1159,7 +1137,7 @@ def algebra_to_json_dict(g, name):
              for i in range(g.dim)]
     brackets = []
     for (i, j) in sorted(g.table):
-        terms = [{"k": str(k), "num": str(v.re.numerator), "den": str(v.re.denominator)}
+        terms = [{"k": str(k), "num": str(v.numerator), "den": str(v.denominator)}
                  for k, v in sorted(g.table[(i, j)].items())]
         brackets.append({"i": str(i), "j": str(j), "terms": terms})
     return {"name": name, "basis": basis, "brackets": brackets}
@@ -1203,7 +1181,7 @@ def algebra_from_json_dict(obj):
                 den = _file_int(t["den"])
                 if den == 0:
                     raise AlgebraFileError("bracket (%d, %d): zero denominator" % (i, j))
-                terms[k] = Scalar(Fraction(_file_int(t["num"]), den))
+                terms[k] = Fraction(_file_int(t["num"]), den)
             table[(i, j)] = terms
         return SuperAlgebra(space, table, meta={"name": obj.get("name", "")})
     except (SuperAlgebraError, TypeError) as exc:

@@ -19,9 +19,9 @@ from fractions import Fraction
 import random
 
 from .exact import (
-    Echelon, LinSolver, Matrix, Scalar, ZERO, ONE,
-    char_poly_and_rational_split, kernel, peval_matrix, pmul,
-    random_rational, solve, vec_add, vec_is_zero, vec_scale, vec_zero,
+    Echelon, LinSolver, Matrix, ZERO, ONE,
+    _lin_comb, char_poly_and_rational_split, kernel, peval_matrix, pmul,
+    random_rational, solve, vec_add, vec_is_zero, vec_zero,
 )
 from .core import (
     Subspace, SuperAlgebraError, bracket_span, center, centralizer, derived,
@@ -169,14 +169,7 @@ def _restrict_actions(actions, basis, dim):
 
 
 def _lift(basis, vecs):
-    out = []
-    for v in vecs:
-        w = vec_zero(len(basis[0]))
-        for c, bv in zip(v, basis):
-            if not c.is_zero():
-                w = vec_add(w, vec_scale(c, bv))
-        out.append(w)
-    return out
+    return [_lin_comb(v, basis, len(basis[0])) for v in vecs]
 
 
 def _invariant_complement(actions, wbasis, dim):
@@ -224,7 +217,7 @@ def _invariant_complement(actions, wbasis, dim):
         for c in range(q):
             row = vec_zero(nvar)
             for i in range(dim):
-                if not pi.data[r][i].is_zero():
+                if pi.data[r][i]:
                     row[var(i, c)] = pi.data[r][i]
             eqrows.append(row)
             eqrhs.append(ONE if r == c else ZERO)
@@ -233,10 +226,10 @@ def _invariant_complement(actions, wbasis, dim):
             for c in range(q):
                 row = vec_zero(nvar)
                 for i in range(dim):
-                    if not m.data[r][i].is_zero():
+                    if m.data[r][i]:
                         row[var(i, c)] = row[var(i, c)] + m.data[r][i]
                 for i in range(q):
-                    if not qm.data[i][c].is_zero():
+                    if qm.data[i][c]:
                         row[var(r, i)] = row[var(r, i)] - qm.data[i][c]
                 eqrows.append(row)
                 eqrhs.append(ZERO)
@@ -248,7 +241,7 @@ def _invariant_complement(actions, wbasis, dim):
     for c in range(q):
         v = vec_zero(dim)
         for r in range(dim):
-            if not s[var(r, c)].is_zero():
+            if s[var(r, c)]:
                 v[r] = s[var(r, c)]
         comp.append(v)
     return comp
@@ -365,7 +358,7 @@ def _theta_candidates(comm, dim, rng):
         for m in comm:
             c = random_rational(rng, 2, 1)
             if c:
-                acc = acc + m.scale(Scalar(c))
+                acc = acc + m.scale(c)
         yield acc
 
 
@@ -640,10 +633,7 @@ def _verify_tangent_quotient(g, dec, k, kk, kk_alg, kk_vecs, ak,
             coords = expand.coords(w)
             if coords is None:
                 return False
-            want = vec_zero(tk.dim)
-            for r, cval in enumerate(coords[nz:]):
-                if not cval.is_zero():
-                    want = vec_add(want, vec_scale(cval, images[r]))
+            want = _lin_comb(coords[nz:], images, tk.dim)
             got = tk.bracket(images[p], images[q])
             if got != want:
                 return False
@@ -706,7 +696,7 @@ def qhat_embedding_certificate(g, dec, k_index, ideal):
     }
     # ad b0 annihilates the ideal's even part and has square zero on it
     even_part = Subspace(g.dim, [v for v in ideal.span.basis
-                                 if all(v[i].is_zero() for i in g.space.odd_indices())],
+                                 if not any(v[i] for i in g.space.odd_indices())],
                          g.space)
     cert["kills_ideal_even_part"] = bracket_span(
         g, Subspace(g.dim, [b0], g.space), even_part).dim == 0
@@ -891,7 +881,7 @@ def structure_report(g, seed=0):
         report.record("hat_c_quotient_is_extended_tangent_%d" % k, hok)
         report.hat_c[k] = (hspan, halg)
     # theorem: [core, core] = z(core) + sum of ideals, as subspaces
-    dcore = _derived_of_span(g, red.core)
+    dcore = bracket_span(g, red.core, red.core)
     total = Subspace(g.dim, list(zc.basis), g.space)
     for info in report.ideals:
         total = total.sum(info.span)
@@ -920,12 +910,8 @@ def structure_report(g, seed=0):
     for kv in ker:
         pos = 0
         for info in report.ideals:
-            comp = vec_zero(g.dim)
-            for v in info.span.basis:
-                cval = kv[pos]
-                pos += 1
-                if not cval.is_zero():
-                    comp = vec_add(comp, vec_scale(cval, v))
+            comp = _lin_comb(kv[pos:], info.span.basis, g.dim)
+            pos += info.span.dim
             if vec_is_zero(comp):
                 continue
             central = all(vec_is_zero(g.bracket(comp, w)) for w in info.span.basis)
@@ -944,16 +930,6 @@ def structure_report(g, seed=0):
                   and g_r.sum(zba).dim == red.core.dim)
     report.gr = (zba, b_r, g_r)
     return report
-
-
-def _derived_of_span(g, span):
-    vecs = []
-    for u in span.basis:
-        for w in span.basis:
-            v = g.bracket(u, w)
-            if not vec_is_zero(v):
-                vecs.append(v)
-    return Subspace(g.dim, vecs, g.space)
 
 
 def _complement_in(g, small, big):

@@ -1,109 +1,122 @@
 """Exact scalar and linear algebra kernel.
 
-Scalars are Gaussian rationals (a + bi with rational a, b); plain rationals
-are the b = 0 case.  All operations are exact: there is no floating point
-anywhere in this package.  Elimination is fraction-free (cross-multiplication
-with content removal, Bareiss style) so intermediate entries stay integral
-and small instead of accumulating denominators.
+Two number domains, one type each.  Every rational value is a
+fractions.Fraction: structure constants, subspace bases, forms, minors,
+LP data.  Complex values, which arise only in matrix realizations and
+Fock operators, are Gaussian rationals a + bi of type Scalar with b != 0;
+a Scalar operation whose result is real returns a Fraction, so the two
+types never hold the same number.  All operations are exact: there is no
+floating point anywhere in this package.  Elimination runs on rational
+rows only and is fraction-free (cross-multiplication with content
+removal, Bareiss style) so intermediate entries stay integral and small
+instead of accumulating denominators.
 
 Everything here is a pure function on immutable values and safe to call
 concurrently.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
 class Scalar:
-    """Gaussian rational a + bi, always in lowest terms (Fraction invariant)."""
+    """Gaussian rational a + bi with b != 0, in lowest terms.
 
-    __slots__ = ("re", "im")
+    Scalar(a, b) returns the Fraction a when b == 0, and so does every
+    operation whose result is real; a Scalar is therefore never zero.
+    It follows Python's number protocol (real, imag, conjugate(), truth
+    value), so code written for both domains needs no type test.
+    """
 
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+    __slots__ = ("real", "imag")
 
-    @classmethod
-    def _make(cls, re, im):
-        s = object.__new__(cls)
-        s.re = re
-        s.im = im
-        return s
+    def __new__(cls, real=0, imag=0):
+        real = real if isinstance(real, Fraction) else Fraction(real)
+        imag = imag if isinstance(imag, Fraction) else Fraction(imag)
+        return _gauss(real, imag)
 
     def __add__(self, other):
-        return Scalar._make(self.re + other.re, self.im + other.im)
+        if isinstance(other, Scalar):
+            return _gauss(self.real + other.real, self.imag + other.imag)
+        return _complex(self.real + other, self.imag)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return Scalar._make(self.re - other.re, self.im - other.im)
+        if isinstance(other, Scalar):
+            return _gauss(self.real - other.real, self.imag - other.imag)
+        return _complex(self.real - other, self.imag)
+
+    def __rsub__(self, other):
+        return _complex(other - self.real, -self.imag)
 
     def __neg__(self):
-        return Scalar._make(-self.re, -self.im)
+        return _complex(-self.real, -self.imag)
 
     def __mul__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return Scalar._make(a * c, _F0)
-        return Scalar._make(a * c - b * d, a * d + b * c)
+        a, b = self.real, self.imag
+        if isinstance(other, Scalar):
+            c, d = other.real, other.imag
+            return _gauss(a * c - b * d, a * d + b * c)
+        return _gauss(a * other, b * other)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not d:
-            return Scalar._make(a / c, b / c)
-        n = c * c + d * d
-        return Scalar._make((a * c + b * d) / n, (b * c - a * d) / n)
+        a, b = self.real, self.imag
+        if isinstance(other, Scalar):
+            c, d = other.real, other.imag
+            n = c * c + d * d
+            return _gauss((a * c + b * d) / n, (b * c - a * d) / n)
+        return _complex(a / other, b / other)
 
-    def conj(self):
-        return Scalar._make(self.re, -self.im)
+    def __rtruediv__(self, other):
+        a, b = self.real, self.imag
+        n = a * a + b * b
+        return _gauss(other * a / n, -other * b / n)
 
-    def is_zero(self):
-        return not self.re and not self.im
-
-    def is_real(self):
-        return not self.im
+    def conjugate(self):
+        return _complex(self.real, -self.imag)
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.re == other and not self.im
-        return NotImplemented
+            return self.real == other.real and self.imag == other.imag
+        return False
 
     def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return hash((self.real, self.imag))
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return "%si" % self.im
-        return "(%s%+si)" % (self.re, self.im)
-
-    def key(self):
-        """Deterministic sort key."""
-        return (self.re.numerator, self.re.denominator,
-                self.im.numerator, self.im.denominator)
+        if not self.real:
+            return "%si" % self.imag
+        return "(%s%s%si)" % (self.real, "+" if self.imag > 0 else "", self.imag)
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
+def _complex(re, im):
+    """Scalar re + im i for Fractions re and im != 0."""
+    s = object.__new__(Scalar)
+    s.real = re
+    s.imag = im
+    return s
+
+
+def _gauss(re, im):
+    """re + im i for Fractions: a Fraction when im == 0, else a Scalar."""
+    return _complex(re, im) if im else re
+
+
+ZERO = _F0
+ONE = _F1
+MINUS_ONE = Fraction(-1)
 I = Scalar(0, 1)
-MINUS_ONE = Scalar(-1)
-
-
-def sc(re, im=0):
-    """Scalar from anything Fraction accepts (ints, 'p/q' strings)."""
-    return Scalar(Fraction(re), Fraction(im))
 
 
 def ipow(k):
     """i**k for integer k, table driven."""
-    return (ONE, I, MINUS_ONE, Scalar(0, -1))[k % 4]
+    return (ONE, I, MINUS_ONE, -I)[k % 4]
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +124,8 @@ def ipow(k):
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Dense matrix over Scalar.  Rows is a list of lists; never aliased."""
+    """Dense matrix over Fraction and Scalar entries.  Rows is a list of
+    lists; never aliased."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -121,7 +135,8 @@ class Matrix:
         if data is None:
             self.data = [[ZERO] * cols for _ in range(rows)]
         else:
-            assert len(data) == rows and all(len(r) == cols for r in data)
+            if len(data) != rows or any(len(r) != cols for r in data):
+                raise ValueError("data does not have the stated shape")
             self.data = data
 
     @classmethod
@@ -145,14 +160,18 @@ class Matrix:
     def copy(self):
         return Matrix(self.rows, self.cols, [row[:] for row in self.data])
 
+    def _same_shape(self, other):
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("dimension mismatch")
+
     def __add__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
+        self._same_shape(other)
         return Matrix(self.rows, self.cols,
                       [[a + b for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.data, other.data)])
 
     def __sub__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
+        self._same_shape(other)
         return Matrix(self.rows, self.cols,
                       [[a - b for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.data, other.data)])
@@ -166,23 +185,25 @@ class Matrix:
                       [[s * a for a in row] for row in self.data])
 
     def __matmul__(self, other):
-        assert self.cols == other.rows, "dimension mismatch"
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch")
         out = Matrix(self.rows, other.cols)
         odata = out.data
         bdata = other.data
         for i, arow in enumerate(self.data):
             orow = odata[i]
             for k, a in enumerate(arow):
-                if a.is_zero():
+                if not a:
                     continue
                 brow = bdata[k]
                 for j, b in enumerate(brow):
-                    if not b.is_zero():
+                    if b:
                         orow[j] = orow[j] + a * b
         return out
 
     def mul_vec(self, v):
-        assert self.cols == len(v)
+        if self.cols != len(v):
+            raise ValueError("dimension mismatch")
         out = []
         for row in self.data:
             acc = ZERO
@@ -199,18 +220,19 @@ class Matrix:
 
     def conj_transpose(self):
         return Matrix(self.cols, self.rows,
-                      [[self.data[i][j].conj() for i in range(self.rows)]
+                      [[self.data[i][j].conjugate() for i in range(self.rows)]
                        for j in range(self.cols)])
 
     def trace(self):
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise ValueError("square matrix required")
         t = ZERO
         for i in range(self.rows):
             t = t + self.data[i][i]
         return t
 
     def is_zero(self):
-        return all(a.is_zero() for row in self.data for a in row)
+        return not any(map(any, self.data))
 
     def is_symmetric(self):
         if self.rows != self.cols:
@@ -219,7 +241,7 @@ class Matrix:
                    for i in range(self.rows) for j in range(i + 1, self.cols))
 
     def is_real(self):
-        return all(a.is_real() for row in self.data for a in row)
+        return all(isinstance(a, Fraction) for row in self.data for a in row)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -229,7 +251,7 @@ class Matrix:
         return "Matrix(%d,%d,%s)" % (self.rows, self.cols, self.data)
 
 
-# vectors are plain lists of Scalar
+# vectors are plain lists of Fraction (or Scalar)
 
 def vec_zero(n):
     return [ZERO] * n
@@ -243,42 +265,46 @@ def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
 
 
-def vec_scale(s, v):
-    return [s * a for a in v]
-
-
 def vec_is_zero(v):
-    return all(a.is_zero() for a in v)
+    return not any(v)
+
+
+def _lin_comb(coeffs, vectors, n):
+    """sum_a coeffs[a] * vectors[a] as a length-n vector; zip stops at the
+    shorter of coeffs and vectors."""
+    out = [ZERO] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for j, a in enumerate(v):
+                if a:
+                    out[j] = out[j] + c * a
+    return out
 
 
 # ---------------------------------------------------------------------------
 # fraction-free elimination on sparse rows
 # ---------------------------------------------------------------------------
 #
-# A sparse row is a dict {column: Scalar} with no zero values.  Rows fed to
-# the echelon are first scaled to clear denominators and divided by their
+# A sparse row is a dict {column: Fraction} with no zero values.  Rows fed
+# to the echelon are first scaled to clear denominators and divided by their
 # integer content, so the cross-multiplication update keeps entries integral.
 
 def _row_from_list(v):
-    return {j: a for j, a in enumerate(v) if not a.is_zero()}
+    return {j: a for j, a in enumerate(v) if a}
 
 
 def _row_content_reduce(row):
-    """Scale a row so entries are Gaussian integers with content 1."""
+    """Scale a row so entries are integers with content 1."""
     if not row:
         return row
     den = 1
     for a in row.values():
-        den = den * a.re.denominator // gcd(den, a.re.denominator)
-        den = den * a.im.denominator // gcd(den, a.im.denominator)
+        den = lcm(den, a.denominator)
     num = 0
     for a in row.values():
-        num = gcd(num, abs(a.re.numerator * (den // a.re.denominator)))
-        num = gcd(num, abs(a.im.numerator * (den // a.im.denominator)))
-    if num == 0:
-        return row
-    f = Scalar(Fraction(den, num))
-    if f == ONE:
+        num = gcd(num, a.numerator * (den // a.denominator))
+    f = Fraction(den, num)
+    if f == 1:
         return row
     return {j: f * a for j, a in row.items()}
 
@@ -291,8 +317,8 @@ def _row_cross(piv, pv, row, rv):
     for j, a in piv.items():
         b = rv * a
         c = out.get(j)
-        c = b.__neg__() if c is None else c - b
-        if c.is_zero():
+        c = -b if c is None else c - b
+        if not c:
             out.pop(j, None)
         else:
             out[j] = c
@@ -300,7 +326,7 @@ def _row_cross(piv, pv, row, rv):
 
 
 class Echelon:
-    """Incremental row echelon form over the Gaussian rationals.
+    """Incremental row echelon form over the rationals.
 
     Rows are kept fraction-free.  `add` reduces an incoming row by the
     current pivots and installs it if a new pivot survives; `residual`
@@ -360,7 +386,7 @@ class Echelon:
                     if j == c2:
                         continue
                     b = row.get(j, ZERO) - v * a
-                    if b.is_zero():
+                    if not b:
                         row.pop(j, None)
                     else:
                         row[j] = b
@@ -418,12 +444,13 @@ def solve(m, b):
     x_c + sum_{free j} a_j x_j - a_rhs = 0 against the vector (x, -1),
     so the particular solution with free variables zero is x_c = a_rhs.
     """
-    assert m.rows == len(b), "dimension mismatch"
+    if m.rows != len(b):
+        raise ValueError("dimension mismatch")
     n = m.cols
     ech = Echelon(n + 1)
     for row, bi in zip(m.data, b):
         r = _row_from_list(row)
-        if not bi.is_zero():
+        if bi:
             r[n] = bi
         ech.add(r)
     if n in ech.pivots:
@@ -472,14 +499,14 @@ class LinSolver:
         self.ech = Echelon(dim + self.n + 1)
         self._cols = columns
         for i, col in enumerate(columns):
-            row = {j: a for j, a in enumerate(col) if not a.is_zero()}
+            row = _row_from_list(col)
             row[dim + i] = ONE
             if not self.ech.add(row):
                 raise ValueError("columns are linearly dependent")
 
     def coords(self, vec):
         """x with B x = vec, or None if vec is outside the span."""
-        row = {j: a for j, a in enumerate(vec) if not a.is_zero()}
+        row = _row_from_list(vec)
         row[self.dim + self.n] = ONE
         _, red = self.ech._reduce(row)
         if any(j < self.dim for j in red):
@@ -531,7 +558,8 @@ def pmul(p, q):
 
 
 def pdivmod(p, q):
-    assert q, "division by zero polynomial"
+    if not q:
+        raise ZeroDivisionError("division by zero polynomial")
     p = p[:]
     quo = [_F0] * max(0, len(p) - len(q) + 1)
     qc = q[-1]
@@ -580,29 +608,29 @@ def peval_matrix(p, m):
     for a in reversed(p):
         acc = m @ acc
         if a:
-            s = Scalar(a)
             for i in range(n):
-                acc.data[i][i] = acc.data[i][i] + s
+                acc.data[i][i] = acc.data[i][i] + a
     return acc
 
 
 def char_poly(m):
     """Characteristic polynomial det(tI - m), Faddeev-LeVerrier, exact.
 
-    Requires rational (im = 0) entries.
+    Requires rational entries.
     """
-    assert m.rows == m.cols, "square matrix required"
-    assert m.is_real(), "rational entries required"
+    if m.rows != m.cols:
+        raise ValueError("square matrix required")
+    if not m.is_real():
+        raise ValueError("rational entries required")
     n = m.rows
     coeffs = [_F1]                       # c_n
     aux = Matrix.identity(n)
     for k in range(1, n + 1):
         aux = m @ aux
-        ck = -aux.trace().re / k
+        ck = -aux.trace() / k
         coeffs.append(ck)
-        s = Scalar(ck)
         for i in range(n):
-            aux.data[i][i] = aux.data[i][i] + s
+            aux.data[i][i] = aux.data[i][i] + ck
     coeffs.reverse()                     # low degree first
     return ptrim(coeffs)
 
@@ -787,7 +815,7 @@ def quad_form(g, v):
             continue
         for j, a in enumerate(row):
             if a and v[j]:
-                acc += v[i].re * a.re * v[j].re
+                acc += v[i] * a * v[j]
     return acc
 
 
@@ -804,15 +832,19 @@ def is_positive_definite(g):
     n = g.rows
     if n == 0:
         return PosDefResult(True, [])
-    s = [[a.re for a in row] for row in g.data]
+    s = [row[:] for row in g.data]
     # congruence transform T with T^T g T = s throughout; column k of T
     # carries the witness coordinates back to the original basis.
     t = [[_F1 if i == j else _F0 for j in range(n)] for i in range(n)]
     minors = []
     det = _F1
 
-    def col_of_t(k):
-        return [Scalar(t[i][k]) for i in range(n)]
+    def failure(v, holds):
+        """The witness v, after re-checking its value on g itself."""
+        val = quad_form(g, v)
+        if not holds(val):
+            raise ArithmeticError("Sylvester witness fails its exact re-check")
+        return PosDefResult(False, minors, v, val)
 
     for k in range(n):
         p = s[k][k]
@@ -839,10 +871,7 @@ def is_positive_definite(g):
                             t[i][j] -= fj * t[i][k]
             continue
         if p < 0:
-            v = col_of_t(k)
-            val = quad_form(g, v)
-            assert val == p
-            return PosDefResult(False, minors, v, val)
+            return failure([t[i][k] for i in range(n)], lambda val: val == p)
         # p == 0: degenerate direction, or a 2x2 indefinite block
         row_nz = None
         for j in range(k + 1, n):
@@ -850,18 +879,13 @@ def is_positive_definite(g):
                 row_nz = j
                 break
         if row_nz is None:
-            v = col_of_t(k)
-            val = quad_form(g, v)
-            assert val == 0
-            return PosDefResult(False, minors, v, val)
+            return failure([t[i][k] for i in range(n)], lambda val: val == 0)
         j = row_nz
         sv = s[k][j]
         sigma = s[j][j]
         tt = (sigma + 1) / (2 * sv)
-        v = [Scalar(tt * t[i][k] - t[i][j]) for i in range(n)]
-        val = quad_form(g, v)
-        assert val < 0
-        return PosDefResult(False, minors, v, val)
+        return failure([tt * t[i][k] - t[i][j] for i in range(n)],
+                       lambda val: val < 0)
     return PosDefResult(True, minors)
 
 
@@ -869,12 +893,23 @@ def is_positive_definite(g):
 # exact feasibility LP:  find t with A t >= 1 componentwise
 # ---------------------------------------------------------------------------
 
+# simplex pivots feasible_point may take before it gives up
+LP_PIVOT_CAP = 20000
+
+
+class UnsolvedLP(ArithmeticError):
+    """feasible_point neither found a point nor proved there is none."""
+
+
 def feasible_point(rows, nvars):
     """Exact rational t with row . t >= 1 for every row, or None.
 
     rows are lists of Fractions.  Phase-1 simplex with Bland's rule; the
     outcome is exact, so None is a certificate of infeasibility of the
     system {A t >= 1} (equivalently: no positive scaling works either).
+    Raises UnsolvedLP when the simplex stops without an optimal tableau
+    (LP_PIVOT_CAP pivots, or no leaving row) or the point it reads off
+    fails the exact re-check: neither outcome proves anything.
     """
     m = len(rows)
     if m == 0:
@@ -901,7 +936,7 @@ def feasible_point(rows, nvars):
     for i in range(m):
         obj[2 * nvars + m + i] = _F0
 
-    for _ in range(20000):
+    for _ in range(LP_PIVOT_CAP):
         enter = -1
         for j in range(ncols):
             if obj[j] > 0:
@@ -920,7 +955,8 @@ def feasible_point(rows, nvars):
                     best = ratio
                     leave = i
         if leave < 0:
-            break                                  # unbounded improvement axis
+            # phase 1 is bounded below by 0, so the tableau is inconsistent
+            raise UnsolvedLP("no leaving row for entering column %d" % enter)
         piv = tab[leave][enter]
         tab[leave] = [a / piv for a in tab[leave]]
         for i in range(m):
@@ -931,6 +967,8 @@ def feasible_point(rows, nvars):
             f = obj[enter]
             obj = [a - f * b for a, b in zip(obj, tab[leave])]
         basis[leave] = enter
+    else:
+        raise UnsolvedLP("pivot cap of %d reached" % LP_PIVOT_CAP)
     if obj[ncols] != 0:
         return None                                # infeasible, exactly
     t = [_F0] * nvars
@@ -942,7 +980,7 @@ def feasible_point(rows, nvars):
     # exact re-check; simplex bookkeeping must never be trusted blindly
     for row in rows:
         if sum(a * x for a, x in zip(row, t)) < 1:
-            return None
+            raise UnsolvedLP("simplex point fails the exact re-check")
     return t
 
 
@@ -957,6 +995,6 @@ def random_rational(rng, num_bound=3, den_bound=2):
 
 def random_vector(rng, n, num_bound=3, den_bound=2, nonzero=False):
     while True:
-        v = [Scalar(random_rational(rng, num_bound, den_bound)) for _ in range(n)]
+        v = [random_rational(rng, num_bound, den_bound) for _ in range(n)]
         if not nonzero or not vec_is_zero(v):
             return v

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (
-    Matrix, Scalar, ZERO, ONE, I, kernel, sc,
+    Matrix, Scalar, ZERO, ONE, MINUS_ONE, I, kernel,
     vec_is_zero, vec_zero,
 )
 from .core import (
@@ -177,7 +177,7 @@ def u_matrix_basis(n):
         for k in range(j + 1, n):
             m = Matrix(n, n)
             m.data[j][k] = ONE
-            m.data[k][j] = Scalar(-1)
+            m.data[k][j] = MINUS_ONE
             out.append(m)
             m = Matrix(n, n)
             m.data[j][k] = I
@@ -198,7 +198,7 @@ def su_matrix_basis(n):
         for k in range(j + 1, n):
             m = Matrix(n, n)
             m.data[j][k] = ONE
-            m.data[k][j] = Scalar(-1)
+            m.data[k][j] = MINUS_ONE
             out.append(m)
             m = Matrix(n, n)
             m.data[j][k] = I
@@ -213,7 +213,7 @@ def so_matrix_basis(n):
         for k in range(j + 1, n):
             m = Matrix(n, n)
             m.data[j][k] = ONE
-            m.data[k][j] = Scalar(-1)
+            m.data[k][j] = MINUS_ONE
             out.append(m)
     return out
 
@@ -227,7 +227,7 @@ def sp_matrix_basis(n):
         for i in range(n):
             for j in range(n):
                 m.data[i][j] = a.data[i][j]
-                m.data[n + i][n + j] = a.data[i][j].conj()
+                m.data[n + i][n + j] = a.data[i][j].conjugate()
         out.append(m)
     sym = []
     for j in range(n):
@@ -248,7 +248,7 @@ def sp_matrix_basis(n):
         for i in range(n):
             for j in range(n):
                 m.data[i][n + j] = b.data[i][j]
-                m.data[n + i][j] = -b.data[i][j].conj()
+                m.data[n + i][j] = -b.data[i][j].conjugate()
         out.append(m)
     return out
 
@@ -385,7 +385,7 @@ def _sympl_gram(size):
     jmat = Matrix(size, size)
     for i in range(half):
         jmat.data[i][half + i] = ONE
-        jmat.data[half + i][i] = Scalar(-1)
+        jmat.data[half + i][i] = MINUS_ONE
     return jmat
 
 
@@ -405,7 +405,7 @@ def build_c(n):
     m = n - 1
     so2 = Matrix(2, 2)
     so2.data[0][1] = ONE
-    so2.data[1][0] = Scalar(-1)
+    so2.data[1][0] = MINUS_ONE
     blocks = [BlockMatrix.from_blocks(a=so2, p=2, q=2 * m)]
     for d in sp_matrix_basis(m):
         blocks.append(BlockMatrix.from_blocks(d=d, p=2, q=2 * m))
@@ -423,11 +423,11 @@ def build_c(n):
             # (J_2 conj(B) J)[r][c] = sum_{u,v} J2[r][u] conj(B[u][v]) J[v][c]
             for u in range(2):
                 j2v = j2.data[r][u]
-                if j2v.is_zero():
+                if not j2v:
                     continue
                 for v in range(2 * m):
                     jv = jbig.data[v][c]
-                    if jv.is_zero():
+                    if not jv:
                         continue
                     w = 2 * (u * 2 * m + v)
                     f = j2v * jv
@@ -436,8 +436,8 @@ def build_c(n):
             re_row = [ZERO] * nb
             im_row = [ZERO] * nb
             for var, val in coeff.items():
-                re_row[var] = Scalar(val.re)
-                im_row[var] = Scalar(val.im)
+                re_row[var] = val.real
+                im_row[var] = val.imag
             rows.append(re_row)
             rows.append(im_row)
     ker = kernel(Matrix.from_rows(rows))
@@ -446,8 +446,8 @@ def build_c(n):
         for r in range(2):
             for c in range(2 * m):
                 var = 2 * (r * 2 * m + c)
-                b.data[r][c] = Scalar(vvec[var].re, vvec[var + 1].re)
-        cmat = (jbig @ b.transpose()).scale(Scalar(-1))
+                b.data[r][c] = Scalar(vvec[var], vvec[var + 1])
+        cmat = (jbig @ b.transpose()).scale(MINUS_ONE)
         blocks.append(BlockMatrix.from_blocks(b=b, c=cmat, p=2, q=2 * m))
     return from_matrix_span(blocks)[0]
 
@@ -483,8 +483,7 @@ def build_tangent_from_algebra(k, variant):
             dmat.data[i][d + i] = ONE                     # d/dxi
         return semidirect_by_derivation(tk, dmat, parity=1)
     gram, _ = killing_form(k)
-    neg = gram.scale(Scalar(-1))
-    form = InvariantForm(list(range(d, 2 * d)), neg)
+    form = InvariantForm(list(range(d, 2 * d)), -gram)
     return central_extension(tk, form)
 
 
@@ -500,7 +499,7 @@ def build_spin_h(v):
     """Real Clifford-Heisenberg form: [X_j, X_j] = [Y_j, Y_j] = 2Z, Z central."""
     space = SuperSpace.make(1, 2 * v)
     table = {}
-    two = sc(2)
+    two = Fraction(2)
     for j in range(v):
         table[(1 + j, 1 + j)] = {0: two}               # X_j
         table[(1 + v + j, 1 + v + j)] = {0: two}       # Y_j
@@ -513,7 +512,7 @@ def build_spin_h_hat(v):
     dmat = Matrix(n, n)
     for j in range(v):
         dmat.data[1 + v + j][1 + j] = ONE              # D X_j = Y_j
-        dmat.data[1 + j][1 + v + j] = Scalar(-1)       # D Y_j = -X_j
+        dmat.data[1 + j][1 + v + j] = MINUS_ONE       # D Y_j = -X_j
     return semidirect_by_derivation(h, dmat, parity=0)
 
 
@@ -532,7 +531,7 @@ def build_ch(v):
         table[(e_re, f_re)] = {0: ONE}
         table[(e_re, f_im)] = {1: ONE}
         table[(e_im, f_re)] = {1: ONE}
-        table[(e_im, f_im)] = {0: Scalar(-1)}
+        table[(e_im, f_im)] = {0: MINUS_ONE}
     return SuperAlgebra(space, table)
 
 
@@ -543,7 +542,7 @@ def build_ch_indefinite(r, s):
     for j in range(r):
         table[(1 + j, 1 + j)] = {0: ONE}
     for j in range(s):
-        table[(1 + r + j, 1 + r + j)] = {0: Scalar(-1)}
+        table[(1 + r + j, 1 + r + j)] = {0: MINUS_ONE}
     return SuperAlgebra(space, table)
 
 
@@ -611,10 +610,10 @@ def square_identity_samples(alg, count, rng):
         coords = vec_zero(n)
         while vec_is_zero(coords):
             for i in alg.space.odd_indices():
-                coords[i] = Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+                coords[i] = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
         x = real.to_matrix(coords)
         sq = x @ x
-        two_sq = sq.scale(sc(2))
+        two_sq = sq.scale(Fraction(2))
         star = x.conj_transpose() @ x
         if two_sq != star.scale(Scalar(0, 2)):
             raise SuperAlgebraError("2X^2 = 2iX*X violated")

@@ -16,9 +16,9 @@ from fractions import Fraction
 from math import isqrt
 
 from .exact import (
-    I, Matrix, Scalar, ZERO, ONE, ipow, sc, Echelon, vec_zero,
+    I, Matrix, Scalar, ZERO, ONE, ipow, Echelon, vec_zero,
 )
-from .core import SuperAlgebraError, killing_form
+from .core import SuperAlgebraError, killing_form, realify_matrix
 from .families import build_family, build_lie_algebra
 
 FOCK_DIM_CAP = 4096
@@ -48,11 +48,12 @@ class FockSpace:
 
     def creation(self, f):
         """a0(f)*: wedge with f, linear in f."""
-        assert len(f) == self.n, "dimension mismatch"
+        if len(f) != self.n:
+            raise ValueError("dimension mismatch")
         out = Matrix(self.dim, self.dim)
         for col, s in enumerate(self.basis):
             for j in range(self.n):
-                if f[j].is_zero() or j in s:
+                if not f[j] or j in s:
                     continue
                 sign = (-1) ** sum(1 for i in s if i < j)
                 target = tuple(sorted(s + (j,)))
@@ -63,33 +64,35 @@ class FockSpace:
 
     def annihilation(self, f):
         """a0(f): signed contraction, antilinear in f."""
-        assert len(f) == self.n, "dimension mismatch"
+        if len(f) != self.n:
+            raise ValueError("dimension mismatch")
         out = Matrix(self.dim, self.dim)
         for col, s in enumerate(self.basis):
             for pos, j in enumerate(s):
-                if f[j].is_zero():
+                if not f[j]:
                     continue
                 target = tuple(x for x in s if x != j)
                 row = self.index[target]
-                val = f[j].conj() if pos % 2 == 0 else -f[j].conj()
+                val = f[j].conjugate() if pos % 2 == 0 else -f[j].conjugate()
                 out.data[row][col] = out.data[row][col] + val
         return out
 
     def number_operator(self):
         out = Matrix(self.dim, self.dim)
         for i, s in enumerate(self.basis):
-            out.data[i][i] = sc(len(s))
+            out.data[i][i] = Fraction(len(s))
         return out
 
     def second_quantised(self, a):
         """dGamma(a) = sum a_kj a*(e_k) a(e_j) for a one-particle operator."""
-        assert a.rows == a.cols == self.n
+        if not a.rows == a.cols == self.n:
+            raise ValueError("one-particle operator must be n x n")
         out = Matrix(self.dim, self.dim)
         for k in range(self.n):
             ek = [ONE if i == k else ZERO for i in range(self.n)]
             cre = self.creation(ek)
             for j in range(self.n):
-                if a.data[k][j].is_zero():
+                if not a.data[k][j]:
                     continue
                 ej = [ONE if i == j else ZERO for i in range(self.n)]
                 out = out + (cre @ self.annihilation(ej)).scale(a.data[k][j])
@@ -101,7 +104,7 @@ def hermitian_inner(u, v):
     acc = ZERO
     for a, b in zip(u, v):
         if a and b:
-            acc = acc + a * b.conj()
+            acc = acc + a * b.conjugate()
     return acc
 
 
@@ -158,7 +161,8 @@ class Representation:
         self.meta = meta or {}
         dim = len(space_parities)
         for op in operators:
-            assert op.rows == op.cols == dim
+            if not op.rows == op.cols == dim:
+                raise ValueError("operators must be square of the space dimension")
 
     @property
     def space_dim(self):
@@ -167,14 +171,14 @@ class Representation:
     def operator_of(self, coords):
         out = Matrix(self.space_dim, self.space_dim)
         for c, op in zip(coords, self.operators):
-            if not c.is_zero():
+            if c:
                 out = out + op.scale(c)
         return out
 
     def to_json_dict(self):
         def entry(v):
-            return [str(v.re.numerator), str(v.re.denominator),
-                    str(v.im.numerator), str(v.im.denominator)]
+            return [str(v.real.numerator), str(v.real.denominator),
+                    str(v.imag.numerator), str(v.imag.denominator)]
 
         return {
             "space": {"dim": str(self.space_dim),
@@ -223,12 +227,7 @@ def check_unitary_representation(g, rep):
     ech = Echelon(2 * rep.space_dim * rep.space_dim)
     rank = 0
     for op in ops:
-        flat = []
-        for row in op.data:
-            for v in row:
-                flat.append(Scalar(v.re))
-                flat.append(Scalar(v.im))
-        if ech.add_list(flat):
+        if ech.add_list(realify_matrix(op)):
             rank += 1
     return RepCheck(True, rank == n)
 
@@ -271,16 +270,17 @@ def spin_representation(variant, n):
 def number_spectrum(rep):
     """Eigenvalue multiset of -i rho(d) for the extended spin algebra."""
     fock = rep.meta["fock"]
-    op = rep.operators[1].scale(Scalar(0, -1))
+    op = rep.operators[1].scale(-I)
     for r in range(op.rows):
         for c in range(op.cols):
-            if r != c and not op.data[r][c].is_zero():
+            if r != c and op.data[r][c]:
                 raise SuperAlgebraError("number operator is not diagonal")
     out = {}
     for i in range(op.rows):
         v = op.data[i][i]
-        assert v.is_real()
-        out[v.re] = out.get(v.re, 0) + 1
+        if not isinstance(v, Fraction):
+            raise SuperAlgebraError("number operator has a non-real eigenvalue")
+        out[v] = out.get(v, 0) + 1
     return out
 
 
@@ -335,7 +335,7 @@ def _rational_squares(r):
 def _congruence_diagonalise(b):
     """P with P^T B P diagonal, for symmetric rational positive B."""
     n = b.rows
-    s = [[v.re for v in row] for row in b.data]
+    s = [row[:] for row in b.data]
     p = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
          for i in range(n)]
     for k in range(n):
@@ -353,8 +353,7 @@ def _congruence_diagonalise(b):
             for i in range(n):
                 p[i][j] -= f * p[i][k]
     diag = [s[i][i] for i in range(n)]
-    pm = Matrix(n, n, [[Scalar(v) for v in row] for row in p])
-    return pm, diag
+    return Matrix(n, n, p), diag
 
 
 def _matrix_inverse(m):
@@ -391,7 +390,7 @@ def tilde_tangent_representation(kind, n):
     g = build_family("T_tilde", kind, n)
     d = k.dim
     gram, _ = killing_form(k)
-    beta = gram.scale(Scalar(-1))
+    beta = -gram
     pmat, diag = _congruence_diagonalise(beta)
     for v in diag:
         if v <= 0:
@@ -414,12 +413,12 @@ def tilde_tangent_representation(kind, n):
     row = 0
     for alpha, bl in enumerate(blocks):
         for val in bl:
-            u.data[row][alpha] = Scalar(val)
+            u.data[row][alpha] = val
             row += 1
     pinv = _matrix_inverse(pmat)
     vmap = u @ pinv                       # v(y_i) = column i
-    two_vtv = (vmap.transpose() @ vmap).scale(sc(2))
-    if two_vtv != beta.scale(Scalar(lam)):
+    two_vtv = (vmap.transpose() @ vmap).scale(Fraction(2))
+    if two_vtv != beta.scale(lam):
         raise SuperAlgebraError("embedding scale verification failed")
     fock = FockSpace(total)
     eye = Matrix.identity(fock.dim)
@@ -427,8 +426,7 @@ def tilde_tangent_representation(kind, n):
     ops = [eye.scale(Scalar(0, lam))]     # central generator
     for i in range(d):
         ad = k.adjoint_index(i)
-        psi = (vmap @ ad @ beta_inv @ vmap.transpose()).scale(
-            Scalar(Fraction(2, 1) / lam))
+        psi = (vmap @ ad @ beta_inv @ vmap.transpose()).scale(2 / lam)
         ops.append(fock.second_quantised(psi))
     for i in range(d):
         col = [vmap.data[r][i] for r in range(total)]

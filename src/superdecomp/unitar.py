@@ -16,9 +16,9 @@ from fractions import Fraction
 import random
 
 from .exact import (
-    Echelon, Matrix, Scalar, ZERO, ONE,
-    feasible_point, is_positive_definite, random_rational, vec_is_zero,
-    vec_zero,
+    Echelon, Matrix, ZERO, ONE, MINUS_ONE, UnsolvedLP,
+    _lin_comb, feasible_point, is_positive_definite, quad_form, random_rational,
+    vec_is_zero, vec_zero,
 )
 from .core import (
     SuperAlgebraError, bracket_span, center, centralizer, even_action_on_even,
@@ -184,7 +184,7 @@ def gram_of_functional(g, omega):
             terms = g.bracket_pair(d0 + a, d0 + bidx)
             acc = ZERO
             for k, v in terms.items():
-                if k < d0 and not omega[k].is_zero():
+                if k < d0 and omega[k]:
                     acc = acc + omega[k] * v
             gram.data[a][bidx] = acc
             gram.data[bidx][a] = acc
@@ -203,11 +203,9 @@ class Witness:
 
     def to_json_dict(self):
         return {
-            "functional": [[str(v.re.numerator), str(v.re.denominator)]
-                           for v in self.functional],
+            "functional": _vec_json(self.functional),
             "iterations": str(self.iterations),
-            "sylvester_minors": [[str(m.numerator), str(m.denominator)]
-                                 for m in self.minors],
+            "sylvester_minors": _vec_json(self.minors),
         }
 
 
@@ -250,7 +248,8 @@ def find_posdef_in_span(grams):
 
     Returns SearchOutcome; "none" only with a certificate (empty span,
     one-dimensional span with an indefinite generator, or an infeasible
-    exact LP made of valid cutting planes).
+    exact LP made of valid cutting planes).  An LP that stops unsolved
+    makes the search inconclusive.
     """
     n = len(grams)
     if n == 0:
@@ -263,7 +262,7 @@ def find_posdef_in_span(grams):
         acc = Matrix(dim, dim)
         for ti, gi in zip(t, grams):
             if ti:
-                acc = acc + gi.scale(Scalar(ti))
+                acc = acc + gi.scale(ti)
         return acc
 
     tested = 0
@@ -284,13 +283,11 @@ def find_posdef_in_span(grams):
         res = is_positive_definite(gram_at(t))
         if res.ok:
             return SearchOutcome("found", witness=(t, res.minors, tested + it))
-        v = res.witness
-        cut = [sum((v[a].re * gi.data[a][b].re * v[b].re
-                    for a in range(dim) for b in range(dim)
-                    if v[a] and v[b] and gi.data[a][b]), Fraction(0))
-               for gi in grams]
-        cuts.append(cut)
-        t = feasible_point(cuts, n)
+        cuts.append([quad_form(gi, res.witness) for gi in grams])
+        try:
+            t = feasible_point(cuts, n)
+        except UnsolvedLP as exc:
+            return SearchOutcome("inconclusive", reason="exact LP unsolved: %s" % exc)
         if t is None:
             return SearchOutcome("none",
                                  reason="exact LP over valid cutting planes is infeasible",
@@ -314,11 +311,7 @@ def find_witness(g):
     if not out.found:
         return out
     t, minors, iters = out.witness
-    functional = vec_zero(g.d0)
-    for ti, w in zip(t, ann):
-        if ti:
-            for k in range(g.d0):
-                functional[k] = functional[k] + Scalar(ti) * w[k]
+    functional = _lin_comb(t, ann, g.d0)
     gram = gram_of_functional(g, functional)
     res = is_positive_definite(gram)
     if not res.ok:
@@ -330,7 +323,7 @@ def find_witness(g):
             for k, v in g.bracket_pair(i, j).items():
                 if k < g.d0:
                     acc = acc + functional[k] * v
-            if not acc.is_zero():
+            if acc:
                 raise SuperAlgebraError("witness functional fails invariance")
     return SearchOutcome("found",
                          witness=Witness(t, functional, gram, res.minors, iters))
@@ -366,7 +359,7 @@ def _structured_odd_candidates(g, rng, extra=40):
         yield g.basis_vector(i)
     for ai in range(len(odd)):
         for bi in range(ai + 1, len(odd)):
-            for s in (ONE, Scalar(-1)):
+            for s in (ONE, MINUS_ONE):
                 v = vec_zero(n)
                 v[odd[ai]] = ONE
                 v[odd[bi]] = s
@@ -375,7 +368,7 @@ def _structured_odd_candidates(g, rng, extra=40):
         v = vec_zero(n)
         while vec_is_zero(v):
             for i in odd:
-                v[i] = Scalar(random_rational(rng, 2, 2))
+                v[i] = random_rational(rng, 2, 2)
         yield v
 
 
@@ -408,9 +401,9 @@ def cone_pointedness(g, rng=None):
             ratio = None
             ok = True
             for a, b in zip(s, sy):
-                if a.is_zero() and b.is_zero():
+                if not a and not b:
                     continue
-                if b.is_zero() or a.is_zero():
+                if not b or not a:
                     ok = False
                     break
                 r = a / b
@@ -419,12 +412,12 @@ def cone_pointedness(g, rng=None):
                 elif r != ratio:
                     ok = False
                     break
-            if ok and ratio is not None and ratio.is_real() and ratio.re < 0:
-                lam = -ratio.re
+            if ok and ratio is not None and ratio < 0:
+                lam = -ratio
                 num, den = lam.numerator, lam.denominator
                 rn, rd = _int_sqrt(num), _int_sqrt(den)
                 if rn is not None and rd is not None:
-                    c = Scalar(Fraction(rn, rd))
+                    c = Fraction(rn, rd)
                     y2 = [c * w for w in y]
                     s2 = g.bracket(y2, y2)
                     if vec_is_zero([a + b for a, b in zip(s, s2)]):
@@ -474,9 +467,9 @@ def _no_posdef_pair_certificate(grams, dim, actions):
                 acc = ZERO
                 for a in range(dim):
                     for b in range(dim):
-                        if not s.data[a][b].is_zero():
+                        if s.data[a][b]:
                             acc = acc + (v[a] * v[b] + w[a] * w[b]) * s.data[a][b]
-                if not acc.is_zero():
+                if acc:
                     ok = False
                     break
             if ok:
@@ -639,4 +632,4 @@ class NecessaryConditionsReport:
 
 
 def _vec_json(v):
-    return [[str(a.re.numerator), str(a.re.denominator)] for a in v]
+    return [[str(a.numerator), str(a.denominator)] for a in v]

@@ -1,3 +1,4 @@
+import ast
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from superdecomp.exact import (
-    Echelon, I, Matrix, ONE, Scalar, ZERO, sc, vec_add, vec_is_zero, vec_sub, vec_zero,
+    Echelon, I, LinSolver, Matrix, ONE, Scalar, ZERO, vec_add, vec_is_zero, vec_sub, vec_zero,
 )
 from superdecomp.core import (
     AlgebraFileError, BlockMatrix, InvariantForm, SuperAlgebra, SuperAlgebraError,
@@ -16,6 +17,7 @@ from superdecomp.core import (
     semidirect_by_derivation, subalgebra_from_subspace, tables_equal,
     verify_superalgebra,
 )
+from superdecomp.unitar import find_witness
 from superdecomp.families import (
     build_family, build_lie_algebra,
 )
@@ -37,7 +39,7 @@ def test_u11_square_example():
     assert coords is not None
     sq = g.bracket(coords, coords)
     target = real.to_matrix(sq)
-    expect = Matrix.identity(2).scale(sc(0, 2))
+    expect = Matrix.identity(2).scale(Scalar(0, 2))
     assert target == expect
 
 
@@ -91,7 +93,7 @@ def test_adjoint_odd_maps_between_parities():
     ad = g.adjoint(x)
     for k in range(g.dim):
         for j in range(g.dim):
-            if not ad.data[k][j].is_zero():
+            if ad.data[k][j]:
                 assert g.parity(k) != g.parity(j)
 
 
@@ -114,10 +116,10 @@ def test_killing_invariance():
     def kappa(u, w):
         acc = ZERO
         for a in range(n):
-            if u[a].is_zero():
+            if not u[a]:
                 continue
             for b in range(n):
-                if not w[b].is_zero():
+                if w[b]:
                     acc = acc + u[a] * gram.data[a][b] * w[b]
         return acc
 
@@ -285,7 +287,7 @@ def test_trivial_cocycle_zero_form():
     g = build_family("su", 2, 1)
     form = InvariantForm(list(g.space.odd_indices()), Matrix(g.d1, g.d1))
     lam = is_trivial_cocycle(g, form)
-    assert lam is not None and all(v.is_zero() for v in lam)
+    assert lam is not None and not any(lam)
 
 
 def test_nontrivial_cocycle_on_psu22():
@@ -387,7 +389,7 @@ def dense_killing(g):
             for k in range(n):
                 s = ZERO
                 for l in range(n):
-                    if not a.data[k][l].is_zero() and not b.data[l][k].is_zero():
+                    if a.data[k][l] and b.data[l][k]:
                         s = s + a.data[k][l] * b.data[l][k]
                 acc = acc + (-s if g.parity(k) else s)
             gram.data[i][j] = acc
@@ -473,7 +475,7 @@ def test_adjoint_table_is_scaled_integer_table():
     assert g.adjoint_table() is g.adjoint_table()
     for i in range(g.dim):
         for j in range(g.dim):
-            want = {k: v.re * den for k, v in g.bracket_pair(i, j).items()}
+            want = {k: v * den for k, v in g.bracket_pair(i, j).items()}
             assert ad[i][j] == want
             assert all(isinstance(v, int) for v in ad[i][j].values())
 
@@ -488,18 +490,65 @@ def test_invariants_are_computed_once_per_algebra():
     assert center(twin) == center(g)
 
 
-def test_library_checks_do_not_use_assert():
-    # python -O strips assert statements, so these modules must raise instead
-    import ast
+def _library_trees():
+    import glob
     import os
     import superdecomp
     root = os.path.dirname(superdecomp.__file__)
-    for name in ("core.py", "decomp.py", "unitar.py"):
-        path = os.path.join(root, name)
+    for path in sorted(glob.glob(os.path.join(root, "*.py"))):
         with open(path) as fh:
-            tree = ast.parse(fh.read(), path)
+            yield os.path.basename(path), ast.parse(fh.read(), path)
+
+
+def test_library_checks_do_not_use_assert():
+    # python -O strips assert statements, so the library must raise instead
+    names = []
+    for name, tree in _library_trees():
+        names.append(name)
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert lines == [], (name, lines)
+    assert {"core.py", "exact.py", "fock.py"} <= set(names)
+
+
+def test_rational_modules_never_name_scalar():
+    # structure constants, subspaces and forms are rational: only the matrix
+    # realizations (families, core's matrix helpers) and fock are complex
+    checked = set()
+    for name, tree in _library_trees():
+        if name not in ("core.py", "decomp.py", "unitar.py"):
+            continue
+        checked.add(name)
+        named = [n.lineno for n in ast.walk(tree)
+                 if (isinstance(n, ast.Name) and n.id == "Scalar")
+                 or (isinstance(n, ast.alias) and n.name == "Scalar")
+                 or (isinstance(n, ast.Attribute) and n.attr == "Scalar")]
+        assert named == [], (name, named)
+    assert checked == {"core.py", "decomp.py", "unitar.py"}
+
+
+@pytest.mark.parametrize("tag, params", [("su", (2, 1)), ("q", (2,)),
+                                         ("T_hat", ("su", 2))])
+def test_rational_values_are_fractions(tag, params):
+    g = build_family(tag, *params)
+    assert all(type(v) is Fraction for terms in g.table.values() for v in terms.values())
+    for sub in (center(g), derived(g), g.odd_subspace(),
+                centralizer(g, g.even_subspace(), g.even_subspace())):
+        assert all(type(a) is Fraction for v in sub.basis for a in v)
+    gram, _ = killing_form(g)
+    assert all(type(a) is Fraction for row in gram.data for a in row)
+    solver = LinSolver([g.basis_vector(i) for i in range(g.dim)], g.dim)
+    x = g.bracket(g.basis_vector(g.d0), g.basis_vector(g.dim - 1))
+    coords = solver.coords(x)
+    assert coords == x and all(type(a) is Fraction for a in coords)
+    real = g.meta.get("realization")
+    if real is not None:
+        coords = real.from_matrix(real.to_matrix(g.basis_vector(g.d0)))
+        assert coords == g.basis_vector(g.d0)
+        assert all(type(a) is Fraction for a in coords)
+    out = find_witness(g)
+    if out.found:
+        assert all(type(a) is Fraction for a in out.witness.functional)
+    assert type(I * I) is Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +567,8 @@ def test_invariants_raise_instead_of_assert():
         SuperAlgebra(space, {(2, 1): {0: ONE}})
     with pytest.raises(SuperAlgebraError):
         SuperAlgebra(space, {(1, 2): {3: ONE}})
+    with pytest.raises(SuperAlgebraError):
+        SuperAlgebra(space, {(1, 1): {0: I}})
     with pytest.raises(ValueError):
         SuperAlgebra(space, {}).bracket(vec_zero(3), vec_zero(2))
     with pytest.raises(ValueError):

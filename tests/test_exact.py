@@ -3,20 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from superdecomp import exact
 from superdecomp.exact import (
-    Echelon, LinSolver, Matrix, Scalar, ZERO, I,
+    Echelon, LinSolver, Matrix, Scalar, UnsolvedLP, ZERO, I,
     char_poly, char_poly_and_rational_split, feasible_point,
-    is_positive_definite, kernel, peval_matrix, pmul, quad_form,
-    random_vector, rank, sc, solve, span_basis, vec_is_zero,
+    is_positive_definite, kernel, pdivmod, peval_matrix, pmul, quad_form,
+    random_vector, rank, solve, span_basis, vec_is_zero,
 )
 
 
 def M(rows):
-    return Matrix.from_rows([[sc(a) for a in r] for r in rows])
+    return Matrix.from_rows([[Scalar(a) for a in r] for r in rows])
 
 
 def V(entries):
-    return [sc(a) for a in entries]
+    return [Scalar(a) for a in entries]
 
 
 # --- scalar arithmetic ------------------------------------------------------
@@ -29,14 +30,18 @@ def test_scalar_exactness():
         b = Scalar(Fraction(rng.randint(-50, 50), rng.randint(1, 30)),
                    Fraction(rng.randint(-50, 50), rng.randint(1, 30)))
         assert (a + b) - b == a
-        if not b.is_zero():
+        if b:
             assert (a / b) * b == a
 
 
 def test_scalar_complex_mul():
-    assert I * I == sc(-1)
-    assert sc(1, 2) * sc(3, -1) == sc(5, 5)
-    assert sc(1, 1).conj() == sc(1, -1)
+    assert I * I == Scalar(-1)
+    assert Scalar(1, 2) * Scalar(3, -1) == Scalar(5, 5)
+    assert Scalar(1, 1).conjugate() == Scalar(1, -1)
+    # a real result is a Fraction, whichever side the Scalar is on
+    assert type(Scalar(3)) is Fraction and type(Fraction(2) - I + I) is Fraction
+    assert Fraction(1) / I == -I and Fraction(2) * I == Scalar(0, 2)
+    assert repr(Scalar(5, -5)) == "(5-5i)" and repr(Scalar(5, 5)) == "(5+5i)"
 
 
 # --- kernel / solve ---------------------------------------------------------
@@ -50,7 +55,7 @@ def test_kernel_rank_one():
     assert len(ker) == 1
     v = ker[0]
     # spans (1, -1)
-    assert v[0] * sc(-1) == v[1]
+    assert v[0] * Scalar(-1) == v[1]
 
 
 def test_kernel_nilpotent_block():
@@ -68,7 +73,7 @@ def test_solve_underdetermined():
     res = solve(M([[1, 1]]), V([2]))
     assert res is not None
     x, ker = res
-    assert x[0] + x[1] == sc(2)
+    assert x[0] + x[1] == Scalar(2)
     assert len(ker) == 1
     assert ker[0][0] + ker[0][1] == ZERO
 
@@ -106,7 +111,7 @@ def test_linsolver_tracks_scaling():
             if ech.add_list(v):
                 cols.append(v)
         solver = LinSolver(cols, dim)
-        coeffs = [sc(rng.randint(-4, 4)) for _ in range(k)]
+        coeffs = [Scalar(rng.randint(-4, 4)) for _ in range(k)]
         target = [sum((c * col[i] for c, col in zip(coeffs, cols)), ZERO)
                   for i in range(dim)]
         got = solver.coords(target)
@@ -160,6 +165,17 @@ def test_char_poly_matches_cayley_hamilton():
 
 # --- positive definiteness --------------------------------------------------
 
+def test_matrix_shape_checks_raise():
+    with pytest.raises(ValueError):
+        Matrix(2, 3) @ Matrix(2, 3)
+    with pytest.raises(ValueError):
+        Matrix(2, 2) + Matrix(2, 3)
+    with pytest.raises(ValueError):
+        Matrix(2, 2, [[ZERO, ZERO]])
+    with pytest.raises(ZeroDivisionError):
+        pdivmod([Fraction(1)], [])
+
+
 def test_posdef_yes():
     res = is_positive_definite(M([[2, 1], [1, 1]]))
     assert res.ok
@@ -193,7 +209,7 @@ def test_posdef_agrees_with_sampling():
         g = a.transpose() @ a  # PSD; perturb diagonal either way
         shift = rng.choice([0, 1, -2])
         for i in range(n):
-            g.data[i][i] = g.data[i][i] + sc(shift)
+            g.data[i][i] = g.data[i][i] + Scalar(shift)
         sym = g
         res = is_positive_definite(sym)
         if res.ok:
@@ -214,6 +230,13 @@ def test_lp_simple_feasible():
 def test_lp_infeasible_opposed():
     # t >= 1 and -t >= 1 cannot both hold
     assert feasible_point([[Fraction(1)], [Fraction(-1)]], 1) is None
+
+
+def test_lp_cap_is_not_infeasibility(monkeypatch):
+    # an LP stopped by the pivot cap proves nothing, so it must not read None
+    monkeypatch.setattr(exact, "LP_PIVOT_CAP", 0)
+    with pytest.raises(UnsolvedLP):
+        feasible_point([[Fraction(1)]], 1)
 
 
 def test_lp_two_vars():

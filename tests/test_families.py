@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from superdecomp.exact import ONE, Scalar, sc, vec_is_zero, vec_zero
+from superdecomp.exact import ONE, Scalar, vec_is_zero, vec_zero
 from superdecomp.core import (
     bracket_span, center, centralizer, derived, is_ideal, killing_form,
     subalgebra_from_subspace, verify_superalgebra,
@@ -153,7 +153,7 @@ def test_spin_h_squares_nonzero():
         x = vec_zero(g.dim)
         while vec_is_zero(x):
             for i in g.space.odd_indices():
-                x[i] = sc(rng.randint(-3, 3))
+                x[i] = Scalar(rng.randint(-3, 3))
         assert not vec_is_zero(g.bracket(x, x))
 
 

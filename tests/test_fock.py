@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from superdecomp.exact import Matrix, ONE, Scalar, ZERO, sc
+from superdecomp.exact import Matrix, ONE, Scalar, ZERO
 from superdecomp.families import build_family
 from superdecomp.fock import (
     FockSpace, Representation, check_car, check_unitary_representation,
@@ -21,7 +21,7 @@ def test_creation_on_vacuum():
     col = [cre.data[r][vac] for r in range(fock.dim)]
     target = fock.index[(0,)]
     assert col[target] == ONE
-    assert sum(1 for v in col if not v.is_zero()) == 1
+    assert sum(1 for v in col if v) == 1
 
 
 def test_annihilation_contracts():
@@ -30,7 +30,7 @@ def test_annihilation_contracts():
     col = [ann.data[r][fock.index[(0, 1)]] for r in range(fock.dim)]
     assert col[fock.index[(1,)]] == ONE
     col = [ann.data[r][fock.index[(1,)]] for r in range(fock.dim)]
-    assert all(v.is_zero() for v in col)
+    assert not any(col)
 
 
 def test_annihilation_squares_to_zero():
@@ -56,7 +56,7 @@ def test_car_detects_perturbation():
     c = fock.creation(unit(1, 0))
     eye = Matrix.identity(2)
     assert a @ c + c @ a == eye
-    bad = c.scale(sc(2))
+    bad = c.scale(Scalar(2))
     assert a @ bad + bad @ a != eye
 
 

@@ -1,14 +1,15 @@
 import random
+from fractions import Fraction
 
-from superdecomp import unitar
+from superdecomp import exact, unitar
 from superdecomp.core import BlockMatrix, direct_sum, from_matrix_span
 from superdecomp.exact import (
-    I, Matrix, Scalar, ZERO, is_positive_definite, sc, vec_is_zero, vec_zero,
+    I, Matrix, Scalar, ZERO, is_positive_definite, vec_is_zero, vec_zero,
 )
 from superdecomp.families import build_family
 from superdecomp.unitar import (
-    classify_fingerprint, compactness_check, cone_pointedness, fingerprint,
-    find_witness, gram_of_functional, invariant_functional_basis,
+    classify_fingerprint, compactness_check, cone_pointedness, find_posdef_in_span,
+    find_witness, fingerprint, gram_of_functional, invariant_functional_basis,
     necessary_conditions_report,
 )
 
@@ -49,10 +50,10 @@ def test_witness_positive_on_squares():
             x = vec_zero(g.dim)
             while vec_is_zero(x):
                 for i in g.space.odd_indices():
-                    x[i] = sc(rng.randint(-3, 3))
+                    x[i] = Scalar(rng.randint(-3, 3))
             sq = g.bracket(x, x)
             val = sum((fn[k] * sq[k] for k in range(g.d0)), ZERO)
-            assert val.re > 0 and not val.im
+            assert type(val) is Fraction and val > 0
 
 
 def test_no_witness_trivial_center():
@@ -90,6 +91,17 @@ def test_cone_not_pointed_indefinite():
 
 def test_cone_pointed_u22():
     assert cone_pointedness(build_family("u", 2, 2)).verdict == "pointed"
+
+
+def test_unsolved_lp_makes_the_search_inconclusive(monkeypatch):
+    # no sign pattern of diag(1, -1), diag(-1, 1) is definite, so the
+    # search needs the LP, which proves infeasibility when it runs
+    grams = [Matrix.from_rows([[Fraction(1), ZERO], [ZERO, Fraction(-1)]]),
+             Matrix.from_rows([[Fraction(-1), ZERO], [ZERO, Fraction(1)]])]
+    assert find_posdef_in_span(grams).status == "none"
+    monkeypatch.setattr(exact, "LP_PIVOT_CAP", 0)
+    out = find_posdef_in_span(grams)
+    assert out.status == "inconclusive" and "pivot cap" in out.reason
 
 
 def test_compactness_families():
