@@ -318,14 +318,6 @@ class SuperAlgebra:
                     m.data[k][j] = m.data[k][j] + xi * v
         return m
 
-    def supertrace_of(self, m):
-        """str of an operator on the algebra's graded space."""
-        t = ZERO
-        for i in range(self.dim):
-            a = m.data[i][i]
-            t = t + (-a if self.parity(i) else a)
-        return t
-
     def subspace(self, vectors):
         return Subspace(self.dim, vectors, self.space)
 

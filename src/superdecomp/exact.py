@@ -796,15 +796,19 @@ class PosDefResult:
     minors      -- leading principal minors D_1..D_k computed along the way
     witness     -- on failure, exact v with v^T g v <= 0
     witness_value -- the value v^T g v
+    congruence  -- on success, T with T^T g T diagonal; its k-th diagonal
+                   entry is D_k / D_{k-1}
     """
 
-    __slots__ = ("ok", "minors", "witness", "witness_value")
+    __slots__ = ("ok", "minors", "witness", "witness_value", "congruence")
 
-    def __init__(self, ok, minors, witness=None, witness_value=None):
+    def __init__(self, ok, minors, witness=None, witness_value=None,
+                 congruence=None):
         self.ok = ok
         self.minors = minors
         self.witness = witness
         self.witness_value = witness_value
+        self.congruence = congruence
 
 
 def quad_form(g, v):
@@ -831,7 +835,7 @@ def is_positive_definite(g):
         raise ValueError("non-symmetric input rejected")
     n = g.rows
     if n == 0:
-        return PosDefResult(True, [])
+        return PosDefResult(True, [], congruence=Matrix(0, 0))
     s = [row[:] for row in g.data]
     # congruence transform T with T^T g T = s throughout; column k of T
     # carries the witness coordinates back to the original basis.
@@ -886,7 +890,7 @@ def is_positive_definite(g):
         tt = (sigma + 1) / (2 * sv)
         return failure([tt * t[i][k] - t[i][j] for i in range(n)],
                        lambda val: val < 0)
-    return PosDefResult(True, minors)
+    return PosDefResult(True, minors, congruence=Matrix(n, n, t))
 
 
 # ---------------------------------------------------------------------------

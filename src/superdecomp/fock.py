@@ -1,101 +1,105 @@
 """Fermionic Fock machinery and spin representations, all exact.
 
-The Fock space over n orthonormal generators is the exterior algebra with
-wedge monomials indexed by subsets of {0..n-1}; creation is exterior
-multiplication and annihilation the signed contraction, antilinear in its
-argument.  Second-quantised even operators are assembled through the
-normal-ordered identity dGamma(A) = sum A_kj a*(e_k) a(e_j), which keeps
-every sign inside the two primitive operators.
+The Fock space over n orthonormal generators is the exterior algebra.  A
+wedge monomial e_i1 ^ ... ^ e_ik (i1 < ... < ik) is the int bitmask with
+bits i1..ik set.  Creation a*(e_j) and annihilation a(e_j) each send a
+monomial to one monomial, with the sign (-1)^(number of generators below
+j in it); a*(f) is linear and a(f) antilinear in f.  Second-quantised even
+operators dGamma(A) = sum A_kj a*(e_k) a(e_j) are written entry by entry
+from those two signed moves.
 
 Unitarity here always means the adjoint condition rho(X)* = -i^{|X|} rho(X)
 with respect to the (identity-Gram) hermitian form; the four powers of i
-are table driven.
+are table driven.  Each representation is verified exactly once, when it
+is built, and is refused if the check fails.
 """
 
 from fractions import Fraction
 from math import isqrt
 
 from .exact import (
-    I, Matrix, Scalar, ZERO, ONE, ipow, Echelon, vec_zero,
+    I, Matrix, Scalar, ZERO, ONE, ipow, Echelon, vec_zero, solve,
+    is_positive_definite,
 )
 from .core import SuperAlgebraError, killing_form, realify_matrix
-from .families import build_family, build_lie_algebra
+from .families import FamilySpec, build, build_family, build_lie_algebra
 
 FOCK_DIM_CAP = 4096
+# seeded random vector pairs check_car tries after the generator pairs
+CAR_SAMPLES = 20
+
+
+def _require_fock_dim(n):
+    if (1 << n) > FOCK_DIM_CAP:
+        raise SuperAlgebraError(
+            "Fock dimension 2^%d exceeds the exact-construction cap" % n)
+
+
+def _odd_below(mask, j):
+    """1 when mask holds an odd number of generators below j, else 0."""
+    return (mask & ((1 << j) - 1)).bit_count() & 1
 
 
 class FockSpace:
     """Exterior algebra over n orthonormal generators.
 
-    Basis monomials are subsets, listed even-cardinality first; the Gram
-    matrix is the identity by construction.
+    ``basis`` lists the monomial masks by parity of the size, then size,
+    then the sorted index tuple; ``index`` maps a mask to its position.
+    The Gram matrix is the identity by construction.
     """
 
     def __init__(self, n):
         self.n = n
-        subsets = []
-        for mask in range(1 << n):
-            s = tuple(i for i in range(n) if mask >> i & 1)
-            subsets.append(s)
-        subsets.sort(key=lambda s: (len(s) % 2, len(s), s))
-        self.basis = subsets
-        self.index = {s: i for i, s in enumerate(subsets)}
-        self.parities = [len(s) % 2 for s in subsets]
+        self.basis = sorted(range(1 << n), key=lambda m: (
+            m.bit_count() % 2, m.bit_count(), [i for i in range(n) if m >> i & 1]))
+        self.index = {m: i for i, m in enumerate(self.basis)}
+        self.parities = [m.bit_count() % 2 for m in self.basis]
 
     @property
     def dim(self):
         return 1 << self.n
 
-    def creation(self, f):
-        """a0(f)*: wedge with f, linear in f."""
+    def _ladder(self, f, create):
+        """a*(f) when create, else a(f)."""
         if len(f) != self.n:
             raise ValueError("dimension mismatch")
         out = Matrix(self.dim, self.dim)
-        for col, s in enumerate(self.basis):
-            for j in range(self.n):
-                if not f[j] or j in s:
+        for col, mask in enumerate(self.basis):
+            for j, c in enumerate(f):
+                # a*(e_j) needs j outside the monomial, a(e_j) inside it
+                if not c or bool(mask >> j & 1) == create:
                     continue
-                sign = (-1) ** sum(1 for i in s if i < j)
-                target = tuple(sorted(s + (j,)))
-                row = self.index[target]
-                val = f[j] if sign > 0 else -f[j]
-                out.data[row][col] = out.data[row][col] + val
+                if not create:
+                    c = c.conjugate()
+                out.data[self.index[mask ^ (1 << j)]][col] = \
+                    -c if _odd_below(mask, j) else c
         return out
+
+    def creation(self, f):
+        """a*(f): wedge with f, linear in f."""
+        return self._ladder(f, True)
 
     def annihilation(self, f):
-        """a0(f): signed contraction, antilinear in f."""
-        if len(f) != self.n:
-            raise ValueError("dimension mismatch")
-        out = Matrix(self.dim, self.dim)
-        for col, s in enumerate(self.basis):
-            for pos, j in enumerate(s):
-                if not f[j]:
-                    continue
-                target = tuple(x for x in s if x != j)
-                row = self.index[target]
-                val = f[j].conjugate() if pos % 2 == 0 else -f[j].conjugate()
-                out.data[row][col] = out.data[row][col] + val
-        return out
-
-    def number_operator(self):
-        out = Matrix(self.dim, self.dim)
-        for i, s in enumerate(self.basis):
-            out.data[i][i] = Fraction(len(s))
-        return out
+        """a(f): signed contraction, antilinear in f."""
+        return self._ladder(f, False)
 
     def second_quantised(self, a):
         """dGamma(a) = sum a_kj a*(e_k) a(e_j) for a one-particle operator."""
         if not a.rows == a.cols == self.n:
             raise ValueError("one-particle operator must be n x n")
+        terms = [(k, j, v) for k, row in enumerate(a.data)
+                 for j, v in enumerate(row) if v]
         out = Matrix(self.dim, self.dim)
-        for k in range(self.n):
-            ek = [ONE if i == k else ZERO for i in range(self.n)]
-            cre = self.creation(ek)
-            for j in range(self.n):
-                if not a.data[k][j]:
+        for col, mask in enumerate(self.basis):
+            for k, j, v in terms:
+                if not mask >> j & 1:
                     continue
-                ej = [ONE if i == j else ZERO for i in range(self.n)]
-                out = out + (cre @ self.annihilation(ej)).scale(a.data[k][j])
+                rest = mask ^ (1 << j)
+                if rest >> k & 1:
+                    continue
+                row = self.index[rest | (1 << k)]
+                odd = _odd_below(mask, j) ^ _odd_below(rest, k)
+                out.data[row][col] = out.data[row][col] + (-v if odd else v)
         return out
 
 
@@ -108,7 +112,7 @@ def hermitian_inner(u, v):
     return acc
 
 
-def check_car(n, rng=None, samples=20):
+def check_car(n, rng=None):
     """Both canonical anticommutation identities, exactly.
 
     Checked on all generator pairs and on seeded random complex vectors;
@@ -123,7 +127,7 @@ def check_car(n, rng=None, samples=20):
             for g in units:
                 yield f, g
         if rng is not None:
-            for _ in range(samples):
+            for _ in range(CAR_SAMPLES):
                 f = [Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
                             Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
                      for _ in range(n)]
@@ -210,8 +214,10 @@ def check_unitary_representation(g, rep):
         if adj != op.scale(factor):
             return RepCheck(False, False,
                             {"kind": "adjoint", "basis": i})
+    # pairs i <= j suffice: bracket_pair derives (j, i) from (i, j) by super
+    # skew symmetry, so both have the same verdict
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             prod = ops[i] @ ops[j]
             if g.parity(i) and g.parity(j):
                 prod = prod + ops[j] @ ops[i]
@@ -242,21 +248,18 @@ def spin_representation(variant, n):
     """
     if variant not in ("spin_h", "spin_h_hat"):
         raise ValueError("variant must be spin_h or spin_h_hat")
-    g = build_family(variant, n)
+    spec = FamilySpec(variant, (n,))
+    _require_fock_dim(n)
+    g = build(spec)
     fock = FockSpace(n)
     eye = Matrix.identity(fock.dim)
     ops = [eye.scale(I)]
     if variant == "spin_h_hat":
-        ops.append(fock.number_operator().scale(I))
+        ops.append(fock.second_quantised(Matrix.identity(n)).scale(I))
     units = [[ONE if i == k else ZERO for i in range(n)] for k in range(n)]
-    for k in range(n):
-        a = fock.annihilation(units[k])
-        c = fock.creation(units[k])
-        ops.append(c + a.scale(I))
-    for k in range(n):
-        a = fock.annihilation(units[k])
-        c = fock.creation(units[k])
-        ops.append(c.scale(I) + a)
+    ladders = [(fock.creation(e), fock.annihilation(e)) for e in units]
+    ops += [c + a.scale(I) for c, a in ladders]
+    ops += [c.scale(I) + a for c, a in ladders]
     rep = Representation(g, fock.parities, ops,
                          meta={"fock": fock, "variant": variant})
     res = check_unitary_representation(g, rep)
@@ -269,7 +272,6 @@ def spin_representation(variant, n):
 
 def number_spectrum(rep):
     """Eigenvalue multiset of -i rho(d) for the extended spin algebra."""
-    fock = rep.meta["fock"]
     op = rep.operators[1].scale(-I)
     for r in range(op.rows):
         for c in range(op.cols):
@@ -332,33 +334,8 @@ def _rational_squares(r):
     return [Fraction(x, den) for x in _four_squares(num * den)]
 
 
-def _congruence_diagonalise(b):
-    """P with P^T B P diagonal, for symmetric rational positive B."""
-    n = b.rows
-    s = [row[:] for row in b.data]
-    p = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i in range(n)]
-    for k in range(n):
-        if not s[k][k]:
-            raise SuperAlgebraError("expected a definite form")
-        piv = s[k][k]
-        for j in range(k + 1, n):
-            f = s[k][j] / piv
-            if not f:
-                continue
-            for i in range(n):
-                s[i][j] -= f * s[i][k]
-            for i in range(n):
-                s[j][i] = s[i][j]
-            for i in range(n):
-                p[i][j] -= f * p[i][k]
-    diag = [s[i][i] for i in range(n)]
-    return Matrix(n, n, p), diag
-
-
 def _matrix_inverse(m):
     n = m.rows
-    from .exact import solve
     cols = []
     for j in range(n):
         e = vec_zero(n)
@@ -386,15 +363,18 @@ def tilde_tangent_representation(kind, n):
     The homomorphism, adjointness and faithfulness checks run exactly and
     failure aborts.
     """
-    k = build_lie_algebra(kind, n)
     g = build_family("T_tilde", kind, n)
+    k = build_lie_algebra(kind, n)
     d = k.dim
     gram, _ = killing_form(k)
     beta = -gram
-    pmat, diag = _congruence_diagonalise(beta)
-    for v in diag:
-        if v <= 0:
-            raise SuperAlgebraError("tangent form is not positive definite")
+    # beta = P^-T D P^-1 with the congruence of the Sylvester test as P;
+    # D_kk is the ratio of consecutive leading minors
+    sylvester = is_positive_definite(beta)
+    if not sylvester.ok:
+        raise SuperAlgebraError("tangent form is not positive definite")
+    pmat = sylvester.congruence
+    diag = [m / prev for m, prev in zip(sylvester.minors, [ONE] + sylvester.minors)]
     # choose the global scale lam minimising the generator count:
     # each diagonal value needs lam*d_alpha/2 written as a sum of squares
     best = None
@@ -405,9 +385,7 @@ def tilde_tangent_representation(kind, n):
         if best is None or total < best[0]:
             best = (total, lam, blocks)
     total, lam, blocks = best
-    if (1 << total) > FOCK_DIM_CAP:
-        raise SuperAlgebraError(
-            "Fock dimension 2^%d exceeds the exact-construction cap" % total)
+    _require_fock_dim(total)
     # u matrix: columns u_alpha in disjoint coordinate blocks
     u = Matrix(total, d)
     row = 0

@@ -139,6 +139,40 @@ def test_tangent_rep_check(capsys):
     assert obj["fock_dim"] == "8"
 
 
+@pytest.mark.parametrize("argv", [
+    ["tangent-rep", "--k", "su1"], ["tangent-rep", "--k", "su0"],
+    ["tangent-rep", "--k", "sp0"], ["tangent-rep", "--k", "so4"],
+    ["spinrep", "--dim", "0"]])
+def test_bad_k_or_dim_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_rep_commands_check_each_representation_once(capsys, monkeypatch):
+    import superdecomp.cli as cli
+    import superdecomp.fock as fock
+    calls = []
+    body = fock.check_unitary_representation
+
+    def counted(g, rep):
+        calls.append(rep)
+        return body(g, rep)
+
+    monkeypatch.setattr(fock, "check_unitary_representation", counted)
+    # a second check from the command itself would go through its own binding
+    monkeypatch.setattr(cli, "check_unitary_representation", counted, raising=False)
+    for argv in (["spinrep", "--dim", "2", "--check"],
+                 ["spinrep", "--dim", "2", "--variant", "spin_h", "--check"],
+                 ["tangent-rep", "--k", "su2", "--check"]):
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 1, argv
+
+
 def test_determinism_decompose(tmp_path, capsys):
     path = str(tmp_path / "g.json")
     run(capsys, "construct", "--family", "q_hat", "--params", "2", "--out", path)

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
 
-from superdecomp.exact import Matrix, ONE, Scalar, ZERO
+import pytest
+
+import superdecomp.fock as fock_module
+from superdecomp.core import SuperAlgebraError
+from superdecomp.exact import I, Matrix, ONE, Scalar, ZERO
 from superdecomp.families import build_family
 from superdecomp.fock import (
     FockSpace, Representation, check_car, check_unitary_representation,
@@ -17,9 +21,9 @@ def unit(n, k):
 def test_creation_on_vacuum():
     fock = FockSpace(2)
     cre = fock.creation(unit(2, 0))
-    vac = fock.index[()]
+    vac = fock.index[0b00]
     col = [cre.data[r][vac] for r in range(fock.dim)]
-    target = fock.index[(0,)]
+    target = fock.index[0b01]
     assert col[target] == ONE
     assert sum(1 for v in col if v) == 1
 
@@ -27,9 +31,9 @@ def test_creation_on_vacuum():
 def test_annihilation_contracts():
     fock = FockSpace(2)
     ann = fock.annihilation(unit(2, 0))
-    col = [ann.data[r][fock.index[(0, 1)]] for r in range(fock.dim)]
-    assert col[fock.index[(1,)]] == ONE
-    col = [ann.data[r][fock.index[(1,)]] for r in range(fock.dim)]
+    col = [ann.data[r][fock.index[0b11]] for r in range(fock.dim)]
+    assert col[fock.index[0b10]] == ONE
+    col = [ann.data[r][fock.index[0b10]] for r in range(fock.dim)]
     assert not any(col)
 
 
@@ -88,6 +92,50 @@ def test_homomorphism_square_instance():
     op = rep.operator_of(x)
     sq = rep.operator_of(g.bracket(x, x))
     assert op @ op + op @ op == sq
+
+
+def perturbed_spin_h2(i, change):
+    """Check the spin_h(2) representation with operator i replaced by
+    change(operators); basis Z, X_1, X_2, Y_1, Y_2 with [X_k, X_k] = 2Z."""
+    rep = spin_representation("spin_h", 2)
+    ops = list(rep.operators)
+    ops[i] = change(ops)
+    return check_unitary_representation(
+        rep.algebra, Representation(rep.algebra, rep.space_parities, ops))
+
+
+def test_rep_check_reports_adjoint_violation():
+    # i rho(X_1) is no longer -i-antihermitian
+    res = perturbed_spin_h2(1, lambda ops: ops[1].scale(I))
+    assert not res.ok
+    assert res.violation == {"kind": "adjoint", "basis": 1}
+
+
+def test_rep_check_reports_diagonal_pair():
+    # 2 rho(X_1) keeps the adjoint condition, but [X_1, X_1] is 4 times too big
+    res = perturbed_spin_h2(1, lambda ops: ops[1].scale(Fraction(2)))
+    assert not res.ok
+    assert res.violation["kind"] == "homomorphism"
+    assert res.violation["pair"] == (1, 1)
+    assert res.violation["lhs"] == res.violation["rhs"].scale(Fraction(4))
+
+
+def test_rep_check_reports_off_diagonal_pair():
+    # rho(X_1) := rho(X_2) keeps every square, but [X_1, X_2] = 0 fails
+    res = perturbed_spin_h2(1, lambda ops: ops[2])
+    assert not res.ok
+    assert res.violation["kind"] == "homomorphism"
+    assert res.violation["pair"] == (1, 2)
+    assert res.violation["rhs"].is_zero() and not res.violation["lhs"].is_zero()
+
+
+def test_spinrep_refuses_large_fock_space_before_building(monkeypatch):
+    def no_fock(n):
+        raise AssertionError("FockSpace(%d) constructed" % n)
+
+    monkeypatch.setattr(fock_module, "FockSpace", no_fock)
+    with pytest.raises(SuperAlgebraError, match="2\\^13"):
+        spin_representation("spin_h", 13)
 
 
 def test_tilde_tangent_su2():

@@ -1,5 +1,6 @@
 """Golden CLI outputs: each command's stdout must match its recorded file
-byte for byte.
+byte for byte, and so must the file a case writes through ``--out``
+(recorded as ``<name>.out.json``).
 
 The input files are rebuilt from the constructors on every run, so the
 comparison also covers the constructors' basis order.  To record the
@@ -57,8 +58,9 @@ def su21_sum():
     return algebra_to_json_dict(direct_sum(g, g), "su(2|1) + su(2|1)")
 
 
-# name -> (input builder, CLI arguments with FILE for the input, expected exit code)
-FILE = object()
+# name -> (input builder or None, CLI arguments with FILE for the input and
+# OUT for the written file, expected exit code)
+FILE, OUT = object(), object()
 CASES = {
     "jacobi_su21_c11": (lambda: corrupted("su", (2, 1), 11), ["check", "jacobi", FILE], 1),
     "jacobi_su21_c12": (lambda: corrupted("su", (2, 1), 12), ["check", "jacobi", FILE], 1),
@@ -70,26 +72,41 @@ CASES = {
     "decompose_glued_su22_q2": (glued_su22_q2, ["decompose", FILE, "--seed", "7"], 0),
     "unitarity_su21_sum": (su21_sum, ["unitarity", FILE, "--seed", "7"], 0),
     "unitarity_psu22": (lambda: family_json("psu", 2), ["unitarity", FILE, "--seed", "7"], 0),
+    "spinrep_3": (None, ["spinrep", "--dim", "3", "--check", "--out", OUT], 0),
+    "spinrep_spin_h_2": (None, ["spinrep", "--dim", "2", "--variant", "spin_h", "--check",
+                                "--out", OUT], 0),
+    "tangent_rep_su2": (None, ["tangent-rep", "--k", "su2", "--check", "--out", OUT], 0),
+    "tangent_rep_so3": (None, ["tangent-rep", "--k", "so3", "--check", "--out", OUT], 0),
+    "tangent_rep_sp1": (None, ["tangent-rep", "--k", "sp1", "--check", "--out", OUT], 0),
 }
 
 
 def run_case(name, workdir):
+    """Exit code, stdout and the text written to OUT (None if no OUT)."""
     build, argv, _ = CASES[name]
     path = os.path.join(workdir, name + ".json")
-    with open(path, "w") as fh:
-        json.dump(build(), fh, sort_keys=True)
+    written = os.path.join(workdir, name + ".out.json")
+    if build is not None:
+        with open(path, "w") as fh:
+            json.dump(build(), fh, sort_keys=True)
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main([path if a is FILE else a for a in argv])
-    return code, out.getvalue()
+        code = main([path if a is FILE else written if a is OUT else a for a in argv])
+    if OUT not in argv:
+        return code, out.getvalue(), None
+    with open(written) as fh:
+        return code, out.getvalue(), fh.read()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
-    code, out = run_case(name, str(tmp_path))
+    code, out, written = run_case(name, str(tmp_path))
     assert code == CASES[name][2]
     with open(os.path.join(GOLDEN, name + ".json")) as fh:
         assert out == fh.read()
+    if written is not None:
+        with open(os.path.join(GOLDEN, name + ".out.json")) as fh:
+            assert written == fh.read()
 
 
 if __name__ == "__main__":
@@ -97,9 +114,12 @@ if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
         for name in sorted(CASES):
-            code, out = run_case(name, work)
+            code, out, written = run_case(name, work)
             if code != CASES[name][2]:
                 sys.exit("%s: exit %d, expected %d" % (name, code, CASES[name][2]))
             with open(os.path.join(GOLDEN, name + ".json"), "w") as fh:
                 fh.write(out)
+            if written is not None:
+                with open(os.path.join(GOLDEN, name + ".out.json"), "w") as fh:
+                    fh.write(written)
             print("recorded", name)
