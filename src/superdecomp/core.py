@@ -19,7 +19,8 @@ from types import MappingProxyType
 
 from .exact import (
     Echelon, LinSolver, Matrix, ZERO, ONE,
-    _lin_comb, kernel, solve, span_basis, vec_add, vec_is_zero, vec_sub, vec_zero,
+    _lin_comb, kernel, nonzero_columns, solve, span_basis, vec_add, vec_is_zero,
+    vec_sub, vec_zero,
 )
 
 
@@ -272,12 +273,11 @@ class SuperAlgebra:
         if len(x) != n or len(y) != n:
             raise ValueError("dimension mismatch")
         out = vec_zero(n)
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
+            for j, yj in ys:
                 c = xi * yj
                 for k, v in self.bracket_pair(i, j).items():
                     out[k] = out[k] + c * v
@@ -586,18 +586,17 @@ def invariant_symmetric_forms(actions, dim):
 
     ech = Echelon(nvars)
     for m in actions:
+        cols = nonzero_columns(m)
         for j in range(dim):
             for k in range(j, dim):
+                # (M^T B + B M)[j][k] = sum_r M[r][j] B[r][k] + M[r][k] B[j][r]
                 row = {}
-                for r in range(dim):
-                    a = m.data[r][j]
-                    if a:
-                        v = var(r, k)
-                        row[v] = row.get(v, ZERO) + a
-                    b = m.data[r][k]
-                    if b:
-                        v = var(j, r)
-                        row[v] = row.get(v, ZERO) + b
+                for r, a in cols[j]:
+                    v = var(r, k)
+                    row[v] = row.get(v, ZERO) + a
+                for r, b in cols[k]:
+                    v = var(j, r)
+                    row[v] = row.get(v, ZERO) + b
                 row = {v: a for v, a in row.items() if a}
                 if row:
                     ech.add(row)
@@ -620,18 +619,18 @@ def module_commutant(actions, dim):
 
     ech = Echelon(npos)
     for a in actions:
+        cols = nonzero_columns(a)
+        rows = nonzero_columns(a.transpose())
         for r in range(dim):
             for c in range(dim):
+                # (A T - T A)[r][c] = sum_s A[r][s] T[s][c] - T[r][s] A[s][c]
                 row = {}
-                for s in range(dim):
-                    v = a.data[r][s]
-                    if v:
-                        key = var(s, c)
-                        row[key] = row.get(key, ZERO) + v
-                    w = a.data[s][c]
-                    if w:
-                        key = var(r, s)
-                        row[key] = row.get(key, ZERO) - w
+                for s, v in rows[r]:
+                    key = var(s, c)
+                    row[key] = row.get(key, ZERO) + v
+                for s, w in cols[c]:
+                    key = var(r, s)
+                    row[key] = row.get(key, ZERO) - w
                 row = {k: v for k, v in row.items() if v}
                 if row:
                     ech.add(row)

@@ -20,8 +20,8 @@ import random
 
 from .exact import (
     Echelon, LinSolver, Matrix, ZERO, ONE,
-    _lin_comb, char_poly_and_rational_split, kernel, peval_matrix, pmul,
-    random_rational, solve, vec_add, vec_is_zero, vec_zero,
+    _lin_comb, char_poly_and_rational_split, kernel, nonzero_columns,
+    peval_matrix, pmul, random_rational, solve, vec_add, vec_is_zero, vec_zero,
 )
 from .core import (
     Subspace, SuperAlgebraError, bracket_span, center, centralizer, derived,
@@ -136,8 +136,19 @@ def module_actions(g, generators, basis_vecs):
     return mats
 
 
-def spin_up(actions, v, dim):
-    """Smallest action-invariant subspace containing v (as an Echelon)."""
+def _apply(cols, v):
+    """m v for a square m given as its nonzero_columns view."""
+    out = [ZERO] * len(cols)
+    for j, x in enumerate(v):
+        if x:
+            for i, a in cols[j]:
+                out[i] = out[i] + a * x
+    return out
+
+
+def spin_up(columns, v, dim):
+    """Smallest invariant subspace containing v, for actions given as
+    nonzero_columns views."""
     ech = Echelon(dim)
     vecs = []
     if ech.add_list(v):
@@ -146,20 +157,21 @@ def spin_up(actions, v, dim):
     while idx < len(vecs):
         w = vecs[idx]
         idx += 1
-        for m in actions:
-            u = m.mul_vec(w)
+        for cols in columns:
+            u = _apply(cols, w)
             if ech.add_list(u):
                 vecs.append(u)
     return Subspace(dim, vecs)
 
 
-def _restrict_actions(actions, basis, dim):
+def _restrict_actions(columns, basis, dim):
+    """Matrices of the actions (nonzero_columns views) on span(basis)."""
     solver = LinSolver(basis, dim)
     out = []
-    for m in actions:
+    for cols in columns:
         r = Matrix(len(basis), len(basis))
         for j, v in enumerate(basis):
-            coords = solver.coords(m.mul_vec(v))
+            coords = solver.coords(_apply(cols, v))
             if coords is None:
                 raise DecompositionError("splitting produced a non-invariant piece")
             for i, cval in enumerate(coords):
@@ -267,27 +279,28 @@ def split_module(actions, dim, rng, cap=SPLIT_CAP):
     and that spin-up from every basis vector fills the piece.
     """
     budget = SplitBudget(cap)
-    return _split_rec(actions, [ _unit(dim, i) for i in range(dim)], dim, rng, budget)
+    columns = [nonzero_columns(m) for m in actions]
+    return _split_rec(columns, [_unit(dim, i) for i in range(dim)], dim, rng, budget)
 
 
-def _split_by_invariant_subspace(actions, basis, ambient_dim, rng, budget, wbasis):
+def _split_by_invariant_subspace(columns, basis, ambient_dim, rng, budget, wbasis):
     dim = len(basis)
-    sub_actions = _restrict_actions(actions, basis, ambient_dim)
+    sub_actions = _restrict_actions(columns, basis, ambient_dim)
     comp = _invariant_complement(sub_actions, wbasis, dim)
     if comp is None:
         raise DecompositionError("module is not semisimple",
                                  evidence={"invariant_dim": len(wbasis)})
     out = []
-    out.extend(_split_rec(actions, _lift(basis, wbasis), ambient_dim, rng, budget))
-    out.extend(_split_rec(actions, _lift(basis, comp), ambient_dim, rng, budget))
+    out.extend(_split_rec(columns, _lift(basis, wbasis), ambient_dim, rng, budget))
+    out.extend(_split_rec(columns, _lift(basis, comp), ambient_dim, rng, budget))
     return out
 
 
-def _split_rec(actions, basis, ambient_dim, rng, budget):
+def _split_rec(columns, basis, ambient_dim, rng, budget):
     dim = len(basis)
     if dim == 0:
         return []
-    sub_actions = _restrict_actions(actions, basis, ambient_dim)
+    sub_actions = _restrict_actions(columns, basis, ambient_dim)
     comm = module_commutant(sub_actions, dim)
     tested = 0
     for theta in _theta_candidates(comm, dim, rng):
@@ -311,7 +324,7 @@ def _split_rec(actions, basis, ambient_dim, rng, budget):
             ker = kernel(theta)
             if 0 < len(ker) < dim:
                 return _split_by_invariant_subspace(
-                    actions, basis, ambient_dim, rng, budget, ker)
+                    columns, basis, ambient_dim, rng, budget, ker)
             continue
         parts = []
         total = 0
@@ -323,15 +336,16 @@ def _split_rec(actions, basis, ambient_dim, rng, budget):
             raise DecompositionError("primary decomposition dimensions do not add up")
         out = []
         for ker in parts:
-            out.extend(_split_rec(actions, _lift(basis, ker), ambient_dim,
+            out.extend(_split_rec(columns, _lift(basis, ker), ambient_dim,
                                   rng, budget))
         return out
     # no splitting element found: certify simplicity through spin-up
+    sub_columns = [nonzero_columns(m) for m in sub_actions]
     for i in range(dim):
-        w = spin_up(sub_actions, _unit(dim, i), dim)
+        w = spin_up(sub_columns, _unit(dim, i), dim)
         if w.dim < dim:
             return _split_by_invariant_subspace(
-                actions, basis, ambient_dim, rng, budget, w.basis)
+                columns, basis, ambient_dim, rng, budget, w.basis)
     cert = {
         "commutant_dim": len(comm),
         "candidates_tested": tested,

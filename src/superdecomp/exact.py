@@ -7,9 +7,9 @@ Fock operators, are Gaussian rationals a + bi of type Scalar with b != 0;
 a Scalar operation whose result is real returns a Fraction, so the two
 types never hold the same number.  All operations are exact: there is no
 floating point anywhere in this package.  Elimination runs on rational
-rows only and is fraction-free (cross-multiplication with content
-removal, Bareiss style) so intermediate entries stay integral and small
-instead of accumulating denominators.
+rows only and is fraction-free: rows are scaled to coprime ints and
+updated by cross-multiplication with content removal (Bareiss style), so
+entries stay small integers instead of accumulating denominators.
 
 Everything here is a pure function on immutable values and safe to call
 concurrently.
@@ -181,8 +181,9 @@ class Matrix:
                       [[-a for a in row] for row in self.data])
 
     def scale(self, s):
+        """s times self; zero entries are kept, not multiplied."""
         return Matrix(self.rows, self.cols,
-                      [[s * a for a in row] for row in self.data])
+                      [[s * a if a else a for a in row] for row in self.data])
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -251,6 +252,13 @@ class Matrix:
         return "Matrix(%d,%d,%s)" % (self.rows, self.cols, self.data)
 
 
+def nonzero_columns(m):
+    """Sparse view of m: for each column j the list of (i, m[i, j]) over
+    the nonzero entries, in increasing i."""
+    return [[(i, row[j]) for i, row in enumerate(m.data) if row[j]]
+            for j in range(m.cols)]
+
+
 # vectors are plain lists of Fraction (or Scalar)
 
 def vec_zero(n):
@@ -285,57 +293,62 @@ def _lin_comb(coeffs, vectors, n):
 # fraction-free elimination on sparse rows
 # ---------------------------------------------------------------------------
 #
-# A sparse row is a dict {column: Fraction} with no zero values.  Rows fed
-# to the echelon are first scaled to clear denominators and divided by their
-# integer content, so the cross-multiplication update keeps entries integral.
+# A sparse row is a dict {column: value} with no zero values.  Rows fed to
+# the echelon may hold Fractions; they are scaled to clear denominators and
+# divided by their content, so every stored row is a dict {column: int}
+# with coprime entries, and the cross-multiplication update runs on ints.
 
 def _row_from_list(v):
     return {j: a for j, a in enumerate(v) if a}
 
 
 def _row_content_reduce(row):
-    """Scale a row so entries are integers with content 1."""
+    """Scale a rational row to coprime ints, keeping the signs."""
     if not row:
         return row
-    den = 1
-    for a in row.values():
-        den = lcm(den, a.denominator)
-    num = 0
-    for a in row.values():
-        num = gcd(num, a.numerator * (den // a.denominator))
-    f = Fraction(den, num)
-    if f == 1:
+    den = lcm(*[a.denominator for a in row.values()])
+    return _row_divide_content(
+        {j: a.numerator * (den // a.denominator) for j, a in row.items()})
+
+
+def _row_divide_content(row):
+    """An int row divided by the gcd of its entries."""
+    num = gcd(*row.values())
+    if num == 1:
         return row
-    return {j: f * a for j, a in row.items()}
+    return {j: a // num for j, a in row.items()}
 
 
 def _row_cross(piv, pv, row, rv):
-    """pv*row - rv*piv, skipping the pivot column (which cancels)."""
-    out = {}
-    for j, a in row.items():
-        out[j] = pv * a
+    """pv*row - rv*piv divided by gcd(pv, rv), on int rows; the pivot
+    column cancels."""
+    f = gcd(pv, rv)
+    if f != 1:
+        pv //= f
+        rv //= f
+    out = {j: pv * a for j, a in row.items()}
     for j, a in piv.items():
-        b = rv * a
-        c = out.get(j)
-        c = -b if c is None else c - b
-        if not c:
-            out.pop(j, None)
-        else:
+        c = out.get(j, 0) - rv * a
+        if c:
             out[j] = c
+        else:
+            out.pop(j, None)
     return out
 
 
 class Echelon:
     """Incremental row echelon form over the rationals.
 
-    Rows are kept fraction-free.  `add` reduces an incoming row by the
-    current pivots and installs it if a new pivot survives; `residual`
-    reduces without installing.
+    Rows are kept fraction-free: each pivot row is a dict {column: int}
+    with coprime entries.  `add` reduces an incoming row by the current
+    pivots and installs it if a new pivot survives; `residual` reduces
+    without installing.  Fractions are built only by `rref` (and by
+    LinSolver.coords), when a row is divided by its pivot.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.pivots = {}          # pivot column -> row dict
+        self.pivots = {}          # pivot column -> int row dict
         self._rref = None
 
     @property
@@ -343,14 +356,13 @@ class Echelon:
         return len(self.pivots)
 
     def _reduce(self, row):
-        row = _row_content_reduce(dict(row))
+        row = _row_content_reduce(row)
         while row:
             c = min(row)
             piv = self.pivots.get(c)
             if piv is None:
                 return c, row
-            row = _row_cross(piv, piv[c], row, row[c])
-            row = _row_content_reduce(row)
+            row = _row_divide_content(_row_cross(piv, piv[c], row, row[c]))
         return None, row
 
     def add(self, row):
@@ -375,24 +387,16 @@ class Echelon:
         if self._rref is not None:
             return self._rref
         cols = sorted(self.pivots)
-        rows = {}
+        done = {}                 # pivot column -> int row, zero at later pivots
         for c in reversed(cols):
-            row = dict(self.pivots[c])
+            row = self.pivots[c]
             for c2 in cols:
-                if c2 <= c or c2 not in row:
-                    continue
-                v = row.pop(c2)
-                for j, a in rows[c2].items():
-                    if j == c2:
-                        continue
-                    b = row.get(j, ZERO) - v * a
-                    if not b:
-                        row.pop(j, None)
-                    else:
-                        row[j] = b
-            pv = row[c]
-            rows[c] = {j: a / pv for j, a in row.items()}
-        self._rref = [(c, rows[c]) for c in cols]
+                if c2 > c and c2 in row:
+                    piv = done[c2]
+                    row = _row_divide_content(_row_cross(piv, piv[c2], row, row[c2]))
+            done[c] = row
+        self._rref = [(c, {j: Fraction(a, done[c][c]) for j, a in done[c].items()})
+                      for c in cols]
         return self._rref
 
     def basis_vectors(self):
@@ -515,7 +519,7 @@ class LinSolver:
         out = vec_zero(self.n)
         for j, a in red.items():
             if j < self.dim + self.n:
-                out[j - self.dim] = -a / lam
+                out[j - self.dim] = Fraction(-a, lam)
         return out
 
 

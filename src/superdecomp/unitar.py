@@ -17,8 +17,8 @@ import random
 
 from .exact import (
     Echelon, Matrix, ZERO, ONE, MINUS_ONE, UnsolvedLP,
-    _lin_comb, feasible_point, is_positive_definite, quad_form, random_rational,
-    vec_is_zero, vec_zero,
+    _lin_comb, feasible_point, is_positive_definite, nonzero_columns, quad_form,
+    random_rational, vec_is_zero, vec_zero,
 )
 from .core import (
     SuperAlgebraError, bracket_span, center, centralizer, even_action_on_even,
@@ -258,11 +258,21 @@ def find_posdef_in_span(grams):
     if dim == 0:
         return SearchOutcome("found", witness=([Fraction(0)] * n, [], 0))
 
+    # each entry of sum t_i G_i as its nonzero terms (i, G_i entry), listed once
+    entries = {}
+    for i, gi in enumerate(grams):
+        for s, col in enumerate(nonzero_columns(gi)):
+            for r, a in col:
+                entries.setdefault((r, s), []).append((i, a))
+
     def gram_at(t):
         acc = Matrix(dim, dim)
-        for ti, gi in zip(t, grams):
-            if ti:
-                acc = acc + gi.scale(ti)
+        for (r, s), terms in entries.items():
+            v = ZERO
+            for i, a in terms:
+                if t[i]:
+                    v = v + t[i] * a
+            acc.data[r][s] = v
         return acc
 
     tested = 0

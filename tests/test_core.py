@@ -12,8 +12,9 @@ from superdecomp.core import (
     AlgebraFileError, BlockMatrix, InvariantForm, SuperAlgebra, SuperAlgebraError,
     SuperSpace, Violation, algebra_from_json_dict, algebra_to_json_dict, bracket_span,
     center, central_extension, centralizer, check_derivation, derived,
-    direct_sum, from_matrix_span, invariant_odd_forms, is_ideal, is_perfect,
-    is_trivial_cocycle, killing_form, quotient_by_central,
+    direct_sum, even_action_on_even, even_action_on_odd, from_matrix_span,
+    invariant_odd_forms, invariant_symmetric_forms, is_ideal, is_perfect,
+    is_trivial_cocycle, killing_form, module_commutant, quotient_by_central,
     semidirect_by_derivation, subalgebra_from_subspace, tables_equal,
     verify_superalgebra,
 )
@@ -399,6 +400,75 @@ def dense_killing(g):
     return gram, ech.rank
 
 
+def dense_invariant_symmetric_forms(actions, dim):
+    """Symmetric B with M^T B + B M = 0, equations read entry by entry."""
+    pos = {}
+    for r in range(dim):
+        for s in range(r, dim):
+            pos[(r, s)] = len(pos)
+
+    def var(r, s):
+        return pos[(r, s)] if r <= s else pos[(s, r)]
+
+    ech = Echelon(len(pos))
+    for m in actions:
+        for j in range(dim):
+            for k in range(j, dim):
+                row = {}
+                for r in range(dim):
+                    a = m.data[r][j]
+                    if a:
+                        v = var(r, k)
+                        row[v] = row.get(v, ZERO) + a
+                    b = m.data[r][k]
+                    if b:
+                        v = var(j, r)
+                        row[v] = row.get(v, ZERO) + b
+                row = {v: a for v, a in row.items() if a}
+                if row:
+                    ech.add(row)
+    out = []
+    for combo in ech.kernel_basis():
+        gram = Matrix(dim, dim)
+        for (r, s), v in pos.items():
+            gram.data[r][s] = combo[v]
+            gram.data[s][r] = combo[v]
+        out.append(gram)
+    return out
+
+
+def dense_module_commutant(actions, dim):
+    """T with A T = T A, equations read entry by entry."""
+    def var(r, s):
+        return r * dim + s
+
+    ech = Echelon(dim * dim)
+    for a in actions:
+        for r in range(dim):
+            for c in range(dim):
+                row = {}
+                for s in range(dim):
+                    v = a.data[r][s]
+                    if v:
+                        key = var(s, c)
+                        row[key] = row.get(key, ZERO) + v
+                    w = a.data[s][c]
+                    if w:
+                        key = var(r, s)
+                        row[key] = row.get(key, ZERO) - w
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    ech.add(row)
+    out = []
+    for combo in ech.kernel_basis():
+        t = Matrix(dim, dim)
+        for r in range(dim):
+            for s in range(dim):
+                t.data[r][s] = combo[var(r, s)]
+        out.append(t)
+    return out
+
+
 def same_violation(a, b):
     if a is None or b is None:
         return a is b
@@ -467,6 +537,18 @@ def test_killing_matches_dense_oracle(tag, params):
     want_gram, want_rank = dense_killing(g)
     assert gram == want_gram
     assert rank == want_rank
+
+
+def test_module_equations_match_dense_oracles_on_acceptance_families():
+    from test_acceptance import ACCEPT_FAMILIES
+    for tag, params in ACCEPT_FAMILIES:
+        g = build_family(tag, *params)
+        for actions, dim in ((even_action_on_odd(g), g.d1),
+                             (even_action_on_even(g), g.d0)):
+            assert module_commutant(actions, dim) == \
+                dense_module_commutant(actions, dim), (tag, params, dim)
+            assert invariant_symmetric_forms(actions, dim) == \
+                dense_invariant_symmetric_forms(actions, dim), (tag, params, dim)
 
 
 def test_adjoint_table_is_scaled_integer_table():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from superdecomp import exact
 from superdecomp.exact import (
@@ -257,3 +259,104 @@ def test_lp_random_consistency():
         if t is not None:
             for row in rows:
                 assert sum(a * x for a, x in zip(row, t)) >= 1
+
+
+# --- integer echelon rows ----------------------------------------------------
+
+def test_echelon_rows_are_ints_and_results_fractions():
+    F = Fraction
+    ech = Echelon(5)
+    for row in ([F(1, 2), F(1, 3), 0, 1, 2], [F(2, 3), -1, F(1, 4), 0, 1],
+                [1, 1, 1, 1, 1]):
+        ech.add_list([F(a) for a in row])
+    assert ech.rank == 3
+    for row in ech.pivots.values():
+        assert all(type(a) is int for a in row.values())
+    for _, row in ech.rref():
+        assert all(type(a) is Fraction for a in row.values())
+    ker = ech.kernel_basis()
+    assert len(ker) == 2 and all(type(a) is Fraction for v in ker for a in v)
+    target = [F(2, 3) * a - b for a, b in zip(ker[0], ker[1])]
+    coords = LinSolver(ker, 5).coords(target)
+    assert coords == [F(2, 3), F(-1)]
+    assert all(type(a) is Fraction for a in coords)
+
+
+# --- sympy as an independent oracle -------------------------------------------
+
+# about half zeros, denominators up to 4
+_entries = st.one_of(st.just(0),
+                     st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    r = draw(st.integers(1, 5))
+    c = r if square else draw(st.integers(1, 5))
+    return Matrix.from_rows([[Fraction(draw(_entries)) for _ in range(c)]
+                             for _ in range(r)])
+
+
+def _sym(m):
+    return sympy.Matrix(m.rows, m.cols,
+                        [sympy.Rational(a.numerator, a.denominator)
+                         for row in m.data for a in row])
+
+
+def _sym_vec(v):
+    return sympy.Matrix([sympy.Rational(a.numerator, a.denominator) for a in v])
+
+
+def _fracs(col):
+    return [Fraction(int(a.p), int(a.q)) for a in col]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(rational_matrices(), st.data())
+def test_rank_kernel_solve_match_sympy(m, data):
+    sm = _sym(m)
+    assert rank(m) == sm.rank()
+    # both read the kernel basis off the RREF with one free variable set to 1
+    assert kernel(m) == [_fracs(v) for v in sm.nullspace()]
+    b = [Fraction(data.draw(_entries)) for _ in range(m.rows)]
+    res = solve(m, b)
+    sb = _sym_vec(b)
+    if sm.row_join(sb).rank() > sm.rank():
+        assert res is None
+    else:
+        x, ker = res
+        assert sm * _sym_vec(x) == sb
+        sol, params = sm.gauss_jordan_solve(sb)
+        assert x == _fracs(sol.subs({p: 0 for p in params}))
+        assert ker == kernel(m)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(rational_matrices(), st.data())
+def test_linsolver_coords_match_sympy(m, data):
+    cols = [list(r) for r in m.data]
+    ech = Echelon(m.cols)
+    cols = [v for v in cols if ech.add_list(v)]
+    if not cols:
+        return
+    vec = [Fraction(data.draw(_entries)) for _ in range(m.cols)]
+    got = LinSolver(cols, m.cols).coords(vec)
+    basis = sympy.Matrix.hstack(*[_sym_vec(v) for v in cols])
+    sv = _sym_vec(vec)
+    if basis.row_join(sv).rank() > basis.rank():
+        assert got is None
+    else:
+        sol, params = basis.gauss_jordan_solve(sv)
+        assert not params
+        assert got == _fracs(sol)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(rational_matrices(square=True))
+def test_char_poly_matches_sympy(m):
+    p, factors, roots = char_poly_and_rational_split(m)
+    t = sympy.Symbol("t")
+    want = sympy.Poly(_sym(m).charpoly(t).as_expr(), t, domain="QQ")
+    assert p == _fracs(reversed(want.all_coeffs()))
+    assert sorted(roots) == sorted((Fraction(int(r.p), int(r.q)), e)
+                                   for r, e in want.ground_roots().items())
