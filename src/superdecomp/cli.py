@@ -28,6 +28,10 @@ from .fock import (
 OK, FAIL, USAGE = 0, 1, 2
 
 
+class UsageError(Exception):
+    """A bad invocation found after argument parsing; exits with USAGE."""
+
+
 def _dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -80,10 +84,11 @@ def _is_superalgebra(alg):
 def _seed_of(args):
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("SUPERDECOMP_SEED")
-    if env is not None:
+    env = os.environ.get("SUPERDECOMP_SEED", "0")
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise UsageError("SUPERDECOMP_SEED must be an integer, not %r" % env) from None
 
 
 def _parse_ktag(raw):
@@ -298,7 +303,6 @@ def make_parser():
     c.add_argument("--k", required=True, help="compact simple tag, e.g. su2")
     c.add_argument("--check", action="store_true")
     c.add_argument("--out")
-    c.add_argument("--seed", type=int)
     c.set_defaults(func=cmd_tangent_rep)
     return p
 
@@ -310,7 +314,7 @@ def main(argv=None):
     except SuperAlgebraError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return FAIL
-    except OSError as exc:
+    except (OSError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE
 

@@ -16,12 +16,11 @@ returns "inconclusive" rather than guessing.
 """
 
 from fractions import Fraction
-import random
 
 from .exact import (
     Echelon, LinSolver, Matrix, ZERO, ONE,
     _lin_comb, char_poly_and_rational_split, kernel, nonzero_columns,
-    peval_matrix, pmul, random_rational, solve, vec_add, vec_is_zero, vec_zero,
+    peval_matrix, pmul, solve, vec_is_zero, vec_zero,
 )
 from .core import (
     Subspace, SuperAlgebraError, bracket_span, center, centralizer, derived,
@@ -117,23 +116,27 @@ def compute_b(g, even=None):
 # simple-module splitting (exact commutant MeatAxe)
 # ---------------------------------------------------------------------------
 
-def module_actions(g, generators, basis_vecs):
-    """Action matrices of ambient generators on span(basis_vecs)."""
-    if not basis_vecs:
-        return []
-    solver = LinSolver(basis_vecs, g.dim)
+def _action_matrices(maps, basis, dim):
+    """Matrices on span(basis) of linear maps given as callables on
+    length-dim vectors; raises when a map leaves the span."""
+    solver = LinSolver(basis, dim)
     mats = []
-    for x in generators:
-        m = Matrix(len(basis_vecs), len(basis_vecs))
-        for j, v in enumerate(basis_vecs):
-            w = g.bracket(x, v)
-            coords = solver.coords(w)
+    for f in maps:
+        m = Matrix(len(basis), len(basis))
+        for j, v in enumerate(basis):
+            coords = solver.coords(f(v))
             if coords is None:
                 raise DecompositionError("subspace is not invariant")
             for i, cval in enumerate(coords):
                 m.data[i][j] = cval
         mats.append(m)
     return mats
+
+
+def module_actions(g, generators, basis_vecs):
+    """Action matrices of ambient generators on span(basis_vecs)."""
+    return _action_matrices([lambda v, x=x: g.bracket(x, v) for x in generators],
+                            basis_vecs, g.dim)
 
 
 def _apply(cols, v):
@@ -164,99 +167,37 @@ def spin_up(columns, v, dim):
     return Subspace(dim, vecs)
 
 
-def _restrict_actions(columns, basis, dim):
-    """Matrices of the actions (nonzero_columns views) on span(basis)."""
-    solver = LinSolver(basis, dim)
-    out = []
-    for cols in columns:
-        r = Matrix(len(basis), len(basis))
-        for j, v in enumerate(basis):
-            coords = solver.coords(_apply(cols, v))
-            if coords is None:
-                raise DecompositionError("splitting produced a non-invariant piece")
-            for i, cval in enumerate(coords):
-                r.data[i][j] = cval
-        out.append(r)
-    return out
-
-
 def _lift(basis, vecs):
     return [_lin_comb(v, basis, len(basis[0])) for v in vecs]
 
 
-def _invariant_complement(actions, wbasis, dim):
-    """Invariant complement of an invariant subspace, by solving for an
-    equivariant section of the quotient; None when none exists (the module
-    is then not semisimple)."""
-    ech = Echelon(dim)
-    for v in wbasis:
-        ech.add_list(v)
-    kept = []
-    for i in range(dim):
-        e = vec_zero(dim)
-        e[i] = ONE
-        if ech.add_list(e):
-            kept.append(i)
-    q = len(kept)
-    cols = list(wbasis) + [_unit(dim, i) for i in kept]
-    solver = LinSolver(cols, dim)
+def _invariant_complement(comm, wbasis, dim):
+    """Invariant complement of an invariant subspace W = span(wbasis), or
+    None when there is none (the module is then not semisimple).
 
-    def project(v):
-        return solver.coords(v)[len(wbasis):]
-
-    qactions = []
-    for m in actions:
-        qm = Matrix(q, q)
-        for j, i in enumerate(kept):
-            col = project(m.mul_vec(_unit(dim, i)))
-            for r in range(q):
-                qm.data[r][j] = col[r]
-        qactions.append(qm)
-    # unknowns: section s as dim x q matrix; pi s = id, M s = s Mq
-    nvar = dim * q
-
-    def var(r, c):
-        return r * q + c
-
-    pi = Matrix(q, dim)
-    for i in range(dim):
-        col = project(_unit(dim, i))
-        for r in range(q):
-            pi.data[r][i] = col[r]
-    eqrows = []
-    eqrhs = []
-    for r in range(q):
-        for c in range(q):
-            row = vec_zero(nvar)
-            for i in range(dim):
-                if pi.data[r][i]:
-                    row[var(i, c)] = pi.data[r][i]
-            eqrows.append(row)
-            eqrhs.append(ONE if r == c else ZERO)
-    for m, qm in zip(actions, qactions):
+    comm is a basis of the module's commutant.  The complement is ker T
+    for T = sum c_i comm[i] with T w = w on W and T(M) inside W; such a T
+    is an equivariant projection onto W, and one exists exactly when W has
+    an invariant complement.  T(M) inside W reads phi T = 0 for every phi
+    in the annihilator of W.
+    """
+    ann = kernel(Matrix.from_rows(wbasis))
+    blocks = [([c.mul_vec(w) for c in comm], w) for w in wbasis]
+    blocks += [([c.transpose().mul_vec(phi) for c in comm], vec_zero(dim))
+               for phi in ann]
+    rows, rhs = [], []
+    for images, target in blocks:
         for r in range(dim):
-            for c in range(q):
-                row = vec_zero(nvar)
-                for i in range(dim):
-                    if m.data[r][i]:
-                        row[var(i, c)] = row[var(i, c)] + m.data[r][i]
-                for i in range(q):
-                    if qm.data[i][c]:
-                        row[var(r, i)] = row[var(r, i)] - qm.data[i][c]
-                eqrows.append(row)
-                eqrhs.append(ZERO)
-    res = solve(Matrix.from_rows(eqrows), eqrhs)
+            rows.append([img[r] for img in images])
+            rhs.append(target[r])
+    res = solve(Matrix.from_rows(rows), rhs)
     if res is None:
         return None
-    s = res[0]
-    comp = []
-    for c in range(q):
-        v = vec_zero(dim)
-        for r in range(dim):
-            if s[var(r, c)]:
-                v[r] = s[var(r, c)]
-        comp.append(v)
-    return comp
+    t = Matrix(dim, dim)
+    for c, m in zip(res[0], comm):
+        if c:
+            t = t + m.scale(c)
+    return kernel(t)
 
 
 def _unit(dim, i):
@@ -270,46 +211,44 @@ class SplitBudget:
         self.left = cap
 
 
-def split_module(actions, dim, rng, cap=SPLIT_CAP):
-    """Decompose a semisimple module into simple pieces, exactly.
+def split_module(actions, dim, cap=SPLIT_CAP):
+    """Decompose a semisimple module into pieces, exactly.
 
     Returns a list of (basis, certificate) pairs; the bases are lists of
-    coordinate vectors.  Certificates record the commutant dimension, how
-    many commutant candidates were tested without finding a zero divisor,
-    and that spin-up from every basis vector fills the piece.
+    coordinate vectors.  A piece is split by an element of its commutant
+    basis (a coprime factorisation of the characteristic polynomial, or
+    the kernel of a zero divisor) or by a unit vector whose spin-up is
+    proper.  A piece that none of these split is returned with its
+    commutant dimension and the number of commutant elements tried.  That
+    proves the piece simple only when the commutant dimension is 1: once a
+    simple module occurs with multiplicity 2 or more, every vector may
+    spin up to the whole piece while the commutant basis yields no split.
+    More than cap commutant elements tried in all raises InconclusiveSplit.
     """
-    budget = SplitBudget(cap)
-    columns = [nonzero_columns(m) for m in actions]
-    return _split_rec(columns, [_unit(dim, i) for i in range(dim)], dim, rng, budget)
+    maps = [lambda v, cols=nonzero_columns(m): _apply(cols, v) for m in actions]
+    return _split_rec(maps, [_unit(dim, i) for i in range(dim)], dim,
+                      SplitBudget(cap))
 
 
-def _split_by_invariant_subspace(columns, basis, ambient_dim, rng, budget, wbasis):
-    dim = len(basis)
-    sub_actions = _restrict_actions(columns, basis, ambient_dim)
-    comp = _invariant_complement(sub_actions, wbasis, dim)
+def _split_by_invariant_subspace(maps, basis, ambient_dim, budget, comm, wbasis):
+    comp = _invariant_complement(comm, wbasis, len(basis))
     if comp is None:
         raise DecompositionError("module is not semisimple",
                                  evidence={"invariant_dim": len(wbasis)})
-    out = []
-    out.extend(_split_rec(columns, _lift(basis, wbasis), ambient_dim, rng, budget))
-    out.extend(_split_rec(columns, _lift(basis, comp), ambient_dim, rng, budget))
-    return out
+    return (_split_rec(maps, _lift(basis, wbasis), ambient_dim, budget)
+            + _split_rec(maps, _lift(basis, comp), ambient_dim, budget))
 
 
-def _split_rec(columns, basis, ambient_dim, rng, budget):
+def _split_rec(maps, basis, ambient_dim, budget):
     dim = len(basis)
     if dim == 0:
         return []
-    sub_actions = _restrict_actions(columns, basis, ambient_dim)
+    sub_actions = _action_matrices(maps, basis, ambient_dim)
     comm = module_commutant(sub_actions, dim)
-    tested = 0
-    for theta in _theta_candidates(comm, dim, rng):
+    for theta in comm:
         if budget.left <= 0:
             raise InconclusiveSplit([(basis, {"status": "cap"})])
         budget.left -= 1
-        tested += 1
-        if theta.is_zero():
-            continue
         _, factors, _ = char_poly_and_rational_split(theta)
         pieces = []
         for f, e in factors:
@@ -318,13 +257,12 @@ def _split_rec(columns, basis, ambient_dim, rng, budget):
                 p = pmul(p, f)
             pieces.append(p)
         if len(pieces) < 2:
-            # a nonzero singular commutant element is a zero divisor: its
-            # kernel is a proper invariant subspace even without a coprime
-            # factor split
+            # a singular commutant element is a zero divisor: its kernel is
+            # a proper invariant subspace even without a coprime factor split
             ker = kernel(theta)
             if 0 < len(ker) < dim:
                 return _split_by_invariant_subspace(
-                    columns, basis, ambient_dim, rng, budget, ker)
+                    maps, basis, ambient_dim, budget, comm, ker)
             continue
         parts = []
         total = 0
@@ -336,44 +274,22 @@ def _split_rec(columns, basis, ambient_dim, rng, budget):
             raise DecompositionError("primary decomposition dimensions do not add up")
         out = []
         for ker in parts:
-            out.extend(_split_rec(columns, _lift(basis, ker), ambient_dim,
-                                  rng, budget))
+            out.extend(_split_rec(maps, _lift(basis, ker), ambient_dim, budget))
         return out
-    # no splitting element found: certify simplicity through spin-up
+    # no commutant basis element splits: try spin-up from each unit vector
     sub_columns = [nonzero_columns(m) for m in sub_actions]
     for i in range(dim):
         w = spin_up(sub_columns, _unit(dim, i), dim)
         if w.dim < dim:
             return _split_by_invariant_subspace(
-                columns, basis, ambient_dim, rng, budget, w.basis)
+                maps, basis, ambient_dim, budget, comm, w.basis)
     cert = {
         "commutant_dim": len(comm),
-        "candidates_tested": tested,
+        "candidates_tested": len(comm),
         "zero_divisor_found": False,
         "spin_up": "every basis vector generates the module",
     }
     return [(basis, cert)]
-
-
-def _theta_candidates(comm, dim, rng):
-    """Commutant basis first, then a few seeded rational combinations.
-
-    The basis catches every non-isotypic split (central idempotents of the
-    commutant reduce to elements with distinct rational eigenvalues under
-    row reduction) and spin-up catches isotypic multiplicity, so the random
-    combinations are only a cheap extra chance for an early split.
-    """
-    for m in comm:
-        yield m
-    if len(comm) <= 1:
-        return
-    for _ in range(8):
-        acc = Matrix(dim, dim)
-        for m in comm:
-            c = random_rational(rng, 2, 1)
-            if c:
-                acc = acc + m.scale(c)
-        yield acc
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +304,7 @@ class ModuleDecomposition:
         self.certificates = certificates
 
 
-def decompose_odd(g, core_even, rng):
+def decompose_odd(g, core_even):
     """b + simple summands of the complementary odd module.
 
     core_even must be the generating even part; the complement a of b is
@@ -405,7 +321,7 @@ def decompose_odd(g, core_even, rng):
     if a.dim == 0:
         return ModuleDecomposition(b, a, [], [])
     actions = module_actions(g, core_even.basis, a.basis)
-    parts = split_module(actions, a.dim, rng)
+    parts = split_module(actions, a.dim)
     summands = []
     for vecs, cert in parts:
         summands.append((Subspace(g.dim, _lift(a.basis, vecs), g.space), cert))
@@ -433,11 +349,12 @@ def classify_indices(g, dec):
     n = len(summands)
     pairing = {}
     js = []
+    brackets = {}                         # (k, j) -> [a_k, a_j]
     for k in range(n):
         ak = summands[k]
         partners = []
         for j in range(n):
-            w = bracket_span(g, ak, summands[j])
+            w = brackets[k, j] = bracket_span(g, ak, summands[j])
             image = bracket_span(g, w, ak)
             if image == ak:
                 partners.append(j)
@@ -463,8 +380,7 @@ def classify_indices(g, dec):
             raise DecompositionError(
                 "[[b, a_k], a_k] = a_k fails for a residue index",
                 evidence={"k": k, "image_dim": image.dim})
-        sq = bracket_span(g, ak, ak)
-        for v in sq.basis:
+        for v in brackets[k, k].basis:
             if not z.contains(v):
                 raise DecompositionError(
                     "[a_k, a_k] is not central for a residue index",
@@ -477,8 +393,7 @@ def classify_indices(g, dec):
             if k in pairing and pairing[k] == s:
                 continue
             if k in ja or (k in pairing and s != pairing[k]):
-                w = bracket_span(g, summands[k], summands[s])
-                if w.dim != 0:
+                if brackets[k, s].dim != 0:
                     raise DecompositionError(
                         "summands expected to commute do not",
                         evidence={"k": k, "s": s})
@@ -520,7 +435,7 @@ def build_g_ideal(g, dec, j, jp):
     # a_j stays simple over the ideal's own even part
     ideal_even, _ = span.parity_components(g.space.parities)
     acts = module_actions(g, ideal_even.basis, aj.basis)
-    parts = split_module(acts, aj.dim, random.Random(0))
+    parts = split_module(acts, aj.dim)
     checks["a_j_simple_over_ideal"] = len(parts) == 1
     if not checks["a_j_simple_over_ideal"]:
         raise DecompositionError("a_j fails to stay simple over g(j)",
@@ -544,11 +459,13 @@ def _coords_in(vecs, g, v):
     return coords
 
 
-def build_c_ideal(g, dec, k, rng):
-    """a_k + [a_k, a_k] + [b, a_k] with the tangent-quotient certificate."""
+def build_c_ideal(g, dec, k, b0):
+    """a_k + [a_k, a_k] + [b, a_k] with the tangent-quotient certificate,
+    built through ad b0 for an element b0 of b acting on a_k."""
     ak = dec.summands[k]
     kk = bracket_span(g, dec.b, ak)
-    span = ak.sum(bracket_span(g, ak, ak)).sum(kk)
+    nil = ak.sum(bracket_span(g, ak, ak))
+    span = nil.sum(kk)
     if not is_ideal(g, span):
         raise DecompositionError("residue subspace is not an ideal",
                                  evidence={"k": k})
@@ -560,20 +477,19 @@ def build_c_ideal(g, dec, k, rng):
     kk_alg, kk_vecs = subalgebra_from_subspace(g, kk)
     checks["kk_center_trivial"] = centralizer(g, kk, kk).dim == 0
     acts = module_actions(g, kk.basis, kk.basis)
-    parts = split_module(acts, kk.dim, rng)
+    parts = split_module(acts, kk.dim)
     checks["kk_adjoint_simple"] = len(parts) == 1
     checks["kk_adjoint_commutant_dim"] = parts[0][1].get("commutant_dim") if parts else None
     if not (checks["kk_center_trivial"] and checks["kk_adjoint_simple"]):
         raise DecompositionError("[b, a_k] is not a simple Lie algebra",
                                  evidence={"k": k})
     # nilpotent ideal a_k + [a_k, a_k]
-    nil = ak.sum(bracket_span(g, ak, ak))
     sq = bracket_span(g, nil, nil)
     z = center(g)
     checks["nilpotent_ideal"] = all(z.contains(v) for v in sq.basis)
     # quotient by the center is the tangent algebra over kk
-    checks["tangent_quotient"] = _verify_tangent_quotient(g, dec, k, kk, kk_alg,
-                                                          kk_vecs, ak)
+    checks["tangent_quotient"] = _verify_tangent_quotient(g, kk_alg, kk_vecs,
+                                                          ak, b0)
     if not checks["tangent_quotient"]:
         raise DecompositionError("c(k)/z(c(k)) is not the expected tangent algebra",
                                  evidence={"k": k})
@@ -581,22 +497,23 @@ def build_c_ideal(g, dec, k, rng):
 
 
 def _pick_b0(g, b, ak):
+    """The first basis vector of b acting on a_k; when none does, no
+    element of b does."""
     for u in b.basis:
         if bracket_span(g, Subspace(g.dim, [u], g.space), ak).dim != 0:
             return u
-    combo = vec_zero(g.dim)
-    for u in b.basis:
-        combo = vec_add(combo, u)
-        if bracket_span(g, Subspace(g.dim, [combo], g.space), ak).dim != 0:
-            return combo
     raise DecompositionError("no element of b acts on a_k")
 
 
-def _verify_tangent_quotient(g, dec, k, kk, kk_alg, kk_vecs, ak,
-                             b0=None, hat=False):
+def _adjoin_b0(g, span, b0):
+    """(span + K b0 + K [b0, b0], [b0, b0])."""
+    bb = g.bracket(b0, b0)
+    return span.sum(Subspace(g.dim, [b0, bb], g.space)), bb
+
+
+def _verify_tangent_quotient(g, kk_alg, kk_vecs, ak, b0, hat=False):
     """Structure-constant isomorphism of c(k)/z with T kk (or hat c(k)/z
     with That kk), built on the canonical basis through ad b0."""
-    b0 = b0 if b0 is not None else _pick_b0(g, dec.b, ak)
     tk = build_tangent_from_algebra(kk_alg, "T_hat" if hat else "T")
     d = kk_alg.dim
     solver_k = LinSolver(kk_vecs, g.dim)
@@ -628,9 +545,7 @@ def _verify_tangent_quotient(g, dec, k, kk, kk_alg, kk_vecs, ak,
     # central directions to quotient out
     zvecs = list(bracket_span(g, ak, ak).basis)
     if hat:
-        bb = g.bracket(b0, b0)
-        if not vec_is_zero(bb):
-            zvecs.append(bb)
+        zvecs.append(g.bracket(b0, b0))       # a zero vector is skipped below
     zk = []
     ech = Echelon(g.dim)
     for v in zvecs:
@@ -654,20 +569,14 @@ def _verify_tangent_quotient(g, dec, k, kk, kk_alg, kk_vecs, ak,
     return True
 
 
-def build_hat_c(g, dec, k, kk, kk_alg, kk_vecs):
-    """hat c(k) = c(k) + K b0 + K [b0, b0]; subalgebra whose central
-    quotient is the extended tangent algebra (semisimple by the
-    isomorphism certificate)."""
-    ak = dec.summands[k]
-    b0 = _pick_b0(g, dec.b, ak)
-    span = ak.sum(bracket_span(g, ak, ak)).sum(kk)
-    span = span.sum(Subspace(g.dim, [b0], g.space))
-    bb = g.bracket(b0, b0)
-    if not vec_is_zero(bb):
-        span = span.sum(Subspace(g.dim, [bb], g.space))
+def build_hat_c(g, dec, k, b0, c_span, kk_alg, kk_vecs):
+    """hat c(k) = c(k) + K b0 + K [b0, b0], given the span of c(k);
+    subalgebra whose central quotient is the extended tangent algebra
+    (semisimple by the isomorphism certificate)."""
+    span, _ = _adjoin_b0(g, c_span, b0)
     alg, vecs = subalgebra_from_subspace(g, span)   # raises if not closed
-    ok = _verify_tangent_quotient(g, dec, k, kk, kk_alg, kk_vecs, ak,
-                                  b0=b0, hat=True)
+    ok = _verify_tangent_quotient(g, kk_alg, kk_vecs, dec.summands[k], b0,
+                                  hat=True)
     return span, alg, ok
 
 
@@ -685,13 +594,8 @@ def qhat_embedding_certificate(g, dec, k_index, ideal):
     """Subalgebra ideal + K b0 + K [b0, b0] matching the extended queer
     family: closure, dimensions, fingerprint, and the action certificates
     (ad b0 kills the ideal's even part and squares to zero)."""
-    aj = dec.summands[k_index]
-    b0 = _pick_b0(g, dec.b, aj)
-    span = ideal.span
-    span = span.sum(Subspace(g.dim, [b0], g.space))
-    bb = g.bracket(b0, b0)
-    if not vec_is_zero(bb):
-        span = span.sum(Subspace(g.dim, [bb], g.space))
+    b0 = _pick_b0(g, dec.b, dec.summands[k_index])
+    span, bb = _adjoin_b0(g, ideal.span, b0)
     try:
         alg, vecs = subalgebra_from_subspace(g, span)
     except SuperAlgebraError:
@@ -826,9 +730,9 @@ def structure_report(g, seed=0):
     subalgebra [core, core] + b_r.  The report asserts that z_b(a)
     brackets into the center of the core (so its image in the central
     quotient is a central ideal) and that g_r and z_b(a) split the core up
-    to that center.
+    to that center.  Nothing depends on seed; it is only echoed into the
+    report.
     """
-    rng = random.Random(seed)
     report = DecompositionReport(g, seed)
     if g.d1 == 0:
         raise DecompositionError("odd-generation precondition: the odd part is zero")
@@ -849,7 +753,7 @@ def structure_report(g, seed=0):
             "odd central vectors in the odd-generated core are rejected",
             evidence={"z_odd_dim": czodd.dim})
     report.center = zc
-    dec = decompose_odd(g, core_even, rng)
+    dec = decompose_odd(g, core_even)
     report.decomposition = dec
     report.b = dec.b
     report.record("b_squares_central",
@@ -884,14 +788,15 @@ def structure_report(g, seed=0):
         info.checks["theorem42"] = flags
         report.ideals.append(info)
     for k in cls.ja:
-        span, alg, vecs, checks, kk, kk_alg, kk_vecs = build_c_ideal(g, dec, k, rng)
+        b0 = _pick_b0(g, dec.b, dec.summands[k])
+        span, alg, vecs, checks, kk, kk_alg, kk_vecs = build_c_ideal(g, dec, k, b0)
         fp = unitar.fingerprint(alg)
         classification = unitar.classify_fingerprint(alg)
         info = IdealInfo("Ja", (k,), span, alg, vecs, fp, classification,
                          checks, kk_dim=kk.dim)
         info.checks["theorem42"] = {}
         report.ideals.append(info)
-        hspan, halg, hok = build_hat_c(g, dec, k, kk, kk_alg, kk_vecs)
+        hspan, halg, hok = build_hat_c(g, dec, k, b0, span, kk_alg, kk_vecs)
         report.record("hat_c_quotient_is_extended_tangent_%d" % k, hok)
         report.hat_c[k] = (hspan, halg)
     # theorem: [core, core] = z(core) + sum of ideals, as subspaces

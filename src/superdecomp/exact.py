@@ -444,9 +444,10 @@ def rank(m):
 def solve(m, b):
     """One exact solution of m x = b plus kernel basis, or None if inconsistent.
 
-    A solution row (pivot c) of the RREF of [m | b] expresses
-    x_c + sum_{free j} a_j x_j - a_rhs = 0 against the vector (x, -1),
-    so the particular solution with free variables zero is x_c = a_rhs.
+    The kernel of [m | b] is read off its echelon form.  The vector for
+    the free rhs column, the last one, is -(x, -1) for the solution x
+    with every free variable zero; the others are (k, 0) for the kernel
+    vectors k of m.
     """
     if m.rows != len(b):
         raise ValueError("dimension mismatch")
@@ -459,24 +460,8 @@ def solve(m, b):
         ech.add(r)
     if n in ech.pivots:
         return None
-    rref = ech.rref()
-    x = vec_zero(n)
-    for c, row in rref:
-        a = row.get(n)
-        if a is not None:
-            x[c] = a
-    ker = []
-    pivset = {c for c, _ in rref}
-    free = [j for j in range(n) if j not in pivset]
-    for f in free:
-        v = vec_zero(n)
-        v[f] = ONE
-        for c, row in rref:
-            a = row.get(f)
-            if a is not None:
-                v[c] = -a
-        ker.append(v)
-    return x, ker
+    *ker, last = ech.kernel_basis()
+    return [-a for a in last[:n]], [v[:n] for v in ker]
 
 
 def span_basis(vectors, ncols):

@@ -192,6 +192,15 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["seed"] == "17"
 
 
+def test_seed_env_not_an_integer_exits_2(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "that.json")
+    run(capsys, "construct", "--family", "T_hat", "--params", "su,2", "--out", path)
+    monkeypatch.setenv("SUPERDECOMP_SEED", "abc")
+    code, out, err = run(capsys, "decompose", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: SUPERDECOMP_SEED must be an integer")
+
+
 # --- inputs that must be refused ---------------------------------------------
 
 def _write(tmp_path, name, obj):

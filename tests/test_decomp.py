@@ -3,14 +3,15 @@ import random
 import pytest
 
 from superdecomp.core import (
-    SuperAlgebra, SuperSpace, bracket_span, center, direct_sum,
-    quotient_by_central,
+    SuperAlgebra, SuperSpace, Subspace, bracket_span, center, direct_sum,
+    module_commutant, quotient_by_central,
 )
-from superdecomp.exact import ONE, Scalar, vec_zero
+from superdecomp.exact import LinSolver, Matrix, ONE, ZERO, Scalar, vec_zero
 from superdecomp.families import build_family
 from superdecomp.decomp import (
-    DecompositionError, classify_indices, compute_b, decompose_odd,
-    module_actions, reduce_to_odd_generated, split_module, structure_report,
+    DecompositionError, _invariant_complement, classify_indices, compute_b,
+    decompose_odd, module_actions, reduce_to_odd_generated, split_module,
+    structure_report,
 )
 
 
@@ -61,7 +62,7 @@ def test_decompose_odd_su22_two_real_copies():
     # its realification is not)
     g = build_family("su", 2, 2)
     red = reduce_to_odd_generated(g)
-    dec = decompose_odd(g, red.core_even, random.Random(0))
+    dec = decompose_odd(g, red.core_even)
     assert dec.b.dim == 0
     assert [s.dim for s in dec.summands] == [4, 4]
     cls = classify_indices(g, dec)
@@ -76,7 +77,7 @@ def test_decompose_odd_su22_two_real_copies():
 def test_decompose_odd_q2_adjoint():
     g = build_family("q", 2)
     red = reduce_to_odd_generated(g)
-    dec = decompose_odd(g, red.core_even, random.Random(0))
+    dec = decompose_odd(g, red.core_even)
     assert dec.b.dim == 0
     assert [s.dim for s in dec.summands] == [8]
     # absolutely simple: scalar commutant
@@ -86,14 +87,14 @@ def test_decompose_odd_q2_adjoint():
 def test_decompose_direct_sum_two_summands():
     g = direct_sum(build_family("su", 2, 1), build_family("q", 2))
     red = reduce_to_odd_generated(g)
-    dec = decompose_odd(g, red.core_even, random.Random(0))
+    dec = decompose_odd(g, red.core_even)
     assert sorted(s.dim for s in dec.summands) == [4, 8]
 
 
 def test_classify_that_singleton_ja():
     g = build_family("T_hat", "su", 2)
     red = reduce_to_odd_generated(g)
-    dec = decompose_odd(g, red.core_even, random.Random(0))
+    dec = decompose_odd(g, red.core_even)
     cls = classify_indices(g, dec)
     assert cls.js == [] and cls.ja == [0]
 
@@ -106,7 +107,54 @@ def test_split_module_inconclusive_cap():
     actions = module_actions(g, red.core_even.basis, a.basis)
     from superdecomp.decomp import InconclusiveSplit
     with pytest.raises(InconclusiveSplit):
-        split_module(actions, a.dim, random.Random(0), cap=1)
+        split_module(actions, a.dim, cap=1)
+
+
+def so3_on_two_copies(seed):
+    """so(3) acting on Q^3 + Q^3, written in the basis given by the columns
+    of a seeded invertible integer matrix P, with the first copy's basis in
+    those coordinates."""
+    rng = random.Random(seed)
+    while True:
+        cols = [[rng.randint(-3, 3) * ONE for _ in range(6)] for _ in range(6)]
+        try:
+            solver = LinSolver(cols, 6)
+            break
+        except ValueError:
+            pass
+    actions = []
+    for a, b in ((1, 2), (2, 0), (0, 1)):
+        m = Matrix(6, 6)
+        for off in (0, 3):
+            m.data[off + a][off + b] = ONE
+            m.data[off + b][off + a] = -ONE
+        conj = Matrix(6, 6)                   # P^-1 m P, column by column
+        for j, col in enumerate(cols):
+            for i, c in enumerate(solver.coords(m.mul_vec(col))):
+                conj.data[i][j] = c
+        actions.append(conj)
+    first = [solver.coords([ONE if k == i else ZERO for k in range(6)])
+             for i in range(3)]
+    return actions, first
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_invariant_complement_of_one_copy(seed):
+    actions, w = so3_on_two_copies(seed)
+    comm = module_commutant(actions, 6)
+    assert len(comm) == 4                     # M_2(Q)
+    comp = _invariant_complement(comm, w, 6)
+    assert comp is not None and len(comp) == 3
+    assert Subspace(6, w + comp).dim == 6
+    span = Subspace(6, comp)
+    for m in actions:
+        assert all(span.contains(m.mul_vec(v)) for v in comp)
+
+
+def test_invariant_complement_none_for_jordan_block():
+    nil = Matrix.from_rows([[ZERO, ONE], [ZERO, ZERO]])
+    comm = module_commutant([nil], 2)
+    assert _invariant_complement(comm, [[ONE, ZERO]], 2) is None
 
 
 def test_structure_report_q2():
@@ -196,3 +244,9 @@ def test_report_json_deterministic():
     a = json.dumps(structure_report(g, seed=11).to_json_dict(), sort_keys=True)
     b = json.dumps(structure_report(g, seed=11).to_json_dict(), sort_keys=True)
     assert a == b
+    # the decomposition does not depend on the seed, which is only echoed
+    for g in (g, build_family("q_hat", 2)):
+        a = structure_report(g, seed=11).to_json_dict()
+        c = structure_report(g, seed=12).to_json_dict()
+        assert a.pop("seed") == "11" and c.pop("seed") == "12"
+        assert json.dumps(a, sort_keys=True) == json.dumps(c, sort_keys=True)
