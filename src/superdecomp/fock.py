@@ -6,7 +6,10 @@ bits i1..ik set.  Creation a*(e_j) and annihilation a(e_j) each send a
 monomial to one monomial, with the sign (-1)^(number of generators below
 j in it); a*(f) is linear and a(f) antilinear in f.  Second-quantised even
 operators dGamma(A) = sum A_kj a*(e_k) a(e_j) are written entry by entry
-from those two signed moves.
+from those two signed moves.  Every Fock operator is a SparseOp: its
+nonzero entries column by column, as Gaussian integers over one common
+denominator.  A spin operator has at most one entry per column, so it
+holds O(2^n) entries, not 4^n, and a product of two costs O(2^n).
 
 Unitarity here always means the adjoint condition rho(X)* = -i^{|X|} rho(X)
 with respect to the (identity-Gram) hermitian form; the four powers of i
@@ -15,13 +18,14 @@ is built, and is refused if the check fails.
 """
 
 from fractions import Fraction
-from math import isqrt
+from itertools import chain
+from math import gcd, isqrt, lcm
 
 from .exact import (
-    I, Matrix, Scalar, ZERO, ONE, ipow, Echelon, vec_zero, solve,
+    I, Matrix, Scalar, ZERO, ONE, ipow, Echelon, solve,
     is_positive_definite,
 )
-from .core import SuperAlgebraError, killing_form, realify_matrix
+from .core import SuperAlgebraError, killing_form
 from .families import FamilySpec, build, build_family, build_lie_algebra
 
 FOCK_DIM_CAP = 4096
@@ -38,6 +42,131 @@ def _require_fock_dim(n):
 def _odd_below(mask, j):
     """1 when mask holds an odd number of generators below j, else 0."""
     return (mask & ((1 << j) - 1)).bit_count() & 1
+
+
+def _gaussian_ints(values):
+    """(den, pairs): Fraction or Scalar values as Gaussian integers
+    (a, b) = den * value over their least common denominator den."""
+    den = lcm(*[x.denominator for v in values for x in (v.real, v.imag)])
+    return den, [(v.real.numerator * (den // v.real.denominator),
+                  v.imag.numerator * (den // v.imag.denominator))
+                 for v in values]
+
+
+class SparseOp:
+    """Square operator kept as sparse columns over one integer denominator.
+
+    cols[j] = {i: (a, b)} holds the nonzero entries (a + b i) / den of
+    column j.  The form is canonical: den > 0, no stored zeros, gcd of den
+    and every a and b is 1, den 1 for the zero operator; so == is value
+    equality.
+    """
+
+    __slots__ = ("den", "cols")
+
+    def __init__(self, den, cols):
+        """Canonical form of positive den and Gaussian integer columns;
+        the column dicts are kept, not copied, when they hold no zero."""
+        cols = [{i: e for i, e in col.items() if e != (0, 0)}
+                if (0, 0) in col.values() else col for col in cols]
+        g = den
+        for col in cols:
+            if g == 1:
+                break
+            g = gcd(g, *chain.from_iterable(col.values()))
+        if g != 1:
+            den //= g
+            cols = [{i: (a // g, b // g) for i, (a, b) in col.items()}
+                    for col in cols]
+        self.den = den
+        self.cols = cols
+
+    @classmethod
+    def zero(cls, dim):
+        return cls(1, [{} for _ in range(dim)])
+
+    @classmethod
+    def identity(cls, dim):
+        return cls(1, [{j: (1, 0)} for j in range(dim)])
+
+    @classmethod
+    def from_matrix(cls, m):
+        if m.rows != m.cols:
+            raise ValueError("operators must be square of the space dimension")
+        den, pairs = _gaussian_ints([v for row in m.data for v in row])
+        return cls(den, [dict(enumerate(pairs[j::m.cols])) for j in range(m.cols)])
+
+    def to_matrix(self):
+        out = Matrix(self.dim, self.dim)
+        for j, col in enumerate(self.cols):
+            for i, (a, b) in col.items():
+                out.data[i][j] = Scalar(Fraction(a, self.den), Fraction(b, self.den))
+        return out
+
+    @property
+    def dim(self):
+        return len(self.cols)
+
+    def _same_dim(self, other):
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+
+    def _combine(self, other, sign):
+        self._same_dim(other)
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, sign * (den // other.den)
+        cols = []
+        for x, y in zip(self.cols, other.cols):
+            col = {i: (a * p, b * p) for i, (a, b) in x.items()}
+            for i, (a, b) in y.items():
+                c, d = col.get(i, (0, 0))
+                col[i] = (c + a * q, d + b * q)
+            cols.append(col)
+        return SparseOp(den, cols)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __matmul__(self, other):
+        self._same_dim(other)
+        xcols = self.cols
+        cols = []
+        for y in other.cols:
+            col = {}
+            get = col.get
+            for k, (c, d) in y.items():
+                for i, (a, b) in xcols[k].items():
+                    e, f = get(i, (0, 0))
+                    col[i] = (e + a * c - b * d, f + a * d + b * c)
+            cols.append(col)
+        return SparseOp(self.den * other.den, cols)
+
+    def scale(self, s):
+        """s times self, for a Fraction or Scalar s (zero included)."""
+        r, ((p, q),) = _gaussian_ints([s])
+        return SparseOp(self.den * r, [
+            {i: (a * p - b * q, a * q + b * p) for i, (a, b) in col.items()}
+            for col in self.cols])
+
+    def conj_transpose(self):
+        cols = [{} for _ in self.cols]
+        for j, col in enumerate(self.cols):
+            for i, (a, b) in col.items():
+                cols[i][j] = (a, -b)
+        return SparseOp(self.den, cols)
+
+    def is_zero(self):
+        return not any(self.cols)
+
+    def __eq__(self, other):
+        return (isinstance(other, SparseOp) and self.den == other.den
+                and self.cols == other.cols)
+
+    def __repr__(self):
+        return "SparseOp(%d, %r)" % (self.den, self.cols)
 
 
 class FockSpace:
@@ -63,17 +192,19 @@ class FockSpace:
         """a*(f) when create, else a(f)."""
         if len(f) != self.n:
             raise ValueError("dimension mismatch")
-        out = Matrix(self.dim, self.dim)
-        for col, mask in enumerate(self.basis):
-            for j, c in enumerate(f):
+        den, pairs = _gaussian_ints(f)
+        terms = [(j, (a, b if create else -b))
+                 for j, (a, b) in enumerate(pairs) if a or b]
+        cols = []
+        for mask in self.basis:
+            col = {}
+            for j, (a, b) in terms:
                 # a*(e_j) needs j outside the monomial, a(e_j) inside it
-                if not c or bool(mask >> j & 1) == create:
-                    continue
-                if not create:
-                    c = c.conjugate()
-                out.data[self.index[mask ^ (1 << j)]][col] = \
-                    -c if _odd_below(mask, j) else c
-        return out
+                if bool(mask >> j & 1) != create:
+                    col[self.index[mask ^ (1 << j)]] = \
+                        (-a, -b) if _odd_below(mask, j) else (a, b)
+            cols.append(col)
+        return SparseOp(den, cols)
 
     def creation(self, f):
         """a*(f): wedge with f, linear in f."""
@@ -87,20 +218,25 @@ class FockSpace:
         """dGamma(a) = sum a_kj a*(e_k) a(e_j) for a one-particle operator."""
         if not a.rows == a.cols == self.n:
             raise ValueError("one-particle operator must be n x n")
-        terms = [(k, j, v) for k, row in enumerate(a.data)
-                 for j, v in enumerate(row) if v]
-        out = Matrix(self.dim, self.dim)
-        for col, mask in enumerate(self.basis):
-            for k, j, v in terms:
+        den, pairs = _gaussian_ints([v for row in a.data for v in row])
+        terms = [(pos // self.n, pos % self.n, e)
+                 for pos, e in enumerate(pairs) if e[0] or e[1]]
+        cols = []
+        for mask in self.basis:
+            col = {}
+            for k, j, (x, y) in terms:
                 if not mask >> j & 1:
                     continue
                 rest = mask ^ (1 << j)
                 if rest >> k & 1:
                     continue
                 row = self.index[rest | (1 << k)]
-                odd = _odd_below(mask, j) ^ _odd_below(rest, k)
-                out.data[row][col] = out.data[row][col] + (-v if odd else v)
-        return out
+                if _odd_below(mask, j) ^ _odd_below(rest, k):
+                    x, y = -x, -y
+                c, d = col.get(row, (0, 0))
+                col[row] = (c + x, d + y)
+            cols.append(col)
+        return SparseOp(den, cols)
 
 
 def hermitian_inner(u, v):
@@ -119,7 +255,7 @@ def check_car(n, rng=None):
     returns None, or a dict describing the first violating pair.
     """
     fock = FockSpace(n)
-    eye = Matrix.identity(fock.dim)
+    eye = SparseOp.identity(fock.dim)
 
     def pairs():
         units = [[ONE if i == k else ZERO for i in range(n)] for k in range(n)]
@@ -128,13 +264,10 @@ def check_car(n, rng=None):
                 yield f, g
         if rng is not None:
             for _ in range(CAR_SAMPLES):
-                f = [Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                yield tuple(
+                    [Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
                             Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-                     for _ in range(n)]
-                g = [Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
-                            Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-                     for _ in range(n)]
-                yield f, g
+                     for _ in range(n)] for _ in range(2))
 
     for f, g in pairs():
         af, ag = fock.annihilation(f), fock.annihilation(g)
@@ -155,17 +288,19 @@ class Representation:
     """Exact graded representation: one operator per algebra basis vector.
 
     The target carries parities and an identity Gram (wedge monomials of
-    orthonormal generators stay orthonormal).
+    orthonormal generators stay orthonormal).  Operators are SparseOps;
+    dense Matrix operators are converted here.
     """
 
     def __init__(self, algebra, space_parities, operators, meta=None):
         self.algebra = algebra
         self.space_parities = list(space_parities)
-        self.operators = operators
+        self.operators = [op if isinstance(op, SparseOp) else SparseOp.from_matrix(op)
+                          for op in operators]
         self.meta = meta or {}
         dim = len(space_parities)
-        for op in operators:
-            if not op.rows == op.cols == dim:
+        for op in self.operators:
+            if op.dim != dim:
                 raise ValueError("operators must be square of the space dimension")
 
     @property
@@ -173,7 +308,7 @@ class Representation:
         return len(self.space_parities)
 
     def operator_of(self, coords):
-        out = Matrix(self.space_dim, self.space_dim)
+        out = SparseOp.zero(self.space_dim)
         for c, op in zip(coords, self.operators):
             if c:
                 out = out + op.scale(c)
@@ -190,7 +325,7 @@ class Representation:
             "gram": "identity",
             "operators": [
                 {"basis_id": self.algebra.space.labels[i],
-                 "matrix": [[entry(v) for v in row] for row in op.data]}
+                 "matrix": [[entry(v) for v in row] for row in op.to_matrix().data]}
                 for i, op in enumerate(self.operators)],
         }
 
@@ -223,17 +358,21 @@ def check_unitary_representation(g, rep):
                 prod = prod + ops[j] @ ops[i]
             else:
                 prod = prod - ops[j] @ ops[i]
-            want = Matrix(rep.space_dim, rep.space_dim)
+            want = SparseOp.zero(rep.space_dim)
             for k, v in g.bracket_pair(i, j).items():
                 want = want + ops[k].scale(v)
             if prod != want:
                 return RepCheck(False, False,
                                 {"kind": "homomorphism", "pair": (i, j),
                                  "lhs": prod, "rhs": want})
-    ech = Echelon(2 * rep.space_dim * rep.space_dim)
+    # faithfulness: the rank of the operators as real vectors, entry (i, j)
+    # at coordinates 2 (i dim + j) and 2 (i dim + j) + 1
+    dim = rep.space_dim
+    ech = Echelon(2 * dim * dim)
     rank = 0
     for op in ops:
-        if ech.add_list(realify_matrix(op)):
+        if ech.add({2 * (i * dim + j) + part: x for j, col in enumerate(op.cols)
+                    for i, e in col.items() for part, x in enumerate(e) if x}):
             rank += 1
     return RepCheck(True, rank == n)
 
@@ -252,8 +391,7 @@ def spin_representation(variant, n):
     _require_fock_dim(n)
     g = build(spec)
     fock = FockSpace(n)
-    eye = Matrix.identity(fock.dim)
-    ops = [eye.scale(I)]
+    ops = [SparseOp.identity(fock.dim).scale(I)]
     if variant == "spin_h_hat":
         ops.append(fock.second_quantised(Matrix.identity(n)).scale(I))
     units = [[ONE if i == k else ZERO for i in range(n)] for k in range(n)]
@@ -272,16 +410,16 @@ def spin_representation(variant, n):
 
 def number_spectrum(rep):
     """Eigenvalue multiset of -i rho(d) for the extended spin algebra."""
-    op = rep.operators[1].scale(-I)
-    for r in range(op.rows):
-        for c in range(op.cols):
-            if r != c and op.data[r][c]:
-                raise SuperAlgebraError("number operator is not diagonal")
+    op = rep.operators[1]
     out = {}
-    for i in range(op.rows):
-        v = op.data[i][i]
-        if not isinstance(v, Fraction):
+    for j, col in enumerate(op.cols):
+        if col.keys() - {j}:
+            raise SuperAlgebraError("number operator is not diagonal")
+        a, b = col.get(j, (0, 0))
+        # -i (a + b i) / den = (b - a i) / den
+        if a:
             raise SuperAlgebraError("number operator has a non-real eigenvalue")
+        v = Fraction(b, op.den)
         out[v] = out.get(v, 0) + 1
     return out
 
@@ -291,40 +429,22 @@ def number_spectrum(rep):
 # ---------------------------------------------------------------------------
 
 def _four_squares(n):
-    """n = a^2+b^2+c^2+d^2 for a nonnegative integer, small search."""
-    if n == 0:
-        return []
-    best = None
-    a = isqrt(n)
-    for x in range(a, 0, -1):
-        r1 = n - x * x
-        if r1 == 0:
-            return [x]
-        y = isqrt(r1)
-        for yy in range(y, 0, -1):
-            r2 = r1 - yy * yy
-            if r2 == 0:
-                cand = [x, yy]
-                if best is None or len(cand) < len(best):
-                    best = cand
-                break
-            z = isqrt(r2)
-            for zz in range(z, 0, -1):
-                r3 = r2 - zz * zz
-                if r3 == 0:
-                    cand = [x, yy, zz]
-                    if best is None or len(cand) < len(best):
-                        best = cand
-                    break
-                w = isqrt(r3)
-                if w * w == r3:
-                    cand = [x, yy, zz, w]
-                    if best is None or len(cand) < len(best):
-                        best = cand
-                    break
-    if best is None:
-        raise ArithmeticError("four-square decomposition not found")
-    return best
+    """The fewest positive ints whose squares sum to n >= 0 (at most four,
+    by Lagrange); among those, the lexicographically greatest list."""
+    return next(rep for k in range(5) if (rep := _squares(n, k)) is not None)
+
+
+def _squares(n, k):
+    """The lexicographically greatest list of k positive ints whose squares
+    sum to n, or None."""
+    if k <= 1:
+        x = isqrt(n)
+        return [x][:k] if x * x == n and (n > 0) == (k == 1) else None
+    for x in range(isqrt(n), 0, -1):
+        rest = _squares(n - x * x, k - 1)
+        if rest is not None:
+            return [x] + rest
+    return None
 
 
 def _rational_squares(r):
@@ -335,20 +455,11 @@ def _rational_squares(r):
 
 
 def _matrix_inverse(m):
-    n = m.rows
-    cols = []
-    for j in range(n):
-        e = vec_zero(n)
-        e[j] = ONE
-        res = solve(m, e)
-        if res is None:
-            raise SuperAlgebraError("singular matrix")
-        cols.append(res[0])
-    out = Matrix(n, n)
-    for j, col in enumerate(cols):
-        for i in range(n):
-            out.data[i][j] = col[i]
-    return out
+    cols = [solve(m, [ONE if i == j else ZERO for i in range(m.rows)])
+            for j in range(m.rows)]
+    if None in cols:
+        raise SuperAlgebraError("singular matrix")
+    return Matrix.from_rows(zip(*[x for x, _ in cols]))
 
 
 def tilde_tangent_representation(kind, n):
@@ -399,9 +510,8 @@ def tilde_tangent_representation(kind, n):
     if two_vtv != beta.scale(lam):
         raise SuperAlgebraError("embedding scale verification failed")
     fock = FockSpace(total)
-    eye = Matrix.identity(fock.dim)
     beta_inv = _matrix_inverse(beta)
-    ops = [eye.scale(Scalar(0, lam))]     # central generator
+    ops = [SparseOp.identity(fock.dim).scale(Scalar(0, lam))]   # central generator
     for i in range(d):
         ad = k.adjoint_index(i)
         psi = (vmap @ ad @ beta_inv @ vmap.transpose()).scale(2 / lam)

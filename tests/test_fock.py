@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import superdecomp.fock as fock_module
 from superdecomp.core import SuperAlgebraError
 from superdecomp.exact import I, Matrix, ONE, Scalar, ZERO
 from superdecomp.families import build_family
 from superdecomp.fock import (
-    FockSpace, Representation, check_car, check_unitary_representation,
+    FockSpace, Representation, SparseOp, check_car, check_unitary_representation,
     defining_representation, number_spectrum, spin_representation,
     tilde_tangent_representation,
 )
@@ -20,7 +22,7 @@ def unit(n, k):
 
 def test_creation_on_vacuum():
     fock = FockSpace(2)
-    cre = fock.creation(unit(2, 0))
+    cre = fock.creation(unit(2, 0)).to_matrix()
     vac = fock.index[0b00]
     col = [cre.data[r][vac] for r in range(fock.dim)]
     target = fock.index[0b01]
@@ -30,7 +32,7 @@ def test_creation_on_vacuum():
 
 def test_annihilation_contracts():
     fock = FockSpace(2)
-    ann = fock.annihilation(unit(2, 0))
+    ann = fock.annihilation(unit(2, 0)).to_matrix()
     col = [ann.data[r][fock.index[0b11]] for r in range(fock.dim)]
     assert col[fock.index[0b10]] == ONE
     col = [ann.data[r][fock.index[0b10]] for r in range(fock.dim)]
@@ -58,10 +60,44 @@ def test_car_detects_perturbation():
     fock = FockSpace(1)
     a = fock.annihilation(unit(1, 0))
     c = fock.creation(unit(1, 0))
-    eye = Matrix.identity(2)
+    eye = SparseOp.identity(2)
     assert a @ c + c @ a == eye
     bad = c.scale(Scalar(2))
     assert a @ bad + bad @ a != eye
+
+
+def patch_ladder(monkeypatch, change):
+    """Build every ladder operator through change(body, fock, f, create)."""
+    body = FockSpace._ladder
+    monkeypatch.setattr(FockSpace, "_ladder",
+                        lambda fock, f, create: change(body, fock, f, create))
+
+
+def test_check_car_catches_a_flipped_sign(monkeypatch):
+    # a(e_0) := -a(e_0) keeps {a(e_0), a(e_0)} = 0 but gives
+    # {a(e_0), a*(e_0)} = -1, already on the first generator pair
+    def flipped(body, fock, f, create):
+        op = body(fock, f, create)
+        return op.scale(Fraction(-1)) if not create and f == unit(len(f), 0) else op
+
+    patch_ladder(monkeypatch, flipped)
+    res = check_car(3, rng=random.Random(1))
+    assert res["identity"] == "a(f)a(g)* + a(g)*a(f) = <g, f>"
+    assert res["pair"] == (unit(3, 0), unit(3, 0))
+
+
+def test_check_car_random_pairs_catch_a_linear_annihilator(monkeypatch):
+    # a(f) built from conj(f) is linear in f; it agrees with the true a(f)
+    # on the real generator vectors, so only the seeded complex pairs see it
+    def linear(body, fock, f, create):
+        return body(fock, f if create else [v.conjugate() for v in f], create)
+
+    patch_ladder(monkeypatch, linear)
+    assert check_car(3) is None
+    res = check_car(3, rng=random.Random(1))
+    assert res["identity"] == "a(f)a(g)* + a(g)*a(f) = <g, f>"
+    f, g = res["pair"]
+    assert any(isinstance(v, Scalar) for v in f + g)
 
 
 def test_spin_h_representation():
@@ -82,6 +118,21 @@ def test_spin_h_hat_spectrum():
     rep = spin_representation("spin_h_hat", 3)
     spec = number_spectrum(rep)
     assert spec == {Fraction(0): 1, Fraction(1): 3, Fraction(2): 3, Fraction(3): 1}
+
+
+def test_spin_h_hat_spectrum_at_n6():
+    rep = spin_representation("spin_h_hat", 6)
+    assert number_spectrum(rep) == {Fraction(k): comb(6, k) for k in range(7)}
+
+
+def test_number_spectrum_refuses_a_non_diagonal_or_non_real_operator():
+    rep = spin_representation("spin_h_hat", 2)
+    for change, message in ((lambda ops: ops[1] + ops[2], "not diagonal"),
+                            (lambda ops: ops[1].scale(I), "non-real")):
+        ops = list(rep.operators)
+        ops[1] = change(ops)
+        with pytest.raises(SuperAlgebraError, match=message):
+            number_spectrum(Representation(rep.algebra, rep.space_parities, ops))
 
 
 def test_homomorphism_square_instance():
@@ -145,10 +196,18 @@ def test_tilde_tangent_su2():
     g = rep.algebra
     # central generator maps to a nonzero scalar
     central = rep.operators[0]
-    assert central == Matrix.identity(8).scale(Scalar(0, rep.meta["scale"]))
+    assert central == SparseOp.identity(8).scale(Scalar(0, rep.meta["scale"]))
     assert not central.is_zero()
     res = check_unitary_representation(g, rep)
     assert res.ok and res.faithful
+
+
+def test_tilde_tangent_so5_reaches_fock_dim_1024():
+    # the construction runs check_unitary_representation and refuses a
+    # representation that fails it or is not faithful
+    rep = tilde_tangent_representation("so", 5)
+    assert rep.space_dim == 1024
+    assert rep.meta["faithful"]
 
 
 def test_defining_rep_u11():
@@ -172,3 +231,41 @@ def test_rep_json_export():
     assert d["gram"] == "identity"
     assert d["space"]["dim"] == "2"
     assert len(d["operators"]) == 3
+
+
+# --- sparse operators against the dense Matrix oracle -----------------------
+
+_gaussian = st.one_of(
+    st.just(ZERO),
+    st.builds(lambda a, b, c, d: Scalar(Fraction(a, b), Fraction(c, d)),
+              st.integers(-4, 4), st.integers(1, 4),
+              st.integers(-4, 4), st.integers(1, 4)))
+
+
+@st.composite
+def gaussian_matrix_pairs(draw):
+    n = draw(st.integers(1, 6))
+    return tuple(Matrix.from_rows([[draw(_gaussian) for _ in range(n)]
+                                   for _ in range(n)]) for _ in range(2))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(gaussian_matrix_pairs(), _gaussian)
+def test_sparse_ops_match_dense_oracle(pair, s):
+    a, b = pair
+    sa, sb = SparseOp.from_matrix(a), SparseOp.from_matrix(b)
+    assert sa.to_matrix() == a and sb.to_matrix() == b
+    assert (sa @ sb).to_matrix() == a @ b
+    assert (sa + sb).to_matrix() == a + b
+    assert (sa - sb).to_matrix() == a - b
+    assert sa.conj_transpose().to_matrix() == a.conj_transpose()
+    assert sa.is_zero() == a.is_zero()
+    assert (sa == sb) == (a == b)
+    for t in (s, s.real, ZERO):
+        assert sa.scale(t).to_matrix() == a.scale(t)
+    # equal values have equal canonical forms
+    assert sa.scale(2).scale(Fraction(1, 2)) == sa
+    assert sa.scale(I).scale(-I) == sa
+    assert SparseOp.from_matrix((sa @ sb).to_matrix()) == sa @ sb
+    zero = sa - sa
+    assert zero == SparseOp.zero(a.rows) and zero.den == 1 and zero.is_zero()
