@@ -16,14 +16,12 @@ import tempfile
 from . import __version__
 from .core import (
     SuperAlgebraError, algebra_from_json_dict, algebra_to_json_dict, center,
-    killing_form, tables_equal, verify_superalgebra,
+    even_center_dim, killing_form, tables_equal, verify_superalgebra,
 )
 from .families import FamilySpec, build, square_identity_samples
-from .decomp import DecompositionError, structure_report
-from .unitar import even_center_dim, necessary_conditions_report
-from .fock import (
-    check_car, number_spectrum, spin_representation, tilde_tangent_representation,
-)
+
+# decomp, unitar and fock are imported by the commands that use them, so a
+# command loads only the layers it runs
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -170,6 +168,7 @@ def cmd_check(args):
 
 
 def cmd_decompose(args):
+    from .decomp import DecompositionError, structure_report
     try:
         alg, raw = _load_algebra(args.file)
     except (OSError, ValueError, KeyError) as exc:
@@ -194,6 +193,7 @@ def cmd_decompose(args):
 
 
 def cmd_unitarity(args):
+    from .unitar import necessary_conditions_report
     try:
         alg, raw = _load_algebra(args.file)
     except (OSError, ValueError, KeyError) as exc:
@@ -211,6 +211,7 @@ def cmd_unitarity(args):
 def cmd_spinrep(args):
     # a refused construction raises SuperAlgebraError, which main maps to FAIL;
     # the representation returned was verified when it was built
+    from .fock import check_car, number_spectrum, spin_representation
     try:
         rep = spin_representation(args.variant, args.dim)
     except ValueError as exc:
@@ -237,6 +238,7 @@ def cmd_spinrep(args):
 
 
 def cmd_tangent_rep(args):
+    from .fock import tilde_tangent_representation
     try:
         rep = tilde_tangent_representation(*_parse_ktag(args.k))
     except ValueError as exc:

@@ -92,24 +92,9 @@ def reduce_to_odd_generated(g):
     return Reduction(h0, core, comp)
 
 
-def compute_b(g, even=None):
-    """Odd vectors commuting with the even part (all of it by default).
-
-    When the algebra is generated by its odd part, the squares of these
-    vectors land in the center; the assertion is checked whenever the
-    caller passes the generating even part.
-    """
-    target = even if even is not None else g.even_subspace()
-    b = centralizer(g, target, g.odd_subspace())
-    if even is not None:
-        z = center(g)
-        for u in b.basis:
-            for w in b.basis:
-                v = g.bracket(u, w)
-                if not vec_is_zero(v) and not z.contains(v):
-                    raise DecompositionError("[b, b] is not central",
-                                             evidence=(u, w))
-    return b
+def compute_b(g):
+    """Odd vectors commuting with the even part."""
+    return centralizer(g, g.even_subspace(), g.odd_subspace())
 
 
 # ---------------------------------------------------------------------------

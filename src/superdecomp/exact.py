@@ -151,15 +151,6 @@ class Matrix:
         rows = [list(r) for r in rows]
         return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
-    def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
-
-    def __setitem__(self, ij, v):
-        self.data[ij[0]][ij[1]] = v
-
-    def copy(self):
-        return Matrix(self.rows, self.cols, [row[:] for row in self.data])
-
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("dimension mismatch")
@@ -462,14 +453,6 @@ def solve(m, b):
         return None
     *ker, last = ech.kernel_basis()
     return [-a for a in last[:n]], [v[:n] for v in ker]
-
-
-def span_basis(vectors, ncols):
-    """Canonical (RREF) basis of the span of the given dense vectors."""
-    ech = Echelon(ncols)
-    for v in vectors:
-        ech.add_list(v)
-    return ech.basis_vectors()
 
 
 class LinSolver:

@@ -34,7 +34,9 @@ CAR_SAMPLES = 20
 
 
 def _require_fock_dim(n):
-    if (1 << n) > FOCK_DIM_CAP:
+    # 2^n > cap exactly when n >= cap.bit_length(); 1 << n would first
+    # allocate n / 8 bytes for a huge n
+    if n >= FOCK_DIM_CAP.bit_length():
         raise SuperAlgebraError(
             "Fock dimension 2^%d exceeds the exact-construction cap" % n)
 

@@ -21,9 +21,9 @@ from .exact import (
     random_rational, vec_is_zero, vec_zero,
 )
 from .core import (
-    SuperAlgebraError, bracket_span, center, centralizer, even_action_on_even,
-    even_action_on_odd, invariant_symmetric_forms, is_perfect, killing_form,
-    module_commutant, per_algebra,
+    SuperAlgebraError, bracket_span, center, even_actions, even_center_dim,
+    invariant_symmetric_forms, is_perfect, killing_form, module_commutant,
+    per_algebra,
 )
 from . import families
 
@@ -31,6 +31,8 @@ from . import families
 WITNESS_CAP = 200
 # the classifier builds no family candidate of a larger dimension
 CLASSIFIER_MAX_DIM = 64
+# seeded random odd vectors tried after the structured candidates
+RANDOM_ODD_CANDIDATES = 40
 
 
 class Fingerprint:
@@ -82,14 +84,9 @@ class Fingerprint:
 
 
 @per_algebra
-def even_center_dim(g):
-    return centralizer(g, g.even_subspace(), g.even_subspace()).dim
-
-
-@per_algebra
 def fingerprint(g):
     _, krank = killing_form(g)
-    comm = module_commutant(even_action_on_odd(g), g.d1) if g.d1 else []
+    comm = module_commutant(even_actions(g, g.space.odd_indices()), g.d1) if g.d1 else []
     odd = g.odd_subspace()
     return Fingerprint(
         g.d0, g.d1, center(g).dim, even_center_dim(g), krank,
@@ -361,7 +358,7 @@ def _square_map_is_zero(g):
     return True
 
 
-def _structured_odd_candidates(g, rng, extra=40):
+def _structured_odd_candidates(g, rng):
     """Basis vectors, pair sums/differences, then seeded small samples."""
     n = g.dim
     odd = list(g.space.odd_indices())
@@ -374,7 +371,7 @@ def _structured_odd_candidates(g, rng, extra=40):
                 v[odd[ai]] = ONE
                 v[odd[bi]] = s
                 yield v
-    for _ in range(extra):
+    for _ in range(RANDOM_ODD_CANDIDATES):
         v = vec_zero(n)
         while vec_is_zero(v):
             for i in odd:
@@ -463,26 +460,13 @@ def _no_posdef_pair_certificate(grams, dim, actions):
     if not grams:
         return None
     comm = module_commutant(actions, dim)
-    cands = []
-    for j in comm:
-        cands.append(j)
     for vi in range(dim):
         v = [ONE if a == vi else ZERO for a in range(dim)]
-        for j in cands:
+        for j in comm:
             w = j.mul_vec(v)
             if vec_is_zero(w):
                 continue
-            ok = True
-            for s in grams:
-                acc = ZERO
-                for a in range(dim):
-                    for b in range(dim):
-                        if s.data[a][b]:
-                            acc = acc + (v[a] * v[b] + w[a] * w[b]) * s.data[a][b]
-                if acc:
-                    ok = False
-                    break
-            if ok:
+            if all(quad_form(s, v) + quad_form(s, w) == 0 for s in grams):
                 return (v, w)
     return None
 
@@ -495,8 +479,8 @@ def compactness_check(g):
     """
     results = {}
     for part, actions, dim in (
-            ("even", even_action_on_even(g), g.d0),
-            ("odd", even_action_on_odd(g), g.d1)):
+            ("even", even_actions(g, g.space.even_indices()), g.d0),
+            ("odd", even_actions(g, g.space.odd_indices()), g.d1)):
         if dim == 0:
             results[part] = SearchOutcome("found", witness=([], [], 0))
             continue

@@ -266,6 +266,39 @@ print(json.dumps(out))
 """
 
 
+# run one command and print the superdecomp modules it imported
+_MODULES_AFTER = """
+import contextlib, io, json, sys
+from superdecomp.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("superdecomp."))]))
+"""
+
+
+def _src_env():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
+    path = str(tmp_path / "su21.json")
+    run(capsys, "construct", "--family", "su", "--params", "2,1", "--out", path)
+    for argv, absent in ((["spinrep", "--dim", "2", "--check"], ("decomp", "unitar")),
+                         (["check", "center", path], ("decomp", "unitar")),
+                         (["decompose", path], ("fock",))):
+        proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, json.dumps(argv)],
+                              capture_output=True, text=True, env=_src_env(), timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == 0, (argv, proc.stderr)
+        assert "superdecomp.cli" in modules
+        for name in absent:
+            assert "superdecomp." + name not in modules, (argv, modules)
+
+
 @pytest.mark.parametrize("optimize", [False, True])
 def test_malformed_files_exit_2(tmp_path, optimize):
     from test_core import MALFORMED, malformed_su21
@@ -274,12 +307,9 @@ def test_malformed_files_exit_2(tmp_path, optimize):
         path = _write(tmp_path, name + ".json", malformed_su21(name))
         argvs += [["check", "center", path], ["decompose", path],
                   ["unitarity", path]]
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     flags = ["-O"] if optimize else []
     proc = subprocess.run([sys.executable] + flags + ["-c", _RUN_ALL, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env, timeout=600)
+                          capture_output=True, text=True, env=_src_env(), timeout=600)
     assert proc.returncode == 0, proc.stderr
     for argv, (code, err) in zip(argvs, json.loads(proc.stdout)):
         assert code == 2, (argv, err)

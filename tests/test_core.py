@@ -11,8 +11,8 @@ from superdecomp.exact import (
 from superdecomp.core import (
     AlgebraFileError, BlockMatrix, InvariantForm, SuperAlgebra, SuperAlgebraError,
     SuperSpace, Violation, algebra_from_json_dict, algebra_to_json_dict, bracket_span,
-    center, central_extension, centralizer, check_derivation, derived,
-    direct_sum, even_action_on_even, even_action_on_odd, from_matrix_span,
+    center, central_extension, centralizer, derived,
+    direct_sum, even_actions, from_matrix_span,
     invariant_odd_forms, invariant_symmetric_forms, is_ideal, is_perfect,
     is_trivial_cocycle, killing_form, module_commutant, quotient_by_central,
     semidirect_by_derivation, subalgebra_from_subspace, tables_equal,
@@ -234,9 +234,41 @@ def test_semidirect_rejects_odd_nonnilpotent():
     d = Matrix(2, 2)
     d.data[0][1] = ONE
     d.data[1][0] = ONE
-    assert check_derivation(g, d, 1) is None
-    with pytest.raises(SuperAlgebraError):
+    with pytest.raises(SuperAlgebraError) as exc:
         semidirect_by_derivation(g, d, parity=1)
+    assert exc.value.violation.kind == "jacobi"
+
+
+def test_semidirect_rejects_even_nonderivation():
+    g = build_family("T", "su", 2)
+    d = Matrix(g.dim, g.dim)
+    d.data[0][0] = ONE                      # E_00 is no derivation of T su(2)
+    with pytest.raises(SuperAlgebraError) as exc:
+        semidirect_by_derivation(g, d, parity=0)
+    assert exc.value.violation.kind == "jacobi"
+
+
+def test_semidirect_rejects_wrong_parity():
+    # d/dxi is an odd derivation of T su(2) (it builds That su(2)), not an even one
+    g = build_family("T", "su", 2)
+    d = Matrix(g.dim, g.dim)
+    for i in range(g.d0):
+        d.data[i][g.d0 + i] = ONE
+    assert verify_superalgebra(semidirect_by_derivation(g, d, parity=1)) is None
+    with pytest.raises(SuperAlgebraError) as exc:
+        semidirect_by_derivation(g, d, parity=0)
+    assert exc.value.violation.kind == "parity"
+
+
+def test_semidirect_rejects_base_that_breaks_jacobi():
+    g = build_family("su", 2, 1)
+    i, j, k = min((i, j, k) for (i, j), terms in g.table.items() for k in terms)
+    bad = corrupt(g, i, j, k, 1)
+    assert verify_superalgebra(bad).kind == "jacobi"
+    # the zero derivation is a derivation of any table
+    with pytest.raises(SuperAlgebraError) as exc:
+        semidirect_by_derivation(bad, Matrix(g.dim, g.dim), parity=0)
+    assert exc.value.violation.kind == "jacobi"
 
 
 def test_central_extension_zero_form():
@@ -365,9 +397,9 @@ def dense_verify(g):
         for j in range(n):
             ij = g.bracket(basis[i], basis[j])
             for k in range(n):
-                lhs = g.bracket_basis_vec(i, g.bracket(basis[j], basis[k]))
+                lhs = g.bracket(basis[i], g.bracket(basis[j], basis[k]))
                 rhs = g.bracket(ij, basis[k])
-                t2 = g.bracket_basis_vec(j, g.bracket(basis[i], basis[k]))
+                t2 = g.bracket(basis[j], g.bracket(basis[i], basis[k]))
                 if par[i] and par[j]:
                     rhs = vec_sub(rhs, t2)
                 else:
@@ -543,8 +575,8 @@ def test_module_equations_match_dense_oracles_on_acceptance_families():
     from test_acceptance import ACCEPT_FAMILIES
     for tag, params in ACCEPT_FAMILIES:
         g = build_family(tag, *params)
-        for actions, dim in ((even_action_on_odd(g), g.d1),
-                             (even_action_on_even(g), g.d0)):
+        for actions, dim in ((even_actions(g, g.space.odd_indices()), g.d1),
+                             (even_actions(g, g.space.even_indices()), g.d0)):
             assert module_commutant(actions, dim) == \
                 dense_module_commutant(actions, dim), (tag, params, dim)
             assert invariant_symmetric_forms(actions, dim) == \
@@ -590,6 +622,30 @@ def test_library_checks_do_not_use_assert():
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert lines == [], (name, lines)
     assert {"core.py", "exact.py", "fock.py"} <= set(names)
+
+
+def test_every_library_function_is_referenced():
+    # a helper that nothing calls is deleted, not kept "just in case"
+    import glob
+    import os
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    used = set()
+    for part in ("src", "tests", "bench"):
+        for path in glob.glob(os.path.join(root, part, "**", "*.py"), recursive=True):
+            with open(path) as fh:
+                for n in ast.walk(ast.parse(fh.read(), path)):
+                    if isinstance(n, ast.Name):
+                        used.add(n.id)
+                    elif isinstance(n, ast.Attribute):
+                        used.add(n.attr)
+                    elif isinstance(n, ast.alias):
+                        used.add(n.name)
+    unused = sorted("%s:%s" % (name, n.name) for name, tree in _library_trees()
+                    for n in ast.walk(tree)
+                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (n.name.startswith("__") and n.name.endswith("__"))
+                    and n.name not in used)
+    assert unused == []
 
 
 def test_rational_modules_never_name_scalar():

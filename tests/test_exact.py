@@ -10,8 +10,9 @@ from superdecomp.exact import (
     Echelon, LinSolver, Matrix, Scalar, UnsolvedLP, ZERO, I,
     char_poly, char_poly_and_rational_split, feasible_point,
     is_positive_definite, kernel, pdivmod, peval_matrix, pmul, quad_form,
-    random_vector, rank, solve, span_basis, vec_is_zero,
+    random_vector, rank, solve, vec_is_zero,
 )
+from superdecomp.core import Subspace
 
 
 def M(rows):
@@ -121,8 +122,8 @@ def test_linsolver_tracks_scaling():
 
 
 def test_span_basis_canonical():
-    b1 = span_basis([V([2, 4]), V([1, 2]), V([0, 0])], 2)
-    b2 = span_basis([V([-3, -6])], 2)
+    b1 = Subspace(2, [V([2, 4]), V([1, 2]), V([0, 0])]).basis
+    b2 = Subspace(2, [V([-3, -6])]).basis
     assert b1 == b2
 
 

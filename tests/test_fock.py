@@ -189,6 +189,19 @@ def test_spinrep_refuses_large_fock_space_before_building(monkeypatch):
         spin_representation("spin_h", 13)
 
 
+def test_fock_cap_refuses_huge_n_without_allocating():
+    import tracemalloc
+    fock_module._require_fock_dim(12)          # 2^12 is the cap itself
+    tracemalloc.start()
+    try:
+        with pytest.raises(SuperAlgebraError):
+            spin_representation("spin_h", 10 ** 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_tilde_tangent_su2():
     rep = tilde_tangent_representation("su", 2)
     assert rep.space_dim == 8                # Fock space over three generators

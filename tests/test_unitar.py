@@ -109,6 +109,14 @@ def test_compactness_families():
     assert compactness_check(build_family("T", "su", 2)).verdict == "yes"
 
 
+def test_no_posdef_pair_certificate():
+    # with no actions the commutant is all of M_2, and E_10 sends e0 to e1
+    e0, e1 = [Fraction(1), ZERO], [ZERO, Fraction(1)]
+    indefinite = Matrix.from_rows([e0, [ZERO, Fraction(-1)]])
+    assert unitar._no_posdef_pair_certificate([indefinite], 2, []) == (e0, e1)
+    assert unitar._no_posdef_pair_certificate([Matrix.identity(2)], 2, []) is None
+
+
 def test_compactness_no_for_complex_simple():
     mats = []
     for base in ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]):
