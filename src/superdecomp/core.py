@@ -330,11 +330,13 @@ class SuperAlgebra:
 # verification
 # ---------------------------------------------------------------------------
 
+@per_algebra
 def verify_superalgebra(g):
     """Exact check of parity closure, super skew symmetry and graded Jacobi.
 
     Returns None when everything holds, otherwise the first Violation with
-    both sides of the failing identity.
+    both sides of the failing identity.  Computed once per algebra, so a
+    caller may re-check an extension its constructor already certified.
 
     Jacobi runs on the integer adjoint table, where both sides are scaled
     by den**2.  Once skew symmetry holds, the defect of triple (j, i, k) is
@@ -747,9 +749,13 @@ def semidirect_by_derivation(g, dmat, parity):
     is a Lie superalgebra and D a derivation of the parity of d: Jacobi on
     (d, x, y) is D[x,y] = [Dx,y] + (-1)^{|d||x|}[x,Dy], the parity check
     sees a D of the wrong parity, and for odd d Jacobi on (d, d, x) is
-    2 D^2 x = 0.  Raises ExtensionError otherwise.
+    2 D^2 x = 0.  Raises ExtensionError otherwise, and SuperAlgebraError
+    for a D that is not dim x dim.
     """
     n = g.dim
+    if (dmat.rows, dmat.cols) != (n, n):
+        raise SuperAlgebraError("derivation matrix is %dx%d, expected %dx%d"
+                                % (dmat.rows, dmat.cols, n, n))
     pos = g.d0 if parity % 2 == 0 else n        # insert after evens / at end
 
     def shift(i):
@@ -780,9 +786,12 @@ def central_extension(g, form):
     the central part of Jacobi on (x, a, b) with x even is
     B([x,a],b) + B(a,[x,b]), and that of every other triple vanishes.
     Raises ExtensionError unless g is a Lie superalgebra and B is
-    even-invariant.
+    even-invariant, and SuperAlgebraError if B misses an odd index.
     """
-    pos = {i: r for r, i in enumerate(form.indices)}
+    pos = form.pos
+    missing = [i for i in g.space.odd_indices() if i not in pos]
+    if missing:
+        raise SuperAlgebraError("form indices miss odd index %d" % missing[0])
     space = SuperSpace.make(g.d0 + 1, g.d1)
     table = {}
     for (i, j), terms in g.table.items():

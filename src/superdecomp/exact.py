@@ -877,85 +877,85 @@ class UnsolvedLP(ArithmeticError):
     """feasible_point neither found a point nor proved there is none."""
 
 
+def _check_farkas(rows, y, nvars):
+    """Raise UnsolvedLP unless y >= 0, sum y_i row_i = 0 and sum y_i > 0,
+    which proves that no t has row . t >= 1 for every row."""
+    if min(y) < 0 or sum(y) <= 0 or any(_lin_comb(y, rows, nvars)):
+        raise UnsolvedLP("Farkas vector fails the exact re-check")
+
+
 def feasible_point(rows, nvars):
     """Exact rational t with row . t >= 1 for every row, or None.
 
-    rows are lists of Fractions.  Phase-1 simplex with Bland's rule; the
-    outcome is exact, so None is a certificate of infeasibility of the
-    system {A t >= 1} (equivalently: no positive scaling works either).
-    Raises UnsolvedLP when the simplex stops without an optimal tableau
-    (LP_PIVOT_CAP pivots, or no leaving row) or the point it reads off
-    fails the exact re-check: neither outcome proves anything.
+    rows are lists of Fractions.  Phase-1 simplex with Bland's rule over
+    the columns u, w, s, z of t = u - w, surplus s and artificial z, on
+    sparse int rows that store only u, s and the rhs: each row keeps
+    w = -u and z = -s, and tableau row i is tab[i] over its basic entry.
+    The cost row's z entries are -s - scale, scale being its own scale.
+    None comes with a Farkas vector that passed its exact re-check: it
+    certifies that {A t >= 1}, or any positive scaling of it, is
+    infeasible.  Raises UnsolvedLP when the simplex stops without an
+    optimal tableau (LP_PIVOT_CAP pivots, or no leaving row) or the point
+    or Farkas vector it reads off fails the exact re-check: neither
+    outcome proves anything.
     """
     m = len(rows)
     if m == 0:
         return [_F0] * nvars
-    # variables: u (nvars), w (nvars), slack s (m), artificial z (m)
-    ncols = 2 * nvars + 2 * m
-    tab = []
-    for i, row in enumerate(rows):
-        r = [_F0] * (ncols + 1)
-        for j, a in enumerate(row):
-            r[j] = Fraction(a)
-            r[nvars + j] = -Fraction(a)
-        r[2 * nvars + i] = Fraction(-1)          # surplus
-        r[2 * nvars + m + i] = _F1               # artificial
-        r[ncols] = _F1                           # rhs
-        tab.append(r)
-    basis = [2 * nvars + m + i for i in range(m)]
-    # objective: minimise sum of artificials; reduced cost row
-    obj = [_F0] * (ncols + 1)
-    for r in tab:
-        for j in range(ncols + 1):
-            obj[j] += r[j]
-    # columns of artificials cancel to 1 each; zero them in the cost row
-    for i in range(m):
-        obj[2 * nvars + m + i] = _F0
+    n2 = 2 * nvars
+    rhs, scale = n2 + 2 * m, n2 + 2 * m + 1
+    tab = [_row_content_reduce({**_row_from_list(row), n2 + i: -1, rhs: 1})
+           for i, row in enumerate(rows)]
+    # cost row of min sum z: the sum of the rows, zero on the z columns
+    sums = _row_from_list(sum(a for a in col if a) for col in zip(*rows))
+    obj = _row_content_reduce({**sums, **{n2 + i: -1 for i in range(m)}, rhs: m, scale: 1})
+    basis = [n2 + m + i for i in range(m)]
+
+    def entry(r, c):
+        """Row r's entry in dense column c (u, w, s, z order)."""
+        if c < nvars or n2 <= c < n2 + m:
+            return r.get(c, 0)
+        return -r.get(c - nvars, 0) if c < n2 else -r.get(c - m, 0) - r.get(scale, 0)
 
     for _ in range(LP_PIVOT_CAP):
-        enter = -1
-        for j in range(ncols):
-            if obj[j] > 0:
-                enter = j
-                break
+        us = [(j, a) for j, a in obj.items() if j < nvars]
+        ss = [(j, a) for j, a in obj.items() if n2 <= j < rhs]
+        enter = min([j for j, a in us if a > 0] or [j + nvars for j, a in us if a < 0]
+                    or [j for j, a in ss if a > 0]
+                    or [j + m for j, a in ss if a < -obj[scale]] or [-1])
         if enter < 0:
             break
-        # ratio test, Bland tie-break on basis index
+        # ratio test by cross-multiplication, Bland tie-break on basis index
+        col = [entry(r, enter) for r in tab]
         leave = -1
-        best = None
-        for i in range(m):
-            a = tab[i][enter]
+        for i, a in enumerate(col):
             if a > 0:
-                ratio = tab[i][ncols] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                b = tab[i].get(rhs, 0)
+                if leave < 0 or b * pv < best * a or (
+                        b * pv == best * a and basis[i] < basis[leave]):
+                    leave, pv, best = i, a, b
         if leave < 0:
             # phase 1 is bounded below by 0, so the tableau is inconsistent
             raise UnsolvedLP("no leaving row for entering column %d" % enter)
-        piv = tab[leave][enter]
-        tab[leave] = [a / piv for a in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, tab[leave])]
+        piv = tab[leave]
+        for i, a in enumerate(col):
+            if i != leave and a:
+                tab[i] = _row_divide_content(_row_cross(piv, pv, tab[i], a))
+        obj = _row_divide_content(_row_cross(piv, pv, obj, entry(obj, enter)))
         basis[leave] = enter
     else:
         raise UnsolvedLP("pivot cap of %d reached" % LP_PIVOT_CAP)
-    if obj[ncols] != 0:
+    if obj.get(rhs):
+        _check_farkas(rows, [-obj.get(n2 + i, 0) for i in range(m)], nvars)
         return None                                # infeasible, exactly
     t = [_F0] * nvars
-    for i, b in enumerate(basis):
-        if b < nvars:
-            t[b] += tab[i][ncols]
-        elif b < 2 * nvars:
-            t[b - nvars] -= tab[i][ncols]
+    for b, r in zip(basis, tab):
+        if b < n2:
+            x = Fraction(r.get(rhs, 0), entry(r, b))
+            t[b % nvars] = x if b < nvars else -x
     # exact re-check; simplex bookkeeping must never be trusted blindly
     for row in rows:
-        if sum(a * x for a, x in zip(row, t)) < 1:
+        if sum(a * t[j] for j, a in enumerate(row) if a) < 1:
             raise UnsolvedLP("simplex point fails the exact re-check")
     return t
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from superdecomp import core, families
 from superdecomp.cli import main
 
 
@@ -23,6 +25,20 @@ def test_construct_su21(tmp_path, capsys):
     assert obj["name"] == "su(2|1)"
     assert len(obj["basis"]) == 8
     assert "dims 4|4" in out
+
+
+def test_construct_verifies_an_extension_once(tmp_path, capsys, monkeypatch):
+    # the constructor certifies T_hat su(4); construct's own check is a memo hit
+    monkeypatch.setattr(families, "_build_cached", functools.lru_cache(maxsize=None)(
+        families._build_cached.__wrapped__))
+    runs = []
+    body = core.verify_superalgebra.__wrapped__
+    monkeypatch.setattr(core.verify_superalgebra, "__wrapped__",
+                        lambda g: runs.append(g) or body(g))
+    code, out, _ = run(capsys, "construct", "--family", "T_hat", "--params", "su,4",
+                       "--out", str(tmp_path / "that4.json"))
+    assert code == 0 and "dims 15|16" in out
+    assert len(runs) == 1
 
 
 def test_construct_c2_dims(tmp_path, capsys):

@@ -271,6 +271,20 @@ def test_semidirect_rejects_base_that_breaks_jacobi():
     assert exc.value.violation.kind == "jacobi"
 
 
+def test_semidirect_rejects_derivation_of_wrong_size():
+    g = build_family("T", "su", 2)
+    with pytest.raises(SuperAlgebraError, match="derivation matrix is 5x5"):
+        semidirect_by_derivation(g, Matrix(g.dim - 1, g.dim - 1), parity=0)
+
+
+def test_central_extension_rejects_form_missing_an_odd_index():
+    g = build_family("T", "su", 2)
+    odd = list(g.space.odd_indices())
+    form = InvariantForm(odd[:-1], Matrix(g.d1 - 1, g.d1 - 1))
+    with pytest.raises(SuperAlgebraError, match="miss odd index %d" % odd[-1]):
+        central_extension(g, form)
+
+
 def test_central_extension_zero_form():
     g = build_family("T", "su", 2)
     form = InvariantForm(list(g.space.odd_indices()), Matrix(g.d1, g.d1))

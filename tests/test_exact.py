@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.solvers.simplex import InfeasibleLPError, lpmin
 
 from superdecomp import exact
 from superdecomp.exact import (
@@ -262,6 +263,96 @@ def test_lp_random_consistency():
                 assert sum(a * x for a, x in zip(row, t)) >= 1
 
 
+def test_lp_none_needs_a_valid_farkas_vector(monkeypatch):
+    rows = [[Fraction(1)], [Fraction(-1)]]
+    seen = []
+    check = exact._check_farkas
+
+    def corrupted(rows, y, nvars):
+        seen.append(list(y))
+        y = list(y)
+        y[0] += 1
+        return check(rows, y, nvars)
+
+    monkeypatch.setattr(exact, "_check_farkas", corrupted)
+    with pytest.raises(UnsolvedLP, match="Farkas"):
+        feasible_point(rows, 1)
+    # the vector read off the cost row proves t >= 1, -t >= 1 infeasible
+    (y,) = seen
+    assert y[0] == y[1] > 0
+
+
+def dense_feasible_point(rows, nvars):
+    """Dense Fraction phase-1 simplex with Bland's rule; the oracle for
+    feasible_point, which must take the same pivots."""
+    m = len(rows)
+    if m == 0:
+        return [ZERO] * nvars
+    # variables: u (nvars), w (nvars), slack s (m), artificial z (m)
+    ncols = 2 * nvars + 2 * m
+    tab = []
+    for i, row in enumerate(rows):
+        r = [ZERO] * (ncols + 1)
+        for j, a in enumerate(row):
+            r[j] = Fraction(a)
+            r[nvars + j] = -Fraction(a)
+        r[2 * nvars + i] = Fraction(-1)          # surplus
+        r[2 * nvars + m + i] = Fraction(1)       # artificial
+        r[ncols] = Fraction(1)                   # rhs
+        tab.append(r)
+    basis = [2 * nvars + m + i for i in range(m)]
+    # objective: minimise sum of artificials; reduced cost row
+    obj = [ZERO] * (ncols + 1)
+    for r in tab:
+        for j in range(ncols + 1):
+            obj[j] += r[j]
+    for i in range(m):
+        obj[2 * nvars + m + i] = ZERO
+    for _ in range(exact.LP_PIVOT_CAP):
+        enter = -1
+        for j in range(ncols):
+            if obj[j] > 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][ncols] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise UnsolvedLP("no leaving row for entering column %d" % enter)
+        piv = tab[leave][enter]
+        tab[leave] = [a / piv for a in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
+        if obj[enter]:
+            f = obj[enter]
+            obj = [a - f * b for a, b in zip(obj, tab[leave])]
+        basis[leave] = enter
+    else:
+        raise UnsolvedLP("pivot cap of %d reached" % exact.LP_PIVOT_CAP)
+    if obj[ncols] != 0:
+        return None
+    t = [ZERO] * nvars
+    for i, b in enumerate(basis):
+        if b < nvars:
+            t[b] += tab[i][ncols]
+        elif b < 2 * nvars:
+            t[b - nvars] -= tab[i][ncols]
+    for row in rows:
+        if sum(a * x for a, x in zip(row, t)) < 1:
+            raise UnsolvedLP("simplex point fails the exact re-check")
+    return t
+
+
 # --- integer echelon rows ----------------------------------------------------
 
 def test_echelon_rows_are_ints_and_results_fractions():
@@ -361,3 +452,46 @@ def test_char_poly_matches_sympy(m):
     assert p == _fracs(reversed(want.all_coeffs()))
     assert sorted(roots) == sorted((Fraction(int(r.p), int(r.q)), e)
                                    for r, e in want.ground_roots().items())
+
+
+# dense small systems, and wide sparse ones like the cutting planes of
+# unitar.find_posdef_in_span (78 unknowns, at most 3 nonzero entries a row)
+@st.composite
+def lp_systems(draw):
+    if draw(st.booleans()):
+        n = 78
+        rows = []
+        for _ in range(draw(st.integers(1, 12))):
+            row = [ZERO] * n
+            for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+                row[j] = Fraction(draw(_entries))
+            rows.append(row)
+        return rows, n
+    n = draw(st.integers(1, 8))
+    return [[Fraction(draw(_entries)) for _ in range(n)]
+            for _ in range(draw(st.integers(1, 10)))], n
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(lp_systems())
+def test_feasible_point_matches_dense_oracle(system):
+    rows, n = system
+    assert feasible_point(rows, n) == dense_feasible_point(rows, n)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(lp_systems())
+def test_feasible_point_verdict_matches_sympy(system):
+    # lpmin raises InfeasibleLPError exactly when no t has row . t >= 1
+    rows, n = system
+    t = feasible_point(rows, n)
+    xs = sympy.symbols("t0:%d" % n)
+    constraints = [sum((sympy.Rational(a.numerator, a.denominator) * x
+                        for a, x in zip(row, xs) if a), sympy.S.Zero) >= 1
+                   for row in rows]
+    try:
+        lpmin(0, constraints)
+    except InfeasibleLPError:
+        assert t is None
+    else:
+        assert t is not None

@@ -58,6 +58,11 @@ def su21_sum():
     return algebra_to_json_dict(direct_sum(g, g), "su(2|1) + su(2|1)")
 
 
+def ch_indefinite_sum():
+    g = build_family("ch_indefinite", 1, 1)
+    return algebra_to_json_dict(direct_sum(g, g), "ch_indefinite(1,1) + ch_indefinite(1,1)")
+
+
 # name -> (input builder or None, CLI arguments with FILE for the input and
 # OUT for the written file, expected exit code)
 FILE, OUT = object(), object()
@@ -72,6 +77,10 @@ CASES = {
     "decompose_glued_su22_q2": (glued_su22_q2, ["decompose", FILE, "--seed", "7"], 0),
     "unitarity_su21_sum": (su21_sum, ["unitarity", FILE, "--seed", "7"], 0),
     "unitarity_psu22": (lambda: family_json("psu", 2), ["unitarity", FILE, "--seed", "7"], 0),
+    # these two run the exact cutting-plane LP (the two above make no LP call);
+    # the first ends in an LP-proved "none"
+    "unitarity_ch_indefinite_sum": (ch_indefinite_sum, ["unitarity", FILE, "--seed", "7"], 0),
+    "unitarity_spin_h_2": (lambda: family_json("spin_h", 2), ["unitarity", FILE, "--seed", "7"], 0),
     "spinrep_3": (None, ["spinrep", "--dim", "3", "--check", "--out", OUT], 0),
     "spinrep_spin_h_2": (None, ["spinrep", "--dim", "2", "--variant", "spin_h", "--check",
                                 "--out", OUT], 0),
