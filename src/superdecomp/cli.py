@@ -65,9 +65,13 @@ def _parse_params(raw):
 
 
 def _load_algebra(path):
-    with open(path) as fh:
-        obj = json.load(fh)
-    return algebra_from_json_dict(obj), obj
+    """(algebra, raw JSON) of a file; UsageError if it cannot be read."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        return algebra_from_json_dict(obj), obj
+    except (OSError, ValueError, KeyError) as exc:
+        raise UsageError("cannot read algebra file: %s" % exc) from exc
 
 
 def _is_superalgebra(alg):
@@ -115,11 +119,7 @@ def cmd_construct(args):
 
 
 def cmd_check(args):
-    try:
-        alg, raw = _load_algebra(args.file)
-    except (OSError, ValueError, KeyError) as exc:
-        print("error: cannot read algebra file: %s" % exc, file=sys.stderr)
-        return USAGE
+    alg, raw = _load_algebra(args.file)
     base = {"version": __version__, "check": args.what, "name": raw.get("name", "")}
     if args.what == "jacobi":
         viol = verify_superalgebra(alg)
@@ -169,11 +169,7 @@ def cmd_check(args):
 
 def cmd_decompose(args):
     from .decomp import DecompositionError, structure_report
-    try:
-        alg, raw = _load_algebra(args.file)
-    except (OSError, ValueError, KeyError) as exc:
-        print("error: cannot read algebra file: %s" % exc, file=sys.stderr)
-        return USAGE
+    alg, raw = _load_algebra(args.file)
     if not _is_superalgebra(alg):
         return FAIL
     seed = _seed_of(args)
@@ -194,11 +190,7 @@ def cmd_decompose(args):
 
 def cmd_unitarity(args):
     from .unitar import necessary_conditions_report
-    try:
-        alg, raw = _load_algebra(args.file)
-    except (OSError, ValueError, KeyError) as exc:
-        print("error: cannot read algebra file: %s" % exc, file=sys.stderr)
-        return USAGE
+    alg, raw = _load_algebra(args.file)
     if not _is_superalgebra(alg):
         return FAIL
     rep = necessary_conditions_report(alg, seed=_seed_of(args))

@@ -3,7 +3,10 @@ bracket calculus built on them.
 
 A superalgebra is stored as a sparse structure-constant table over the
 rationals for basis pairs i <= j only; the remaining brackets follow from
-super skew symmetry [x,y] = -(-1)^{|x||y|}[y,x].  Basis order is canonical:
+super skew symmetry [x,y] = -(-1)^{|x||y|}[y,x].  That rule is applied in
+one place, SuperAlgebra.adjoint_table, the integer table of every ordered
+pair that bracket and every other ordered reader use; readers of pairs
+i <= j only read the table itself.  Basis order is canonical:
 even vectors first, then odd.  Complex matrix realizations are realified by
 one fixed convention: a complex basis vector e contributes the real pair
 (e, ie), in that order.
@@ -246,72 +249,57 @@ class SuperAlgebra:
     def parity(self, i):
         return self.space.parities[i]
 
-    def bracket_pair(self, i, j):
-        """[e_i, e_j] as a sparse dict, any order of i and j."""
-        if i <= j:
-            return self.table.get((i, j), {})
-        row = self.table.get((j, i))
-        if not row:
-            return {}
-        if self.parity(i) and self.parity(j):
-            return row                        # odd-odd brackets are symmetric
-        return {k: -v for k, v in row.items()}
-
     @per_algebra
     def adjoint_table(self):
         """(ad, den): ad[i][j] = {k: den * c_ij^k as int} for every ordered
-        pair, den the lcm of the table's denominators."""
+        pair, den the lcm of the table's denominators.
+
+        The one place where super skew symmetry fills in the pairs i > j:
+        an odd-odd entry is shared with its mirror, every other is negated.
+        """
         den = 1
         for terms in self.table.values():
             for v in terms.values():
                 den = lcm(den, v.denominator)
         n = self.dim
-        ad = [[{k: v.numerator * (den // v.denominator)
-                for k, v in terms.items()} if terms else _NO_TERMS
-               for terms in (self.bracket_pair(i, j) for j in range(n))]
-              for i in range(n)]
+        par = self.space.parities
+        ad = [[_NO_TERMS] * n for _ in range(n)]
+        for (i, j), terms in self.table.items():
+            row = {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
+            ad[i][j] = row
+            if i != j:
+                ad[j][i] = row if par[i] and par[j] else {k: -a for k, a in row.items()}
         return ad, den
 
     def bracket(self, x, y):
-        """[x, y] for dense coordinate vectors."""
+        """[x, y] for dense coordinate vectors, as Fractions."""
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ValueError("dimension mismatch")
-        out = vec_zero(n)
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        ad, den = self.adjoint_table()
+        acc = {}
+        # the identity test skips the shared ZERO entries without a call
+        ys = [(j, yj) for j, yj in enumerate(y) if yj is not ZERO and yj]
         for i, xi in enumerate(x):
-            if not xi:
+            if xi is ZERO or not xi:
                 continue
+            ad_i = ad[i]
             for j, yj in ys:
-                c = xi * yj
-                for k, v in self.bracket_pair(i, j).items():
-                    out[k] = out[k] + c * v
+                terms = ad_i[j]
+                if terms:
+                    c = xi * yj
+                    for k, a in terms.items():
+                        acc[k] = acc.get(k, 0) + c * a
+        out = vec_zero(n)
+        for k, v in acc.items():
+            if v:
+                out[k] = Fraction(v, den)
         return out
 
     def basis_vector(self, i):
         v = vec_zero(self.dim)
         v[i] = ONE
         return v
-
-    def adjoint_index(self, i):
-        """Matrix of ad e_i (columns are [e_i, e_j])."""
-        n = self.dim
-        m = Matrix(n, n)
-        for j in range(n):
-            for k, v in self.bracket_pair(i, j).items():
-                m.data[k][j] = v
-        return m
-
-    def adjoint(self, x):
-        n = self.dim
-        m = Matrix(n, n)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j in range(n):
-                for k, v in self.bracket_pair(i, j).items():
-                    m.data[k][j] = m.data[k][j] + xi * v
-        return m
 
     def subspace(self, vectors):
         return Subspace(self.dim, vectors, self.space)
@@ -406,16 +394,16 @@ def _jacobi_sides(g, i, j, k):
 def center(g):
     """{x : [x, g] = 0}, exact kernel computation."""
     n = g.dim
-    ech_rows = []
+    ad, _ = g.adjoint_table()
+    ech = Echelon(n)
     for j in range(n):
+        # the integer table scales every equation by den, which Echelon ignores
         eqs = {}
         for i in range(n):
-            for k, v in g.bracket_pair(i, j).items():
-                eqs.setdefault(k, {})[i] = v
-        ech_rows.extend(eqs.values())
-    ech = Echelon(n)
-    for row in ech_rows:
-        ech.add(dict(row))
+            for k, a in ad[i][j].items():
+                eqs.setdefault(k, {})[i] = a
+        for row in eqs.values():
+            ech.add(row)
     return Subspace(n, ech.kernel_basis(), g.space)
 
 
@@ -635,12 +623,13 @@ def even_actions(g, part):
     """Matrices of ad e_x restricted to the basis index range `part` (the
     even or the odd indices), for even basis x."""
     lo, d = part.start, len(part)
+    ad, den = g.adjoint_table()
     out = []
     for x in g.space.even_indices():
         m = Matrix(d, d)
         for j in range(d):
-            for k, v in g.bracket_pair(x, lo + j).items():
-                m.data[k - lo][j] = v
+            for k, a in ad[x][lo + j].items():
+                m.data[k - lo][j] = Fraction(a, den)
         out.append(m)
     return out
 
@@ -729,7 +718,7 @@ def quotient_by_central(g, z):
     table = {}
     for a, ia in enumerate(kept):
         for b, ib in enumerate(kept[a:], start=a):
-            terms = g.bracket_pair(ia, ib)
+            terms = g.table.get((ia, ib))
             if not terms:
                 continue
             v = vec_zero(g.dim)
@@ -823,7 +812,7 @@ def is_trivial_cocycle(g, form):
     rhs = []
     for i in range(d0):
         for j in range(i, d0):
-            terms = g.bracket_pair(i, j)
+            terms = g.table.get((i, j))
             if terms:
                 rows.append({k: v for k, v in terms.items() if k < d0})
                 rhs.append(ZERO)
@@ -832,8 +821,7 @@ def is_trivial_cocycle(g, form):
         for j in g.space.odd_indices():
             if j < i:
                 continue
-            terms = {k: v for k, v in g.bracket_pair(i, j).items()}
-            rows.append(terms)
+            rows.append(g.table.get((i, j), {}))
             rhs.append(form.gram.data[pos[i]][pos[j]])
     mat = Matrix(len(rows), d0)
     for r, row in enumerate(rows):
@@ -846,12 +834,12 @@ def is_trivial_cocycle(g, form):
     # verify the splitting x -> (lam(x_even), x) exactly
     for i in range(g.dim):
         for j in range(i, g.dim):
-            want = g.bracket_pair(i, j)
+            want = g.table.get((i, j), {})
             lam_val = ZERO
             for k, v in want.items():
                 if k < d0:
                     lam_val = lam_val + lam[k] * v
-            ext_terms = ext.bracket_pair(i + 1, j + 1)
+            ext_terms = ext.table.get((i + 1, j + 1), {})
             got0 = ext_terms.get(0, ZERO)
             if got0 != lam_val:
                 raise SuperAlgebraError("cocycle splitting verification failed")

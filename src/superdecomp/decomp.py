@@ -426,22 +426,13 @@ def build_g_ideal(g, dec, j, jp):
         raise DecompositionError("a_j fails to stay simple over g(j)",
                                  evidence={"j": j})
     # simple adjoint quotient: trivial center and perfectness
-    quo, _ = quotient_by_central(alg, alg.subspace(
-        [_coords_in(vecs, g, v) for v in zi.basis]))
+    quo, _ = quotient_by_central(alg, _map_span(zi, g, vecs, alg))
     checks["quotient_center_trivial"] = center(quo).dim == 0
     checks["quotient_perfect"] = derived(quo).dim == quo.dim
     if not (checks["quotient_center_trivial"] and checks["quotient_perfect"]):
         raise DecompositionError("adjoint quotient of g(j) is not simple-like",
                                  evidence={"j": j})
     return span, alg, vecs, checks
-
-
-def _coords_in(vecs, g, v):
-    solver = LinSolver(vecs, g.dim)
-    coords = solver.coords(v)
-    if coords is None:
-        raise DecompositionError("vector leaves the subalgebra span")
-    return coords
 
 
 def build_c_ideal(g, dec, k, b0):

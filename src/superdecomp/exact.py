@@ -227,10 +227,9 @@ class Matrix:
         return not any(map(any, self.data))
 
     def is_symmetric(self):
-        if self.rows != self.cols:
-            return False
-        return all(self.data[i][j] == self.data[j][i]
-                   for i in range(self.rows) for j in range(i + 1, self.cols))
+        # list comparison tries identity first, so shared ZERO entries are free
+        return (self.rows == self.cols
+                and self.data == [list(c) for c in zip(*self.data)])
 
     def is_real(self):
         return all(isinstance(a, Fraction) for row in self.data for a in row)

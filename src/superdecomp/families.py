@@ -468,11 +468,9 @@ def build_tangent_from_algebra(k, variant):
     table = {}
     for (i, j), terms in k.table.items():
         table[(i, j)] = dict(terms)                     # [x o 1, y o 1]
-    for i in range(d):
-        for j in range(d):
-            terms = k.bracket_pair(i, j)                # [x_i o 1, x_j o xi]
-            if terms:
-                table[(i, d + j)] = {d + kk: v for kk, v in terms.items()}
+        # [x_i o 1, x_j o xi] = [x_i, x_j] o xi; k is even, so (j, i) is negated
+        table[(i, d + j)] = {d + kk: v for kk, v in terms.items()}
+        table[(j, d + i)] = {d + kk: -v for kk, v in terms.items()}
     # odd-odd brackets vanish
     tk = SuperAlgebra(space, table)
     if variant == "T":

@@ -25,7 +25,7 @@ from .exact import (
     I, Matrix, Scalar, ZERO, ONE, ipow, Echelon, solve,
     is_positive_definite,
 )
-from .core import SuperAlgebraError, killing_form
+from .core import SuperAlgebraError, even_actions, killing_form
 from .families import FamilySpec, build, build_family, build_lie_algebra
 
 FOCK_DIM_CAP = 4096
@@ -290,18 +290,19 @@ class Representation:
     """Exact graded representation: one operator per algebra basis vector.
 
     The target carries parities and an identity Gram (wedge monomials of
-    orthonormal generators stay orthonormal).  Operators are SparseOps;
-    dense Matrix operators are converted here.
+    orthonormal generators stay orthonormal).  Operators must be
+    SparseOps.
     """
 
     def __init__(self, algebra, space_parities, operators, meta=None):
         self.algebra = algebra
         self.space_parities = list(space_parities)
-        self.operators = [op if isinstance(op, SparseOp) else SparseOp.from_matrix(op)
-                          for op in operators]
+        self.operators = list(operators)
         self.meta = meta or {}
         dim = len(space_parities)
         for op in self.operators:
+            if not isinstance(op, SparseOp):
+                raise TypeError("operators must be SparseOps, not %s" % type(op).__name__)
             if op.dim != dim:
                 raise ValueError("operators must be square of the space dimension")
 
@@ -351,8 +352,9 @@ def check_unitary_representation(g, rep):
         if adj != op.scale(factor):
             return RepCheck(False, False,
                             {"kind": "adjoint", "basis": i})
-    # pairs i <= j suffice: bracket_pair derives (j, i) from (i, j) by super
-    # skew symmetry, so both have the same verdict
+    # pairs i <= j suffice: the bracket of (j, i) is that of (i, j) up to the
+    # super skew sign, and so is the supercommutator, so both have the same
+    # verdict
     for i in range(n):
         for j in range(i, n):
             prod = ops[i] @ ops[j]
@@ -361,7 +363,7 @@ def check_unitary_representation(g, rep):
             else:
                 prod = prod - ops[j] @ ops[i]
             want = SparseOp.zero(rep.space_dim)
-            for k, v in g.bracket_pair(i, j).items():
+            for k, v in g.table.get((i, j), {}).items():
                 want = want + ops[k].scale(v)
             if prod != want:
                 return RepCheck(False, False,
@@ -514,8 +516,8 @@ def tilde_tangent_representation(kind, n):
     fock = FockSpace(total)
     beta_inv = _matrix_inverse(beta)
     ops = [SparseOp.identity(fock.dim).scale(Scalar(0, lam))]   # central generator
-    for i in range(d):
-        ad = k.adjoint_index(i)
+    # k is purely even, so its even actions are the full ad matrices
+    for ad in even_actions(k, k.space.even_indices()):
         psi = (vmap @ ad @ beta_inv @ vmap.transpose()).scale(2 / lam)
         ops.append(fock.second_quantised(psi))
     for i in range(d):
@@ -540,4 +542,4 @@ def defining_representation(alg):
     if real is None:
         raise SuperAlgebraError("algebra has no matrix realization")
     parities = [0] * real.p + [1] * real.q
-    return Representation(alg, parities, list(real.mats))
+    return Representation(alg, parities, [SparseOp.from_matrix(m) for m in real.mats])

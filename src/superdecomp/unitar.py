@@ -165,8 +165,7 @@ def invariant_functional_basis(g):
     ech = Echelon(d0)
     for i in range(d0):
         for j in range(i, d0):
-            terms = g.bracket_pair(i, j)
-            row = {k: v for k, v in terms.items() if k < d0}
+            row = {k: v for k, v in g.table.get((i, j), {}).items() if k < d0}
             if row:
                 ech.add(row)
     return ech.kernel_basis()
@@ -178,7 +177,7 @@ def gram_of_functional(g, omega):
     gram = Matrix(d1, d1)
     for a in range(d1):
         for bidx in range(a, d1):
-            terms = g.bracket_pair(d0 + a, d0 + bidx)
+            terms = g.table.get((d0 + a, d0 + bidx), {})
             acc = ZERO
             for k, v in terms.items():
                 if k < d0 and omega[k]:
@@ -327,7 +326,7 @@ def find_witness(g):
     for i in range(g.d0):
         for j in range(i, g.d0):
             acc = ZERO
-            for k, v in g.bracket_pair(i, j).items():
+            for k, v in g.table.get((i, j), {}).items():
                 if k < g.d0:
                     acc = acc + functional[k] * v
             if acc:
@@ -353,7 +352,7 @@ class ConeCertificate:
 def _square_map_is_zero(g):
     for i in g.space.odd_indices():
         for j in range(i, g.dim):
-            if g.bracket_pair(i, j):
+            if (i, j) in g.table:
                 return False
     return True
 

@@ -173,7 +173,7 @@ def test_acceptance_5_lemma24():
         for i in range(g.d0):
             for j in range(i, g.d0):
                 acc = ZERO
-                for k, v in g.bracket_pair(i, j).items():
+                for k, v in g.table.get((i, j), {}).items():
                     if k < g.d0:
                         acc = acc + wit.functional[k] * v
                 assert not acc

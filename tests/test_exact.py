@@ -203,6 +203,16 @@ def test_posdef_degenerate():
 def test_posdef_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         is_positive_definite(M([[1, 2], [0, 1]]))
+    with pytest.raises(ValueError):
+        is_positive_definite(Matrix(2, 3))
+
+
+def test_is_symmetric_compares_values_and_needs_a_square():
+    assert M([[1, Fraction(1, 2)], [Fraction(2, 4), 3]]).is_symmetric()
+    assert Matrix(3, 3).is_symmetric() and Matrix(0, 0).is_symmetric()
+    assert not M([[1, 2], [0, 1]]).is_symmetric()
+    assert not M([[0, 0, 1], [0, 0, 0], [0, 0, 0]]).is_symmetric()
+    assert not Matrix(2, 3).is_symmetric() and not Matrix(3, 2).is_symmetric()
 
 
 def test_posdef_agrees_with_sampling():

@@ -232,10 +232,18 @@ def test_defining_rep_u11():
 
 def test_trivial_rep_not_faithful():
     g = build_family("psu", 2)
-    zero_ops = [Matrix(2, 2) for _ in range(g.dim)]
+    zero_ops = [SparseOp.zero(2) for _ in range(g.dim)]
     rep = Representation(g, [0, 1], zero_ops)
     res = check_unitary_representation(g, rep)
     assert res.ok and not res.faithful
+
+
+def test_representation_refuses_dense_operators():
+    g = build_family("psu", 2)
+    ops = [SparseOp.zero(2) for _ in range(g.dim)]
+    ops[3] = Matrix(2, 2)
+    with pytest.raises(TypeError):
+        Representation(g, [0, 1], ops)
 
 
 def test_rep_json_export():
