@@ -22,8 +22,7 @@ from types import MappingProxyType
 
 from .exact import (
     Echelon, LinSolver, Matrix, ZERO, ONE,
-    _lin_comb, kernel, nonzero_columns, solve, vec_add, vec_is_zero, vec_sub,
-    vec_zero,
+    _lin_comb, kernel, solve, vec_add, vec_is_zero, vec_sub, vec_zero,
 )
 
 
@@ -128,11 +127,10 @@ class SuperSpace:
 class Subspace:
     """Subspace of a SuperSpace in canonical reduced echelon basis."""
 
-    __slots__ = ("ambient_dim", "basis", "_ech", "space")
+    __slots__ = ("ambient_dim", "basis", "_ech")
 
-    def __init__(self, ambient_dim, vectors, space=None):
+    def __init__(self, ambient_dim, vectors):
         self.ambient_dim = ambient_dim
-        self.space = space
         ech = Echelon(ambient_dim)
         for v in vectors:
             ech.add_list(v)
@@ -155,11 +153,11 @@ class Subspace:
                 and self.basis == other.basis)
 
     def sum(self, other):
-        return Subspace(self.ambient_dim, self.basis + other.basis, self.space)
+        return Subspace(self.ambient_dim, self.basis + other.basis)
 
     def intersection(self, other):
         if not self.basis or not other.basis:
-            return Subspace(self.ambient_dim, [], self.space)
+            return Subspace(self.ambient_dim, [])
         # x = U a = W b: kernel of [U | -W] stacked columnwise
         cols = len(self.basis) + len(other.basis)
         rows = []
@@ -169,7 +167,7 @@ class Subspace:
             rows.append(row)
         ker = kernel(Matrix.from_rows(rows))
         vecs = [_lin_comb(combo, self.basis, self.ambient_dim) for combo in ker]
-        return Subspace(self.ambient_dim, vecs, self.space)
+        return Subspace(self.ambient_dim, vecs)
 
     def parity_components(self, parities):
         """(even part, odd part) of the subspace; they span it iff it is graded."""
@@ -187,8 +185,7 @@ class Subspace:
                        for b in range(len(self.basis))]
             (even if keep == 0 else odd).extend(
                 _lin_comb(combo, self.basis, self.ambient_dim) for combo in ker)
-        return (Subspace(self.ambient_dim, even, self.space),
-                Subspace(self.ambient_dim, odd, self.space))
+        return Subspace(self.ambient_dim, even), Subspace(self.ambient_dim, odd)
 
     def is_graded(self, parities):
         ev, od = self.parity_components(parities)
@@ -302,7 +299,7 @@ class SuperAlgebra:
         return v
 
     def subspace(self, vectors):
-        return Subspace(self.dim, vectors, self.space)
+        return Subspace(self.dim, vectors)
 
     def full_subspace(self):
         return self.subspace([self.basis_vector(i) for i in range(self.dim)])
@@ -404,7 +401,7 @@ def center(g):
                 eqs.setdefault(k, {})[i] = a
         for row in eqs.values():
             ech.add(row)
-    return Subspace(n, ech.kernel_basis(), g.space)
+    return Subspace(n, ech.kernel_basis())
 
 
 @per_algebra
@@ -420,20 +417,19 @@ def centralizer(g, targets, inside):
     """
     tv = targets.basis if isinstance(targets, Subspace) else targets
     if not inside.basis:
-        return Subspace(g.dim, [], g.space)
-    brackets = [[g.bracket(u, t) for t in tv] for u in inside.basis]
+        return Subspace(g.dim, [])
+    # eqs[(t, k)][a] = [u_a, t]_k over the coordinates each bracket touched
+    eqs = {}
+    for a, u in enumerate(inside.basis):
+        for ti, t in enumerate(tv):
+            for k, v in enumerate(g.bracket(u, t)):
+                if v is not ZERO:
+                    eqs.setdefault((ti, k), {})[a] = v
     ech = Echelon(len(inside.basis))
-    for ti in range(len(tv)):
-        for k in range(g.dim):
-            row = {}
-            for a in range(len(inside.basis)):
-                v = brackets[a][ti][k]
-                if v:
-                    row[a] = v
-            if row:
-                ech.add(row)
+    for row in eqs.values():
+        ech.add(row)
     vecs = [_lin_comb(combo, inside.basis, g.dim) for combo in ech.kernel_basis()]
-    return Subspace(g.dim, vecs, g.space)
+    return Subspace(g.dim, vecs)
 
 
 @per_algebra
@@ -449,7 +445,7 @@ def derived(g):
                 for k, val in terms.items():
                     v[k] = val
                 vecs.append(v)
-    return Subspace(n, vecs, g.space)
+    return Subspace(n, vecs)
 
 
 def is_perfect(g):
@@ -464,7 +460,7 @@ def bracket_span(g, u_sub, w_sub):
             v = g.bracket(u, w)
             if not vec_is_zero(v):
                 vecs.append(v)
-    return Subspace(g.dim, vecs, g.space)
+    return Subspace(g.dim, vecs)
 
 
 def is_ideal(g, s):
@@ -488,7 +484,7 @@ def ideal_closure(g, s):
                     grew = True
         if not grew:
             return cur
-        cur = Subspace(g.dim, vecs, g.space)
+        cur = Subspace(g.dim, vecs)
 
 
 @per_algebra
@@ -545,7 +541,10 @@ class InvariantForm:
 
 
 def invariant_symmetric_forms(actions, dim):
-    """Basis of symmetric B with M^T B + B M = 0 for every action matrix M.
+    """Basis of symmetric B with M^T B + B M = 0 for every action M.
+
+    Each action is given in column form: cols[j] lists (i, M[i][j]) over
+    the nonzero entries of column j, as even_actions returns it.
 
     Unknowns are the upper-triangle entries; returns a list of Gram
     matrices spanning the solution space.
@@ -560,8 +559,7 @@ def invariant_symmetric_forms(actions, dim):
         return pos[(r, s)] if r <= s else pos[(s, r)]
 
     ech = Echelon(nvars)
-    for m in actions:
-        cols = nonzero_columns(m)
+    for cols in actions:
         for j in range(dim):
             for k in range(j, dim):
                 # (M^T B + B M)[j][k] = sum_r M[r][j] B[r][k] + M[r][k] B[j][r]
@@ -586,16 +584,19 @@ def invariant_symmetric_forms(actions, dim):
 
 
 def module_commutant(actions, dim):
-    """Basis of {T : A T = T A for every action matrix A}, exact."""
+    """Basis of {T : A T = T A for every action A}, exact; the actions are
+    in column form and the basis elements are Matrices."""
     npos = dim * dim
 
     def var(r, s):
         return r * dim + s
 
     ech = Echelon(npos)
-    for a in actions:
-        cols = nonzero_columns(a)
-        rows = nonzero_columns(a.transpose())
+    for cols in actions:
+        rows = [[] for _ in range(dim)]
+        for s, col in enumerate(cols):
+            for r, v in col:
+                rows[r].append((s, v))
         for r in range(dim):
             for c in range(dim):
                 # (A T - T A)[r][c] = sum_s A[r][s] T[s][c] - T[r][s] A[s][c]
@@ -620,18 +621,14 @@ def module_commutant(actions, dim):
 
 
 def even_actions(g, part):
-    """Matrices of ad e_x restricted to the basis index range `part` (the
-    even or the odd indices), for even basis x."""
-    lo, d = part.start, len(part)
+    """ad e_x restricted to the basis index range `part` (the even or the
+    odd indices), for even basis x, in column form: cols[j] lists (i, value)
+    over the nonzero entries of column j, in increasing i."""
+    lo = part.start
     ad, den = g.adjoint_table()
-    out = []
-    for x in g.space.even_indices():
-        m = Matrix(d, d)
-        for j in range(d):
-            for k, a in ad[x][lo + j].items():
-                m.data[k - lo][j] = Fraction(a, den)
-        out.append(m)
-    return out
+    return [[sorted((k - lo, Fraction(a, den)) for k, a in ad[x][j].items())
+             for j in part]
+            for x in g.space.even_indices()]
 
 
 def invariant_odd_forms(g):
@@ -671,8 +668,7 @@ def direct_sum(g, h):
     for alg, m in ((g, mg), (h, mh)):
         for (i, j), terms in alg.table.items():
             table[(m[i], m[j])] = {m[k]: v for k, v in terms.items()}
-    return SuperAlgebra(space, table,
-                        meta={"embeddings": (mg, mh), "summand_dims": (g.dim, h.dim)})
+    return SuperAlgebra(space, table, meta={"embeddings": (mg, mh)})
 
 
 class QuotientMap:
@@ -728,7 +724,7 @@ def quotient_by_central(g, z):
             row = {c: val for c, val in enumerate(w) if val}
             if row:
                 table[(a, b)] = row
-    return SuperAlgebra(space, table, meta={"quotient_of_dim": g.dim}), qmap
+    return SuperAlgebra(space, table), qmap
 
 
 def semidirect_by_derivation(g, dmat, parity):
@@ -796,7 +792,7 @@ def central_extension(g, form):
             row = dict(table.get(key, {}))
             row[0] = row.get(0, ZERO) + val
             table[key] = row
-    return _certified(SuperAlgebra(space, table, meta={"central_index": 0}))
+    return _certified(SuperAlgebra(space, table))
 
 
 def is_trivial_cocycle(g, form):
@@ -1078,7 +1074,7 @@ def algebra_from_json_dict(obj):
                     raise AlgebraFileError("bracket (%d, %d): zero denominator" % (i, j))
                 terms[k] = Fraction(_file_int(t["num"]), den)
             table[(i, j)] = terms
-        return SuperAlgebra(space, table, meta={"name": obj.get("name", "")})
+        return SuperAlgebra(space, table)
     except (SuperAlgebraError, TypeError) as exc:
         raise AlgebraFileError(str(exc)) from exc
 

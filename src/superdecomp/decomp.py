@@ -9,8 +9,9 @@ commuting odd vectors); verify every side relation on the way and emit a
 report whose summation map back into the algebra has certified central
 kernel.
 
-Everything is computed in the coordinates of the input algebra; the
-odd-generated core is an ideal, so all brackets can be taken upstairs.
+Brackets are taken in the coordinates of the input algebra: the
+odd-generated core is an ideal, so all of them can be taken upstairs.
+The module splitter works in each piece's own coordinates.
 All verdicts are exact; a splitting search that hits its iteration cap
 returns "inconclusive" rather than guessing.
 """
@@ -19,8 +20,8 @@ from fractions import Fraction
 
 from .exact import (
     Echelon, LinSolver, Matrix, ZERO, ONE,
-    _lin_comb, char_poly_and_rational_split, kernel, nonzero_columns,
-    peval_matrix, pmul, solve, vec_is_zero, vec_zero,
+    _lin_comb, char_poly_and_rational_split, kernel, peval_matrix, pmul,
+    solve, vec_is_zero, vec_zero,
 )
 from .core import (
     Subspace, SuperAlgebraError, bracket_span, center, centralizer, derived,
@@ -39,9 +40,8 @@ class DecompositionError(SuperAlgebraError):
 
 
 class InconclusiveSplit(DecompositionError):
-    def __init__(self, partial):
+    def __init__(self):
         super().__init__("module splitting inconclusive after iteration cap")
-        self.partial = partial
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def reduce_to_odd_generated(g):
     for v in list(dz.basis) + list(z.basis):
         if ech.add_list(v):
             cand.append(v)
-    comp = Subspace(g.dim, cand, g.space)
+    comp = Subspace(g.dim, cand)
     if comp.dim + h0.dim != g.d0:
         raise DecompositionError(
             "no even complement commuting with [g1, g1] was found",
@@ -101,31 +101,28 @@ def compute_b(g):
 # simple-module splitting (exact commutant MeatAxe)
 # ---------------------------------------------------------------------------
 
-def _action_matrices(maps, basis, dim):
-    """Matrices on span(basis) of linear maps given as callables on
-    length-dim vectors; raises when a map leaves the span."""
-    solver = LinSolver(basis, dim)
-    mats = []
-    for f in maps:
-        m = Matrix(len(basis), len(basis))
-        for j, v in enumerate(basis):
-            coords = solver.coords(f(v))
-            if coords is None:
-                raise DecompositionError("subspace is not invariant")
-            for i, cval in enumerate(coords):
-                m.data[i][j] = cval
-        mats.append(m)
-    return mats
+def _columns(images, solver):
+    """Column form, in the coordinates of solver's basis, of the map that
+    sends basis vector j to images[j]; raises when an image leaves the
+    span."""
+    cols = []
+    for w in images:
+        coords = solver.coords(w)
+        if coords is None:
+            raise DecompositionError("subspace is not invariant")
+        cols.append([(i, c) for i, c in enumerate(coords) if c])
+    return cols
 
 
 def module_actions(g, generators, basis_vecs):
-    """Action matrices of ambient generators on span(basis_vecs)."""
-    return _action_matrices([lambda v, x=x: g.bracket(x, v) for x in generators],
-                            basis_vecs, g.dim)
+    """Actions of ambient generators on span(basis_vecs), in column form."""
+    solver = LinSolver(basis_vecs, g.dim)
+    return [_columns([g.bracket(x, v) for v in basis_vecs], solver)
+            for x in generators]
 
 
 def _apply(cols, v):
-    """m v for a square m given as its nonzero_columns view."""
+    """m v for a square m in column form."""
     out = [ZERO] * len(cols)
     for j, x in enumerate(v):
         if x:
@@ -134,9 +131,9 @@ def _apply(cols, v):
     return out
 
 
-def spin_up(columns, v, dim):
-    """Smallest invariant subspace containing v, for actions given as
-    nonzero_columns views."""
+def spin_up(actions, v, dim):
+    """Smallest invariant subspace containing v, for actions in column
+    form."""
     ech = Echelon(dim)
     vecs = []
     if ech.add_list(v):
@@ -145,7 +142,7 @@ def spin_up(columns, v, dim):
     while idx < len(vecs):
         w = vecs[idx]
         idx += 1
-        for cols in columns:
+        for cols in actions:
             u = _apply(cols, w)
             if ech.add_list(u):
                 vecs.append(u)
@@ -196,43 +193,56 @@ class SplitBudget:
         self.left = cap
 
 
-def split_module(actions, dim, cap=SPLIT_CAP):
+def split_module(actions, dim):
     """Decompose a semisimple module into pieces, exactly.
 
-    Returns a list of (basis, certificate) pairs; the bases are lists of
-    coordinate vectors.  A piece is split by an element of its commutant
-    basis (a coprime factorisation of the characteristic polynomial, or
-    the kernel of a zero divisor) or by a unit vector whose spin-up is
-    proper.  A piece that none of these split is returned with its
-    commutant dimension and the number of commutant elements tried.  That
-    proves the piece simple only when the commutant dimension is 1: once a
-    simple module occurs with multiplicity 2 or more, every vector may
-    spin up to the whole piece while the commutant basis yields no split.
-    More than cap commutant elements tried in all raises InconclusiveSplit.
+    The actions are in column form.  Returns a list of (basis,
+    certificate) pairs; the bases are lists of coordinate vectors.  A piece
+    is split by an element of its commutant basis (a coprime factorisation
+    of the characteristic polynomial, or the kernel of a zero divisor) or
+    by a unit vector whose spin-up is proper.  A piece that none of these
+    split is returned with its commutant dimension and the number of
+    commutant elements tried.  That proves the piece simple only when the
+    commutant dimension is 1: once a simple module occurs with multiplicity
+    2 or more, every vector may spin up to the whole piece while the
+    commutant basis yields no split.  More than SPLIT_CAP commutant
+    elements tried in all raises InconclusiveSplit.
     """
-    maps = [lambda v, cols=nonzero_columns(m): _apply(cols, v) for m in actions]
-    return _split_rec(maps, [_unit(dim, i) for i in range(dim)], dim,
-                      SplitBudget(cap))
+    return _split_rec(actions, dim, SplitBudget(SPLIT_CAP))
 
 
-def _split_by_invariant_subspace(maps, basis, ambient_dim, budget, comm, wbasis):
-    comp = _invariant_complement(comm, wbasis, len(basis))
-    if comp is None:
-        raise DecompositionError("module is not semisimple",
-                                 evidence={"invariant_dim": len(wbasis)})
-    return (_split_rec(maps, _lift(basis, wbasis), ambient_dim, budget)
-            + _split_rec(maps, _lift(basis, comp), ambient_dim, budget))
-
-
-def _split_rec(maps, basis, ambient_dim, budget):
-    dim = len(basis)
+def _split_rec(actions, dim, budget):
     if dim == 0:
         return []
-    sub_actions = _action_matrices(maps, basis, ambient_dim)
-    comm = module_commutant(sub_actions, dim)
+    comm = module_commutant(actions, dim)
+    parts = _split_parts(actions, dim, budget, comm)
+    if parts is None:
+        cert = {
+            "commutant_dim": len(comm),
+            "candidates_tested": len(comm),
+            "zero_divisor_found": False,
+            "spin_up": "every basis vector generates the module",
+        }
+        return [([_unit(dim, i) for i in range(dim)], cert)]
+    # each part is split in its own coordinates, under the actions
+    # restricted to it, and its pieces are lifted back to these
+    out = []
+    for basis in parts:
+        solver = LinSolver(basis, dim)
+        sub = [_columns([_apply(cols, v) for v in basis], solver) for cols in actions]
+        out.extend((_lift(basis, vecs), cert)
+                   for vecs, cert in _split_rec(sub, len(basis), budget))
+    return out
+
+
+def _split_parts(actions, dim, budget, comm):
+    """Bases of invariant subspaces whose direct sum is the module: the
+    primary kernels of a commutant element, or W and an invariant
+    complement of it.  None when neither the commutant basis nor spin-up
+    from a unit vector splits the module."""
     for theta in comm:
         if budget.left <= 0:
-            raise InconclusiveSplit([(basis, {"status": "cap"})])
+            raise InconclusiveSplit()
         budget.left -= 1
         _, factors, _ = char_poly_and_rational_split(theta)
         pieces = []
@@ -246,35 +256,25 @@ def _split_rec(maps, basis, ambient_dim, budget):
             # a proper invariant subspace even without a coprime factor split
             ker = kernel(theta)
             if 0 < len(ker) < dim:
-                return _split_by_invariant_subspace(
-                    maps, basis, ambient_dim, budget, comm, ker)
+                return _with_complement(comm, ker, dim)
             continue
-        parts = []
-        total = 0
-        for p in pieces:
-            ker = kernel(peval_matrix(p, theta))
-            total += len(ker)
-            parts.append(ker)
-        if total != dim:
+        parts = [kernel(peval_matrix(p, theta)) for p in pieces]
+        if sum(map(len, parts)) != dim:
             raise DecompositionError("primary decomposition dimensions do not add up")
-        out = []
-        for ker in parts:
-            out.extend(_split_rec(maps, _lift(basis, ker), ambient_dim, budget))
-        return out
-    # no commutant basis element splits: try spin-up from each unit vector
-    sub_columns = [nonzero_columns(m) for m in sub_actions]
+        return parts
     for i in range(dim):
-        w = spin_up(sub_columns, _unit(dim, i), dim)
+        w = spin_up(actions, _unit(dim, i), dim)
         if w.dim < dim:
-            return _split_by_invariant_subspace(
-                maps, basis, ambient_dim, budget, comm, w.basis)
-    cert = {
-        "commutant_dim": len(comm),
-        "candidates_tested": len(comm),
-        "zero_divisor_found": False,
-        "spin_up": "every basis vector generates the module",
-    }
-    return [(basis, cert)]
+            return _with_complement(comm, w.basis, dim)
+    return None
+
+
+def _with_complement(comm, wbasis, dim):
+    comp = _invariant_complement(comm, wbasis, dim)
+    if comp is None:
+        raise DecompositionError("module is not semisimple",
+                                 evidence={"invariant_dim": len(wbasis)})
+    return [wbasis, comp]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def decompose_odd(g, core_even):
     parts = split_module(actions, a.dim)
     summands = []
     for vecs, cert in parts:
-        summands.append((Subspace(g.dim, _lift(a.basis, vecs), g.space), cert))
+        summands.append((Subspace(g.dim, _lift(a.basis, vecs)), cert))
     summands.sort(key=lambda sc: sc[0].sort_key())
     return ModuleDecomposition(b, a, [s for s, _ in summands],
                                [c for _, c in summands])
@@ -476,7 +476,7 @@ def _pick_b0(g, b, ak):
     """The first basis vector of b acting on a_k; when none does, no
     element of b does."""
     for u in b.basis:
-        if bracket_span(g, Subspace(g.dim, [u], g.space), ak).dim != 0:
+        if bracket_span(g, Subspace(g.dim, [u]), ak).dim != 0:
             return u
     raise DecompositionError("no element of b acts on a_k")
 
@@ -484,7 +484,7 @@ def _pick_b0(g, b, ak):
 def _adjoin_b0(g, span, b0):
     """(span + K b0 + K [b0, b0], [b0, b0])."""
     bb = g.bracket(b0, b0)
-    return span.sum(Subspace(g.dim, [b0, bb], g.space)), bb
+    return span.sum(Subspace(g.dim, [b0, bb])), bb
 
 
 def _verify_tangent_quotient(g, kk_alg, kk_vecs, ak, b0, hat=False):
@@ -590,10 +590,9 @@ def qhat_embedding_certificate(g, dec, k_index, ideal):
     }
     # ad b0 annihilates the ideal's even part and has square zero on it
     even_part = Subspace(g.dim, [v for v in ideal.span.basis
-                                 if not any(v[i] for i in g.space.odd_indices())],
-                         g.space)
+                                 if not any(v[i] for i in g.space.odd_indices())])
     cert["kills_ideal_even_part"] = bracket_span(
-        g, Subspace(g.dim, [b0], g.space), even_part).dim == 0
+        g, Subspace(g.dim, [b0]), even_part).dim == 0
     sq_ok = True
     for u in ideal.span.basis:
         if not vec_is_zero(g.bracket(bb, u)):
@@ -614,7 +613,7 @@ def _map_span(sub, g, host_vecs, host_alg):
         if c is None:
             raise DecompositionError("subspace does not lie in the host")
         coords.append(c)
-    return Subspace(host_alg.dim, coords, host_alg.space)
+    return Subspace(host_alg.dim, coords)
 
 
 class DecompositionReport:
@@ -777,7 +776,7 @@ def structure_report(g, seed=0):
         report.hat_c[k] = (hspan, halg)
     # theorem: [core, core] = z(core) + sum of ideals, as subspaces
     dcore = bracket_span(g, red.core, red.core)
-    total = Subspace(g.dim, list(zc.basis), g.space)
+    total = Subspace(g.dim, list(zc.basis))
     for info in report.ideals:
         total = total.sum(info.span)
     report.record("structure_sum_matches_derived", total == dcore)
@@ -835,4 +834,4 @@ def _complement_in(g, small, big):
     for v in big.basis:
         if ech.add_list(v):
             out.append(v)
-    return Subspace(g.dim, out, g.space)
+    return Subspace(g.dim, out)

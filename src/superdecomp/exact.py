@@ -242,13 +242,6 @@ class Matrix:
         return "Matrix(%d,%d,%s)" % (self.rows, self.cols, self.data)
 
 
-def nonzero_columns(m):
-    """Sparse view of m: for each column j the list of (i, m[i, j]) over
-    the nonzero entries, in increasing i."""
-    return [[(i, row[j]) for i, row in enumerate(m.data) if row[j]]
-            for j in range(m.cols)]
-
-
 # vectors are plain lists of Fraction (or Scalar)
 
 def vec_zero(n):
@@ -289,7 +282,8 @@ def _lin_comb(coeffs, vectors, n):
 # with coprime entries, and the cross-multiplication update runs on ints.
 
 def _row_from_list(v):
-    return {j: a for j, a in enumerate(v) if a}
+    # the identity test skips the shared ZERO entries without a call
+    return {j: a for j, a in enumerate(v) if a is not ZERO and a}
 
 
 def _row_content_reduce(row):
@@ -468,7 +462,6 @@ class LinSolver:
         self.dim = dim
         self.n = len(columns)
         self.ech = Echelon(dim + self.n + 1)
-        self._cols = columns
         for i, col in enumerate(columns):
             row = _row_from_list(col)
             row[dim + i] = ONE
@@ -724,8 +717,9 @@ def rational_roots(p):
     if len(ip) <= 1:
         return roots
     a0, an = abs(ip[0]), abs(ip[-1])
+    dens = _divisors(an)
     for num in _divisors(a0):
-        for dq in _divisors(an):
+        for dq in dens:
             if gcd(num, dq) != 1:
                 continue
             for r in (Fraction(num, dq), Fraction(-num, dq)):

@@ -168,22 +168,28 @@ def _eij(n, m, i, j, val=None):
     return out
 
 
-def u_matrix_basis(n):
-    """u(n, C): i E_jj, then E_jk - E_kj and i(E_jk + E_kj) for j < k."""
+# (a, b) of the antihermitian off-diagonal pairs a E_jk + b E_kj: the real
+# one, then the imaginary one
+_ANTIHERMITIAN = ((ONE, MINUS_ONE), (I, I))
+
+
+def _off_diagonal(n, pairs):
+    """a E_jk + b E_kj for j < k, interleaved: every (a, b) in pairs for
+    one (j, k) before the next."""
     out = []
     for j in range(n):
-        out.append(_eij(n, n, j, j, I))
-    for j in range(n):
         for k in range(j + 1, n):
-            m = Matrix(n, n)
-            m.data[j][k] = ONE
-            m.data[k][j] = MINUS_ONE
-            out.append(m)
-            m = Matrix(n, n)
-            m.data[j][k] = I
-            m.data[k][j] = I
-            out.append(m)
+            for a, b in pairs:
+                m = Matrix(n, n)
+                m.data[j][k] = a
+                m.data[k][j] = b
+                out.append(m)
     return out
+
+
+def u_matrix_basis(n):
+    """u(n, C): i E_jj, then E_jk - E_kj and i(E_jk + E_kj) for j < k."""
+    return [_eij(n, n, j, j, I) for j in range(n)] + _off_diagonal(n, _ANTIHERMITIAN)
 
 
 def su_matrix_basis(n):
@@ -194,28 +200,12 @@ def su_matrix_basis(n):
         m.data[j][j] = I
         m.data[j + 1][j + 1] = Scalar(0, -1)
         out.append(m)
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = Matrix(n, n)
-            m.data[j][k] = ONE
-            m.data[k][j] = MINUS_ONE
-            out.append(m)
-            m = Matrix(n, n)
-            m.data[j][k] = I
-            m.data[k][j] = I
-            out.append(m)
-    return out
+    return out + _off_diagonal(n, _ANTIHERMITIAN)
 
 
 def so_matrix_basis(n):
-    out = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = Matrix(n, n)
-            m.data[j][k] = ONE
-            m.data[k][j] = MINUS_ONE
-            out.append(m)
-    return out
+    """so(n): the real half of the off-diagonals of u(n)."""
+    return _off_diagonal(n, _ANTIHERMITIAN[:1])
 
 
 def sp_matrix_basis(n):
@@ -233,17 +223,7 @@ def sp_matrix_basis(n):
     for j in range(n):
         sym.append(_eij(n, n, j, j))
         sym.append(_eij(n, n, j, j, I))
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = Matrix(n, n)
-            m.data[j][k] = ONE
-            m.data[k][j] = ONE
-            sym.append(m)
-            m = Matrix(n, n)
-            m.data[j][k] = I
-            m.data[k][j] = I
-            sym.append(m)
-    for b in sym:
+    for b in sym + _off_diagonal(n, ((ONE, ONE), (I, I))):
         m = Matrix(2 * n, 2 * n)
         for i in range(n):
             for j in range(n):
@@ -486,11 +466,7 @@ def build_tangent_from_algebra(k, variant):
 
 
 def build_tangent(kind, n, variant):
-    k = build_lie_algebra(kind, n)
-    alg = build_tangent_from_algebra(k, variant)
-    alg.meta["k_algebra"] = k
-    alg.meta["k_tag"] = (kind, n)
-    return alg
+    return build_tangent_from_algebra(build_lie_algebra(kind, n), variant)
 
 
 def build_spin_h(v):
@@ -571,9 +547,6 @@ def _build_cached(tag, params):
         raise SuperAlgebraError(
             "dimension contract violated for %s: got (%d|%d), expected (%d|%d)"
             % (family_name(tag, params), alg.d0, alg.d1, d0, d1))
-    alg.meta["family"] = tag
-    alg.meta["params"] = params
-    alg.meta["name"] = family_name(tag, params)
     return alg
 
 

@@ -25,7 +25,7 @@ from .exact import (
     I, Matrix, Scalar, ZERO, ONE, ipow, Echelon, solve,
     is_positive_definite,
 )
-from .core import SuperAlgebraError, even_actions, killing_form
+from .core import SuperAlgebraError, killing_form
 from .families import FamilySpec, build, build_family, build_lie_algebra
 
 FOCK_DIM_CAP = 4096
@@ -402,8 +402,7 @@ def spin_representation(variant, n):
     ladders = [(fock.creation(e), fock.annihilation(e)) for e in units]
     ops += [c + a.scale(I) for c, a in ladders]
     ops += [c.scale(I) + a for c, a in ladders]
-    rep = Representation(g, fock.parities, ops,
-                         meta={"fock": fock, "variant": variant})
+    rep = Representation(g, fock.parities, ops)
     res = check_unitary_representation(g, rep)
     if not res.ok:
         raise SuperAlgebraError("spin representation failed verification: %r"
@@ -516,15 +515,18 @@ def tilde_tangent_representation(kind, n):
     fock = FockSpace(total)
     beta_inv = _matrix_inverse(beta)
     ops = [SparseOp.identity(fock.dim).scale(Scalar(0, lam))]   # central generator
-    # k is purely even, so its even actions are the full ad matrices
-    for ad in even_actions(k, k.space.even_indices()):
+    table, den = k.adjoint_table()
+    for row in table:
+        ad = Matrix(d, d)
+        for j, terms in enumerate(row):
+            for i, a in terms.items():
+                ad.data[i][j] = Fraction(a, den)
         psi = (vmap @ ad @ beta_inv @ vmap.transpose()).scale(2 / lam)
         ops.append(fock.second_quantised(psi))
     for i in range(d):
         col = [vmap.data[r][i] for r in range(total)]
         ops.append(fock.creation(col) + fock.annihilation(col).scale(I))
-    rep = Representation(g, fock.parities, ops,
-                         meta={"fock": fock, "k": (kind, n), "scale": lam})
+    rep = Representation(g, fock.parities, ops, meta={"scale": lam})
     res = check_unitary_representation(g, rep)
     if not res.ok:
         raise SuperAlgebraError(

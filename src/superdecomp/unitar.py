@@ -17,7 +17,7 @@ import random
 
 from .exact import (
     Echelon, Matrix, ZERO, ONE, MINUS_ONE, UnsolvedLP,
-    _lin_comb, feasible_point, is_positive_definite, nonzero_columns, quad_form,
+    _lin_comb, feasible_point, is_positive_definite, quad_form,
     random_rational, vec_is_zero, vec_zero,
 )
 from .core import (
@@ -257,9 +257,10 @@ def find_posdef_in_span(grams):
     # each entry of sum t_i G_i as its nonzero terms (i, G_i entry), listed once
     entries = {}
     for i, gi in enumerate(grams):
-        for s, col in enumerate(nonzero_columns(gi)):
-            for r, a in col:
-                entries.setdefault((r, s), []).append((i, a))
+        for r, row in enumerate(gi.data):
+            for s, a in enumerate(row):
+                if a:
+                    entries.setdefault((r, s), []).append((i, a))
 
     def gram_at(t):
         acc = Matrix(dim, dim)

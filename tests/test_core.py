@@ -492,6 +492,15 @@ def dense_killing(g):
     return gram, ech.rank
 
 
+def dense(cols):
+    """The Matrix of an action given in column form."""
+    m = Matrix(len(cols), len(cols))
+    for j, col in enumerate(cols):
+        for i, a in col:
+            m.data[i][j] = a
+    return m
+
+
 def dense_invariant_symmetric_forms(actions, dim):
     """Symmetric B with M^T B + B M = 0, equations read entry by entry."""
     pos = {}
@@ -503,7 +512,7 @@ def dense_invariant_symmetric_forms(actions, dim):
         return pos[(r, s)] if r <= s else pos[(s, r)]
 
     ech = Echelon(len(pos))
-    for m in actions:
+    for m in map(dense, actions):
         for j in range(dim):
             for k in range(j, dim):
                 row = {}
@@ -535,7 +544,7 @@ def dense_module_commutant(actions, dim):
         return r * dim + s
 
     ech = Echelon(dim * dim)
-    for a in actions:
+    for a in map(dense, actions):
         for r in range(dim):
             for c in range(dim):
                 row = {}

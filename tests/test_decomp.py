@@ -8,6 +8,7 @@ from superdecomp.core import (
 )
 from superdecomp.exact import LinSolver, Matrix, ONE, ZERO, Scalar, vec_zero
 from superdecomp.families import build_family
+from superdecomp import decomp
 from superdecomp.decomp import (
     DecompositionError, _invariant_complement, classify_indices, compute_b,
     decompose_odd, module_actions, reduce_to_odd_generated, split_module,
@@ -99,21 +100,36 @@ def test_classify_that_singleton_ja():
     assert cls.js == [] and cls.ja == [0]
 
 
-def test_split_module_inconclusive_cap():
-    # an action with a huge commutant exhausts a tiny budget
-    g = build_family("su", 2, 2)
+def odd_module(tag, *params):
+    """The odd module a = [[g1, g1], g1] under [g1, g1], built as
+    decompose_odd builds it: (actions, dim)."""
+    g = build_family(tag, *params)
     red = reduce_to_odd_generated(g)
     a = bracket_span(g, red.core_even, g.odd_subspace())
-    actions = module_actions(g, red.core_even.basis, a.basis)
-    from superdecomp.decomp import InconclusiveSplit
-    with pytest.raises(InconclusiveSplit):
-        split_module(actions, a.dim, cap=1)
+    return module_actions(g, red.core_even.basis, a.basis), a.dim
+
+
+def test_split_module_inconclusive_cap(monkeypatch):
+    # an action with a huge commutant exhausts a tiny budget
+    actions, dim = odd_module("su", 2, 2)
+    monkeypatch.setattr(decomp, "SPLIT_CAP", 1)
+    with pytest.raises(decomp.InconclusiveSplit):
+        split_module(actions, dim)
+
+
+def act(cols, v):
+    """The image of v under an action in column form."""
+    out = [ZERO] * len(cols)
+    for j, col in enumerate(cols):
+        for i, a in col:
+            out[i] += a * v[j]
+    return out
 
 
 def so3_on_two_copies(seed):
     """so(3) acting on Q^3 + Q^3, written in the basis given by the columns
     of a seeded invertible integer matrix P, with the first copy's basis in
-    those coordinates."""
+    those coordinates; the actions are in column form."""
     rng = random.Random(seed)
     while True:
         cols = [[rng.randint(-3, 3) * ONE for _ in range(6)] for _ in range(6)]
@@ -128,10 +144,10 @@ def so3_on_two_copies(seed):
         for off in (0, 3):
             m.data[off + a][off + b] = ONE
             m.data[off + b][off + a] = -ONE
-        conj = Matrix(6, 6)                   # P^-1 m P, column by column
-        for j, col in enumerate(cols):
-            for i, c in enumerate(solver.coords(m.mul_vec(col))):
-                conj.data[i][j] = c
+        conj = []                             # P^-1 m P, column by column
+        for col in cols:
+            coords = solver.coords(m.mul_vec(col))
+            conj.append([(i, c) for i, c in enumerate(coords) if c])
         actions.append(conj)
     first = [solver.coords([ONE if k == i else ZERO for k in range(6)])
              for i in range(3)]
@@ -147,14 +163,38 @@ def test_invariant_complement_of_one_copy(seed):
     assert comp is not None and len(comp) == 3
     assert Subspace(6, w + comp).dim == 6
     span = Subspace(6, comp)
-    for m in actions:
-        assert all(span.contains(m.mul_vec(v)) for v in comp)
+    for cols in actions:
+        assert all(span.contains(act(cols, v)) for v in comp)
 
 
 def test_invariant_complement_none_for_jordan_block():
-    nil = Matrix.from_rows([[ZERO, ONE], [ZERO, ZERO]])
+    nil = [[], [(0, ONE)]]                    # e_2 -> e_1, e_1 -> 0
     comm = module_commutant([nil], 2)
     assert _invariant_complement(comm, [[ONE, ZERO]], 2) is None
+
+
+def assert_split_fills(actions, dim):
+    """split_module's pieces are each invariant under every action, are
+    independent together and fill the module."""
+    pieces = split_module(actions, dim)
+    vecs = [v for basis, _ in pieces for v in basis]
+    assert len(vecs) == dim and Subspace(dim, vecs).dim == dim
+    for basis, _ in pieces:
+        span = Subspace(dim, basis)
+        for cols in actions:
+            assert all(span.contains(act(cols, v)) for v in basis)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_split_module_pieces_so3_on_two_copies(seed):
+    assert_split_fills(so3_on_two_copies(seed)[0], 6)
+
+
+@pytest.mark.parametrize("tag,params", [
+    ("su", (2, 1)), ("su", (2, 2)), ("q", (2,)), ("c", (2,)), ("T_hat", ("su", 2)),
+])
+def test_split_module_pieces_odd_modules(tag, params):
+    assert_split_fills(*odd_module(tag, *params))
 
 
 def test_structure_report_q2():
