@@ -140,6 +140,8 @@ def cmd_check(args):
                "dim_z0": str(even_center_dim(alg))}, args.out)
         return OK
     # eq-square: rebuild the named constructor to recover the matrices
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1, not %d" % args.samples)
     name = raw.get("name", "")
     if not name.startswith("u("):
         print("error: eq-square needs a file built from a u(p|q) constructor",

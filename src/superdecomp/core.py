@@ -812,13 +812,12 @@ def is_trivial_cocycle(g, form):
             if terms:
                 rows.append({k: v for k, v in terms.items() if k < d0})
                 rhs.append(ZERO)
-    pos = {i: r for r, i in enumerate(form.indices)}
     for i in g.space.odd_indices():
         for j in g.space.odd_indices():
             if j < i:
                 continue
             rows.append(g.table.get((i, j), {}))
-            rhs.append(form.gram.data[pos[i]][pos[j]])
+            rhs.append(form.gram.data[form.pos[i]][form.pos[j]])
     mat = Matrix(len(rows), d0)
     for r, row in enumerate(rows):
         for k, v in row.items():

@@ -201,8 +201,8 @@ def split_module(actions, dim):
     is split by an element of its commutant basis (a coprime factorisation
     of the characteristic polynomial, or the kernel of a zero divisor) or
     by a unit vector whose spin-up is proper.  A piece that none of these
-    split is returned with its commutant dimension and the number of
-    commutant elements tried.  That proves the piece simple only when the
+    split is returned with its commutant dimension as its certificate,
+    {"commutant_dim": n}.  That proves the piece simple only when the
     commutant dimension is 1: once a simple module occurs with multiplicity
     2 or more, every vector may spin up to the whole piece while the
     commutant basis yields no split.  More than SPLIT_CAP commutant
@@ -217,13 +217,7 @@ def _split_rec(actions, dim, budget):
     comm = module_commutant(actions, dim)
     parts = _split_parts(actions, dim, budget, comm)
     if parts is None:
-        cert = {
-            "commutant_dim": len(comm),
-            "candidates_tested": len(comm),
-            "zero_divisor_found": False,
-            "spin_up": "every basis vector generates the module",
-        }
-        return [([_unit(dim, i) for i in range(dim)], cert)]
+        return [([_unit(dim, i) for i in range(dim)], {"commutant_dim": len(comm)})]
     # each part is split in its own coordinates, under the actions
     # restricted to it, and its pieces are lifted back to these
     out = []
@@ -455,7 +449,7 @@ def build_c_ideal(g, dec, k, b0):
     acts = module_actions(g, kk.basis, kk.basis)
     parts = split_module(acts, kk.dim)
     checks["kk_adjoint_simple"] = len(parts) == 1
-    checks["kk_adjoint_commutant_dim"] = parts[0][1].get("commutant_dim") if parts else None
+    checks["kk_adjoint_commutant_dim"] = parts[0][1]["commutant_dim"] if parts else None
     if not (checks["kk_center_trivial"] and checks["kk_adjoint_simple"]):
         raise DecompositionError("[b, a_k] is not a simple Lie algebra",
                                  evidence={"k": k})

@@ -16,7 +16,7 @@ concurrently.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -620,112 +620,58 @@ def squarefree_decomposition(p):
     return out
 
 
-def _factor_int(n):
-    """Prime factorisation by trial division + Pollard rho fallback."""
-    n = abs(n)
-    out = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 17
-    while f * f <= n and f < 100000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if m == 1:
-                continue
-            if _is_probable_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
-            d = _pollard_rho(m)
-            stack.append(d)
-            stack.append(m // d)
-    return out
-
-
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n):
-    if n % 2 == 0:
-        return 2
-    x, c = 2, 1
-    while True:
-        y, d = x, 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-        c += 1
-        x = c + 1
-
-
-def _divisors(n):
-    fac = _factor_int(n)
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return divs
+def _ieval(p, x, m):
+    """p(x) mod m by Horner; p a list of ints."""
+    acc = 0
+    for a in reversed(p):
+        acc = (acc * x + a) % m
+    return acc
 
 
 def rational_roots(p):
-    """All rational roots of a squarefree rational polynomial."""
+    """All rational roots of a rational polynomial, each once, ascending.
+
+    Loos' p-adic method, with no integer factorisation: take an odd prime
+    l not dividing the leading coefficient at which every root of p mod l
+    is simple, lift each such root by Newton's iteration mod l^(2^j) until
+    the modulus exceeds twice Cauchy's bound on lead * r, and keep the
+    symmetric residue of lead * x, divided by lead, iff it is a root.  A
+    root r = u/v has v | lead, so lead * r is that residue.  p is first
+    reduced to its squarefree part; then only the finitely many primes
+    dividing lead * disc(p) are skipped.
+    """
     if not p:
         return []
-    den = 1
-    for a in p:
-        den = den * a.denominator // gcd(den, a.denominator)
-    ip = [int(a * den) for a in p]
+    p = pdivmod(p, pgcd(p, pderiv(p)))[0]
+    den = lcm(*[a.denominator for a in p])
+    ip = [a.numerator * (den // a.denominator) for a in p]
     roots = []
-    # strip zero roots
-    k = 0
-    while k < len(ip) and ip[k] == 0:
-        k += 1
-    if k:
-        roots.append(Fraction(0))
-        ip = ip[k:]
+    if not ip[0]:
+        roots.append(_F0)
+        ip = ip[1:]
     if len(ip) <= 1:
         return roots
-    a0, an = abs(ip[0]), abs(ip[-1])
-    dens = _divisors(an)
-    for num in _divisors(a0):
-        for dq in dens:
-            if gcd(num, dq) != 1:
-                continue
-            for r in (Fraction(num, dq), Fraction(-num, dq)):
-                if not peval(p, r):
-                    roots.append(r)
-    return sorted(set(roots))
+    dp = [i * a for i, a in enumerate(ip)][1:]
+    lead = ip[-1]
+    bound = 2 * (abs(lead) + max(abs(a) for a in ip))
+    ell = 1
+    while True:
+        ell += 2
+        if lead % ell == 0 or any(ell % d == 0 for d in range(3, isqrt(ell) + 1, 2)):
+            continue
+        residues = [x for x in range(ell) if not _ieval(ip, x, ell)]
+        if all(_ieval(dp, x, ell) for x in residues):
+            break
+    for x in residues:
+        m = ell
+        while m <= bound:
+            m *= m
+            x = (x - _ieval(ip, x, m) * pow(_ieval(dp, x, m), -1, m)) % m
+        c = lead * x % m
+        r = Fraction(c - m if 2 * c > m else c, lead)
+        if not peval(ip, r):
+            roots.append(r)
+    return sorted(roots)
 
 
 def char_poly_and_rational_split(m):

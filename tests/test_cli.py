@@ -93,6 +93,15 @@ def test_check_eq_square(tmp_path, capsys):
     assert obj["satisfied"] == "50"
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_check_eq_square_rejects_samples_below_one(tmp_path, capsys, samples):
+    path = str(tmp_path / "u21.json")
+    run(capsys, "construct", "--family", "u", "--params", "2,1", "--out", path)
+    code, out, err = run(capsys, "check", "eq-square", path, "--samples", samples)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --samples must be at least 1")
+
+
 def test_check_eq_square_rejects_non_u(tmp_path, capsys):
     path = str(tmp_path / "q2.json")
     run(capsys, "construct", "--family", "q", "--params", "2", "--out", path)

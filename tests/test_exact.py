@@ -11,7 +11,7 @@ from superdecomp.exact import (
     Echelon, LinSolver, Matrix, Scalar, UnsolvedLP, ZERO, I,
     char_poly, char_poly_and_rational_split, feasible_point,
     is_positive_definite, kernel, pdivmod, peval_matrix, pmul, quad_form,
-    random_vector, rank, solve, vec_is_zero,
+    random_vector, rank, rational_roots, solve, vec_is_zero,
 )
 from superdecomp.core import Subspace
 
@@ -462,6 +462,55 @@ def test_char_poly_matches_sympy(m):
     assert p == _fracs(reversed(want.all_coeffs()))
     assert sorted(roots) == sorted((Fraction(int(r.p), int(r.q)), e)
                                    for r, e in want.ground_roots().items())
+
+
+def _poly(*coeffs):
+    return [Fraction(a) for a in coeffs]
+
+
+@st.composite
+def rooted_polys(draw):
+    """c * prod(v_i x - u_i) * q(x), |u_i|, |v_i| <= 10^6, q of degree <= 3;
+    the linear factors may repeat and q may have rational roots too."""
+    big = st.integers(-10 ** 6, 10 ** 6)
+    p = [Fraction(draw(big.filter(bool)), draw(st.integers(1, 10 ** 6)))]
+    for _ in range(draw(st.integers(0, 4))):
+        p = pmul(p, [Fraction(draw(big)), Fraction(draw(big.filter(bool)))])
+    q = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=4))
+    if q[-1] == 0:
+        q[-1] = 1
+    return pmul(p, _poly(*q))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(rooted_polys())
+def test_rational_roots_match_sympy(p):
+    x = sympy.Symbol("x")
+    want = sympy.Poly([sympy.Rational(a.numerator, a.denominator) for a in reversed(p)],
+                      x, domain="QQ").ground_roots()
+    assert rational_roots(p) == sorted(Fraction(int(r.p), int(r.q)) for r in want)
+
+
+def test_rational_roots_repeated_factors_give_each_root_once():
+    p = pmul(pmul(_poly(-3, 2), _poly(5, 1)), _poly(1, 0, 1))     # (2x-3)(x+5)(x^2+1)
+    assert rational_roots(p) == [Fraction(-5), Fraction(3, 2)]
+    assert rational_roots(pmul(p, p)) == [Fraction(-5), Fraction(3, 2)]
+    assert rational_roots(pmul(_poly(0, 0, 1), p)) == [Fraction(-5), 0, Fraction(3, 2)]
+
+
+def test_rational_roots_large_prime_coefficients():
+    # 999983 and 1000003 are primes, so the end coefficients have large prime factors
+    p, q = 999983, 1000003
+    assert rational_roots(pmul(pmul(_poly(-p, 1), _poly(-q, 1)), _poly(1, 0, 1))) \
+        == [p, q]
+    assert rational_roots(pmul(_poly(-q, p), _poly(p, q))) == [Fraction(-p, q), Fraction(q, p)]
+
+
+def test_rational_roots_without_roots():
+    assert rational_roots([]) == []
+    assert rational_roots(_poly(7)) == []
+    assert rational_roots(_poly(-2, 0, 1)) == []
+    assert rational_roots(_poly(0, 1)) == [0]
 
 
 # dense small systems, and wide sparse ones like the cutting planes of
