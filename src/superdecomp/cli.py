@@ -18,10 +18,9 @@ from .core import (
     SuperAlgebraError, algebra_from_json_dict, algebra_to_json_dict, center,
     even_center_dim, killing_form, tables_equal, verify_superalgebra,
 )
-from .families import FamilySpec, build, square_identity_samples
 
-# decomp, unitar and fock are imported by the commands that use them, so a
-# command loads only the layers it runs
+# families, decomp, unitar and fock are imported by the commands that use
+# them, so a command loads (and compiles) only the layers it runs
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -35,15 +34,20 @@ def _dumps(obj):
 
 
 def _atomic_write(path, text):
+    """Write text to path by way of a temporary file beside it; an OSError
+    names path, not the temporary file."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".superdecomp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".superdecomp-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _emit(obj, out_path):
@@ -101,6 +105,7 @@ def _parse_ktag(raw):
 
 
 def cmd_construct(args):
+    from .families import FamilySpec, build
     try:
         spec = FamilySpec(args.family, _parse_params(args.params))
     except ValueError as exc:
@@ -140,6 +145,7 @@ def cmd_check(args):
                "dim_z0": str(even_center_dim(alg))}, args.out)
         return OK
     # eq-square: rebuild the named constructor to recover the matrices
+    from .families import FamilySpec, build, square_identity_samples
     if args.samples < 1:
         raise UsageError("--samples must be at least 1, not %d" % args.samples)
     name = raw.get("name", "")
@@ -258,7 +264,7 @@ def make_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a family member and write it")
-    c.add_argument("--family", required=True, choices=FamilySpec.TAGS)
+    c.add_argument("--family", required=True, help="family tag, e.g. u, su, psu or T_hat")
     c.add_argument("--params", required=True,
                    help="comma separated, e.g. 2,1 or su,2")
     c.add_argument("--out", required=True)

@@ -7,9 +7,9 @@ super skew symmetry [x,y] = -(-1)^{|x||y|}[y,x].  That rule is applied in
 one place, SuperAlgebra.adjoint_table, the integer table of every ordered
 pair that bracket and every other ordered reader use; readers of pairs
 i <= j only read the table itself.  Basis order is canonical:
-even vectors first, then odd.  Complex matrix realizations are realified by
-one fixed convention: a complex basis vector e contributes the real pair
-(e, ie), in that order.
+even vectors first, then odd.  Matrix realizations live in realize,
+extensions in families, invariant forms of the odd part in unitar and
+subalgebra extraction in decomp, so the checks here load none of them.
 
 All values are immutable after construction; operations are pure.
 """
@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 from .exact import (
     Echelon, LinSolver, Matrix, ZERO, ONE,
-    _lin_comb, kernel, solve, vec_add, vec_is_zero, vec_sub, vec_zero,
+    _lin_comb, kernel, vec_add, vec_is_zero, vec_sub, vec_zero,
 )
 
 
@@ -57,13 +57,6 @@ class AlgebraFileError(ValueError):
     """An algebra file that does not describe a well-formed table."""
 
 
-class NotClosedError(SuperAlgebraError):
-    def __init__(self, i, j, residual):
-        self.pair = (i, j)
-        self.residual = residual
-        super().__init__("span not closed under the bracket at pair (%d, %d)" % (i, j))
-
-
 class Violation:
     """First failing identity found by verify_superalgebra."""
 
@@ -75,14 +68,6 @@ class Violation:
 
     def __repr__(self):
         return "Violation(%s, %s)" % (self.kind, self.indices)
-
-
-class ExtensionError(SuperAlgebraError):
-    """An extension whose table fails verify_superalgebra."""
-
-    def __init__(self, violation):
-        self.violation = violation
-        super().__init__("extension is not a Lie superalgebra: %r" % violation)
 
 
 class SuperSpace:
@@ -364,14 +349,6 @@ def verify_superalgebra(g):
     return None
 
 
-def _certified(alg):
-    """alg, once verify_superalgebra passes on it; ExtensionError otherwise."""
-    viol = verify_superalgebra(alg)
-    if viol is not None:
-        raise ExtensionError(viol)
-    return alg
-
-
 def _jacobi_sides(g, i, j, k):
     """[e_i,[e_j,e_k]] and [[e_i,e_j],e_k] + (-1)^{|i||j|}[e_j,[e_i,e_k]]."""
     e = g.basis_vector
@@ -520,7 +497,7 @@ def killing_form(g):
 
 
 # ---------------------------------------------------------------------------
-# invariant bilinear forms
+# invariant bilinear forms and module commutants
 # ---------------------------------------------------------------------------
 
 class InvariantForm:
@@ -538,49 +515,6 @@ class InvariantForm:
             raise SuperAlgebraError("symmetric rational Gram required")
         self.gram = gram
         self.pos = {i: r for r, i in enumerate(self.indices)}
-
-
-def invariant_symmetric_forms(actions, dim):
-    """Basis of symmetric B with M^T B + B M = 0 for every action M.
-
-    Each action is given in column form: cols[j] lists (i, M[i][j]) over
-    the nonzero entries of column j, as even_actions returns it.
-
-    Unknowns are the upper-triangle entries; returns a list of Gram
-    matrices spanning the solution space.
-    """
-    pos = {}
-    for r in range(dim):
-        for s in range(r, dim):
-            pos[(r, s)] = len(pos)
-    nvars = len(pos)
-
-    def var(r, s):
-        return pos[(r, s)] if r <= s else pos[(s, r)]
-
-    ech = Echelon(nvars)
-    for cols in actions:
-        for j in range(dim):
-            for k in range(j, dim):
-                # (M^T B + B M)[j][k] = sum_r M[r][j] B[r][k] + M[r][k] B[j][r]
-                row = {}
-                for r, a in cols[j]:
-                    v = var(r, k)
-                    row[v] = row.get(v, ZERO) + a
-                for r, b in cols[k]:
-                    v = var(j, r)
-                    row[v] = row.get(v, ZERO) + b
-                row = {v: a for v, a in row.items() if a}
-                if row:
-                    ech.add(row)
-    out = []
-    for combo in ech.kernel_basis():
-        gram = Matrix(dim, dim)
-        for (r, s), v in pos.items():
-            gram.data[r][s] = combo[v]
-            gram.data[s][r] = combo[v]
-        out.append(gram)
-    return out
 
 
 def module_commutant(actions, dim):
@@ -618,24 +552,6 @@ def module_commutant(actions, dim):
                 t.data[r][s] = combo[var(r, s)]
         out.append(t)
     return out
-
-
-def even_actions(g, part):
-    """ad e_x restricted to the basis index range `part` (the even or the
-    odd indices), for even basis x, in column form: cols[j] lists (i, value)
-    over the nonzero entries of column j, in increasing i."""
-    lo = part.start
-    ad, den = g.adjoint_table()
-    return [[sorted((k - lo, Fraction(a, den)) for k, a in ad[x][j].items())
-             for j in part]
-            for x in g.space.even_indices()]
-
-
-def invariant_odd_forms(g):
-    """Basis of even-invariant symmetric forms on the odd part."""
-    grams = invariant_symmetric_forms(even_actions(g, g.space.odd_indices()), g.d1)
-    idx = list(g.space.odd_indices())
-    return [InvariantForm(idx, gr) for gr in grams]
 
 
 # ---------------------------------------------------------------------------
@@ -725,297 +641,6 @@ def quotient_by_central(g, z):
             if row:
                 table[(a, b)] = row
     return SuperAlgebra(space, table), qmap
-
-
-def semidirect_by_derivation(g, dmat, parity):
-    """g extended by one generator d with [d, x] = Dx; [d, d] = 0.
-
-    Certified by the Jacobi check of the result, which holds exactly when g
-    is a Lie superalgebra and D a derivation of the parity of d: Jacobi on
-    (d, x, y) is D[x,y] = [Dx,y] + (-1)^{|d||x|}[x,Dy], the parity check
-    sees a D of the wrong parity, and for odd d Jacobi on (d, d, x) is
-    2 D^2 x = 0.  Raises ExtensionError otherwise, and SuperAlgebraError
-    for a D that is not dim x dim.
-    """
-    n = g.dim
-    if (dmat.rows, dmat.cols) != (n, n):
-        raise SuperAlgebraError("derivation matrix is %dx%d, expected %dx%d"
-                                % (dmat.rows, dmat.cols, n, n))
-    pos = g.d0 if parity % 2 == 0 else n        # insert after evens / at end
-
-    def shift(i):
-        return i if i < pos else i + 1
-
-    space = SuperSpace.make(g.d0 + (1 - parity % 2), g.d1 + (parity % 2))
-    table = {}
-    for (i, j), terms in g.table.items():
-        table[(shift(i), shift(j))] = {shift(k): v for k, v in terms.items()}
-    for j in range(n):
-        col = {shift(k): dmat.data[k][j] for k in range(n) if dmat.data[k][j]}
-        if not col:
-            continue
-        sj = shift(j)
-        if pos <= sj:
-            table[(pos, sj)] = col
-        else:
-            sign = 1 if (parity % 2 and g.parity(j)) else -1
-            table[(sj, pos)] = {k: sign * v for k, v in col.items()}
-    return _certified(SuperAlgebra(space, table, meta={"derivation_index": pos}))
-
-
-def central_extension(g, form):
-    """One-dimensional central extension by the cocycle w(x, y) = B(x1, y1).
-
-    The new central generator sits at index 0; quotienting by it recovers g.
-    Certified by the Jacobi check of the result: B lives on odd x odd, so
-    the central part of Jacobi on (x, a, b) with x even is
-    B([x,a],b) + B(a,[x,b]), and that of every other triple vanishes.
-    Raises ExtensionError unless g is a Lie superalgebra and B is
-    even-invariant, and SuperAlgebraError if B misses an odd index.
-    """
-    pos = form.pos
-    missing = [i for i in g.space.odd_indices() if i not in pos]
-    if missing:
-        raise SuperAlgebraError("form indices miss odd index %d" % missing[0])
-    space = SuperSpace.make(g.d0 + 1, g.d1)
-    table = {}
-    for (i, j), terms in g.table.items():
-        table[(i + 1, j + 1)] = {k + 1: v for k, v in terms.items()}
-    for i in g.space.odd_indices():
-        for j in g.space.odd_indices():
-            if j < i:
-                continue
-            val = form.gram.data[pos[i]][pos[j]]
-            if not val:
-                continue
-            key = (i + 1, j + 1)
-            row = dict(table.get(key, {}))
-            row[0] = row.get(0, ZERO) + val
-            table[key] = row
-    return _certified(SuperAlgebra(space, table))
-
-
-def is_trivial_cocycle(g, form):
-    """Trivialising even functional lam with B(x1, y1) = lam([x1, y1]), or None.
-
-    lam must also kill [g0, g0] so that the full cocycle is the coboundary
-    of lam; when it exists the extension splits and the splitting is
-    verified by construction.
-    """
-    ext = central_extension(g, form)
-    d0 = g.d0
-    rows = []
-    rhs = []
-    for i in range(d0):
-        for j in range(i, d0):
-            terms = g.table.get((i, j))
-            if terms:
-                rows.append({k: v for k, v in terms.items() if k < d0})
-                rhs.append(ZERO)
-    for i in g.space.odd_indices():
-        for j in g.space.odd_indices():
-            if j < i:
-                continue
-            rows.append(g.table.get((i, j), {}))
-            rhs.append(form.gram.data[form.pos[i]][form.pos[j]])
-    mat = Matrix(len(rows), d0)
-    for r, row in enumerate(rows):
-        for k, v in row.items():
-            mat.data[r][k] = v
-    res = solve(mat, rhs)
-    if res is None:
-        return None
-    lam = res[0]
-    # verify the splitting x -> (lam(x_even), x) exactly
-    for i in range(g.dim):
-        for j in range(i, g.dim):
-            want = g.table.get((i, j), {})
-            lam_val = ZERO
-            for k, v in want.items():
-                if k < d0:
-                    lam_val = lam_val + lam[k] * v
-            ext_terms = ext.table.get((i + 1, j + 1), {})
-            got0 = ext_terms.get(0, ZERO)
-            if got0 != lam_val:
-                raise SuperAlgebraError("cocycle splitting verification failed")
-    return lam
-
-
-# ---------------------------------------------------------------------------
-# block matrices and matrix realizations
-# ---------------------------------------------------------------------------
-
-class BlockMatrix:
-    """(p|q)-graded complex matrix with a parity tag.
-
-    Even matrices have vanishing off-diagonal blocks, odd ones vanishing
-    diagonal blocks.
-    """
-
-    __slots__ = ("p", "q", "full", "parity")
-
-    def __init__(self, p, q, full, parity):
-        if not full.rows == full.cols == p + q:
-            raise ValueError("block matrix must be square of size p + q")
-        self.p = p
-        self.q = q
-        self.full = full
-        self.parity = parity
-        for r in range(p + q):
-            for c in range(p + q):
-                in_diag = (r < p) == (c < p)
-                v = full.data[r][c]
-                if parity == 0 and not in_diag and v:
-                    raise SuperAlgebraError("even block matrix with odd block entries")
-                if parity == 1 and in_diag and v:
-                    raise SuperAlgebraError("odd block matrix with even block entries")
-
-    @classmethod
-    def from_blocks(cls, a=None, b=None, c=None, d=None, p=None, q=None):
-        if a is not None:
-            p = a.rows
-        if d is not None:
-            q = d.rows
-        if b is not None:
-            p, q = b.rows, b.cols
-        full = Matrix(p + q, p + q)
-        parity = 1 if (a is None and d is None) else 0
-        if a is not None:
-            for i in range(p):
-                for j in range(p):
-                    full.data[i][j] = a.data[i][j]
-        if d is not None:
-            for i in range(q):
-                for j in range(q):
-                    full.data[p + i][p + j] = d.data[i][j]
-        if b is not None:
-            parity = 1
-            for i in range(p):
-                for j in range(q):
-                    full.data[i][p + j] = b.data[i][j]
-        if c is not None:
-            parity = 1
-            for i in range(q):
-                for j in range(p):
-                    full.data[p + i][j] = c.data[i][j]
-        return cls(p, q, full, parity)
-
-
-def realify_matrix(m):
-    """Flatten a complex matrix to rational coordinates, (e, ie) convention."""
-    out = []
-    for row in m.data:
-        for a in row:
-            out.append(a.real)
-            out.append(a.imag)
-    return out
-
-
-def supercommutator(x, y, px, py):
-    xy = x @ y
-    yx = y @ x
-    if px and py:
-        return xy + yx
-    return xy - yx
-
-
-class MatrixRealization:
-    """Coordinate map between a structure-constant algebra and its matrices."""
-
-    def __init__(self, mats, parities, p, q):
-        self.mats = mats
-        self.parities = parities
-        self.p = p
-        self.q = q
-        n = p + q
-        self.coord_dim = 2 * n * n
-        self.solver = LinSolver([realify_matrix(m) for m in mats], self.coord_dim)
-
-    def to_matrix(self, coords):
-        n = self.p + self.q
-        out = Matrix(n, n)
-        for c, m in zip(coords, self.mats):
-            if c:
-                out = out + m.scale(c)
-        return out
-
-    def from_matrix(self, m):
-        """Real coordinates of a matrix in the spanning basis, or None."""
-        return self.solver.coords(realify_matrix(m))
-
-
-def from_matrix_span(blocks):
-    """SuperAlgebra of a bracket-closed real span of block matrices.
-
-    Input order must be even matrices first.  Returns (algebra, realization);
-    raises NotClosedError when a supercommutator leaves the real span, and
-    reports a parity violation when a bracket lands in wrong-parity
-    coordinates.
-    """
-    parities = [bm.parity for bm in blocks]
-    if any(p1 < p0 for p0, p1 in zip(parities, parities[1:])):
-        raise SuperAlgebraError("even matrices must precede odd ones")
-    p, q = blocks[0].p, blocks[0].q
-    mats = [bm.full for bm in blocks]
-    real = MatrixRealization(mats, parities, p, q)
-    n = len(blocks)
-    space = SuperSpace.make(n - sum(parities), sum(parities))
-    table = {}
-    for i in range(n):
-        for j in range(i, n):
-            if i == j and parities[i] == 0:
-                continue
-            m = supercommutator(mats[i], mats[j], parities[i], parities[j])
-            if m.is_zero():
-                continue
-            coords = real.from_matrix(m)
-            if coords is None:
-                raise NotClosedError(i, j, m)
-            want = (parities[i] + parities[j]) % 2
-            terms = {}
-            for k, c in enumerate(coords):
-                if not c:
-                    continue
-                if parities[k] != want:
-                    raise SuperAlgebraError(
-                        "parity violation: bracket (%d,%d) meets basis %d" % (i, j, k))
-                terms[k] = c
-            if terms:
-                table[(i, j)] = terms
-    alg = SuperAlgebra(space, table, meta={"realization": real})
-    return alg, real
-
-
-# ---------------------------------------------------------------------------
-# subalgebra extraction
-# ---------------------------------------------------------------------------
-
-def subalgebra_from_subspace(g, s):
-    """Structure constants of a bracket-closed graded subspace.
-
-    Returns (algebra, basis vectors in ambient coordinates, even first).
-    """
-    ev, od = s.parity_components(g.space.parities)
-    if ev.dim + od.dim != s.dim:
-        raise SuperAlgebraError("subspace is not graded")
-    vecs = list(ev.basis) + list(od.basis)
-    solver = LinSolver(vecs, g.dim)
-    space = SuperSpace.make(ev.dim, od.dim)
-    table = {}
-    for a in range(len(vecs)):
-        for b in range(a, len(vecs)):
-            if a == b and a < ev.dim:
-                continue
-            w = g.bracket(vecs[a], vecs[b])
-            if vec_is_zero(w):
-                continue
-            coords = solver.coords(w)
-            if coords is None:
-                raise SuperAlgebraError("subspace is not bracket closed")
-            terms = {k: c for k, c in enumerate(coords) if c}
-            if terms:
-                table[(a, b)] = terms
-    return SuperAlgebra(space, table), vecs
 
 
 # ---------------------------------------------------------------------------

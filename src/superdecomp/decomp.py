@@ -20,12 +20,12 @@ from fractions import Fraction
 
 from .exact import (
     Echelon, LinSolver, Matrix, ZERO, ONE,
-    _lin_comb, char_poly_and_rational_split, kernel, peval_matrix, pmul,
-    solve, vec_is_zero, vec_zero,
+    _lin_comb, kernel, solve, vec_is_zero, vec_zero,
 )
+from .poly import char_poly_and_rational_split, peval_matrix, pmul
 from .core import (
-    Subspace, SuperAlgebraError, bracket_span, center, centralizer, derived,
-    is_ideal, module_commutant, quotient_by_central, subalgebra_from_subspace,
+    Subspace, SuperAlgebra, SuperAlgebraError, SuperSpace, bracket_span, center,
+    centralizer, derived, is_ideal, module_commutant, quotient_by_central,
 )
 from .families import build_family, build_tangent_from_algebra
 from . import unitar
@@ -307,6 +307,38 @@ def decompose_odd(g, core_even):
     summands.sort(key=lambda sc: sc[0].sort_key())
     return ModuleDecomposition(b, a, [s for s, _ in summands],
                                [c for _, c in summands])
+
+
+# ---------------------------------------------------------------------------
+# subalgebra extraction
+# ---------------------------------------------------------------------------
+
+def subalgebra_from_subspace(g, s):
+    """Structure constants of a bracket-closed graded subspace.
+
+    Returns (algebra, basis vectors in ambient coordinates, even first).
+    """
+    ev, od = s.parity_components(g.space.parities)
+    if ev.dim + od.dim != s.dim:
+        raise SuperAlgebraError("subspace is not graded")
+    vecs = list(ev.basis) + list(od.basis)
+    solver = LinSolver(vecs, g.dim)
+    space = SuperSpace.make(ev.dim, od.dim)
+    table = {}
+    for a in range(len(vecs)):
+        for b in range(a, len(vecs)):
+            if a == b and a < ev.dim:
+                continue
+            w = g.bracket(vecs[a], vecs[b])
+            if vec_is_zero(w):
+                continue
+            coords = solver.coords(w)
+            if coords is None:
+                raise SuperAlgebraError("subspace is not bracket closed")
+            terms = {k: c for k, c in enumerate(coords) if c}
+            if terms:
+                table[(a, b)] = terms
+    return SuperAlgebra(space, table), vecs
 
 
 # ---------------------------------------------------------------------------

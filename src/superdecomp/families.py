@@ -22,14 +22,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (
-    Matrix, Scalar, ZERO, ONE, MINUS_ONE, I, kernel,
+    Matrix, Scalar, ZERO, ONE, MINUS_ONE, I, kernel, solve,
     vec_is_zero, vec_zero,
 )
 from .core import (
-    BlockMatrix, InvariantForm, SuperAlgebra, SuperAlgebraError, SuperSpace,
-    central_extension, from_matrix_span, killing_form,
-    quotient_by_central, semidirect_by_derivation,
+    InvariantForm, SuperAlgebra, SuperAlgebraError, SuperSpace,
+    killing_form, quotient_by_central, verify_superalgebra,
 )
+from .realize import BlockMatrix, from_matrix_span
 
 K_TAGS = ("su", "so", "sp")
 
@@ -252,6 +252,140 @@ def _u_odd_blocks(p, q):
                 c = b.conj_transpose().scale(I)
                 out.append(BlockMatrix.from_blocks(b=b, c=c))
     return out
+
+
+# ---------------------------------------------------------------------------
+# extensions, certified by the Jacobi check of their result
+# ---------------------------------------------------------------------------
+
+class ExtensionError(SuperAlgebraError):
+    """An extension whose table fails verify_superalgebra."""
+
+    def __init__(self, violation):
+        self.violation = violation
+        super().__init__("extension is not a Lie superalgebra: %r" % violation)
+
+
+def _certified(alg):
+    """alg, once verify_superalgebra passes on it; ExtensionError otherwise."""
+    viol = verify_superalgebra(alg)
+    if viol is not None:
+        raise ExtensionError(viol)
+    return alg
+
+
+def semidirect_by_derivation(g, dmat, parity):
+    """g extended by one generator d with [d, x] = Dx; [d, d] = 0.
+
+    Certified by the Jacobi check of the result, which holds exactly when g
+    is a Lie superalgebra and D a derivation of the parity of d: Jacobi on
+    (d, x, y) is D[x,y] = [Dx,y] + (-1)^{|d||x|}[x,Dy], the parity check
+    sees a D of the wrong parity, and for odd d Jacobi on (d, d, x) is
+    2 D^2 x = 0.  Raises ExtensionError otherwise, and SuperAlgebraError
+    for a D that is not dim x dim.
+    """
+    n = g.dim
+    if (dmat.rows, dmat.cols) != (n, n):
+        raise SuperAlgebraError("derivation matrix is %dx%d, expected %dx%d"
+                                % (dmat.rows, dmat.cols, n, n))
+    pos = g.d0 if parity % 2 == 0 else n        # insert after evens / at end
+
+    def shift(i):
+        return i if i < pos else i + 1
+
+    space = SuperSpace.make(g.d0 + (1 - parity % 2), g.d1 + (parity % 2))
+    table = {}
+    for (i, j), terms in g.table.items():
+        table[(shift(i), shift(j))] = {shift(k): v for k, v in terms.items()}
+    for j in range(n):
+        col = {shift(k): dmat.data[k][j] for k in range(n) if dmat.data[k][j]}
+        if not col:
+            continue
+        sj = shift(j)
+        if pos <= sj:
+            table[(pos, sj)] = col
+        else:
+            sign = 1 if (parity % 2 and g.parity(j)) else -1
+            table[(sj, pos)] = {k: sign * v for k, v in col.items()}
+    return _certified(SuperAlgebra(space, table, meta={"derivation_index": pos}))
+
+
+def central_extension(g, form):
+    """One-dimensional central extension by the cocycle w(x, y) = B(x1, y1).
+
+    The new central generator sits at index 0; quotienting by it recovers g.
+    Certified by the Jacobi check of the result: B lives on odd x odd, so
+    the central part of Jacobi on (x, a, b) with x even is
+    B([x,a],b) + B(a,[x,b]), and that of every other triple vanishes.
+    Raises ExtensionError unless g is a Lie superalgebra and B is
+    even-invariant, and SuperAlgebraError if B misses an odd index.
+    """
+    pos = form.pos
+    missing = [i for i in g.space.odd_indices() if i not in pos]
+    if missing:
+        raise SuperAlgebraError("form indices miss odd index %d" % missing[0])
+    space = SuperSpace.make(g.d0 + 1, g.d1)
+    table = {}
+    for (i, j), terms in g.table.items():
+        table[(i + 1, j + 1)] = {k + 1: v for k, v in terms.items()}
+    for i in g.space.odd_indices():
+        for j in g.space.odd_indices():
+            if j < i:
+                continue
+            val = form.gram.data[pos[i]][pos[j]]
+            if not val:
+                continue
+            key = (i + 1, j + 1)
+            row = dict(table.get(key, {}))
+            row[0] = row.get(0, ZERO) + val
+            table[key] = row
+    return _certified(SuperAlgebra(space, table))
+
+
+def is_trivial_cocycle(g, form):
+    """Trivialising even functional lam with B(x1, y1) = lam([x1, y1]), or None.
+
+    lam must also kill [g0, g0] so that the full cocycle is the coboundary
+    of lam; when it exists the extension splits and the splitting is
+    verified by construction.
+    """
+    ext = central_extension(g, form)
+    d0 = g.d0
+    rows = []
+    rhs = []
+    for i in range(d0):
+        for j in range(i, d0):
+            terms = g.table.get((i, j))
+            if terms:
+                rows.append({k: v for k, v in terms.items() if k < d0})
+                rhs.append(ZERO)
+    for i in g.space.odd_indices():
+        for j in g.space.odd_indices():
+            if j < i:
+                continue
+            rows.append(g.table.get((i, j), {}))
+            rhs.append(form.gram.data[form.pos[i]][form.pos[j]])
+    mat = Matrix(len(rows), d0)
+    for r, row in enumerate(rows):
+        for k, v in row.items():
+            mat.data[r][k] = v
+    res = solve(mat, rhs)
+    if res is None:
+        return None
+    lam = res[0]
+    # verify the splitting x -> (lam(x_even), x) exactly
+    for i in range(g.dim):
+        for j in range(i, g.dim):
+            want = g.table.get((i, j), {})
+            lam_val = ZERO
+            for k, v in want.items():
+                if k < d0:
+                    lam_val = lam_val + lam[k] * v
+            ext_terms = ext.table.get((i + 1, j + 1), {})
+            got0 = ext_terms.get(0, ZERO)
+            if got0 != lam_val:
+                raise SuperAlgebraError("cocycle splitting verification failed")
+    return lam
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,9 @@ from .exact import (
     random_rational, vec_is_zero, vec_zero,
 )
 from .core import (
-    SuperAlgebraError, bracket_span, center, even_actions, even_center_dim,
-    invariant_symmetric_forms, is_perfect, killing_form, module_commutant,
-    per_algebra,
+    InvariantForm, SuperAlgebraError, bracket_span, center, even_center_dim,
+    is_perfect, killing_form, module_commutant, per_algebra,
 )
-from . import families
 
 # candidates tried, and cutting-plane rounds run, by each positive-form search
 WITNESS_CAP = 200
@@ -120,6 +118,7 @@ def classify_fingerprint(g):
     su(n|n); "unknown" comes with the nearest dimension-compatible
     candidates.
     """
+    from . import families
     fp = fingerprint(g)
     dims = (g.d0, g.d1)
     matches = []
@@ -436,6 +435,71 @@ def _int_sqrt(n):
     from math import isqrt
     r = isqrt(n)
     return r if r * r == n else None
+
+
+# ---------------------------------------------------------------------------
+# even actions and invariant symmetric forms
+# ---------------------------------------------------------------------------
+
+def invariant_symmetric_forms(actions, dim):
+    """Basis of symmetric B with M^T B + B M = 0 for every action M.
+
+    Each action is given in column form: cols[j] lists (i, M[i][j]) over
+    the nonzero entries of column j, as even_actions returns it.
+
+    Unknowns are the upper-triangle entries; returns a list of Gram
+    matrices spanning the solution space.
+    """
+    pos = {}
+    for r in range(dim):
+        for s in range(r, dim):
+            pos[(r, s)] = len(pos)
+    nvars = len(pos)
+
+    def var(r, s):
+        return pos[(r, s)] if r <= s else pos[(s, r)]
+
+    ech = Echelon(nvars)
+    for cols in actions:
+        for j in range(dim):
+            for k in range(j, dim):
+                # (M^T B + B M)[j][k] = sum_r M[r][j] B[r][k] + M[r][k] B[j][r]
+                row = {}
+                for r, a in cols[j]:
+                    v = var(r, k)
+                    row[v] = row.get(v, ZERO) + a
+                for r, b in cols[k]:
+                    v = var(j, r)
+                    row[v] = row.get(v, ZERO) + b
+                row = {v: a for v, a in row.items() if a}
+                if row:
+                    ech.add(row)
+    out = []
+    for combo in ech.kernel_basis():
+        gram = Matrix(dim, dim)
+        for (r, s), v in pos.items():
+            gram.data[r][s] = combo[v]
+            gram.data[s][r] = combo[v]
+        out.append(gram)
+    return out
+
+
+def even_actions(g, part):
+    """ad e_x restricted to the basis index range `part` (the even or the
+    odd indices), for even basis x, in column form: cols[j] lists (i, value)
+    over the nonzero entries of column j, in increasing i."""
+    lo = part.start
+    ad, den = g.adjoint_table()
+    return [[sorted((k - lo, Fraction(a, den)) for k, a in ad[x][j].items())
+             for j in part]
+            for x in g.space.even_indices()]
+
+
+def invariant_odd_forms(g):
+    """Basis of even-invariant symmetric forms on the odd part."""
+    grams = invariant_symmetric_forms(even_actions(g, g.space.odd_indices()), g.d1)
+    idx = list(g.space.odd_indices())
+    return [InvariantForm(idx, gr) for gr in grams]
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,17 @@ from superdecomp.exact import (
     Matrix, ONE, Scalar, ZERO, is_positive_definite, vec_is_zero, vec_zero,
 )
 from superdecomp.core import (
-    InvariantForm, center, centralizer, central_extension, derived,
-    direct_sum, invariant_odd_forms, is_trivial_cocycle, killing_form,
+    InvariantForm, center, centralizer, derived, direct_sum, killing_form,
     quotient_by_central, verify_superalgebra,
 )
 from superdecomp.families import (
-    build_family, expected_dims, square_identity_samples,
+    build_family, central_extension, expected_dims, is_trivial_cocycle,
+    square_identity_samples,
 )
 from superdecomp.decomp import structure_report
 from superdecomp.unitar import (
-    classify_fingerprint, fingerprint, gram_of_functional, necessary_conditions_report,
+    classify_fingerprint, fingerprint, gram_of_functional, invariant_odd_forms,
+    necessary_conditions_report,
 )
 from superdecomp.fock import (
     check_car, check_unitary_representation, number_spectrum,

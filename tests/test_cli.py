@@ -58,6 +58,33 @@ def test_construct_rejects_bad_params(tmp_path, capsys):
     assert "n >= m" in err
 
 
+def test_construct_unknown_family_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "x"
+    code, out, err = run(capsys, "construct", "--family", "nope", "--params", "1",
+                         "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown family tag 'nope'")
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "su", "--params", "2,1", "--out"],
+    ["decompose", "SU21", "--report"],
+    ["unitarity", "SU21", "--out"],
+    ["spinrep", "--dim", "2", "--out"],
+])
+def test_output_into_a_missing_directory_names_the_given_path(tmp_path, capsys, argv):
+    src = str(tmp_path / "su21.json")
+    run(capsys, "construct", "--family", "su", "--params", "2,1", "--out", src)
+    target = str(tmp_path / "missing" / "out.json")
+    code, _, err = run(capsys, *[src if a == "SU21" else a for a in argv], target)
+    assert code == 2
+    assert err.startswith("error: ") and repr(target) in err, err
+    assert ".superdecomp-" not in err
+    assert "Traceback" not in err
+
+
 def test_check_jacobi_and_killing(tmp_path, capsys):
     path = str(tmp_path / "psu22.json")
     run(capsys, "construct", "--family", "psu", "--params", "2", "--out", path)
@@ -311,8 +338,18 @@ def _src_env():
 def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
     path = str(tmp_path / "su21.json")
     run(capsys, "construct", "--family", "su", "--params", "2,1", "--out", path)
-    for argv, absent in ((["spinrep", "--dim", "2", "--check"], ("decomp", "unitar")),
-                         (["check", "center", path], ("decomp", "unitar")),
+    checks = ("families", "realize", "poly", "unitar", "decomp", "fock")
+    for argv, absent in ((["check", "killing", path], checks),
+                         (["check", "center", path], checks),
+                         (["check", "jacobi", path], checks),
+                         (["construct", "--family", "su", "--params", "2,1",
+                           "--out", str(tmp_path / "again.json")],
+                          ("poly", "unitar", "decomp", "fock")),
+                         (["unitarity", path],
+                          ("families", "realize", "poly", "decomp", "fock")),
+                         (["spinrep", "--dim", "2", "--check"], ("poly", "decomp", "unitar")),
+                         (["tangent-rep", "--k", "su2", "--check"],
+                          ("poly", "decomp", "unitar")),
                          (["decompose", path], ("fock",))):
         proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, json.dumps(argv)],
                               capture_output=True, text=True, env=_src_env(), timeout=600)

@@ -9,18 +9,20 @@ from superdecomp.exact import (
     Echelon, I, LinSolver, Matrix, ONE, Scalar, ZERO, vec_add, vec_is_zero, vec_sub, vec_zero,
 )
 from superdecomp.core import (
-    AlgebraFileError, BlockMatrix, InvariantForm, SuperAlgebra, SuperAlgebraError,
+    AlgebraFileError, InvariantForm, SuperAlgebra, SuperAlgebraError,
     SuperSpace, Violation, algebra_from_json_dict, algebra_to_json_dict, bracket_span,
-    center, central_extension, centralizer, derived,
-    direct_sum, even_actions, from_matrix_span,
-    invariant_odd_forms, invariant_symmetric_forms, is_ideal, is_perfect,
-    is_trivial_cocycle, killing_form, module_commutant, quotient_by_central,
-    semidirect_by_derivation, subalgebra_from_subspace, tables_equal,
+    center, centralizer, derived, direct_sum, is_ideal, is_perfect,
+    killing_form, module_commutant, quotient_by_central, tables_equal,
     verify_superalgebra,
 )
-from superdecomp.unitar import find_witness
+from superdecomp.realize import BlockMatrix, from_matrix_span
+from superdecomp.decomp import subalgebra_from_subspace
+from superdecomp.unitar import (
+    even_actions, find_witness, invariant_odd_forms, invariant_symmetric_forms,
+)
 from superdecomp.families import (
-    build_family, build_lie_algebra,
+    build_family, build_lie_algebra, central_extension, is_trivial_cocycle,
+    semidirect_by_derivation,
 )
 
 
@@ -129,7 +131,7 @@ def test_adjoint_central_is_zero():
 
 def test_adjoint_su2_char_poly():
     k = build_lie_algebra("su", 2)
-    from superdecomp.exact import char_poly
+    from superdecomp.poly import char_poly
     p = char_poly(ad_matrix(k, k.basis_vector(0)))      # ad of i(E00 - E11)
     assert p == [Fraction(0), Fraction(4), Fraction(0), Fraction(1)]
 
@@ -724,10 +726,10 @@ def test_every_library_function_is_referenced():
 
 def test_rational_modules_never_name_scalar():
     # structure constants, subspaces and forms are rational: only the matrix
-    # realizations (families, core's matrix helpers) and fock are complex
+    # realizations (families, realize) and fock are complex
     checked = set()
     for name, tree in _library_trees():
-        if name not in ("core.py", "decomp.py", "unitar.py"):
+        if name not in ("core.py", "decomp.py", "poly.py", "unitar.py"):
             continue
         checked.add(name)
         named = [n.lineno for n in ast.walk(tree)
@@ -735,7 +737,7 @@ def test_rational_modules_never_name_scalar():
                  or (isinstance(n, ast.alias) and n.name == "Scalar")
                  or (isinstance(n, ast.Attribute) and n.attr == "Scalar")]
         assert named == [], (name, named)
-    assert checked == {"core.py", "decomp.py", "unitar.py"}
+    assert checked == {"core.py", "decomp.py", "poly.py", "unitar.py"}
 
 
 @pytest.mark.parametrize("tag, params", [("su", (2, 1)), ("q", (2,)),

@@ -8,10 +8,11 @@ from sympy.solvers.simplex import InfeasibleLPError, lpmin
 
 from superdecomp import exact
 from superdecomp.exact import (
-    Echelon, LinSolver, Matrix, Scalar, UnsolvedLP, ZERO, I,
-    char_poly, char_poly_and_rational_split, feasible_point,
-    is_positive_definite, kernel, pdivmod, peval_matrix, pmul, quad_form,
-    random_vector, rank, rational_roots, solve, vec_is_zero,
+    Echelon, LinSolver, Matrix, Scalar, UnsolvedLP, ZERO, I, feasible_point,
+    is_positive_definite, kernel, quad_form, random_vector, rank, solve, vec_is_zero,
+)
+from superdecomp.poly import (
+    char_poly, char_poly_and_rational_split, pdivmod, peval_matrix, pmul, rational_roots,
 )
 from superdecomp.core import Subspace
 

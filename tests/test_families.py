@@ -5,8 +5,9 @@ import pytest
 from superdecomp.exact import ONE, Scalar, vec_is_zero, vec_zero
 from superdecomp.core import (
     bracket_span, center, centralizer, derived, is_ideal, killing_form,
-    subalgebra_from_subspace, verify_superalgebra,
+    verify_superalgebra,
 )
+from superdecomp.decomp import subalgebra_from_subspace
 from superdecomp.exact import is_positive_definite
 from superdecomp.families import (
     FamilySpec, build_family, build_lie_algebra, expected_dims,

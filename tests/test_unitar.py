@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 from superdecomp import exact, unitar
-from superdecomp.core import BlockMatrix, direct_sum, from_matrix_span
+from superdecomp.core import direct_sum
+from superdecomp.realize import BlockMatrix, from_matrix_span
 from superdecomp.exact import (
     I, Matrix, Scalar, ZERO, is_positive_definite, vec_is_zero, vec_zero,
 )
