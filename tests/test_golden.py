@@ -1,6 +1,8 @@
 """Golden CLI outputs: each command's stdout must match its recorded file
 byte for byte, and so must the file a case writes through ``--out``
-(recorded as ``<name>.out.json``).
+(recorded as ``<name>.out.json``).  The constructors' structure constants
+are pinned by the SHA-256 of their algebra files, kept in
+``family_digests.json``.
 
 The input files are rebuilt from the constructors on every run, so the
 comparison also covers the constructors' basis order.  To record the
@@ -9,6 +11,7 @@ files anew (only when a change of output is intended):
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import io
 import json
 import os
@@ -21,13 +24,32 @@ import pytest
 from superdecomp.cli import main
 from superdecomp.core import algebra_to_json_dict, direct_sum, quotient_by_central
 from superdecomp.exact import ONE, Scalar, vec_zero
-from superdecomp.families import build_family, family_name
+from superdecomp.families import build_family, expected_dims, family_name
+from superdecomp.unitar import _TABLE_SPECS
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+DIGESTS = os.path.join(GOLDEN, "family_digests.json")
+
+# the classifier's table up to dimension 40, and the matrix and
+# Clifford-Heisenberg families it does not list
+DIGEST_SPECS = [(tag, params) for tag, params in _TABLE_SPECS
+                if sum(expected_dims(tag, params)) <= 40] + [
+    ("gl", (2, 1)), ("u", (2, 1)), ("u", (2, 2)), ("q_hat", (2,)),
+    ("ch", (2,)), ("ch_indefinite", (1, 2))]
 
 
 def family_json(tag, *params):
     return algebra_to_json_dict(build_family(tag, *params), family_name(tag, params))
+
+
+def family_digests():
+    """family name -> SHA-256 of its algebra file (sorted keys, no name)."""
+    out = {}
+    for tag, params in DIGEST_SPECS:
+        text = json.dumps(algebra_to_json_dict(build_family(tag, *params), ""),
+                          sort_keys=True)
+        out[family_name(tag, params)] = hashlib.sha256(text.encode()).hexdigest()
+    return out
 
 
 def corrupted(tag, params, seed):
@@ -118,6 +140,11 @@ def test_golden_output(name, tmp_path):
             assert written == fh.read()
 
 
+def test_family_digests():
+    with open(DIGESTS) as fh:
+        assert family_digests() == json.load(fh)
+
+
 if __name__ == "__main__":
     import tempfile
     os.makedirs(GOLDEN, exist_ok=True)
@@ -132,3 +159,7 @@ if __name__ == "__main__":
                 with open(os.path.join(GOLDEN, name + ".out.json"), "w") as fh:
                     fh.write(written)
             print("recorded", name)
+    with open(DIGESTS, "w") as fh:
+        json.dump(family_digests(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print("recorded", DIGESTS)
