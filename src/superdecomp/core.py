@@ -448,22 +448,6 @@ def is_ideal(g, s):
     return True
 
 
-def ideal_closure(g, s):
-    cur = s
-    while True:
-        vecs = list(cur.basis)
-        grew = False
-        for i in range(g.dim):
-            for u in cur.basis:
-                v = g.bracket(g.basis_vector(i), u)
-                if not cur.contains(v):
-                    vecs.append(v)
-                    grew = True
-        if not grew:
-            return cur
-        cur = Subspace(g.dim, vecs)
-
-
 @per_algebra
 def killing_form(g):
     """Gram matrix kappa(e_i, e_j) = str(ad e_i ad e_j) and its rank.

@@ -92,11 +92,6 @@ def reduce_to_odd_generated(g):
     return Reduction(h0, core, comp)
 
 
-def compute_b(g):
-    """Odd vectors commuting with the even part."""
-    return centralizer(g, g.even_subspace(), g.odd_subspace())
-
-
 # ---------------------------------------------------------------------------
 # simple-module splitting (exact commutant MeatAxe)
 # ---------------------------------------------------------------------------

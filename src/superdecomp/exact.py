@@ -3,13 +3,14 @@
 Two number domains, one type each.  Every rational value is a
 fractions.Fraction: structure constants, subspace bases, forms, minors,
 LP data.  Complex values, which arise only in matrix realizations and
-Fock operators, are Gaussian rationals a + bi of type Scalar with b != 0;
-a Scalar operation whose result is real returns a Fraction, so the two
-types never hold the same number.  All operations are exact: there is no
-floating point anywhere in this package.  Elimination runs on rational
-rows only and is fraction-free: rows are scaled to coprime ints and
-updated by cross-multiplication with content removal (Bareiss style), so
-entries stay small integers instead of accumulating denominators.
+Fock operators (both held as realize.SparseOp), are Gaussian rationals
+a + bi of type Scalar with b != 0; a Scalar operation whose result is
+real returns a Fraction, so the two types never hold the same number.
+All operations are exact: there is no floating point anywhere in this
+package.  Elimination runs on rational rows only and is fraction-free:
+rows are scaled to coprime ints and updated by cross-multiplication with
+content removal (Bareiss style), so entries stay small integers instead
+of accumulating denominators.
 
 Everything here is a pure function on immutable values and safe to call
 concurrently.
@@ -124,8 +125,10 @@ def ipow(k):
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Dense matrix over Fraction and Scalar entries.  Rows is a list of
-    lists; never aliased."""
+    """Dense matrix of rational data: forms, Gram and derivation matrices,
+    linear systems.  Complex matrices are realize.SparseOps; their dense
+    form (SparseOp.to_matrix) serves output and test oracles only.  Rows
+    is a list of lists; never aliased."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -208,11 +211,6 @@ class Matrix:
     def transpose(self):
         return Matrix(self.cols, self.rows,
                       [[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
-
-    def conj_transpose(self):
-        return Matrix(self.cols, self.rows,
-                      [[self.data[i][j].conjugate() for i in range(self.rows)]
                        for j in range(self.cols)])
 
     def trace(self):
@@ -416,13 +414,6 @@ def kernel(m):
     for row in m.data:
         ech.add_list(row)
     return ech.kernel_basis()
-
-
-def rank(m):
-    ech = Echelon(m.cols)
-    for row in m.data:
-        ech.add_list(row)
-    return ech.rank
 
 
 def solve(m, b):

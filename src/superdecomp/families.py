@@ -1,10 +1,12 @@
 """Constructors for the named compact Lie superalgebra families.
 
 Matrix families (u, su, psu, q, pq, qhat, c, gl) are built from explicit
-anti-hermitian block realizations with Gaussian rational entries and turned
-into structure constants by from_matrix_span; the coordinate map back to the
-matrices is kept in meta["realization"].  Abstract families (spin_h, ch,
-tangent algebras) are written down directly.
+anti-hermitian block realizations: each basis matrix is written as its
+Gaussian rational entries {(i, j): value}, made a SparseOp, and the span
+is turned into structure constants by from_matrix_span, which reads each
+matrix's parity off its blocks; the coordinate map back to the matrices
+is kept in meta["realization"].  Abstract families (spin_h, ch, tangent
+algebras) are written down directly.
 
 Conventions fixed here:
   * u(p|q):  even = antihermitian diagonal blocks, odd = [[0, B], [iB*, 0]].
@@ -29,7 +31,7 @@ from .core import (
     InvariantForm, SuperAlgebra, SuperAlgebraError, SuperSpace,
     killing_form, quotient_by_central, verify_superalgebra,
 )
-from .realize import BlockMatrix, from_matrix_span
+from .realize import SparseOp, from_matrix_span
 
 K_TAGS = ("su", "so", "sp")
 
@@ -42,7 +44,8 @@ class FamilySpec:
 
     def __init__(self, tag, params):
         if tag not in self.TAGS:
-            raise ValueError("unknown family tag %r" % (tag,))
+            raise ValueError("unknown family tag %r; the tags are %s"
+                             % (tag, ", ".join(self.TAGS)))
         self.tag = tag
         self.params = tuple(params)
         _validate(tag, self.params)
@@ -159,13 +162,13 @@ def simple_dim(kind, n):
 
 
 # ---------------------------------------------------------------------------
-# matrix building blocks
+# matrix building blocks: a matrix is written as its entries {(i, j): value}
 # ---------------------------------------------------------------------------
 
-def _eij(n, m, i, j, val=None):
-    out = Matrix(n, m)
-    out.data[i][j] = val if val is not None else ONE
-    return out
+def _shift(entries, r, c, f=lambda v: v):
+    """The entries moved down r rows and right c columns, each value v
+    replaced by f(v)."""
+    return {(i + r, j + c): f(v) for (i, j), v in entries.items()}
 
 
 # (a, b) of the antihermitian off-diagonal pairs a E_jk + b E_kj: the real
@@ -176,31 +179,19 @@ _ANTIHERMITIAN = ((ONE, MINUS_ONE), (I, I))
 def _off_diagonal(n, pairs):
     """a E_jk + b E_kj for j < k, interleaved: every (a, b) in pairs for
     one (j, k) before the next."""
-    out = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            for a, b in pairs:
-                m = Matrix(n, n)
-                m.data[j][k] = a
-                m.data[k][j] = b
-                out.append(m)
-    return out
+    return [{(j, k): a, (k, j): b} for j in range(n) for k in range(j + 1, n)
+            for a, b in pairs]
 
 
 def u_matrix_basis(n):
     """u(n, C): i E_jj, then E_jk - E_kj and i(E_jk + E_kj) for j < k."""
-    return [_eij(n, n, j, j, I) for j in range(n)] + _off_diagonal(n, _ANTIHERMITIAN)
+    return [{(j, j): I} for j in range(n)] + _off_diagonal(n, _ANTIHERMITIAN)
 
 
 def su_matrix_basis(n):
     """su(n, C): traceless diagonal i(E_jj - E_{j+1,j+1}) then off-diagonals."""
-    out = []
-    for j in range(n - 1):
-        m = Matrix(n, n)
-        m.data[j][j] = I
-        m.data[j + 1][j + 1] = Scalar(0, -1)
-        out.append(m)
-    return out + _off_diagonal(n, _ANTIHERMITIAN)
+    return ([{(j, j): I, (j + 1, j + 1): -I} for j in range(n - 1)]
+            + _off_diagonal(n, _ANTIHERMITIAN))
 
 
 def so_matrix_basis(n):
@@ -211,25 +202,11 @@ def so_matrix_basis(n):
 def sp_matrix_basis(n):
     """Compact sp(n) as 2n x 2n complex: [[A, B], [-conj(B), conj(A)]],
     A antihermitian, B symmetric."""
-    out = []
-    for a in u_matrix_basis(n):
-        m = Matrix(2 * n, 2 * n)
-        for i in range(n):
-            for j in range(n):
-                m.data[i][j] = a.data[i][j]
-                m.data[n + i][n + j] = a.data[i][j].conjugate()
-        out.append(m)
-    sym = []
-    for j in range(n):
-        sym.append(_eij(n, n, j, j))
-        sym.append(_eij(n, n, j, j, I))
+    out = [{**a, **_shift(a, n, n, lambda v: v.conjugate())}
+           for a in u_matrix_basis(n)]
+    sym = [{(j, j): v} for j in range(n) for v in (ONE, I)]
     for b in sym + _off_diagonal(n, ((ONE, ONE), (I, I))):
-        m = Matrix(2 * n, 2 * n)
-        for i in range(n):
-            for j in range(n):
-                m.data[i][n + j] = b.data[i][j]
-                m.data[n + i][j] = -b.data[i][j].conjugate()
-        out.append(m)
+        out.append({**_shift(b, 0, n), **_shift(b, n, 0, lambda v: -v.conjugate())})
     return out
 
 
@@ -245,13 +222,13 @@ def simple_matrix_basis(kind, n):
 
 def _u_odd_blocks(p, q):
     """Odd part of u(p|q): [[0, B], [iB*, 0]] for B = E_jk and iE_jk."""
-    out = []
-    for j in range(p):
-        for k in range(q):
-            for b in (_eij(p, q, j, k), _eij(p, q, j, k, I)):
-                c = b.conj_transpose().scale(I)
-                out.append(BlockMatrix.from_blocks(b=b, c=c))
-    return out
+    return [{(j, p + k): v, (p + k, j): I * v.conjugate()}
+            for j in range(p) for k in range(q) for v in (ONE, I)]
+
+
+def _span(size, p, mats):
+    """The algebra spanned by the entry dicts mats, (p|size - p)-graded."""
+    return from_matrix_span([SparseOp.from_entries(size, e) for e in mats], p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -393,51 +370,23 @@ def is_trivial_cocycle(g, form):
 # ---------------------------------------------------------------------------
 
 def build_gl(p, q):
-    blocks = []
-    units = []
-    for j in range(p):
-        for k in range(p):
-            units.append(("a", j, k))
-    for j in range(q):
-        for k in range(q):
-            units.append(("d", j, k))
-    for which, j, k in units:
-        for val in (ONE, I):
-            m = Matrix(p + q, p + q)
-            if which == "a":
-                m.data[j][k] = val
-            else:
-                m.data[p + j][p + k] = val
-            blocks.append(BlockMatrix(p, q, m, 0))
-    for j in range(p):
-        for k in range(q):
-            for val in (ONE, I):
-                blocks.append(BlockMatrix.from_blocks(b=_eij(p, q, j, k, val), p=p, q=q))
-    for j in range(q):
-        for k in range(p):
-            for val in (ONE, I):
-                blocks.append(BlockMatrix.from_blocks(c=_eij(q, p, j, k, val), p=p, q=q))
-    return from_matrix_span(blocks)[0]
+    corners = ([(j, k) for j in range(p) for k in range(p)]
+               + [(p + j, p + k) for j in range(q) for k in range(q)]
+               + [(j, p + k) for j in range(p) for k in range(q)]
+               + [(p + j, k) for j in range(q) for k in range(p)])
+    return _span(p + q, p, [{jk: v} for jk in corners for v in (ONE, I)])
 
 
 def build_u(p, q):
-    blocks = [BlockMatrix.from_blocks(a=a, p=p, q=q) for a in u_matrix_basis(p)]
-    blocks += [BlockMatrix.from_blocks(d=d, p=p, q=q) for d in u_matrix_basis(q)]
-    blocks += _u_odd_blocks(p, q)
-    return from_matrix_span(blocks)[0]
+    mats = u_matrix_basis(p) + [_shift(d, p, p) for d in u_matrix_basis(q)]
+    return _span(p + q, p, mats + _u_odd_blocks(p, q))
 
 
 def build_su(n, m):
-    blocks = [BlockMatrix.from_blocks(a=a, p=n, q=m) for a in su_matrix_basis(n)]
-    blocks += [BlockMatrix.from_blocks(d=d, p=n, q=m) for d in su_matrix_basis(m)]
-    z = Matrix(n + m, n + m)
-    for j in range(n):
-        z.data[j][j] = Scalar(0, m)
-    for j in range(m):
-        z.data[n + j][n + j] = Scalar(0, n)
-    blocks.append(BlockMatrix(n, m, z, 0))
-    blocks += _u_odd_blocks(n, m)
-    return from_matrix_span(blocks)[0]
+    mats = su_matrix_basis(n) + [_shift(d, n, n) for d in su_matrix_basis(m)]
+    z = {(j, j): Scalar(0, m) for j in range(n)}
+    z.update({(n + j, n + j): Scalar(0, n) for j in range(m)})
+    return _span(n + m, n, mats + [z] + _u_odd_blocks(n, m))
 
 
 def build_psu(n):
@@ -451,35 +400,22 @@ def build_psu(n):
     return quo
 
 
-def _q_blocks(n, traceless):
+def _q(n, traceless):
     N = n + 1
-    blocks = []
-    for a in u_matrix_basis(N):
-        m = Matrix(2 * N, 2 * N)
-        for i in range(N):
-            for j in range(N):
-                m.data[i][j] = a.data[i][j]
-                m.data[N + i][N + j] = a.data[i][j]
-        blocks.append(BlockMatrix(N, N, m, 0))
-    factor = Scalar(1, -1)
+    mats = [{**a, **_shift(a, N, N)} for a in u_matrix_basis(N)]
     source = su_matrix_basis(N) if traceless else u_matrix_basis(N)
     for s in source:
-        b = s.scale(factor)
-        m = Matrix(2 * N, 2 * N)
-        for i in range(N):
-            for j in range(N):
-                m.data[i][N + j] = b.data[i][j]
-                m.data[N + i][j] = b.data[i][j]
-        blocks.append(BlockMatrix(N, N, m, 1))
-    return blocks
+        b = {ij: Scalar(1, -1) * v for ij, v in s.items()}
+        mats.append({**_shift(b, 0, N), **_shift(b, N, 0)})
+    return _span(2 * N, N, mats)
 
 
 def build_q(n):
-    return from_matrix_span(_q_blocks(n, traceless=True))[0]
+    return _q(n, traceless=True)
 
 
 def build_q_hat(n):
-    return from_matrix_span(_q_blocks(n, traceless=False))[0]
+    return _q(n, traceless=False)
 
 
 def build_pq(n):
@@ -517,60 +453,44 @@ def build_c(n):
     and Killing checks pin the isomorphism type.
     """
     m = n - 1
-    so2 = Matrix(2, 2)
-    so2.data[0][1] = ONE
-    so2.data[1][0] = MINUS_ONE
-    blocks = [BlockMatrix.from_blocks(a=so2, p=2, q=2 * m)]
-    for d in sp_matrix_basis(m):
-        blocks.append(BlockMatrix.from_blocks(d=d, p=2, q=2 * m))
+    mats = [{(0, 1): ONE, (1, 0): MINUS_ONE}]
+    mats += [_shift(d, 2, 2) for d in sp_matrix_basis(m)]
     j2 = _sympl_gram(2)
     jbig = _sympl_gram(2 * m)
-    # unknowns: Re/Im of the 2 x 2m block B; condition B + J_2 conj(B) J = 0
+    # unknowns: Re/Im of the 2 x 2m block B at 2 (r 2m + c) and the next;
+    # condition B + J_2 conj(B) J = 0, its real and imaginary parts
     nb = 8 * m
     rows = []
     for r in range(2):
         for c in range(2 * m):
-            coeff = {}
-            var = 2 * (r * 2 * m + c)
-            coeff[var] = ONE
-            coeff[var + 1] = I
-            # (J_2 conj(B) J)[r][c] = sum_{u,v} J2[r][u] conj(B[u][v]) J[v][c]
-            for u in range(2):
-                j2v = j2.data[r][u]
-                if not j2v:
-                    continue
-                for v in range(2 * m):
-                    jv = jbig.data[v][c]
-                    if not jv:
-                        continue
-                    w = 2 * (u * 2 * m + v)
-                    f = j2v * jv
-                    coeff[w] = coeff.get(w, ZERO) + f            # Re part
-                    coeff[w + 1] = coeff.get(w + 1, ZERO) - f * I  # conj: -i Im
             re_row = [ZERO] * nb
             im_row = [ZERO] * nb
-            for var, val in coeff.items():
-                re_row[var] = val.real
-                im_row[var] = val.imag
-            rows.append(re_row)
-            rows.append(im_row)
-    ker = kernel(Matrix.from_rows(rows))
-    for vvec in ker:
-        b = Matrix(2, 2 * m)
-        for r in range(2):
-            for c in range(2 * m):
-                var = 2 * (r * 2 * m + c)
-                b.data[r][c] = Scalar(vvec[var], vvec[var + 1])
-        cmat = (jbig @ b.transpose()).scale(MINUS_ONE)
-        blocks.append(BlockMatrix.from_blocks(b=b, c=cmat, p=2, q=2 * m))
-    return from_matrix_span(blocks)[0]
+            var = 2 * (r * 2 * m + c)
+            re_row[var] = im_row[var + 1] = ONE
+            for u in range(2):
+                for v in range(2 * m):
+                    f = j2.data[r][u] * jbig.data[v][c]
+                    if f:
+                        w = 2 * (u * 2 * m + v)
+                        re_row[w] += f
+                        im_row[w + 1] -= f
+            rows += [re_row, im_row]
+    for vvec in kernel(Matrix.from_rows(rows)):
+        vals = [Scalar(a, b) for a, b in zip(vvec[::2], vvec[1::2])]
+        b = {(r, c): vals[r * 2 * m + c] for r in range(2) for c in range(2 * m)}
+        odd = _shift(b, 0, 2)
+        # lower block C = -J B^T
+        for a in range(2 * m):
+            for r in range(2):
+                odd[(2 + a, r)] = -sum(jbig.data[a][v] * b[r, v] for v in range(2 * m))
+        mats.append(odd)
+    return _span(2 + 2 * m, 2, mats)
 
 
 def build_lie_algebra(kind, n):
     """Compact simple k as a purely even structure-constant algebra."""
     mats, size = simple_matrix_basis(kind, n)
-    blocks = [BlockMatrix(size, 0, mat, 0) for mat in mats]
-    return from_matrix_span(blocks)[0]
+    return _span(size, size, mats)
 
 
 def build_tangent_from_algebra(k, variant):

@@ -6,10 +6,12 @@ bits i1..ik set.  Creation a*(e_j) and annihilation a(e_j) each send a
 monomial to one monomial, with the sign (-1)^(number of generators below
 j in it); a*(f) is linear and a(f) antilinear in f.  Second-quantised even
 operators dGamma(A) = sum A_kj a*(e_k) a(e_j) are written entry by entry
-from those two signed moves.  Every Fock operator is a SparseOp: its
-nonzero entries column by column, as Gaussian integers over one common
-denominator.  A spin operator has at most one entry per column, so it
-holds O(2^n) entries, not 4^n, and a product of two costs O(2^n).
+from those two signed moves.  Every Fock operator is a SparseOp, the
+one complex matrix type (realize), which also holds the matrix
+realizations of the families, so the defining representation of a
+matrix family takes those matrices as they are.  A spin operator has at
+most one entry per column, so it holds O(2^n) entries, not 4^n, and a
+product of two costs O(2^n).
 
 Unitarity here always means the adjoint condition rho(X)* = -i^{|X|} rho(X)
 with respect to the (identity-Gram) hermitian form; the four powers of i
@@ -18,8 +20,7 @@ is built, and is refused if the check fails.
 """
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd, isqrt, lcm
+from math import isqrt
 
 from .exact import (
     I, Matrix, Scalar, ZERO, ONE, ipow, Echelon, solve,
@@ -27,6 +28,7 @@ from .exact import (
 )
 from .core import SuperAlgebraError, killing_form
 from .families import FamilySpec, build, build_family, build_lie_algebra
+from .realize import SparseOp, _gaussian_ints, supercommutator
 
 FOCK_DIM_CAP = 4096
 # seeded random vector pairs check_car tries after the generator pairs
@@ -44,131 +46,6 @@ def _require_fock_dim(n):
 def _odd_below(mask, j):
     """1 when mask holds an odd number of generators below j, else 0."""
     return (mask & ((1 << j) - 1)).bit_count() & 1
-
-
-def _gaussian_ints(values):
-    """(den, pairs): Fraction or Scalar values as Gaussian integers
-    (a, b) = den * value over their least common denominator den."""
-    den = lcm(*[x.denominator for v in values for x in (v.real, v.imag)])
-    return den, [(v.real.numerator * (den // v.real.denominator),
-                  v.imag.numerator * (den // v.imag.denominator))
-                 for v in values]
-
-
-class SparseOp:
-    """Square operator kept as sparse columns over one integer denominator.
-
-    cols[j] = {i: (a, b)} holds the nonzero entries (a + b i) / den of
-    column j.  The form is canonical: den > 0, no stored zeros, gcd of den
-    and every a and b is 1, den 1 for the zero operator; so == is value
-    equality.
-    """
-
-    __slots__ = ("den", "cols")
-
-    def __init__(self, den, cols):
-        """Canonical form of positive den and Gaussian integer columns;
-        the column dicts are kept, not copied, when they hold no zero."""
-        cols = [{i: e for i, e in col.items() if e != (0, 0)}
-                if (0, 0) in col.values() else col for col in cols]
-        g = den
-        for col in cols:
-            if g == 1:
-                break
-            g = gcd(g, *chain.from_iterable(col.values()))
-        if g != 1:
-            den //= g
-            cols = [{i: (a // g, b // g) for i, (a, b) in col.items()}
-                    for col in cols]
-        self.den = den
-        self.cols = cols
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(1, [{} for _ in range(dim)])
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(1, [{j: (1, 0)} for j in range(dim)])
-
-    @classmethod
-    def from_matrix(cls, m):
-        if m.rows != m.cols:
-            raise ValueError("operators must be square of the space dimension")
-        den, pairs = _gaussian_ints([v for row in m.data for v in row])
-        return cls(den, [dict(enumerate(pairs[j::m.cols])) for j in range(m.cols)])
-
-    def to_matrix(self):
-        out = Matrix(self.dim, self.dim)
-        for j, col in enumerate(self.cols):
-            for i, (a, b) in col.items():
-                out.data[i][j] = Scalar(Fraction(a, self.den), Fraction(b, self.den))
-        return out
-
-    @property
-    def dim(self):
-        return len(self.cols)
-
-    def _same_dim(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-
-    def _combine(self, other, sign):
-        self._same_dim(other)
-        den = lcm(self.den, other.den)
-        p, q = den // self.den, sign * (den // other.den)
-        cols = []
-        for x, y in zip(self.cols, other.cols):
-            col = {i: (a * p, b * p) for i, (a, b) in x.items()}
-            for i, (a, b) in y.items():
-                c, d = col.get(i, (0, 0))
-                col[i] = (c + a * q, d + b * q)
-            cols.append(col)
-        return SparseOp(den, cols)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __matmul__(self, other):
-        self._same_dim(other)
-        xcols = self.cols
-        cols = []
-        for y in other.cols:
-            col = {}
-            get = col.get
-            for k, (c, d) in y.items():
-                for i, (a, b) in xcols[k].items():
-                    e, f = get(i, (0, 0))
-                    col[i] = (e + a * c - b * d, f + a * d + b * c)
-            cols.append(col)
-        return SparseOp(self.den * other.den, cols)
-
-    def scale(self, s):
-        """s times self, for a Fraction or Scalar s (zero included)."""
-        r, ((p, q),) = _gaussian_ints([s])
-        return SparseOp(self.den * r, [
-            {i: (a * p - b * q, a * q + b * p) for i, (a, b) in col.items()}
-            for col in self.cols])
-
-    def conj_transpose(self):
-        cols = [{} for _ in self.cols]
-        for j, col in enumerate(self.cols):
-            for i, (a, b) in col.items():
-                cols[i][j] = (a, -b)
-        return SparseOp(self.den, cols)
-
-    def is_zero(self):
-        return not any(self.cols)
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseOp) and self.den == other.den
-                and self.cols == other.cols)
-
-    def __repr__(self):
-        return "SparseOp(%d, %r)" % (self.den, self.cols)
 
 
 class FockSpace:
@@ -357,11 +234,7 @@ def check_unitary_representation(g, rep):
     # verdict
     for i in range(n):
         for j in range(i, n):
-            prod = ops[i] @ ops[j]
-            if g.parity(i) and g.parity(j):
-                prod = prod + ops[j] @ ops[i]
-            else:
-                prod = prod - ops[j] @ ops[i]
+            prod = supercommutator(ops[i], ops[j], g.parity(i), g.parity(j))
             want = SparseOp.zero(rep.space_dim)
             for k, v in g.table.get((i, j), {}).items():
                 want = want + ops[k].scale(v)
@@ -544,4 +417,4 @@ def defining_representation(alg):
     if real is None:
         raise SuperAlgebraError("algebra has no matrix realization")
     parities = [0] * real.p + [1] * real.q
-    return Representation(alg, parities, [SparseOp.from_matrix(m) for m in real.mats])
+    return Representation(alg, parities, real.mats)

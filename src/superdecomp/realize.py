@@ -1,87 +1,178 @@
-"""Block matrices and matrix realizations.
+"""Complex matrices and matrix realizations.
 
-A matrix family is given as a real span of (p|q)-graded complex block
-matrices; from_matrix_span turns a bracket-closed span into structure
-constants and keeps the coordinate map back to the matrices.  Complex
-matrices are realified by one fixed convention: a complex basis vector e
-contributes the real pair (e, ie), in that order.
+SparseOp is the one complex matrix type: the matrix realizations of the
+families and the Fock operators are both SparseOps, their nonzero
+entries column by column as Gaussian integers over one common
+denominator.  A matrix family is given as a real span of (p|q)-graded
+complex matrices; from_matrix_span reads each matrix's parity off its
+blocks, turns a bracket-closed span into structure constants and keeps
+the coordinate map back to the matrices.  Complex matrices are realified
+by one fixed convention: row-major, each entry a + bi contributing the
+real pair (a, b), in that order.
 """
 
-from .exact import LinSolver, Matrix
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+
+from .exact import LinSolver, Matrix, Scalar, ZERO
 from .core import SuperAlgebra, SuperAlgebraError, SuperSpace
 
 
-class NotClosedError(SuperAlgebraError):
-    def __init__(self, i, j, residual):
-        self.pair = (i, j)
-        self.residual = residual
-        super().__init__("span not closed under the bracket at pair (%d, %d)" % (i, j))
+def _gaussian_ints(values):
+    """(den, pairs): Fraction or Scalar values as Gaussian integers
+    (a, b) = den * value over their least common denominator den."""
+    den = lcm(*[x.denominator for v in values for x in (v.real, v.imag)])
+    return den, [(v.real.numerator * (den // v.real.denominator),
+                  v.imag.numerator * (den // v.imag.denominator))
+                 for v in values]
 
 
-class BlockMatrix:
-    """(p|q)-graded complex matrix with a parity tag.
+class SparseOp:
+    """Square complex matrix kept as sparse columns over one integer
+    denominator.
 
-    Even matrices have vanishing off-diagonal blocks, odd ones vanishing
-    diagonal blocks.
+    cols[j] = {i: (a, b)} holds the nonzero entries (a + b i) / den of
+    column j.  The form is canonical: den > 0, no stored zeros, gcd of den
+    and every a and b is 1, den 1 for the zero operator; so == is value
+    equality.
     """
 
-    __slots__ = ("p", "q", "full", "parity")
+    __slots__ = ("den", "cols")
 
-    def __init__(self, p, q, full, parity):
-        if not full.rows == full.cols == p + q:
-            raise ValueError("block matrix must be square of size p + q")
-        self.p = p
-        self.q = q
-        self.full = full
-        self.parity = parity
-        for r in range(p + q):
-            for c in range(p + q):
-                in_diag = (r < p) == (c < p)
-                v = full.data[r][c]
-                if parity == 0 and not in_diag and v:
-                    raise SuperAlgebraError("even block matrix with odd block entries")
-                if parity == 1 and in_diag and v:
-                    raise SuperAlgebraError("odd block matrix with even block entries")
+    def __init__(self, den, cols):
+        """Canonical form of positive den and Gaussian integer columns;
+        the column dicts are kept, not copied, when they hold no zero."""
+        cols = [{i: e for i, e in col.items() if e != (0, 0)}
+                if (0, 0) in col.values() else col for col in cols]
+        g = den
+        for col in cols:
+            if g == 1:
+                break
+            g = gcd(g, *chain.from_iterable(col.values()))
+        if g != 1:
+            den //= g
+            cols = [{i: (a // g, b // g) for i, (a, b) in col.items()}
+                    for col in cols]
+        self.den = den
+        self.cols = cols
 
     @classmethod
-    def from_blocks(cls, a=None, b=None, c=None, d=None, p=None, q=None):
-        if a is not None:
-            p = a.rows
-        if d is not None:
-            q = d.rows
-        if b is not None:
-            p, q = b.rows, b.cols
-        full = Matrix(p + q, p + q)
-        parity = 1 if (a is None and d is None) else 0
-        if a is not None:
-            for i in range(p):
-                for j in range(p):
-                    full.data[i][j] = a.data[i][j]
-        if d is not None:
-            for i in range(q):
-                for j in range(q):
-                    full.data[p + i][p + j] = d.data[i][j]
-        if b is not None:
-            parity = 1
-            for i in range(p):
-                for j in range(q):
-                    full.data[i][p + j] = b.data[i][j]
-        if c is not None:
-            parity = 1
-            for i in range(q):
-                for j in range(p):
-                    full.data[p + i][j] = c.data[i][j]
-        return cls(p, q, full, parity)
+    def zero(cls, dim):
+        return cls(1, [{} for _ in range(dim)])
+
+    @classmethod
+    def identity(cls, dim):
+        return cls(1, [{j: (1, 0)} for j in range(dim)])
+
+    @classmethod
+    def from_entries(cls, dim, entries):
+        """The dim x dim matrix with the entries {(i, j): value}, values
+        Fraction or Scalar, and zero elsewhere."""
+        if any(not (0 <= i < dim and 0 <= j < dim) for i, j in entries):
+            raise ValueError("entry outside the %d x %d matrix" % (dim, dim))
+        den, pairs = _gaussian_ints(list(entries.values()))
+        cols = [{} for _ in range(dim)]
+        for (i, j), e in zip(entries, pairs):
+            cols[j][i] = e
+        return cls(den, cols)
+
+    def to_matrix(self):
+        out = Matrix(self.dim, self.dim)
+        for j, col in enumerate(self.cols):
+            for i, (a, b) in col.items():
+                out.data[i][j] = Scalar(Fraction(a, self.den), Fraction(b, self.den))
+        return out
+
+    @property
+    def dim(self):
+        return len(self.cols)
+
+    def _same_dim(self, other):
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+
+    def _combine(self, other, sign):
+        self._same_dim(other)
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, sign * (den // other.den)
+        cols = []
+        for x, y in zip(self.cols, other.cols):
+            col = {i: (a * p, b * p) for i, (a, b) in x.items()}
+            for i, (a, b) in y.items():
+                c, d = col.get(i, (0, 0))
+                col[i] = (c + a * q, d + b * q)
+            cols.append(col)
+        return SparseOp(den, cols)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __matmul__(self, other):
+        self._same_dim(other)
+        xcols = self.cols
+        cols = []
+        for y in other.cols:
+            col = {}
+            get = col.get
+            for k, (c, d) in y.items():
+                for i, (a, b) in xcols[k].items():
+                    e, f = get(i, (0, 0))
+                    col[i] = (e + a * c - b * d, f + a * d + b * c)
+            cols.append(col)
+        return SparseOp(self.den * other.den, cols)
+
+    def scale(self, s):
+        """s times self, for a Fraction or Scalar s (zero included)."""
+        r, ((p, q),) = _gaussian_ints([s])
+        return SparseOp(self.den * r, [
+            {i: (a * p - b * q, a * q + b * p) for i, (a, b) in col.items()}
+            for col in self.cols])
+
+    def conj_transpose(self):
+        cols = [{} for _ in self.cols]
+        for j, col in enumerate(self.cols):
+            for i, (a, b) in col.items():
+                cols[i][j] = (a, -b)
+        return SparseOp(self.den, cols)
+
+    def is_zero(self):
+        return not any(self.cols)
+
+    def __eq__(self, other):
+        return (isinstance(other, SparseOp) and self.den == other.den
+                and self.cols == other.cols)
+
+    def __repr__(self):
+        return "SparseOp(%d, %r)" % (self.den, self.cols)
 
 
-def realify_matrix(m):
-    """Flatten a complex matrix to rational coordinates, (e, ie) convention."""
-    out = []
-    for row in m.data:
-        for a in row:
-            out.append(a.real)
-            out.append(a.imag)
+def realify(op):
+    """Rational coordinates of a complex matrix: entry (i, j) = a + bi of
+    an n x n matrix sits at 2 (i n + j) (a) and 2 (i n + j) + 1 (b)."""
+    n = op.dim
+    out = [ZERO] * (2 * n * n)
+    for j, col in enumerate(op.cols):
+        for i, (a, b) in col.items():
+            k = 2 * (i * n + j)
+            if a:
+                out[k] = Fraction(a, op.den)
+            if b:
+                out[k + 1] = Fraction(b, op.den)
     return out
+
+
+def block_parity(op, p):
+    """0 for a matrix with entries only in the diagonal blocks of the (p|q)
+    grading, 1 for one with entries only in the off-diagonal blocks (the
+    zero matrix is even); SuperAlgebraError for a matrix with both."""
+    odd = {(i < p) != (j < p) for j, col in enumerate(op.cols) for i in col}
+    if len(odd) > 1:
+        raise SuperAlgebraError("matrix has entries in even and odd blocks")
+    return int(odd.pop()) if odd else 0
 
 
 def supercommutator(x, y, px, py):
@@ -92,21 +183,24 @@ def supercommutator(x, y, px, py):
     return xy - yx
 
 
+class NotClosedError(SuperAlgebraError):
+    def __init__(self, i, j, residual):
+        self.pair = (i, j)
+        self.residual = residual
+        super().__init__("span not closed under the bracket at pair (%d, %d)" % (i, j))
+
+
 class MatrixRealization:
     """Coordinate map between a structure-constant algebra and its matrices."""
 
-    def __init__(self, mats, parities, p, q):
+    def __init__(self, mats, p):
         self.mats = mats
-        self.parities = parities
         self.p = p
-        self.q = q
-        n = p + q
-        self.coord_dim = 2 * n * n
-        self.solver = LinSolver([realify_matrix(m) for m in mats], self.coord_dim)
+        self.q = mats[0].dim - p
+        self.solver = LinSolver([realify(m) for m in mats], 2 * mats[0].dim ** 2)
 
     def to_matrix(self, coords):
-        n = self.p + self.q
-        out = Matrix(n, n)
+        out = SparseOp.zero(self.p + self.q)
         for c, m in zip(coords, self.mats):
             if c:
                 out = out + m.scale(c)
@@ -114,24 +208,23 @@ class MatrixRealization:
 
     def from_matrix(self, m):
         """Real coordinates of a matrix in the spanning basis, or None."""
-        return self.solver.coords(realify_matrix(m))
+        return self.solver.coords(realify(m))
 
 
-def from_matrix_span(blocks):
-    """SuperAlgebra of a bracket-closed real span of block matrices.
+def from_matrix_span(mats, p):
+    """SuperAlgebra of a bracket-closed real span of (p|q)-graded complex
+    matrices, given as SparseOps of size p + q.
 
-    Input order must be even matrices first.  Returns (algebra, realization);
-    raises NotClosedError when a supercommutator leaves the real span, and
-    reports a parity violation when a bracket lands in wrong-parity
-    coordinates.
+    Each matrix's parity is read off its blocks, and even matrices must
+    come first.  Returns (algebra, realization); raises NotClosedError
+    when a supercommutator leaves the real span, and reports a parity
+    violation when a bracket lands in wrong-parity coordinates.
     """
-    parities = [bm.parity for bm in blocks]
+    parities = [block_parity(m, p) for m in mats]
     if any(p1 < p0 for p0, p1 in zip(parities, parities[1:])):
         raise SuperAlgebraError("even matrices must precede odd ones")
-    p, q = blocks[0].p, blocks[0].q
-    mats = [bm.full for bm in blocks]
-    real = MatrixRealization(mats, parities, p, q)
-    n = len(blocks)
+    real = MatrixRealization(mats, p)
+    n = len(mats)
     space = SuperSpace.make(n - sum(parities), sum(parities))
     table = {}
     for i in range(n):

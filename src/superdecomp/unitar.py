@@ -12,6 +12,7 @@ sum_i t_i (v^T G_i v) >= 1 is added and the LP is re-solved, up to an
 iteration cap.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 import random
 
@@ -33,7 +34,9 @@ CLASSIFIER_MAX_DIM = 64
 RANDOM_ODD_CANDIDATES = 40
 
 
-class Fingerprint:
+class Fingerprint(namedtuple("Fingerprint", (
+        "d0", "d1", "dim_z", "dim_z0", "killing_rank", "odd_commutant_dim",
+        "perfect", "odd_square_dim"))):
     """Isomorphism-type summary used by the classifier and the reports.
 
     odd_square_dim (the dimension of span [g1, g1]) is needed on top of the
@@ -42,43 +45,11 @@ class Fingerprint:
     dims, centers, Killing rank, commutant and perfectness).
     """
 
-    FIELDS = ("d0", "d1", "dim_z", "dim_z0", "killing_rank",
-              "odd_commutant_dim", "perfect", "odd_square_dim")
-
-    def __init__(self, d0, d1, dim_z, dim_z0, killing_rank,
-                 odd_commutant_dim, perfect, odd_square_dim):
-        self.d0 = d0
-        self.d1 = d1
-        self.dim_z = dim_z
-        self.dim_z0 = dim_z0
-        self.killing_rank = killing_rank
-        self.odd_commutant_dim = odd_commutant_dim
-        self.perfect = perfect
-        self.odd_square_dim = odd_square_dim
-
-    def as_tuple(self):
-        return (self.d0, self.d1, self.dim_z, self.dim_z0,
-                self.killing_rank, self.odd_commutant_dim, self.perfect,
-                self.odd_square_dim)
-
-    def __eq__(self, other):
-        return isinstance(other, Fingerprint) and self.as_tuple() == other.as_tuple()
-
-    def __hash__(self):
-        return hash(self.as_tuple())
-
-    def __repr__(self):
-        return "Fingerprint%s" % (self.as_tuple(),)
+    __slots__ = ()
 
     def to_json_dict(self):
-        return {
-            "d0": str(self.d0), "d1": str(self.d1),
-            "dim_z": str(self.dim_z), "dim_z0": str(self.dim_z0),
-            "killing_rank": str(self.killing_rank),
-            "odd_commutant_dim": str(self.odd_commutant_dim),
-            "perfect": bool(self.perfect),
-            "odd_square_dim": str(self.odd_square_dim),
-        }
+        return {k: bool(v) if k == "perfect" else str(v)
+                for k, v in self._asdict().items()}
 
 
 @per_algebra

@@ -122,7 +122,7 @@ def test_acceptance_4_center_facts():
     assert derived(su22).contains(z.basis[0])
     # the central line really is R i1 in the matrix realization
     real = su22.meta["realization"]
-    zmat = real.to_matrix(z.basis[0])
+    zmat = real.to_matrix(z.basis[0]).to_matrix()
     eye = Matrix.identity(4)
     ratio = zmat.data[0][0]
     assert ratio and ratio.real == 0

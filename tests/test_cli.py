@@ -64,6 +64,8 @@ def test_construct_unknown_family_is_a_usage_error(tmp_path, capsys):
                          "--out", str(out_path))
     assert code == 2 and out == ""
     assert err.startswith("error: unknown family tag 'nope'")
+    # the error names the valid tags
+    assert "T_hat" in err and "ch_indefinite" in err
     assert "Traceback" not in err
     assert not out_path.exists()
 

@@ -15,7 +15,7 @@ from superdecomp.core import (
     killing_form, module_commutant, quotient_by_central, tables_equal,
     verify_superalgebra,
 )
-from superdecomp.realize import BlockMatrix, from_matrix_span
+from superdecomp.realize import SparseOp, from_matrix_span
 from superdecomp.decomp import subalgebra_from_subspace
 from superdecomp.unitar import (
     even_actions, find_witness, invariant_odd_forms, invariant_symmetric_forms,
@@ -36,13 +36,12 @@ def test_u11_square_example():
     # odd matrix [[0,1],[i,0]] squares to i, so [X,X] = 2i * identity
     g = build_family("u", 1, 1)
     real = g.meta["realization"]
-    b = Matrix(1, 1, [[ONE]])
-    x = BlockMatrix.from_blocks(b=b, c=b.conj_transpose().scale(I)).full
+    x = SparseOp.from_entries(2, {(0, 1): ONE, (1, 0): I})
     coords = real.from_matrix(x)
     assert coords is not None
     sq = g.bracket(coords, coords)
     target = real.to_matrix(sq)
-    expect = Matrix.identity(2).scale(Scalar(0, 2))
+    expect = SparseOp.identity(2).scale(Scalar(0, 2))
     assert target == expect
 
 
@@ -194,12 +193,10 @@ def test_derived_u11():
 
 def test_from_matrix_span_clifford_heisenberg():
     # inside u(1|1): i*identity plus the two odd generators
-    even = BlockMatrix(1, 1, Matrix.identity(2).scale(I), 0)
-    b1 = Matrix(1, 1, [[ONE]])
-    b2 = Matrix(1, 1, [[I]])
-    odd1 = BlockMatrix.from_blocks(b=b1, c=b1.conj_transpose().scale(I))
-    odd2 = BlockMatrix.from_blocks(b=b2, c=b2.conj_transpose().scale(I))
-    g, real = from_matrix_span([even, odd1, odd2])
+    even = SparseOp.identity(2).scale(I)
+    odd1 = SparseOp.from_entries(2, {(0, 1): ONE, (1, 0): I})
+    odd2 = SparseOp.from_entries(2, {(0, 1): I, (1, 0): ONE})
+    g, real = from_matrix_span([even, odd1, odd2], 1)
     assert (g.d0, g.d1) == (1, 2)
     assert verify_superalgebra(g) is None
     assert center(g).dim == 1              # g0 central: Clifford-Heisenberg shape
@@ -211,15 +208,18 @@ def test_from_matrix_span_u11():
 
 
 def test_from_matrix_span_mis_tagged():
-    even = BlockMatrix(1, 1, Matrix.identity(2).scale(I), 0)
-    # an even matrix mis-tagged as odd is rejected by the block invariants
+    even = SparseOp.identity(2).scale(I)
+    odd1 = SparseOp.from_entries(2, {(0, 1): ONE, (1, 0): I})
+    # parities are read off the blocks: an odd matrix before an even one
+    # is out of order, and a matrix with entries in both kinds of block
+    # has no parity
     with pytest.raises(SuperAlgebraError):
-        BlockMatrix(1, 1, Matrix.identity(2), 1)
+        from_matrix_span([odd1, even], 1)
+    with pytest.raises(SuperAlgebraError):
+        from_matrix_span([even + odd1], 1)
     # an odd span that is not closed reports the offending pair
-    b1 = Matrix(1, 1, [[ONE]])
-    odd1 = BlockMatrix.from_blocks(b=b1, c=b1.conj_transpose().scale(I))
     with pytest.raises(SuperAlgebraError):
-        from_matrix_span([odd1])           # misses [X, X] = 2i
+        from_matrix_span([odd1], 1)        # misses [X, X] = 2i
 
 
 def test_direct_sum_dims_and_center():
@@ -415,15 +415,6 @@ def test_subalgebra_extraction():
     sub, _ = subalgebra_from_subspace(g, s)
     assert (sub.d0, sub.d1) == (3, 3)
     assert tables_equal(sub, build_family("T", "su", 2))
-
-
-def test_ideal_closure_grows_to_ideal():
-    from superdecomp.core import ideal_closure
-    g = build_family("su", 2, 1)
-    s = g.subspace([g.basis_vector(g.d0)])    # a single odd vector
-    closed = ideal_closure(g, s)
-    assert is_ideal(g, closed)
-    assert closed.dim == g.dim                # simple algebra: closure is all
 
 
 def test_centralizer_that_su2():
@@ -726,16 +717,18 @@ def test_every_library_function_is_referenced():
 
 def test_rational_modules_never_name_scalar():
     # structure constants, subspaces and forms are rational: only the matrix
-    # realizations (families, realize) and fock are complex
+    # realizations (families, realize) and fock are complex, and they hold
+    # their complex matrices as SparseOps
     checked = set()
     for name, tree in _library_trees():
         if name not in ("core.py", "decomp.py", "poly.py", "unitar.py"):
             continue
         checked.add(name)
-        named = [n.lineno for n in ast.walk(tree)
-                 if (isinstance(n, ast.Name) and n.id == "Scalar")
-                 or (isinstance(n, ast.alias) and n.name == "Scalar")
-                 or (isinstance(n, ast.Attribute) and n.attr == "Scalar")]
+        named = [(n.lineno, word) for n in ast.walk(tree)
+                 for word in ("Scalar", "SparseOp")
+                 if (isinstance(n, ast.Name) and n.id == word)
+                 or (isinstance(n, ast.alias) and n.name == word)
+                 or (isinstance(n, ast.Attribute) and n.attr == word)]
         assert named == [], (name, named)
     assert checked == {"core.py", "decomp.py", "poly.py", "unitar.py"}
 
@@ -788,7 +781,7 @@ def test_invariants_raise_instead_of_assert():
     with pytest.raises(ValueError):
         InvariantForm([1, 2], Matrix(1, 1))
     with pytest.raises(ValueError):
-        BlockMatrix(1, 1, Matrix(3, 3), 0)
+        SparseOp.from_entries(2, {(2, 0): ONE})
 
 
 def _su21_json():

@@ -10,7 +10,7 @@ from superdecomp.exact import LinSolver, Matrix, ONE, ZERO, Scalar, vec_zero
 from superdecomp.families import build_family
 from superdecomp import decomp
 from superdecomp.decomp import (
-    DecompositionError, _invariant_complement, classify_indices, compute_b,
+    DecompositionError, _invariant_complement, classify_indices,
     decompose_odd, module_actions, reduce_to_odd_generated, split_module,
     structure_report,
 )
@@ -47,14 +47,6 @@ def test_reduce_direct_sum_with_even_algebra():
     g = direct_sum(build_family("su", 2, 1), k)
     red = reduce_to_odd_generated(g)
     assert red.complement.dim == 8
-
-
-def test_compute_b_examples():
-    g = build_family("T_hat", "su", 2)
-    assert compute_b(g).dim == 1
-    assert compute_b(build_family("su", 2, 2)).dim == 0
-    # the extended spin algebra: the derivation moves every odd vector
-    assert compute_b(build_family("spin_h_hat", 2)).dim == 0
 
 
 def test_decompose_odd_su22_two_real_copies():

@@ -10,10 +10,11 @@ from superdecomp.core import SuperAlgebraError
 from superdecomp.exact import I, Matrix, ONE, Scalar, ZERO
 from superdecomp.families import build_family
 from superdecomp.fock import (
-    FockSpace, Representation, SparseOp, check_car, check_unitary_representation,
+    FockSpace, Representation, check_car, check_unitary_representation,
     defining_representation, number_spectrum, spin_representation,
     tilde_tangent_representation,
 )
+from superdecomp.realize import SparseOp, block_parity, realify
 
 
 def unit(n, k):
@@ -228,6 +229,8 @@ def test_defining_rep_u11():
     rep = defining_representation(g)
     res = check_unitary_representation(g, rep)
     assert res.ok and res.faithful
+    # the realization's matrices are the operators, not copies
+    assert all(op is m for op, m in zip(rep.operators, g.meta["realization"].mats))
 
 
 def test_trivial_rep_not_faithful():
@@ -263,6 +266,16 @@ _gaussian = st.one_of(
               st.integers(-4, 4), st.integers(1, 4)))
 
 
+def sparse(m):
+    """The SparseOp of a dense oracle matrix."""
+    return SparseOp.from_entries(m.rows, {(i, j): v for i, row in enumerate(m.data)
+                                          for j, v in enumerate(row) if v})
+
+
+def dense_conj_transpose(m):
+    return Matrix.from_rows([[v.conjugate() for v in col] for col in zip(*m.data)])
+
+
 @st.composite
 def gaussian_matrix_pairs(draw):
     n = draw(st.integers(1, 6))
@@ -274,12 +287,12 @@ def gaussian_matrix_pairs(draw):
 @given(gaussian_matrix_pairs(), _gaussian)
 def test_sparse_ops_match_dense_oracle(pair, s):
     a, b = pair
-    sa, sb = SparseOp.from_matrix(a), SparseOp.from_matrix(b)
+    sa, sb = sparse(a), sparse(b)
     assert sa.to_matrix() == a and sb.to_matrix() == b
     assert (sa @ sb).to_matrix() == a @ b
     assert (sa + sb).to_matrix() == a + b
     assert (sa - sb).to_matrix() == a - b
-    assert sa.conj_transpose().to_matrix() == a.conj_transpose()
+    assert sa.conj_transpose().to_matrix() == dense_conj_transpose(a)
     assert sa.is_zero() == a.is_zero()
     assert (sa == sb) == (a == b)
     for t in (s, s.real, ZERO):
@@ -287,6 +300,45 @@ def test_sparse_ops_match_dense_oracle(pair, s):
     # equal values have equal canonical forms
     assert sa.scale(2).scale(Fraction(1, 2)) == sa
     assert sa.scale(I).scale(-I) == sa
-    assert SparseOp.from_matrix((sa @ sb).to_matrix()) == sa @ sb
+    assert sparse((sa @ sb).to_matrix()) == sa @ sb
     zero = sa - sa
     assert zero == SparseOp.zero(a.rows) and zero.den == 1 and zero.is_zero()
+
+
+@st.composite
+def gaussian_entries(draw):
+    """(n, {(i, j): value}) with Gaussian values, zeros included."""
+    n = draw(st.integers(1, 6))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.dictionaries(cells, _gaussian, max_size=n * n))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(gaussian_entries())
+def test_from_entries_and_realify_match_dense_oracle(case):
+    n, entries = case
+    op = SparseOp.from_entries(n, entries)
+    want = Matrix(n, n)
+    for (i, j), v in entries.items():
+        want.data[i][j] = v
+    assert op.to_matrix() == want
+    # row-major, each entry as its (real, imaginary) pair
+    assert realify(op) == [x for row in want.data for v in row for x in (v.real, v.imag)]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(gaussian_entries(), st.integers(0, 6))
+def test_block_parity_accepts_pure_and_refuses_mixed_matrices(case, p):
+    n, entries = case
+    p = min(p, n)
+    op = SparseOp.from_entries(n, entries)
+    even = {ij: v for ij, v in entries.items() if (ij[0] < p) == (ij[1] < p)}
+    odd = {ij: v for ij, v in entries.items() if (ij[0] < p) != (ij[1] < p)}
+    assert block_parity(SparseOp.from_entries(n, even), p) == 0
+    if any(odd.values()):
+        assert block_parity(SparseOp.from_entries(n, odd), p) == 1
+    if any(even.values()) and any(odd.values()):
+        with pytest.raises(SuperAlgebraError):
+            block_parity(op, p)
+    else:
+        assert block_parity(op, p) == int(any(odd.values()))

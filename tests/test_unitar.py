@@ -3,9 +3,9 @@ from fractions import Fraction
 
 from superdecomp import exact, unitar
 from superdecomp.core import direct_sum
-from superdecomp.realize import BlockMatrix, from_matrix_span
+from superdecomp.realize import SparseOp, from_matrix_span
 from superdecomp.exact import (
-    I, Matrix, Scalar, ZERO, is_positive_definite, vec_is_zero, vec_zero,
+    I, Matrix, ONE, Scalar, ZERO, is_positive_definite, vec_is_zero, vec_zero,
 )
 from superdecomp.families import build_family
 from superdecomp.unitar import (
@@ -120,11 +120,11 @@ def test_no_posdef_pair_certificate():
 
 def test_compactness_no_for_complex_simple():
     mats = []
-    for base in ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]):
-        m = Matrix.from_rows([[Scalar(x) for x in row] for row in base])
+    for base in ({(0, 1): ONE}, {(1, 0): ONE}, {(0, 0): ONE, (1, 1): -ONE}):
+        m = SparseOp.from_entries(2, base)
         mats.append(m)
         mats.append(m.scale(I))
-    sl2c, _ = from_matrix_span([BlockMatrix(2, 0, m, 0) for m in mats])
+    sl2c, _ = from_matrix_span(mats, 2)
     assert compactness_check(sl2c).verdict == "no"
 
 
@@ -152,7 +152,7 @@ def test_classify_second_parameter_values():
 
 def test_classify_quotient_of_su22_is_psu22():
     psu = build_family("psu", 2)
-    assert fingerprint(psu).as_tuple()[:4] == (6, 8, 0, 0)
+    assert fingerprint(psu)[:4] == (6, 8, 0, 0)
     got, _ = classify_fingerprint(psu)
     assert got == "psu"
 
