@@ -676,18 +676,3 @@ def feasible_point(rows, nvars):
             raise UnsolvedLP("simplex point fails the exact re-check")
     return t
 
-
-# ---------------------------------------------------------------------------
-# seeded rational sampling
-# ---------------------------------------------------------------------------
-
-def random_rational(rng, num_bound=3, den_bound=2):
-    return Fraction(rng.randint(-num_bound, num_bound),
-                    rng.randint(1, den_bound))
-
-
-def random_vector(rng, n, num_bound=3, den_bound=2, nonzero=False):
-    while True:
-        v = [random_rational(rng, num_bound, den_bound) for _ in range(n)]
-        if not nonzero or not vec_is_zero(v):
-            return v

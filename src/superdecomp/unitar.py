@@ -14,12 +14,11 @@ iteration cap.
 
 from collections import namedtuple
 from fractions import Fraction
-import random
 
 from .exact import (
     Echelon, Matrix, ZERO, ONE, MINUS_ONE, UnsolvedLP,
     _lin_comb, feasible_point, is_positive_definite, quad_form,
-    random_rational, vec_is_zero, vec_zero,
+    vec_is_zero,
 )
 from .core import (
     InvariantForm, SuperAlgebraError, bracket_span, center, even_center_dim,
@@ -30,8 +29,6 @@ from .core import (
 WITNESS_CAP = 200
 # the classifier builds no family candidate of a larger dimension
 CLASSIFIER_MAX_DIM = 64
-# seeded random odd vectors tried after the structured candidates
-RANDOM_ODD_CANDIDATES = 40
 
 
 class Fingerprint(namedtuple("Fingerprint", (
@@ -328,28 +325,21 @@ def _square_map_is_zero(g):
     return True
 
 
-def _structured_odd_candidates(g, rng):
-    """Basis vectors, pair sums/differences, then seeded small samples."""
-    n = g.dim
-    odd = list(g.space.odd_indices())
+def _structured_odd_candidates(g):
+    """The odd basis vectors, then e_i + e_j and e_i - e_j for each pair
+    i < j of odd indices, in a fixed order."""
+    odd = g.space.odd_indices()
     for i in odd:
         yield g.basis_vector(i)
-    for ai in range(len(odd)):
-        for bi in range(ai + 1, len(odd)):
+    for i in odd:
+        for j in range(i + 1, odd.stop):
             for s in (ONE, MINUS_ONE):
-                v = vec_zero(n)
-                v[odd[ai]] = ONE
-                v[odd[bi]] = s
+                v = g.basis_vector(i)
+                v[j] = s
                 yield v
-    for _ in range(RANDOM_ODD_CANDIDATES):
-        v = vec_zero(n)
-        while vec_is_zero(v):
-            for i in odd:
-                v[i] = random_rational(rng, 2, 2)
-        yield v
 
 
-def cone_pointedness(g, rng=None):
+def cone_pointedness(g):
     """Certificate for the convex cone generated by the odd squares [X, X].
 
     A positive witness functional gives pointedness (the functional is
@@ -357,14 +347,13 @@ def cone_pointedness(g, rng=None):
     gives the trivial cone; otherwise a cancelling pair [X1,X1] = -[X2,X2]
     with both sides nonzero certifies not pointed.
     """
-    rng = rng or random.Random(0)
     if _square_map_is_zero(g):
         return ConeCertificate("pointed", note="all odd squares vanish: trivial cone")
     res = find_witness(g)
     if res.found:
         return ConeCertificate("pointed", witness=res.witness)
     squares = []
-    for x in _structured_odd_candidates(g, rng):
+    for x in _structured_odd_candidates(g):
         s = g.bracket(x, x)
         if vec_is_zero(s):
             continue
@@ -375,30 +364,13 @@ def cone_pointedness(g, rng=None):
         squares.append((x, s))
         # scaled match: [X,X] = -c^2 [Y,Y] for a rational square c^2
         for (y, sy) in squares[:-1]:
-            ratio = None
-            ok = True
-            for a, b in zip(s, sy):
-                if not a and not b:
-                    continue
-                if not b or not a:
-                    ok = False
-                    break
-                r = a / b
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    ok = False
-                    break
-            if ok and ratio is not None and ratio < 0:
-                lam = -ratio
-                num, den = lam.numerator, lam.denominator
-                rn, rd = _int_sqrt(num), _int_sqrt(den)
-                if rn is not None and rd is not None:
-                    c = Fraction(rn, rd)
-                    y2 = [c * w for w in y]
-                    s2 = g.bracket(y2, y2)
-                    if vec_is_zero([a + b for a, b in zip(s, s2)]):
-                        return ConeCertificate("not_pointed", pair=(x, y2))
+            ratios = {a / b if b else None for a, b in zip(s, sy) if a or b}
+            r = ratios.pop() if len(ratios) == 1 else None
+            c = _rational_sqrt(-r) if r is not None and r < 0 else None
+            if c is not None:
+                y2 = [c * w for w in y]
+                if vec_is_zero([a + b for a, b in zip(s, g.bracket(y2, y2))]):
+                    return ConeCertificate("not_pointed", pair=(x, y2))
     return ConeCertificate("inconclusive")
 
 
@@ -406,6 +378,12 @@ def _int_sqrt(n):
     from math import isqrt
     r = isqrt(n)
     return r if r * r == n else None
+
+
+def _rational_sqrt(q):
+    """The rational square root r >= 0 of a rational q >= 0, or None."""
+    rn, rd = _int_sqrt(q.numerator), _int_sqrt(q.denominator)
+    return None if rn is None or rd is None else Fraction(rn, rd)
 
 
 # ---------------------------------------------------------------------------
@@ -540,20 +518,62 @@ def compactness_check(g):
 # the five necessary conditions
 # ---------------------------------------------------------------------------
 
-def _nonzero_square_check(g, witness_found, rng):
+def _nonzero_square_check(g, witness_found):
     """(ii): [X, X] != 0 for nonzero odd X.
 
     A positive witness settles it; otherwise search for an exact
-    counterexample among structured candidates.
+    counterexample among the structured candidates, then on the planes
+    they span with the odd basis vectors.
     """
     if g.d1 == 0:
         return ("pass", None)
     if witness_found:
         return ("pass", "positive definite kappa_omega forces nonzero squares")
-    for x in _structured_odd_candidates(g, rng):
-        if vec_is_zero(g.bracket(x, x)):
+    squares = []
+    for x in _structured_odd_candidates(g):
+        sq = g.bracket(x, x)
+        if vec_is_zero(sq):
             return ("fail", x)
-    return ("inconclusive", None)
+        squares.append((x, sq))
+    x = _isotropic_on_planes(g, squares)
+    return ("fail", x) if x is not None else ("inconclusive", None)
+
+
+def _isotropic_on_planes(g, squares):
+    """The first s u + e_k with zero square, or None.
+
+    u runs over the (candidate, square) pairs given, all squares nonzero,
+    and e_k over the odd basis vectors outside u's support, so s u + e_k is
+    never zero.  Its square is the vector quadratic
+    s^2 [u, u] + 2 s [u, e_k] + [e_k, e_k]; each rational root s of that
+    quadratic at its first nonzero coordinate is kept only if the whole
+    square vanishes.
+    """
+    basis = [(k, g.basis_vector(k)) for k in g.space.odd_indices()]
+    basis = [(k, ek, g.bracket(ek, ek)) for k, ek in basis]
+    for u, su in squares:
+        for k, ek, sk in basis:
+            if u[k]:
+                continue
+            for s in _first_coordinate_roots(su, g.bracket(u, ek), sk):
+                x = [s * a if a else a for a in u]
+                x[k] = ONE
+                if vec_is_zero(g.bracket(x, x)):
+                    return x
+    return None
+
+
+def _first_coordinate_roots(a, b, c):
+    """Rational roots s of s^2 a_i + 2 s b_i + c_i at the first i where
+    the three are not all zero; c must be a nonzero vector."""
+    a, b, c = next((x, y, z) for x, y, z in zip(a, b, c) if x or y or z)
+    if not a:
+        return [-c / (2 * b)] if b else []
+    disc = b * b - a * c
+    r = _rational_sqrt(disc) if disc >= 0 else None
+    if r is None:
+        return []
+    return [(r - b) / a] + ([(-r - b) / a] if r else [])
 
 
 class ConditionReport:
@@ -569,8 +589,8 @@ def necessary_conditions_report(g, seed=0):
 
     (i) compactness, (ii) nonzero odd squares, (iii) pointed cone,
     (iv) positive invariant functional, (v) nontrivial even center.
+    The seed is only echoed in the report: no verdict depends on it.
     """
-    rng = random.Random(seed)
     items = []
 
     comp = compactness_check(g)
@@ -579,9 +599,9 @@ def necessary_conditions_report(g, seed=0):
         certificate=comp.reason))
 
     wit = find_witness(g)
-    cone = cone_pointedness(g, rng)
+    cone = cone_pointedness(g)
 
-    sq_verdict, sq_cert = _nonzero_square_check(g, wit.found, rng)
+    sq_verdict, sq_cert = _nonzero_square_check(g, wit.found)
     if sq_verdict == "fail":
         items.append(ConditionReport("ii_nonzero_squares", sq_verdict,
                                      certificate=sq_cert))

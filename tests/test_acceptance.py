@@ -185,9 +185,8 @@ def test_acceptance_5_lemma24():
 # --- 6: spin representations -------------------------------------------------
 
 def test_acceptance_6_spin():
-    rng = random.Random(6)
     for n in range(1, 6):
-        assert check_car(n, rng=rng) is None
+        assert check_car(n) is None
     rep = spin_representation("spin_h_hat", 3)
     assert number_spectrum(rep) == {Fraction(0): 1, Fraction(1): 3,
                                     Fraction(2): 3, Fraction(3): 1}

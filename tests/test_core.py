@@ -691,6 +691,20 @@ def test_library_checks_do_not_use_assert():
     assert {"core.py", "exact.py", "fock.py"} <= set(names)
 
 
+def test_verdict_modules_do_not_import_random():
+    # no seed may reach a unitarity verdict, a CAR check or the exact kernel
+    checked = set()
+    for name, tree in _library_trees():
+        if name not in ("exact.py", "fock.py", "unitar.py"):
+            continue
+        checked.add(name)
+        modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                   for a in n.names]
+        modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert "random" not in modules, name
+    assert checked == {"exact.py", "fock.py", "unitar.py"}
+
+
 def test_every_library_function_is_referenced():
     # a helper that nothing calls is deleted, not kept "just in case"
     import glob

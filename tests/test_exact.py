@@ -9,7 +9,7 @@ from sympy.solvers.simplex import InfeasibleLPError, lpmin
 from superdecomp import exact
 from superdecomp.exact import (
     Echelon, LinSolver, Matrix, Scalar, UnsolvedLP, ZERO, I, feasible_point,
-    is_positive_definite, kernel, quad_form, random_vector, solve, vec_is_zero,
+    is_positive_definite, kernel, quad_form, solve, vec_is_zero,
 )
 from superdecomp.poly import (
     char_poly, char_poly_and_rational_split, pdivmod, peval_matrix, pmul, rational_roots,
@@ -23,6 +23,15 @@ def M(rows):
 
 def V(entries):
     return [Scalar(a) for a in entries]
+
+
+def random_vector(rng, n, nonzero=False):
+    """n seeded rationals p/q with |p| <= 3 and 1 <= q <= 2, not all zero
+    when nonzero."""
+    while True:
+        v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+        if not nonzero or not vec_is_zero(v):
+            return v
 
 
 # --- scalar arithmetic ------------------------------------------------------

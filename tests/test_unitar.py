@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from superdecomp import exact, unitar
-from superdecomp.core import direct_sum
+from superdecomp.core import SuperAlgebra, SuperSpace, direct_sum
 from superdecomp.realize import SparseOp, from_matrix_span
 from superdecomp.exact import (
     I, Matrix, ONE, Scalar, ZERO, is_positive_definite, vec_is_zero, vec_zero,
@@ -173,6 +173,9 @@ def test_lemma24_obstructions():
     rep = necessary_conditions_report(build_family("pq", 2), seed=5)
     assert rep.overall == "obstruction found"
     assert rep.item("v_even_center").verdict == "fail"
+    # no witness, and neither a structured candidate nor the plane search
+    # finds an odd vector with zero square
+    assert rep.item("ii_nonzero_squares").verdict == "inconclusive"
 
     rep = necessary_conditions_report(build_family("T", "su", 2), seed=5)
     assert rep.overall == "obstruction found"
@@ -185,6 +188,47 @@ def test_lemma24_obstructions():
     assert rep.overall == "obstruction found"
     assert rep.item("iii_pointed_cone").verdict == "fail"
     assert rep.item("iii_pointed_cone").certificate is not None
+
+
+def odd_squares_on_z(*squares):
+    """<z | o_1, ..., o_n> with [o_k, o_k] = squares[k - 1] z, other brackets 0."""
+    return SuperAlgebra(SuperSpace.make(1, len(squares)),
+                        {(k, k): {0: Fraction(c)} for k, c in enumerate(squares, 1)})
+
+
+def test_hand_built_obstructions_need_no_seed():
+    # [x, x] = z, [y, y] = -4z: no basis vector, sum or difference of x and
+    # y has a zero square.  [y, y] = -[2x, 2x] is the cone's scaled match,
+    # and the plane of x and y holds the isotropic 2x + y.
+    g = odd_squares_on_z(1, -4)
+    cone = cone_pointedness(g)
+    assert cone.verdict == "not_pointed"
+    assert cone.pair == ([ZERO, ZERO, ONE], [ZERO, Fraction(2), ZERO])
+    ii = necessary_conditions_report(g).item("ii_nonzero_squares")
+    assert ii.verdict == "fail" and ii.certificate == [ZERO, Fraction(2), ONE]
+    # [x, x] = [y, y] = z, [w, w] = -2z: x + y + w, on the plane of x + y and w
+    h = odd_squares_on_z(1, 1, -2)
+    ii = necessary_conditions_report(h).item("ii_nonzero_squares")
+    assert ii.verdict == "fail" and ii.certificate == [ZERO, ONE, ONE, ONE]
+    for alg in (g, h):
+        reports = [necessary_conditions_report(alg, seed=s).to_json_dict()
+                   for s in range(6)]
+        for r in reports:
+            del r["seed"]
+        assert all(r == reports[0] for r in reports)
+
+
+def test_first_coordinate_roots():
+    f = Fraction
+    roots = unitar._first_coordinate_roots
+    # s^2 [u, u] + 2 s [u, e_k] + [e_k, e_k] at the first nonzero coordinate
+    assert roots([ZERO, ONE], [ZERO, ZERO], [ZERO, f(-4)]) == [2, -2]
+    assert roots([ONE], [ONE], [ONE]) == [-1]                 # double root
+    assert roots([ZERO], [ONE], [f(3)]) == [f(-3, 2)]         # linear
+    assert roots([ZERO], [ZERO], [f(3)]) == []
+    assert roots([ONE], [ZERO], [ONE]) == []                  # s^2 = -1
+    assert roots([ONE], [ZERO], [f(-2)]) == []                # s^2 = 2
+    assert roots([f(4)], [ZERO], [f(-1, 9)]) == [f(1, 6), f(-1, 6)]
 
 
 def test_lemma24_all_pass():
