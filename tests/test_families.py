@@ -21,6 +21,7 @@ SMALL = [
     ("T", ("su", 2)), ("T_hat", ("su", 2)), ("T_tilde", ("su", 2)),
     ("spin_h", (1,)), ("spin_h", (2,)), ("spin_h", (3,)),
     ("ch", (1,)), ("ch_indefinite", (1, 1)), ("gl", (1, 1)),
+    ("spin_h_hat", (2,)),
 ]
 
 
@@ -42,6 +43,65 @@ def test_invalid_parameters():
         FamilySpec("nope", (1,))
     with pytest.raises(ValueError):
         FamilySpec("T", ("so", 4))
+
+
+# per tag: a valid parameter tuple, its name, and each refused tuple with
+# the exact message of the check that refuses it (count or type, then range)
+FAMILY_CHECKS = [
+    ("gl", (2, 1), "gl(2|1)", [((1,), "family gl needs 2 integer parameter(s)"),
+                               ((0, 1), "gl(p|q) needs p, q >= 1")]),
+    ("u", (1, 1), "u(1|1)", [((1, "a"), "family u needs 2 integer parameter(s)"),
+                             ((1, 0), "u(p|q) needs p, q >= 1")]),
+    ("su", (3, 2), "su(3|2)", [((2, 1, 1), "family su needs 2 integer parameter(s)"),
+                               ((1, 2), "su(n|m) needs n >= m >= 1")]),
+    ("psu", (3,), "psu(3|3)", [((2, 2), "family psu needs 1 integer parameter(s)"),
+                               ((1,), "psu(n|n) needs n >= 2")]),
+    ("q", (2,), "q(2)", [((), "family q needs 1 integer parameter(s)"),
+                         ((0,), "q(n) needs n >= 1")]),
+    ("pq", (3,), "pq(3)", [(("2",), "family pq needs 1 integer parameter(s)"),
+                           ((0,), "pq(n) needs n >= 1")]),
+    ("q_hat", (2,), "qhat(2)", [((1.0,), "family q_hat needs 1 integer parameter(s)"),
+                                ((-1,), "q_hat(n) needs n >= 1")]),
+    ("c", (4,), "c(4)", [((2, 2), "family c needs 1 integer parameter(s)"),
+                         ((1,), "c(n) needs n >= 2")]),
+    ("ch", (2,), "ch(2)", [(("su", 2), "family ch needs 1 integer parameter(s)"),
+                           ((0,), "ch needs dim V >= 1")]),
+    ("spin_h", (3,), "spin_h(3)", [((), "family spin_h needs 1 integer parameter(s)"),
+                                   ((0,), "spin_h needs dim V >= 1")]),
+    ("spin_h_hat", (2,), "spin_h_hat(2)",
+     [((1, 1), "family spin_h_hat needs 1 integer parameter(s)"),
+      ((0,), "spin_h_hat needs dim V >= 1")]),
+    ("T", ("so", 3), "T(so3)",
+     [(("xx", 2), "tangent families need a (su|so|sp, n) parameter pair"),
+      (("so", 4), "so(4) is not a compact simple Lie algebra")]),
+    ("T_hat", ("sp", 1), "That(sp1)",
+     [(("su",), "tangent families need a (su|so|sp, n) parameter pair"),
+      (("su", 1), "su(1) is not a compact simple Lie algebra")]),
+    ("T_tilde", ("su", 2), "Ttilde(su2)",
+     [((2, "su"), "tangent families need a (su|so|sp, n) parameter pair"),
+      (("sp", 0), "sp(0) is not a compact simple Lie algebra")]),
+    ("ch_indefinite", (1, 2), "ch_indef(1,2)",
+     [((1,), "family ch_indefinite needs 2 integer parameter(s)"),
+      ((1, 0), "indefinite signature needs r, s >= 1")]),
+]
+
+
+def test_every_tag_pins_its_checks_and_name():
+    for tag, params, name, refused in FAMILY_CHECKS:
+        assert family_name(tag, params) == name
+        assert FamilySpec(tag, params).name() == name
+        for bad, message in refused:
+            with pytest.raises(ValueError) as exc:
+                FamilySpec(tag, bad)
+            assert str(exc.value) == message, (tag, bad)
+    with pytest.raises(ValueError) as exc:
+        FamilySpec("nope", (1,))
+    assert str(exc.value) == (
+        "unknown family tag 'nope'; the tags are gl, u, su, psu, q, pq, q_hat, c, "
+        "ch, spin_h, spin_h_hat, T, T_hat, T_tilde, ch_indefinite")
+    assert [row[0] for row in FAMILY_CHECKS] == [
+        "gl", "u", "su", "psu", "q", "pq", "q_hat", "c", "ch", "spin_h",
+        "spin_h_hat", "T", "T_hat", "T_tilde", "ch_indefinite"]
 
 
 def test_su22_center_in_derived():
