@@ -155,22 +155,13 @@ class Subspace:
         return Subspace(self.ambient_dim, vecs)
 
     def parity_components(self, parities):
-        """(even part, odd part) of the subspace; they span it iff it is graded."""
-        even, odd = [], []
-        # solve for members supported on one parity only
-        for keep in (0, 1):
-            if not self.basis:
-                break
-            bad = [i for i, p in enumerate(parities) if p != keep]
-            rows = [[self.basis[a][i] for a in range(len(self.basis))] for i in bad]
-            if rows:
-                ker = kernel(Matrix.from_rows(rows))
-            else:
-                ker = [[ONE if a == b else ZERO for a in range(len(self.basis))]
-                       for b in range(len(self.basis))]
-            (even if keep == 0 else odd).extend(
-                _lin_comb(combo, self.basis, self.ambient_dim) for combo in ker)
-        return Subspace(self.ambient_dim, even), Subspace(self.ambient_dim, odd)
+        """(even part, odd part) of a graded subspace, as the projections of
+        its basis.  The projections contain the subspace, so their dimensions
+        add up to its own exactly when it is graded."""
+        return tuple(Subspace(self.ambient_dim,
+                              [[a if p == keep else ZERO for a, p in zip(v, parities)]
+                               for v in self.basis])
+                     for keep in (0, 1))
 
     def is_graded(self, parities):
         ev, od = self.parity_components(parities)

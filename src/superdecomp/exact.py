@@ -456,8 +456,10 @@ class LinSolver:
         for i, col in enumerate(columns):
             row = _row_from_list(col)
             row[dim + i] = ONE
-            if not self.ech.add(row):
-                raise ValueError("columns are linearly dependent")
+            self.ech.add(row)
+        # a column in the span of the earlier ones reduces to its tracker part
+        if any(c >= dim for c in self.ech.pivots):
+            raise ValueError("columns are linearly dependent")
 
     def coords(self, vec):
         """x with B x = vec, or None if vec is outside the span."""

@@ -6,7 +6,8 @@ Gaussian rational entries {(i, j): value}, made a SparseOp, and the span
 is turned into structure constants by from_matrix_span, which reads each
 matrix's parity off its blocks; the coordinate map back to the matrices
 is kept in meta["realization"].  Abstract families (spin_h, ch, tangent
-algebras) are written down directly.
+algebras) are written down directly.  Each family tag is one row of
+_FAMILIES, which FamilySpec, family_name, expected_dims and build read.
 
 Conventions fixed here:
   * u(p|q):  even = antihermitian diagonal blocks, odd = [[0, B], [iB*, 0]].
@@ -20,6 +21,7 @@ Conventions fixed here:
     antisymmetric, sp(n) quaternionic antihermitian as 2n x 2n complex.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,131 +36,43 @@ from .core import (
 from .realize import SparseOp, from_matrix_span
 
 K_TAGS = ("su", "so", "sp")
+# the arity of the tangent families: a (su|so|sp, n) pair, not integers
+K_PAIR = "k"
 
 
 class FamilySpec:
     """Validated family tag plus integer / k-tag parameters."""
 
-    TAGS = ("gl", "u", "su", "psu", "q", "pq", "q_hat", "c", "ch",
-            "spin_h", "spin_h_hat", "T", "T_hat", "T_tilde", "ch_indefinite")
-
     def __init__(self, tag, params):
-        if tag not in self.TAGS:
+        if tag not in _FAMILIES:
             raise ValueError("unknown family tag %r; the tags are %s"
-                             % (tag, ", ".join(self.TAGS)))
+                             % (tag, ", ".join(_FAMILIES)))
         self.tag = tag
-        self.params = tuple(params)
-        _validate(tag, self.params)
+        self.params = params = tuple(params)
+        family = _FAMILIES[tag]
+        if family.arity == K_PAIR:
+            if len(params) != 2 or params[0] not in K_TAGS or not isinstance(params[1], int):
+                raise ValueError("tangent families need a (su|so|sp, n) parameter pair")
+        elif len(params) != family.arity or not all(isinstance(p, int) for p in params):
+            raise ValueError("family %s needs %d integer parameter(s)" % (tag, family.arity))
+        if not family.valid(*params):
+            raise ValueError(family.error.format(*params))
 
     def name(self):
         return family_name(self.tag, self.params)
 
 
-def _validate(tag, params):
-    def ints(k):
-        if len(params) != k or not all(isinstance(p, int) for p in params):
-            raise ValueError("family %s needs %d integer parameter(s)" % (tag, k))
-
-    if tag in ("gl", "u"):
-        ints(2)
-        if params[0] < 1 or params[1] < 1:
-            raise ValueError("%s(p|q) needs p, q >= 1" % tag)
-    elif tag == "su":
-        ints(2)
-        if not params[0] >= params[1] >= 1:
-            raise ValueError("su(n|m) needs n >= m >= 1")
-    elif tag == "psu":
-        ints(1)
-        if params[0] < 2:
-            raise ValueError("psu(n|n) needs n >= 2")
-    elif tag in ("q", "pq", "q_hat"):
-        ints(1)
-        if params[0] < 1:
-            raise ValueError("%s(n) needs n >= 1" % tag)
-    elif tag == "c":
-        ints(1)
-        if params[0] < 2:
-            raise ValueError("c(n) needs n >= 2")
-    elif tag in ("ch", "spin_h", "spin_h_hat"):
-        ints(1)
-        if params[0] < 1:
-            raise ValueError("%s needs dim V >= 1" % tag)
-    elif tag == "ch_indefinite":
-        ints(2)
-        if params[0] < 1 or params[1] < 1:
-            raise ValueError("indefinite signature needs r, s >= 1")
-    else:  # tangent families
-        if len(params) != 2 or params[0] not in K_TAGS or not isinstance(params[1], int):
-            raise ValueError("tangent families need a (su|so|sp, n) parameter pair")
-        kind, n = params
-        if (kind == "su" and n < 2) or (kind == "so" and n not in (3,) and n < 5) \
-                or (kind == "sp" and n < 1):
-            raise ValueError("%s(%d) is not a compact simple Lie algebra" % (kind, n))
-
-
 def family_name(tag, params):
-    if tag in ("gl", "u", "su"):
-        return "%s(%d|%d)" % (tag, params[0], params[1])
-    if tag == "psu":
-        return "psu(%d|%d)" % (params[0], params[0])
-    if tag == "q_hat":
-        return "qhat(%d)" % params[0]
-    if tag in ("q", "pq", "c", "ch", "spin_h", "spin_h_hat"):
-        return "%s(%d)" % (tag, params[0])
-    if tag == "ch_indefinite":
-        return "ch_indef(%d,%d)" % params
-    k = "%s%d" % params
-    return {"T": "T(%s)", "T_hat": "That(%s)", "T_tilde": "Ttilde(%s)"}[tag] % k
+    return _FAMILIES[tag].name.format(*params)
 
 
 def expected_dims(tag, params):
     """Closed-form (d0, d1) contract for each family."""
-    if tag == "gl":
-        p, q = params
-        return 2 * (p * p + q * q), 4 * p * q
-    if tag == "u":
-        p, q = params
-        return p * p + q * q, 2 * p * q
-    if tag == "su":
-        n, m = params
-        return n * n + m * m - 1, 2 * n * m
-    if tag == "psu":
-        n = params[0]
-        return 2 * n * n - 2, 2 * n * n
-    if tag == "q":
-        n = params[0]
-        return (n + 1) ** 2, (n + 1) ** 2 - 1
-    if tag == "pq":
-        n = params[0]
-        return (n + 1) ** 2 - 1, (n + 1) ** 2 - 1
-    if tag == "q_hat":
-        n = params[0]
-        return (n + 1) ** 2, (n + 1) ** 2
-    if tag == "c":
-        n = params[0]
-        return 1 + (n - 1) * (2 * n - 1), 4 * (n - 1)
-    if tag == "ch":
-        return 2, 4 * params[0]
-    if tag == "spin_h":
-        return 1, 2 * params[0]
-    if tag == "spin_h_hat":
-        return 2, 2 * params[0]
-    if tag == "ch_indefinite":
-        return 1, params[0] + params[1]
-    kd = simple_dim(*params)
-    if tag == "T":
-        return kd, kd
-    if tag == "T_hat":
-        return kd, kd + 1
-    return kd + 1, kd          # T_tilde
+    return _FAMILIES[tag].dims(*params)
 
 
 def simple_dim(kind, n):
-    if kind == "su":
-        return n * n - 1
-    if kind == "so":
-        return n * (n - 1) // 2
-    return n * (2 * n + 1)     # sp
+    return {"su": n * n - 1, "so": n * (n - 1) // 2, "sp": n * (2 * n + 1)}[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +314,8 @@ def build_psu(n):
     return quo
 
 
-def _q(n, traceless):
+def build_q(n, traceless):
+    """q(n), or qhat(n) when not traceless."""
     N = n + 1
     mats = [{**a, **_shift(a, N, N)} for a in u_matrix_basis(N)]
     source = su_matrix_basis(N) if traceless else u_matrix_basis(N)
@@ -408,14 +323,6 @@ def _q(n, traceless):
         b = {ij: Scalar(1, -1) * v for ij, v in s.items()}
         mats.append({**_shift(b, 0, N), **_shift(b, N, 0)})
     return _span(2 * N, N, mats)
-
-
-def build_q(n):
-    return _q(n, traceless=True)
-
-
-def build_q_hat(n):
-    return _q(n, traceless=False)
 
 
 def build_pq(n):
@@ -519,10 +426,6 @@ def build_tangent_from_algebra(k, variant):
     return central_extension(tk, form)
 
 
-def build_tangent(kind, n, variant):
-    return build_tangent_from_algebra(build_lie_algebra(kind, n), variant)
-
-
 def build_spin_h(v):
     """Real Clifford-Heisenberg form: [X_j, X_j] = [Y_j, Y_j] = 2Z, Z central."""
     space = SuperSpace.make(1, 2 * v)
@@ -574,29 +477,64 @@ def build_ch_indefinite(r, s):
     return SuperAlgebra(space, table)
 
 
-_BUILDERS = {
-    "gl": lambda p: build_gl(*p),
-    "u": lambda p: build_u(*p),
-    "su": lambda p: build_su(*p),
-    "psu": lambda p: build_psu(*p),
-    "q": lambda p: build_q(*p),
-    "pq": lambda p: build_pq(*p),
-    "q_hat": lambda p: build_q_hat(*p),
-    "c": lambda p: build_c(*p),
-    "ch": lambda p: build_ch(*p),
-    "spin_h": lambda p: build_spin_h(*p),
-    "spin_h_hat": lambda p: build_spin_h_hat(*p),
-    "ch_indefinite": lambda p: build_ch_indefinite(*p),
-    "T": lambda p: build_tangent(p[0], p[1], "T"),
-    "T_hat": lambda p: build_tangent(p[0], p[1], "T_hat"),
-    "T_tilde": lambda p: build_tangent(p[0], p[1], "T_tilde"),
+# One row per family tag, in the order the unknown-tag error lists them:
+# the arity (a count of integers, or K_PAIR), the parameter check and its
+# error message, the name format, the (d0, d1) contract and the builder.
+# The check, contract and builder take the parameters as arguments; the
+# message and the name are formatted with them.
+_Family = namedtuple("_Family", "arity valid error name dims build")
+
+
+def _tangent(name, dims, variant):
+    """The row of a tangent family over the compact simple k = (kind, n),
+    whose contract is dims(dim k)."""
+    return _Family(
+        K_PAIR,
+        lambda kind, n: n >= {"su": 2, "so": 3, "sp": 1}[kind] and (kind, n) != ("so", 4),
+        "{}({:d}) is not a compact simple Lie algebra", name + "({}{:d})",
+        lambda kind, n: dims(simple_dim(kind, n)),
+        lambda kind, n: build_tangent_from_algebra(build_lie_algebra(kind, n), variant))
+
+
+_FAMILIES = {
+    "gl": _Family(2, lambda p, q: p >= 1 and q >= 1, "gl(p|q) needs p, q >= 1",
+                  "gl({:d}|{:d})", lambda p, q: (2 * (p * p + q * q), 4 * p * q), build_gl),
+    "u": _Family(2, lambda p, q: p >= 1 and q >= 1, "u(p|q) needs p, q >= 1",
+                 "u({:d}|{:d})", lambda p, q: (p * p + q * q, 2 * p * q), build_u),
+    "su": _Family(2, lambda n, m: n >= m >= 1, "su(n|m) needs n >= m >= 1",
+                  "su({:d}|{:d})", lambda n, m: (n * n + m * m - 1, 2 * n * m), build_su),
+    "psu": _Family(1, lambda n: n >= 2, "psu(n|n) needs n >= 2",
+                   "psu({0:d}|{0:d})", lambda n: (2 * n * n - 2, 2 * n * n), build_psu),
+    "q": _Family(1, lambda n: n >= 1, "q(n) needs n >= 1",
+                 "q({:d})", lambda n: ((n + 1) ** 2, (n + 1) ** 2 - 1),
+                 lambda n: build_q(n, traceless=True)),
+    "pq": _Family(1, lambda n: n >= 1, "pq(n) needs n >= 1",
+                  "pq({:d})", lambda n: ((n + 1) ** 2 - 1, (n + 1) ** 2 - 1), build_pq),
+    "q_hat": _Family(1, lambda n: n >= 1, "q_hat(n) needs n >= 1",
+                     "qhat({:d})", lambda n: ((n + 1) ** 2, (n + 1) ** 2),
+                     lambda n: build_q(n, traceless=False)),
+    "c": _Family(1, lambda n: n >= 2, "c(n) needs n >= 2",
+                 "c({:d})", lambda n: (1 + (n - 1) * (2 * n - 1), 4 * (n - 1)), build_c),
+    "ch": _Family(1, lambda v: v >= 1, "ch needs dim V >= 1",
+                  "ch({:d})", lambda v: (2, 4 * v), build_ch),
+    "spin_h": _Family(1, lambda v: v >= 1, "spin_h needs dim V >= 1",
+                      "spin_h({:d})", lambda v: (1, 2 * v), build_spin_h),
+    "spin_h_hat": _Family(1, lambda v: v >= 1, "spin_h_hat needs dim V >= 1",
+                          "spin_h_hat({:d})", lambda v: (2, 2 * v), build_spin_h_hat),
+    "T": _tangent("T", lambda d: (d, d), "T"),
+    "T_hat": _tangent("That", lambda d: (d, d + 1), "T_hat"),
+    "T_tilde": _tangent("Ttilde", lambda d: (d + 1, d), "T_tilde"),
+    "ch_indefinite": _Family(2, lambda r, s: r >= 1 and s >= 1,
+                             "indefinite signature needs r, s >= 1", "ch_indef({:d},{:d})",
+                             lambda r, s: (1, r + s), build_ch_indefinite),
 }
 
 
 @lru_cache(maxsize=None)
 def _build_cached(tag, params):
-    alg = _BUILDERS[tag](params)
-    d0, d1 = expected_dims(tag, params)
+    family = _FAMILIES[tag]
+    alg = family.build(*params)
+    d0, d1 = family.dims(*params)
     if (alg.d0, alg.d1) != (d0, d1):
         raise SuperAlgebraError(
             "dimension contract violated for %s: got (%d|%d), expected (%d|%d)"
@@ -605,7 +543,7 @@ def _build_cached(tag, params):
 
 
 def build(spec):
-    """Build a family member from a FamilySpec (or tag, params pair)."""
+    """Build a family member from a FamilySpec."""
     if not isinstance(spec, FamilySpec):
         raise TypeError("build expects a FamilySpec")
     return _build_cached(spec.tag, spec.params)

@@ -217,8 +217,7 @@ def from_matrix_span(mats, p):
 
     Each matrix's parity is read off its blocks, and even matrices must
     come first.  Returns (algebra, realization); raises NotClosedError
-    when a supercommutator leaves the real span, and reports a parity
-    violation when a bracket lands in wrong-parity coordinates.
+    when a supercommutator leaves the real span.
     """
     parities = [block_parity(m, p) for m in mats]
     if any(p1 < p0 for p0, p1 in zip(parities, parities[1:])):
@@ -237,16 +236,8 @@ def from_matrix_span(mats, p):
             coords = real.from_matrix(m)
             if coords is None:
                 raise NotClosedError(i, j, m)
-            want = (parities[i] + parities[j]) % 2
-            terms = {}
-            for k, c in enumerate(coords):
-                if not c:
-                    continue
-                if parities[k] != want:
-                    raise SuperAlgebraError(
-                        "parity violation: bracket (%d,%d) meets basis %d" % (i, j, k))
-                terms[k] = c
-            if terms:
-                table[(i, j)] = terms
+            # each basis matrix has one parity and the basis is independent,
+            # so a homogeneous bracket has no coordinates of the other parity
+            table[(i, j)] = {k: c for k, c in enumerate(coords) if c}
     alg = SuperAlgebra(space, table, meta={"realization": real})
     return alg, real

@@ -352,25 +352,27 @@ def cone_pointedness(g):
     res = find_witness(g)
     if res.found:
         return ConeCertificate("pointed", witness=res.witness)
-    squares = []
+    # squares grouped by direction (the square over its first nonzero entry,
+    # kept sparse): [X,X] = -c^2 [Y,Y] holds only inside one group
+    groups = {}
     for x in _structured_odd_candidates(g):
         s = g.bracket(x, x)
-        if vec_is_zero(s):
+        lead = next((a for a in s if a), None)
+        if lead is None:
             continue
-        for (y, sy) in squares:
-            total = [a + b for a, b in zip(s, sy)]
-            if vec_is_zero(total):
+        group = groups.setdefault(tuple((k, a / lead) for k, a in enumerate(s) if a), [])
+        for y, lead_y in group:
+            if lead_y == -lead:
                 return ConeCertificate("not_pointed", pair=(x, y))
-        squares.append((x, s))
         # scaled match: [X,X] = -c^2 [Y,Y] for a rational square c^2
-        for (y, sy) in squares[:-1]:
-            ratios = {a / b if b else None for a, b in zip(s, sy) if a or b}
-            r = ratios.pop() if len(ratios) == 1 else None
-            c = _rational_sqrt(-r) if r is not None and r < 0 else None
+        for y, lead_y in group:
+            r = lead / lead_y
+            c = _rational_sqrt(-r) if r < 0 else None
             if c is not None:
                 y2 = [c * w for w in y]
                 if vec_is_zero([a + b for a, b in zip(s, g.bracket(y2, y2))]):
                     return ConeCertificate("not_pointed", pair=(x, y2))
+        group.append((x, lead))
     return ConeCertificate("inconclusive")
 
 

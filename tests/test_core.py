@@ -26,6 +26,18 @@ from superdecomp.families import (
 )
 
 
+def test_ungraded_subspace_is_refused():
+    # the abelian (1|1) algebra <z | w>: span(z + w) is central, not graded
+    g = SuperAlgebra(SuperSpace.make(1, 1), {})
+    s = g.subspace([[ONE, ONE]])
+    ev, od = s.parity_components(g.space.parities)
+    assert (ev.dim, od.dim) == (1, 1) and not s.is_graded(g.space.parities)
+    with pytest.raises(SuperAlgebraError, match="central subspace must be parity homogeneous"):
+        quotient_by_central(g, s)
+    with pytest.raises(SuperAlgebraError, match="subspace is not graded"):
+        subalgebra_from_subspace(g, s)
+
+
 def test_bracket_with_zero():
     g = build_family("u", 1, 1)
     x = g.basis_vector(2)

@@ -132,6 +132,11 @@ def test_linsolver_tracks_scaling():
         assert got == coeffs
 
 
+def test_linsolver_refuses_dependent_columns():
+    with pytest.raises(ValueError, match="columns are linearly dependent"):
+        LinSolver([V([1, 0, 1]), V([0, 1, 0]), V([2, 1, 2])], 3)
+
+
 def test_span_basis_canonical():
     b1 = Subspace(2, [V([2, 4]), V([1, 2]), V([0, 0])]).basis
     b2 = Subspace(2, [V([-3, -6])]).basis

@@ -218,6 +218,34 @@ def test_hand_built_obstructions_need_no_seed():
         assert all(r == reports[0] for r in reports)
 
 
+def test_cone_pair_prefers_the_exact_cancellation():
+    # [e1, e1] = 4z, [e2, e2] = z, [e3, e3] = -z: [e3, e3] cancels [e2, e2]
+    # exactly and [e1/2, e1/2] by scaling; the exact pair comes first
+    cone = cone_pointedness(odd_squares_on_z(4, 1, -1))
+    assert cone.verdict == "not_pointed"
+    assert cone.pair == ([ZERO, ZERO, ZERO, ONE], [ZERO, ZERO, ONE, ZERO])
+
+
+def test_report_reaches_the_empty_and_zero_dimensional_searches():
+    # R h acting on the odd R^2 by diag(1, 2), [g1, g1] = 0: no invariant
+    # form on the odd part, so (i) fails with a string certificate
+    g = SuperAlgebra(SuperSpace.make(1, 2), {(0, 1): {1: ONE}, (0, 2): {2: Fraction(2)}})
+    i = necessary_conditions_report(g).item("i_compact")
+    assert i.verdict == "fail" and i.certificate == "odd part: empty solution space"
+    # the abelian (2|0): (iv) is witnessed on a zero-dimensional odd part
+    rep = necessary_conditions_report(SuperAlgebra(SuperSpace.make(2, 0), {}))
+    conds = rep.to_json_dict()["conditions"]
+    assert [c["verdict"] for c in conds] == ["pass"] * 5
+    iv = conds[3]
+    assert iv["condition"] == "iv_positive_functional"
+    assert iv["certificate"]["iterations"] == "0"
+    assert iv["certificate"]["sylvester_minors"] == []
+
+
+def test_classify_ch_indefinite_is_unknown_with_no_candidates():
+    assert classify_fingerprint(build_family("ch_indefinite", 1, 2)) == ("unknown", [])
+
+
 def test_first_coordinate_roots():
     f = Fraction
     roots = unitar._first_coordinate_roots
