@@ -23,7 +23,8 @@ from .core import (
 )
 
 # families, decomp, unitar and fock are imported by the commands that use
-# them, so a command loads (and compiles) only the layers it runs
+# them, so a command loads (and compiles) only the layers it runs; decompose
+# and unitarity import theirs only once the input has passed the Jacobi check
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -179,10 +180,10 @@ def cmd_check(args):
 
 
 def cmd_decompose(args):
-    from .decomp import DecompositionError, structure_report
     alg, raw = _load_algebra(args.file)
     if not _is_superalgebra(alg):
         return FAIL
+    from .decomp import DecompositionError, structure_report
     seed = _seed_of(args)
     try:
         rep = structure_report(alg, seed=seed)
@@ -200,10 +201,10 @@ def cmd_decompose(args):
 
 
 def cmd_unitarity(args):
-    from .unitar import necessary_conditions_report
     alg, raw = _load_algebra(args.file)
     if not _is_superalgebra(alg):
         return FAIL
+    from .unitar import necessary_conditions_report
     rep = necessary_conditions_report(alg, seed=_seed_of(args))
     obj = rep.to_json_dict()
     obj["name"] = raw.get("name", "")

@@ -6,7 +6,9 @@ rationals for basis pairs i <= j only; the remaining brackets follow from
 super skew symmetry [x,y] = -(-1)^{|x||y|}[y,x].  That rule is applied in
 one place, SuperAlgebra.adjoint_table, the integer table of every ordered
 pair that bracket and every other ordered reader use; readers of pairs
-i <= j only read the table itself.  Basis order is canonical:
+i <= j only read the table itself.  The subspace calculus brackets the
+integer echelon rows of subspaces through that table; SuperAlgebra.bracket
+is the entry point for dense vectors.  Basis order is canonical:
 even vectors first, then odd.  Matrix realizations live in realize,
 extensions in families, invariant forms of the odd part in unitar and
 subalgebra extraction in decomp, so the checks here load none of them.
@@ -22,7 +24,7 @@ from types import MappingProxyType
 
 from .exact import (
     Echelon, LinSolver, Matrix, ZERO, ONE,
-    _lin_comb, kernel, vec_add, vec_is_zero, vec_sub, vec_zero,
+    _lin_comb, _row_from_list, kernel, vec_add, vec_sub, vec_zero,
 )
 
 
@@ -121,6 +123,17 @@ class Subspace:
             ech.add_list(v)
         self.basis = ech.basis_vectors()
         self._ech = ech
+
+    @classmethod
+    def _spanned(cls, ech):
+        """The row space of an Echelon, which the subspace keeps."""
+        sub = cls(ech.ncols, ())
+        sub.basis, sub._ech = ech.basis_vectors(), ech
+        return sub
+
+    def _rows(self):
+        """The echelon's pivot rows: coprime int dicts spanning the subspace."""
+        return list(self._ech.pivots.values())
 
     @property
     def dim(self):
@@ -245,28 +258,16 @@ class SuperAlgebra:
         return ad, den
 
     def bracket(self, x, y):
-        """[x, y] for dense coordinate vectors, as Fractions."""
+        """[x, y] for dense coordinate vectors, as Fractions; the entry
+        point of the dense vectors into the integer calculus."""
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ValueError("dimension mismatch")
         ad, den = self.adjoint_table()
-        acc = {}
-        # the identity test skips the shared ZERO entries without a call
-        ys = [(j, yj) for j, yj in enumerate(y) if yj is not ZERO and yj]
-        for i, xi in enumerate(x):
-            if xi is ZERO or not xi:
-                continue
-            ad_i = ad[i]
-            for j, yj in ys:
-                terms = ad_i[j]
-                if terms:
-                    c = xi * yj
-                    for k, a in terms.items():
-                        acc[k] = acc.get(k, 0) + c * a
+        (xr, xd), (yr, yd) = _int_row(x), _int_row(y)
         out = vec_zero(n)
-        for k, v in acc.items():
-            if v:
-                out[k] = Fraction(v, den)
+        for k, v in _bracket_rows(ad, xr, yr).items():
+            out[k] = Fraction(v, den * xd * yd)
         return out
 
     def basis_vector(self, i):
@@ -287,6 +288,28 @@ class SuperAlgebra:
         return self.subspace([self.basis_vector(i) for i in self.space.odd_indices()])
 
 
+def _int_row(vec):
+    """(row, d): d * vec as a sparse int row, d the lcm of its denominators."""
+    row = _row_from_list(vec)
+    d = lcm(*[a.denominator for a in row.values()])
+    return {j: a.numerator * (d // a.denominator) for j, a in row.items()}, d
+
+
+def _bracket_rows(ad, x, y):
+    """den * [x, y] for sparse int rows {index: int}, through the integer
+    adjoint table (ad, den); no zero entries."""
+    acc = {}
+    for i, xi in x.items():
+        ad_i = ad[i]
+        for j, yj in y.items():
+            terms = ad_i[j]
+            if terms:
+                c = xi * yj
+                for k, a in terms.items():
+                    acc[k] = acc.get(k, 0) + c * a
+    return {k: v for k, v in acc.items() if v}
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -303,7 +326,9 @@ def verify_superalgebra(g):
     by den**2.  Once skew symmetry holds, the defect of triple (j, i, k) is
     -(-1)^{|i||j|} times that of (i, j, k), so pairs i <= j suffice, and
     the first failing triple in lexicographic order is the same as over
-    all pairs.
+    all pairs.  Every term of the defect brackets e_k with e_i, e_j or a
+    basis vector of [e_i, e_j], so only k in the supports of those
+    adjoint rows are visited; every other k has zero defect.
     """
     par = g.space.parities
     for (i, j), terms in g.table.items():
@@ -315,13 +340,14 @@ def verify_superalgebra(g):
             return Violation("skew", (i, i))
     ad, _ = g.adjoint_table()
     n = g.dim
+    supp = [{k for k, terms in enumerate(ad_i) if terms} for ad_i in ad]
     for i in range(n):
         ad_i = ad[i]
         for j in range(i, n):
             ad_j = ad[j]
             ij = ad_i[j]
             sign = -1 if par[i] and par[j] else 1
-            for k in range(n):
+            for k in sorted(supp[i].union(supp[j], *[supp[m] for m in ij])):
                 # [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - sign [e_j,[e_i,e_k]]
                 defect = {}
                 for m, a in ad_j[k].items():
@@ -382,22 +408,32 @@ def centralizer(g, targets, inside):
     """{x in `inside` : [x, t] = 0 for all t in targets}.
 
     targets is a Subspace or a list of vectors; inside is a Subspace.
+    Both are taken as int rows spanning them, which scales each equation
+    and each unknown by a positive integer and leaves the solution space.
     """
-    tv = targets.basis if isinstance(targets, Subspace) else targets
-    if not inside.basis:
-        return Subspace(g.dim, [])
+    if isinstance(targets, Subspace):
+        tv = targets._rows()
+    else:
+        tv = [_int_row(t)[0] for t in targets]
+    us = inside._rows()
+    ad, _ = g.adjoint_table()
     # eqs[(t, k)][a] = [u_a, t]_k over the coordinates each bracket touched
     eqs = {}
-    for a, u in enumerate(inside.basis):
+    for a, u in enumerate(us):
         for ti, t in enumerate(tv):
-            for k, v in enumerate(g.bracket(u, t)):
-                if v is not ZERO:
-                    eqs.setdefault((ti, k), {})[a] = v
-    ech = Echelon(len(inside.basis))
+            for k, v in _bracket_rows(ad, u, t).items():
+                eqs.setdefault((ti, k), {})[a] = v
+    ech = Echelon(len(us))
     for row in eqs.values():
         ech.add(row)
-    vecs = [_lin_comb(combo, inside.basis, g.dim) for combo in ech.kernel_basis()]
-    return Subspace(g.dim, vecs)
+    out = Echelon(g.dim)
+    for combo in ech.kernel_basis():
+        acc = {}
+        for a, c in _int_row(combo)[0].items():
+            for j, b in us[a].items():
+                acc[j] = acc.get(j, 0) + c * b
+        out.add({j: v for j, v in acc.items() if v})
+    return Subspace._spanned(out)
 
 
 @per_algebra
@@ -421,20 +457,24 @@ def is_perfect(g):
 
 
 def bracket_span(g, u_sub, w_sub):
-    """Span of [U, W] for two subspaces."""
-    vecs = []
-    for u in u_sub.basis:
-        for w in w_sub.basis:
-            v = g.bracket(u, w)
-            if not vec_is_zero(v):
-                vecs.append(v)
-    return Subspace(g.dim, vecs)
+    """Span of [U, W] for two subspaces, from their int rows."""
+    ad, _ = g.adjoint_table()
+    ws = w_sub._rows()
+    ech = Echelon(g.dim)
+    for u in u_sub._rows():
+        for w in ws:
+            v = _bracket_rows(ad, u, w)
+            if v:
+                ech.add(v)
+    return Subspace._spanned(ech)
 
 
 def is_ideal(g, s):
+    ad, _ = g.adjoint_table()
+    rows = s._rows()
     for i in range(g.dim):
-        for u in s.basis:
-            if not s.contains(g.bracket(g.basis_vector(i), u)):
+        for u in rows:
+            if s._ech.residual(_bracket_rows(ad, {i: 1}, u)):
                 return False
     return True
 
@@ -492,33 +532,51 @@ class InvariantForm:
         self.pos = {i: r for r, i in enumerate(self.indices)}
 
 
+def _int_columns(cols):
+    """An action in column form scaled to integers by the lcm of its
+    denominators."""
+    den = lcm(*[v.denominator for col in cols for _, v in col])
+    return [[(r, v.numerator * (den // v.denominator)) for r, v in col] for col in cols]
+
+
 def module_commutant(actions, dim):
     """Basis of {T : A T = T A for every action A}, exact; the actions are
-    in column form and the basis elements are Matrices."""
+    in column form and the basis elements are Matrices.
+
+    Each action is scaled to integers first, which scales its equations
+    and leaves the solution space.  The identity always commutes, so once
+    the equations reach rank dim^2 - 1 the solution space is the scalars
+    and the remaining equations are skipped.
+    """
     npos = dim * dim
 
     def var(r, s):
         return r * dim + s
 
+    def equations():
+        for cols in map(_int_columns, actions):
+            rows = [[] for _ in range(dim)]
+            for s, col in enumerate(cols):
+                for r, v in col:
+                    rows[r].append((s, v))
+            for r in range(dim):
+                for c in range(dim):
+                    # (A T - T A)[r][c] = sum_s A[r][s] T[s][c] - T[r][s] A[s][c]
+                    row = {}
+                    for s, v in rows[r]:
+                        key = var(s, c)
+                        row[key] = row.get(key, 0) + v
+                    for s, w in cols[c]:
+                        key = var(r, s)
+                        row[key] = row.get(key, 0) - w
+                    yield {k: v for k, v in row.items() if v}
+
     ech = Echelon(npos)
-    for cols in actions:
-        rows = [[] for _ in range(dim)]
-        for s, col in enumerate(cols):
-            for r, v in col:
-                rows[r].append((s, v))
-        for r in range(dim):
-            for c in range(dim):
-                # (A T - T A)[r][c] = sum_s A[r][s] T[s][c] - T[r][s] A[s][c]
-                row = {}
-                for s, v in rows[r]:
-                    key = var(s, c)
-                    row[key] = row.get(key, ZERO) + v
-                for s, w in cols[c]:
-                    key = var(r, s)
-                    row[key] = row.get(key, ZERO) - w
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    ech.add(row)
+    for row in equations():
+        if row:
+            ech.add(row)
+        if ech.rank == npos - 1:
+            break
     out = []
     for combo in ech.kernel_basis():
         t = Matrix(dim, dim)

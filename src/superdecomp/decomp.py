@@ -24,8 +24,9 @@ from .exact import (
 )
 from .poly import char_poly_and_rational_split, peval_matrix, pmul
 from .core import (
-    Subspace, SuperAlgebra, SuperAlgebraError, SuperSpace, bracket_span, center,
-    centralizer, derived, is_ideal, module_commutant, quotient_by_central,
+    Subspace, SuperAlgebra, SuperAlgebraError, SuperSpace, _int_columns, _int_row,
+    bracket_span, center, centralizer, derived, is_ideal, module_commutant,
+    quotient_by_central,
 )
 from .families import build_family, build_tangent_from_algebra
 from . import unitar
@@ -128,20 +129,24 @@ def _apply(cols, v):
 
 def spin_up(actions, v, dim):
     """Smallest invariant subspace containing v, for actions in column
-    form."""
+    form.  Runs on int rows, each action scaled to integers, which leaves
+    every span the same."""
+    actions = [_int_columns(cols) for cols in actions]
     ech = Echelon(dim)
-    vecs = []
-    if ech.add_list(v):
-        vecs.append(v)
+    rows = [_int_row(v)[0]]
     idx = 0
-    while idx < len(vecs):
-        w = vecs[idx]
+    while idx < len(rows):
+        w = rows[idx]
         idx += 1
+        if not ech.add(w):
+            continue
         for cols in actions:
-            u = _apply(cols, w)
-            if ech.add_list(u):
-                vecs.append(u)
-    return Subspace(dim, vecs)
+            u = {}
+            for j, x in w.items():
+                for i, a in cols[j]:
+                    u[i] = u.get(i, 0) + a * x
+            rows.append({i: a for i, a in u.items() if a})
+    return Subspace._spanned(ech)
 
 
 def _lift(basis, vecs):

@@ -339,6 +339,23 @@ def _structured_odd_candidates(g):
                 yield v
 
 
+def _candidate_squares(g):
+    """The (candidate, [x, x]) pairs of the structured odd candidates, in
+    their order.  The list is kept per algebra and extended only as far as
+    a reader iterates, so each square is computed once."""
+    done, rest = g._memo.setdefault(_candidate_squares,
+                                    ([], _structured_odd_candidates(g)))
+    i = 0
+    while True:
+        if i == len(done):
+            x = next(rest, None)
+            if x is None:
+                return
+            done.append((x, g.bracket(x, x)))
+        yield done[i]
+        i += 1
+
+
 def cone_pointedness(g):
     """Certificate for the convex cone generated by the odd squares [X, X].
 
@@ -355,8 +372,7 @@ def cone_pointedness(g):
     # squares grouped by direction (the square over its first nonzero entry,
     # kept sparse): [X,X] = -c^2 [Y,Y] holds only inside one group
     groups = {}
-    for x in _structured_odd_candidates(g):
-        s = g.bracket(x, x)
+    for x, s in _candidate_squares(g):
         lead = next((a for a in s if a), None)
         if lead is None:
             continue
@@ -531,21 +547,18 @@ def _nonzero_square_check(g, witness_found):
         return ("pass", None)
     if witness_found:
         return ("pass", "positive definite kappa_omega forces nonzero squares")
-    squares = []
-    for x in _structured_odd_candidates(g):
-        sq = g.bracket(x, x)
+    for x, sq in _candidate_squares(g):
         if vec_is_zero(sq):
             return ("fail", x)
-        squares.append((x, sq))
-    x = _isotropic_on_planes(g, squares)
+    x = _isotropic_on_planes(g)
     return ("fail", x) if x is not None else ("inconclusive", None)
 
 
-def _isotropic_on_planes(g, squares):
+def _isotropic_on_planes(g):
     """The first s u + e_k with zero square, or None.
 
-    u runs over the (candidate, square) pairs given, all squares nonzero,
-    and e_k over the odd basis vectors outside u's support, so s u + e_k is
+    u runs over the structured candidates, whose squares the caller has
+    found nonzero, and e_k over the odd basis vectors outside u's support, so s u + e_k is
     never zero.  Its square is the vector quadratic
     s^2 [u, u] + 2 s [u, e_k] + [e_k, e_k]; each rational root s of that
     quadratic at its first nonzero coordinate is kept only if the whole
@@ -553,7 +566,7 @@ def _isotropic_on_planes(g, squares):
     """
     basis = [(k, g.basis_vector(k)) for k in g.space.odd_indices()]
     basis = [(k, ek, g.bracket(ek, ek)) for k, ek in basis]
-    for u, su in squares:
+    for u, su in _candidate_squares(g):
         for k, ek, sk in basis:
             if u[k]:
                 continue

@@ -363,6 +363,22 @@ def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
             assert "superdecomp." + name not in modules, (argv, modules)
 
 
+def test_refused_inputs_compile_no_pipeline(tmp_path):
+    # the Jacobi check runs before decompose and unitarity import their layers
+    absent = ("decomp", "families", "realize", "poly", "unitar")
+    for path in f1_files(tmp_path):
+        for cmd in ("decompose", "unitarity"):
+            proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER,
+                                   json.dumps([cmd, path])],
+                                  capture_output=True, text=True, env=_src_env(), timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            code, modules = json.loads(proc.stdout)
+            assert code == 1, (cmd, path, proc.stderr)
+            assert proc.stderr.startswith("error: input is not a Lie superalgebra: ")
+            for name in absent:
+                assert "superdecomp." + name not in modules, (cmd, modules)
+
+
 @pytest.mark.parametrize("optimize", [False, True])
 def test_malformed_files_exit_2(tmp_path, optimize):
     from test_core import MALFORMED, malformed_su21

@@ -1,4 +1,5 @@
 import ast
+import functools
 import random
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from superdecomp.exact import (
 )
 from superdecomp.core import (
     AlgebraFileError, InvariantForm, SuperAlgebra, SuperAlgebraError,
-    SuperSpace, Violation, algebra_from_json_dict, algebra_to_json_dict, bracket_span,
-    center, centralizer, derived, direct_sum, is_ideal, is_perfect,
+    SuperSpace, Subspace, Violation, algebra_from_json_dict, algebra_to_json_dict,
+    bracket_span, center, centralizer, derived, direct_sum, is_ideal, is_perfect,
     killing_form, module_commutant, quotient_by_central, tables_equal,
     verify_superalgebra,
 )
@@ -655,6 +656,159 @@ def test_module_equations_match_dense_oracles_on_acceptance_families():
                 dense_module_commutant(actions, dim), (tag, params, dim)
             assert invariant_symmetric_forms(actions, dim) == \
                 dense_invariant_symmetric_forms(actions, dim), (tag, params, dim)
+
+
+# ---------------------------------------------------------------------------
+# dense reference oracles for the integer-row subspace calculus
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def oracle_algebra(name):
+    if name == "su(2|1)+q(2)":
+        return direct_sum(build_family("su", 2, 1), build_family("q", 2))
+    tag, params = {"su(2|1)": ("su", (2, 1)), "q(2)": ("q", (2,)),
+                   "psu(2|2)": ("psu", (2,))}[name]
+    return build_family(tag, *params)
+
+
+def dense_bracket_span(g, u, w):
+    return Subspace(g.dim, [g.bracket(a, b) for a in u.basis for b in w.basis])
+
+
+def dense_centralizer(g, targets, inside):
+    """Kernel of the map c -> ([sum_a c_a u_a, t])_t, one row per (t, k)."""
+    if not inside.basis:
+        return Subspace(g.dim, [])
+    brackets = [[g.bracket(u, t) for u in inside.basis] for t in targets]
+    rows = [[b[k] for b in row] for row in brackets for k in range(g.dim)]
+    ech = Echelon(len(inside.basis))
+    for row in rows:
+        ech.add_list(row)
+    vecs = []
+    for combo in ech.kernel_basis():
+        v = vec_zero(g.dim)
+        for c, u in zip(combo, inside.basis):
+            v = vec_add(v, [c * a for a in u])
+        vecs.append(v)
+    return Subspace(g.dim, vecs)
+
+
+def dense_is_ideal(g, s):
+    return all(s.contains(g.bracket(g.basis_vector(i), u))
+               for i in range(g.dim) for u in s.basis)
+
+
+@st.composite
+def oracle_subspaces(draw):
+    """An algebra and two lists of sparse rational vectors (zero vectors and
+    repeats allowed)."""
+    name = draw(st.sampled_from(["psu(2|2)", "q(2)", "su(2|1)", "su(2|1)+q(2)"]))
+    n = oracle_algebra(name).dim
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+    def vectors():
+        out = []
+        for entries in draw(st.lists(st.lists(st.tuples(st.integers(0, n - 1), coeff),
+                                              max_size=4), max_size=4)):
+            v = vec_zero(n)
+            for k, a in entries:
+                v[k] = a
+            out.append(v)
+        return out
+    return name, vectors(), vectors()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(oracle_subspaces())
+def test_subspace_calculus_matches_dense_oracles(case):
+    name, uvecs, wvecs = case
+    g = oracle_algebra(name)
+    u, w, full = g.subspace(uvecs), g.subspace(wvecs), g.full_subspace()
+    assert bracket_span(g, u, w) == dense_bracket_span(g, u, w)
+    assert bracket_span(g, full, u) == dense_bracket_span(g, full, u)
+    for inside in (u, full):
+        assert centralizer(g, w, inside) == dense_centralizer(g, w.basis, inside)
+        assert centralizer(g, wvecs, inside) == dense_centralizer(g, wvecs, inside)
+    # the ideal u + [g, u] + ... is reached after a few brackets with g
+    s = u
+    for _ in range(3):
+        assert is_ideal(g, s) == dense_is_ideal(g, s)
+        s = s.sum(bracket_span(g, full, s))
+
+
+def test_is_ideal_matches_dense_oracle_on_known_ideals():
+    g = oracle_algebra("su(2|1)+q(2)")
+    ideals = [center(g), derived(g), g.full_subspace(), g.subspace([])]
+    ideals += [g.subspace([g.basis_vector(m[i]) for i in m]) for m in g.meta["embeddings"]]
+    for s in ideals + [g.even_subspace(), g.odd_subspace()]:
+        assert is_ideal(g, s) == dense_is_ideal(g, s)
+    assert all(is_ideal(g, s) for s in ideals)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.data())
+def test_verify_matches_dense_oracle_on_direct_sum_corruptions(data):
+    # the supports of a direct sum's adjoint rows are widely disjoint, so
+    # the integer check skips most k here
+    g = oracle_algebra("su(2|1)+q(2)")
+    n = g.dim
+    existing = sorted((i, j, k) for (i, j), terms in g.table.items() for k in terms)
+    if data.draw(st.integers(0, 3)):
+        i, j, k = data.draw(st.sampled_from(existing))
+    else:
+        i, j = sorted(data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        k = data.draw(st.integers(0, n - 1))
+    delta = Fraction(data.draw(st.integers(-3, 3).filter(bool)), data.draw(st.integers(1, 4)))
+    bad = corrupt(g, i, j, k, delta)
+    assert same_violation(verify_superalgebra(bad), dense_verify(bad))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_module_commutant_matches_dense_oracle_on_two_copies(seed):
+    from test_decomp import so3_on_two_copies
+    actions, _ = so3_on_two_copies(seed)
+    comm = module_commutant(actions, 6)
+    assert len(comm) == 4
+    assert comm == dense_module_commutant(actions, 6)
+
+
+def _so3_on_q3():
+    """so(3) on Q^3 in column form; its commutant is the scalars."""
+    actions = []
+    for a, b in ((1, 2), (2, 0), (0, 1)):
+        cols = [[] for _ in range(3)]
+        cols[b].append((a, ONE))
+        cols[a].append((b, -ONE))
+        actions.append([sorted(c) for c in cols])
+    return actions
+
+
+class _Unread(list):
+    """An action that fails when read."""
+
+    def __iter__(self):
+        raise AssertionError("action read after the commutant was settled")
+
+
+def test_module_commutant_stops_at_the_scalars():
+    actions = _so3_on_q3()
+    comm = module_commutant(actions, 3)
+    assert comm == dense_module_commutant(actions, 3)
+    assert [t.data for t in comm] == [[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO],
+                                       [ZERO, ZERO, ONE]]]
+    # two generators of so(3) already leave only the scalars, so the third
+    # action is never read
+    assert module_commutant(actions[:2] + [_Unread(actions[2])], 3) == comm
+
+
+@pytest.mark.parametrize("actions, dim", [
+    ([[[(0, Fraction(3, 2))]], [[]]], 1),
+    ([], 1),
+    ([], 3),
+    ([[[(1, Fraction(1, 2))], [], []]], 3),
+])
+def test_module_commutant_matches_dense_oracle_on_small_modules(actions, dim):
+    assert module_commutant(actions, dim) == dense_module_commutant(actions, dim)
 
 
 def test_adjoint_table_is_scaled_integer_table():
