@@ -80,6 +80,14 @@ def su21_sum():
     return algebra_to_json_dict(direct_sum(g, g), "su(2|1) + su(2|1)")
 
 
+def u11_pow6():
+    """u(1|1)^6, a direct sum of six copies."""
+    g = s = build_family("u", 1, 1)
+    for _ in range(5):
+        s = direct_sum(s, g)
+    return algebra_to_json_dict(s, "u(1|1)^6")
+
+
 def ch_indefinite_sum():
     g = build_family("ch_indefinite", 1, 1)
     return algebra_to_json_dict(direct_sum(g, g), "ch_indefinite(1,1) + ch_indefinite(1,1)")
@@ -103,6 +111,9 @@ CASES = {
     # the first ends in an LP-proved "none"
     "unitarity_ch_indefinite_sum": (ch_indefinite_sum, ["unitarity", FILE, "--seed", "7"], 0),
     "unitarity_spin_h_2": (lambda: family_json("spin_h", 2), ["unitarity", FILE, "--seed", "7"], 0),
+    # pins the positive-form search's candidate and round counts: (iv)
+    # reports 30 iterations, and (i) scans a 78-dimensional even form span
+    "unitarity_u11_pow6": (u11_pow6, ["unitarity", FILE, "--seed", "7"], 0),
     "spinrep_3": (None, ["spinrep", "--dim", "3", "--check", "--out", OUT], 0),
     "spinrep_spin_h_2": (None, ["spinrep", "--dim", "2", "--variant", "spin_h", "--check",
                                 "--out", OUT], 0),
