@@ -285,9 +285,12 @@ def _row_from_list(v):
 
 
 def _row_content_reduce(row):
-    """Scale a rational row to coprime ints, keeping the signs."""
+    """Scale a rational row to coprime ints, keeping the signs; a row of
+    ints is only divided by its content."""
     if not row:
         return row
+    if all(type(a) is int for a in row.values()):
+        return _row_divide_content(row)
     den = lcm(*[a.denominator for a in row.values()])
     return _row_divide_content(
         {j: a.numerator * (den // a.denominator) for j, a in row.items()})

@@ -6,14 +6,20 @@ vanishing square, a sign-conflict pair, or an infeasible exact LP over the
 full candidate space); a positive-definiteness witness always re-verifies
 through the Sylvester criterion.  Anything else is reported inconclusive.
 
-The positive-form search is a cutting-plane loop over exact rational LPs:
-while the Sylvester test fails with witness vector v, the valid inequality
-sum_i t_i (v^T G_i v) >= 1 is added and the LP is re-solved, up to an
-iteration cap.
+The positive-form search first scans sign patterns t on integers: a
+candidate whose Gram sum t_i G_i has a nonpositive diagonal entry r is
+rejected by that entry alone (e_r is its witness), and only the others get
+the full Sylvester test in Fractions.  Then comes a cutting-plane loop
+over exact rational LPs: while the Sylvester test fails with witness
+vector v, the valid inequality sum_i t_i (v^T G_i v) >= 1 is added and
+the LP is re-solved, up to an iteration cap.  The invariant-form
+equations and the plane search for isotropic odd vectors run on integer
+rows of the adjoint table as well.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 from .exact import (
     Echelon, Matrix, ZERO, ONE, MINUS_ONE, UnsolvedLP,
@@ -21,8 +27,8 @@ from .exact import (
     vec_is_zero,
 )
 from .core import (
-    InvariantForm, SuperAlgebraError, bracket_span, center, even_center_dim,
-    is_perfect, killing_form, module_commutant, per_algebra,
+    InvariantForm, SuperAlgebraError, _bracket_rows, _int_columns, bracket_span, center,
+    even_center_dim, is_perfect, killing_form, module_commutant, per_algebra,
 )
 
 # candidates tried, and cutting-plane rounds run, by each positive-form search
@@ -187,23 +193,22 @@ class SearchOutcome:
 
 
 def _sign_patterns(n):
-    """Candidate coefficient vectors: unit vectors, then sign patterns."""
-    out = []
+    """Candidate coefficient vectors as int lists, yielded in order: unit
+    vectors, then (for n <= 6) the nonzero patterns over {1, -1, 0}."""
     for i in range(n):
         for s in (1, -1):
-            v = [Fraction(0)] * n
-            v[i] = Fraction(s)
-            out.append(v)
+            v = [0] * n
+            v[i] = s
+            yield v
     if n <= 6:
         for mask in range(3 ** n):
             v = []
             mm = mask
             for _ in range(n):
-                v.append(Fraction((1, -1, 0)[mm % 3]))
+                v.append((1, -1, 0)[mm % 3])
                 mm //= 3
             if any(v):
-                out.append(v)
-    return out
+                yield v
 
 
 def find_posdef_in_span(grams):
@@ -213,6 +218,13 @@ def find_posdef_in_span(grams):
     one-dimensional span with an indefinite generator, or an infeasible
     exact LP made of valid cutting planes).  An LP that stops unsolved
     makes the search inconclusive.
+
+    The scan over sign patterns runs on integers first: the span's
+    diagonal is scaled once to ints, and a candidate t with a nonpositive
+    diagonal entry r is rejected, with the unit vector e_r as its exact
+    witness (e_r^T G(t) e_r <= 0).  It still counts toward the tested
+    candidates and WITNESS_CAP.  Only a candidate whose diagonal is
+    positive is turned into Fractions for the full Sylvester test.
     """
     n = len(grams)
     if n == 0:
@@ -239,12 +251,21 @@ def find_posdef_in_span(grams):
             acc.data[r][s] = v
         return acc
 
+    # each diagonal entry's terms (i, int), scaled by a positive integer
+    diag = []
+    for r in range(dim):
+        terms = entries.get((r, r), ())
+        d = lcm(*[a.denominator for _, a in terms])
+        diag.append([(i, a.numerator * (d // a.denominator)) for i, a in terms])
+
     tested = 0
     for t in _sign_patterns(n):
         tested += 1
-        res = is_positive_definite(gram_at(t))
-        if res.ok:
-            return SearchOutcome("found", witness=(t, res.minors, tested))
+        if all(sum(t[i] * a for i, a in terms) > 0 for terms in diag):
+            t = [Fraction(x) for x in t]
+            res = is_positive_definite(gram_at(t))
+            if res.ok:
+                return SearchOutcome("found", witness=(t, res.minors, tested))
         if tested >= WITNESS_CAP:
             break
     if n == 1:
@@ -415,7 +436,9 @@ def invariant_symmetric_forms(actions, dim):
     the nonzero entries of column j, as even_actions returns it.
 
     Unknowns are the upper-triangle entries; returns a list of Gram
-    matrices spanning the solution space.
+    matrices spanning the solution space.  Each action is scaled to
+    integers first and its equation rows are int dicts: the equations are
+    homogeneous in each action, so the solution space is the same.
     """
     pos = {}
     for r in range(dim):
@@ -427,17 +450,17 @@ def invariant_symmetric_forms(actions, dim):
         return pos[(r, s)] if r <= s else pos[(s, r)]
 
     ech = Echelon(nvars)
-    for cols in actions:
+    for cols in map(_int_columns, actions):
         for j in range(dim):
             for k in range(j, dim):
                 # (M^T B + B M)[j][k] = sum_r M[r][j] B[r][k] + M[r][k] B[j][r]
                 row = {}
                 for r, a in cols[j]:
                     v = var(r, k)
-                    row[v] = row.get(v, ZERO) + a
+                    row[v] = row.get(v, 0) + a
                 for r, b in cols[k]:
                     v = var(j, r)
-                    row[v] = row.get(v, ZERO) + b
+                    row[v] = row.get(v, 0) + b
                 row = {v: a for v, a in row.items() if a}
                 if row:
                     ech.add(row)
@@ -562,19 +585,33 @@ def _isotropic_on_planes(g):
     never zero.  Its square is the vector quadratic
     s^2 [u, u] + 2 s [u, e_k] + [e_k, e_k]; each rational root s of that
     quadratic at its first nonzero coordinate is kept only if the whole
-    square vanishes.
+    quadratic vanishes entry by entry.  [u, e_k] is read off the integer
+    adjoint rows of u's (at most two) nonzero coordinates, and the x
+    returned is re-checked by its exact bracket.
     """
-    basis = [(k, g.basis_vector(k)) for k in g.space.odd_indices()]
-    basis = [(k, ek, g.bracket(ek, ek)) for k, ek in basis]
-    for u, su in _candidate_squares(g):
-        for k, ek, sk in basis:
+    ad, _ = g.adjoint_table()
+    for u, _ in _candidate_squares(g):
+        # u has entries 1 and -1, so it is its own int row; the table gives
+        # den times each coefficient of the quadratic, which keeps its roots
+        ur = {m: int(a) for m, a in enumerate(u) if a}
+        uu = _bracket_rows(ad, ur, ur)
+        for k in g.space.odd_indices():
             if u[k]:
                 continue
-            for s in _first_coordinate_roots(su, g.bracket(u, ek), sk):
-                x = [s * a if a else a for a in u]
-                x[k] = ONE
-                if vec_is_zero(g.bracket(x, x)):
-                    return x
+            kk = ad[k][k]
+            uk = _bracket_rows(ad, ur, {k: 1})
+            supp = uu.keys() | uk.keys() | kk.keys()
+            i = min(supp)
+            for s in _first_coordinate_roots([Fraction(uu.get(i, 0))], [Fraction(uk.get(i, 0))],
+                                             [Fraction(kk.get(i, 0))]):
+                # s = p / q: p^2 [u, u] + 2 p q [u, e_k] + q^2 [e_k, e_k] = 0
+                p, q = s.numerator, s.denominator
+                if all(p * p * uu.get(c, 0) + 2 * p * q * uk.get(c, 0)
+                       + q * q * kk.get(c, 0) == 0 for c in supp):
+                    x = [s * a if a else a for a in u]
+                    x[k] = ONE
+                    if vec_is_zero(g.bracket(x, x)):
+                        return x
     return None
 
 

@@ -1034,3 +1034,78 @@ def malformed_su21(name):
 def test_loader_rejects_malformed(name):
     with pytest.raises(AlgebraFileError):
         algebra_from_json_dict(malformed_su21(name))
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi pair pruning and the integer form equations against the oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def cross_summand_corruptions(draw):
+    """su(2|1) + q(2) with one constant changed so that the two summands
+    meet: a bracket of one summand's basis vector with the other's, or a
+    term of the other summand in a bracket of one."""
+    s = oracle_algebra("su(2|1)+q(2)")
+    emb = [sorted(m.values()) for m in s.meta["embeddings"]]
+    side = draw(st.integers(0, 1))
+    mine, other = emb[side], emb[1 - side]
+    if draw(st.booleans()):
+        x, y = draw(st.sampled_from(mine)), draw(st.sampled_from(other))
+        i, j = min(x, y), max(x, y)
+        k = draw(st.sampled_from(range(s.dim)))
+    else:
+        i, j = draw(st.sampled_from(sorted(key for key in s.table if key[0] in mine)))
+        k = draw(st.sampled_from(other))
+    num = draw(st.integers(-3, 3).filter(bool))
+    return s, i, j, k, Fraction(num, draw(st.integers(1, 4)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cross_summand_corruptions())
+def test_verify_matches_dense_oracle_across_summands(case):
+    # the pairs a direct sum lets the Jacobi check skip are exactly the
+    # pairs these corruptions bring back
+    s, i, j, k, delta = case
+    bad = corrupt(s, i, j, k, delta)
+    assert same_violation(verify_superalgebra(bad), dense_verify(bad))
+
+
+def test_verify_skips_no_pair_that_has_a_defect():
+    a, b = build_family("su", 2, 1), build_family("q", 2)
+    s = direct_sum(a, b)
+    assert verify_superalgebra(s) is None
+    ma, mb = s.meta["embeddings"]
+    # an odd term of q(2) in a bracket [even, odd] of su(2|1): only pairs of
+    # one vector from each summand see it
+    (i, j), _ = next((key, t) for key, t in s.table.items()
+                     if key[0] in ma.values() and s.parity(key[0]) == 0
+                     and s.parity(key[1]) == 1)
+    bad = corrupt(s, i, j, mb[b.d0], Fraction(1))
+    assert same_violation(verify_superalgebra(bad), dense_verify(bad))
+    assert verify_superalgebra(bad).kind == "jacobi"
+
+
+INT_FORM_CASES = [("su", (2, 1)), ("q", (2,)), ("psu", (2,)), ("spin_h", (2,)),
+                  ("T_hat", ("su", 2)), ("c", (2,))]
+
+
+@st.composite
+def scaled_actions(draw):
+    spec = draw(st.sampled_from(INT_FORM_CASES))
+    g = build_family(spec[0], *spec[1])
+    part = g.space.odd_indices() if draw(st.booleans()) else g.space.even_indices()
+    actions = even_actions(g, part)
+    factors = [Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 7)))
+               for _ in actions]
+    return actions, factors, len(part)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(scaled_actions())
+def test_invariant_forms_ignore_the_scale_of_each_action(case):
+    actions, factors, dim = case
+    scaled = [[[(i, f * a) for i, a in col] for col in cols]
+              for f, cols in zip(factors, actions)]
+    forms = invariant_symmetric_forms(actions, dim)
+    assert invariant_symmetric_forms(scaled, dim) == forms
+    assert dense_invariant_symmetric_forms(scaled, dim) == forms

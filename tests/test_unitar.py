@@ -1,5 +1,9 @@
 import random
 from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from superdecomp import exact, unitar
 from superdecomp.core import SuperAlgebra, SuperSpace, direct_sum
@@ -309,3 +313,256 @@ def test_report_runs_one_witness_search(monkeypatch):
     assert calls == [g]
     assert rep.overall == "all necessary conditions pass"
     assert rep.item("iv_positive_functional").certificate is find_witness(g).witness
+
+
+# ---------------------------------------------------------------------------
+# the positive-form search against the all-Fraction scan it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_sign_patterns(n):
+    """Candidate coefficient vectors: unit vectors, then sign patterns."""
+    out = []
+    for i in range(n):
+        for s in (1, -1):
+            v = [Fraction(0)] * n
+            v[i] = Fraction(s)
+            out.append(v)
+    if n <= 6:
+        for mask in range(3 ** n):
+            v = []
+            mm = mask
+            for _ in range(n):
+                v.append(Fraction((1, -1, 0)[mm % 3]))
+                mm //= 3
+            if any(v):
+                out.append(v)
+    return out
+
+
+def oracle_find_posdef_in_span(grams):
+    """find_posdef_in_span with a full Fraction Sylvester test of every
+    candidate."""
+    n = len(grams)
+    if n == 0:
+        return unitar.SearchOutcome("none", reason="empty solution space")
+    dim = grams[0].rows
+    if dim == 0:
+        return unitar.SearchOutcome("found", witness=([Fraction(0)] * n, [], 0))
+
+    entries = {}
+    for i, gi in enumerate(grams):
+        for r, row in enumerate(gi.data):
+            for s, a in enumerate(row):
+                if a:
+                    entries.setdefault((r, s), []).append((i, a))
+
+    def gram_at(t):
+        acc = Matrix(dim, dim)
+        for (r, s), terms in entries.items():
+            v = ZERO
+            for i, a in terms:
+                if t[i]:
+                    v = v + t[i] * a
+            acc.data[r][s] = v
+        return acc
+
+    tested = 0
+    for t in oracle_sign_patterns(n):
+        tested += 1
+        res = is_positive_definite(gram_at(t))
+        if res.ok:
+            return unitar.SearchOutcome("found", witness=(t, res.minors, tested))
+        if tested >= unitar.WITNESS_CAP:
+            break
+    if n == 1:
+        return unitar.SearchOutcome(
+            "none", reason="one-dimensional solution space with no definite generator")
+    cuts = []
+    t = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for it in range(unitar.WITNESS_CAP):
+        res = is_positive_definite(gram_at(t))
+        if res.ok:
+            return unitar.SearchOutcome("found", witness=(t, res.minors, tested + it))
+        cuts.append([exact.quad_form(gi, res.witness) for gi in grams])
+        try:
+            t = unitar.feasible_point(cuts, n)
+        except exact.UnsolvedLP as exc:
+            return unitar.SearchOutcome("inconclusive", reason="exact LP unsolved: %s" % exc)
+        if t is None:
+            return unitar.SearchOutcome("none",
+                                        reason="exact LP over valid cutting planes is infeasible",
+                                        certificate={"cuts": len(cuts)})
+    return unitar.SearchOutcome("inconclusive", reason="iteration cap reached")
+
+
+def search_summary(out):
+    """status, reason, certificate and (t, minors, iterations) of a search."""
+    return out.status, out.reason, out.certificate, out.witness
+
+
+@st.composite
+def small_spans(draw):
+    """1 to 4 symmetric Grams of size 1 to 4 with small rational entries."""
+    n, dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-3, 3) | st.just(0), st.integers(1, 3))
+    grams = []
+    for _ in range(n):
+        m = Matrix(dim, dim)
+        for r in range(dim):
+            for s in range(r, dim):
+                m.data[r][s] = m.data[s][r] = draw(entry)
+        grams.append(m)
+    return grams
+
+
+def with_lp_budget(search, grams, calls=6):
+    """search(grams) summarised, with every LP after the first `calls` of
+    the search given up as unsolved."""
+    left = [calls]
+
+    def budgeted(rows, nvars):
+        left[0] -= 1
+        if left[0] < 0:
+            raise exact.UnsolvedLP("LP budget spent")
+        return exact.feasible_point(rows, nvars)
+
+    with mock.patch.object(unitar, "feasible_point", budgeted):
+        return search_summary(search(grams))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(small_spans())
+def test_search_matches_the_fraction_oracle_on_small_spans(grams):
+    # the scan reaches every pattern (n <= 4 gives at most 89 of them); the
+    # LP budget bounds the cutting-plane rounds, whose LP points can grow
+    # fourfold in digits each round on a span with no definite element
+    assert with_lp_budget(find_posdef_in_span, grams) == \
+        with_lp_budget(oracle_find_posdef_in_span, grams)
+
+
+def power(tag, params, copies):
+    g = h = build_family(tag, *params)
+    for _ in range(copies - 1):
+        h = direct_sum(h, g)
+    return h
+
+
+POWERS = [("u", (1, 1), 6), ("spin_h", (2,), 3), ("ch_indefinite", (1, 1), 3)]
+
+
+def form_span(g, part):
+    return unitar.invariant_symmetric_forms(unitar.even_actions(g, part), len(part))
+
+
+@pytest.mark.parametrize("tag,params,copies", POWERS)
+def test_search_matches_the_fraction_oracle_on_form_spans(tag, params, copies):
+    g = power(tag, params, copies)
+    for part in (g.space.even_indices(), g.space.odd_indices()):
+        grams = form_span(g, part)
+        assert search_summary(find_posdef_in_span(grams)) == \
+            search_summary(oracle_find_posdef_in_span(grams)), part
+
+
+def record_sign_patterns(monkeypatch):
+    """The list of candidates the search draws from now on."""
+    drawn = []
+    patterns = unitar._sign_patterns
+
+    def recorded(n):
+        for t in patterns(n):
+            drawn.append(list(t))
+            yield t
+
+    monkeypatch.setattr(unitar, "_sign_patterns", recorded)
+    return drawn
+
+
+def test_sylvester_runs_only_on_a_positive_diagonal(monkeypatch):
+    # the odd form span of u(1|1)^6: the scan finds a definite form at its
+    # 13th candidate, and only candidates with a positive diagonal reach
+    # the Sylvester test
+    g = power("u", (1, 1), 6)
+    grams = form_span(g, g.space.odd_indices())
+    drawn, tested = record_sign_patterns(monkeypatch), []
+
+    def sylvester(gram):
+        tested.append(gram)
+        return is_positive_definite(gram)
+
+    monkeypatch.setattr(unitar, "is_positive_definite", sylvester)
+    out = find_posdef_in_span(grams)
+    assert out.found and out.witness[2] == len(drawn) == 13
+
+    def gram_at(t):
+        m = Matrix(g.d1, g.d1)
+        for ti, gi in zip(t, grams):
+            m = m + gi.scale(Fraction(ti))
+        return m
+
+    positive = [gram_at(t) for t in drawn
+                if all(gram_at(t).data[r][r] > 0 for r in range(g.d1))]
+    assert tested == positive
+    assert 0 < len(tested) < len(drawn)
+
+
+def test_the_search_stops_at_the_iteration_cap(monkeypatch):
+    # the functional span of u(1|1)^6 needs 24 scan candidates and 6 LP
+    # rounds; at a cap of 4, the scan stops after 4 candidates and 4 rounds
+    # find no definite element
+    g = power("u", (1, 1), 6)
+    grams = [gram_of_functional(g, w) for w in invariant_functional_basis(g)]
+    assert find_posdef_in_span(grams).witness[2] == 30
+    drawn = record_sign_patterns(monkeypatch)
+    monkeypatch.setattr(unitar, "WITNESS_CAP", 4)
+    out = find_posdef_in_span(grams)
+    assert out.status == "inconclusive" and out.reason == "iteration cap reached"
+    assert len(drawn) == 4
+    assert search_summary(out) == search_summary(oracle_find_posdef_in_span(grams))
+
+
+# ---------------------------------------------------------------------------
+# the plane search against the dense brackets it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_isotropic_on_planes(g):
+    """The first s u + e_k with zero square, by dense brackets."""
+    basis = [(k, g.basis_vector(k)) for k in g.space.odd_indices()]
+    basis = [(k, ek, g.bracket(ek, ek)) for k, ek in basis]
+    for u, su in unitar._candidate_squares(g):
+        for k, ek, sk in basis:
+            if u[k]:
+                continue
+            for s in unitar._first_coordinate_roots(su, g.bracket(u, ek), sk):
+                x = [s * a if a else a for a in u]
+                x[k] = ONE
+                if vec_is_zero(g.bracket(x, x)):
+                    return x
+    return None
+
+
+@st.composite
+def odd_quadratics(draw):
+    """(m|n) with central even z_1..z_m and [o_i, o_j] = sum_z c^z_ij z,
+    for random symmetric rational c: a Lie superalgebra for every c."""
+    m, n = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+    table = {}
+    for i in range(m, m + n):
+        for j in range(i, m + n):
+            terms = {z: Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 2)))
+                     for z in range(m)}
+            table[(i, j)] = {z: c for z, c in terms.items() if c}
+    return SuperAlgebra(SuperSpace.make(m, n), table)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(odd_quadratics())
+def test_plane_search_matches_the_dense_oracle(g):
+    if any(vec_is_zero(sq) for _, sq in unitar._candidate_squares(g)):
+        return          # the report stops before the planes
+    assert unitar._isotropic_on_planes(g) == oracle_isotropic_on_planes(g)
+
+
+@pytest.mark.parametrize("tag,params", [("pq", (3,)), ("psu", (3,)), ("q", (2,))])
+def test_plane_search_matches_the_dense_oracle_on_families(tag, params):
+    g = build_family(tag, *params)
+    assert unitar._isotropic_on_planes(g) == oracle_isotropic_on_planes(g)
