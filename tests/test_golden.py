@@ -88,6 +88,15 @@ def u11_pow6():
     return algebra_to_json_dict(s, "u(1|1)^6")
 
 
+def su21_ttilde_that():
+    """su(2|1) + Ttilde(su2) + That(su2): a nonzero even complement (3),
+    z_b(a) of dimension 3 and b_r of dimension 1."""
+    s = build_family("su", 2, 1)
+    for tag in ("T_tilde", "T_hat"):
+        s = direct_sum(s, build_family(tag, "su", 2))
+    return algebra_to_json_dict(s, "su(2|1) + Ttilde(su2) + That(su2)")
+
+
 def ch_indefinite_sum():
     g = build_family("ch_indefinite", 1, 1)
     return algebra_to_json_dict(direct_sum(g, g), "ch_indefinite(1,1) + ch_indefinite(1,1)")
@@ -105,6 +114,7 @@ CASES = {
     "decompose_that_su3": (lambda: family_json("T_hat", "su", 3),
                            ["decompose", FILE, "--seed", "7"], 0),
     "decompose_glued_su22_q2": (glued_su22_q2, ["decompose", FILE, "--seed", "7"], 0),
+    "decompose_su21_ttilde_that": (su21_ttilde_that, ["decompose", FILE, "--seed", "7"], 0),
     "unitarity_su21_sum": (su21_sum, ["unitarity", FILE, "--seed", "7"], 0),
     "unitarity_psu22": (lambda: family_json("psu", 2), ["unitarity", FILE, "--seed", "7"], 0),
     # these two run the exact cutting-plane LP (the two above make no LP call);
