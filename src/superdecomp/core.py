@@ -6,9 +6,10 @@ rationals for basis pairs i <= j only; the remaining brackets follow from
 super skew symmetry [x,y] = -(-1)^{|x||y|}[y,x].  That rule is applied in
 one place, SuperAlgebra.adjoint_table, the integer table of every ordered
 pair that bracket and every other ordered reader use; readers of pairs
-i <= j only read the table itself.  The subspace calculus brackets the
-integer echelon rows of subspaces through that table; SuperAlgebra.bracket
-is the entry point for dense vectors.  Basis order is canonical:
+i <= j only read the table itself.  The subspace calculus runs on the
+integer echelon rows of subspaces (intersections by Zassenhaus), and
+brackets them through that table; SuperAlgebra.bracket is the entry
+point for dense vectors.  Basis order is canonical:
 even vectors first, then odd.  Matrix realizations live in realize,
 extensions in families, invariant forms of the odd part in unitar and
 subalgebra extraction in decomp, so the checks here load none of them.
@@ -23,8 +24,7 @@ import re
 from types import MappingProxyType
 
 from .exact import (
-    Echelon, LinSolver, Matrix, ZERO, ONE,
-    _lin_comb, _row_from_list, kernel, vec_add, vec_sub, vec_zero,
+    Echelon, LinSolver, Matrix, ZERO, ONE, _row_from_list, vec_add, vec_sub, vec_zero,
 )
 
 
@@ -154,18 +154,20 @@ class Subspace:
         return Subspace(self.ambient_dim, self.basis + other.basis)
 
     def intersection(self, other):
-        if not self.basis or not other.basis:
-            return Subspace(self.ambient_dim, [])
-        # x = U a = W b: kernel of [U | -W] stacked columnwise
-        cols = len(self.basis) + len(other.basis)
-        rows = []
-        for i in range(self.ambient_dim):
-            row = [self.basis[a][i] for a in range(len(self.basis))]
-            row += [-other.basis[b][i] for b in range(len(other.basis))]
-            rows.append(row)
-        ker = kernel(Matrix.from_rows(rows))
-        vecs = [_lin_comb(combo, self.basis, self.ambient_dim) for combo in ker]
-        return Subspace(self.ambient_dim, vecs)
+        """Zassenhaus on the int rows: (u | u) for u in U and (w | 0) for w
+        in W span the pairs (u + w | u), and the echelon rows with pivot
+        past n span those with u + w = 0, that is (0 | U meet W)."""
+        n = self.ambient_dim
+        ech = Echelon(2 * n)
+        for u in self._rows():
+            ech.add({**u, **{j + n: a for j, a in u.items()}})
+        for w in other._rows():
+            ech.add(w)
+        out = Echelon(n)
+        for c, row in ech.pivots.items():
+            if c >= n:
+                out.add({j - n: a for j, a in row.items()})
+        return Subspace._spanned(out)
 
     def parity_components(self, parities):
         """(even part, odd part) of a graded subspace, as the projections of
@@ -414,14 +416,11 @@ def even_center_dim(g):
 def centralizer(g, targets, inside):
     """{x in `inside` : [x, t] = 0 for all t in targets}.
 
-    targets is a Subspace or a list of vectors; inside is a Subspace.
-    Both are taken as int rows spanning them, which scales each equation
-    and each unknown by a positive integer and leaves the solution space.
+    Both Subspaces are taken as int rows spanning them, which scales each
+    equation and each unknown by a positive integer and leaves the
+    solution space.
     """
-    if isinstance(targets, Subspace):
-        tv = targets._rows()
-    else:
-        tv = [_int_row(t)[0] for t in targets]
+    tv = targets._rows()
     us = inside._rows()
     ad, _ = g.adjoint_table()
     # eqs[(t, k)][a] = [u_a, t]_k over the coordinates each bracket touched
@@ -445,18 +444,11 @@ def centralizer(g, targets, inside):
 
 @per_algebra
 def derived(g):
-    """Span of all brackets of basis pairs."""
-    vecs = []
-    n = g.dim
-    for i in range(n):
-        for j in range(i, n):
-            terms = g.table.get((i, j))
-            if terms:
-                v = vec_zero(n)
-                for k, val in terms.items():
-                    v[k] = val
-                vecs.append(v)
-    return Subspace(n, vecs)
+    """Span of all brackets of basis pairs: the rows of the table."""
+    ech = Echelon(g.dim)
+    for terms in g.table.values():
+        ech.add(terms)
+    return Subspace._spanned(ech)
 
 
 def is_perfect(g):
@@ -656,12 +648,8 @@ def quotient_by_central(g, z):
     if not z.is_graded(g.space.parities):
         raise SuperAlgebraError("central subspace must be parity homogeneous")
     ech = Echelon(g.dim)
-    for v in z.basis:
-        ech.add_list(v)
-    kept = []
-    for i in range(g.dim):
-        if ech.add_list(g.basis_vector(i)):
-            kept.append(i)
+    ech.extend(z.basis)
+    kept = ech.extend([g.basis_vector(i) for i in range(g.dim)])
     cols = list(z.basis) + [g.basis_vector(i) for i in kept]
     solver = LinSolver(cols, g.dim)
     qmap = QuotientMap(solver, kept, z.dim, g.dim)

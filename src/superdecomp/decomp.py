@@ -11,7 +11,9 @@ kernel.
 
 Brackets are taken in the coordinates of the input algebra: the
 odd-generated core is an ideal, so all of them can be taken upstairs.
-The module splitter works in each piece's own coordinates.
+The module splitter works in each piece's own coordinates, on dense
+kernels; every other subspace (complements, intersections, the summation
+kernel) is read off integer echelon rows.
 All verdicts are exact; a splitting search that hits its iteration cap
 returns "inconclusive" rather than guessing.
 """
@@ -57,10 +59,6 @@ class Reduction:
         self.core = core                # [g1, g1] + g1, an ideal
         self.complement = complement    # even subalgebra, [c, core_even] = 0
 
-    @property
-    def trivial(self):
-        return self.complement.dim == 0
-
 
 def reduce_to_odd_generated(g):
     """Split g into the ideal generated by the odd part and an even
@@ -73,14 +71,9 @@ def reduce_to_odd_generated(g):
         return Reduction(h0, core, g.subspace([]))
     z = centralizer(g, h0, g.even_subspace())
     ech = Echelon(g.dim)
-    for v in h0.basis:
-        ech.add_list(v)
-    cand = []
-    dz = bracket_span(g, z, z)
-    for v in list(dz.basis) + list(z.basis):
-        if ech.add_list(v):
-            cand.append(v)
-    comp = Subspace(g.dim, cand)
+    ech.extend(h0.basis)
+    cand = bracket_span(g, z, z).basis + z.basis
+    comp = Subspace(g.dim, [cand[i] for i in ech.extend(cand)])
     if comp.dim + h0.dim != g.d0:
         raise DecompositionError(
             "no even complement commuting with [g1, g1] was found",
@@ -391,34 +384,24 @@ def classify_indices(g, dec):
             raise DecompositionError(
                 "[[b, a_k], a_k] = a_k fails for a residue index",
                 evidence={"k": k, "image_dim": image.dim})
-        for v in brackets[k, k].basis:
-            if not z.contains(v):
-                raise DecompositionError(
-                    "[a_k, a_k] is not central for a residue index",
-                    evidence={"k": k})
+        if not z.contains_subspace(brackets[k, k]):
+            raise DecompositionError("[a_k, a_k] is not central for a residue index",
+                                     evidence={"k": k})
     # non-interacting pairs commute exactly
     for k in range(n):
         for s in range(n):
-            if s == k:
-                continue
-            if k in pairing and pairing[k] == s:
-                continue
-            if k in ja or (k in pairing and s != pairing[k]):
-                if brackets[k, s].dim != 0:
-                    raise DecompositionError(
-                        "summands expected to commute do not",
-                        evidence={"k": k, "s": s})
+            if s not in (k, pairing.get(k)) and brackets[k, s].dim != 0:
+                raise DecompositionError("summands expected to commute do not",
+                                         evidence={"k": k, "s": s})
     return IndexClassification(js, ja, pairing)
 
 
 class IdealInfo:
-    def __init__(self, kind, indices, span, algebra, vecs, fingerprint,
-                 classification, checks, kk_dim=None):
+    def __init__(self, kind, indices, span, fingerprint, classification, checks,
+                 kk_dim=None):
         self.kind = kind                  # "Js" | "Ja"
         self.indices = indices            # (j, j') or (k,)
         self.span = span
-        self.algebra = algebra
-        self.vecs = vecs
         self.fingerprint = fingerprint
         self.classification = classification
         self.checks = checks
@@ -439,7 +422,7 @@ def build_g_ideal(g, dec, j, jp):
     checks = {}
     zg = center(g)
     zi = centralizer(g, span, span)
-    checks["center_inside_ambient_center"] = all(zg.contains(v) for v in zi.basis)
+    checks["center_inside_ambient_center"] = zg.contains_subspace(zi)
     if not checks["center_inside_ambient_center"]:
         raise DecompositionError("z(g(j)) is not contained in z(g)",
                                  evidence={"j": j})
@@ -458,7 +441,7 @@ def build_g_ideal(g, dec, j, jp):
     if not (checks["quotient_center_trivial"] and checks["quotient_perfect"]):
         raise DecompositionError("adjoint quotient of g(j) is not simple-like",
                                  evidence={"j": j})
-    return span, alg, vecs, checks
+    return span, alg, checks
 
 
 def build_c_ideal(g, dec, k, b0):
@@ -471,7 +454,7 @@ def build_c_ideal(g, dec, k, b0):
     if not is_ideal(g, span):
         raise DecompositionError("residue subspace is not an ideal",
                                  evidence={"k": k})
-    alg, vecs = subalgebra_from_subspace(g, span)
+    alg, _ = subalgebra_from_subspace(g, span)
     checks = {}
     if kk.dim == 0:
         raise DecompositionError("[b, a_k] vanishes for a residue index",
@@ -488,14 +471,14 @@ def build_c_ideal(g, dec, k, b0):
     # nilpotent ideal a_k + [a_k, a_k]
     sq = bracket_span(g, nil, nil)
     z = center(g)
-    checks["nilpotent_ideal"] = all(z.contains(v) for v in sq.basis)
+    checks["nilpotent_ideal"] = z.contains_subspace(sq)
     # quotient by the center is the tangent algebra over kk
     checks["tangent_quotient"] = _verify_tangent_quotient(g, kk_alg, kk_vecs,
                                                           ak, b0)
     if not checks["tangent_quotient"]:
         raise DecompositionError("c(k)/z(c(k)) is not the expected tangent algebra",
                                  evidence={"k": k})
-    return span, alg, vecs, checks, kk, kk_alg, kk_vecs
+    return span, alg, checks, kk, kk_alg, kk_vecs
 
 
 def _pick_b0(g, b, ak):
@@ -537,25 +520,16 @@ def _verify_tangent_quotient(g, kk_alg, kk_vecs, ak, b0, hat=False):
         sources.append(b0)
         images.append(_unit(tk.dim, 2 * d))
     # ad b0 must be bijective from a_k onto kk
-    img_ech = Echelon(tk.dim)
-    count = 0
-    for img in images:
-        if img_ech.add_list(img):
-            count += 1
-    if count != len(images):
+    if len(Echelon(tk.dim).extend(images)) != len(images):
         return False
     # central directions to quotient out
     zvecs = list(bracket_span(g, ak, ak).basis)
     if hat:
         zvecs.append(g.bracket(b0, b0))       # a zero vector is skipped below
-    zk = []
     ech = Echelon(g.dim)
-    for v in zvecs:
-        if ech.add_list(v):
-            zk.append(v)
-    for v in sources:
-        if not ech.add_list(v):
-            return False
+    zk = [zvecs[i] for i in ech.extend(zvecs)]
+    if len(ech.extend(sources)) != len(sources):
+        return False
     expand = LinSolver(zk + sources, g.dim)
     nz = len(zk)
     for p in range(len(sources)):
@@ -572,14 +546,13 @@ def _verify_tangent_quotient(g, kk_alg, kk_vecs, ak, b0, hat=False):
 
 
 def build_hat_c(g, dec, k, b0, c_span, kk_alg, kk_vecs):
-    """hat c(k) = c(k) + K b0 + K [b0, b0], given the span of c(k);
-    subalgebra whose central quotient is the extended tangent algebra
+    """Whether hat c(k) = c(k) + K b0 + K [b0, b0], given the span of c(k),
+    is a subalgebra whose central quotient is the extended tangent algebra
     (semisimple by the isomorphism certificate)."""
     span, _ = _adjoin_b0(g, c_span, b0)
-    alg, vecs = subalgebra_from_subspace(g, span)   # raises if not closed
-    ok = _verify_tangent_quotient(g, kk_alg, kk_vecs, dec.summands[k], b0,
-                                  hat=True)
-    return span, alg, ok
+    subalgebra_from_subspace(g, span)               # raises if not closed
+    return _verify_tangent_quotient(g, kk_alg, kk_vecs, dec.summands[k], b0,
+                                    hat=True)
 
 
 # ---------------------------------------------------------------------------
@@ -615,15 +588,11 @@ def qhat_embedding_certificate(g, dec, k_index, ideal):
         "hyperplane_ideal": is_ideal(alg, _map_span(ideal.span, g, vecs, alg)),
     }
     # ad b0 annihilates the ideal's even part and has square zero on it
-    even_part = Subspace(g.dim, [v for v in ideal.span.basis
-                                 if not any(v[i] for i in g.space.odd_indices())])
+    even_part = ideal.span.parity_components(g.space.parities)[0]
     cert["kills_ideal_even_part"] = bracket_span(
         g, Subspace(g.dim, [b0]), even_part).dim == 0
-    sq_ok = True
-    for u in ideal.span.basis:
-        if not vec_is_zero(g.bracket(bb, u)):
-            sq_ok = False
-    cert["square_zero_on_ideal"] = sq_ok
+    cert["square_zero_on_ideal"] = bracket_span(
+        g, Subspace(g.dim, [bb]), ideal.span).dim == 0
     cert["verified"] = all(v is True for key, v in cert.items()
                            if key not in ("parameter",))
     return cert
@@ -653,10 +622,8 @@ class DecompositionReport:
         self.classification = None
         self.ideals = []                  # IdealInfo
         self.kernel_dim = None
-        self.kernel_basis = None
         self.assertions = []
         self.gr = None                    # (z_b(a), b_r, g_r) subspaces
-        self.hat_c = {}
 
     def record(self, name, ok, detail=None):
         self.assertions.append({"name": name, "ok": bool(ok),
@@ -758,8 +725,7 @@ def structure_report(g, seed=0):
     report.decomposition = dec
     report.b = dec.b
     report.record("b_squares_central",
-                  all(zc.contains(g.bracket(u, w))
-                      for u in dec.b.basis for w in dec.b.basis))
+                  zc.contains_subspace(bracket_span(g, dec.b, dec.b)))
     cls = classify_indices(g, dec)
     report.classification = cls
     seen = set()
@@ -769,7 +735,7 @@ def structure_report(g, seed=0):
         jp = cls.pairing[j]
         seen.add(j)
         seen.add(jp)
-        span, alg, vecs, checks = build_g_ideal(g, dec, j, jp)
+        span, alg, checks = build_g_ideal(g, dec, j, jp)
         fp = unitar.fingerprint(alg)
         classification = unitar.classify_fingerprint(alg)
         flags = {}
@@ -781,7 +747,7 @@ def structure_report(g, seed=0):
             flags["b_annihilates_ideal"] = bracket_span(g, dec.b, span).dim == 0
             report.record("theorem42b_b_annihilates_%d" % j,
                           flags["b_annihilates_ideal"])
-        info = IdealInfo("Js", (j, jp), span, alg, vecs, fp, classification, checks)
+        info = IdealInfo("Js", (j, jp), span, fp, classification, checks)
         if tag == "q" and bracket_span(g, dec.b, dec.summands[j]).dim != 0:
             cert = qhat_embedding_certificate(g, dec, j, info)
             flags["qhat_embedding"] = cert
@@ -790,16 +756,14 @@ def structure_report(g, seed=0):
         report.ideals.append(info)
     for k in cls.ja:
         b0 = _pick_b0(g, dec.b, dec.summands[k])
-        span, alg, vecs, checks, kk, kk_alg, kk_vecs = build_c_ideal(g, dec, k, b0)
+        span, alg, checks, kk, kk_alg, kk_vecs = build_c_ideal(g, dec, k, b0)
         fp = unitar.fingerprint(alg)
         classification = unitar.classify_fingerprint(alg)
-        info = IdealInfo("Ja", (k,), span, alg, vecs, fp, classification,
-                         checks, kk_dim=kk.dim)
+        info = IdealInfo("Ja", (k,), span, fp, classification, checks, kk_dim=kk.dim)
         info.checks["theorem42"] = {}
         report.ideals.append(info)
-        hspan, halg, hok = build_hat_c(g, dec, k, b0, span, kk_alg, kk_vecs)
-        report.record("hat_c_quotient_is_extended_tangent_%d" % k, hok)
-        report.hat_c[k] = (hspan, halg)
+        report.record("hat_c_quotient_is_extended_tangent_%d" % k,
+                      build_hat_c(g, dec, k, b0, span, kk_alg, kk_vecs))
     # theorem: [core, core] = z(core) + sum of ideals, as subspaces
     dcore = bracket_span(g, red.core, red.core)
     total = Subspace(g.dim, list(zc.basis))
@@ -810,23 +774,18 @@ def structure_report(g, seed=0):
     inter = dcore.intersection(dec.b)
     report.record("core_splits_as_derived_plus_b",
                   inter.dim == 0 and dcore.sum(dec.b).dim == red.core.dim)
-    # summation map kernel
-    columns = []
-    owners = []
-    for info in report.ideals:
-        for v in info.span.basis:
-            columns.append(v)
-            owners.append(info)
-    if columns:
-        mat = Matrix(g.dim, len(columns))
-        for c, v in enumerate(columns):
-            for r in range(g.dim):
-                mat.data[r][c] = v[r]
-        ker = kernel(mat)
-    else:
-        ker = []
+    # summation map kernel: one equation per ambient coordinate
+    columns = [v for info in report.ideals for v in info.span.basis]
+    eqs = [{} for _ in range(g.dim)]
+    for c, v in enumerate(columns):
+        for r, a in enumerate(v):
+            if a:
+                eqs[r][c] = a
+    ech = Echelon(len(columns))
+    for row in eqs:
+        ech.add(row)
+    ker = ech.kernel_basis()
     report.kernel_dim = len(ker)
-    report.kernel_basis = ker
     for kv in ker:
         pos = 0
         for info in report.ideals:
@@ -839,25 +798,15 @@ def structure_report(g, seed=0):
                           detail={"ideal": info.indices})
     # the splitting by the centraliser of a inside b
     zba = centralizer(g, dec.a, dec.b)
-    b_r = _complement_in(g, zba, dec.b)
+    ech = Echelon(g.dim)
+    ech.extend(zba.basis)
+    b_r = Subspace(g.dim, [dec.b.basis[i] for i in ech.extend(dec.b.basis)])
     g_r = dcore.sum(b_r)
     report.record("z_b_a_central_mod_even_center",
-                  all(zc.contains(g.bracket(u, w))
-                      for u in zba.basis for w in dec.b.basis))
+                  zc.contains_subspace(bracket_span(g, zba, dec.b)))
     inter2 = g_r.intersection(zba)
     report.record("gr_split",
-                  all(zc.contains(v) for v in inter2.basis)
+                  zc.contains_subspace(inter2)
                   and g_r.sum(zba).dim == red.core.dim)
     report.gr = (zba, b_r, g_r)
     return report
-
-
-def _complement_in(g, small, big):
-    ech = Echelon(g.dim)
-    for v in small.basis:
-        ech.add_list(v)
-    out = []
-    for v in big.basis:
-        if ech.add_list(v):
-            out.append(v)
-    return Subspace(g.dim, out)

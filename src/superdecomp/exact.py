@@ -361,6 +361,11 @@ class Echelon:
     def add_list(self, vec):
         return self.add(_row_from_list(vec))
 
+    def extend(self, vecs):
+        """Add dense vectors in order; the indices of those that raised
+        the rank."""
+        return [i for i, v in enumerate(vecs) if self.add_list(v)]
+
     def residual(self, row):
         return self._reduce(row)[1]
 

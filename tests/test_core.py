@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from superdecomp.exact import (
-    Echelon, I, LinSolver, Matrix, ONE, Scalar, ZERO, vec_add, vec_is_zero, vec_sub, vec_zero,
+    Echelon, I, LinSolver, Matrix, ONE, Scalar, ZERO, _lin_comb, kernel, vec_add,
+    vec_is_zero, vec_sub, vec_zero,
 )
 from superdecomp.core import (
     AlgebraFileError, InvariantForm, SuperAlgebra, SuperAlgebraError,
@@ -693,6 +694,20 @@ def dense_centralizer(g, targets, inside):
     return Subspace(g.dim, vecs)
 
 
+def dense_intersection(u, w):
+    """x = U a = W b: the kernel of [U | -W], stacked columnwise."""
+    if not u.basis or not w.basis:
+        return Subspace(u.ambient_dim, [])
+    rows = []
+    for i in range(u.ambient_dim):
+        row = [u.basis[a][i] for a in range(len(u.basis))]
+        row += [-w.basis[b][i] for b in range(len(w.basis))]
+        rows.append(row)
+    ker = kernel(Matrix.from_rows(rows))
+    return Subspace(u.ambient_dim, [_lin_comb(combo, u.basis, u.ambient_dim)
+                                    for combo in ker])
+
+
 def dense_is_ideal(g, s):
     return all(s.contains(g.bracket(g.basis_vector(i), u))
                for i in range(g.dim) for u in s.basis)
@@ -728,7 +743,8 @@ def test_subspace_calculus_matches_dense_oracles(case):
     assert bracket_span(g, full, u) == dense_bracket_span(g, full, u)
     for inside in (u, full):
         assert centralizer(g, w, inside) == dense_centralizer(g, w.basis, inside)
-        assert centralizer(g, wvecs, inside) == dense_centralizer(g, wvecs, inside)
+    for a, b in ((u, w), (w, u), (u, full), (u.sum(w), w), (u, g.subspace([]))):
+        assert a.intersection(b) == dense_intersection(a, b)
     # the ideal u + [g, u] + ... is reached after a few brackets with g
     s = u
     for _ in range(3):
@@ -893,6 +909,16 @@ def test_every_library_function_is_referenced():
                     and not (n.name.startswith("__") and n.name.endswith("__"))
                     and n.name not in used)
     assert unused == []
+
+
+def test_core_subspaces_run_on_echelon_rows():
+    # intersections, derived algebras and complements are computed on
+    # echelon rows, not through dense kernels and linear combinations
+    tree = dict(_library_trees())["core.py"]
+    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                for a in n.names]
+    assert "Echelon" in imported
+    assert not {"kernel", "_lin_comb"} & set(imported), imported
 
 
 def test_rational_modules_never_name_scalar():

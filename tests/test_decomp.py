@@ -38,7 +38,7 @@ def test_reduce_u11():
 
 def test_reduce_trivial_for_odd_generated():
     red = reduce_to_odd_generated(build_family("q", 2))
-    assert red.trivial
+    assert red.complement.dim == 0
 
 
 def test_reduce_direct_sum_with_even_algebra():
