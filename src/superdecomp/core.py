@@ -156,7 +156,7 @@ class Subspace:
     def intersection(self, other):
         """Zassenhaus on the int rows: (u | u) for u in U and (w | 0) for w
         in W span the pairs (u + w | u), and the echelon rows with pivot
-        past n span those with u + w = 0, that is (0 | U meet W)."""
+        in the right half span those with u + w = 0, that is (0 | U meet W)."""
         n = self.ambient_dim
         ech = Echelon(2 * n)
         for u in self._rows():
