@@ -6,7 +6,7 @@ from superdecomp.core import (
     SuperAlgebra, SuperSpace, Subspace, bracket_span, center, direct_sum,
     module_commutant, quotient_by_central,
 )
-from superdecomp.exact import LinSolver, Matrix, ONE, ZERO, Scalar, vec_zero
+from superdecomp.exact import LinSolver, ONE, ZERO, Scalar, vec_zero
 from superdecomp.families import build_family
 from superdecomp import decomp
 from superdecomp.decomp import (
@@ -118,32 +118,40 @@ def act(cols, v):
     return out
 
 
-def so3_on_two_copies(seed):
+def so3_conjugated(cols):
     """so(3) acting on Q^3 + Q^3, written in the basis given by the columns
-    of a seeded invertible integer matrix P, with the first copy's basis in
-    those coordinates; the actions are in column form."""
+    cols of an invertible matrix P, with the first copy's basis in those
+    coordinates; the actions are in column form.  Raises ValueError when
+    P is singular."""
+    solver = LinSolver(cols, 6)
+    actions = []
+    for a, b in ((1, 2), (2, 0), (0, 1)):
+        m = [[] for _ in range(6)]            # e_b -> e_a, e_a -> -e_b
+        for off in (0, 3):
+            m[off + b].append((off + a, ONE))
+            m[off + a].append((off + b, -ONE))
+        conj = []                             # P^-1 m P, column by column
+        for col in cols:
+            coords = solver.coords(act(m, col))
+            conj.append([(i, c) for i, c in enumerate(coords) if c])
+        actions.append(conj)
+    first = [solver.coords(unit(i)) for i in range(3)]
+    return actions, first
+
+
+def unit(i, dim=6):
+    return [ONE if k == i else ZERO for k in range(dim)]
+
+
+def so3_on_two_copies(seed):
+    """so3_conjugated for a seeded invertible integer matrix P."""
     rng = random.Random(seed)
     while True:
         cols = [[rng.randint(-3, 3) * ONE for _ in range(6)] for _ in range(6)]
         try:
-            solver = LinSolver(cols, 6)
-            break
+            return so3_conjugated(cols)
         except ValueError:
             pass
-    actions = []
-    for a, b in ((1, 2), (2, 0), (0, 1)):
-        m = Matrix(6, 6)
-        for off in (0, 3):
-            m.data[off + a][off + b] = ONE
-            m.data[off + b][off + a] = -ONE
-        conj = []                             # P^-1 m P, column by column
-        for col in cols:
-            coords = solver.coords(m.mul_vec(col))
-            conj.append([(i, c) for i, c in enumerate(coords) if c])
-        actions.append(conj)
-    first = [solver.coords([ONE if k == i else ZERO for k in range(6)])
-             for i in range(3)]
-    return actions, first
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -175,11 +183,33 @@ def assert_split_fills(actions, dim):
         span = Subspace(dim, basis)
         for cols in actions:
             assert all(span.contains(act(cols, v)) for v in basis)
+    return pieces
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_split_module_pieces_so3_on_two_copies(seed):
     assert_split_fills(so3_on_two_copies(seed)[0], 6)
+
+
+def test_split_module_through_a_zero_divisor(monkeypatch):
+    # in the basis e0, e1, e3, e5, e2, e4 the first commutant element is
+    # singular and its characteristic polynomial is a power of one factor,
+    # so its kernel, the first copy, is split off with an invariant
+    # complement, the second copy
+    actions, first = so3_conjugated([unit(i) for i in (0, 1, 3, 5, 2, 4)])
+    assert first == [unit(0), unit(1), unit(4)]
+    calls = []
+    with_complement = decomp._with_complement
+
+    def spy(comm, wbasis, dim):
+        calls.append((len(comm), wbasis))
+        return with_complement(comm, wbasis, dim)
+
+    monkeypatch.setattr(decomp, "_with_complement", spy)
+    pieces = assert_split_fills(actions, 6)
+    assert calls == [(4, first)]
+    assert pieces == [(first, {"commutant_dim": 1}),
+                      ([unit(2), unit(3), unit(5)], {"commutant_dim": 1})]
 
 
 @pytest.mark.parametrize("tag,params", [
