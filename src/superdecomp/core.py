@@ -540,7 +540,8 @@ def _int_columns(cols):
 
 def module_commutant(actions, dim):
     """Basis of {T : A T = T A for every action A}, exact; the actions are
-    in column form and the basis elements are Matrices.
+    in column form and each basis element is the list of its dense
+    columns, so T v is _lin_comb(v, T, dim).
 
     Each action is scaled to integers first, which scales its equations
     and leaves the solution space.  The identity always commutes, so once
@@ -576,14 +577,8 @@ def module_commutant(actions, dim):
             ech.add(row)
         if ech.rank == npos - 1:
             break
-    out = []
-    for combo in ech.kernel_basis():
-        t = Matrix(dim, dim)
-        for r in range(dim):
-            for s in range(dim):
-                t.data[r][s] = combo[var(r, s)]
-        out.append(t)
-    return out
+    return [[[combo[var(r, s)] for r in range(dim)] for s in range(dim)]
+            for combo in ech.kernel_basis()]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ kernel.
 
 Brackets are taken in the coordinates of the input algebra: the
 odd-generated core is an ideal, so all of them can be taken upstairs.
-The module splitter works in each piece's own coordinates, on dense
-kernels; every other subspace (complements, intersections, the summation
-kernel) is read off integer echelon rows.
+The module splitter works in each piece's own coordinates, with module
+maps held as lists of dense columns; every kernel and solve, there and in
+the other subspaces (complements, intersections, the summation kernel),
+is read off integer echelon rows.
 All verdicts are exact; a splitting search that hits its iteration cap
 returns "inconclusive" rather than guessing.
 """
@@ -21,8 +22,8 @@ returns "inconclusive" rather than guessing.
 from fractions import Fraction
 
 from .exact import (
-    Echelon, LinSolver, Matrix, ZERO, ONE,
-    _lin_comb, kernel, solve, vec_is_zero, vec_zero,
+    Echelon, LinSolver, ZERO, ONE,
+    _lin_comb, _row_from_list, kernel, solve, vec_is_zero, vec_zero,
 )
 from .poly import char_poly_and_rational_split, peval_matrix, pmul
 from .core import (
@@ -146,33 +147,37 @@ def _lift(basis, vecs):
     return [_lin_comb(v, basis, len(basis[0])) for v in vecs]
 
 
+def _kernel_of(cols):
+    """ker m for a square m given by its dense columns, read off its rows."""
+    n = len(cols)
+    return kernel([{s: col[r] for s, col in enumerate(cols) if col[r]}
+                   for r in range(n)], n)
+
+
 def _invariant_complement(comm, wbasis, dim):
     """Invariant complement of an invariant subspace W = span(wbasis), or
     None when there is none (the module is then not semisimple).
 
-    comm is a basis of the module's commutant.  The complement is ker T
-    for T = sum c_i comm[i] with T w = w on W and T(M) inside W; such a T
-    is an equivariant projection onto W, and one exists exactly when W has
-    an invariant complement.  T(M) inside W reads phi T = 0 for every phi
-    in the annihilator of W.
+    comm is a basis of the module's commutant, each element a list of
+    columns.  The complement is ker T for T = sum c_i comm[i] with T w = w
+    on W and T(M) inside W; such a T is an equivariant projection onto W,
+    and one exists exactly when W has an invariant complement.  T(M)
+    inside W reads phi T = 0 for every phi in the annihilator of W; phi C
+    is phi's combination of the rows of C.
     """
-    ann = kernel(Matrix.from_rows(wbasis))
-    blocks = [([c.mul_vec(w) for c in comm], w) for w in wbasis]
-    blocks += [([c.transpose().mul_vec(phi) for c in comm], vec_zero(dim))
+    ann = kernel([_row_from_list(w) for w in wbasis], dim)
+    blocks = [([_lin_comb(w, c, dim) for c in comm], w) for w in wbasis]
+    blocks += [([_lin_comb(phi, zip(*c), dim) for c in comm], vec_zero(dim))
                for phi in ann]
     rows, rhs = [], []
     for images, target in blocks:
         for r in range(dim):
-            rows.append([img[r] for img in images])
+            rows.append({i: img[r] for i, img in enumerate(images) if img[r]})
             rhs.append(target[r])
-    res = solve(Matrix.from_rows(rows), rhs)
-    if res is None:
+    x = solve(rows, rhs, len(comm))
+    if x is None:
         return None
-    t = Matrix(dim, dim)
-    for c, m in zip(res[0], comm):
-        if c:
-            t = t + m.scale(c)
-    return kernel(t)
+    return _kernel_of([_lin_comb(x, [c[s] for c in comm], dim) for s in range(dim)])
 
 
 def _unit(dim, i):
@@ -241,11 +246,11 @@ def _split_parts(actions, dim, budget, comm):
         if len(pieces) < 2:
             # a singular commutant element is a zero divisor: its kernel is
             # a proper invariant subspace even without a coprime factor split
-            ker = kernel(theta)
+            ker = _kernel_of(theta)
             if 0 < len(ker) < dim:
                 return _with_complement(comm, ker, dim)
             continue
-        parts = [kernel(peval_matrix(p, theta)) for p in pieces]
+        parts = [_kernel_of(peval_matrix(p, theta)) for p in pieces]
         if sum(map(len, parts)) != dim:
             raise DecompositionError("primary decomposition dimensions do not add up")
         return parts
@@ -435,7 +440,7 @@ def build_g_ideal(g, dec, j, jp):
         raise DecompositionError("a_j fails to stay simple over g(j)",
                                  evidence={"j": j})
     # simple adjoint quotient: trivial center and perfectness
-    quo, _ = quotient_by_central(alg, _map_span(zi, g, vecs, alg))
+    quo = quotient_by_central(alg, _map_span(zi, g, vecs, alg))[0] if zi.dim else alg
     checks["quotient_center_trivial"] = center(quo).dim == 0
     checks["quotient_perfect"] = derived(quo).dim == quo.dim
     if not (checks["quotient_center_trivial"] and checks["quotient_perfect"]):

@@ -125,8 +125,9 @@ def ipow(k):
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Dense matrix of rational data: forms, Gram and derivation matrices,
-    linear systems.  Complex matrices are realize.SparseOps; their dense
+    """Dense matrix of rational data: forms, Gram and derivation matrices.
+    Linear systems are solved on sparse rows (kernel, solve, LinSolver).
+    Complex matrices are realize.SparseOps; their dense
     form (SparseOp.to_matrix) serves output and test oracles only.  Rows
     is a list of lists; never aliased."""
 
@@ -154,22 +155,6 @@ class Matrix:
         rows = [list(r) for r in rows]
         return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("dimension mismatch")
-
-    def __add__(self, other):
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
-
     def __neg__(self):
         return Matrix(self.rows, self.cols,
                       [[-a for a in row] for row in self.data])
@@ -196,30 +181,10 @@ class Matrix:
                         orow[j] = orow[j] + a * b
         return out
 
-    def mul_vec(self, v):
-        if self.cols != len(v):
-            raise ValueError("dimension mismatch")
-        out = []
-        for row in self.data:
-            acc = ZERO
-            for a, x in zip(row, v):
-                if a and x:
-                    acc = acc + a * x
-            out.append(acc)
-        return out
-
     def transpose(self):
         return Matrix(self.cols, self.rows,
                       [[self.data[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("square matrix required")
-        t = ZERO
-        for i in range(self.rows):
-            t = t + self.data[i][i]
-        return t
 
     def is_zero(self):
         return not any(map(any, self.data))
@@ -416,35 +381,33 @@ class Echelon:
         return out
 
 
-def kernel(m):
-    """Exact basis of the null space of a Matrix (list of column vectors)."""
-    ech = Echelon(m.cols)
-    for row in m.data:
-        ech.add_list(row)
+def kernel(rows, ncols):
+    """Exact basis of {x : row . x = 0 for every row}, as dense vectors
+    of length ncols; the rows are sparse."""
+    ech = Echelon(ncols)
+    for row in rows:
+        ech.add(row)
     return ech.kernel_basis()
 
 
-def solve(m, b):
-    """One exact solution of m x = b plus kernel basis, or None if inconsistent.
+def solve(rows, rhs, ncols):
+    """The exact solution x of row_i . x = rhs_i with every free variable
+    zero, or None if the system is inconsistent; the rows are sparse.
 
-    The kernel of [m | b] is read off its echelon form.  The vector for
-    the free rhs column, the last one, is -(x, -1) for the solution x
-    with every free variable zero; the others are (k, 0) for the kernel
-    vectors k of m.
+    Each equation is the row (row_i | rhs_i) of [A | b]; once in RREF, a
+    pivot row reads x_c + (free part) = its rhs entry, and a pivot in the
+    rhs column means 0 = 1.
     """
-    if m.rows != len(b):
-        raise ValueError("dimension mismatch")
-    n = m.cols
-    ech = Echelon(n + 1)
-    for row, bi in zip(m.data, b):
-        r = _row_from_list(row)
-        if bi:
-            r[n] = bi
-        ech.add(r)
-    if n in ech.pivots:
+    ech = Echelon(ncols + 1)
+    for row, b in zip(rows, rhs, strict=True):
+        ech.add({**row, ncols: b} if b else row)
+    if ncols in ech.pivots:
         return None
-    *ker, last = ech.kernel_basis()
-    return [-a for a in last[:n]], [v[:n] for v in ker]
+    x = vec_zero(ncols)
+    for c, row in ech.rref():
+        if ncols in row:
+            x[c] = row[ncols]
+    return x
 
 
 class LinSolver:

@@ -256,14 +256,9 @@ def is_trivial_cocycle(g, form):
                 continue
             rows.append(g.table.get((i, j), {}))
             rhs.append(form.gram.data[form.pos[i]][form.pos[j]])
-    mat = Matrix(len(rows), d0)
-    for r, row in enumerate(rows):
-        for k, v in row.items():
-            mat.data[r][k] = v
-    res = solve(mat, rhs)
-    if res is None:
+    lam = solve(rows, rhs, d0)
+    if lam is None:
         return None
-    lam = res[0]
     # verify the splitting x -> (lam(x_even), x) exactly
     for i in range(g.dim):
         for j in range(i, g.dim):
@@ -370,19 +365,18 @@ def build_c(n):
     rows = []
     for r in range(2):
         for c in range(2 * m):
-            re_row = [ZERO] * nb
-            im_row = [ZERO] * nb
             var = 2 * (r * 2 * m + c)
-            re_row[var] = im_row[var + 1] = ONE
+            re_row, im_row = {var: ONE}, {var + 1: ONE}
             for u in range(2):
                 for v in range(2 * m):
                     f = j2.data[r][u] * jbig.data[v][c]
                     if f:
+                        # J_2 is off-diagonal, so u != r and w != var
                         w = 2 * (u * 2 * m + v)
-                        re_row[w] += f
-                        im_row[w + 1] -= f
+                        re_row[w] = f
+                        im_row[w + 1] = -f
             rows += [re_row, im_row]
-    for vvec in kernel(Matrix.from_rows(rows)):
+    for vvec in kernel(rows, nb):
         vals = [Scalar(a, b) for a, b in zip(vvec[::2], vvec[1::2])]
         b = {(r, c): vals[r * 2 * m + c] for r in range(2) for c in range(2 * m)}
         odd = _shift(b, 0, 2)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .exact import (
-    I, Matrix, Scalar, ZERO, ONE, ipow, Echelon, solve,
+    I, LinSolver, Matrix, Scalar, ZERO, ONE, ipow, Echelon,
     is_positive_definite,
 )
 from .core import SuperAlgebraError, killing_form
@@ -319,11 +319,13 @@ def _rational_squares(r):
 
 
 def _matrix_inverse(m):
-    cols = [solve(m, [ONE if i == j else ZERO for i in range(m.rows)])
-            for j in range(m.rows)]
-    if None in cols:
-        raise SuperAlgebraError("singular matrix")
-    return Matrix.from_rows(zip(*[x for x, _ in cols]))
+    """m^-1 for a square rational m: column j solves m x = e_j."""
+    n = m.rows
+    try:
+        solver = LinSolver(m.transpose().data, n)
+    except ValueError:
+        raise SuperAlgebraError("singular matrix") from None
+    return Matrix.from_rows(zip(*map(solver.coords, Matrix.identity(n).data)))
 
 
 def tilde_tangent_representation(kind, n):

@@ -2,14 +2,15 @@
 polynomial and its coprime rational splitting.
 
 A polynomial is a list of Fractions, low degree first, with no trailing
-zeros; the zero polynomial is [].  Only the module splitter in decomp
-needs these, so no other layer loads this module.
+zeros; the zero polynomial is [].  A square matrix m is the list of its
+dense columns, so m v is _lin_comb(v, m, n).  Only the module splitter in
+decomp needs these, so no other layer loads this module.
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .exact import Matrix, _F0, _F1
+from .exact import _F0, _F1, _lin_comb, vec_zero
 
 
 def ptrim(p):
@@ -88,35 +89,28 @@ def peval(p, x):
 
 
 def peval_matrix(p, m):
-    """p(m) by Horner; m square Matrix with rational entries."""
-    n = m.rows
-    acc = Matrix(n, n)
+    """p(m) by Horner, for a square rational m; both are column lists."""
+    n = len(m)
+    acc = [vec_zero(n) for _ in range(n)]
     for a in reversed(p):
-        acc = m @ acc
-        if a:
-            for i in range(n):
-                acc.data[i][i] = acc.data[i][i] + a
+        acc = [_lin_comb(col, m, n) for col in acc]
+        for i in range(n):
+            acc[i][i] += a
     return acc
 
 
 def char_poly(m):
-    """Characteristic polynomial det(tI - m), Faddeev-LeVerrier, exact.
-
-    Requires rational entries.
-    """
-    if m.rows != m.cols:
-        raise ValueError("square matrix required")
-    if not m.is_real():
-        raise ValueError("rational entries required")
-    n = m.rows
+    """Characteristic polynomial det(tI - m), Faddeev-LeVerrier, exact;
+    m is a square rational matrix given by its columns."""
+    n = len(m)
     coeffs = [_F1]                       # c_n
-    aux = Matrix.identity(n)
+    aux = [[_F1 if i == j else _F0 for i in range(n)] for j in range(n)]
     for k in range(1, n + 1):
-        aux = m @ aux
-        ck = -aux.trace() / k
+        aux = [_lin_comb(col, m, n) for col in aux]
+        ck = -sum((aux[i][i] for i in range(n)), _F0) / k
         coeffs.append(ck)
         for i in range(n):
-            aux.data[i][i] = aux.data[i][i] + ck
+            aux[i][i] += ck
     coeffs.reverse()                     # low degree first
     return ptrim(coeffs)
 

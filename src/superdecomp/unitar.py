@@ -517,7 +517,7 @@ def _no_posdef_pair_certificate(grams, dim, actions):
     for vi in range(dim):
         v = [ONE if a == vi else ZERO for a in range(dim)]
         for j in comm:
-            w = j.mul_vec(v)
+            w = _lin_comb(v, j, dim)
             if vec_is_zero(w):
                 continue
             if all(quad_form(s, v) + quad_form(s, w) == 0 for s in grams):

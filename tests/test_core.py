@@ -145,7 +145,8 @@ def test_adjoint_central_is_zero():
 def test_adjoint_su2_char_poly():
     k = build_lie_algebra("su", 2)
     from superdecomp.poly import char_poly
-    p = char_poly(ad_matrix(k, k.basis_vector(0)))      # ad of i(E00 - E11)
+    x = k.basis_vector(0)                               # i(E00 - E11)
+    p = char_poly([k.bracket(x, k.basis_vector(j)) for j in range(k.dim)])
     assert p == [Fraction(0), Fraction(4), Fraction(0), Fraction(1)]
 
 
@@ -546,7 +547,8 @@ def dense_invariant_symmetric_forms(actions, dim):
 
 
 def dense_module_commutant(actions, dim):
-    """T with A T = T A, equations read entry by entry."""
+    """T with A T = T A, equations read entry by entry, each T as the list
+    of its columns, the oracle's Matrix transposed."""
     def var(r, s):
         return r * dim + s
 
@@ -573,7 +575,7 @@ def dense_module_commutant(actions, dim):
         for r in range(dim):
             for s in range(dim):
                 t.data[r][s] = combo[var(r, s)]
-        out.append(t)
+        out.append(t.transpose().data)
     return out
 
 
@@ -703,7 +705,7 @@ def dense_intersection(u, w):
         row = [u.basis[a][i] for a in range(len(u.basis))]
         row += [-w.basis[b][i] for b in range(len(w.basis))]
         rows.append(row)
-    ker = kernel(Matrix.from_rows(rows))
+    ker = kernel([{j: a for j, a in enumerate(row) if a} for row in rows], len(rows[0]))
     return Subspace(u.ambient_dim, [_lin_comb(combo, u.basis, u.ambient_dim)
                                     for combo in ker])
 
@@ -810,8 +812,7 @@ def test_module_commutant_stops_at_the_scalars():
     actions = _so3_on_q3()
     comm = module_commutant(actions, 3)
     assert comm == dense_module_commutant(actions, 3)
-    assert [t.data for t in comm] == [[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO],
-                                       [ZERO, ZERO, ONE]]]
+    assert comm == [[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]]
     # two generators of so(3) already leave only the scalars, so the third
     # action is never read
     assert module_commutant(actions[:2] + [_Unread(actions[2])], 3) == comm
@@ -919,6 +920,41 @@ def test_core_subspaces_run_on_echelon_rows():
                 for a in n.names]
     assert "Echelon" in imported
     assert not {"kernel", "_lin_comb"} & set(imported), imported
+
+
+def _names_matrix(node, bound):
+    return any((isinstance(n, ast.Name) and n.id in bound | {"Matrix"})
+               or (isinstance(n, ast.Attribute) and n.attr == "from_rows")
+               for n in ast.walk(node))
+
+
+def test_kernels_and_solves_take_sparse_rows():
+    # kernel and solve take sparse rows: no module builds a Matrix, directly
+    # or through a name bound to one, to feed them
+    fed = []
+    for name, tree in _library_trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            bound = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                     and _names_matrix(n.value, set())
+                     for t in n.targets if isinstance(t, ast.Name)}
+            fed += [(name, n.lineno) for n in ast.walk(fn)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id in ("kernel", "solve")
+                    and any(_names_matrix(a, bound) for a in n.args)]
+    assert fed == []
+
+
+def test_splitter_modules_never_name_matrix():
+    # the module splitter and poly hold module maps as lists of dense columns
+    for name, tree in _library_trees():
+        if name in ("decomp.py", "poly.py"):
+            named = [n.lineno for n in ast.walk(tree)
+                     if (isinstance(n, ast.Name) and n.id == "Matrix")
+                     or (isinstance(n, ast.alias) and n.name == "Matrix")
+                     or (isinstance(n, ast.Attribute) and n.attr == "Matrix")]
+            assert named == [], (name, named)
 
 
 def test_rational_modules_never_name_scalar():

@@ -25,6 +25,21 @@ def V(entries):
     return [Scalar(a) for a in entries]
 
 
+def rows(m):
+    """The sparse rows of a Matrix, as kernel and solve take them."""
+    return [{j: a for j, a in enumerate(r) if a} for r in m.data]
+
+
+def columns(m):
+    """The dense columns of a Matrix, as char_poly takes them."""
+    return [list(c) for c in zip(*m.data)]
+
+
+def mul(m, v):
+    """m v for a Matrix m."""
+    return [sum((a * x for a, x in zip(r, v)), ZERO) for r in m.data]
+
+
 def random_vector(rng, n, nonzero=False):
     """n seeded rationals p/q with |p| <= 3 and 1 <= q <= 2, not all zero
     when nonzero."""
@@ -61,11 +76,11 @@ def test_scalar_complex_mul():
 # --- kernel / solve ---------------------------------------------------------
 
 def test_kernel_identity():
-    assert kernel(Matrix.identity(2)) == []
+    assert kernel(rows(Matrix.identity(2)), 2) == []
 
 
 def test_kernel_rank_one():
-    ker = kernel(M([[1, 1], [1, 1]]))
+    ker = kernel(rows(M([[1, 1], [1, 1]])), 2)
     assert len(ker) == 1
     v = ker[0]
     # spans (1, -1)
@@ -73,27 +88,29 @@ def test_kernel_rank_one():
 
 
 def test_kernel_nilpotent_block():
-    ker = kernel(M([[0, 1], [0, 0]]))
+    ker = kernel(rows(M([[0, 1], [0, 0]])), 2)
     assert len(ker) == 1
     assert ker[0][0] != ZERO and ker[0][1] == ZERO
 
 
 def test_solve_identity():
-    x, ker = solve(Matrix.identity(3), V([2, -1, 5]))
-    assert x == V([2, -1, 5]) and ker == []
+    x = solve(rows(Matrix.identity(3)), V([2, -1, 5]), 3)
+    assert x == V([2, -1, 5]) and kernel(rows(Matrix.identity(3)), 3) == []
 
 
 def test_solve_underdetermined():
-    res = solve(M([[1, 1]]), V([2]))
-    assert res is not None
-    x, ker = res
+    x = solve(rows(M([[1, 1]])), V([2]), 2)
+    assert x is not None
     assert x[0] + x[1] == Scalar(2)
+    # the free variable, the second, is zero
+    assert x[1] == ZERO
+    ker = kernel(rows(M([[1, 1]])), 2)
     assert len(ker) == 1
     assert ker[0][0] + ker[0][1] == ZERO
 
 
 def test_solve_inconsistent():
-    assert solve(M([[1], [1]]), V([1, 2])) is None
+    assert solve(rows(M([[1], [1]])), V([1, 2]), 1) is None
 
 
 def test_solve_random_roundtrip():
@@ -102,15 +119,15 @@ def test_solve_random_roundtrip():
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         a = Matrix.from_rows([random_vector(rng, m) for _ in range(n)])
         x0 = random_vector(rng, m)
-        b = a.mul_vec(x0)
-        res = solve(a, b)
-        assert res is not None
-        x, ker = res
-        assert a.mul_vec(x) == b
+        b = mul(a, x0)
+        x = solve(rows(a), b, m)
+        assert x is not None
+        assert mul(a, x) == b
         # kernel dimension + rank = column count
+        ker = kernel(rows(a), m)
         assert len(ker) == m - _sym(a).rank()
         for v in ker:
-            assert vec_is_zero(a.mul_vec(v))
+            assert vec_is_zero(mul(a, v))
 
 
 def test_linsolver_tracks_scaling():
@@ -146,7 +163,7 @@ def test_span_basis_canonical():
 # --- characteristic polynomial ----------------------------------------------
 
 def test_char_poly_diag():
-    p, factors, roots = char_poly_and_rational_split(M([[1, 0], [0, 2]]))
+    p, factors, roots = char_poly_and_rational_split(columns(M([[1, 0], [0, 2]])))
     assert p == [Fraction(2), Fraction(-3), Fraction(1)]
     assert sorted(r for r, _ in roots) == [1, 2]
     prod = [Fraction(1)]
@@ -157,14 +174,15 @@ def test_char_poly_diag():
 
 
 def test_char_poly_rotation_no_rational_roots():
-    p, factors, roots = char_poly_and_rational_split(M([[0, 1], [-1, 0]]))
+    p, factors, roots = char_poly_and_rational_split(columns(M([[0, 1], [-1, 0]])))
     assert p == [Fraction(1), Fraction(0), Fraction(1)]   # t^2 + 1
     assert roots == []
     assert len(factors) == 1
 
 
 def test_char_poly_repeated():
-    p, factors, roots = char_poly_and_rational_split(M([[3, 0, 0], [0, 3, 0], [0, 0, 5]]))
+    p, factors, roots = char_poly_and_rational_split(
+        columns(M([[3, 0, 0], [0, 3, 0], [0, 0, 5]])))
     assert dict((r, e) for r, e in roots) == {3: 2, 5: 1}
     prod = [Fraction(1)]
     for f, e in factors:
@@ -177,9 +195,9 @@ def test_char_poly_matches_cayley_hamilton():
     rng = random.Random(5)
     for _ in range(10):
         n = rng.randint(1, 5)
-        a = Matrix.from_rows([random_vector(rng, n) for _ in range(n)])
+        a = columns(Matrix.from_rows([random_vector(rng, n) for _ in range(n)]))
         p = char_poly(a)
-        assert peval_matrix(p, a).is_zero()
+        assert not any(map(any, peval_matrix(p, a)))
 
 
 # --- positive definiteness --------------------------------------------------
@@ -188,7 +206,7 @@ def test_matrix_shape_checks_raise():
     with pytest.raises(ValueError):
         Matrix(2, 3) @ Matrix(2, 3)
     with pytest.raises(ValueError):
-        Matrix(2, 2) + Matrix(2, 3)
+        solve([{0: Fraction(1)}], [], 1)
     with pytest.raises(ValueError):
         Matrix(2, 2, [[ZERO, ZERO]])
     with pytest.raises(ZeroDivisionError):
@@ -432,20 +450,19 @@ def _fracs(col):
 @given(rational_matrices(), st.data())
 def test_rank_kernel_solve_match_sympy(m, data):
     sm = _sym(m)
-    assert len(kernel(m)) == m.cols - sm.rank()
+    ker = kernel(rows(m), m.cols)
+    assert len(ker) == m.cols - sm.rank()
     # both read the kernel basis off the RREF with one free variable set to 1
-    assert kernel(m) == [_fracs(v) for v in sm.nullspace()]
+    assert ker == [_fracs(v) for v in sm.nullspace()]
     b = [Fraction(data.draw(_entries)) for _ in range(m.rows)]
-    res = solve(m, b)
+    x = solve(rows(m), b, m.cols)
     sb = _sym_vec(b)
     if sm.row_join(sb).rank() > sm.rank():
-        assert res is None
+        assert x is None
     else:
-        x, ker = res
         assert sm * _sym_vec(x) == sb
         sol, params = sm.gauss_jordan_solve(sb)
         assert x == _fracs(sol.subs({p: 0 for p in params}))
-        assert ker == kernel(m)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -471,7 +488,7 @@ def test_linsolver_coords_match_sympy(m, data):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(rational_matrices(square=True))
 def test_char_poly_matches_sympy(m):
-    p, factors, roots = char_poly_and_rational_split(m)
+    p, factors, roots = char_poly_and_rational_split(columns(m))
     t = sympy.Symbol("t")
     want = sympy.Poly(_sym(m).charpoly(t).as_expr(), t, domain="QQ")
     assert p == _fracs(reversed(want.all_coeffs()))

@@ -494,10 +494,9 @@ def test_sylvester_runs_only_on_a_positive_diagonal(monkeypatch):
     assert out.found and out.witness[2] == len(drawn) == 13
 
     def gram_at(t):
-        m = Matrix(g.d1, g.d1)
-        for ti, gi in zip(t, grams):
-            m = m + gi.scale(Fraction(ti))
-        return m
+        return Matrix.from_rows(
+            [[sum((Fraction(ti) * gi.data[r][s] for ti, gi in zip(t, grams)), ZERO)
+              for s in range(g.d1)] for r in range(g.d1)])
 
     positive = [gram_at(t) for t in drawn
                 if all(gram_at(t).data[r][r] > 0 for r in range(g.d1))]
