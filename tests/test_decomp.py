@@ -139,8 +139,8 @@ def so3_conjugated(cols):
     return actions, first
 
 
-def unit(i, dim=6):
-    return [ONE if k == i else ZERO for k in range(dim)]
+def unit(i):
+    return [ONE if k == i else ZERO for k in range(6)]
 
 
 def so3_on_two_copies(seed):
