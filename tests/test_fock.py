@@ -289,6 +289,61 @@ def test_rep_json_export():
     assert len(d["operators"]) == 3
 
 
+# the nonzero entries (i, j, re num, re den, im num, im den) of the q(1)
+# defining operators, e0..e6, and of the same operators scaled by 1/2 - i/3
+_Q1_ENTRIES = [
+    [(0, 0, "0", "1", "1", "1"), (2, 2, "0", "1", "1", "1")],
+    [(1, 1, "0", "1", "1", "1"), (3, 3, "0", "1", "1", "1")],
+    [(0, 1, "1", "1", "0", "1"), (1, 0, "-1", "1", "0", "1"),
+     (2, 3, "1", "1", "0", "1"), (3, 2, "-1", "1", "0", "1")],
+    [(0, 1, "0", "1", "1", "1"), (1, 0, "0", "1", "1", "1"),
+     (2, 3, "0", "1", "1", "1"), (3, 2, "0", "1", "1", "1")],
+    [(0, 2, "1", "1", "1", "1"), (1, 3, "-1", "1", "-1", "1"),
+     (2, 0, "1", "1", "1", "1"), (3, 1, "-1", "1", "-1", "1")],
+    [(0, 3, "1", "1", "-1", "1"), (1, 2, "-1", "1", "1", "1"),
+     (2, 1, "1", "1", "-1", "1"), (3, 0, "-1", "1", "1", "1")],
+    [(0, 3, "1", "1", "1", "1"), (1, 2, "1", "1", "1", "1"),
+     (2, 1, "1", "1", "1", "1"), (3, 0, "1", "1", "1", "1")],
+]
+_Q1_SCALED_ENTRIES = [
+    [(0, 0, "1", "3", "1", "2"), (2, 2, "1", "3", "1", "2")],
+    [(1, 1, "1", "3", "1", "2"), (3, 3, "1", "3", "1", "2")],
+    [(0, 1, "1", "2", "-1", "3"), (1, 0, "-1", "2", "1", "3"),
+     (2, 3, "1", "2", "-1", "3"), (3, 2, "-1", "2", "1", "3")],
+    [(0, 1, "1", "3", "1", "2"), (1, 0, "1", "3", "1", "2"),
+     (2, 3, "1", "3", "1", "2"), (3, 2, "1", "3", "1", "2")],
+    [(0, 2, "5", "6", "1", "6"), (1, 3, "-5", "6", "-1", "6"),
+     (2, 0, "5", "6", "1", "6"), (3, 1, "-5", "6", "-1", "6")],
+    [(0, 3, "1", "6", "-5", "6"), (1, 2, "-1", "6", "5", "6"),
+     (2, 1, "1", "6", "-5", "6"), (3, 0, "-1", "6", "5", "6")],
+    [(0, 3, "5", "6", "1", "6"), (1, 2, "5", "6", "1", "6"),
+     (2, 1, "5", "6", "1", "6"), (3, 0, "5", "6", "1", "6")],
+]
+
+
+def _q1_json(entries):
+    ops = []
+    for k, nonzero in enumerate(entries):
+        matrix = [[["0", "1", "0", "1"] for _ in range(4)] for _ in range(4)]
+        for i, j, *e in nonzero:
+            matrix[i][j] = e
+        ops.append({"basis_id": "e%d" % k, "matrix": matrix})
+    return {"space": {"dim": "4", "parities": [0, 0, 1, 1]},
+            "gram": "identity", "operators": ops}
+
+
+def test_rep_json_pins_complex_entries_and_denominators():
+    # entries a + bi with a and b both nonzero, and (after the scaling by
+    # 1/2 - i/3) with denominators other than 1; no golden file holds either
+    g = build_family("q", 1)
+    rep = defining_representation(g)
+    assert rep.to_json_dict() == _q1_json(_Q1_ENTRIES)
+    t = Scalar(Fraction(1, 2), Fraction(-1, 3))
+    scaled = Representation(g, rep.space_parities,
+                            [op.scale(t) for op in rep.operators])
+    assert scaled.to_json_dict() == _q1_json(_Q1_SCALED_ENTRIES)
+
+
 # --- sparse operators against the dense Matrix oracle -----------------------
 
 _gaussian = st.one_of(
