@@ -24,7 +24,8 @@ import re
 from types import MappingProxyType
 
 from .exact import (
-    Echelon, LinSolver, Matrix, ZERO, ONE, _row_from_list, vec_add, vec_sub, vec_zero,
+    Echelon, LinSolver, ZERO, ONE, _row_from_list, is_symmetric, vec_add, vec_sub,
+    vec_zero,
 )
 
 
@@ -480,7 +481,8 @@ def is_ideal(g, s):
 
 @per_algebra
 def killing_form(g):
-    """Gram matrix kappa(e_i, e_j) = str(ad e_i ad e_j) and its rank.
+    """Gram matrix kappa(e_i, e_j) = str(ad e_i ad e_j), as a list of rows,
+    and its rank.
 
     kappa_ij = den**-2 sum_l sum_{k in ad_i[l]} (-1)^{|k|} ad_i[l][k] ad_j[k][l]
     over the integer adjoint table.
@@ -489,12 +491,12 @@ def killing_form(g):
     ad, den = g.adjoint_table()
     par = g.space.parities
     scale = den * den
-    gram = Matrix(n, n)
+    gram = [vec_zero(n) for _ in range(n)]
     for i in range(n):
         # the nonzero entries of ad e_i, signed by the parity of their row
         entries = [(l, k, -a if par[k] else a)
                    for l, col in enumerate(ad[i]) for k, a in col.items()]
-        row = gram.data[i]
+        row = gram[i]
         for j in range(n):
             ad_j = ad[j]
             acc = 0
@@ -505,7 +507,7 @@ def killing_form(g):
             if acc:
                 row[j] = Fraction(acc, scale)
     ech = Echelon(n)
-    for row in gram.data:
+    for row in gram:
         ech.add_list(row)
     return gram, ech.rank
 
@@ -518,14 +520,17 @@ class InvariantForm:
     """Symmetric bilinear form on a stated index range of a superalgebra.
 
     `indices` are the ambient basis indices the Gram refers to (usually the
-    odd ones); gram is a symmetric rational Matrix of matching size.
+    odd ones); gram is the rows of a symmetric rational matrix of matching
+    size.
     """
 
     def __init__(self, indices, gram):
         self.indices = tuple(indices)
-        if not gram.rows == gram.cols == len(self.indices):
+        n = len(self.indices)
+        if len(gram) != n or any(len(r) != n for r in gram):
             raise ValueError("Gram size must match the index range")
-        if not gram.is_symmetric() or not gram.is_real():
+        if not is_symmetric(gram) or not all(
+                isinstance(a, Fraction) for row in gram for a in row):
             raise SuperAlgebraError("symmetric rational Gram required")
         self.gram = gram
         self.pos = {i: r for r, i in enumerate(self.indices)}

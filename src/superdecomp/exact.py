@@ -6,11 +6,12 @@ LP data.  Complex values, which arise only in matrix realizations and
 Fock operators (both held as realize.SparseOp), are Gaussian rationals
 a + bi of type Scalar with b != 0; a Scalar operation whose result is
 real returns a Fraction, so the two types never hold the same number.
-All operations are exact: there is no floating point anywhere in this
-package.  Elimination runs on rational rows only and is fraction-free:
-rows are scaled to coprime ints and updated by cross-multiplication with
-content removal (Bareiss style), so entries stay small integers instead
-of accumulating denominators.
+A vector is a plain list, and a rational matrix (a Gram or derivation
+table) is a list of its rows.  All operations are exact: there is no
+floating point anywhere in this package.  Elimination runs on rational
+rows only and is fraction-free: rows are scaled to coprime ints and
+updated by cross-multiplication with content removal (Bareiss style), so
+entries stay small integers instead of accumulating denominators.
 
 Everything here is a pure function on immutable values and safe to call
 concurrently.
@@ -120,92 +121,13 @@ def ipow(k):
     return (ONE, I, MINUS_ONE, -I)[k % 4]
 
 
-# ---------------------------------------------------------------------------
-# dense matrices
-# ---------------------------------------------------------------------------
+# vectors are plain lists of Fraction (or Scalar), matrices lists of rows
 
-class Matrix:
-    """Dense matrix of rational data: forms, Gram and derivation matrices.
-    Linear systems are solved on sparse rows (kernel, solve, LinSolver).
-    Complex matrices are realize.SparseOps; their dense
-    form (SparseOp.to_matrix) serves output and test oracles only.  Rows
-    is a list of lists; never aliased."""
+def is_symmetric(m):
+    """True iff the row list m is square and equal to its transpose."""
+    # list comparison tries identity first, so shared ZERO entries are free
+    return all(len(r) == len(m) for r in m) and m == [list(c) for c in zip(*m)]
 
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows, cols, data=None):
-        self.rows = rows
-        self.cols = cols
-        if data is None:
-            self.data = [[ZERO] * cols for _ in range(rows)]
-        else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("data does not have the stated shape")
-            self.data = data
-
-    @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = ONE
-        return m
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
-        return cls(len(rows), len(rows[0]) if rows else 0, rows)
-
-    def __neg__(self):
-        return Matrix(self.rows, self.cols,
-                      [[-a for a in row] for row in self.data])
-
-    def scale(self, s):
-        """s times self; zero entries are kept, not multiplied."""
-        return Matrix(self.rows, self.cols,
-                      [[s * a if a else a for a in row] for row in self.data])
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = Matrix(self.rows, other.cols)
-        odata = out.data
-        bdata = other.data
-        for i, arow in enumerate(self.data):
-            orow = odata[i]
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = bdata[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        orow[j] = orow[j] + a * b
-        return out
-
-    def transpose(self):
-        return Matrix(self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
-
-    def is_zero(self):
-        return not any(map(any, self.data))
-
-    def is_symmetric(self):
-        # list comparison tries identity first, so shared ZERO entries are free
-        return (self.rows == self.cols
-                and self.data == [list(c) for c in zip(*self.data)])
-
-    def is_real(self):
-        return all(isinstance(a, Fraction) for row in self.data for a in row)
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def __repr__(self):
-        return "Matrix(%d,%d,%s)" % (self.rows, self.cols, self.data)
-
-
-# vectors are plain lists of Fraction (or Scalar)
 
 def vec_zero(n):
     return [ZERO] * n
@@ -458,8 +380,8 @@ class PosDefResult:
     minors      -- leading principal minors D_1..D_k computed along the way
     witness     -- on failure, exact v with v^T g v <= 0
     witness_value -- the value v^T g v
-    congruence  -- on success, T with T^T g T diagonal; its k-th diagonal
-                   entry is D_k / D_{k-1}
+    congruence  -- on success, the rows of T with T^T g T diagonal; its
+                   k-th diagonal entry is D_k / D_{k-1}
     """
 
     __slots__ = ("ok", "minors", "witness", "witness_value", "congruence")
@@ -474,9 +396,9 @@ class PosDefResult:
 
 
 def quad_form(g, v):
-    """v^T g v for rational symmetric g."""
+    """v^T g v for the rows g of a rational symmetric matrix."""
     acc = _F0
-    for i, row in enumerate(g.data):
+    for i, row in enumerate(g):
         if not v[i]:
             continue
         for j, a in enumerate(row):
@@ -488,17 +410,15 @@ def quad_form(g, v):
 def is_positive_definite(g):
     """Sylvester criterion via symmetric elimination, exact witness on failure.
 
-    g must be symmetric with rational entries; a non-symmetric or complex
-    input raises ValueError.
+    g is a list of rows, symmetric with rational entries; a non-symmetric
+    or complex input raises ValueError.
     """
-    if not g.is_real():
+    if not all(isinstance(a, Fraction) for row in g for a in row):
         raise ValueError("rational symmetric matrix required")
-    if not g.is_symmetric():
+    if not is_symmetric(g):
         raise ValueError("non-symmetric input rejected")
-    n = g.rows
-    if n == 0:
-        return PosDefResult(True, [], congruence=Matrix(0, 0))
-    s = [row[:] for row in g.data]
+    n = len(g)
+    s = [row[:] for row in g]
     # congruence transform T with T^T g T = s throughout; column k of T
     # carries the witness coordinates back to the original basis.
     t = [[_F1 if i == j else _F0 for j in range(n)] for i in range(n)]
@@ -552,7 +472,7 @@ def is_positive_definite(g):
         tt = (sigma + 1) / (2 * sv)
         return failure([tt * t[i][k] - t[i][j] for i in range(n)],
                        lambda val: val < 0)
-    return PosDefResult(True, minors, congruence=Matrix(n, n, t))
+    return PosDefResult(True, minors, congruence=t)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (
-    Matrix, Scalar, ZERO, ONE, MINUS_ONE, I, kernel, solve,
+    Scalar, ZERO, ONE, MINUS_ONE, I, kernel, solve,
     vec_is_zero, vec_zero,
 )
 from .core import (
@@ -172,13 +172,14 @@ def semidirect_by_derivation(g, dmat, parity):
     is a Lie superalgebra and D a derivation of the parity of d: Jacobi on
     (d, x, y) is D[x,y] = [Dx,y] + (-1)^{|d||x|}[x,Dy], the parity check
     sees a D of the wrong parity, and for odd d Jacobi on (d, d, x) is
-    2 D^2 x = 0.  Raises ExtensionError otherwise, and SuperAlgebraError
-    for a D that is not dim x dim.
+    2 D^2 x = 0.  D is a list of rows.  Raises ExtensionError otherwise,
+    and SuperAlgebraError for a D that is not dim x dim.
     """
     n = g.dim
-    if (dmat.rows, dmat.cols) != (n, n):
+    shape = (len(dmat), len(dmat[0]) if dmat else 0)
+    if shape != (n, n) or any(len(r) != n for r in dmat):
         raise SuperAlgebraError("derivation matrix is %dx%d, expected %dx%d"
-                                % (dmat.rows, dmat.cols, n, n))
+                                % (shape + (n, n)))
     pos = g.d0 if parity % 2 == 0 else n        # insert after evens / at end
 
     def shift(i):
@@ -189,7 +190,7 @@ def semidirect_by_derivation(g, dmat, parity):
     for (i, j), terms in g.table.items():
         table[(shift(i), shift(j))] = {shift(k): v for k, v in terms.items()}
     for j in range(n):
-        col = {shift(k): dmat.data[k][j] for k in range(n) if dmat.data[k][j]}
+        col = {shift(k): dmat[k][j] for k in range(n) if dmat[k][j]}
         if not col:
             continue
         sj = shift(j)
@@ -223,7 +224,7 @@ def central_extension(g, form):
         for j in g.space.odd_indices():
             if j < i:
                 continue
-            val = form.gram.data[pos[i]][pos[j]]
+            val = form.gram[pos[i]][pos[j]]
             if not val:
                 continue
             key = (i + 1, j + 1)
@@ -255,7 +256,7 @@ def is_trivial_cocycle(g, form):
             if j < i:
                 continue
             rows.append(g.table.get((i, j), {}))
-            rhs.append(form.gram.data[form.pos[i]][form.pos[j]])
+            rhs.append(form.gram[form.pos[i]][form.pos[j]])
     lam = solve(rows, rhs, d0)
     if lam is None:
         return None
@@ -334,10 +335,10 @@ def build_pq(n):
 
 def _sympl_gram(size):
     half = size // 2
-    jmat = Matrix(size, size)
+    jmat = [vec_zero(size) for _ in range(size)]
     for i in range(half):
-        jmat.data[i][half + i] = ONE
-        jmat.data[half + i][i] = MINUS_ONE
+        jmat[i][half + i] = ONE
+        jmat[half + i][i] = MINUS_ONE
     return jmat
 
 
@@ -369,7 +370,7 @@ def build_c(n):
             re_row, im_row = {var: ONE}, {var + 1: ONE}
             for u in range(2):
                 for v in range(2 * m):
-                    f = j2.data[r][u] * jbig.data[v][c]
+                    f = j2[r][u] * jbig[v][c]
                     if f:
                         # J_2 is off-diagonal, so u != r and w != var
                         w = 2 * (u * 2 * m + v)
@@ -383,7 +384,7 @@ def build_c(n):
         # lower block C = -J B^T
         for a in range(2 * m):
             for r in range(2):
-                odd[(2 + a, r)] = -sum(jbig.data[a][v] * b[r, v] for v in range(2 * m))
+                odd[(2 + a, r)] = -sum(jbig[a][v] * b[r, v] for v in range(2 * m))
         mats.append(odd)
     return _span(2 + 2 * m, 2, mats)
 
@@ -411,12 +412,12 @@ def build_tangent_from_algebra(k, variant):
     if variant == "T":
         return tk
     if variant == "T_hat":
-        dmat = Matrix(2 * d, 2 * d)
+        dmat = [vec_zero(2 * d) for _ in range(2 * d)]
         for i in range(d):
-            dmat.data[i][d + i] = ONE                     # d/dxi
+            dmat[i][d + i] = ONE                          # d/dxi
         return semidirect_by_derivation(tk, dmat, parity=1)
     gram, _ = killing_form(k)
-    form = InvariantForm(list(range(d, 2 * d)), -gram)
+    form = InvariantForm(list(range(d, 2 * d)), [[-a for a in row] for row in gram])
     return central_extension(tk, form)
 
 
@@ -434,10 +435,10 @@ def build_spin_h(v):
 def build_spin_h_hat(v):
     h = build_spin_h(v)
     n = h.dim
-    dmat = Matrix(n, n)
+    dmat = [vec_zero(n) for _ in range(n)]
     for j in range(v):
-        dmat.data[1 + v + j][1 + j] = ONE              # D X_j = Y_j
-        dmat.data[1 + j][1 + v + j] = MINUS_ONE       # D Y_j = -X_j
+        dmat[1 + v + j][1 + j] = ONE                   # D X_j = Y_j
+        dmat[1 + j][1 + v + j] = MINUS_ONE             # D Y_j = -X_j
     return semidirect_by_derivation(h, dmat, parity=0)
 
 

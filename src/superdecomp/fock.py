@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .exact import (
-    I, LinSolver, Matrix, Scalar, ZERO, ONE, ipow, Echelon,
+    I, LinSolver, Scalar, ZERO, ONE, ipow, Echelon, _lin_comb,
     is_positive_definite,
 )
 from .core import SuperAlgebraError, killing_form
@@ -92,10 +92,11 @@ class FockSpace:
         return self._ladder(f, False)
 
     def second_quantised(self, a):
-        """dGamma(a) = sum a_kj a*(e_k) a(e_j) for a one-particle operator."""
-        if not a.rows == a.cols == self.n:
+        """dGamma(a) = sum a_kj a*(e_k) a(e_j) for a one-particle operator,
+        given as a list of rows."""
+        if len(a) != self.n or any(len(row) != self.n for row in a):
             raise ValueError("one-particle operator must be n x n")
-        den, pairs = _gaussian_ints([v for row in a.data for v in row])
+        den, pairs = _gaussian_ints([v for row in a for v in row])
         terms = [(pos // self.n, pos % self.n, e)
                  for pos, e in enumerate(pairs) if e[0] or e[1]]
         cols = []
@@ -183,17 +184,27 @@ class Representation:
         return len(self.space_parities)
 
     def to_json_dict(self):
-        def entry(v):
-            return [str(v.real.numerator), str(v.real.denominator),
-                    str(v.imag.numerator), str(v.imag.denominator)]
+        """Each operator as its dense rows; entry (a + bi) / den is written
+        as the numerators and denominators of its real and imaginary parts
+        in lowest terms.  The zero entries share one list."""
+        dim = self.space_dim
+        zero = ["0", "1", "0", "1"]
+
+        def matrix(op):
+            rows = [[zero] * dim for _ in range(dim)]
+            for j, col in enumerate(op.cols):
+                for i, (a, b) in col.items():
+                    re, im = Fraction(a, op.den), Fraction(b, op.den)
+                    rows[i][j] = [str(re.numerator), str(re.denominator),
+                                  str(im.numerator), str(im.denominator)]
+            return rows
 
         return {
-            "space": {"dim": str(self.space_dim),
+            "space": {"dim": str(dim),
                       "parities": [p for p in self.space_parities]},
             "gram": "identity",
             "operators": [
-                {"basis_id": self.algebra.space.labels[i],
-                 "matrix": [[entry(v) for v in row] for row in op.to_matrix().data]}
+                {"basis_id": self.algebra.space.labels[i], "matrix": matrix(op)}
                 for i, op in enumerate(self.operators)],
         }
 
@@ -257,9 +268,9 @@ def spin_representation(variant, n):
     g = build(spec)
     fock = FockSpace(n)
     ops = [SparseOp.identity(fock.dim).scale(I)]
-    if variant == "spin_h_hat":
-        ops.append(fock.second_quantised(Matrix.identity(n)).scale(I))
     units = [[ONE if i == k else ZERO for i in range(n)] for k in range(n)]
+    if variant == "spin_h_hat":
+        ops.append(fock.second_quantised(units).scale(I))
     ladders = [(fock.creation(e), fock.annihilation(e)) for e in units]
     ops += [c + a.scale(I) for c, a in ladders]
     ops += [c.scale(I) + a for c, a in ladders]
@@ -318,14 +329,21 @@ def _rational_squares(r):
     return [Fraction(x, den) for x in _four_squares(num * den)]
 
 
+def _matmul(a, b):
+    """The product of two rational matrices given as lists of rows."""
+    return [_lin_comb(row, b, len(b[0])) for row in a]
+
+
 def _matrix_inverse(m):
-    """m^-1 for a square rational m: column j solves m x = e_j."""
-    n = m.rows
+    """The rows of m^-1 for the rows m of a square rational matrix: column
+    j solves m x = e_j."""
+    n = len(m)
     try:
-        solver = LinSolver(m.transpose().data, n)
+        solver = LinSolver(list(zip(*m)), n)
     except ValueError:
         raise SuperAlgebraError("singular matrix") from None
-    return Matrix.from_rows(zip(*map(solver.coords, Matrix.identity(n).data)))
+    units = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
+    return [list(r) for r in zip(*map(solver.coords, units))]
 
 
 def tilde_tangent_representation(kind, n):
@@ -344,7 +362,7 @@ def tilde_tangent_representation(kind, n):
     k = build_lie_algebra(kind, n)
     d = k.dim
     gram, _ = killing_form(k)
-    beta = -gram
+    beta = [[-a for a in row] for row in gram]
     # beta = P^-T D P^-1 with the congruence of the Sylvester test as P;
     # D_kk is the ratio of consecutive leading minors
     sylvester = is_positive_definite(beta)
@@ -364,30 +382,27 @@ def tilde_tangent_representation(kind, n):
     total, lam, blocks = best
     _require_fock_dim(total)
     # u matrix: columns u_alpha in disjoint coordinate blocks
-    u = Matrix(total, d)
-    row = 0
+    u = []
     for alpha, bl in enumerate(blocks):
         for val in bl:
-            u.data[row][alpha] = val
-            row += 1
-    pinv = _matrix_inverse(pmat)
-    vmap = u @ pinv                       # v(y_i) = column i
-    two_vtv = (vmap.transpose() @ vmap).scale(Fraction(2))
-    if two_vtv != beta.scale(lam):
+            u.append([val if a == alpha else ZERO for a in range(d)])
+    vmap = _matmul(u, _matrix_inverse(pmat))      # v(y_i) = column i
+    vcols = list(zip(*vmap))
+    if [[2 * a for a in row] for row in _matmul(vcols, vmap)] != \
+            [[lam * a for a in row] for row in beta]:
         raise SuperAlgebraError("embedding scale verification failed")
     fock = FockSpace(total)
-    beta_inv = _matrix_inverse(beta)
+    # psi = v ad beta^-1 v^T (2 / lam), the last two factors shared
+    right = [[2 / lam * a for a in row] for row in _matmul(_matrix_inverse(beta), vcols)]
     ops = [SparseOp.identity(fock.dim).scale(Scalar(0, lam))]   # central generator
     table, den = k.adjoint_table()
     for row in table:
-        ad = Matrix(d, d)
+        ad = [[ZERO] * d for _ in range(d)]
         for j, terms in enumerate(row):
             for i, a in terms.items():
-                ad.data[i][j] = Fraction(a, den)
-        psi = (vmap @ ad @ beta_inv @ vmap.transpose()).scale(2 / lam)
-        ops.append(fock.second_quantised(psi))
-    for i in range(d):
-        col = [vmap.data[r][i] for r in range(total)]
+                ad[i][j] = Fraction(a, den)
+        ops.append(fock.second_quantised(_matmul(_matmul(vmap, ad), right)))
+    for col in vcols:
         ops.append(fock.creation(col) + fock.annihilation(col).scale(I))
     rep = Representation(g, fock.parities, ops, meta={"scale": lam})
     res = check_unitary_representation(g, rep)

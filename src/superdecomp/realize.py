@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .exact import LinSolver, Matrix, Scalar, ZERO
+from .exact import LinSolver, ZERO
 from .core import SuperAlgebra, SuperAlgebraError, SuperSpace
 
 
@@ -76,13 +76,6 @@ class SparseOp:
         for (i, j), e in zip(entries, pairs):
             cols[j][i] = e
         return cls(den, cols)
-
-    def to_matrix(self):
-        out = Matrix(self.dim, self.dim)
-        for j, col in enumerate(self.cols):
-            for i, (a, b) in col.items():
-                out.data[i][j] = Scalar(Fraction(a, self.den), Fraction(b, self.den))
-        return out
 
     @property
     def dim(self):

@@ -22,9 +22,9 @@ from fractions import Fraction
 from math import lcm
 
 from .exact import (
-    Echelon, Matrix, ZERO, ONE, MINUS_ONE, UnsolvedLP,
+    Echelon, ZERO, ONE, MINUS_ONE, UnsolvedLP,
     _lin_comb, feasible_point, is_positive_definite, quad_form,
-    vec_is_zero,
+    vec_is_zero, vec_zero,
 )
 from .core import (
     InvariantForm, SuperAlgebraError, _bracket_rows, _int_columns, bracket_span, center,
@@ -145,9 +145,9 @@ def invariant_functional_basis(g):
 
 
 def gram_of_functional(g, omega):
-    """kappa_omega(x, y) = omega([x, y]) on the odd part."""
+    """kappa_omega(x, y) = omega([x, y]) on the odd part, as rows."""
     d0, d1 = g.d0, g.d1
-    gram = Matrix(d1, d1)
+    gram = [vec_zero(d1) for _ in range(d1)]
     for a in range(d1):
         for bidx in range(a, d1):
             terms = g.table.get((d0 + a, d0 + bidx), {})
@@ -155,8 +155,8 @@ def gram_of_functional(g, omega):
             for k, v in terms.items():
                 if k < d0 and omega[k]:
                     acc = acc + omega[k] * v
-            gram.data[a][bidx] = acc
-            gram.data[bidx][a] = acc
+            gram[a][bidx] = acc
+            gram[bidx][a] = acc
     return gram
 
 
@@ -229,26 +229,26 @@ def find_posdef_in_span(grams):
     n = len(grams)
     if n == 0:
         return SearchOutcome("none", reason="empty solution space")
-    dim = grams[0].rows
+    dim = len(grams[0])
     if dim == 0:
         return SearchOutcome("found", witness=([Fraction(0)] * n, [], 0))
 
     # each entry of sum t_i G_i as its nonzero terms (i, G_i entry), listed once
     entries = {}
     for i, gi in enumerate(grams):
-        for r, row in enumerate(gi.data):
+        for r, row in enumerate(gi):
             for s, a in enumerate(row):
                 if a:
                     entries.setdefault((r, s), []).append((i, a))
 
     def gram_at(t):
-        acc = Matrix(dim, dim)
+        acc = [vec_zero(dim) for _ in range(dim)]
         for (r, s), terms in entries.items():
             v = ZERO
             for i, a in terms:
                 if t[i]:
                     v = v + t[i] * a
-            acc.data[r][s] = v
+            acc[r][s] = v
         return acc
 
     # each diagonal entry's terms (i, int), scaled by a positive integer
@@ -436,9 +436,10 @@ def invariant_symmetric_forms(actions, dim):
     the nonzero entries of column j, as even_actions returns it.
 
     Unknowns are the upper-triangle entries; returns a list of Gram
-    matrices spanning the solution space.  Each action is scaled to
-    integers first and its equation rows are int dicts: the equations are
-    homogeneous in each action, so the solution space is the same.
+    matrices, each a list of rows, spanning the solution space.  Each
+    action is scaled to integers first and its equation rows are int
+    dicts: the equations are homogeneous in each action, so the solution
+    space is the same.
     """
     pos = {}
     for r in range(dim):
@@ -466,10 +467,10 @@ def invariant_symmetric_forms(actions, dim):
                     ech.add(row)
     out = []
     for combo in ech.kernel_basis():
-        gram = Matrix(dim, dim)
+        gram = [vec_zero(dim) for _ in range(dim)]
         for (r, s), v in pos.items():
-            gram.data[r][s] = combo[v]
-            gram.data[s][r] = combo[v]
+            gram[r][s] = combo[v]
+            gram[s][r] = combo[v]
         out.append(gram)
     return out
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from superdecomp.exact import (
-    Echelon, I, LinSolver, Matrix, ONE, Scalar, ZERO, _lin_comb, kernel, vec_add,
+    Echelon, I, LinSolver, ONE, Scalar, ZERO, _lin_comb, kernel, vec_add,
     vec_is_zero, vec_sub, vec_zero,
 )
 from superdecomp.core import (
@@ -66,10 +66,15 @@ def test_tangent_odd_brackets_vanish():
             assert vec_is_zero(g.bracket(g.basis_vector(i), g.basis_vector(j)))
 
 
+def zeros(n):
+    """The rows of the n x n zero matrix."""
+    return [vec_zero(n) for _ in range(n)]
+
+
 def ad_matrix(g, x):
-    """Dense matrix of ad x, column j = [x, e_j], through bracket."""
+    """The rows of ad x, column j = [x, e_j], through bracket."""
     cols = [g.bracket(x, g.basis_vector(j)) for j in range(g.dim)]
-    return Matrix.from_rows([list(r) for r in zip(*cols)])
+    return [list(r) for r in zip(*cols)]
 
 
 def table_bracket(g, x, y):
@@ -139,7 +144,7 @@ def test_adjoint_central_is_zero():
     g = build_family("u", 1, 1)
     z = center(g)
     assert z.dim == 1
-    assert ad_matrix(g, z.basis[0]).is_zero()
+    assert not any(map(any, ad_matrix(g, z.basis[0])))
 
 
 def test_adjoint_su2_char_poly():
@@ -156,7 +161,7 @@ def test_adjoint_odd_maps_between_parities():
     ad = ad_matrix(g, x)
     for k in range(g.dim):
         for j in range(g.dim):
-            if ad.data[k][j]:
+            if ad[k][j]:
                 assert g.parity(k) != g.parity(j)
 
 
@@ -183,7 +188,7 @@ def test_killing_invariance():
                 continue
             for b in range(n):
                 if w[b]:
-                    acc = acc + u[a] * gram.data[a][b] * w[b]
+                    acc = acc + u[a] * gram[a][b] * w[b]
         return acc
 
     rng = random.Random(2)
@@ -285,7 +290,7 @@ def test_semidirect_spin_h_hat_dims():
 
 def test_semidirect_zero_derivation():
     g = build_family("spin_h", 1)
-    ext = semidirect_by_derivation(g, Matrix(g.dim, g.dim), parity=0)
+    ext = semidirect_by_derivation(g, zeros(g.dim), parity=0)
     didx = ext.meta["derivation_index"]
     for j in range(ext.dim):
         assert vec_is_zero(ext.bracket(ext.basis_vector(didx), ext.basis_vector(j)))
@@ -294,9 +299,7 @@ def test_semidirect_zero_derivation():
 def test_semidirect_rejects_odd_nonnilpotent():
     # abelian (1|1) algebra; D swapping the two basis vectors has D^2 = 1
     g = SuperAlgebra(SuperSpace.make(1, 1), {})
-    d = Matrix(2, 2)
-    d.data[0][1] = ONE
-    d.data[1][0] = ONE
+    d = [[ZERO, ONE], [ONE, ZERO]]
     with pytest.raises(SuperAlgebraError) as exc:
         semidirect_by_derivation(g, d, parity=1)
     assert exc.value.violation.kind == "jacobi"
@@ -304,8 +307,8 @@ def test_semidirect_rejects_odd_nonnilpotent():
 
 def test_semidirect_rejects_even_nonderivation():
     g = build_family("T", "su", 2)
-    d = Matrix(g.dim, g.dim)
-    d.data[0][0] = ONE                      # E_00 is no derivation of T su(2)
+    d = zeros(g.dim)
+    d[0][0] = ONE                           # E_00 is no derivation of T su(2)
     with pytest.raises(SuperAlgebraError) as exc:
         semidirect_by_derivation(g, d, parity=0)
     assert exc.value.violation.kind == "jacobi"
@@ -314,9 +317,9 @@ def test_semidirect_rejects_even_nonderivation():
 def test_semidirect_rejects_wrong_parity():
     # d/dxi is an odd derivation of T su(2) (it builds That su(2)), not an even one
     g = build_family("T", "su", 2)
-    d = Matrix(g.dim, g.dim)
+    d = zeros(g.dim)
     for i in range(g.d0):
-        d.data[i][g.d0 + i] = ONE
+        d[i][g.d0 + i] = ONE
     assert verify_superalgebra(semidirect_by_derivation(g, d, parity=1)) is None
     with pytest.raises(SuperAlgebraError) as exc:
         semidirect_by_derivation(g, d, parity=0)
@@ -330,27 +333,27 @@ def test_semidirect_rejects_base_that_breaks_jacobi():
     assert verify_superalgebra(bad).kind == "jacobi"
     # the zero derivation is a derivation of any table
     with pytest.raises(SuperAlgebraError) as exc:
-        semidirect_by_derivation(bad, Matrix(g.dim, g.dim), parity=0)
+        semidirect_by_derivation(bad, zeros(g.dim), parity=0)
     assert exc.value.violation.kind == "jacobi"
 
 
 def test_semidirect_rejects_derivation_of_wrong_size():
     g = build_family("T", "su", 2)
     with pytest.raises(SuperAlgebraError, match="derivation matrix is 5x5"):
-        semidirect_by_derivation(g, Matrix(g.dim - 1, g.dim - 1), parity=0)
+        semidirect_by_derivation(g, zeros(g.dim - 1), parity=0)
 
 
 def test_central_extension_rejects_form_missing_an_odd_index():
     g = build_family("T", "su", 2)
     odd = list(g.space.odd_indices())
-    form = InvariantForm(odd[:-1], Matrix(g.d1 - 1, g.d1 - 1))
+    form = InvariantForm(odd[:-1], zeros(g.d1 - 1))
     with pytest.raises(SuperAlgebraError, match="miss odd index %d" % odd[-1]):
         central_extension(g, form)
 
 
 def test_central_extension_zero_form():
     g = build_family("T", "su", 2)
-    form = InvariantForm(list(g.space.odd_indices()), Matrix(g.d1, g.d1))
+    form = InvariantForm(list(g.space.odd_indices()), zeros(g.d1))
     ext = central_extension(g, form)
     for j in range(ext.dim):
         assert vec_is_zero(ext.bracket(ext.basis_vector(0), ext.basis_vector(j)))
@@ -369,8 +372,8 @@ def test_central_extension_ttilde():
 
 def test_central_extension_rejects_noninvariant():
     g = build_family("T", "su", 2)
-    gram = Matrix(g.d1, g.d1)
-    gram.data[0][0] = ONE                  # not ad-invariant for su(2)
+    gram = zeros(g.d1)
+    gram[0][0] = ONE                       # not ad-invariant for su(2)
     with pytest.raises(SuperAlgebraError):
         central_extension(g, InvariantForm(list(g.space.odd_indices()), gram))
 
@@ -378,7 +381,7 @@ def test_central_extension_rejects_noninvariant():
 def test_extension_quotient_roundtrip():
     g = build_family("T", "su", 2)
     gram, _ = killing_form(build_lie_algebra("su", 2))
-    form = InvariantForm(list(g.space.odd_indices()), gram.scale(Scalar(-1)))
+    form = InvariantForm(list(g.space.odd_indices()), [[-a for a in row] for row in gram])
     ext = central_extension(g, form)
     quo, _ = quotient_by_central(ext, ext.subspace([ext.basis_vector(0)]))
     assert tables_equal(g, quo)
@@ -395,7 +398,7 @@ def test_trivial_cocycle_su21():
 
 def test_trivial_cocycle_zero_form():
     g = build_family("su", 2, 1)
-    form = InvariantForm(list(g.space.odd_indices()), Matrix(g.d1, g.d1))
+    form = InvariantForm(list(g.space.odd_indices()), zeros(g.d1))
     lam = is_trivial_cocycle(g, form)
     assert lam is not None and not any(lam)
 
@@ -406,13 +409,13 @@ def test_nontrivial_cocycle_on_psu22():
     qmap = psu.meta["quotient_map"]
     d1 = psu.d1
     odd = list(psu.space.odd_indices())
-    gram = Matrix(d1, d1)
+    gram = zeros(d1)
     zpos = su.d0 - 1
     for a in range(d1):
         for b in range(d1):
             x = qmap.lift(psu.basis_vector(odd[a]))
             y = qmap.lift(psu.basis_vector(odd[b]))
-            gram.data[a][b] = su.bracket(x, y)[zpos]
+            gram[a][b] = su.bracket(x, y)[zpos]
     form = InvariantForm(odd, gram)
     assert is_trivial_cocycle(psu, form) is None
     rebuilt = central_extension(psu, form)
@@ -481,7 +484,7 @@ def dense_killing(g):
     """str(ad e_i ad e_j) from dense adjoint matrices, and the Gram rank."""
     n = g.dim
     ads = [ad_matrix(g, g.basis_vector(i)) for i in range(n)]
-    gram = Matrix(n, n)
+    gram = zeros(n)
     for i in range(n):
         a = ads[i]
         for j in range(n):
@@ -490,22 +493,22 @@ def dense_killing(g):
             for k in range(n):
                 s = ZERO
                 for l in range(n):
-                    if a.data[k][l] and b.data[l][k]:
-                        s = s + a.data[k][l] * b.data[l][k]
+                    if a[k][l] and b[l][k]:
+                        s = s + a[k][l] * b[l][k]
                 acc = acc + (-s if g.parity(k) else s)
-            gram.data[i][j] = acc
+            gram[i][j] = acc
     ech = Echelon(n)
-    for row in gram.data:
+    for row in gram:
         ech.add_list(row)
     return gram, ech.rank
 
 
 def dense(cols):
-    """The Matrix of an action given in column form."""
-    m = Matrix(len(cols), len(cols))
+    """The rows of an action given in column form."""
+    m = zeros(len(cols))
     for j, col in enumerate(cols):
         for i, a in col:
-            m.data[i][j] = a
+            m[i][j] = a
     return m
 
 
@@ -525,11 +528,11 @@ def dense_invariant_symmetric_forms(actions, dim):
             for k in range(j, dim):
                 row = {}
                 for r in range(dim):
-                    a = m.data[r][j]
+                    a = m[r][j]
                     if a:
                         v = var(r, k)
                         row[v] = row.get(v, ZERO) + a
-                    b = m.data[r][k]
+                    b = m[r][k]
                     if b:
                         v = var(j, r)
                         row[v] = row.get(v, ZERO) + b
@@ -538,17 +541,17 @@ def dense_invariant_symmetric_forms(actions, dim):
                     ech.add(row)
     out = []
     for combo in ech.kernel_basis():
-        gram = Matrix(dim, dim)
+        gram = zeros(dim)
         for (r, s), v in pos.items():
-            gram.data[r][s] = combo[v]
-            gram.data[s][r] = combo[v]
+            gram[r][s] = combo[v]
+            gram[s][r] = combo[v]
         out.append(gram)
     return out
 
 
 def dense_module_commutant(actions, dim):
     """T with A T = T A, equations read entry by entry, each T as the list
-    of its columns, the oracle's Matrix transposed."""
+    of its columns, the oracle's rows transposed."""
     def var(r, s):
         return r * dim + s
 
@@ -558,11 +561,11 @@ def dense_module_commutant(actions, dim):
             for c in range(dim):
                 row = {}
                 for s in range(dim):
-                    v = a.data[r][s]
+                    v = a[r][s]
                     if v:
                         key = var(s, c)
                         row[key] = row.get(key, ZERO) + v
-                    w = a.data[s][c]
+                    w = a[s][c]
                     if w:
                         key = var(r, s)
                         row[key] = row.get(key, ZERO) - w
@@ -571,11 +574,7 @@ def dense_module_commutant(actions, dim):
                     ech.add(row)
     out = []
     for combo in ech.kernel_basis():
-        t = Matrix(dim, dim)
-        for r in range(dim):
-            for s in range(dim):
-                t.data[r][s] = combo[var(r, s)]
-        out.append(t.transpose().data)
+        out.append([[combo[var(r, s)] for r in range(dim)] for s in range(dim)])
     return out
 
 
@@ -922,39 +921,16 @@ def test_core_subspaces_run_on_echelon_rows():
     assert not {"kernel", "_lin_comb"} & set(imported), imported
 
 
-def _names_matrix(node, bound):
-    return any((isinstance(n, ast.Name) and n.id in bound | {"Matrix"})
-               or (isinstance(n, ast.Attribute) and n.attr == "from_rows")
-               for n in ast.walk(node))
-
-
-def test_kernels_and_solves_take_sparse_rows():
-    # kernel and solve take sparse rows: no module builds a Matrix, directly
-    # or through a name bound to one, to feed them
-    fed = []
-    for name, tree in _library_trees():
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            bound = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign)
-                     and _names_matrix(n.value, set())
-                     for t in n.targets if isinstance(t, ast.Name)}
-            fed += [(name, n.lineno) for n in ast.walk(fn)
-                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-                    and n.func.id in ("kernel", "solve")
-                    and any(_names_matrix(a, bound) for a in n.args)]
-    assert fed == []
-
-
-def test_splitter_modules_never_name_matrix():
-    # the module splitter and poly hold module maps as lists of dense columns
-    for name, tree in _library_trees():
-        if name in ("decomp.py", "poly.py"):
-            named = [n.lineno for n in ast.walk(tree)
-                     if (isinstance(n, ast.Name) and n.id == "Matrix")
-                     or (isinstance(n, ast.alias) and n.name == "Matrix")
-                     or (isinstance(n, ast.Attribute) and n.attr == "Matrix")]
-            assert named == [], (name, named)
+def test_no_module_names_matrix():
+    # a rational matrix is a list of rows and a complex one a SparseOp: no
+    # module defines, imports or reads a dense Matrix type, so kernel and
+    # solve are fed sparse rows and the splitter holds lists of columns
+    named = [(name, n.lineno) for name, tree in _library_trees()
+             for n in ast.walk(tree)
+             if (isinstance(n, ast.Name) and n.id == "Matrix")
+             or (isinstance(n, (ast.alias, ast.ClassDef)) and n.name == "Matrix")
+             or (isinstance(n, ast.Attribute) and n.attr == "Matrix")]
+    assert named == []
 
 
 def test_rational_modules_never_name_scalar():
@@ -984,7 +960,7 @@ def test_rational_values_are_fractions(tag, params):
                 centralizer(g, g.even_subspace(), g.even_subspace())):
         assert all(type(a) is Fraction for v in sub.basis for a in v)
     gram, _ = killing_form(g)
-    assert all(type(a) is Fraction for row in gram.data for a in row)
+    assert all(type(a) is Fraction for row in gram for a in row)
     solver = LinSolver([g.basis_vector(i) for i in range(g.dim)], g.dim)
     x = g.bracket(g.basis_vector(g.d0), g.basis_vector(g.dim - 1))
     coords = solver.coords(x)
@@ -1021,7 +997,7 @@ def test_invariants_raise_instead_of_assert():
     with pytest.raises(ValueError):
         SuperAlgebra(space, {}).bracket(vec_zero(3), vec_zero(2))
     with pytest.raises(ValueError):
-        InvariantForm([1, 2], Matrix(1, 1))
+        InvariantForm([1, 2], zeros(1))
     with pytest.raises(ValueError):
         SparseOp.from_entries(2, {(2, 0): ONE})
 

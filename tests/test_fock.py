@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import superdecomp.fock as fock_module
 from superdecomp.core import SuperAlgebraError
-from superdecomp.exact import I, Matrix, ONE, Scalar, ZERO
+from superdecomp.exact import I, ONE, Scalar, ZERO
 from superdecomp.families import build_family
 from superdecomp.fock import (
     FockSpace, Representation, check_car, check_unitary_representation,
@@ -22,11 +22,26 @@ def unit(n, k):
     return [ONE if i == k else ZERO for i in range(n)]
 
 
+def dense(op):
+    """The dense oracle of a SparseOp: the rows of its entries, each a
+    Fraction or Scalar."""
+    rows = [[ZERO] * op.dim for _ in range(op.dim)]
+    for j, col in enumerate(op.cols):
+        for i, (a, b) in col.items():
+            rows[i][j] = Scalar(Fraction(a, op.den), Fraction(b, op.den))
+    return rows
+
+
+def dense_matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in zip(*b)]
+            for row in a]
+
+
 def test_creation_on_vacuum():
     fock = FockSpace(2)
-    cre = fock.creation(unit(2, 0)).to_matrix()
+    cre = dense(fock.creation(unit(2, 0)))
     vac = fock.index[0b00]
-    col = [cre.data[r][vac] for r in range(fock.dim)]
+    col = [cre[r][vac] for r in range(fock.dim)]
     target = fock.index[0b01]
     assert col[target] == ONE
     assert sum(1 for v in col if v) == 1
@@ -34,10 +49,10 @@ def test_creation_on_vacuum():
 
 def test_annihilation_contracts():
     fock = FockSpace(2)
-    ann = fock.annihilation(unit(2, 0)).to_matrix()
-    col = [ann.data[r][fock.index[0b11]] for r in range(fock.dim)]
+    ann = dense(fock.annihilation(unit(2, 0)))
+    col = [ann[r][fock.index[0b11]] for r in range(fock.dim)]
     assert col[fock.index[0b10]] == ONE
-    col = [ann.data[r][fock.index[0b10]] for r in range(fock.dim)]
+    col = [ann[r][fock.index[0b10]] for r in range(fock.dim)]
     assert not any(col)
 
 
@@ -228,11 +243,12 @@ def test_fock_cap_refuses_huge_n_without_allocating():
 
 
 def test_matrix_inverse_reads_each_column_off_one_solver():
-    m = Matrix.from_rows([[Fraction(2), Fraction(1, 3)], [ONE, -ONE]])
+    m = [[Fraction(2), Fraction(1, 3)], [ONE, -ONE]]
     inv = fock_module._matrix_inverse(m)
-    assert m @ inv == Matrix.identity(2) and inv @ m == Matrix.identity(2)
+    eye = [unit(2, 0), unit(2, 1)]
+    assert dense_matmul(m, inv) == eye and dense_matmul(inv, m) == eye
     with pytest.raises(SuperAlgebraError, match="singular matrix"):
-        fock_module._matrix_inverse(Matrix.from_rows([[ONE, Fraction(2)], [ONE, Fraction(2)]]))
+        fock_module._matrix_inverse([[ONE, Fraction(2)], [ONE, Fraction(2)]])
 
 
 def test_tilde_tangent_su2():
@@ -276,7 +292,7 @@ def test_trivial_rep_not_faithful():
 def test_representation_refuses_dense_operators():
     g = build_family("psu", 2)
     ops = [SparseOp.zero(2) for _ in range(g.dim)]
-    ops[3] = Matrix(2, 2)
+    ops[3] = [[ZERO, ZERO], [ZERO, ZERO]]
     with pytest.raises(TypeError):
         Representation(g, [0, 1], ops)
 
@@ -344,7 +360,23 @@ def test_rep_json_pins_complex_entries_and_denominators():
     assert scaled.to_json_dict() == _q1_json(_Q1_SCALED_ENTRIES)
 
 
-# --- sparse operators against the dense Matrix oracle -----------------------
+def test_rep_json_shares_the_zero_entry():
+    # a spin operator has one nonzero entry per column; the 4^n - O(2^n)
+    # zero entries of --out must cost a reference each, not a list each
+    import tracemalloc
+    rep = spin_representation("spin_h_hat", 7)
+    entries = len(rep.operators) * rep.space_dim ** 2
+    tracemalloc.start()
+    try:
+        obj = rep.to_json_dict()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(obj["operators"]) == 16
+    assert peak < 32 * entries
+
+
+# --- sparse operators against the dense oracle -------------------------------
 
 _gaussian = st.one_of(
     st.just(ZERO),
@@ -354,25 +386,24 @@ _gaussian = st.one_of(
 
 
 def sparse(m):
-    """The SparseOp of a dense oracle matrix."""
-    return SparseOp.from_entries(m.rows, {(i, j): v for i, row in enumerate(m.data)
+    """The SparseOp of dense oracle rows."""
+    return SparseOp.from_entries(len(m), {(i, j): v for i, row in enumerate(m)
                                           for j, v in enumerate(row) if v})
 
 
 def dense_entrywise(op, a, b):
-    return Matrix.from_rows([[op(x, y) for x, y in zip(ra, rb)]
-                             for ra, rb in zip(a.data, b.data)])
+    return [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def dense_conj_transpose(m):
-    return Matrix.from_rows([[v.conjugate() for v in col] for col in zip(*m.data)])
+    return [[v.conjugate() for v in col] for col in zip(*m)]
 
 
 @st.composite
 def gaussian_matrix_pairs(draw):
     n = draw(st.integers(1, 6))
-    return tuple(Matrix.from_rows([[draw(_gaussian) for _ in range(n)]
-                                   for _ in range(n)]) for _ in range(2))
+    return tuple([[draw(_gaussian) for _ in range(n)] for _ in range(n)]
+                 for _ in range(2))
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -380,21 +411,21 @@ def gaussian_matrix_pairs(draw):
 def test_sparse_ops_match_dense_oracle(pair, s):
     a, b = pair
     sa, sb = sparse(a), sparse(b)
-    assert sa.to_matrix() == a and sb.to_matrix() == b
-    assert (sa @ sb).to_matrix() == a @ b
-    assert (sa + sb).to_matrix() == dense_entrywise(operator.add, a, b)
-    assert (sa - sb).to_matrix() == dense_entrywise(operator.sub, a, b)
-    assert sa.conj_transpose().to_matrix() == dense_conj_transpose(a)
-    assert sa.is_zero() == a.is_zero()
+    assert dense(sa) == a and dense(sb) == b
+    assert dense(sa @ sb) == dense_matmul(a, b)
+    assert dense(sa + sb) == dense_entrywise(operator.add, a, b)
+    assert dense(sa - sb) == dense_entrywise(operator.sub, a, b)
+    assert dense(sa.conj_transpose()) == dense_conj_transpose(a)
+    assert sa.is_zero() == (not any(map(any, a)))
     assert (sa == sb) == (a == b)
     for t in (s, s.real, ZERO):
-        assert sa.scale(t).to_matrix() == a.scale(t)
+        assert dense(sa.scale(t)) == [[t * x for x in row] for row in a]
     # equal values have equal canonical forms
     assert sa.scale(2).scale(Fraction(1, 2)) == sa
     assert sa.scale(I).scale(-I) == sa
-    assert sparse((sa @ sb).to_matrix()) == sa @ sb
+    assert sparse(dense(sa @ sb)) == sa @ sb
     zero = sa - sa
-    assert zero == SparseOp.zero(a.rows) and zero.den == 1 and zero.is_zero()
+    assert zero == SparseOp.zero(len(a)) and zero.den == 1 and zero.is_zero()
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -425,12 +456,12 @@ def gaussian_entries(draw):
 def test_from_entries_and_realify_match_dense_oracle(case):
     n, entries = case
     op = SparseOp.from_entries(n, entries)
-    want = Matrix(n, n)
+    want = [[ZERO] * n for _ in range(n)]
     for (i, j), v in entries.items():
-        want.data[i][j] = v
-    assert op.to_matrix() == want
+        want[i][j] = v
+    assert dense(op) == want
     # row-major, each entry as its (real, imaginary) pair
-    assert realify(op) == [x for row in want.data for v in row for x in (v.real, v.imag)]
+    assert realify(op) == [x for row in want for v in row for x in (v.real, v.imag)]
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)

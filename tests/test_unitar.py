@@ -9,7 +9,7 @@ from superdecomp import exact, unitar
 from superdecomp.core import SuperAlgebra, SuperSpace, direct_sum
 from superdecomp.realize import SparseOp, from_matrix_span
 from superdecomp.exact import (
-    I, Matrix, ONE, Scalar, ZERO, is_positive_definite, vec_is_zero, vec_zero,
+    I, ONE, Scalar, ZERO, is_positive_definite, vec_is_zero, vec_zero,
 )
 from superdecomp.families import build_family
 from superdecomp.unitar import (
@@ -101,8 +101,8 @@ def test_cone_pointed_u22():
 def test_unsolved_lp_makes_the_search_inconclusive(monkeypatch):
     # no sign pattern of diag(1, -1), diag(-1, 1) is definite, so the
     # search needs the LP, which proves infeasibility when it runs
-    grams = [Matrix.from_rows([[Fraction(1), ZERO], [ZERO, Fraction(-1)]]),
-             Matrix.from_rows([[Fraction(-1), ZERO], [ZERO, Fraction(1)]])]
+    grams = [[[Fraction(1), ZERO], [ZERO, Fraction(-1)]],
+             [[Fraction(-1), ZERO], [ZERO, Fraction(1)]]]
     assert find_posdef_in_span(grams).status == "none"
     monkeypatch.setattr(exact, "LP_PIVOT_CAP", 0)
     out = find_posdef_in_span(grams)
@@ -117,9 +117,9 @@ def test_compactness_families():
 def test_no_posdef_pair_certificate():
     # with no actions the commutant is all of M_2, and E_10 sends e0 to e1
     e0, e1 = [Fraction(1), ZERO], [ZERO, Fraction(1)]
-    indefinite = Matrix.from_rows([e0, [ZERO, Fraction(-1)]])
+    indefinite = [e0, [ZERO, Fraction(-1)]]
     assert unitar._no_posdef_pair_certificate([indefinite], 2, []) == (e0, e1)
-    assert unitar._no_posdef_pair_certificate([Matrix.identity(2)], 2, []) is None
+    assert unitar._no_posdef_pair_certificate([[e0, e1]], 2, []) is None
 
 
 def test_compactness_no_for_complex_simple():
@@ -345,25 +345,25 @@ def oracle_find_posdef_in_span(grams):
     n = len(grams)
     if n == 0:
         return unitar.SearchOutcome("none", reason="empty solution space")
-    dim = grams[0].rows
+    dim = len(grams[0])
     if dim == 0:
         return unitar.SearchOutcome("found", witness=([Fraction(0)] * n, [], 0))
 
     entries = {}
     for i, gi in enumerate(grams):
-        for r, row in enumerate(gi.data):
+        for r, row in enumerate(gi):
             for s, a in enumerate(row):
                 if a:
                     entries.setdefault((r, s), []).append((i, a))
 
     def gram_at(t):
-        acc = Matrix(dim, dim)
+        acc = [vec_zero(dim) for _ in range(dim)]
         for (r, s), terms in entries.items():
             v = ZERO
             for i, a in terms:
                 if t[i]:
                     v = v + t[i] * a
-            acc.data[r][s] = v
+            acc[r][s] = v
         return acc
 
     tested = 0
@@ -407,10 +407,10 @@ def small_spans(draw):
     entry = st.builds(Fraction, st.integers(-3, 3) | st.just(0), st.integers(1, 3))
     grams = []
     for _ in range(n):
-        m = Matrix(dim, dim)
+        m = [vec_zero(dim) for _ in range(dim)]
         for r in range(dim):
             for s in range(r, dim):
-                m.data[r][s] = m.data[s][r] = draw(entry)
+                m[r][s] = m[s][r] = draw(entry)
         grams.append(m)
     return grams
 
@@ -494,12 +494,11 @@ def test_sylvester_runs_only_on_a_positive_diagonal(monkeypatch):
     assert out.found and out.witness[2] == len(drawn) == 13
 
     def gram_at(t):
-        return Matrix.from_rows(
-            [[sum((Fraction(ti) * gi.data[r][s] for ti, gi in zip(t, grams)), ZERO)
-              for s in range(g.d1)] for r in range(g.d1)])
+        return [[sum((Fraction(ti) * gi[r][s] for ti, gi in zip(t, grams)), ZERO)
+                 for s in range(g.d1)] for r in range(g.d1)]
 
     positive = [gram_at(t) for t in drawn
-                if all(gram_at(t).data[r][r] > 0 for r in range(g.d1))]
+                if all(gram_at(t)[r][r] > 0 for r in range(g.d1))]
     assert tested == positive
     assert 0 < len(tested) < len(drawn)
 
