@@ -186,7 +186,8 @@ class Representation:
     def to_json_dict(self):
         """Each operator as its dense rows; entry (a + bi) / den is written
         as the numerators and denominators of its real and imaginary parts
-        in lowest terms.  The zero entries share one list."""
+        in lowest terms.  The zero entries, nearly all of a spin
+        operator's, share one list."""
         dim = self.space_dim
         zero = ["0", "1", "0", "1"]
 
