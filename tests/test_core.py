@@ -921,6 +921,44 @@ def test_core_subspaces_run_on_echelon_rows():
     assert not {"kernel", "_lin_comb"} & set(imported), imported
 
 
+def _names_matrix(node, bound):
+    return any((isinstance(n, ast.Name) and n.id in bound | {"Matrix"})
+               or (isinstance(n, ast.Attribute) and n.attr == "from_rows")
+               for n in ast.walk(node))
+
+
+def test_kernels_and_solves_take_sparse_rows():
+    # kernel and solve take sparse rows: no module builds a Matrix, directly
+    # or through a name bound to one, to feed them
+    fed = []
+    for name, tree in _library_trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            bound = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                     and _names_matrix(n.value, set())
+                     for t in n.targets if isinstance(t, ast.Name)}
+            fed += [(name, n.lineno) for n in ast.walk(fn)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id in ("kernel", "solve")
+                    and any(_names_matrix(a, bound) for a in n.args)]
+    assert fed == []
+
+
+def test_splitter_modules_never_name_matrix():
+    # the module splitter and poly hold module maps as lists of dense columns
+    checked = set()
+    for name, tree in _library_trees():
+        if name in ("decomp.py", "poly.py"):
+            checked.add(name)
+            named = [n.lineno for n in ast.walk(tree)
+                     if (isinstance(n, ast.Name) and n.id == "Matrix")
+                     or (isinstance(n, ast.alias) and n.name == "Matrix")
+                     or (isinstance(n, ast.Attribute) and n.attr == "Matrix")]
+            assert named == [], (name, named)
+    assert checked == {"decomp.py", "poly.py"}
+
+
 def test_no_module_names_matrix():
     # a rational matrix is a list of rows and a complex one a SparseOp: no
     # module defines, imports or reads a dense Matrix type, so kernel and
