@@ -312,3 +312,27 @@ def test_report_json_deterministic():
         c = structure_report(g, seed=12).to_json_dict()
         assert a.pop("seed") == "11" and c.pop("seed") == "12"
         assert json.dumps(a, sort_keys=True) == json.dumps(c, sort_keys=True)
+
+
+@pytest.mark.parametrize("hat", [False, True])
+@pytest.mark.parametrize("k", [("su", 2), ("su", 3), ("so", 3)])
+def test_tangent_quotient_check_refuses_a_wrong_basis(k, hat):
+    # T-hat k has one residue summand a_k; its c(k) certifies against T k
+    # and its hat c(k) against T-hat k only in the basis kk_vecs that
+    # ad b0 identifies with a_k
+    g = build_family("T_hat", *k)
+    red = reduce_to_odd_generated(g)
+    dec = decompose_odd(g, red.core_even)
+    [j] = classify_indices(g, dec).ja
+    ak = dec.summands[j]
+    b0 = decomp._pick_b0(g, dec.b, ak)
+    _, _, _, _, kk_alg, kk_vecs = decomp.build_c_ideal(g, dec, j, b0)
+
+    def check(vecs):
+        return decomp._verify_tangent_quotient(g, kk_alg, vecs, ak, b0, hat=hat)
+
+    assert check(kk_vecs) is True
+    negated = [[-a for a in kk_vecs[0]]] + kk_vecs[1:]
+    assert check(negated) is False
+    swapped = [kk_vecs[1], kk_vecs[0]] + kk_vecs[2:]
+    assert check(swapped) is False
