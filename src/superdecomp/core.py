@@ -10,9 +10,10 @@ i <= j only read the table itself.  The subspace calculus runs on the
 integer echelon rows of subspaces (intersections by Zassenhaus), and
 brackets them through that table; SuperAlgebra.bracket is the entry
 point for dense vectors.  Basis order is canonical:
-even vectors first, then odd.  Matrix realizations live in realize,
-extensions in families, invariant forms of the odd part in unitar and
-subalgebra extraction in decomp, so the checks here load none of them.
+even vectors first, then odd.  algebra_in_basis writes every subalgebra
+and central quotient in a basis of its own.  Matrix realizations live in
+realize, extensions in families and invariant forms of the odd part in
+unitar, so the checks here load none of them.
 
 All values are immutable after construction; operations are pure.
 """
@@ -619,56 +620,47 @@ def direct_sum(g, h):
     return SuperAlgebra(space, table, meta={"embeddings": (mg, mh)})
 
 
-class QuotientMap:
-    """Projection onto a quotient, with the chosen linear section."""
+def algebra_in_basis(g, vecs, modulo=()):
+    """The algebra on span(vecs) modulo span(modulo), written in the basis
+    vecs: its table holds the coordinates of [vecs[a], vecs[b]] along vecs
+    once the part in span(modulo) is dropped.
 
-    def __init__(self, solver, kept, kdim, n):
-        self._solver = solver
-        self.kept = kept          # ambient indices of the section basis
-        self._kdim = kdim         # dim of the central part
-        self._n = n
-
-    def project(self, v):
-        coords = self._solver.coords(v)
-        return coords[self._kdim:]
-
-    def lift(self, w):
-        v = vec_zero(self._n)
-        for a, idx in enumerate(self.kept):
-            if w[a]:
-                v[idx] = w[a]
-        return v
+    The vectors are homogeneous, even ones first, and independent of each
+    other and of modulo; a bracket outside span(modulo + vecs) raises.
+    Each pair is bracketed on int rows through the adjoint table, and
+    only nonzero products are solved for.
+    """
+    solver = LinSolver(list(modulo) + list(vecs), g.dim)
+    nz = len(modulo)
+    rows = [_int_row(v) for v in vecs]
+    space = SuperSpace(["e%d" % a for a in range(len(vecs))],
+                       [g.parity(min(x)) for x, _ in rows])
+    ad, den = g.adjoint_table()
+    table = {}
+    for a, (x, xd) in enumerate(rows):
+        for b in range(a, len(rows)):
+            y, yd = rows[b]
+            w = _bracket_rows(ad, x, y)
+            if not w:
+                continue
+            coords = solver.row_coords(w, den * xd * yd)
+            if coords is None:
+                raise SuperAlgebraError("subspace is not bracket closed")
+            table[(a, b)] = {c: v for c, v in enumerate(coords[nz:]) if v}
+    return SuperAlgebra(space, table)
 
 
 def quotient_by_central(g, z):
-    """g / z for a graded central subspace z; returns (quotient, QuotientMap)."""
-    cen = center(g)
-    if not cen.contains_subspace(z):
+    """g / z for a graded central subspace z, written in the basis vectors
+    of g that extend a basis of z; returns (quotient, their indices)."""
+    if not center(g).contains_subspace(z):
         raise SuperAlgebraError("subspace is not central")
     if not z.is_graded(g.space.parities):
         raise SuperAlgebraError("central subspace must be parity homogeneous")
     ech = Echelon(g.dim)
     ech.extend(z.basis)
     kept = ech.extend([g.basis_vector(i) for i in range(g.dim)])
-    cols = list(z.basis) + [g.basis_vector(i) for i in kept]
-    solver = LinSolver(cols, g.dim)
-    qmap = QuotientMap(solver, kept, z.dim, g.dim)
-    parities = [g.parity(i) for i in kept]
-    space = SuperSpace(["e%d" % a for a in range(len(kept))], parities)
-    table = {}
-    for a, ia in enumerate(kept):
-        for b, ib in enumerate(kept[a:], start=a):
-            terms = g.table.get((ia, ib))
-            if not terms:
-                continue
-            v = vec_zero(g.dim)
-            for k, val in terms.items():
-                v[k] = val
-            w = qmap.project(v)
-            row = {c: val for c, val in enumerate(w) if val}
-            if row:
-                table[(a, b)] = row
-    return SuperAlgebra(space, table), qmap
+    return algebra_in_basis(g, [g.basis_vector(i) for i in kept], z.basis), kept
 
 
 # ---------------------------------------------------------------------------

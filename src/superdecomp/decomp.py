@@ -11,6 +11,8 @@ kernel.
 
 Brackets are taken in the coordinates of the input algebra: the
 odd-generated core is an ideal, so all of them can be taken upstairs.
+Each ideal, its central quotient and the tangent algebra it is compared
+with are written in their own basis by core.algebra_in_basis.
 The module splitter works in each piece's own coordinates, with module
 maps held as lists of dense columns; every kernel and solve, there and in
 the other subspaces (complements, intersections, the summation kernel),
@@ -27,9 +29,9 @@ from .exact import (
 )
 from .poly import char_poly_and_rational_split, peval_matrix, pmul
 from .core import (
-    Subspace, SuperAlgebra, SuperAlgebraError, SuperSpace, _int_columns, _int_row,
+    Subspace, SuperAlgebraError, _int_columns, _int_row, algebra_in_basis,
     bracket_span, center, centralizer, derived, is_ideal, module_commutant,
-    quotient_by_central,
+    tables_equal,
 )
 from .families import build_family, build_tangent_from_algebra
 from . import unitar
@@ -320,23 +322,7 @@ def subalgebra_from_subspace(g, s):
     if ev.dim + od.dim != s.dim:
         raise SuperAlgebraError("subspace is not graded")
     vecs = list(ev.basis) + list(od.basis)
-    solver = LinSolver(vecs, g.dim)
-    space = SuperSpace.make(ev.dim, od.dim)
-    table = {}
-    for a in range(len(vecs)):
-        for b in range(a, len(vecs)):
-            if a == b and a < ev.dim:
-                continue
-            w = g.bracket(vecs[a], vecs[b])
-            if vec_is_zero(w):
-                continue
-            coords = solver.coords(w)
-            if coords is None:
-                raise SuperAlgebraError("subspace is not bracket closed")
-            terms = {k: c for k, c in enumerate(coords) if c}
-            if terms:
-                table[(a, b)] = terms
-    return SuperAlgebra(space, table), vecs
+    return algebra_in_basis(g, vecs), vecs
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +425,12 @@ def build_g_ideal(g, dec, j, jp):
     if not checks["a_j_simple_over_ideal"]:
         raise DecompositionError("a_j fails to stay simple over g(j)",
                                  evidence={"j": j})
-    # simple adjoint quotient: trivial center and perfectness
-    quo = quotient_by_central(alg, _map_span(zi, g, vecs, alg))[0] if zi.dim else alg
+    # simple adjoint quotient g(j)/zi, zi graded as the bracket is even
+    quo = alg
+    if zi.dim:
+        ech = Echelon(g.dim)
+        ech.extend(zi.basis)
+        quo = algebra_in_basis(g, [vecs[i] for i in ech.extend(vecs)], zi.basis)
     checks["quotient_center_trivial"] = center(quo).dim == 0
     checks["quotient_perfect"] = derived(quo).dim == quo.dim
     if not (checks["quotient_center_trivial"] and checks["quotient_perfect"]):
@@ -508,17 +498,13 @@ def _verify_tangent_quotient(g, kk_alg, kk_vecs, ak, b0, hat=False):
     d = kk_alg.dim
     solver_k = LinSolver(kk_vecs, g.dim)
     sources = list(kk_vecs)
-    images = []
-    for i in range(d):
-        images.append(_unit(tk.dim, i))
+    images = [_unit(tk.dim, i) for i in range(d)]
     for u in ak.basis:
-        w = g.bracket(b0, u)
-        coords = solver_k.coords(w)
+        coords = solver_k.coords(g.bracket(b0, u))
         if coords is None:
             return False
         img = vec_zero(tk.dim)
-        for i, cval in enumerate(coords):
-            img[d + i] = cval
+        img[d:2 * d] = coords
         sources.append(u)
         images.append(img)
     if hat:
@@ -535,19 +521,11 @@ def _verify_tangent_quotient(g, kk_alg, kk_vecs, ak, b0, hat=False):
     zk = [zvecs[i] for i in ech.extend(zvecs)]
     if len(ech.extend(sources)) != len(sources):
         return False
-    expand = LinSolver(zk + sources, g.dim)
-    nz = len(zk)
-    for p in range(len(sources)):
-        for q in range(p, len(sources)):
-            w = g.bracket(sources[p], sources[q])
-            coords = expand.coords(w)
-            if coords is None:
-                return False
-            want = _lin_comb(coords[nz:], images, tk.dim)
-            got = tk.bracket(images[p], images[q])
-            if got != want:
-                return False
-    return True
+    try:
+        return tables_equal(algebra_in_basis(g, sources, zk),
+                            algebra_in_basis(tk, images))
+    except SuperAlgebraError:                 # a bracket left either span
+        return False
 
 
 def build_hat_c(g, dec, k, b0, c_span, kk_alg, kk_vecs):
@@ -577,7 +555,7 @@ def qhat_embedding_certificate(g, dec, k_index, ideal):
     b0 = _pick_b0(g, dec.b, dec.summands[k_index])
     span, bb = _adjoin_b0(g, ideal.span, b0)
     try:
-        alg, vecs = subalgebra_from_subspace(g, span)
+        alg, _ = subalgebra_from_subspace(g, span)
     except SuperAlgebraError:
         return {"verified": False, "reason": "not closed"}
     n = None
@@ -590,7 +568,8 @@ def qhat_embedding_certificate(g, dec, k_index, ideal):
         "parameter": n,
         "dims_match": (alg.d0, alg.d1) == (model.d0, model.d1),
         "fingerprint_match": unitar.fingerprint(alg) == unitar.fingerprint(model),
-        "hyperplane_ideal": is_ideal(alg, _map_span(ideal.span, g, vecs, alg)),
+        "hyperplane_ideal": ideal.span.contains_subspace(
+            bracket_span(g, span, ideal.span)),
     }
     # ad b0 annihilates the ideal's even part and has square zero on it
     even_part = ideal.span.parity_components(g.space.parities)[0]
@@ -601,19 +580,6 @@ def qhat_embedding_certificate(g, dec, k_index, ideal):
     cert["verified"] = all(v is True for key, v in cert.items()
                            if key not in ("parameter",))
     return cert
-
-
-def _map_span(sub, g, host_vecs, host_alg):
-    """Express an ambient subspace in the coordinates of an extracted
-    subalgebra (host), given its basis vectors in ambient coordinates."""
-    solver = LinSolver(host_vecs, g.dim)
-    coords = []
-    for v in sub.basis:
-        c = solver.coords(v)
-        if c is None:
-            raise DecompositionError("subspace does not lie in the host")
-        coords.append(c)
-    return Subspace(host_alg.dim, coords)
 
 
 class DecompositionReport:

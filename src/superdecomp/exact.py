@@ -356,16 +356,19 @@ class LinSolver:
 
     def coords(self, vec):
         """x with B x = vec, or None if vec is outside the span."""
-        row = _row_from_list(vec)
-        row[self.dim + self.n] = ONE
-        _, red = self.ech._reduce(row)
+        return self.row_coords(_row_from_list(vec))
+
+    def row_coords(self, row, den=1):
+        """x with B x = row / den for a sparse row and a nonzero int den,
+        or None; the tracker entry den makes the residual's lam * den."""
+        _, red = self.ech._reduce({**row, self.dim + self.n: den})
         if any(j < self.dim for j in red):
             return None
-        lam = red[self.dim + self.n]
+        scale = red[self.dim + self.n]
         out = vec_zero(self.n)
         for j, a in red.items():
             if j < self.dim + self.n:
-                out[j - self.dim] = Fraction(-a, lam)
+                out[j - self.dim] = Fraction(-a, scale)
         return out
 
 

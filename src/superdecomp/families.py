@@ -304,9 +304,8 @@ def build_psu(n):
     # the supertraceless diagonal generator is the last even basis vector
     # and spans the center R i1 of su(n|n)
     zvec = g.basis_vector(g.d0 - 1)
-    quo, qmap = quotient_by_central(g, g.subspace([zvec]))
-    quo.meta["quotient_map"] = qmap
-    quo.meta["extension_of"] = g
+    quo, kept = quotient_by_central(g, g.subspace([zvec]))
+    quo.meta["extension_of"] = (g, kept)
     return quo
 
 
@@ -327,9 +326,8 @@ def build_pq(n):
     zvec = vec_zero(g.dim)
     for j in range(n + 1):
         zvec[j] = ONE
-    quo, qmap = quotient_by_central(g, g.subspace([zvec]))
-    quo.meta["quotient_map"] = qmap
-    quo.meta["extension_of"] = g
+    quo, kept = quotient_by_central(g, g.subspace([zvec]))
+    quo.meta["extension_of"] = (g, kept)
     return quo
 
 

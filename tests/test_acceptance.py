@@ -297,15 +297,14 @@ def test_acceptance_8_central_extensions():
             lam = is_trivial_cocycle(g, form)
             assert lam is not None, (tag, params)
     psu = build_family("psu", 2)
-    su = psu.meta["extension_of"]
-    qmap = psu.meta["quotient_map"]
+    su, kept = psu.meta["extension_of"]
     odd = list(psu.space.odd_indices())
     gram = [vec_zero(psu.d1) for _ in range(psu.d1)]
     zpos = su.d0 - 1
     for a in range(psu.d1):
         for b in range(psu.d1):
-            x = qmap.lift(psu.basis_vector(odd[a]))
-            y = qmap.lift(psu.basis_vector(odd[b]))
+            x = su.basis_vector(kept[odd[a]])
+            y = su.basis_vector(kept[odd[b]])
             gram[a][b] = su.bracket(x, y)[zpos]
     form = InvariantForm(odd, gram)
     assert is_trivial_cocycle(psu, form) is None

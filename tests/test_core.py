@@ -12,7 +12,8 @@ from superdecomp.exact import (
 )
 from superdecomp.core import (
     AlgebraFileError, InvariantForm, SuperAlgebra, SuperAlgebraError,
-    SuperSpace, Subspace, Violation, algebra_from_json_dict, algebra_to_json_dict,
+    SuperSpace, Subspace, Violation, algebra_from_json_dict, algebra_in_basis,
+    algebra_to_json_dict,
     bracket_span, center, centralizer, derived, direct_sum, is_ideal, is_perfect,
     killing_form, module_commutant, quotient_by_central, tables_equal,
     verify_superalgebra,
@@ -405,16 +406,15 @@ def test_trivial_cocycle_zero_form():
 
 def test_nontrivial_cocycle_on_psu22():
     psu = build_family("psu", 2)
-    su = psu.meta["extension_of"]
-    qmap = psu.meta["quotient_map"]
+    su, kept = psu.meta["extension_of"]
     d1 = psu.d1
     odd = list(psu.space.odd_indices())
     gram = zeros(d1)
     zpos = su.d0 - 1
     for a in range(d1):
         for b in range(d1):
-            x = qmap.lift(psu.basis_vector(odd[a]))
-            y = qmap.lift(psu.basis_vector(odd[b]))
+            x = su.basis_vector(kept[odd[a]])
+            y = su.basis_vector(kept[odd[b]])
             gram[a][b] = su.bracket(x, y)[zpos]
     form = InvariantForm(odd, gram)
     assert is_trivial_cocycle(psu, form) is None
@@ -433,6 +433,49 @@ def test_subalgebra_extraction():
     sub, _ = subalgebra_from_subspace(g, s)
     assert (sub.d0, sub.d1) == (3, 3)
     assert tables_equal(sub, build_family("T", "su", 2))
+
+
+def rebase(g, seed):
+    """g written in the basis of the columns of a block-diagonal P, with
+    the even block first: P's entries are drawn row by row from
+    (-1, 0, 0, 1, 1, 2) and P is drawn again until it is invertible.
+    Returns (algebra, columns of P)."""
+    rng = random.Random(seed)
+    while True:
+        p = [vec_zero(g.dim) for _ in range(g.dim)]
+        for lo, hi in ((0, g.d0), (g.d0, g.dim)):
+            for r in range(lo, hi):
+                for c in range(lo, hi):
+                    p[r][c] = Fraction(rng.choice((-1, 0, 0, 1, 1, 2)))
+        cols = [list(col) for col in zip(*p)]
+        if Echelon(g.dim).extend(cols) == list(range(g.dim)):
+            return algebra_in_basis(g, cols), cols
+
+
+REBASE_CASES = [("su", (2, 1)), ("q", (2,)), ("spin_h", (2,)), ("c", (2,)),
+                ("T_tilde", ("su", 2))]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("tag,params", REBASE_CASES)
+def test_rebased_algebra_is_a_superalgebra_and_rebases_back(tag, params, seed):
+    g = build_family(tag, *params)
+    h, cols = rebase(g, seed)
+    assert (h.d0, h.d1) == (g.d0, g.d1)
+    assert verify_superalgebra(h) is None
+    # the columns of P^-1 write h back in g's basis
+    solver = LinSolver(cols, g.dim)
+    back = algebra_in_basis(h, [solver.coords(g.basis_vector(i)) for i in range(g.dim)])
+    assert tables_equal(back, g)
+
+
+def test_algebra_in_basis_refuses_an_open_set_and_odd_before_even():
+    g = build_family("su", 2, 1)
+    e = g.basis_vector
+    with pytest.raises(SuperAlgebraError, match="subspace is not bracket closed"):
+        algebra_in_basis(g, [e(0), e(1)])
+    with pytest.raises(SuperAlgebraError, match="even basis vectors must precede odd ones"):
+        algebra_in_basis(g, [e(g.d0), e(0)])
 
 
 def test_centralizer_that_su2():
@@ -957,6 +1000,17 @@ def test_splitter_modules_never_name_matrix():
                      or (isinstance(n, ast.Attribute) and n.attr == "Matrix")]
             assert named == [], (name, named)
     assert checked == {"decomp.py", "poly.py"}
+
+
+def test_decomp_builds_no_table_of_its_own():
+    # every subalgebra, central quotient and tangent comparison table of
+    # the decomposition is written by core.algebra_in_basis
+    tree = dict(_library_trees())["decomp.py"]
+    named = [n.lineno for n in ast.walk(tree)
+             if (isinstance(n, ast.Name) and n.id in ("SuperAlgebra", "SuperSpace"))
+             or (isinstance(n, ast.alias) and n.name in ("SuperAlgebra", "SuperSpace"))
+             or (isinstance(n, ast.Attribute) and n.attr in ("SuperAlgebra", "SuperSpace"))]
+    assert named == []
 
 
 def test_no_module_names_matrix():
