@@ -101,6 +101,13 @@ def _seed_of(args):
         raise UsageError("SUPERDECOMP_SEED must be an integer, not %r" % env) from None
 
 
+def _report(rep, raw, seed):
+    """A report's JSON with the envelope every report command writes: the
+    tool version, the echoed seed and the input's name."""
+    return {**rep.to_json_dict(), "version": __version__, "seed": str(seed),
+            "name": raw.get("name", "")}
+
+
 def _parse_ktag(raw):
     for kind in ("su", "so", "sp"):
         if raw.startswith(kind) and raw[len(kind):].isdigit():
@@ -186,13 +193,11 @@ def cmd_decompose(args):
     from .decomp import DecompositionError, structure_report
     seed = _seed_of(args)
     try:
-        rep = structure_report(alg, seed=seed)
+        rep = structure_report(alg)
     except DecompositionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return FAIL
-    obj = rep.to_json_dict()
-    obj["name"] = raw.get("name", "")
-    _emit(obj, args.report)
+    _emit(_report(rep, raw, seed), args.report)
     if args.report:
         print("report written to %s (|Js|=%d |Ja|=%d kernel=%d)"
               % (args.report, len(rep.classification.js),
@@ -205,10 +210,8 @@ def cmd_unitarity(args):
     if not _is_superalgebra(alg):
         return FAIL
     from .unitar import necessary_conditions_report
-    rep = necessary_conditions_report(alg, seed=_seed_of(args))
-    obj = rep.to_json_dict()
-    obj["name"] = raw.get("name", "")
-    _emit(obj, args.out)
+    seed = _seed_of(args)
+    _emit(_report(necessary_conditions_report(alg), raw, seed), args.out)
     return OK
 
 

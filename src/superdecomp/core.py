@@ -690,25 +690,38 @@ def _file_int(x):
     raise AlgebraFileError("expected an integer or a decimal string, not %r" % (x,))
 
 
+def _file_list(obj, key):
+    """obj[key], which must be a JSON list."""
+    val = obj[key]
+    if type(val) is not list:
+        raise AlgebraFileError("%s must be a list, not %s" % (key, type(val).__name__))
+    return val
+
+
 def algebra_from_json_dict(obj):
     """Parse the JSON file format; AlgebraFileError on any malformed table.
 
-    Beyond what SuperSpace and SuperAlgebra check, every integer field must
-    be a JSON integer or a decimal string, and a file must not repeat a
-    bracket pair or a basis index within one bracket, nor give a zero
-    denominator.
+    Beyond what SuperSpace and SuperAlgebra check, basis, brackets and
+    each bracket's terms must be JSON lists, a name must be a string,
+    every integer field must be a JSON integer or a decimal string, and a
+    file must not repeat a bracket pair or a basis index within one
+    bracket, nor give a zero denominator.
     """
     try:
-        labels = [b["id"] for b in obj["basis"]]
-        parities = [_file_int(b["parity"]) for b in obj["basis"]]
+        basis = _file_list(obj, "basis")
+        if type(obj.get("name", "")) is not str:
+            raise AlgebraFileError("name must be a string, not %s"
+                                   % type(obj["name"]).__name__)
+        labels = [b["id"] for b in basis]
+        parities = [_file_int(b["parity"]) for b in basis]
         space = SuperSpace(labels, parities)
         table = {}
-        for ent in obj["brackets"]:
+        for ent in _file_list(obj, "brackets"):
             i, j = _file_int(ent["i"]), _file_int(ent["j"])
             if (i, j) in table:
                 raise AlgebraFileError("bracket (%d, %d) listed twice" % (i, j))
             terms = {}
-            for t in ent["terms"]:
+            for t in _file_list(ent, "terms"):
                 k = _file_int(t["k"])
                 if k in terms:
                     raise AlgebraFileError(

@@ -558,11 +558,9 @@ def qhat_embedding_certificate(g, dec, k_index, ideal):
         alg, _ = subalgebra_from_subspace(g, span)
     except SuperAlgebraError:
         return {"verified": False, "reason": "not closed"}
-    n = None
-    for _, params in ideal.classification[1]:
-        n = params[0]
-    if n is None:
-        return {"verified": False, "reason": "no queer parameter"}
+    # the tag "q" comes from matches that are all ("q", (n,)), and the
+    # dimensions fix n: there is exactly one
+    [(_, (n,))] = ideal.classification[1]
     model = build_family("q_hat", n)
     cert = {
         "parameter": n,
@@ -583,9 +581,8 @@ def qhat_embedding_certificate(g, dec, k_index, ideal):
 
 
 class DecompositionReport:
-    def __init__(self, g, seed):
+    def __init__(self, g):
         self.g = g
-        self.seed = seed
         self.reduction = None
         self.b = None
         self.center = None
@@ -626,7 +623,6 @@ class DecompositionReport:
         return entries
 
     def to_json_dict(self):
-        from . import __version__
         entries = []
         for e in self.summand_entries():
             flags = {}
@@ -645,8 +641,6 @@ class DecompositionReport:
                 "theorem42_flags": flags,
             })
         return {
-            "version": __version__,
-            "seed": str(self.seed),
             "input_dims": [str(self.g.d0), str(self.g.d1)],
             "even_complement_dim": str(self.reduction.complement.dim),
             "b_dim": str(self.b.dim),
@@ -659,7 +653,7 @@ class DecompositionReport:
         }
 
 
-def structure_report(g, seed=0):
+def structure_report(g):
     """Run the whole pipeline and certify the decomposition of [g, g]
     into the center and the constructed ideals, with central summation
     kernel.
@@ -669,10 +663,9 @@ def structure_report(g, seed=0):
     subalgebra [core, core] + b_r.  The report asserts that z_b(a)
     brackets into the center of the core (so its image in the central
     quotient is a central ideal) and that g_r and z_b(a) split the core up
-    to that center.  Nothing depends on seed; it is only echoed into the
-    report.
+    to that center.
     """
-    report = DecompositionReport(g, seed)
+    report = DecompositionReport(g)
     if g.d1 == 0:
         raise DecompositionError("odd-generation precondition: the odd part is zero")
     zg = center(g)

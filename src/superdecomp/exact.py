@@ -513,8 +513,6 @@ def feasible_point(rows, nvars):
     outcome proves anything.
     """
     m = len(rows)
-    if m == 0:
-        return [_F0] * nvars
     n2 = 2 * nvars
     rhs, scale = n2 + 2 * m, n2 + 2 * m + 1
     tab = [_row_content_reduce({**_row_from_list(row), n2 + i: -1, rhs: 1})

@@ -324,19 +324,19 @@ def find_witness(g):
                          witness=Witness(t, functional, gram, res.minors, iters))
 
 
+class ConditionReport:
+    """One necessary condition's verdict (pass / fail / inconclusive), with
+    the certificate and detail the report prints."""
+
+    def __init__(self, verdict, certificate=None, detail=None):
+        self.verdict = verdict
+        self.certificate = certificate
+        self.detail = detail
+
+
 # ---------------------------------------------------------------------------
 # cone pointedness
 # ---------------------------------------------------------------------------
-
-class ConeCertificate:
-    """pointed / not_pointed / inconclusive, always re-verifiable."""
-
-    def __init__(self, verdict, witness=None, pair=None, note=None):
-        self.verdict = verdict
-        self.witness = witness
-        self.pair = pair                  # (x1, x2) odd with squares cancelling
-        self.note = note
-
 
 def _square_map_is_zero(g):
     for i in g.space.odd_indices():
@@ -383,13 +383,13 @@ def cone_pointedness(g):
     A positive witness functional gives pointedness (the functional is
     strictly positive on every nonzero generator); a vanishing square map
     gives the trivial cone; otherwise a cancelling pair [X1,X1] = -[X2,X2]
-    with both sides nonzero certifies not pointed.
+    with both sides nonzero, given as the pair (x1, x2), certifies not
+    pointed.
     """
     if _square_map_is_zero(g):
-        return ConeCertificate("pointed", note="all odd squares vanish: trivial cone")
-    res = find_witness(g)
-    if res.found:
-        return ConeCertificate("pointed", witness=res.witness)
+        return ConditionReport("pass", detail="all odd squares vanish: trivial cone")
+    if find_witness(g).found:
+        return ConditionReport("pass")
     # squares grouped by direction (the square over its first nonzero entry,
     # kept sparse): [X,X] = -c^2 [Y,Y] holds only inside one group
     groups = {}
@@ -400,7 +400,7 @@ def cone_pointedness(g):
         group = groups.setdefault(tuple((k, a / lead) for k, a in enumerate(s) if a), [])
         for y, lead_y in group:
             if lead_y == -lead:
-                return ConeCertificate("not_pointed", pair=(x, y))
+                return ConditionReport("fail", certificate=(x, y))
         # scaled match: [X,X] = -c^2 [Y,Y] for a rational square c^2
         for y, lead_y in group:
             r = lead / lead_y
@@ -408,9 +408,9 @@ def cone_pointedness(g):
             if c is not None:
                 y2 = [c * w for w in y]
                 if vec_is_zero([a + b for a, b in zip(s, g.bracket(y2, y2))]):
-                    return ConeCertificate("not_pointed", pair=(x, y2))
+                    return ConditionReport("fail", certificate=(x, y2))
         group.append((x, lead))
-    return ConeCertificate("inconclusive")
+    return ConditionReport("inconclusive")
 
 
 def _int_sqrt(n):
@@ -497,14 +497,6 @@ def invariant_odd_forms(g):
 # compactness via invariant positive forms
 # ---------------------------------------------------------------------------
 
-class CompactnessResult:
-    def __init__(self, verdict, even=None, odd=None, reason=None):
-        self.verdict = verdict            # yes / no / inconclusive
-        self.even = even
-        self.odd = odd
-        self.reason = reason
-
-
 def _no_posdef_pair_certificate(grams, dim, actions):
     """Nonzero v, w with S(v,v) + S(w,w) = 0 for every S in the span.
 
@@ -529,8 +521,9 @@ def _no_posdef_pair_certificate(grams, dim, actions):
 def compactness_check(g):
     """Invariant positive definite forms on the even and odd parts.
 
-    yes needs certified positive forms on both; no needs a certificate
-    that one of the two solution spaces admits none.
+    pass needs certified positive forms on both; fail needs a certificate
+    that one of the two solution spaces admits none, and names that part
+    and its reason.
     """
     results = {}
     for part, actions, dim in (
@@ -548,12 +541,12 @@ def compactness_check(g):
                                     certificate=pair)
         results[part] = out
     if all(r.found for r in results.values()):
-        return CompactnessResult("yes", results["even"], results["odd"])
+        return ConditionReport("pass")
     for part in ("even", "odd"):
         if results[part].status == "none":
-            return CompactnessResult("no", results["even"], results["odd"],
-                                     reason="%s part: %s" % (part, results[part].reason))
-    return CompactnessResult("inconclusive", results["even"], results["odd"])
+            return ConditionReport(
+                "fail", certificate="%s part: %s" % (part, results[part].reason))
+    return ConditionReport("inconclusive")
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +561,14 @@ def _nonzero_square_check(g, witness_found):
     they span with the odd basis vectors.
     """
     if g.d1 == 0:
-        return ("pass", None)
+        return ConditionReport("pass")
     if witness_found:
-        return ("pass", "positive definite kappa_omega forces nonzero squares")
-    for x, sq in _candidate_squares(g):
-        if vec_is_zero(sq):
-            return ("fail", x)
-    x = _isotropic_on_planes(g)
-    return ("fail", x) if x is not None else ("inconclusive", None)
+        return ConditionReport(
+            "pass", detail="positive definite kappa_omega forces nonzero squares")
+    x = next((x for x, sq in _candidate_squares(g) if vec_is_zero(sq)), None)
+    if x is None:
+        x = _isotropic_on_planes(g)
+    return ConditionReport("inconclusive" if x is None else "fail", certificate=x)
 
 
 def _isotropic_on_planes(g):
@@ -629,107 +622,65 @@ def _first_coordinate_roots(a, b, c):
     return [(r - b) / a] + ([(-r - b) / a] if r else [])
 
 
-class ConditionReport:
-    def __init__(self, key, verdict, certificate=None, detail=None):
-        self.key = key
-        self.verdict = verdict            # pass / fail / inconclusive
-        self.certificate = certificate
-        self.detail = detail
-
-
-def necessary_conditions_report(g, seed=0):
+def necessary_conditions_report(g):
     """All five necessary unitarity conditions with per-item verdicts.
 
     (i) compactness, (ii) nonzero odd squares, (iii) pointed cone,
     (iv) positive invariant functional, (v) nontrivial even center.
-    The seed is only echoed in the report: no verdict depends on it.
     """
-    items = []
-
     comp = compactness_check(g)
-    items.append(ConditionReport(
-        "i_compact", {"yes": "pass", "no": "fail"}.get(comp.verdict, "inconclusive"),
-        certificate=comp.reason))
-
     wit = find_witness(g)
     cone = cone_pointedness(g)
-
-    sq_verdict, sq_cert = _nonzero_square_check(g, wit.found)
-    if sq_verdict == "fail":
-        items.append(ConditionReport("ii_nonzero_squares", sq_verdict,
-                                     certificate=sq_cert))
-    else:
-        items.append(ConditionReport("ii_nonzero_squares", sq_verdict,
-                                     detail=sq_cert))
-
-    cone_verdict = {"pointed": "pass", "not_pointed": "fail"}.get(
-        cone.verdict, "inconclusive")
-    items.append(ConditionReport("iii_pointed_cone", cone_verdict,
-                                 certificate=cone.pair, detail=cone.note))
-
+    items = {"i_compact": comp,
+             "ii_nonzero_squares": _nonzero_square_check(g, wit.found),
+             "iii_pointed_cone": cone}
     if wit.found:
-        items.append(ConditionReport("iv_positive_functional", "pass",
-                                     certificate=wit.witness))
-    elif wit.status == "none":
-        items.append(ConditionReport("iv_positive_functional", "fail",
-                                     detail=wit.reason))
+        items["iv_positive_functional"] = ConditionReport("pass", certificate=wit.witness)
     else:
-        items.append(ConditionReport("iv_positive_functional", "inconclusive",
-                                     detail=wit.reason))
-
+        items["iv_positive_functional"] = ConditionReport(
+            "fail" if wit.status == "none" else "inconclusive", detail=wit.reason)
     ann_dim = len(invariant_functional_basis(g))
     dim_z0 = even_center_dim(g)
-    items.append(ConditionReport(
-        "v_even_center", "pass" if dim_z0 > 0 else "fail",
-        detail="dim z(g0) = %d, annihilator dim = %d" % (dim_z0, ann_dim)))
+    items["v_even_center"] = ConditionReport(
+        "pass" if dim_z0 > 0 else "fail",
+        detail="dim z(g0) = %d, annihilator dim = %d" % (dim_z0, ann_dim))
 
-    if any(it.verdict == "fail" for it in items):
+    verdicts = [it.verdict for it in items.values()]
+    if "fail" in verdicts:
         overall = "obstruction found"
-    elif all(it.verdict == "pass" for it in items):
+    elif all(v == "pass" for v in verdicts):
         overall = "all necessary conditions pass"
     else:
         overall = "inconclusive items listed"
-    return NecessaryConditionsReport(items, overall, seed)
+    return NecessaryConditionsReport(items, overall)
 
 
 class NecessaryConditionsReport:
-    def __init__(self, items, overall, seed):
-        self.items = items
+    def __init__(self, items, overall):
+        self.items = items                # condition key -> ConditionReport, (i) to (v)
         self.overall = overall
-        self.seed = seed
 
     def item(self, key):
-        for it in self.items:
-            if it.key == key:
-                return it
-        raise KeyError(key)
+        return self.items[key]
 
     def to_json_dict(self):
-        from . import __version__
-
         def cert_json(c):
-            if c is None:
-                return None
             if isinstance(c, Witness):
                 return c.to_json_dict()
             if isinstance(c, str):
                 return c
-            if isinstance(c, tuple) and len(c) == 2:
+            if isinstance(c, tuple):
                 return {"x1": _vec_json(c[0]), "x2": _vec_json(c[1])}
-            if isinstance(c, list):
-                return _vec_json(c)
-            return str(c)
+            return _vec_json(c)
 
         return {
-            "version": __version__,
-            "seed": str(self.seed),
             "overall": self.overall,
             "conditions": [
-                {"condition": it.key, "verdict": it.verdict,
+                {"condition": key, "verdict": it.verdict,
                  **({"certificate": cert_json(it.certificate)}
                     if it.certificate is not None else {}),
                  **({"detail": str(it.detail)} if it.detail is not None else {})}
-                for it in self.items],
+                for key, it in self.items.items()],
         }
 
 

@@ -134,17 +134,17 @@ def test_acceptance_4_center_facts():
 # --- 5: unitarity obstructions and witnesses ---------------------------------
 
 def test_acceptance_5_lemma24():
-    rep = necessary_conditions_report(build_family("psu", 2), seed=11)
+    rep = necessary_conditions_report(build_family("psu", 2))
     assert rep.overall == "obstruction found"
     assert rep.item("v_even_center").verdict == "fail"
 
-    rep = necessary_conditions_report(build_family("pq", 2), seed=11)
+    rep = necessary_conditions_report(build_family("pq", 2))
     assert rep.overall == "obstruction found"
     assert rep.item("v_even_center").verdict == "fail"
     assert "trivial" in rep.item("iv_positive_functional").detail
 
     g = build_family("T", "su", 2)
-    rep = necessary_conditions_report(g, seed=11)
+    rep = necessary_conditions_report(g)
     assert rep.overall == "obstruction found"
     item = rep.item("ii_nonzero_squares")
     assert item.verdict == "fail"
@@ -152,7 +152,7 @@ def test_acceptance_5_lemma24():
     assert not vec_is_zero(x) and vec_is_zero(g.bracket(x, x))
 
     g = build_family("ch_indefinite", 1, 1)
-    rep = necessary_conditions_report(g, seed=11)
+    rep = necessary_conditions_report(g)
     assert rep.overall == "obstruction found"
     item = rep.item("iii_pointed_cone")
     assert item.verdict == "fail"
@@ -164,7 +164,7 @@ def test_acceptance_5_lemma24():
     for tag, params in [("u", (2, 1)), ("su", (2, 1)), ("su", (2, 2)),
                         ("q", (2,)), ("c", (2,))]:
         g = build_family(tag, *params)
-        rep = necessary_conditions_report(g, seed=11)
+        rep = necessary_conditions_report(g)
         assert rep.overall == "all necessary conditions pass", (tag, params)
         wit = rep.item("iv_positive_functional").certificate
         assert wit.iterations <= 200
@@ -255,7 +255,7 @@ def check_report(rep, want):
 
 
 def test_acceptance_7_structure_roundtrips():
-    rep = structure_report(input_su21_ttilde_that(), seed=7)
+    rep = structure_report(input_su21_ttilde_that())
     check_report(rep, combine("su21", "ttilde", "that"))
     kinds = sorted(i.classification[0] for i in rep.ideals)
     assert kinds == ["T", "su(n|m)"]
@@ -263,7 +263,7 @@ def test_acceptance_7_structure_roundtrips():
     assert tideal.kk_dim == 3
     assert tideal.checks["tangent_quotient"]
 
-    rep = structure_report(glued_su22_q2(), seed=7)
+    rep = structure_report(glued_su22_q2())
     check_report(rep, combine("su22", "q2", glued=1))
     # two paired summands share the su(n|n) ideal; the q summand is self paired
     pair = rep.classification.pairing
@@ -272,13 +272,13 @@ def test_acceptance_7_structure_roundtrips():
     fours = [i for i, s in enumerate(rep.decomposition.summands) if s.dim == 4]
     assert pair[fours[0]] == fours[1] and pair[fours[1]] == fours[0]
 
-    rep = structure_report(build_family("q", 2), seed=7)
+    rep = structure_report(build_family("q", 2))
     check_report(rep, combine("q2"))
 
-    rep = structure_report(build_family("T_hat", "su", 2), seed=7)
+    rep = structure_report(build_family("T_hat", "su", 2))
     check_report(rep, combine("that"))
 
-    rep = structure_report(input_su22_spin_semidirect(), seed=7)
+    rep = structure_report(input_su22_spin_semidirect())
     check_report(rep, combine("su22", "spinhat2"))
     info = rep.ideals[0]
     assert info.checks["theorem42"]["b_annihilates_ideal"]
@@ -318,11 +318,11 @@ def test_acceptance_8_central_extensions():
 # --- 9: theorem flags ---------------------------------------------------------
 
 def test_acceptance_9_theorem_flags():
-    rep = structure_report(input_su21_ttilde_that(), seed=9)
+    rep = structure_report(input_su21_ttilde_that())
     su_ideal = [i for i in rep.ideals if i.classification[0] == "su(n|m)"][0]
     assert su_ideal.checks["theorem42"]["direct_summand"] is True
 
-    rep = structure_report(build_family("q_hat", 2), seed=9)
+    rep = structure_report(build_family("q_hat", 2))
     info = rep.ideals[0]
     assert info.classification[0] == "q"
     cert = info.checks["theorem42"]["qhat_embedding"]

@@ -255,6 +255,42 @@ def test_seed_env_not_an_integer_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: SUPERDECOMP_SEED must be an integer")
 
 
+def test_report_seed_is_only_echoed(tmp_path, capsys):
+    # the reports at two seeds differ in the echoed seed alone
+    from test_unitar import odd_squares_on_z
+    cases = [("that", families.build_family("T_hat", "su", 2), ("decompose", "unitarity")),
+             ("qhat2", families.build_family("q_hat", 2), ("decompose", "unitarity")),
+             ("squares_1_m4", odd_squares_on_z(1, -4), ("unitarity",)),
+             ("squares_1_1_m2", odd_squares_on_z(1, 1, -2), ("unitarity",))]
+    for name, g, cmds in cases:
+        path = _write(tmp_path, name + ".json", core.algebra_to_json_dict(g, name))
+        for cmd in cmds:
+            reports = []
+            for seed in ("11", "12"):
+                code, out, err = run(capsys, cmd, path, "--seed", seed)
+                assert code == 0, (name, cmd, err)
+                rep = json.loads(out)
+                assert rep.pop("seed") == seed and rep["name"] == name
+                reports.append(rep)
+            assert reports[0] == reports[1], (name, cmd)
+
+
+def test_no_library_function_takes_a_seed():
+    # the report seed is the CLI's concern; samplers take an rng
+    import ast
+    pkg = os.path.dirname(core.__file__)
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py") or fname == "cli.py":
+            continue
+        with open(os.path.join(pkg, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+                assert "seed" not in names, (fname, node.lineno)
+
+
 # --- inputs that must be refused ---------------------------------------------
 
 def _write(tmp_path, name, obj):
@@ -394,3 +430,34 @@ def test_malformed_files_exit_2(tmp_path, optimize):
     for argv, (code, err) in zip(argvs, json.loads(proc.stdout)):
         assert code == 2, (argv, err)
         assert err.startswith("error: cannot read algebra file: "), (argv, err)
+
+
+def _u11():
+    return core.algebra_to_json_dict(families.build_family("u", 1, 1), "u(1|1)")
+
+
+def _with_terms(o, terms):
+    o["brackets"][0]["terms"] = terms
+    return o
+
+
+# a u(1|1) file whose containers or name have the wrong JSON type
+MALFORMED_CONTAINERS = {
+    "basis_string": lambda o: {**o, "basis": "", "brackets": []},
+    "brackets_string": lambda o: {**o, "brackets": ""},
+    "brackets_object": lambda o: {**o, "brackets": {}},
+    "terms_object": lambda o: _with_terms(o, {}),
+    "name_object": lambda o: {**o, "name": {"a": 1}},
+    "name_int": lambda o: {**o, "name": 5},
+}
+
+
+@pytest.mark.parametrize("cmd", [["check", "center"], ["decompose"], ["unitarity"],
+                                 ["check", "eq-square"]])
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONTAINERS))
+def test_malformed_containers_exit_2(tmp_path, capsys, name, cmd):
+    path = _write(tmp_path, name + ".json", MALFORMED_CONTAINERS[name](_u11()))
+    code, out, err = run(capsys, *cmd, path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read algebra file: "), err
+    assert "Traceback" not in err

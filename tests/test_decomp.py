@@ -220,7 +220,7 @@ def test_split_module_pieces_odd_modules(tag, params):
 
 
 def test_structure_report_q2():
-    rep = structure_report(build_family("q", 2), seed=3)
+    rep = structure_report(build_family("q", 2))
     assert rep.classification.js == [0]
     assert rep.classification.pairing == {0: 0}
     assert rep.kernel_dim == 0
@@ -233,7 +233,7 @@ def test_structure_report_q2():
 
 
 def test_structure_report_that():
-    rep = structure_report(build_family("T_hat", "su", 2), seed=3)
+    rep = structure_report(build_family("T_hat", "su", 2))
     assert rep.classification.ja == [0]
     assert rep.b.dim == 1
     info = rep.ideals[0]
@@ -251,7 +251,7 @@ def test_structure_report_that():
 
 def test_structure_report_glued():
     g = glued_su22_q2()
-    rep = structure_report(g, seed=3)
+    rep = structure_report(g)
     assert len(rep.ideals) == 2
     kinds = sorted(info.classification[0] for info in rep.ideals)
     assert kinds == ["q", "su(n|n)"]
@@ -264,7 +264,7 @@ def test_structure_report_glued():
 
 
 def test_structure_report_qhat_embedding():
-    rep = structure_report(build_family("q_hat", 2), seed=3)
+    rep = structure_report(build_family("q_hat", 2))
     info = rep.ideals[0]
     assert info.classification[0] == "q"
     cert = info.checks["theorem42"]["qhat_embedding"]
@@ -276,19 +276,19 @@ def test_structure_report_qhat_embedding():
 def test_structure_report_rejects_even_only():
     from superdecomp.families import build_lie_algebra
     with pytest.raises(DecompositionError):
-        structure_report(build_lie_algebra("su", 2), seed=0)
+        structure_report(build_lie_algebra("su", 2))
 
 
 def test_structure_report_rejects_odd_center():
     # abelian (1|1): the center has an odd component
     g = SuperAlgebra(SuperSpace.make(1, 1), {})
     with pytest.raises(DecompositionError):
-        structure_report(g, seed=0)
+        structure_report(g)
 
 
 def test_grsplit_su21_plus_that():
     g = direct_sum(build_family("su", 2, 1), build_family("T_hat", "su", 2))
-    zba, b_r, g_r = structure_report(g, seed=3).gr
+    zba, b_r, g_r = structure_report(g).gr
     assert zba.dim == 0 and b_r.dim == 1
     assert g_r.dim == g.dim                   # g_r = [g, g] + b_r = g
 
@@ -303,15 +303,9 @@ def test_grsplit_b_zero_gives_whole_algebra():
 def test_report_json_deterministic():
     import json
     g = build_family("T_hat", "su", 2)
-    a = json.dumps(structure_report(g, seed=11).to_json_dict(), sort_keys=True)
-    b = json.dumps(structure_report(g, seed=11).to_json_dict(), sort_keys=True)
+    a = json.dumps(structure_report(g).to_json_dict(), sort_keys=True)
+    b = json.dumps(structure_report(g).to_json_dict(), sort_keys=True)
     assert a == b
-    # the decomposition does not depend on the seed, which is only echoed
-    for g in (g, build_family("q_hat", 2)):
-        a = structure_report(g, seed=11).to_json_dict()
-        c = structure_report(g, seed=12).to_json_dict()
-        assert a.pop("seed") == "11" and c.pop("seed") == "12"
-        assert json.dumps(a, sort_keys=True) == json.dumps(c, sort_keys=True)
 
 
 @pytest.mark.parametrize("hat", [False, True])

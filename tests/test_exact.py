@@ -281,6 +281,12 @@ def test_lp_simple_feasible():
     assert t is not None and t[0] >= 1
 
 
+def test_lp_with_no_rows_gives_the_zero_point():
+    # no constraint: the general simplex path reads off t = 0
+    assert feasible_point([], 3) == [0, 0, 0]
+    assert feasible_point([], 0) == []
+
+
 def test_lp_infeasible_opposed():
     # t >= 1 and -t >= 1 cannot both hold
     assert feasible_point([[Fraction(1)], [Fraction(-1)]], 1) is None

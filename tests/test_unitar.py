@@ -73,29 +73,31 @@ def test_witness_c2():
 
 
 def test_cone_pointed_ttilde():
-    cert = cone_pointedness(build_family("T_tilde", "su", 2))
-    assert cert.verdict == "pointed"
-    assert cert.witness is not None
+    g = build_family("T_tilde", "su", 2)
+    cert = cone_pointedness(g)
+    assert cert.verdict == "pass"
+    # pointed by the positive functional, not by a trivial cone
+    assert find_witness(g).found and cert.detail is None
 
 
 def test_cone_trivial_tangent():
     cert = cone_pointedness(build_family("T", "su", 2))
-    assert cert.verdict == "pointed"
-    assert cert.witness is None            # trivial cone, no functional needed
+    assert cert.verdict == "pass"
+    assert "trivial cone" in cert.detail   # no functional needed
 
 
 def test_cone_not_pointed_indefinite():
     g = build_family("ch_indefinite", 1, 1)
     cert = cone_pointedness(g)
-    assert cert.verdict == "not_pointed"
-    x1, x2 = cert.pair
+    assert cert.verdict == "fail"
+    x1, x2 = cert.certificate
     s1, s2 = g.bracket(x1, x1), g.bracket(x2, x2)
     assert not vec_is_zero(s1) and not vec_is_zero(s2)
     assert vec_is_zero([a + b for a, b in zip(s1, s2)])
 
 
 def test_cone_pointed_u22():
-    assert cone_pointedness(build_family("u", 2, 2)).verdict == "pointed"
+    assert cone_pointedness(build_family("u", 2, 2)).verdict == "pass"
 
 
 def test_unsolved_lp_makes_the_search_inconclusive(monkeypatch):
@@ -110,8 +112,8 @@ def test_unsolved_lp_makes_the_search_inconclusive(monkeypatch):
 
 
 def test_compactness_families():
-    assert compactness_check(build_family("su", 2, 2)).verdict == "yes"
-    assert compactness_check(build_family("T", "su", 2)).verdict == "yes"
+    assert compactness_check(build_family("su", 2, 2)).verdict == "pass"
+    assert compactness_check(build_family("T", "su", 2)).verdict == "pass"
 
 
 def test_no_posdef_pair_certificate():
@@ -129,7 +131,7 @@ def test_compactness_no_for_complex_simple():
         mats.append(m)
         mats.append(m.scale(I))
     sl2c, _ = from_matrix_span(mats, 2)
-    assert compactness_check(sl2c).verdict == "no"
+    assert compactness_check(sl2c).verdict == "fail"
 
 
 def test_classify_roundtrip():
@@ -170,25 +172,25 @@ def test_su21_c2_coincide():
 
 
 def test_lemma24_obstructions():
-    rep = necessary_conditions_report(build_family("psu", 2), seed=5)
+    rep = necessary_conditions_report(build_family("psu", 2))
     assert rep.overall == "obstruction found"
     assert rep.item("v_even_center").verdict == "fail"
 
-    rep = necessary_conditions_report(build_family("pq", 2), seed=5)
+    rep = necessary_conditions_report(build_family("pq", 2))
     assert rep.overall == "obstruction found"
     assert rep.item("v_even_center").verdict == "fail"
     # no witness, and neither a structured candidate nor the plane search
     # finds an odd vector with zero square
     assert rep.item("ii_nonzero_squares").verdict == "inconclusive"
 
-    rep = necessary_conditions_report(build_family("T", "su", 2), seed=5)
+    rep = necessary_conditions_report(build_family("T", "su", 2))
     assert rep.overall == "obstruction found"
     assert rep.item("ii_nonzero_squares").verdict == "fail"
     x = rep.item("ii_nonzero_squares").certificate
     g = build_family("T", "su", 2)
     assert not vec_is_zero(x) and vec_is_zero(g.bracket(x, x))
 
-    rep = necessary_conditions_report(build_family("ch_indefinite", 1, 1), seed=5)
+    rep = necessary_conditions_report(build_family("ch_indefinite", 1, 1))
     assert rep.overall == "obstruction found"
     assert rep.item("iii_pointed_cone").verdict == "fail"
     assert rep.item("iii_pointed_cone").certificate is not None
@@ -206,28 +208,22 @@ def test_hand_built_obstructions_need_no_seed():
     # and the plane of x and y holds the isotropic 2x + y.
     g = odd_squares_on_z(1, -4)
     cone = cone_pointedness(g)
-    assert cone.verdict == "not_pointed"
-    assert cone.pair == ([ZERO, ZERO, ONE], [ZERO, Fraction(2), ZERO])
+    assert cone.verdict == "fail"
+    assert cone.certificate == ([ZERO, ZERO, ONE], [ZERO, Fraction(2), ZERO])
     ii = necessary_conditions_report(g).item("ii_nonzero_squares")
     assert ii.verdict == "fail" and ii.certificate == [ZERO, Fraction(2), ONE]
     # [x, x] = [y, y] = z, [w, w] = -2z: x + y + w, on the plane of x + y and w
     h = odd_squares_on_z(1, 1, -2)
     ii = necessary_conditions_report(h).item("ii_nonzero_squares")
     assert ii.verdict == "fail" and ii.certificate == [ZERO, ONE, ONE, ONE]
-    for alg in (g, h):
-        reports = [necessary_conditions_report(alg, seed=s).to_json_dict()
-                   for s in range(6)]
-        for r in reports:
-            del r["seed"]
-        assert all(r == reports[0] for r in reports)
 
 
 def test_cone_pair_prefers_the_exact_cancellation():
     # [e1, e1] = 4z, [e2, e2] = z, [e3, e3] = -z: [e3, e3] cancels [e2, e2]
     # exactly and [e1/2, e1/2] by scaling; the exact pair comes first
     cone = cone_pointedness(odd_squares_on_z(4, 1, -1))
-    assert cone.verdict == "not_pointed"
-    assert cone.pair == ([ZERO, ZERO, ZERO, ONE], [ZERO, ZERO, ONE, ZERO])
+    assert cone.verdict == "fail"
+    assert cone.certificate == ([ZERO, ZERO, ZERO, ONE], [ZERO, ZERO, ONE, ZERO])
 
 
 def test_report_reaches_the_empty_and_zero_dimensional_searches():
@@ -266,14 +262,13 @@ def test_first_coordinate_roots():
 def test_lemma24_all_pass():
     for tag, params in [("u", (2, 1)), ("su", (2, 1)), ("su", (2, 2)),
                         ("q", (2,)), ("c", (2,)), ("su", (3, 1))]:
-        rep = necessary_conditions_report(build_family(tag, *params), seed=5)
+        rep = necessary_conditions_report(build_family(tag, *params))
         assert rep.overall == "all necessary conditions pass", (tag, params)
 
 
 def test_lemma24_json_shape():
-    rep = necessary_conditions_report(build_family("su", 2, 1), seed=9)
+    rep = necessary_conditions_report(build_family("su", 2, 1))
     d = rep.to_json_dict()
-    assert d["seed"] == "9"
     assert len(d["conditions"]) == 5
     for item in d["conditions"]:
         assert {"condition", "verdict"} <= set(item)
@@ -309,7 +304,7 @@ def test_report_runs_one_witness_search(monkeypatch):
     su21 = build_family("su", 2, 1)
     g = direct_sum(direct_sum(su21, su21), direct_sum(su21, su21))
     calls = _count_body_calls(monkeypatch, unitar.find_witness)
-    rep = necessary_conditions_report(g, seed=5)
+    rep = necessary_conditions_report(g)
     assert calls == [g]
     assert rep.overall == "all necessary conditions pass"
     assert rep.item("iv_positive_functional").certificate is find_witness(g).witness
