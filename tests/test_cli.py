@@ -249,10 +249,14 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
 def test_seed_env_not_an_integer_exits_2(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "that.json")
     run(capsys, "construct", "--family", "T_hat", "--params", "su,2", "--out", path)
+    # an even-only file, whose decomposition would fail, is refused the same way
+    even = _write(tmp_path, "even.json", {"name": "abelian", "brackets": [],
+                                          "basis": [{"id": "e0", "parity": 0}]})
     monkeypatch.setenv("SUPERDECOMP_SEED", "abc")
-    code, out, err = run(capsys, "decompose", path)
-    assert code == 2 and out == ""
-    assert err.startswith("error: SUPERDECOMP_SEED must be an integer")
+    for cmd, file in (("decompose", path), ("unitarity", path), ("decompose", even)):
+        code, out, err = run(capsys, cmd, file)
+        assert code == 2 and out == "", (cmd, file)
+        assert err.startswith("error: SUPERDECOMP_SEED must be an integer")
 
 
 def test_report_seed_is_only_echoed(tmp_path, capsys):
