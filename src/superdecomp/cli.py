@@ -37,15 +37,15 @@ def _dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _atomic_write(path, text):
-    """Write text to path by way of a temporary file beside it; an OSError
-    names path, not the temporary file."""
+def _atomic_write(path, chunks):
+    """Write the text chunks to path by way of a temporary file beside it;
+    an OSError names path, not the temporary file."""
     d = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".superdecomp-")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -57,7 +57,7 @@ def _atomic_write(path, text):
 def _emit(obj, out_path):
     text = _dumps(obj)
     if out_path:
-        _atomic_write(out_path, text)
+        _atomic_write(out_path, [text])
     else:
         sys.stdout.write(text)
 
@@ -129,7 +129,7 @@ def cmd_construct(args):
               file=sys.stderr)
         return FAIL
     name = args.name or spec.name()
-    _atomic_write(args.out, _dumps(algebra_to_json_dict(alg, name)))
+    _atomic_write(args.out, [_dumps(algebra_to_json_dict(alg, name))])
     print("%s written to %s (dims %d|%d)" % (name, args.out, alg.d0, alg.d1))
     return OK
 
@@ -238,7 +238,7 @@ def cmd_spinrep(args):
             spec = number_spectrum(rep)
             result["spectrum"] = {str(k): str(v) for k, v in sorted(spec.items())}
     if args.out:
-        _atomic_write(args.out, _dumps(rep.to_json_dict()))
+        _atomic_write(args.out, rep.json_chunks())
     _emit(result, None)
     return OK
 
@@ -256,7 +256,7 @@ def cmd_tangent_rep(args):
         result["unitary"] = "ok"
         result["faithful"] = rep.meta["faithful"]
     if args.out:
-        _atomic_write(args.out, _dumps(rep.to_json_dict()))
+        _atomic_write(args.out, rep.json_chunks())
     _emit(result, None)
     return OK
 

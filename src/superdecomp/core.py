@@ -702,10 +702,10 @@ def algebra_from_json_dict(obj):
     """Parse the JSON file format; AlgebraFileError on any malformed table.
 
     Beyond what SuperSpace and SuperAlgebra check, basis, brackets and
-    each bracket's terms must be JSON lists, a name must be a string,
-    every integer field must be a JSON integer or a decimal string, and a
-    file must not repeat a bracket pair or a basis index within one
-    bracket, nor give a zero denominator.
+    each bracket's terms must be JSON lists, a name and every basis id
+    must be strings, every integer field must be a JSON integer or a
+    decimal string, and a file must not repeat a bracket pair or a basis
+    index within one bracket, nor give a zero denominator.
     """
     try:
         basis = _file_list(obj, "basis")
@@ -713,6 +713,10 @@ def algebra_from_json_dict(obj):
             raise AlgebraFileError("name must be a string, not %s"
                                    % type(obj["name"]).__name__)
         labels = [b["id"] for b in basis]
+        for label in labels:
+            if type(label) is not str:
+                raise AlgebraFileError("basis id must be a string, not %s"
+                                       % type(label).__name__)
         parities = [_file_int(b["parity"]) for b in basis]
         space = SuperSpace(labels, parities)
         table = {}

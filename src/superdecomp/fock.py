@@ -19,6 +19,7 @@ are table driven.  Each representation is verified exactly once, when it
 is built, and is refused if the check fails.
 """
 
+import json
 from fractions import Fraction
 from math import isqrt
 
@@ -183,31 +184,33 @@ class Representation:
     def space_dim(self):
         return len(self.space_parities)
 
-    def to_json_dict(self):
-        """Each operator as its dense rows; entry (a + bi) / den is written
-        as the numerators and denominators of its real and imaginary parts
-        in lowest terms.  The zero entries, nearly all of a spin
-        operator's, share one list."""
-        dim = self.space_dim
-        zero = ["0", "1", "0", "1"]
+    def json_chunks(self):
+        """The JSON text of the representation with sorted keys and compact
+        separators, newline-terminated, in chunks of at most one matrix
+        row: one operator's dense rows and one row's text are held at a
+        time, never the whole text.
 
-        def matrix(op):
+        Each operator is written as its dense rows; entry (a + bi) / den
+        as the decimal numerators and denominators of its real and
+        imaginary parts in lowest terms.  The zero entries, nearly all of
+        a spin operator's, share one string."""
+        dim = self.space_dim
+        zero = '["0","1","0","1"]'
+        yield '{"gram":"identity","operators":['
+        for k, op in enumerate(self.operators):
             rows = [[zero] * dim for _ in range(dim)]
             for j, col in enumerate(op.cols):
                 for i, (a, b) in col.items():
                     re, im = Fraction(a, op.den), Fraction(b, op.den)
-                    rows[i][j] = [str(re.numerator), str(re.denominator),
-                                  str(im.numerator), str(im.denominator)]
-            return rows
-
-        return {
-            "space": {"dim": str(dim),
-                      "parities": [p for p in self.space_parities]},
-            "gram": "identity",
-            "operators": [
-                {"basis_id": self.algebra.space.labels[i], "matrix": matrix(op)}
-                for i, op in enumerate(self.operators)],
-        }
+                    rows[i][j] = '["%d","%d","%d","%d"]' % (
+                        re.numerator, re.denominator, im.numerator, im.denominator)
+            yield '%s{"basis_id":%s,"matrix":[' % (
+                "," if k else "", json.dumps(self.algebra.space.labels[k]))
+            for i, row in enumerate(rows):
+                yield '%s[%s]' % ("," if i else "", ",".join(row))
+            yield "]}"
+        yield '],"space":{"dim":"%d","parities":%s}}\n' % (
+            dim, json.dumps(self.space_parities, separators=(",", ":")))
 
 
 class RepCheck:

@@ -75,6 +75,7 @@ def test_construct_unknown_family_is_a_usage_error(tmp_path, capsys):
     ["decompose", "SU21", "--report"],
     ["unitarity", "SU21", "--out"],
     ["spinrep", "--dim", "2", "--out"],
+    ["tangent-rep", "--k", "su2", "--out"],
 ])
 def test_output_into_a_missing_directory_names_the_given_path(tmp_path, capsys, argv):
     src = str(tmp_path / "su21.json")
@@ -85,6 +86,19 @@ def test_output_into_a_missing_directory_names_the_given_path(tmp_path, capsys, 
     assert err.startswith("error: ") and repr(target) in err, err
     assert ".superdecomp-" not in err
     assert "Traceback" not in err
+
+
+def test_a_failed_write_leaves_no_file_behind(tmp_path):
+    from superdecomp.cli import _atomic_write
+
+    def chunks():
+        yield "{"
+        raise RuntimeError("chunk failed")
+
+    target = tmp_path / "out.json"
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _atomic_write(str(target), chunks())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_check_jacobi_and_killing(tmp_path, capsys):
@@ -370,6 +384,19 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("superdeco
 """
 
 
+# run one command and print its exit code and this process's peak resident
+# set (VmHWM, KiB); ru_maxrss of a child would carry the parent's own peak
+_PEAK_AFTER = """
+import contextlib, io, json, sys
+from superdecomp.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps([code, peak]))
+"""
+
+
 def _src_env():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -434,6 +461,20 @@ def test_malformed_files_exit_2(tmp_path, optimize):
     for argv, (code, err) in zip(argvs, json.loads(proc.stdout)):
         assert code == 2, (argv, err)
         assert err.startswith("error: cannot read algebra file: "), (argv, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc")
+def test_spinrep_out_never_holds_the_whole_text(tmp_path):
+    # the 21 MB text of spin_h_hat(8) held at once peaked at 71 MiB
+    out = tmp_path / "spin8.json"
+    argv = ["spinrep", "--dim", "8", "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", _PEAK_AFTER, json.dumps(argv)],
+                          capture_output=True, text=True, env=_src_env(), timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = json.loads(proc.stdout)
+    assert code == 0 and out.stat().st_size == 21245783
+    assert peak_kib < 40 * 1024
 
 
 def _u11():

@@ -1153,6 +1153,11 @@ MALFORMED = {
     "k_float": _set(_first_term, "k", 0.9),
     "num_float": _set(_first_term, "num", 1.5),
     "parity_bool": _set(lambda o: o["basis"][-1], "parity", True),
+    # basis ids that are not strings
+    "id_int": _set(lambda o: o["basis"][0], "id", 5),
+    "id_null": _set(lambda o: o["basis"][0], "id", None),
+    "id_bool": _set(lambda o: o["basis"][0], "id", True),
+    "id_float": _set(lambda o: o["basis"][0], "id", 1.5),
 }
 
 

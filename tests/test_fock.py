@@ -1,3 +1,4 @@
+import json
 import operator
 import random
 from fractions import Fraction
@@ -297,9 +298,38 @@ def test_representation_refuses_dense_operators():
         Representation(g, [0, 1], ops)
 
 
+def rep_json_dict(rep):
+    """The byte-identity oracle of Representation.json_chunks: the whole
+    representation as one dict, each operator as its dense rows, for one
+    json.dumps."""
+    dim = rep.space_dim
+    zero = ["0", "1", "0", "1"]
+
+    def matrix(op):
+        rows = [[zero] * dim for _ in range(dim)]
+        for j, col in enumerate(op.cols):
+            for i, (a, b) in col.items():
+                re, im = Fraction(a, op.den), Fraction(b, op.den)
+                rows[i][j] = [str(re.numerator), str(re.denominator),
+                              str(im.numerator), str(im.denominator)]
+        return rows
+
+    return {
+        "space": {"dim": str(dim), "parities": list(rep.space_parities)},
+        "gram": "identity",
+        "operators": [
+            {"basis_id": rep.algebra.space.labels[i], "matrix": matrix(op)}
+            for i, op in enumerate(rep.operators)],
+    }
+
+
+def rep_text(rep):
+    return "".join(rep.json_chunks())
+
+
 def test_rep_json_export():
     rep = spin_representation("spin_h", 1)
-    d = rep.to_json_dict()
+    d = json.loads(rep_text(rep))
     assert d["gram"] == "identity"
     assert d["space"]["dim"] == "2"
     assert len(d["operators"]) == 3
@@ -353,27 +383,52 @@ def test_rep_json_pins_complex_entries_and_denominators():
     # 1/2 - i/3) with denominators other than 1; no golden file holds either
     g = build_family("q", 1)
     rep = defining_representation(g)
-    assert rep.to_json_dict() == _q1_json(_Q1_ENTRIES)
+    assert json.loads(rep_text(rep)) == _q1_json(_Q1_ENTRIES)
+    assert json.loads(rep_text(_q1_scaled(rep))) == _q1_json(_Q1_SCALED_ENTRIES)
+
+
+def _q1_scaled(rep):
+    """The q(1) defining operators scaled by 1/2 - i/3."""
     t = Scalar(Fraction(1, 2), Fraction(-1, 3))
-    scaled = Representation(g, rep.space_parities,
-                            [op.scale(t) for op in rep.operators])
-    assert scaled.to_json_dict() == _q1_json(_Q1_SCALED_ENTRIES)
+    return Representation(rep.algebra, rep.space_parities,
+                          [op.scale(t) for op in rep.operators])
+
+
+def _reps_for_byte_identity():
+    for variant in ("spin_h", "spin_h_hat"):
+        for n in range(1, 7):
+            yield "%s(%d)" % (variant, n), lambda v=variant, n=n: spin_representation(v, n)
+    for kind, n in (("su", 2), ("so", 3), ("sp", 1)):
+        yield "Ttilde(%s%d)" % (kind, n), \
+            lambda kind=kind, n=n: tilde_tangent_representation(kind, n)
+    q1 = lambda: defining_representation(build_family("q", 1))   # noqa: E731
+    yield "q(1)", q1
+    yield "q(1) scaled", lambda: _q1_scaled(q1())
+
+
+@pytest.mark.parametrize("name,make", list(_reps_for_byte_identity()),
+                         ids=[name for name, _ in _reps_for_byte_identity()])
+def test_streamed_json_is_the_text_of_the_oracle_dict(name, make):
+    rep = make()
+    want = json.dumps(rep_json_dict(rep), sort_keys=True, separators=(",", ":")) + "\n"
+    assert rep_text(rep) == want
 
 
 def test_rep_json_shares_the_zero_entry():
     # a spin operator has one nonzero entry per column; the 4^n - O(2^n)
-    # zero entries of --out must cost a reference each, not a list each
+    # zero entries of --out must cost a reference each, not a string each,
+    # and only one operator's rows may be held at a time
     import tracemalloc
     rep = spin_representation("spin_h_hat", 7)
-    entries = len(rep.operators) * rep.space_dim ** 2
     tracemalloc.start()
     try:
-        obj = rep.to_json_dict()
+        size = sum(len(chunk) for chunk in rep.json_chunks())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(obj["operators"]) == 16
-    assert peak < 32 * entries
+    assert size == len(rep_text(rep))
+    assert len(json.loads(rep_text(rep))["operators"]) == 16
+    assert peak < 32 * rep.space_dim ** 2
 
 
 # --- sparse operators against the dense oracle -------------------------------
