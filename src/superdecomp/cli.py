@@ -78,7 +78,7 @@ def _load_algebra(path):
         with open(path) as fh:
             obj = json.load(fh)
         return algebra_from_json_dict(obj), obj
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         raise UsageError("cannot read algebra file: %s" % exc) from exc
 
 

@@ -25,8 +25,8 @@ import re
 from types import MappingProxyType
 
 from .exact import (
-    Echelon, LinSolver, ZERO, ONE, _row_from_list, is_symmetric, vec_add, vec_sub,
-    vec_zero,
+    Echelon, LinSolver, ZERO, ONE, _row_from_list, is_symmetric, kernel, vec_add,
+    vec_sub, vec_zero,
 )
 
 
@@ -397,16 +397,14 @@ def center(g):
     """{x : [x, g] = 0}, exact kernel computation."""
     n = g.dim
     ad, _ = g.adjoint_table()
-    ech = Echelon(n)
+    # eqs[(j, k)][i] = [e_i, e_j]_k; the integer table scales every
+    # equation by den, which the kernel ignores
+    eqs = {}
     for j in range(n):
-        # the integer table scales every equation by den, which Echelon ignores
-        eqs = {}
         for i in range(n):
             for k, a in ad[i][j].items():
-                eqs.setdefault(k, {})[i] = a
-        for row in eqs.values():
-            ech.add(row)
-    return Subspace(n, ech.kernel_basis())
+                eqs.setdefault((j, k), {})[i] = a
+    return Subspace(n, kernel(eqs.values(), n))
 
 
 @per_algebra
@@ -431,11 +429,8 @@ def centralizer(g, targets, inside):
         for ti, t in enumerate(tv):
             for k, v in _bracket_rows(ad, u, t).items():
                 eqs.setdefault((ti, k), {})[a] = v
-    ech = Echelon(len(us))
-    for row in eqs.values():
-        ech.add(row)
     out = Echelon(g.dim)
-    for combo in ech.kernel_basis():
+    for combo in kernel(eqs.values(), len(us)):
         acc = {}
         for a, c in _int_row(combo)[0].items():
             for j, b in us[a].items():

@@ -600,44 +600,21 @@ class DecompositionReport:
             raise DecompositionError("assertion failed: %s" % name,
                                      evidence=detail)
 
-    def summand_entries(self):
-        cls = self.classification
-        dec = self.decomposition
-        entries = []
-        by_index = {}
-        for info in self.ideals:
-            for idx in info.indices:
-                by_index[idx] = info
-        for idx, summand in enumerate(dec.summands):
-            info = by_index[idx]
-            kind = info.kind
-            pair = cls.pairing.get(idx, idx) if kind == "Js" else None
-            entries.append({
-                "dim": summand.dim,
-                "kind": kind,
-                "pair": pair,
-                "fingerprint": info.fingerprint,
-                "classification": info.classification[0],
-                "theorem42_flags": info.checks.get("theorem42", {}),
-            })
-        return entries
-
     def to_json_dict(self):
+        pairing = self.classification.pairing
+        by_index = {idx: info for info in self.ideals for idx in info.indices}
         entries = []
-        for e in self.summand_entries():
-            flags = {}
-            for key, val in e["theorem42_flags"].items():
-                if isinstance(val, dict):
-                    flags[key] = {k: (str(v) if not isinstance(v, bool) else v)
-                                  for k, v in val.items()}
-                else:
-                    flags[key] = val
+        for idx, summand in enumerate(self.decomposition.summands):
+            info = by_index[idx]
+            flags = {key: {k: v if isinstance(v, bool) else str(v) for k, v in val.items()}
+                     if isinstance(val, dict) else val
+                     for key, val in info.checks.get("theorem42", {}).items()}
             entries.append({
-                "dim": str(e["dim"]),
-                "kind": e["kind"],
-                "pair": str(e["pair"]) if e["pair"] is not None else None,
-                "fingerprint": e["fingerprint"].to_json_dict(),
-                "classification": e["classification"],
+                "dim": str(summand.dim),
+                "kind": info.kind,
+                "pair": str(pairing.get(idx, idx)) if info.kind == "Js" else None,
+                "fingerprint": info.fingerprint.to_json_dict(),
+                "classification": info.classification[0],
                 "theorem42_flags": flags,
             })
         return {
@@ -745,10 +722,7 @@ def structure_report(g):
         for r, a in enumerate(v):
             if a:
                 eqs[r][c] = a
-    ech = Echelon(len(columns))
-    for row in eqs:
-        ech.add(row)
-    ker = ech.kernel_basis()
+    ker = kernel(eqs, len(columns))
     report.kernel_dim = len(ker)
     for kv in ker:
         pos = 0

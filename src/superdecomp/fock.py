@@ -28,18 +28,18 @@ from .exact import (
     is_positive_definite,
 )
 from .core import SuperAlgebraError, killing_form
-from .families import FamilySpec, build, build_family, build_lie_algebra
+from .families import FamilySpec, build, build_lie_algebra, simple_dim
 from .realize import SparseOp, _gaussian_ints, supercommutator
 
 FOCK_DIM_CAP = 4096
 
 
-def _require_fock_dim(n):
+def _require_fock_dim(n, bound=""):
     # 2^n > cap exactly when n >= cap.bit_length(); 1 << n would first
     # allocate n / 8 bytes for a huge n
     if n >= FOCK_DIM_CAP.bit_length():
         raise SuperAlgebraError(
-            "Fock dimension 2^%d exceeds the exact-construction cap" % n)
+            "Fock dimension %s2^%d exceeds the exact-construction cap" % (bound, n))
 
 
 def _odd_below(mask, j):
@@ -362,9 +362,13 @@ def tilde_tangent_representation(kind, n):
     The homomorphism, adjointness and faithfulness checks run exactly and
     failure aborts.
     """
-    g = build_family("T_tilde", kind, n)
+    spec = FamilySpec("T_tilde", (kind, n))
+    # each of the d positive diagonal entries of beta's LDL^T below needs
+    # at least one square, so the Fock space has at least 2^d states
+    d = simple_dim(kind, n)
+    _require_fock_dim(d, "at least ")
+    g = build(spec)
     k = build_lie_algebra(kind, n)
-    d = k.dim
     gram, _ = killing_form(k)
     beta = [[-a for a in row] for row in gram]
     # beta = P^-T D P^-1 with the congruence of the Sylvester test as P;

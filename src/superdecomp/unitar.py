@@ -5,6 +5,9 @@ re-checkable witness (trivial even center, a nonzero odd vector with
 vanishing square, a sign-conflict pair, or an infeasible exact LP over the
 full candidate space); a positive-definiteness witness always re-verifies
 through the Sylvester criterion.  Anything else is reported inconclusive.
+Every condition, and every positive-form search behind one, answers with
+one ConditionReport (verdict, certificate, detail); the report places the
+witness search's answer at (iv) as it is.
 
 The positive-form search first scans sign patterns t on integers: a
 candidate whose Gram sum t_i G_i has a nonpositive diagonal entry r is
@@ -22,8 +25,8 @@ from fractions import Fraction
 from math import lcm
 
 from .exact import (
-    Echelon, ZERO, ONE, MINUS_ONE, UnsolvedLP,
-    _lin_comb, feasible_point, is_positive_definite, quad_form,
+    ZERO, ONE, MINUS_ONE, UnsolvedLP,
+    _lin_comb, feasible_point, is_positive_definite, kernel, quad_form,
     vec_is_zero, vec_zero,
 )
 from .core import (
@@ -135,13 +138,8 @@ def invariant_functional_basis(g):
     on brackets.
     """
     d0 = g.d0
-    ech = Echelon(d0)
-    for i in range(d0):
-        for j in range(i, d0):
-            row = {k: v for k, v in g.table.get((i, j), {}).items() if k < d0}
-            if row:
-                ech.add(row)
-    return ech.kernel_basis()
+    return kernel(({k: v for k, v in terms.items() if k < d0}
+                   for (i, j), terms in g.table.items() if j < d0), d0)
 
 
 def gram_of_functional(g, omega):
@@ -178,18 +176,15 @@ class Witness:
         }
 
 
-class SearchOutcome:
-    """found / none / inconclusive with certificate data."""
+class ConditionReport:
+    """A verdict (pass / fail / inconclusive) with its certificate and
+    detail: the answer of each necessary condition and of the searches
+    behind them."""
 
-    def __init__(self, status, witness=None, reason=None, certificate=None):
-        self.status = status
-        self.witness = witness
-        self.reason = reason
+    def __init__(self, verdict, certificate=None, detail=None):
+        self.verdict = verdict
         self.certificate = certificate
-
-    @property
-    def found(self):
-        return self.status == "found"
+        self.detail = detail
 
 
 def _sign_patterns(n):
@@ -214,10 +209,11 @@ def _sign_patterns(n):
 def find_posdef_in_span(grams):
     """Search t with sum t_i G_i positive definite, exactly.
 
-    Returns SearchOutcome; "none" only with a certificate (empty span,
+    Returns a ConditionReport: "pass" with the certificate (t, Sylvester
+    minors, candidates tested); "fail" only on a proof (empty span,
     one-dimensional span with an indefinite generator, or an infeasible
-    exact LP made of valid cutting planes).  An LP that stops unsolved
-    makes the search inconclusive.
+    exact LP made of valid cutting planes, certificate {"cuts": n}).  An
+    LP that stops unsolved makes the search inconclusive.
 
     The scan over sign patterns runs on integers first: the span's
     diagonal is scaled once to ints, and a candidate t with a nonpositive
@@ -228,10 +224,10 @@ def find_posdef_in_span(grams):
     """
     n = len(grams)
     if n == 0:
-        return SearchOutcome("none", reason="empty solution space")
+        return ConditionReport("fail", detail="empty solution space")
     dim = len(grams[0])
     if dim == 0:
-        return SearchOutcome("found", witness=([Fraction(0)] * n, [], 0))
+        return ConditionReport("pass", certificate=([Fraction(0)] * n, [], 0))
 
     # each entry of sum t_i G_i as its nonzero terms (i, G_i entry), listed once
     entries = {}
@@ -265,47 +261,46 @@ def find_posdef_in_span(grams):
             t = [Fraction(x) for x in t]
             res = is_positive_definite(gram_at(t))
             if res.ok:
-                return SearchOutcome("found", witness=(t, res.minors, tested))
+                return ConditionReport("pass", certificate=(t, res.minors, tested))
         if tested >= WITNESS_CAP:
             break
     if n == 1:
         # +-G_1 both failed above: no positive multiple can work
-        return SearchOutcome(
-            "none", reason="one-dimensional solution space with no definite generator")
+        return ConditionReport(
+            "fail", detail="one-dimensional solution space with no definite generator")
     cuts = []
     t = [Fraction(1)] + [Fraction(0)] * (n - 1)
     for it in range(WITNESS_CAP):
         res = is_positive_definite(gram_at(t))
         if res.ok:
-            return SearchOutcome("found", witness=(t, res.minors, tested + it))
+            return ConditionReport("pass", certificate=(t, res.minors, tested + it))
         cuts.append([quad_form(gi, res.witness) for gi in grams])
         try:
             t = feasible_point(cuts, n)
         except UnsolvedLP as exc:
-            return SearchOutcome("inconclusive", reason="exact LP unsolved: %s" % exc)
+            return ConditionReport("inconclusive", detail="exact LP unsolved: %s" % exc)
         if t is None:
-            return SearchOutcome("none",
-                                 reason="exact LP over valid cutting planes is infeasible",
-                                 certificate={"cuts": len(cuts)})
-    return SearchOutcome("inconclusive", reason="iteration cap reached")
+            return ConditionReport("fail", certificate={"cuts": len(cuts)},
+                                   detail="exact LP over valid cutting planes is infeasible")
+    return ConditionReport("inconclusive", detail="iteration cap reached")
 
 
 @per_algebra
 def find_witness(g):
     """Even-invariant functional with positive definite kappa_omega.
 
-    no_witness is certified: either the even center is trivial (the
-    annihilator is zero) or the exact LP proves no functional in the
-    annihilator works.
+    The answer is condition (iv) of the report: "pass" with the Witness
+    as certificate; "fail" is certified, either the even center is
+    trivial (the annihilator is zero) or the exact LP proves no functional
+    in the annihilator works, and it carries only its reason as detail.
     """
     ann = invariant_functional_basis(g)
     if not ann:
-        return SearchOutcome("none", reason="center of even part is trivial")
-    grams = [gram_of_functional(g, w) for w in ann]
-    out = find_posdef_in_span(grams)
-    if not out.found:
-        return out
-    t, minors, iters = out.witness
+        return ConditionReport("fail", detail="center of even part is trivial")
+    out = find_posdef_in_span([gram_of_functional(g, w) for w in ann])
+    if out.verdict != "pass":
+        return ConditionReport(out.verdict, detail=out.detail)
+    t, minors, iters = out.certificate
     functional = _lin_comb(t, ann, g.d0)
     gram = gram_of_functional(g, functional)
     res = is_positive_definite(gram)
@@ -320,18 +315,7 @@ def find_witness(g):
                     acc = acc + functional[k] * v
             if acc:
                 raise SuperAlgebraError("witness functional fails invariance")
-    return SearchOutcome("found",
-                         witness=Witness(t, functional, gram, res.minors, iters))
-
-
-class ConditionReport:
-    """One necessary condition's verdict (pass / fail / inconclusive), with
-    the certificate and detail the report prints."""
-
-    def __init__(self, verdict, certificate=None, detail=None):
-        self.verdict = verdict
-        self.certificate = certificate
-        self.detail = detail
+    return ConditionReport("pass", certificate=Witness(t, functional, gram, res.minors, iters))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +372,7 @@ def cone_pointedness(g):
     """
     if _square_map_is_zero(g):
         return ConditionReport("pass", detail="all odd squares vanish: trivial cone")
-    if find_witness(g).found:
+    if find_witness(g).verdict == "pass":
         return ConditionReport("pass")
     # squares grouped by direction (the square over its first nonzero entry,
     # kept sparse): [X,X] = -c^2 [Y,Y] holds only inside one group
@@ -450,23 +434,24 @@ def invariant_symmetric_forms(actions, dim):
     def var(r, s):
         return pos[(r, s)] if r <= s else pos[(s, r)]
 
-    ech = Echelon(nvars)
-    for cols in map(_int_columns, actions):
-        for j in range(dim):
-            for k in range(j, dim):
-                # (M^T B + B M)[j][k] = sum_r M[r][j] B[r][k] + M[r][k] B[j][r]
-                row = {}
-                for r, a in cols[j]:
-                    v = var(r, k)
-                    row[v] = row.get(v, 0) + a
-                for r, b in cols[k]:
-                    v = var(j, r)
-                    row[v] = row.get(v, 0) + b
-                row = {v: a for v, a in row.items() if a}
-                if row:
-                    ech.add(row)
+    def equations():
+        for cols in map(_int_columns, actions):
+            for j in range(dim):
+                for k in range(j, dim):
+                    # (M^T B + B M)[j][k] = sum_r M[r][j] B[r][k] + M[r][k] B[j][r]
+                    row = {}
+                    for r, a in cols[j]:
+                        v = var(r, k)
+                        row[v] = row.get(v, 0) + a
+                    for r, b in cols[k]:
+                        v = var(j, r)
+                        row[v] = row.get(v, 0) + b
+                    row = {v: a for v, a in row.items() if a}
+                    if row:
+                        yield row
+
     out = []
-    for combo in ech.kernel_basis():
+    for combo in kernel(equations(), nvars):
         gram = [vec_zero(dim) for _ in range(dim)]
         for (r, s), v in pos.items():
             gram[r][s] = combo[v]
@@ -523,30 +508,24 @@ def compactness_check(g):
 
     pass needs certified positive forms on both; fail needs a certificate
     that one of the two solution spaces admits none, and names that part
-    and its reason.
+    and its reason (the odd part is not searched once the even part fails).
     """
-    results = {}
+    verdicts = []
     for part, actions, dim in (
             ("even", even_actions(g, g.space.even_indices()), g.d0),
             ("odd", even_actions(g, g.space.odd_indices()), g.d1)):
         if dim == 0:
-            results[part] = SearchOutcome("found", witness=([], [], 0))
+            verdicts.append("pass")
             continue
         grams = invariant_symmetric_forms(actions, dim)
         out = find_posdef_in_span(grams)
-        if out.status == "inconclusive":
-            pair = _no_posdef_pair_certificate(grams, dim, actions)
-            if pair is not None:
-                out = SearchOutcome("none", reason="sign-conflict pair",
-                                    certificate=pair)
-        results[part] = out
-    if all(r.found for r in results.values()):
-        return ConditionReport("pass")
-    for part in ("even", "odd"):
-        if results[part].status == "none":
-            return ConditionReport(
-                "fail", certificate="%s part: %s" % (part, results[part].reason))
-    return ConditionReport("inconclusive")
+        if (out.verdict == "inconclusive"
+                and _no_posdef_pair_certificate(grams, dim, actions) is not None):
+            out = ConditionReport("fail", detail="sign-conflict pair")
+        if out.verdict == "fail":
+            return ConditionReport("fail", certificate="%s part: %s" % (part, out.detail))
+        verdicts.append(out.verdict)
+    return ConditionReport("pass" if verdicts == ["pass", "pass"] else "inconclusive")
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +611,9 @@ def necessary_conditions_report(g):
     wit = find_witness(g)
     cone = cone_pointedness(g)
     items = {"i_compact": comp,
-             "ii_nonzero_squares": _nonzero_square_check(g, wit.found),
-             "iii_pointed_cone": cone}
-    if wit.found:
-        items["iv_positive_functional"] = ConditionReport("pass", certificate=wit.witness)
-    else:
-        items["iv_positive_functional"] = ConditionReport(
-            "fail" if wit.status == "none" else "inconclusive", detail=wit.reason)
+             "ii_nonzero_squares": _nonzero_square_check(g, wit.verdict == "pass"),
+             "iii_pointed_cone": cone,
+             "iv_positive_functional": wit}
     ann_dim = len(invariant_functional_basis(g))
     dim_z0 = even_center_dim(g)
     items["v_even_center"] = ConditionReport(

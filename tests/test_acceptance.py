@@ -247,8 +247,8 @@ def check_report(rep, want):
     assert rep.gr[0].dim == want["zba"]
     assert rep.gr[1].dim == want["b"] - want["zba"]
     assert rep.kernel_dim == want.get("kernel", 0)
-    got = sorted((e["kind"], e["dim"], e["classification"])
-                 for e in rep.summand_entries())
+    got = sorted((e["kind"], int(e["dim"]), e["classification"])
+                 for e in rep.to_json_dict()["summands"])
     assert got == sorted(want["summands"])
     for a in rep.assertions:
         assert a["ok"], a

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -217,6 +218,16 @@ def test_bad_k_or_dim_is_a_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_tangent_rep_refuses_a_large_k_before_building_it(capsys):
+    # each of the 143 dimensions of su(12) needs at least one Fock
+    # generator; building T_tilde(su12) and its Killing form first took 9 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tangent-rep", "--k", "su12")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == "error: Fock dimension at least 2^143 exceeds the exact-construction cap\n"
 
 
 def test_rep_commands_check_each_representation_once(capsys, monkeypatch):
@@ -502,6 +513,19 @@ MALFORMED_CONTAINERS = {
 @pytest.mark.parametrize("name", sorted(MALFORMED_CONTAINERS))
 def test_malformed_containers_exit_2(tmp_path, capsys, name, cmd):
     path = _write(tmp_path, name + ".json", MALFORMED_CONTAINERS[name](_u11()))
+    code, out, err = run(capsys, *cmd, path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read algebra file: "), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", [["check", "jacobi"], ["check", "killing"], ["check", "center"],
+                                 ["check", "eq-square"], ["decompose"], ["unitarity"]])
+def test_too_deeply_nested_file_exits_2(tmp_path, capsys, cmd):
+    # json gives up on nesting this deep with a RecursionError
+    path = str(tmp_path / "deep.json")
+    with open(path, "w") as fh:
+        fh.write("[" * 100000 + "]" * 100000)
     code, out, err = run(capsys, *cmd, path)
     assert code == 2 and out == ""
     assert err.startswith("error: cannot read algebra file: "), err

@@ -18,7 +18,7 @@ from superdecomp.core import (
     killing_form, module_commutant, quotient_by_central, tables_equal,
     verify_superalgebra,
 )
-from superdecomp.realize import SparseOp, from_matrix_span
+from superdecomp.realize import NotClosedError, SparseOp, from_matrix_span
 from superdecomp.decomp import subalgebra_from_subspace
 from superdecomp.unitar import (
     even_actions, find_witness, invariant_odd_forms, invariant_symmetric_forms,
@@ -241,6 +241,15 @@ def test_from_matrix_span_mis_tagged():
     # an odd span that is not closed reports the offending pair
     with pytest.raises(SuperAlgebraError):
         from_matrix_span([odd1], 1)        # misses [X, X] = 2i
+
+
+def test_from_matrix_span_names_the_pair_that_leaves_the_span():
+    # [X, X] = 2 X^2 = 2 I for the real odd swap X, and I is not in span{X}
+    x = SparseOp.from_entries(2, {(0, 1): ONE, (1, 0): ONE})
+    with pytest.raises(NotClosedError) as exc:
+        from_matrix_span([x], 1)
+    assert exc.value.pair == (0, 0)
+    assert (exc.value.residual - SparseOp.identity(2).scale(Fraction(2))).is_zero()
 
 
 def test_direct_sum_dims_and_center():
@@ -956,12 +965,30 @@ def test_every_library_function_is_referenced():
 
 def test_core_subspaces_run_on_echelon_rows():
     # intersections, derived algebras and complements are computed on
-    # echelon rows, not through dense kernels and linear combinations
+    # echelon rows, not through dense linear combinations; the kernels of
+    # center and centralizer go through exact.kernel, which takes sparse
+    # rows (test_kernels_and_solves_take_sparse_rows)
     tree = dict(_library_trees())["core.py"]
     imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                 for a in n.names]
     assert "Echelon" in imported
-    assert not {"kernel", "_lin_comb"} & set(imported), imported
+    assert "_lin_comb" not in imported, imported
+
+
+def test_module_commutant_is_the_one_kernel_basis_caller_outside_exact():
+    # every other kernel is exact.kernel(rows, ncols); module_commutant keeps
+    # its own echelon because it stops early at rank dim^2 - 1
+    callers = []
+    for name, tree in _library_trees():
+        if name == "exact.py":
+            continue
+        calls = [n.lineno for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and n.attr == "kernel_basis"]
+        defs = {n.name: range(n.lineno, n.end_lineno + 1) for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef)}
+        callers += [(name, next((f for f, lines in defs.items() if line in lines), None))
+                    for line in calls]
+    assert callers == [("core.py", "module_commutant")]
 
 
 def _names_matrix(node, bound):
@@ -1063,8 +1090,8 @@ def test_rational_values_are_fractions(tag, params):
         assert coords == g.basis_vector(g.d0)
         assert all(type(a) is Fraction for a in coords)
     out = find_witness(g)
-    if out.found:
-        assert all(type(a) is Fraction for a in out.witness.functional)
+    if out.verdict == "pass":
+        assert all(type(a) is Fraction for a in out.certificate.functional)
     assert type(I * I) is Fraction
 
 

@@ -28,8 +28,8 @@ def test_invariant_functional_dims():
 def test_witness_u21():
     g = build_family("u", 2, 1)
     out = find_witness(g)
-    assert out.found
-    w = out.witness
+    assert out.verdict == "pass"
+    w = out.certificate
     assert is_positive_definite(w.gram).ok
     assert all(m > 0 for m in w.minors)
 
@@ -37,8 +37,8 @@ def test_witness_u21():
 def test_witness_scaling_invariance():
     g = build_family("su", 2, 1)
     out = find_witness(g)
-    assert out.found
-    doubled = [a + a for a in out.witness.functional]
+    assert out.verdict == "pass"
+    doubled = [a + a for a in out.certificate.functional]
     gram = gram_of_functional(g, doubled)
     assert is_positive_definite(gram).ok
 
@@ -49,8 +49,8 @@ def test_witness_positive_on_squares():
     for tag, params in [("u", (1, 1)), ("u", (2, 1)), ("u", (2, 2))]:
         g = build_family(tag, *params)
         out = find_witness(g)
-        assert out.found
-        fn = out.witness.functional
+        assert out.verdict == "pass"
+        fn = out.certificate.functional
         for _ in range(100):
             x = vec_zero(g.dim)
             while vec_is_zero(x):
@@ -63,13 +63,13 @@ def test_witness_positive_on_squares():
 
 def test_no_witness_trivial_center():
     out = find_witness(build_family("pq", 2))
-    assert out.status == "none"
-    assert "trivial" in out.reason
+    assert out.verdict == "fail"
+    assert "trivial" in out.detail
 
 
 def test_witness_c2():
     out = find_witness(build_family("c", 2))
-    assert out.found
+    assert out.verdict == "pass"
 
 
 def test_cone_pointed_ttilde():
@@ -77,7 +77,7 @@ def test_cone_pointed_ttilde():
     cert = cone_pointedness(g)
     assert cert.verdict == "pass"
     # pointed by the positive functional, not by a trivial cone
-    assert find_witness(g).found and cert.detail is None
+    assert find_witness(g).verdict == "pass" and cert.detail is None
 
 
 def test_cone_trivial_tangent():
@@ -105,10 +105,10 @@ def test_unsolved_lp_makes_the_search_inconclusive(monkeypatch):
     # search needs the LP, which proves infeasibility when it runs
     grams = [[[Fraction(1), ZERO], [ZERO, Fraction(-1)]],
              [[Fraction(-1), ZERO], [ZERO, Fraction(1)]]]
-    assert find_posdef_in_span(grams).status == "none"
+    assert find_posdef_in_span(grams).verdict == "fail"
     monkeypatch.setattr(exact, "LP_PIVOT_CAP", 0)
     out = find_posdef_in_span(grams)
-    assert out.status == "inconclusive" and "pivot cap" in out.reason
+    assert out.verdict == "inconclusive" and "pivot cap" in out.detail
 
 
 def test_compactness_families():
@@ -307,7 +307,7 @@ def test_report_runs_one_witness_search(monkeypatch):
     rep = necessary_conditions_report(g)
     assert calls == [g]
     assert rep.overall == "all necessary conditions pass"
-    assert rep.item("iv_positive_functional").certificate is find_witness(g).witness
+    assert rep.item("iv_positive_functional") is find_witness(g)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +339,10 @@ def oracle_find_posdef_in_span(grams):
     candidate."""
     n = len(grams)
     if n == 0:
-        return unitar.SearchOutcome("none", reason="empty solution space")
+        return unitar.ConditionReport("fail", detail="empty solution space")
     dim = len(grams[0])
     if dim == 0:
-        return unitar.SearchOutcome("found", witness=([Fraction(0)] * n, [], 0))
+        return unitar.ConditionReport("pass", certificate=([Fraction(0)] * n, [], 0))
 
     entries = {}
     for i, gi in enumerate(grams):
@@ -366,33 +366,34 @@ def oracle_find_posdef_in_span(grams):
         tested += 1
         res = is_positive_definite(gram_at(t))
         if res.ok:
-            return unitar.SearchOutcome("found", witness=(t, res.minors, tested))
+            return unitar.ConditionReport("pass", certificate=(t, res.minors, tested))
         if tested >= unitar.WITNESS_CAP:
             break
     if n == 1:
-        return unitar.SearchOutcome(
-            "none", reason="one-dimensional solution space with no definite generator")
+        return unitar.ConditionReport(
+            "fail", detail="one-dimensional solution space with no definite generator")
     cuts = []
     t = [Fraction(1)] + [Fraction(0)] * (n - 1)
     for it in range(unitar.WITNESS_CAP):
         res = is_positive_definite(gram_at(t))
         if res.ok:
-            return unitar.SearchOutcome("found", witness=(t, res.minors, tested + it))
+            return unitar.ConditionReport("pass", certificate=(t, res.minors, tested + it))
         cuts.append([exact.quad_form(gi, res.witness) for gi in grams])
         try:
             t = unitar.feasible_point(cuts, n)
         except exact.UnsolvedLP as exc:
-            return unitar.SearchOutcome("inconclusive", reason="exact LP unsolved: %s" % exc)
+            return unitar.ConditionReport("inconclusive", detail="exact LP unsolved: %s" % exc)
         if t is None:
-            return unitar.SearchOutcome("none",
-                                        reason="exact LP over valid cutting planes is infeasible",
-                                        certificate={"cuts": len(cuts)})
-    return unitar.SearchOutcome("inconclusive", reason="iteration cap reached")
+            return unitar.ConditionReport(
+                "fail", certificate={"cuts": len(cuts)},
+                detail="exact LP over valid cutting planes is infeasible")
+    return unitar.ConditionReport("inconclusive", detail="iteration cap reached")
 
 
 def search_summary(out):
-    """status, reason, certificate and (t, minors, iterations) of a search."""
-    return out.status, out.reason, out.certificate, out.witness
+    """verdict, detail and certificate ((t, minors, iterations) on a pass)
+    of a search."""
+    return out.verdict, out.detail, out.certificate
 
 
 @st.composite
@@ -486,7 +487,7 @@ def test_sylvester_runs_only_on_a_positive_diagonal(monkeypatch):
 
     monkeypatch.setattr(unitar, "is_positive_definite", sylvester)
     out = find_posdef_in_span(grams)
-    assert out.found and out.witness[2] == len(drawn) == 13
+    assert out.verdict == "pass" and out.certificate[2] == len(drawn) == 13
 
     def gram_at(t):
         return [[sum((Fraction(ti) * gi[r][s] for ti, gi in zip(t, grams)), ZERO)
@@ -504,11 +505,11 @@ def test_the_search_stops_at_the_iteration_cap(monkeypatch):
     # find no definite element
     g = power("u", (1, 1), 6)
     grams = [gram_of_functional(g, w) for w in invariant_functional_basis(g)]
-    assert find_posdef_in_span(grams).witness[2] == 30
+    assert find_posdef_in_span(grams).certificate[2] == 30
     drawn = record_sign_patterns(monkeypatch)
     monkeypatch.setattr(unitar, "WITNESS_CAP", 4)
     out = find_posdef_in_span(grams)
-    assert out.status == "inconclusive" and out.reason == "iteration cap reached"
+    assert out.verdict == "inconclusive" and out.detail == "iteration cap reached"
     assert len(drawn) == 4
     assert search_summary(out) == search_summary(oracle_find_posdef_in_span(grams))
 
