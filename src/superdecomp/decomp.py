@@ -33,7 +33,6 @@ from .core import (
     bracket_span, center, centralizer, derived, is_ideal, module_commutant,
     tables_equal,
 )
-from .families import build_family, build_tangent_from_algebra
 from . import unitar
 
 SPLIT_CAP = 64
@@ -494,6 +493,7 @@ def _adjoin_b0(g, span, b0):
 def _verify_tangent_quotient(g, kk_alg, kk_vecs, ak, b0, hat=False):
     """Structure-constant isomorphism of c(k)/z with T kk (or hat c(k)/z
     with That kk), built on the canonical basis through ad b0."""
+    from .families import build_tangent_from_algebra
     tk = build_tangent_from_algebra(kk_alg, "T_hat" if hat else "T")
     d = kk_alg.dim
     solver_k = LinSolver(kk_vecs, g.dim)
@@ -561,6 +561,7 @@ def qhat_embedding_certificate(g, dec, k_index, ideal):
     # the tag "q" comes from matches that are all ("q", (n,)), and the
     # dimensions fix n: there is exactly one
     [(_, (n,))] = ideal.classification[1]
+    from .families import build_family
     model = build_family("q_hat", n)
     cert = {
         "parameter": n,

@@ -20,6 +20,8 @@ equations and the plane search for isotropic odd vectors run on integer
 rows of the adjoint table as well.
 """
 
+import json
+import os
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
@@ -36,8 +38,6 @@ from .core import (
 
 # candidates tried, and cutting-plane rounds run, by each positive-form search
 WITNESS_CAP = 200
-# the classifier builds no family candidate of a larger dimension
-CLASSIFIER_MAX_DIM = 64
 
 
 class Fingerprint(namedtuple("Fingerprint", (
@@ -68,60 +68,48 @@ def fingerprint(g):
         len(comm), is_perfect(g), bracket_span(g, odd, odd).dim)
 
 
-# the classifier's family table, in matching order; each candidate is built
-# (and its fingerprint computed) only when its dimension pair matches a query
-_TABLE_SPECS = tuple(
-    # su(1|1) is the 3-dim Clifford-Heisenberg algebra (spin_h(1)) and is
-    # listed under that name instead
-    [("su", (n, m)) for n in range(2, 9) for m in range(1, n + 1)]
-    + [("psu", (n,)) for n in range(2, 7)]
-    # the queer family is simple only from n = 2 on (pq(1) degenerates to
-    # the tangent algebra of su(2))
-    + [(tag, (n,)) for n in range(2, 6) for tag in ("q", "pq")]
-    + [("c", (n,)) for n in range(2, 7)]
-    + [(tag, kt)
-       for kt in (("su", 2), ("su", 3), ("su", 4), ("so", 3), ("so", 5), ("sp", 2))
-       for tag in ("T", "T_hat", "T_tilde")]
-    + [("spin_h", (v,)) for v in range(1, 13)])
+# the classifier's table: one row [tag, params, fingerprint] per family
+# with d0 + d1 <= 64, in matching order; tests/test_golden.py writes it
+# from the constructors and checks that it still matches them
+_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "family_fingerprints.json")
+
+
+def _class_tag(tag, params):
+    """A family's classification tag: su(n|m) with n > m apart from su(n|n)."""
+    if tag != "su":
+        return tag
+    return "su(n|m)" if params[0] > params[1] else "su(n|n)"
 
 
 def classify_fingerprint(g):
-    """Match against the family fingerprint table, built from the
-    constructors themselves (never hardcoded).  The constructors cache
-    their output and fingerprints are kept per algebra, so each family's
-    fingerprint is computed once per process.
+    """Match fingerprint(g) against the rows of the committed family table
+    (family_fingerprints.json) that have g's dimension pair.  Only g is
+    fingerprinted; no family is built.
 
     Returns (tag, matches) where tag distinguishes su(n|m) n>m from
     su(n|n); "unknown" comes with the nearest dimension-compatible
-    candidates.
+    candidates.  su(2|1) = c(2) is the one fingerprint the table shares
+    across tags; the other repeats (T, T_hat, T_tilde over su2 and so3,
+    over so5 and sp2) keep one tag.
     """
-    from . import families
     fp = fingerprint(g)
-    dims = (g.d0, g.d1)
+    with open(_TABLE) as fh:
+        rows = json.load(fh)
     matches = []
     near = []
-    for tag, params in _TABLE_SPECS:
-        want = families.expected_dims(tag, params)
-        if want != dims or sum(want) > CLASSIFIER_MAX_DIM:
+    for tag, params, want in rows:
+        if want[:2] != [g.d0, g.d1]:
             continue
-        cand = families.build_family(tag, *params)
-        near.append((tag, params))
-        if fingerprint(cand) == fp:
-            matches.append((tag, params))
+        near.append((tag, tuple(params)))
+        if Fingerprint(*want) == fp:
+            matches.append((tag, tuple(params)))
     if not matches:
         return "unknown", near
-    tags = set()
-    for tag, params in matches:
-        if tag == "su":
-            tags.add("su(n|m)" if params[0] > params[1] else "su(n|n)")
-        else:
-            tags.add(tag)
+    tags = {_class_tag(tag, params) for tag, params in matches}
     if tags == {"su(n|m)", "c"}:
         # the exceptional coincidence: the compact forms of A(1,0) and C(2)
         # are isomorphic; report the su name and keep both matches
         return "su(n|m)", matches
-    if len(tags) > 1:
-        return "unknown", matches
     return tags.pop(), matches
 
 

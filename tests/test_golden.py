@@ -2,7 +2,9 @@
 byte for byte, and so must the file a case writes through ``--out``
 (recorded as ``<name>.out.json``).  The constructors' structure constants
 are pinned by the SHA-256 of their algebra files, kept in
-``family_digests.json``.
+``family_digests.json``, and the classifier's table
+``src/superdecomp/family_fingerprints.json`` must equal the fingerprints
+of the constructors' output.
 
 The input files are rebuilt from the constructors on every run, so the
 comparison also covers the constructors' basis order.  To record the
@@ -17,6 +19,7 @@ import json
 import os
 import random
 import sys
+import warnings
 from contextlib import redirect_stdout
 
 import pytest
@@ -25,10 +28,27 @@ from superdecomp.cli import main
 from superdecomp.core import algebra_to_json_dict, direct_sum, quotient_by_central
 from superdecomp.exact import ONE, Scalar, vec_zero
 from superdecomp.families import build_family, expected_dims, family_name
-from superdecomp.unitar import _TABLE_SPECS
+from superdecomp.unitar import _TABLE, fingerprint
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 DIGESTS = os.path.join(GOLDEN, "family_digests.json")
+
+# the classifier's families, in matching order
+_TABLE_SPECS = tuple(
+    # su(1|1) is the 3-dim Clifford-Heisenberg algebra (spin_h(1)) and is
+    # listed under that name instead
+    [("su", (n, m)) for n in range(2, 9) for m in range(1, n + 1)]
+    + [("psu", (n,)) for n in range(2, 7)]
+    # the queer family is simple only from n = 2 on (pq(1) degenerates to
+    # the tangent algebra of su(2))
+    + [(tag, (n,)) for n in range(2, 6) for tag in ("q", "pq")]
+    + [("c", (n,)) for n in range(2, 7)]
+    + [(tag, kt)
+       for kt in (("su", 2), ("su", 3), ("su", 4), ("so", 3), ("so", 5), ("sp", 2))
+       for tag in ("T", "T_hat", "T_tilde")]
+    + [("spin_h", (v,)) for v in range(1, 13)])
+# the classifier's table holds no family of a larger dimension
+CLASSIFIER_MAX_DIM = 64
 
 # the classifier's table up to dimension 40, and the matrix and
 # Clifford-Heisenberg families it does not list
@@ -50,6 +70,18 @@ def family_digests():
                           sort_keys=True)
         out[family_name(tag, params)] = hashlib.sha256(text.encode()).hexdigest()
     return out
+
+
+def family_fingerprints():
+    """The classifier's table: [tag, params, fingerprint] per family."""
+    return [[tag, list(params), list(fingerprint(build_family(tag, *params)))]
+            for tag, params in _TABLE_SPECS
+            if sum(expected_dims(tag, params)) <= CLASSIFIER_MAX_DIM]
+
+
+def table_text(rows):
+    """One row per line."""
+    return "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n"
 
 
 def corrupted(tag, params, seed):
@@ -166,6 +198,22 @@ def test_family_digests():
         assert family_digests() == json.load(fh)
 
 
+def test_family_fingerprints():
+    with open(_TABLE) as fh:
+        assert fh.read() == table_text(family_fingerprints())
+
+
+def test_family_fingerprints_are_package_data():
+    # an installed classifier reads the table next to unitar.py
+    config = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")         # [tool.setuptools] is beta
+        conf = config.read_configuration(os.path.join(root, "pyproject.toml"))
+    data = conf["tool"]["setuptools"]["package-data"]["superdecomp"]
+    assert os.path.basename(_TABLE) in data
+
+
 if __name__ == "__main__":
     import tempfile
     os.makedirs(GOLDEN, exist_ok=True)
@@ -184,3 +232,6 @@ if __name__ == "__main__":
         json.dump(family_digests(), fh, indent=1, sort_keys=True)
         fh.write("\n")
     print("recorded", DIGESTS)
+    with open(_TABLE, "w") as fh:
+        fh.write(table_text(family_fingerprints()))
+    print("recorded", _TABLE)

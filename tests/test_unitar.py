@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from unittest import mock
@@ -169,6 +170,38 @@ def test_su21_c2_coincide():
     got, matches = classify_fingerprint(build_family("c", 2))
     assert got == "su(n|m)"
     assert ("c", (2,)) in matches and ("su", (2, 1)) in matches
+
+
+def test_table_shares_one_fingerprint_across_tags():
+    # classify_fingerprint names one tag per match set because su(2|1) =
+    # c(2) is the only fingerprint the table lists under two tags
+    with open(unitar._TABLE) as fh:
+        rows = json.load(fh)
+    repeats = {}
+    for tag, params, fp in rows:
+        repeats.setdefault(tuple(fp), []).append((tag, tuple(params)))
+    repeats = sorted(specs for specs in repeats.values() if len(specs) > 1)
+    assert repeats == sorted(
+        [[("su", (2, 1)), ("c", (2,))]]
+        + [[(tag, ("su", 2)), (tag, ("so", 3))] for tag in ("T", "T_hat", "T_tilde")]
+        + [[(tag, ("so", 5)), (tag, ("sp", 2))] for tag in ("T", "T_hat", "T_tilde")])
+    shared = [specs for specs in repeats
+              if len({unitar._class_tag(*spec) for spec in specs}) > 1]
+    assert shared == [[("su", (2, 1)), ("c", (2,))]]
+
+
+def test_classify_builds_no_family(monkeypatch):
+    from superdecomp import families
+    psu = families._build_cached.__wrapped__("psu", (3,))
+
+    def refuse(*args):
+        raise AssertionError("the classifier built a family")
+
+    monkeypatch.setattr(families, "build_family", refuse)
+    monkeypatch.setattr(families, "build", refuse)
+    calls = _count_body_calls(monkeypatch, unitar.fingerprint)
+    assert classify_fingerprint(psu)[0] == "psu"
+    assert calls == [psu]
 
 
 def test_lemma24_obstructions():
