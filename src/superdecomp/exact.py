@@ -2,16 +2,18 @@
 
 Two number domains, one type each.  Every rational value is a
 fractions.Fraction: structure constants, subspace bases, forms, minors,
-LP data.  Complex values, which arise only in matrix realizations and
-Fock operators (both held as realize.SparseOp), are Gaussian rationals
-a + bi of type Scalar with b != 0; a Scalar operation whose result is
-real returns a Fraction, so the two types never hold the same number.
-A vector is a plain list, and a rational matrix (a Gram or derivation
-table) is a list of its rows.  All operations are exact: there is no
-floating point anywhere in this package.  Elimination runs on rational
-rows only and is fraction-free: rows are scaled to coprime ints and
-updated by cross-multiplication with content removal (Bareiss style), so
-entries stay small integers instead of accumulating denominators.
+LP data.  Complex values arise only in matrix realizations and Fock
+operators, both held as realize.SparseOp, and only SparseOp adds and
+multiplies them.  A single complex entry or coefficient is a Scalar, a
+Gaussian rational a + bi with b != 0 and no arithmetic of its own;
+Scalar(a, 0) is the Fraction a, so the two types never hold the same
+number.  A vector is a plain list, and a rational matrix (a Gram or
+derivation table) is a list of its rows.  All operations are exact:
+there is no floating point anywhere in this package.  Elimination runs
+on rational rows only and is fraction-free: rows are scaled to coprime
+ints and updated by cross-multiplication with content removal (Bareiss
+style), so entries stay small integers instead of accumulating
+denominators.
 
 Everything here is a pure function on immutable values and safe to call
 concurrently.
@@ -25,12 +27,14 @@ _F1 = Fraction(1)
 
 
 class Scalar:
-    """Gaussian rational a + bi with b != 0, in lowest terms.
+    """Gaussian rational a + bi with b != 0, in lowest terms: a value, not
+    an arithmetic type.
 
-    Scalar(a, b) returns the Fraction a when b == 0, and so does every
-    operation whose result is real; a Scalar is therefore never zero.
-    It follows Python's number protocol (real, imag, conjugate(), truth
-    value), so code written for both domains needs no type test.
+    Scalar(a, b) returns the Fraction a when b == 0, so a Scalar is never
+    zero.  It has real, imag, conjugate(), negation, equality and a hash,
+    and no binary operators: every sum and product of complex values is
+    taken by realize.SparseOp on Gaussian integers, and a Scalar met by
+    + - * / raises TypeError.
     """
 
     __slots__ = ("real", "imag")
@@ -38,47 +42,10 @@ class Scalar:
     def __new__(cls, real=0, imag=0):
         real = real if isinstance(real, Fraction) else Fraction(real)
         imag = imag if isinstance(imag, Fraction) else Fraction(imag)
-        return _gauss(real, imag)
-
-    def __add__(self, other):
-        if isinstance(other, Scalar):
-            return _gauss(self.real + other.real, self.imag + other.imag)
-        return _complex(self.real + other, self.imag)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Scalar):
-            return _gauss(self.real - other.real, self.imag - other.imag)
-        return _complex(self.real - other, self.imag)
-
-    def __rsub__(self, other):
-        return _complex(other - self.real, -self.imag)
+        return _complex(real, imag) if imag else real
 
     def __neg__(self):
         return _complex(-self.real, -self.imag)
-
-    def __mul__(self, other):
-        a, b = self.real, self.imag
-        if isinstance(other, Scalar):
-            c, d = other.real, other.imag
-            return _gauss(a * c - b * d, a * d + b * c)
-        return _gauss(a * other, b * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b = self.real, self.imag
-        if isinstance(other, Scalar):
-            c, d = other.real, other.imag
-            n = c * c + d * d
-            return _gauss((a * c + b * d) / n, (b * c - a * d) / n)
-        return _complex(a / other, b / other)
-
-    def __rtruediv__(self, other):
-        a, b = self.real, self.imag
-        n = a * a + b * b
-        return _gauss(other * a / n, -other * b / n)
 
     def conjugate(self):
         return _complex(self.real, -self.imag)
@@ -105,23 +72,13 @@ def _complex(re, im):
     return s
 
 
-def _gauss(re, im):
-    """re + im i for Fractions: a Fraction when im == 0, else a Scalar."""
-    return _complex(re, im) if im else re
-
-
 ZERO = _F0
 ONE = _F1
 MINUS_ONE = Fraction(-1)
 I = Scalar(0, 1)
 
 
-def ipow(k):
-    """i**k for integer k, table driven."""
-    return (ONE, I, MINUS_ONE, -I)[k % 4]
-
-
-# vectors are plain lists of Fraction (or Scalar), matrices lists of rows
+# vectors are plain lists of Fraction, matrices lists of rows
 
 def is_symmetric(m):
     """True iff the row list m is square and equal to its transpose."""

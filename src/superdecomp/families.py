@@ -136,8 +136,8 @@ def simple_matrix_basis(kind, n):
 
 def _u_odd_blocks(p, q):
     """Odd part of u(p|q): [[0, B], [iB*, 0]] for B = E_jk and iE_jk."""
-    return [{(j, p + k): v, (p + k, j): I * v.conjugate()}
-            for j in range(p) for k in range(q) for v in (ONE, I)]
+    return [{(j, p + k): v, (p + k, j): w}
+            for j in range(p) for k in range(q) for v, w in ((ONE, I), (I, ONE))]
 
 
 def _span(size, p, mats):
@@ -312,12 +312,12 @@ def build_psu(n):
 def build_q(n, traceless):
     """q(n), or qhat(n) when not traceless."""
     N = n + 1
-    mats = [{**a, **_shift(a, N, N)} for a in u_matrix_basis(N)]
-    source = su_matrix_basis(N) if traceless else u_matrix_basis(N)
-    for s in source:
-        b = {ij: Scalar(1, -1) * v for ij, v in s.items()}
-        mats.append({**_shift(b, 0, N), **_shift(b, N, 0)})
-    return _span(2 * N, N, mats)
+    mats = [SparseOp.from_entries(2 * N, {**a, **_shift(a, N, N)})
+            for a in u_matrix_basis(N)]
+    for b in su_matrix_basis(N) if traceless else u_matrix_basis(N):
+        odd = SparseOp.from_entries(2 * N, {**_shift(b, 0, N), **_shift(b, N, 0)})
+        mats.append(odd.scale(Scalar(1, -1)))
+    return from_matrix_span(mats, N)[0]
 
 
 def build_pq(n):
@@ -379,10 +379,10 @@ def build_c(n):
         vals = [Scalar(a, b) for a, b in zip(vvec[::2], vvec[1::2])]
         b = {(r, c): vals[r * 2 * m + c] for r in range(2) for c in range(2 * m)}
         odd = _shift(b, 0, 2)
-        # lower block C = -J B^T
+        # lower block C = -J B^T; row a of J is e_{a+m} for a < m, else -e_{a-m}
         for a in range(2 * m):
             for r in range(2):
-                odd[(2 + a, r)] = -sum(jbig[a][v] * b[r, v] for v in range(2 * m))
+                odd[(2 + a, r)] = -b[r, a + m] if a < m else b[r, a - m]
         mats.append(odd)
     return _span(2 + 2 * m, 2, mats)
 

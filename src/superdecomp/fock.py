@@ -9,14 +9,15 @@ operators dGamma(A) = sum A_kj a*(e_k) a(e_j) are written entry by entry
 from those two signed moves.  Every Fock operator is a SparseOp, the
 one complex matrix type (realize), which also holds the matrix
 realizations of the families, so the defining representation of a
-matrix family takes those matrices as they are.  A spin operator has at
-most one entry per column, so it holds O(2^n) entries, not 4^n, and a
+matrix family takes those matrices as they are, and every complex sum
+and product here is taken on SparseOps.  A spin operator has at most
+one entry per column, so it holds O(2^n) entries, not 4^n, and a
 product of two costs O(2^n).
 
 Unitarity here always means the adjoint condition rho(X)* = -i^{|X|} rho(X)
-with respect to the (identity-Gram) hermitian form; the four powers of i
-are table driven.  Each representation is verified exactly once, when it
-is built, and is refused if the check fails.
+with respect to the (identity-Gram) hermitian form: the factor is -1 on
+even X and -i on odd X.  Each representation is verified exactly once,
+when it is built, and is refused if the check fails.
 """
 
 import json
@@ -24,7 +25,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .exact import (
-    I, LinSolver, Scalar, ZERO, ONE, ipow, Echelon, _lin_comb,
+    I, LinSolver, Scalar, ZERO, ONE, MINUS_ONE, Echelon, _lin_comb,
     is_positive_definite,
 )
 from .core import SuperAlgebraError, killing_form
@@ -118,15 +119,6 @@ class FockSpace:
         return SparseOp(den, cols)
 
 
-def hermitian_inner(u, v):
-    """<u, v>: linear in the first slot, antilinear in the second."""
-    acc = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b.conjugate()
-    return acc
-
-
 def check_car(n):
     """Both canonical anticommutation identities, exactly.
 
@@ -137,7 +129,7 @@ def check_car(n):
     describing the first violation.
     """
     fock = FockSpace(n)
-    eye = SparseOp.identity(fock.dim)
+    eye, zero = SparseOp.identity(fock.dim), SparseOp.zero(fock.dim)
     units = [[ONE if i == k else ZERO for i in range(n)] for k in range(n)]
     ann = [fock.annihilation(e) for e in units]
     cre = [fock.creation(e) for e in units]
@@ -145,7 +137,8 @@ def check_car(n):
         for g, ag, cg in zip(units, ann, cre):
             if not (af @ ag + ag @ af).is_zero():
                 return {"identity": "a(f)a(g) + a(g)a(f) = 0", "pair": (f, g)}
-            if af @ cg + cg @ af != eye.scale(hermitian_inner(g, f)):
+            # the units are orthonormal: <g, f> is 1 when g is f, else 0
+            if af @ cg + cg @ af != (eye if g is f else zero):
                 return {"identity": "a(f)a(g)* + a(g)*a(f) = <g, f>", "pair": (f, g)}
     for k, (e, a, c) in enumerate(zip(units, ann, cre)):
         ie = [I if i == k else ZERO for i in range(n)]
@@ -227,7 +220,7 @@ def check_unitary_representation(g, rep):
     ops = rep.operators
     for i in range(n):
         op = ops[i]
-        factor = -ipow(g.parity(i))
+        factor = (MINUS_ONE, -I)[g.parity(i)]
         adj = op.conj_transpose()
         if adj != op.scale(factor):
             return RepCheck(False, False,

@@ -3,11 +3,14 @@
 SparseOp is the one complex matrix type: the matrix realizations of the
 families and the Fock operators are both SparseOps, their nonzero
 entries column by column as Gaussian integers over one common
-denominator.  A matrix family is given as a real span of (p|q)-graded
-complex matrices; from_matrix_span reads each matrix's parity off its
-blocks, turns a bracket-closed span into structure constants and keeps
-the coordinate map back to the matrices.  Complex matrices are realified
-by one fixed convention: row-major, each entry a + bi contributing the
+denominator.  It is also the one Gaussian arithmetic: an exact.Scalar
+has no operators and is only read into Gaussian integers
+(_gaussian_ints), so every complex sum and product is taken here, on
+ints.  A matrix family is given as a real span of (p|q)-graded complex
+matrices; from_matrix_span reads each matrix's parity off its blocks,
+turns a bracket-closed span into structure constants and keeps the
+coordinate map back to the matrices.  Complex matrices are realified by
+one fixed convention: row-major, each entry a + bi contributing the
 real pair (a, b), in that order.
 """
 

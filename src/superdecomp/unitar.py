@@ -497,6 +497,8 @@ def compactness_check(g):
     pass needs certified positive forms on both; fail needs a certificate
     that one of the two solution spaces admits none, and names that part
     and its reason (the odd part is not searched once the even part fails).
+    A sign-conflict pair (v, w) is itself the certificate, with the part
+    in the detail.
     """
     verdicts = []
     for part, actions, dim in (
@@ -507,9 +509,11 @@ def compactness_check(g):
             continue
         grams = invariant_symmetric_forms(actions, dim)
         out = find_posdef_in_span(grams)
-        if (out.verdict == "inconclusive"
-                and _no_posdef_pair_certificate(grams, dim, actions) is not None):
-            out = ConditionReport("fail", detail="sign-conflict pair")
+        if out.verdict == "inconclusive":
+            pair = _no_posdef_pair_certificate(grams, dim, actions)
+            if pair is not None:
+                return ConditionReport("fail", certificate=pair,
+                                       detail="%s part: sign-conflict pair" % part)
         if out.verdict == "fail":
             return ConditionReport("fail", certificate="%s part: %s" % (part, out.detail))
         verdicts.append(out.verdict)

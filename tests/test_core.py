@@ -1092,7 +1092,6 @@ def test_rational_values_are_fractions(tag, params):
     out = find_witness(g)
     if out.verdict == "pass":
         assert all(type(a) is Fraction for a in out.certificate.functional)
-    assert type(I * I) is Fraction
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,16 @@ def test_invariant_complement_none_for_jordan_block():
     assert _invariant_complement(comm, [[ONE, ZERO]], 2) is None
 
 
+@pytest.mark.parametrize("dim, invariant_dim", [(2, 1), (3, 2)])
+def test_split_module_refuses_a_module_that_is_not_semisimple(dim, invariant_dim):
+    # E_12 on Q^dim: e_2 -> e_1, every other unit to 0; the invariant
+    # subspace found first has no invariant complement
+    e12 = [[], [(0, ONE)]] + [[] for _ in range(dim - 2)]
+    with pytest.raises(DecompositionError, match="module is not semisimple") as err:
+        split_module([e12], dim)
+    assert err.value.evidence == {"invariant_dim": invariant_dim}
+
+
 def assert_split_fills(actions, dim):
     """split_module's pieces are each invariant under every action, are
     independent together and fill the module."""
@@ -243,7 +253,6 @@ def test_structure_report_that():
     assert info.checks["kk_center_trivial"]
     assert info.checks["kk_adjoint_simple"]
     assert info.checks["tangent_quotient"]
-    assert info.checks["nilpotent_ideal"]
     # hat c(k) assertion ran
     assert any(a["name"].startswith("hat_c_quotient") and a["ok"]
                for a in rep.assertions)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import superdecomp.fock as fock_module
@@ -23,19 +24,38 @@ def unit(n, k):
     return [ONE if i == k else ZERO for i in range(n)]
 
 
+# The dense oracle computes with sympy's exact numbers, independently of
+# SparseOp, the program's one Gaussian arithmetic.
+
+def sym(v):
+    """A Fraction or Scalar as a sympy Gaussian rational."""
+    return (sympy.Rational(v.real.numerator, v.real.denominator)
+            + sympy.I * sympy.Rational(v.imag.numerator, v.imag.denominator))
+
+
+def sym_rows(m):
+    return [[sym(v) for v in row] for row in m]
+
+
+def scalar(x):
+    """A sympy Gaussian rational as a Fraction or Scalar."""
+    re, im = x.as_real_imag()
+    return Scalar(Fraction(re.p, re.q), Fraction(im.p, im.q))
+
+
 def dense(op):
-    """The dense oracle of a SparseOp: the rows of its entries, each a
-    Fraction or Scalar."""
-    rows = [[ZERO] * op.dim for _ in range(op.dim)]
+    """The dense oracle of a SparseOp: the rows of its entries as sympy
+    Gaussian rationals."""
+    rows = [[sympy.S.Zero] * op.dim for _ in range(op.dim)]
     for j, col in enumerate(op.cols):
         for i, (a, b) in col.items():
-            rows[i][j] = Scalar(Fraction(a, op.den), Fraction(b, op.den))
+            rows[i][j] = sympy.Rational(a, op.den) + sympy.I * sympy.Rational(b, op.den)
     return rows
 
 
 def dense_matmul(a, b):
-    return [[sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in zip(*b)]
-            for row in a]
+    return [[sympy.expand(sum((x * y for x, y in zip(row, col)), sympy.S.Zero))
+             for col in zip(*b)] for row in a]
 
 
 def test_creation_on_vacuum():
@@ -246,7 +266,7 @@ def test_fock_cap_refuses_huge_n_without_allocating():
 def test_matrix_inverse_reads_each_column_off_one_solver():
     m = [[Fraction(2), Fraction(1, 3)], [ONE, -ONE]]
     inv = fock_module._matrix_inverse(m)
-    eye = [unit(2, 0), unit(2, 1)]
+    m, inv, eye = sym_rows(m), sym_rows(inv), sym_rows([unit(2, 0), unit(2, 1)])
     assert dense_matmul(m, inv) == eye and dense_matmul(inv, m) == eye
     with pytest.raises(SuperAlgebraError, match="singular matrix"):
         fock_module._matrix_inverse([[ONE, Fraction(2)], [ONE, Fraction(2)]])
@@ -448,11 +468,11 @@ def sparse(m):
 
 
 def dense_entrywise(op, a, b):
-    return [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[sympy.expand(op(x, y)) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def dense_conj_transpose(m):
-    return [[v.conjugate() for v in col] for col in zip(*m)]
+    return [[sympy.expand(sympy.conjugate(v)) for v in col] for col in zip(*m)]
 
 
 @st.composite
@@ -467,19 +487,20 @@ def gaussian_matrix_pairs(draw):
 def test_sparse_ops_match_dense_oracle(pair, s):
     a, b = pair
     sa, sb = sparse(a), sparse(b)
-    assert dense(sa) == a and dense(sb) == b
-    assert dense(sa @ sb) == dense_matmul(a, b)
-    assert dense(sa + sb) == dense_entrywise(operator.add, a, b)
-    assert dense(sa - sb) == dense_entrywise(operator.sub, a, b)
-    assert dense(sa.conj_transpose()) == dense_conj_transpose(a)
+    ya, yb = sym_rows(a), sym_rows(b)
+    assert dense(sa) == ya and dense(sb) == yb
+    assert dense(sa @ sb) == dense_matmul(ya, yb)
+    assert dense(sa + sb) == dense_entrywise(operator.add, ya, yb)
+    assert dense(sa - sb) == dense_entrywise(operator.sub, ya, yb)
+    assert dense(sa.conj_transpose()) == dense_conj_transpose(ya)
     assert sa.is_zero() == (not any(map(any, a)))
     assert (sa == sb) == (a == b)
     for t in (s, s.real, ZERO):
-        assert dense(sa.scale(t)) == [[t * x for x in row] for row in a]
+        assert dense(sa.scale(t)) == [[sympy.expand(sym(t) * x) for x in row] for row in ya]
     # equal values have equal canonical forms
     assert sa.scale(2).scale(Fraction(1, 2)) == sa
     assert sa.scale(I).scale(-I) == sa
-    assert sparse(dense(sa @ sb)) == sa @ sb
+    assert sparse([[scalar(x) for x in row] for row in dense(sa @ sb)]) == sa @ sb
     zero = sa - sa
     assert zero == SparseOp.zero(len(a)) and zero.den == 1 and zero.is_zero()
 
@@ -515,7 +536,7 @@ def test_from_entries_and_realify_match_dense_oracle(case):
     want = [[ZERO] * n for _ in range(n)]
     for (i, j), v in entries.items():
         want[i][j] = v
-    assert dense(op) == want
+    assert dense(op) == sym_rows(want)
     # row-major, each entry as its (real, imaginary) pair
     assert realify(op) == [x for row in want for v in row for x in (v.real, v.imag)]
 

@@ -125,6 +125,26 @@ def test_no_posdef_pair_certificate():
     assert unitar._no_posdef_pair_certificate([[e0, e1]], 2, []) is None
 
 
+def test_compactness_certificate_is_the_sign_conflict_pair(monkeypatch):
+    # with the positive-form search made inconclusive, gl(1|1) fails (i)
+    # through the pair search on its odd part, and the pair is printed
+    g = build_family("gl", 1, 1)
+    monkeypatch.setattr(unitar, "find_posdef_in_span",
+                        lambda grams: unitar.ConditionReport("inconclusive"))
+    out = compactness_check(g)
+    assert out.verdict == "fail" and out.detail == "odd part: sign-conflict pair"
+    v, w = out.certificate
+    assert not vec_is_zero(v) and not vec_is_zero(w)
+    odd = unitar.even_actions(g, g.space.odd_indices())
+    grams = unitar.invariant_symmetric_forms(odd, g.d1)
+    assert grams and all(exact.quad_form(s, v) + exact.quad_form(s, w) == 0
+                         for s in grams)
+    item = necessary_conditions_report(g).to_json_dict()["conditions"][0]
+    assert item == {"condition": "i_compact", "verdict": "fail",
+                    "certificate": {"x1": unitar._vec_json(v), "x2": unitar._vec_json(w)},
+                    "detail": "odd part: sign-conflict pair"}
+
+
 def test_compactness_no_for_complex_simple():
     mats = []
     for base in ({(0, 1): ONE}, {(1, 0): ONE}, {(0, 0): ONE, (1, 1): -ONE}):
