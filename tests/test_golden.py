@@ -2,9 +2,10 @@
 byte for byte, and so must the file a case writes through ``--out``
 (recorded as ``<name>.out.json``).  The constructors' structure constants
 are pinned by the SHA-256 of their algebra files, kept in
-``family_digests.json``, and the classifier's table
-``src/superdecomp/family_fingerprints.json`` must equal the fingerprints
-of the constructors' output.
+``family_digests.json``; ``check eq-square``'s exit code, stdout and
+stderr are pinned per invocation in ``eq_square.json``; and the
+classifier's table ``src/superdecomp/family_fingerprints.json`` must
+equal the fingerprints of the constructors' output.
 
 The input files are rebuilt from the constructors on every run, so the
 comparison also covers the constructors' basis order.  To record the
@@ -20,7 +21,8 @@ import os
 import random
 import sys
 import warnings
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 
@@ -32,6 +34,7 @@ from superdecomp.unitar import _TABLE, fingerprint
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 DIGESTS = os.path.join(GOLDEN, "family_digests.json")
+EQ_SQUARE = os.path.join(GOLDEN, "eq_square.json")
 
 # the classifier's families, in matching order
 _TABLE_SPECS = tuple(
@@ -182,6 +185,52 @@ def run_case(name, workdir):
         return code, out.getvalue(), fh.read()
 
 
+def corrupted_keeping_name(tag, params, seed):
+    return {**corrupted(tag, params, seed), "name": family_name(tag, params)}
+
+
+# check eq-square invocations: key -> (input builder, SUPERDECOMP_SEED or
+# None for unset, arguments after the file); eq_square.json holds each
+# key's [exit code, stdout, stderr]
+EQ_SQUARE_CASES = {
+    **{"u(%d|%d) --seed %s --samples %s" % (p, q, seed, n):
+       (lambda p=p, q=q: family_json("u", p, q), None, ["--seed", seed, "--samples", n])
+       for p, q in ((1, 1), (2, 1), (2, 2), (3, 1)) for seed in ("0", "5", "17")
+       for n in ("1", "50", "200")},
+    **{"u(%d|%d) SUPERDECOMP_SEED=17 --samples 50" % (p, q):
+       (lambda p=p, q=q: family_json("u", p, q), "17", ["--samples", "50"])
+       for p, q in ((1, 1), (2, 1), (2, 2), (3, 1))},
+    "u(2|1)": (lambda: family_json("u", 2, 1), None, []),
+    "u(2|1) --samples 0": (lambda: family_json("u", 2, 1), None, ["--samples", "0"]),
+    "u(2|1) SUPERDECOMP_SEED=abc": (lambda: family_json("u", 2, 1), "abc", []),
+    # the constants are compared before the seed is read
+    "u(2|1) corrupted, SUPERDECOMP_SEED=abc": (
+        lambda: corrupted_keeping_name("u", (2, 1), 3), "abc", []),
+    "u(2|1) corrupted and renamed": (lambda: corrupted("u", (2, 1), 3), None, []),
+}
+
+
+def run_eq_square(key, workdir):
+    """[exit code, stdout, stderr] of one check eq-square case."""
+    build, env, args = EQ_SQUARE_CASES[key]
+    path = os.path.join(workdir, "eq_square.json")
+    with open(path, "w") as fh:
+        json.dump(build(), fh, sort_keys=True)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("SUPERDECOMP_SEED", None)
+        if env is not None:
+            os.environ["SUPERDECOMP_SEED"] = env
+        code = main(["check", "eq-square", path] + args)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+@pytest.mark.parametrize("key", sorted(EQ_SQUARE_CASES))
+def test_eq_square_output(key, tmp_path):
+    with open(EQ_SQUARE) as fh:
+        assert run_eq_square(key, str(tmp_path)) == json.load(fh)[key]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
     code, out, written = run_case(name, str(tmp_path))
@@ -228,6 +277,11 @@ if __name__ == "__main__":
                 with open(os.path.join(GOLDEN, name + ".out.json"), "w") as fh:
                     fh.write(written)
             print("recorded", name)
+        eq_square = {key: run_eq_square(key, work) for key in EQ_SQUARE_CASES}
+    with open(EQ_SQUARE, "w") as fh:
+        json.dump(eq_square, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print("recorded", EQ_SQUARE)
     with open(DIGESTS, "w") as fh:
         json.dump(family_digests(), fh, indent=1, sort_keys=True)
         fh.write("\n")
