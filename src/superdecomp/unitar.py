@@ -24,7 +24,7 @@ import json
 import os
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .exact import (
     ZERO, ONE, MINUS_ONE, UnsolvedLP,
@@ -386,7 +386,6 @@ def cone_pointedness(g):
 
 
 def _int_sqrt(n):
-    from math import isqrt
     r = isqrt(n)
     return r if r * r == n else None
 
