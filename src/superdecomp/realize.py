@@ -195,13 +195,6 @@ class MatrixRealization:
         self.q = mats[0].dim - p
         self.solver = LinSolver([realify(m) for m in mats], 2 * mats[0].dim ** 2)
 
-    def to_matrix(self, coords):
-        out = SparseOp.zero(self.p + self.q)
-        for c, m in zip(coords, self.mats):
-            if c:
-                out = out + m.scale(c)
-        return out
-
     def from_matrix(self, m):
         """Real coordinates of a matrix in the spanning basis, or None."""
         return self.solver.coords(realify(m))

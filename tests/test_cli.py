@@ -137,6 +137,18 @@ def test_check_eq_square(tmp_path, capsys):
     assert obj["satisfied"] == "50"
 
 
+def test_check_eq_square_cost_does_not_grow_with_samples(tmp_path, capsys):
+    # the identity is proved from the odd basis; sampling a million odd
+    # elements of u(2|1) one by one took minutes
+    path = str(tmp_path / "u21.json")
+    run(capsys, "construct", "--family", "u", "--params", "2,1", "--out", path)
+    proc = subprocess.run([sys.executable, "-m", "superdecomp.cli", "check", "eq-square",
+                           path, "--samples", "1000000"],
+                          capture_output=True, text=True, env=_src_env(), timeout=10)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert '"satisfied":"1000000"' in proc.stdout
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_check_eq_square_rejects_samples_below_one(tmp_path, capsys, samples):
     path = str(tmp_path / "u21.json")

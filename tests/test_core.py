@@ -27,6 +27,7 @@ from superdecomp.families import (
     build_family, build_lie_algebra, central_extension, is_trivial_cocycle,
     semidirect_by_derivation,
 )
+from test_families import to_matrix
 
 
 def test_ungraded_subspace_is_refused():
@@ -55,7 +56,7 @@ def test_u11_square_example():
     coords = real.from_matrix(x)
     assert coords is not None
     sq = g.bracket(coords, coords)
-    target = real.to_matrix(sq)
+    target = to_matrix(real, sq)
     expect = SparseOp.identity(2).scale(Scalar(0, 2))
     assert target == expect
 
@@ -925,18 +926,17 @@ def test_library_checks_do_not_use_assert():
     assert {"core.py", "exact.py", "fock.py"} <= set(names)
 
 
-def test_verdict_modules_do_not_import_random():
-    # no seed may reach a unitarity verdict, a CAR check or the exact kernel
-    checked = set()
+def test_library_does_not_import_random():
+    # no seed may reach a verdict, a report or the exact kernel: what the
+    # command line echoes as the seed decides nothing
+    names = []
     for name, tree in _library_trees():
-        if name not in ("exact.py", "fock.py", "unitar.py"):
-            continue
-        checked.add(name)
+        names.append(name)
         modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
                    for a in n.names]
         modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
         assert "random" not in modules, name
-    assert checked == {"exact.py", "fock.py", "unitar.py"}
+    assert {"cli.py", "exact.py", "families.py", "fock.py", "unitar.py"} <= set(names)
 
 
 def test_every_library_function_is_referenced():
@@ -1086,7 +1086,7 @@ def test_rational_values_are_fractions(tag, params):
     assert coords == x and all(type(a) is Fraction for a in coords)
     real = g.meta.get("realization")
     if real is not None:
-        coords = real.from_matrix(real.to_matrix(g.basis_vector(g.d0)))
+        coords = real.from_matrix(to_matrix(real, g.basis_vector(g.d0)))
         assert coords == g.basis_vector(g.d0)
         assert all(type(a) is Fraction for a in coords)
     out = find_witness(g)

@@ -1,18 +1,20 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from superdecomp.exact import ONE, Scalar, vec_is_zero, vec_zero
+from superdecomp.exact import I, ONE, Scalar, vec_is_zero, vec_zero
 from superdecomp.core import (
-    bracket_span, center, centralizer, derived, is_ideal, killing_form,
-    verify_superalgebra,
+    SuperAlgebra, SuperAlgebraError, bracket_span, center, centralizer, derived,
+    is_ideal, killing_form, verify_superalgebra,
 )
 from superdecomp.decomp import subalgebra_from_subspace
 from superdecomp.exact import is_positive_definite
 from superdecomp.families import (
     FamilySpec, build_family, build_lie_algebra, expected_dims,
-    family_name, square_identity_samples,
+    family_name, prove_square_identity,
 )
+from superdecomp.realize import MatrixRealization, SparseOp
 
 SMALL = [
     ("u", (1, 1)), ("u", (2, 1)), ("su", (2, 1)), ("su", (2, 2)),
@@ -179,11 +181,77 @@ def test_qhat_contains_q_as_hyperplane_ideal():
         assert vec_is_zero(qh.bracket(sq, qh.basis_vector(i)))
 
 
+# ---------------------------------------------------------------------------
+# the square identity of the u-families: the seeded sampler below is the
+# oracle of families.prove_square_identity
+# ---------------------------------------------------------------------------
+
+def to_matrix(real, coords):
+    """The matrix with the real coordinates coords in a realization's basis."""
+    out = SparseOp.zero(real.p + real.q)
+    for c, m in zip(coords, real.mats):
+        if c:
+            out = out + m.scale(c)
+    return out
+
+
+def square_identity_samples(alg, count, rng):
+    """Check [X, X] = 2 X^2 = 2i X^* X != 0 on seeded nonzero odd samples.
+
+    Needs a matrix realization whose odd part satisfies X^* = -iX (the
+    u-families and their subfamilies).  Returns the number of samples that
+    satisfied the identity; raises on the first failure.
+    """
+    real = alg.meta.get("realization")
+    if real is None:
+        raise SuperAlgebraError("algebra has no matrix realization")
+    n = alg.dim
+    ok = 0
+    for _ in range(count):
+        coords = vec_zero(n)
+        while vec_is_zero(coords):
+            for i in alg.space.odd_indices():
+                coords[i] = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        x = to_matrix(real, coords)
+        sq = x @ x
+        two_sq = sq.scale(Fraction(2))
+        star = x.conj_transpose() @ x
+        if two_sq != star.scale(Scalar(0, 2)):
+            raise SuperAlgebraError("2X^2 = 2iX*X violated")
+        if two_sq.is_zero():
+            raise SuperAlgebraError("odd sample with [X, X] = 0")
+        lhs = alg.bracket(coords, coords)
+        rhs = real.from_matrix(two_sq)
+        if rhs is None or lhs != rhs:
+            raise SuperAlgebraError("structure constants disagree with 2X^2")
+        ok += 1
+    return ok
+
+
 def test_square_identity_sampling():
     rng = random.Random(11)
     for tag, params in [("u", (1, 1)), ("u", (2, 1))]:
         g = build_family(tag, *params)
         assert square_identity_samples(g, 25, rng) == 25
+
+
+@pytest.mark.parametrize("tag,params", [("u", (1, 1)), ("u", (2, 1)), ("su", (2, 1))])
+def test_square_identity_proof_names_the_odd_matrix_it_refuses(tag, params):
+    # no input file reaches this: eq-square proves on the constructor's own
+    # realization, so each odd basis matrix in turn is multiplied by i here
+    g = build_family(tag, *params)
+    real = g.meta["realization"]
+    prove_square_identity(g)
+    for k in g.space.odd_indices():
+        mats = list(real.mats)
+        mats[k] = mats[k].scale(I)
+        bad = SuperAlgebra(g.space, g.table,
+                           meta={"realization": MatrixRealization(mats, real.p)})
+        with pytest.raises(SuperAlgebraError,
+                           match=r"^odd basis matrix %d violates X\^\* = -iX$" % k):
+            prove_square_identity(bad)
+    with pytest.raises(SuperAlgebraError, match="no matrix realization"):
+        prove_square_identity(build_family("spin_h", 2))
 
 
 def test_that_odd_centralizer_dim_1():
