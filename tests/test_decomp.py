@@ -1,19 +1,22 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superdecomp.core import (
     SuperAlgebra, SuperSpace, Subspace, bracket_span, center, direct_sum,
     module_commutant, quotient_by_central,
 )
 from superdecomp.exact import LinSolver, ONE, ZERO, Scalar, vec_zero
-from superdecomp.families import build_family
+from superdecomp.families import build_family, expected_dims
 from superdecomp import decomp
 from superdecomp.decomp import (
     DecompositionError, _invariant_complement, classify_indices,
     decompose_odd, module_actions, reduce_to_odd_generated, split_module,
     structure_report,
 )
+from superdecomp.unitar import necessary_conditions_report
 
 
 def glued_su22_q2():
@@ -339,3 +342,50 @@ def test_tangent_quotient_check_refuses_a_wrong_basis(k, hat):
     assert check(negated) is False
     swapped = [kk_vecs[1], kk_vecs[0]] + kk_vecs[2:]
     assert check(swapped) is False
+
+
+# ---------------------------------------------------------------------------
+# own-basis direct sums: answers known from the parts
+# ---------------------------------------------------------------------------
+
+SUM_PARTS = [("su", (2, 1)), ("u", (1, 1)), ("psu", (2,)), ("spin_h", (2,)),
+             ("T_tilde", ("su", 2)), ("T_hat", ("su", 2)), ("c", (2,)), ("pq", (2,)),
+             ("u", (2, 1))]
+
+
+def summands_and_verdicts(g):
+    """(sorted (dim, classification) of the summands, verdict per condition)."""
+    entries = structure_report(g).to_json_dict()["summands"]
+    items = necessary_conditions_report(g).items
+    return (sorted((e["dim"], e["classification"]) for e in entries),
+            {key: it.verdict for key, it in items.items()})
+
+
+@functools.lru_cache(maxsize=None)
+def part_report(tag, params):
+    return summands_and_verdicts(build_family(tag, *params))
+
+
+# 2-3 parts with d0 + d1 <= 24; each example takes about 30 ms
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(SUM_PARTS), min_size=2, max_size=3)
+       .filter(lambda ps: sum(sum(expected_dims(t, p)) for t, p in ps) <= 24))
+def test_own_basis_direct_sum_answers_follow_from_the_parts(parts):
+    # the summands of g + h are those of g and of h; (i)-(iv) hold for g + h
+    # exactly when they hold for both, and (v), a nonzero even center, when
+    # it holds for either.  "inconclusive" contradicts nothing.
+    tag, params = parts[0]
+    s = build_family(tag, *params)
+    for tag, params in parts[1:]:
+        s = direct_sum(s, build_family(tag, *params))
+    summands, verdicts = summands_and_verdicts(s)
+    reports = [part_report(tag, params) for tag, params in parts]
+    assert summands == sorted(e for ents, _ in reports for e in ents)
+    for key, verdict in verdicts.items():
+        of_parts = [v[key] for _, v in reports]
+        if key == "v_even_center":
+            assert verdict == ("pass" if "pass" in of_parts else "fail"), key
+        elif verdict == "pass":
+            assert "fail" not in of_parts, key
+        elif verdict == "fail":
+            assert of_parts.count("pass") < len(of_parts), key
