@@ -532,6 +532,17 @@ class InvariantForm:
         self.pos = {i: r for r, i in enumerate(self.indices)}
 
 
+def even_actions(g, part):
+    """ad e_x restricted to the basis index range `part` (the even or the
+    odd indices), for even basis x, in column form: cols[j] lists (i, value)
+    over the nonzero entries of column j, in increasing i."""
+    lo = part.start
+    ad, den = g.adjoint_table()
+    return [[sorted((k - lo, Fraction(a, den)) for k, a in ad[x][j].items())
+             for j in part]
+            for x in g.space.even_indices()]
+
+
 def _int_columns(cols):
     """An action in column form scaled to integers by the lcm of its
     denominators."""

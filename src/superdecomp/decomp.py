@@ -29,11 +29,11 @@ from .exact import (
 )
 from .poly import char_poly_and_rational_split, peval_matrix, pmul
 from .core import (
-    Subspace, SuperAlgebraError, _int_columns, _int_row, algebra_in_basis,
-    bracket_span, center, centralizer, derived, is_ideal, module_commutant,
-    tables_equal,
+    Subspace, SuperAlgebraError, _bracket_rows, _int_columns, _int_row,
+    algebra_in_basis, bracket_span, center, centralizer, derived, is_ideal,
+    module_commutant, tables_equal, verify_superalgebra,
 )
-from . import unitar
+from . import classify
 
 SPLIT_CAP = 64
 
@@ -105,11 +105,42 @@ def _columns(images, solver):
     return cols
 
 
-def module_actions(g, generators, basis_vecs):
-    """Actions of ambient generators on span(basis_vecs), in column form."""
+def _require_superalgebra(g):
+    viol = verify_superalgebra(g)
+    if viol is not None:
+        raise SuperAlgebraError("input is not a Lie superalgebra: %r" % (viol,))
+
+
+def lie_generators(g, vecs):
+    """Those of the homogeneous vecs, in order, outside the Lie algebra
+    generated by the earlier ones: by graded Jacobi, a subspace they leave
+    invariant, or a map commuting with them, is so for that whole algebra.
+    The closure is expanded on int rows only until the next vec lies in it."""
+    _require_superalgebra(g)
+    ad, _ = g.adjoint_table()
+    ech = Echelon(g.dim)
+    rows, gens = [], []                 # rows span the closure found so far
+    done = 0                            # rows bracketed with every earlier one
+    for v in vecs:
+        row = _int_row(v)[0]
+        while done < len(rows) and ech.residual(row):
+            for w in rows[:done + 1]:
+                u = _bracket_rows(ad, rows[done], w)
+                if ech.add(u):
+                    rows.append(u)
+            done += 1
+        if ech.add(row):
+            gens.append(v)
+            rows.append(row)
+    return gens
+
+
+def module_actions(g, elements, basis_vecs):
+    """Actions on span(basis_vecs), in column form, of the Lie generators
+    among elements: they have the invariant subspaces and commutant of all."""
     solver = LinSolver(basis_vecs, g.dim)
     return [_columns([g.bracket(x, v) for v in basis_vecs], solver)
-            for x in generators]
+            for x in lie_generators(g, elements)]
 
 
 def _apply(cols, v):
@@ -300,9 +331,7 @@ def decompose_odd(g, core_even):
         return ModuleDecomposition(b, a, [], [])
     actions = module_actions(g, core_even.basis, a.basis)
     parts = split_module(actions, a.dim)
-    summands = []
-    for vecs, cert in parts:
-        summands.append((Subspace(g.dim, _lift(a.basis, vecs)), cert))
+    summands = [(Subspace(g.dim, _lift(a.basis, vecs)), cert) for vecs, cert in parts]
     summands.sort(key=lambda sc: sc[0].sort_key())
     return ModuleDecomposition(b, a, [s for s, _ in summands],
                                [c for _, c in summands])
@@ -561,7 +590,7 @@ def qhat_embedding_certificate(g, dec, k_index, ideal):
     cert = {
         "parameter": n,
         "dims_match": (alg.d0, alg.d1) == (model.d0, model.d1),
-        "fingerprint_match": unitar.fingerprint(alg) == unitar.fingerprint(model),
+        "fingerprint_match": classify.fingerprint(alg) == classify.fingerprint(model),
         "hyperplane_ideal": ideal.span.contains_subspace(
             bracket_span(g, span, ideal.span)),
     }
@@ -638,6 +667,7 @@ def structure_report(g):
     quotient is a central ideal) and that g_r and z_b(a) split the core up
     to that center.
     """
+    _require_superalgebra(g)
     report = DecompositionReport(g)
     if g.d1 == 0:
         raise DecompositionError("odd-generation precondition: the odd part is zero")
@@ -673,8 +703,8 @@ def structure_report(g):
         seen.add(j)
         seen.add(jp)
         span, alg, checks = build_g_ideal(g, dec, j, jp)
-        fp = unitar.fingerprint(alg)
-        classification = unitar.classify_fingerprint(alg)
+        fp = classify.fingerprint(alg)
+        classification = classify.classify_fingerprint(alg)
         flags = {}
         tag = classification[0]
         if tag in ("su(n|m)", "c"):
@@ -694,8 +724,8 @@ def structure_report(g):
     for k in cls.ja:
         b0 = _pick_b0(g, dec.b, dec.summands[k])
         span, alg, checks, kk, kk_alg, kk_vecs = build_c_ideal(g, dec, k, b0)
-        fp = unitar.fingerprint(alg)
-        classification = unitar.classify_fingerprint(alg)
+        fp = classify.fingerprint(alg)
+        classification = classify.classify_fingerprint(alg)
         info = IdealInfo("Ja", (k,), span, fp, classification, checks, kk_dim=kk.dim)
         info.checks["theorem42"] = {}
         report.ideals.append(info)

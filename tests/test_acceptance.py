@@ -23,9 +23,9 @@ from superdecomp.families import (
     prove_square_identity,
 )
 from superdecomp.decomp import structure_report
+from superdecomp.classify import classify_fingerprint, fingerprint
 from superdecomp.unitar import (
-    classify_fingerprint, fingerprint, gram_of_functional, invariant_odd_forms,
-    necessary_conditions_report,
+    gram_of_functional, invariant_odd_forms, necessary_conditions_report,
 )
 from superdecomp.fock import (
     check_car, check_unitary_representation, number_spectrum,

@@ -430,20 +430,22 @@ def _src_env():
 def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
     path = str(tmp_path / "su21.json")
     run(capsys, "construct", "--family", "su", "--params", "2,1", "--out", path)
-    checks = ("families", "realize", "poly", "unitar", "decomp", "fock")
+    checks = ("families", "realize", "poly", "unitar", "classify", "decomp", "fock")
     for argv, absent in ((["check", "killing", path], checks),
                          (["check", "center", path], checks),
                          (["check", "jacobi", path], checks),
                          (["construct", "--family", "su", "--params", "2,1",
                            "--out", str(tmp_path / "again.json")],
-                          ("poly", "unitar", "decomp", "fock")),
+                          ("poly", "unitar", "classify", "decomp", "fock")),
                          (["unitarity", path],
-                          ("families", "realize", "poly", "decomp", "fock")),
-                         (["spinrep", "--dim", "2", "--check"], ("poly", "decomp", "unitar")),
+                          ("families", "realize", "poly", "classify", "decomp", "fock")),
+                         (["spinrep", "--dim", "2", "--check"],
+                          ("poly", "decomp", "unitar", "classify")),
                          (["tangent-rep", "--k", "su2", "--check"],
-                          ("poly", "decomp", "unitar")),
-                         # every ideal of su(2|1) is of kind Js: no family is built
-                         (["decompose", path], ("families", "realize", "fock"))):
+                          ("poly", "decomp", "unitar", "classify")),
+                         # every ideal of su(2|1) is of kind Js: no family is
+                         # built, and the classifier needs no unitarity code
+                         (["decompose", path], ("families", "realize", "fock", "unitar"))):
         proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, json.dumps(argv)],
                               capture_output=True, text=True, env=_src_env(), timeout=600)
         assert proc.returncode == 0, proc.stderr
@@ -456,7 +458,7 @@ def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
 
 def test_refused_inputs_compile_no_pipeline(tmp_path):
     # the Jacobi check runs before decompose and unitarity import their layers
-    absent = ("decomp", "families", "realize", "poly", "unitar")
+    absent = ("decomp", "families", "realize", "poly", "unitar", "classify")
     for path in f1_files(tmp_path):
         for cmd in ("decompose", "unitarity"):
             proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER,

@@ -15,13 +15,13 @@ from superdecomp.core import (
     SuperSpace, Subspace, Violation, algebra_from_json_dict, algebra_in_basis,
     algebra_to_json_dict,
     bracket_span, center, centralizer, derived, direct_sum, is_ideal, is_perfect,
-    killing_form, module_commutant, quotient_by_central, tables_equal,
-    verify_superalgebra,
+    even_actions, killing_form, module_commutant, quotient_by_central,
+    tables_equal, verify_superalgebra,
 )
 from superdecomp.realize import NotClosedError, SparseOp, from_matrix_span
 from superdecomp.decomp import subalgebra_from_subspace
 from superdecomp.unitar import (
-    even_actions, find_witness, invariant_odd_forms, invariant_symmetric_forms,
+    find_witness, invariant_odd_forms, invariant_symmetric_forms,
 )
 from superdecomp.families import (
     build_family, build_lie_algebra, central_extension, is_trivial_cocycle,
@@ -1058,7 +1058,7 @@ def test_rational_modules_never_name_scalar():
     # their complex matrices as SparseOps
     checked = set()
     for name, tree in _library_trees():
-        if name not in ("core.py", "decomp.py", "poly.py", "unitar.py"):
+        if name not in ("classify.py", "core.py", "decomp.py", "poly.py", "unitar.py"):
             continue
         checked.add(name)
         named = [(n.lineno, word) for n in ast.walk(tree)
@@ -1067,7 +1067,7 @@ def test_rational_modules_never_name_scalar():
                  or (isinstance(n, ast.alias) and n.name == word)
                  or (isinstance(n, ast.Attribute) and n.attr == word)]
         assert named == [], (name, named)
-    assert checked == {"core.py", "decomp.py", "poly.py", "unitar.py"}
+    assert checked == {"classify.py", "core.py", "decomp.py", "poly.py", "unitar.py"}
 
 
 @pytest.mark.parametrize("tag, params", [("su", (2, 1)), ("q", (2,)),

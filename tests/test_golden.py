@@ -30,7 +30,7 @@ from superdecomp.cli import main
 from superdecomp.core import algebra_to_json_dict, direct_sum, quotient_by_central
 from superdecomp.exact import ONE, Scalar, vec_zero
 from superdecomp.families import build_family, expected_dims, family_name
-from superdecomp.unitar import _TABLE, fingerprint
+from superdecomp.classify import _TABLE, fingerprint
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 DIGESTS = os.path.join(GOLDEN, "family_digests.json")
@@ -253,7 +253,7 @@ def test_family_fingerprints():
 
 
 def test_family_fingerprints_are_package_data():
-    # an installed classifier reads the table next to unitar.py
+    # an installed classifier reads the table next to classify.py
     config = pytest.importorskip("setuptools.config.pyprojecttoml")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with warnings.catch_warnings():

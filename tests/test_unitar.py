@@ -6,17 +6,17 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superdecomp import exact, unitar
-from superdecomp.core import SuperAlgebra, SuperSpace, direct_sum
+from superdecomp import classify, exact, unitar
+from superdecomp.classify import classify_fingerprint, fingerprint
+from superdecomp.core import SuperAlgebra, SuperSpace, direct_sum, even_actions
 from superdecomp.realize import SparseOp, from_matrix_span
 from superdecomp.exact import (
     I, ONE, Scalar, ZERO, is_positive_definite, vec_is_zero, vec_zero,
 )
 from superdecomp.families import build_family
 from superdecomp.unitar import (
-    classify_fingerprint, compactness_check, cone_pointedness, find_posdef_in_span,
-    find_witness, fingerprint, gram_of_functional, invariant_functional_basis,
-    necessary_conditions_report,
+    compactness_check, cone_pointedness, find_posdef_in_span, find_witness,
+    gram_of_functional, invariant_functional_basis, necessary_conditions_report,
 )
 
 
@@ -135,7 +135,7 @@ def test_compactness_certificate_is_the_sign_conflict_pair(monkeypatch):
     assert out.verdict == "fail" and out.detail == "odd part: sign-conflict pair"
     v, w = out.certificate
     assert not vec_is_zero(v) and not vec_is_zero(w)
-    odd = unitar.even_actions(g, g.space.odd_indices())
+    odd = even_actions(g, g.space.odd_indices())
     grams = unitar.invariant_symmetric_forms(odd, g.d1)
     assert grams and all(exact.quad_form(s, v) + exact.quad_form(s, w) == 0
                          for s in grams)
@@ -195,7 +195,7 @@ def test_su21_c2_coincide():
 def test_table_shares_one_fingerprint_across_tags():
     # classify_fingerprint names one tag per match set because su(2|1) =
     # c(2) is the only fingerprint the table lists under two tags
-    with open(unitar._TABLE) as fh:
+    with open(classify._TABLE) as fh:
         rows = json.load(fh)
     repeats = {}
     for tag, params, fp in rows:
@@ -206,7 +206,7 @@ def test_table_shares_one_fingerprint_across_tags():
         + [[(tag, ("su", 2)), (tag, ("so", 3))] for tag in ("T", "T_hat", "T_tilde")]
         + [[(tag, ("so", 5)), (tag, ("sp", 2))] for tag in ("T", "T_hat", "T_tilde")])
     shared = [specs for specs in repeats
-              if len({unitar._class_tag(*spec) for spec in specs}) > 1]
+              if len({classify._class_tag(*spec) for spec in specs}) > 1]
     assert shared == [[("su", (2, 1)), ("c", (2,))]]
 
 
@@ -219,7 +219,7 @@ def test_classify_builds_no_family(monkeypatch):
 
     monkeypatch.setattr(families, "build_family", refuse)
     monkeypatch.setattr(families, "build", refuse)
-    calls = _count_body_calls(monkeypatch, unitar.fingerprint)
+    calls = _count_body_calls(monkeypatch, classify.fingerprint)
     assert classify_fingerprint(psu)[0] == "psu"
     assert calls == [psu]
 
@@ -348,7 +348,7 @@ def test_fingerprint_is_computed_once_per_algebra():
 def test_repeat_classify_computes_no_fingerprint(monkeypatch):
     psu = build_family("psu", 3)
     first = classify_fingerprint(psu)
-    calls = _count_body_calls(monkeypatch, unitar.fingerprint)
+    calls = _count_body_calls(monkeypatch, classify.fingerprint)
     assert classify_fingerprint(build_family("psu", 3)) == first
     assert calls == []
 
@@ -500,7 +500,7 @@ POWERS = [("u", (1, 1), 6), ("spin_h", (2,), 3), ("ch_indefinite", (1, 1), 3)]
 
 
 def form_span(g, part):
-    return unitar.invariant_symmetric_forms(unitar.even_actions(g, part), len(part))
+    return unitar.invariant_symmetric_forms(even_actions(g, part), len(part))
 
 
 @pytest.mark.parametrize("tag,params,copies", POWERS)
