@@ -11,10 +11,8 @@ import json
 import os
 from collections import namedtuple
 
-from .core import (
-    bracket_span, center, even_actions, even_center_dim, is_perfect, killing_form,
-    module_commutant, per_algebra,
-)
+from .core import center, even_center_dim, killing_form, per_algebra
+from .calculus import bracket_span, even_actions, is_perfect, module_commutant
 
 
 class Fingerprint(namedtuple("Fingerprint", (

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from . import __version__
 from .core import (
@@ -38,6 +37,7 @@ def _dumps(obj):
 def _atomic_write(path, chunks):
     """Write the text chunks to path by way of a temporary file beside it;
     an OSError names path, not the temporary file."""
+    import tempfile       # only commands that write a file pay for it
     d = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".superdecomp-")

@@ -1,19 +1,20 @@
 """Graded vector spaces, Lie superalgebras as structure constants, and the
-bracket calculus built on them.
+checks, centers and combinators built on them.
 
 A superalgebra is stored as a sparse structure-constant table over the
 rationals for basis pairs i <= j only; the remaining brackets follow from
 super skew symmetry [x,y] = -(-1)^{|x||y|}[y,x].  That rule is applied in
 one place, SuperAlgebra.adjoint_table, the integer table of every ordered
 pair that bracket and every other ordered reader use; readers of pairs
-i <= j only read the table itself.  The subspace calculus runs on the
-integer echelon rows of subspaces (intersections by Zassenhaus), and
-brackets them through that table; SuperAlgebra.bracket is the entry
+i <= j only read the table itself.  A subspace is held as integer
+echelon rows (intersections by Zassenhaus), and center and centralizer
+bracket them through that table; SuperAlgebra.bracket is the entry
 point for dense vectors.  Basis order is canonical:
 even vectors first, then odd.  algebra_in_basis writes every subalgebra
 and central quotient in a basis of its own.  Matrix realizations live in
-realize, extensions in families and invariant forms of the odd part in
-unitar, so the checks here load none of them.
+realize, extensions in families, bracket spans, ideals and module
+commutants in calculus and invariant forms of the odd part in unitar, so
+the checks here load none of them.
 
 All values are immutable after construction; operations are pure.
 """
@@ -389,7 +390,7 @@ def _jacobi_sides(g, i, j, k):
 
 
 # ---------------------------------------------------------------------------
-# subspace calculus
+# centers and the Killing form
 # ---------------------------------------------------------------------------
 
 @per_algebra
@@ -440,42 +441,6 @@ def centralizer(g, targets, inside):
 
 
 @per_algebra
-def derived(g):
-    """Span of all brackets of basis pairs: the rows of the table."""
-    ech = Echelon(g.dim)
-    for terms in g.table.values():
-        ech.add(terms)
-    return Subspace._spanned(ech)
-
-
-def is_perfect(g):
-    return derived(g).dim == g.dim
-
-
-def bracket_span(g, u_sub, w_sub):
-    """Span of [U, W] for two subspaces, from their int rows."""
-    ad, _ = g.adjoint_table()
-    ws = w_sub._rows()
-    ech = Echelon(g.dim)
-    for u in u_sub._rows():
-        for w in ws:
-            v = _bracket_rows(ad, u, w)
-            if v:
-                ech.add(v)
-    return Subspace._spanned(ech)
-
-
-def is_ideal(g, s):
-    ad, _ = g.adjoint_table()
-    rows = s._rows()
-    for i in range(g.dim):
-        for u in rows:
-            if s._ech.residual(_bracket_rows(ad, {i: 1}, u)):
-                return False
-    return True
-
-
-@per_algebra
 def killing_form(g):
     """Gram matrix kappa(e_i, e_j) = str(ad e_i ad e_j), as a list of rows,
     and its rank.
@@ -509,7 +474,7 @@ def killing_form(g):
 
 
 # ---------------------------------------------------------------------------
-# invariant bilinear forms and module commutants
+# invariant bilinear forms
 # ---------------------------------------------------------------------------
 
 class InvariantForm:
@@ -530,67 +495,6 @@ class InvariantForm:
             raise SuperAlgebraError("symmetric rational Gram required")
         self.gram = gram
         self.pos = {i: r for r, i in enumerate(self.indices)}
-
-
-def even_actions(g, part):
-    """ad e_x restricted to the basis index range `part` (the even or the
-    odd indices), for even basis x, in column form: cols[j] lists (i, value)
-    over the nonzero entries of column j, in increasing i."""
-    lo = part.start
-    ad, den = g.adjoint_table()
-    return [[sorted((k - lo, Fraction(a, den)) for k, a in ad[x][j].items())
-             for j in part]
-            for x in g.space.even_indices()]
-
-
-def _int_columns(cols):
-    """An action in column form scaled to integers by the lcm of its
-    denominators."""
-    den = lcm(*[v.denominator for col in cols for _, v in col])
-    return [[(r, v.numerator * (den // v.denominator)) for r, v in col] for col in cols]
-
-
-def module_commutant(actions, dim):
-    """Basis of {T : A T = T A for every action A}, exact; the actions are
-    in column form and each basis element is the list of its dense
-    columns, so T v is _lin_comb(v, T, dim).
-
-    Each action is scaled to integers first, which scales its equations
-    and leaves the solution space.  The identity always commutes, so once
-    the equations reach rank dim^2 - 1 the solution space is the scalars
-    and the remaining equations are skipped.
-    """
-    npos = dim * dim
-
-    def var(r, s):
-        return r * dim + s
-
-    def equations():
-        for cols in map(_int_columns, actions):
-            rows = [[] for _ in range(dim)]
-            for s, col in enumerate(cols):
-                for r, v in col:
-                    rows[r].append((s, v))
-            for r in range(dim):
-                for c in range(dim):
-                    # (A T - T A)[r][c] = sum_s A[r][s] T[s][c] - T[r][s] A[s][c]
-                    row = {}
-                    for s, v in rows[r]:
-                        key = var(s, c)
-                        row[key] = row.get(key, 0) + v
-                    for s, w in cols[c]:
-                        key = var(r, s)
-                        row[key] = row.get(key, 0) - w
-                    yield {k: v for k, v in row.items() if v}
-
-    ech = Echelon(npos)
-    for row in equations():
-        if row:
-            ech.add(row)
-        if ech.rank == npos - 1:
-            break
-    return [[[combo[var(r, s)] for r in range(dim)] for s in range(dim)]
-            for combo in ech.kernel_basis()]
 
 
 # ---------------------------------------------------------------------------

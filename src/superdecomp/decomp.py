@@ -29,10 +29,10 @@ from .exact import (
 )
 from .poly import char_poly_and_rational_split, peval_matrix, pmul
 from .core import (
-    Subspace, SuperAlgebraError, _bracket_rows, _int_columns, _int_row,
-    algebra_in_basis, bracket_span, center, centralizer, derived, is_ideal,
-    module_commutant, tables_equal, verify_superalgebra,
+    Subspace, SuperAlgebraError, _bracket_rows, _int_row, algebra_in_basis, center,
+    centralizer, tables_equal, verify_superalgebra,
 )
+from .calculus import _int_columns, bracket_span, derived, is_ideal, module_commutant
 from . import classify
 
 SPLIT_CAP = 64

@@ -24,10 +24,7 @@ import json
 from fractions import Fraction
 from math import isqrt
 
-from .exact import (
-    I, LinSolver, Scalar, ZERO, ONE, MINUS_ONE, Echelon, _lin_comb,
-    is_positive_definite,
-)
+from .exact import I, LinSolver, Scalar, ZERO, ONE, MINUS_ONE, Echelon, _lin_comb
 from .core import SuperAlgebraError, killing_form
 from .families import FamilySpec, build, build_lie_algebra, simple_dim
 from .realize import SparseOp, _gaussian_ints, supercommutator
@@ -355,6 +352,7 @@ def tilde_tangent_representation(kind, n):
     The homomorphism, adjointness and faithfulness checks run exactly and
     failure aborts.
     """
+    from .positivity import is_positive_definite
     spec = FamilySpec("T_tilde", (kind, n))
     # each of the d positive diagonal entries of beta's LDL^T below needs
     # at least one square, so the Fock space has at least 2^d states

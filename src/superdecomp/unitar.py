@@ -23,15 +23,13 @@ rows of the adjoint table as well.
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .exact import (
-    ZERO, ONE, MINUS_ONE, UnsolvedLP,
-    _lin_comb, feasible_point, is_positive_definite, kernel, quad_form,
-    vec_is_zero, vec_zero,
-)
+from .exact import ZERO, ONE, MINUS_ONE, _lin_comb, kernel, vec_is_zero, vec_zero
+from .positivity import UnsolvedLP, feasible_point, is_positive_definite, quad_form
 from .core import (
-    InvariantForm, SuperAlgebraError, _bracket_rows, _int_columns, even_actions,
-    even_center_dim, module_commutant, per_algebra, verify_superalgebra,
+    InvariantForm, SuperAlgebraError, _bracket_rows, even_center_dim, per_algebra,
+    verify_superalgebra,
 )
+from .calculus import _int_columns, even_actions, module_commutant
 
 # candidates tried, and cutting-plane rounds run, by each positive-form search
 WITNESS_CAP = 200
@@ -205,9 +203,12 @@ def find_witness(g):
     as certificate; "fail" is certified, either the even center is
     trivial (the annihilator is zero) or the exact LP proves no functional
     in the annihilator works, and it carries only its reason as detail.
+    With no odd part (iv) is vacuous, so a zero annihilator passes.
     """
     ann = invariant_functional_basis(g)
     if not ann:
+        if not g.d1:
+            return ConditionReport("pass", detail="no odd part")
         return ConditionReport("fail", detail="center of even part is trivial")
     out = find_posdef_in_span([gram_of_functional(g, w) for w in ann])
     if out.verdict != "pass":
@@ -510,6 +511,7 @@ def necessary_conditions_report(g):
 
     (i) compactness, (ii) nonzero odd squares, (iii) pointed cone,
     (iv) positive invariant functional, (v) nontrivial even center.
+    (iv) and (v) follow from [x, x] != 0 for odd x != 0: vacuous if g1 = 0.
     Raises SuperAlgebraError naming the first violated identity when g is
     not a Lie superalgebra.
     """
@@ -526,8 +528,9 @@ def necessary_conditions_report(g):
     ann_dim = len(invariant_functional_basis(g))
     dim_z0 = even_center_dim(g)
     items["v_even_center"] = ConditionReport(
-        "pass" if dim_z0 > 0 else "fail",
-        detail="dim z(g0) = %d, annihilator dim = %d" % (dim_z0, ann_dim))
+        "pass" if dim_z0 > 0 or not g.d1 else "fail",
+        detail="%sdim z(g0) = %d, annihilator dim = %d"
+        % ("" if g.d1 else "no odd part: ", dim_z0, ann_dim))
 
     verdicts = [it.verdict for it in items.values()]
     if "fail" in verdicts:

@@ -11,13 +11,13 @@ paired quaternionic copies over the rationals).
 import random
 from fractions import Fraction
 
-from superdecomp.exact import (
-    ONE, Scalar, ZERO, is_positive_definite, vec_is_zero, vec_zero,
-)
+from superdecomp.exact import ONE, Scalar, ZERO, vec_is_zero, vec_zero
+from superdecomp.positivity import is_positive_definite
 from superdecomp.core import (
-    InvariantForm, center, centralizer, derived, direct_sum, killing_form,
+    InvariantForm, center, centralizer, direct_sum, killing_form,
     quotient_by_central, verify_superalgebra,
 )
+from superdecomp.calculus import derived
 from superdecomp.families import (
     build_family, central_extension, expected_dims, is_trivial_cocycle,
     prove_square_identity,

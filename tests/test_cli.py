@@ -430,22 +430,29 @@ def _src_env():
 def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
     path = str(tmp_path / "su21.json")
     run(capsys, "construct", "--family", "su", "--params", "2,1", "--out", path)
-    checks = ("families", "realize", "poly", "unitar", "classify", "decomp", "fock")
+    # the Sylvester test and LP live in positivity, bracket spans and
+    # commutants in calculus: neither is compiled by a command that does
+    # not run them
+    checks = ("families", "realize", "poly", "unitar", "classify", "decomp", "fock",
+              "positivity", "calculus")
     for argv, absent in ((["check", "killing", path], checks),
                          (["check", "center", path], checks),
                          (["check", "jacobi", path], checks),
                          (["construct", "--family", "su", "--params", "2,1",
                            "--out", str(tmp_path / "again.json")],
-                          ("poly", "unitar", "classify", "decomp", "fock")),
+                          ("poly", "unitar", "classify", "decomp", "fock", "positivity",
+                           "calculus")),
                          (["unitarity", path],
                           ("families", "realize", "poly", "classify", "decomp", "fock")),
                          (["spinrep", "--dim", "2", "--check"],
-                          ("poly", "decomp", "unitar", "classify")),
+                          ("poly", "decomp", "unitar", "classify", "positivity",
+                           "calculus")),
                          (["tangent-rep", "--k", "su2", "--check"],
-                          ("poly", "decomp", "unitar", "classify")),
+                          ("poly", "decomp", "unitar", "classify", "calculus")),
                          # every ideal of su(2|1) is of kind Js: no family is
                          # built, and the classifier needs no unitarity code
-                         (["decompose", path], ("families", "realize", "fock", "unitar"))):
+                         (["decompose", path],
+                          ("families", "realize", "fock", "unitar", "positivity"))):
         proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, json.dumps(argv)],
                               capture_output=True, text=True, env=_src_env(), timeout=600)
         assert proc.returncode == 0, proc.stderr
@@ -458,7 +465,8 @@ def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
 
 def test_refused_inputs_compile_no_pipeline(tmp_path):
     # the Jacobi check runs before decompose and unitarity import their layers
-    absent = ("decomp", "families", "realize", "poly", "unitar", "classify")
+    absent = ("decomp", "families", "realize", "poly", "unitar", "classify",
+              "positivity", "calculus")
     for path in f1_files(tmp_path):
         for cmd in ("decompose", "unitarity"):
             proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER,
@@ -470,6 +478,50 @@ def test_refused_inputs_compile_no_pipeline(tmp_path):
             assert proc.stderr.startswith("error: input is not a Lie superalgebra: ")
             for name in absent:
                 assert "superdecomp." + name not in modules, (cmd, modules)
+
+
+# run one command and print its exit code and whether tempfile was imported
+_TEMPFILE_AFTER = """
+import contextlib, io, json, sys
+from superdecomp.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, "tempfile" in sys.modules]))
+"""
+
+
+def test_commands_that_write_no_file_never_import_tempfile(tmp_path, capsys):
+    # under -S no site hook preloads tempfile, so a cold start pays for
+    # its import unless only _atomic_write imports it
+    path = str(tmp_path / "su21.json")
+    run(capsys, "construct", "--family", "su", "--params", "2,1", "--out", path)
+    for argv in (["check", "center", path], ["unitarity", path], ["decompose", path]):
+        proc = subprocess.run([sys.executable, "-S", "-c", _TEMPFILE_AFTER, json.dumps(argv)],
+                              capture_output=True, text=True, env=_src_env(), timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, False], argv
+
+
+def test_benchmark_input_generator_finds_its_names():
+    # bench/gen_inputs.py sets up every benchmark run; a name it imports
+    # from the library must stay where it imports it from
+    import ast
+    import importlib
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "gen_inputs.py")) as fh:
+        tree = ast.parse(fh.read())
+    wanted = {n.module: sorted(a.name for a in n.names) for n in ast.walk(tree)
+              if isinstance(n, ast.ImportFrom) and n.module.startswith("superdecomp")}
+    assert wanted == {
+        "superdecomp.core": ["algebra_to_json_dict", "direct_sum", "quotient_by_central"],
+        "superdecomp.exact": ["ONE", "Scalar", "vec_zero"],
+        "superdecomp.families": ["build_family", "family_name"]}
+    for module, names in wanted.items():
+        mod = importlib.import_module(module)
+        for name in names:
+            assert hasattr(mod, name), (module, name)
+    # quotient_by_central writes the quotient through algebra_in_basis
+    assert hasattr(importlib.import_module("superdecomp.core"), "algebra_in_basis")
 
 
 @pytest.mark.parametrize("optimize", [False, True])

@@ -13,10 +13,11 @@ from superdecomp.exact import (
 from superdecomp.core import (
     AlgebraFileError, InvariantForm, SuperAlgebra, SuperAlgebraError,
     SuperSpace, Subspace, Violation, algebra_from_json_dict, algebra_in_basis,
-    algebra_to_json_dict,
-    bracket_span, center, centralizer, derived, direct_sum, is_ideal, is_perfect,
-    even_actions, killing_form, module_commutant, quotient_by_central,
-    tables_equal, verify_superalgebra,
+    algebra_to_json_dict, center, centralizer, direct_sum, killing_form,
+    quotient_by_central, tables_equal, verify_superalgebra,
+)
+from superdecomp.calculus import (
+    bracket_span, derived, even_actions, is_ideal, is_perfect, module_commutant,
 )
 from superdecomp.realize import NotClosedError, SparseOp, from_matrix_span
 from superdecomp.decomp import subalgebra_from_subspace
@@ -967,12 +968,14 @@ def test_core_subspaces_run_on_echelon_rows():
     # intersections, derived algebras and complements are computed on
     # echelon rows, not through dense linear combinations; the kernels of
     # center and centralizer go through exact.kernel, which takes sparse
-    # rows (test_kernels_and_solves_take_sparse_rows)
-    tree = dict(_library_trees())["core.py"]
-    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-                for a in n.names]
-    assert "Echelon" in imported
-    assert "_lin_comb" not in imported, imported
+    # rows (test_kernels_and_solves_take_sparse_rows); bracket spans and
+    # commutants moved to calculus.py keep to the same rule
+    trees = dict(_library_trees())
+    for name in ("core.py", "calculus.py"):
+        imported = [a.name for n in ast.walk(trees[name]) if isinstance(n, ast.ImportFrom)
+                    for a in n.names]
+        assert "Echelon" in imported, name
+        assert "_lin_comb" not in imported, (name, imported)
 
 
 def test_module_commutant_is_the_one_kernel_basis_caller_outside_exact():
@@ -988,7 +991,7 @@ def test_module_commutant_is_the_one_kernel_basis_caller_outside_exact():
                 if isinstance(n, ast.FunctionDef)}
         callers += [(name, next((f for f, lines in defs.items() if line in lines), None))
                     for line in calls]
-    assert callers == [("core.py", "module_commutant")]
+    assert callers == [("calculus.py", "module_commutant")]
 
 
 def _names_matrix(node, bound):
@@ -1052,13 +1055,17 @@ def test_no_module_names_matrix():
     assert named == []
 
 
+RATIONAL_MODULES = ("calculus.py", "classify.py", "core.py", "decomp.py", "poly.py",
+                    "positivity.py", "unitar.py")
+
+
 def test_rational_modules_never_name_scalar():
     # structure constants, subspaces and forms are rational: only the matrix
     # realizations (families, realize) and fock are complex, and they hold
     # their complex matrices as SparseOps
     checked = set()
     for name, tree in _library_trees():
-        if name not in ("classify.py", "core.py", "decomp.py", "poly.py", "unitar.py"):
+        if name not in RATIONAL_MODULES:
             continue
         checked.add(name)
         named = [(n.lineno, word) for n in ast.walk(tree)
@@ -1067,7 +1074,7 @@ def test_rational_modules_never_name_scalar():
                  or (isinstance(n, ast.alias) and n.name == word)
                  or (isinstance(n, ast.Attribute) and n.attr == word)]
         assert named == [], (name, named)
-    assert checked == {"classify.py", "core.py", "decomp.py", "poly.py", "unitar.py"}
+    assert checked == set(RATIONAL_MODULES)
 
 
 @pytest.mark.parametrize("tag, params", [("su", (2, 1)), ("q", (2,)),

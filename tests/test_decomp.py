@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superdecomp.core import (
-    SuperAlgebra, SuperAlgebraError, SuperSpace, Subspace, bracket_span, center,
-    direct_sum, module_commutant, quotient_by_central, verify_superalgebra,
+    SuperAlgebra, SuperAlgebraError, SuperSpace, Subspace, center, direct_sum,
+    quotient_by_central, verify_superalgebra,
 )
+from superdecomp.calculus import bracket_span, module_commutant
 from superdecomp.exact import LinSolver, ONE, ZERO, Scalar, vec_zero
 from superdecomp.families import build_family, expected_dims
 from superdecomp import decomp

@@ -6,10 +6,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.solvers.simplex import InfeasibleLPError, lpmin
 
-from superdecomp import exact
+from superdecomp import positivity
 from superdecomp.exact import (
-    Echelon, LinSolver, Scalar, UnsolvedLP, ZERO, I, feasible_point,
-    is_positive_definite, is_symmetric, kernel, quad_form, solve, vec_is_zero,
+    Echelon, LinSolver, Scalar, ZERO, I, is_symmetric, kernel, solve, vec_is_zero,
+)
+from superdecomp.positivity import (
+    UnsolvedLP, feasible_point, is_positive_definite, quad_form,
 )
 from superdecomp.poly import (
     char_poly, char_poly_and_rational_split, pdivmod, peval_matrix, pmul, rational_roots,
@@ -305,7 +307,7 @@ def test_lp_infeasible_opposed():
 
 def test_lp_cap_is_not_infeasibility(monkeypatch):
     # an LP stopped by the pivot cap proves nothing, so it must not read None
-    monkeypatch.setattr(exact, "LP_PIVOT_CAP", 0)
+    monkeypatch.setattr(positivity, "LP_PIVOT_CAP", 0)
     with pytest.raises(UnsolvedLP):
         feasible_point([[Fraction(1)]], 1)
 
@@ -333,7 +335,7 @@ def test_lp_random_consistency():
 def test_lp_none_needs_a_valid_farkas_vector(monkeypatch):
     rows = [[Fraction(1)], [Fraction(-1)]]
     seen = []
-    check = exact._check_farkas
+    check = positivity._check_farkas
 
     def corrupted(rows, y, nvars):
         seen.append(list(y))
@@ -341,7 +343,7 @@ def test_lp_none_needs_a_valid_farkas_vector(monkeypatch):
         y[0] += 1
         return check(rows, y, nvars)
 
-    monkeypatch.setattr(exact, "_check_farkas", corrupted)
+    monkeypatch.setattr(positivity, "_check_farkas", corrupted)
     with pytest.raises(UnsolvedLP, match="Farkas"):
         feasible_point(rows, 1)
     # the vector read off the cost row proves t >= 1, -t >= 1 infeasible
@@ -375,7 +377,7 @@ def dense_feasible_point(rows, nvars):
             obj[j] += r[j]
     for i in range(m):
         obj[2 * nvars + m + i] = ZERO
-    for _ in range(exact.LP_PIVOT_CAP):
+    for _ in range(positivity.LP_PIVOT_CAP):
         enter = -1
         for j in range(ncols):
             if obj[j] > 0:
@@ -405,7 +407,7 @@ def dense_feasible_point(rows, nvars):
             obj = [a - f * b for a, b in zip(obj, tab[leave])]
         basis[leave] = enter
     else:
-        raise UnsolvedLP("pivot cap of %d reached" % exact.LP_PIVOT_CAP)
+        raise UnsolvedLP("pivot cap of %d reached" % positivity.LP_PIVOT_CAP)
     if obj[ncols] != 0:
         return None
     t = [ZERO] * nvars

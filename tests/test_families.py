@@ -5,11 +5,12 @@ import pytest
 
 from superdecomp.exact import I, ONE, Scalar, vec_is_zero, vec_zero
 from superdecomp.core import (
-    SuperAlgebra, SuperAlgebraError, bracket_span, center, centralizer, derived,
-    is_ideal, killing_form, verify_superalgebra,
+    SuperAlgebra, SuperAlgebraError, center, centralizer, killing_form,
+    verify_superalgebra,
 )
+from superdecomp.calculus import bracket_span, derived, is_ideal
 from superdecomp.decomp import subalgebra_from_subspace
-from superdecomp.exact import is_positive_definite
+from superdecomp.positivity import is_positive_definite
 from superdecomp.families import (
     FamilySpec, build_family, build_lie_algebra, expected_dims,
     family_name, prove_square_identity,

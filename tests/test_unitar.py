@@ -6,14 +6,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superdecomp import classify, exact, unitar
+from superdecomp import classify, positivity, unitar
 from superdecomp.classify import classify_fingerprint, fingerprint
-from superdecomp.core import SuperAlgebra, SuperSpace, direct_sum, even_actions
+from superdecomp.core import SuperAlgebra, SuperSpace, direct_sum
+from superdecomp.calculus import even_actions
 from superdecomp.realize import SparseOp, from_matrix_span
-from superdecomp.exact import (
-    I, ONE, Scalar, ZERO, is_positive_definite, vec_is_zero, vec_zero,
-)
-from superdecomp.families import build_family
+from superdecomp.exact import I, ONE, Scalar, ZERO, vec_is_zero, vec_zero
+from superdecomp.positivity import is_positive_definite
+from superdecomp.families import build_family, build_lie_algebra
 from superdecomp.unitar import (
     compactness_check, cone_pointedness, find_posdef_in_span, find_witness,
     gram_of_functional, invariant_functional_basis, necessary_conditions_report,
@@ -107,7 +107,7 @@ def test_unsolved_lp_makes_the_search_inconclusive(monkeypatch):
     grams = [[[Fraction(1), ZERO], [ZERO, Fraction(-1)]],
              [[Fraction(-1), ZERO], [ZERO, Fraction(1)]]]
     assert find_posdef_in_span(grams).verdict == "fail"
-    monkeypatch.setattr(exact, "LP_PIVOT_CAP", 0)
+    monkeypatch.setattr(positivity, "LP_PIVOT_CAP", 0)
     out = find_posdef_in_span(grams)
     assert out.verdict == "inconclusive" and "pivot cap" in out.detail
 
@@ -137,7 +137,7 @@ def test_compactness_certificate_is_the_sign_conflict_pair(monkeypatch):
     assert not vec_is_zero(v) and not vec_is_zero(w)
     odd = even_actions(g, g.space.odd_indices())
     grams = unitar.invariant_symmetric_forms(odd, g.d1)
-    assert grams and all(exact.quad_form(s, v) + exact.quad_form(s, w) == 0
+    assert grams and all(positivity.quad_form(s, v) + positivity.quad_form(s, w) == 0
                          for s in grams)
     item = necessary_conditions_report(g).to_json_dict()["conditions"][0]
     assert item == {"condition": "i_compact", "verdict": "fail",
@@ -319,6 +319,25 @@ def test_lemma24_all_pass():
         assert rep.overall == "all necessary conditions pass", (tag, params)
 
 
+def test_no_odd_part_makes_iv_and_v_vacuous():
+    # (iv) and (v) follow from [x, x] != 0 for nonzero odd x, so with g1 = 0
+    # they pass; so(3) is compact with the faithful unitary C^3
+    sl2 = SuperAlgebra(SuperSpace.make(3, 0), {(0, 1): {1: Fraction(2)},
+                                               (0, 2): {2: Fraction(-2)},
+                                               (1, 2): {0: ONE}})
+    for g, overall in ((build_lie_algebra("so", 3), "all necessary conditions pass"),
+                       (SuperAlgebra(SuperSpace.make(0, 0), {}),
+                        "all necessary conditions pass"),
+                       (sl2, "obstruction found")):
+        rep = necessary_conditions_report(g)
+        assert rep.overall == overall
+        iv, v = rep.item("iv_positive_functional"), rep.item("v_even_center")
+        assert (iv.verdict, iv.detail) == ("pass", "no odd part")
+        assert v.verdict == "pass" and v.detail.startswith("no odd part: dim z(g0) = 0")
+    # sl(2, R) is obstructed by (i) alone: its only invariant form is indefinite
+    assert [it.verdict for it in rep.items.values()] == ["fail"] + ["pass"] * 4
+
+
 def test_lemma24_json_shape():
     rep = necessary_conditions_report(build_family("su", 2, 1))
     d = rep.to_json_dict()
@@ -431,10 +450,10 @@ def oracle_find_posdef_in_span(grams):
         res = is_positive_definite(gram_at(t))
         if res.ok:
             return unitar.ConditionReport("pass", certificate=(t, res.minors, tested + it))
-        cuts.append([exact.quad_form(gi, res.witness) for gi in grams])
+        cuts.append([positivity.quad_form(gi, res.witness) for gi in grams])
         try:
             t = unitar.feasible_point(cuts, n)
-        except exact.UnsolvedLP as exc:
+        except positivity.UnsolvedLP as exc:
             return unitar.ConditionReport("inconclusive", detail="exact LP unsolved: %s" % exc)
         if t is None:
             return unitar.ConditionReport(
@@ -472,8 +491,8 @@ def with_lp_budget(search, grams, calls=6):
     def budgeted(rows, nvars):
         left[0] -= 1
         if left[0] < 0:
-            raise exact.UnsolvedLP("LP budget spent")
-        return exact.feasible_point(rows, nvars)
+            raise positivity.UnsolvedLP("LP budget spent")
+        return positivity.feasible_point(rows, nvars)
 
     with mock.patch.object(unitar, "feasible_point", budgeted):
         return search_summary(search(grams))
