@@ -5,7 +5,9 @@ are pinned by the SHA-256 of their algebra files, kept in
 ``family_digests.json``; ``check eq-square``'s exit code, stdout and
 stderr are pinned per invocation in ``eq_square.json``; and the
 classifier's table ``src/superdecomp/family_fingerprints.json`` must
-equal the fingerprints of the constructors' output.
+equal the fingerprints of the constructors' output.  The decomposition
+and unitarity reports of the probe families are pinned by SHA-256 in
+``probe_reports.json``.
 
 The input files are rebuilt from the constructors on every run, so the
 comparison also covers the constructors' basis order.  To record the
@@ -27,7 +29,11 @@ from unittest import mock
 import pytest
 
 from superdecomp.cli import main
-from superdecomp.core import algebra_to_json_dict, direct_sum, quotient_by_central
+from superdecomp.core import (
+    SuperAlgebraError, algebra_to_json_dict, direct_sum, quotient_by_central,
+)
+from superdecomp.decomp import structure_report
+from superdecomp.unitar import necessary_conditions_report
 from superdecomp.exact import ONE, Scalar, vec_zero
 from superdecomp.families import build_family, expected_dims, family_name
 from superdecomp.classify import _TABLE, fingerprint
@@ -35,6 +41,7 @@ from superdecomp.classify import _TABLE, fingerprint
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 DIGESTS = os.path.join(GOLDEN, "family_digests.json")
 EQ_SQUARE = os.path.join(GOLDEN, "eq_square.json")
+PROBES = os.path.join(GOLDEN, "probe_reports.json")
 
 # the classifier's families, in matching order
 _TABLE_SPECS = tuple(
@@ -52,6 +59,15 @@ _TABLE_SPECS = tuple(
     + [("spin_h", (v,)) for v in range(1, 13)])
 # the classifier's table holds no family of a larger dimension
 CLASSIFIER_MAX_DIM = 64
+
+# the probe set: the classifier's families up to dimension 30 and ten
+# listed ones; spin_h(2), T_hat(su2) and T_tilde(su2) are in both parts,
+# so the 49 specs name 46 families
+PROBE_SPECS = [(tag, params) for tag, params in _TABLE_SPECS
+               if sum(expected_dims(tag, params)) <= 30] + [
+    ("ch_indefinite", (1, 2)), ("ch_indefinite", (2, 1)), ("gl", (2, 1)), ("u", (2, 1)),
+    ("u", (1, 1)), ("spin_h", (2,)), ("T_hat", ("su", 2)), ("T_tilde", ("su", 2)),
+    ("q_hat", (2,)), ("ch", (2,))]
 
 # the classifier's table up to dimension 40, and the matrix and
 # Clifford-Heisenberg families it does not list
@@ -80,6 +96,25 @@ def family_fingerprints():
     return [[tag, list(params), list(fingerprint(build_family(tag, *params)))]
             for tag, params in _TABLE_SPECS
             if sum(expected_dims(tag, params)) <= CLASSIFIER_MAX_DIM]
+
+
+def report_digest(report, g):
+    """SHA-256 of report(g)'s JSON (sorted keys), or [class, message] of
+    its refusal."""
+    try:
+        obj = report(g).to_json_dict()
+    except SuperAlgebraError as err:
+        return [type(err).__name__, str(err)]
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def probe_reports():
+    """family name -> [structure_report digest, necessary_conditions_report
+    digest], each report run on a freshly built family."""
+    return {family_name(tag, params): [report_digest(report, build_family(tag, *params))
+                                       for report in (structure_report,
+                                                      necessary_conditions_report)]
+            for tag, params in PROBE_SPECS}
 
 
 def table_text(rows):
@@ -247,6 +282,11 @@ def test_family_digests():
         assert family_digests() == json.load(fh)
 
 
+def test_probe_reports():
+    with open(PROBES) as fh:
+        assert probe_reports() == json.load(fh)
+
+
 def test_family_fingerprints():
     with open(_TABLE) as fh:
         assert fh.read() == table_text(family_fingerprints())
@@ -286,6 +326,10 @@ if __name__ == "__main__":
         json.dump(family_digests(), fh, indent=1, sort_keys=True)
         fh.write("\n")
     print("recorded", DIGESTS)
+    with open(PROBES, "w") as fh:
+        json.dump(probe_reports(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print("recorded", PROBES)
     with open(_TABLE, "w") as fh:
         fh.write(table_text(family_fingerprints()))
     print("recorded", _TABLE)
