@@ -1,11 +1,8 @@
 """The subspace calculus on core's integer adjoint table and echelon
 rows: derived algebra, bracket spans of subspaces, ideals, even actions
-in column form and module commutants.  decomp, classify and unitar use
+as integer columns and module commutants.  decomp, classify and unitar use
 it; check, construct and the spin representations load none of it.
 """
-
-from fractions import Fraction
-from math import lcm
 
 from .exact import Echelon
 from .core import Subspace, _bracket_rows, per_algebra
@@ -58,19 +55,17 @@ def is_ideal(g, s):
 def even_actions(g, part):
     """ad e_x restricted to the basis index range `part` (the even or the
     odd indices), for even basis x, in column form: cols[j] lists (i, value)
-    over the nonzero entries of column j, in increasing i."""
+    over the nonzero entries of column j, in increasing i.
+
+    Every action in column form, here and in decomp, has int entries and
+    is known only up to a positive factor: these are the adjoint table's
+    entries, den times ad e_x.  The factor changes neither the commutant,
+    nor the invariant forms, nor the invariant subspaces, so readers take
+    the columns as they are."""
     lo = part.start
-    ad, den = g.adjoint_table()
-    return [[sorted((k - lo, Fraction(a, den)) for k, a in ad[x][j].items())
-             for j in part]
+    ad, _ = g.adjoint_table()
+    return [[sorted((k - lo, a) for k, a in ad[x][j].items()) for j in part]
             for x in g.space.even_indices()]
-
-
-def _int_columns(cols):
-    """An action in column form scaled to integers by the lcm of its
-    denominators."""
-    den = lcm(*[v.denominator for col in cols for _, v in col])
-    return [[(r, v.numerator * (den // v.denominator)) for r, v in col] for col in cols]
 
 
 def module_commutant(actions, dim):
@@ -78,10 +73,9 @@ def module_commutant(actions, dim):
     in column form and each basis element is the list of its dense
     columns, so T v is _lin_comb(v, T, dim).
 
-    Each action is scaled to integers first, which scales its equations
-    and leaves the solution space.  The identity always commutes, so once
-    the equations reach rank dim^2 - 1 the solution space is the scalars
-    and the remaining equations are skipped.
+    The identity always commutes, so once the equations reach rank
+    dim^2 - 1 the solution space is the scalars and the remaining
+    equations are skipped.
     """
     npos = dim * dim
 
@@ -89,7 +83,7 @@ def module_commutant(actions, dim):
         return r * dim + s
 
     def equations():
-        for cols in map(_int_columns, actions):
+        for cols in actions:
             rows = [[] for _ in range(dim)]
             for s, col in enumerate(cols):
                 for r, v in col:

@@ -378,6 +378,13 @@ def verify_superalgebra(g):
     return None
 
 
+def require_superalgebra(g):
+    """Refuse g, naming its first Violation, unless it is a Lie superalgebra."""
+    viol = verify_superalgebra(g)
+    if viol is not None:
+        raise SuperAlgebraError("input is not a Lie superalgebra: %r" % (viol,))
+
+
 def _jacobi_sides(g, i, j, k):
     """[e_i,[e_j,e_k]] and [[e_i,e_j],e_k] + (-1)^{|i||j|}[e_j,[e_i,e_k]]."""
     e = g.basis_vector

@@ -13,15 +13,17 @@ Brackets are taken in the coordinates of the input algebra: the
 odd-generated core is an ideal, so all of them can be taken upstairs.
 Each ideal, its central quotient and the tangent algebra it is compared
 with are written in their own basis by core.algebra_in_basis.
-The module splitter works in each piece's own coordinates, with module
-maps held as lists of dense columns; every kernel and solve, there and in
-the other subspaces (complements, intersections, the summation kernel),
-is read off integer echelon rows.
+The module splitter works in each piece's own coordinates, on actions
+held as integer columns (calculus.even_actions states the contract) and
+commutant elements held as lists of dense columns; every kernel and
+solve, there and in the other subspaces (complements, intersections, the
+summation kernel), is read off integer echelon rows.
 All verdicts are exact; a splitting search that hits its iteration cap
-returns "inconclusive" rather than guessing.
+raises InconclusiveSplit rather than guessing.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .exact import (
     Echelon, LinSolver, ZERO, ONE,
@@ -30,9 +32,9 @@ from .exact import (
 from .poly import char_poly_and_rational_split, peval_matrix, pmul
 from .core import (
     Subspace, SuperAlgebraError, _bracket_rows, _int_row, algebra_in_basis, center,
-    centralizer, tables_equal, verify_superalgebra,
+    centralizer, quotient_by_central, require_superalgebra, tables_equal,
 )
-from .calculus import _int_columns, bracket_span, derived, is_ideal, module_commutant
+from .calculus import bracket_span, is_ideal, is_perfect, module_commutant
 from . import classify
 
 SPLIT_CAP = 64
@@ -93,22 +95,17 @@ def reduce_to_odd_generated(g):
 # ---------------------------------------------------------------------------
 
 def _columns(images, solver):
-    """Column form, in the coordinates of solver's basis, of the map that
-    sends basis vector j to images[j]; raises when an image leaves the
-    span."""
+    """Integer columns, in the coordinates of solver's basis, of the map
+    that sends basis vector j to images[j], scaled by the lcm of their
+    denominators; raises when an image leaves the span."""
     cols = []
     for w in images:
         coords = solver.coords(w)
         if coords is None:
             raise DecompositionError("subspace is not invariant")
         cols.append([(i, c) for i, c in enumerate(coords) if c])
-    return cols
-
-
-def _require_superalgebra(g):
-    viol = verify_superalgebra(g)
-    if viol is not None:
-        raise SuperAlgebraError("input is not a Lie superalgebra: %r" % (viol,))
+    den = lcm(*[c.denominator for col in cols for _, c in col])
+    return [[(i, c.numerator * (den // c.denominator)) for i, c in col] for col in cols]
 
 
 def lie_generators(g, vecs):
@@ -116,7 +113,7 @@ def lie_generators(g, vecs):
     generated by the earlier ones: by graded Jacobi, a subspace they leave
     invariant, or a map commuting with them, is so for that whole algebra.
     The closure is expanded on int rows only until the next vec lies in it."""
-    _require_superalgebra(g)
+    require_superalgebra(g)
     ad, _ = g.adjoint_table()
     ech = Echelon(g.dim)
     rows, gens = [], []                 # rows span the closure found so far
@@ -136,7 +133,7 @@ def lie_generators(g, vecs):
 
 
 def module_actions(g, elements, basis_vecs):
-    """Actions on span(basis_vecs), in column form, of the Lie generators
+    """Actions on span(basis_vecs), as integer columns, of the Lie generators
     among elements: they have the invariant subspaces and commutant of all."""
     solver = LinSolver(basis_vecs, g.dim)
     return [_columns([g.bracket(x, v) for v in basis_vecs], solver)
@@ -154,10 +151,8 @@ def _apply(cols, v):
 
 
 def spin_up(actions, v, dim):
-    """Smallest invariant subspace containing v, for actions in column
-    form.  Runs on int rows, each action scaled to integers, which leaves
-    every span the same."""
-    actions = [_int_columns(cols) for cols in actions]
+    """Smallest invariant subspace containing v, for actions as integer
+    columns; runs on int rows."""
     ech = Echelon(dim)
     rows = [_int_row(v)[0]]
     idx = 0
@@ -226,7 +221,7 @@ class SplitBudget:
 def split_module(actions, dim):
     """Decompose a semisimple module into pieces, exactly.
 
-    The actions are in column form.  Returns a list of (basis,
+    The actions are integer columns.  Returns a list of (basis,
     certificate) pairs; the bases are lists of coordinate vectors.  A piece
     is split by an element of its commutant basis (a coprime factorisation
     of the characteristic polynomial, or the kernel of a zero divisor) or
@@ -416,20 +411,23 @@ def classify_indices(g, dec):
 
 
 class IdealInfo:
-    def __init__(self, kind, indices, span, fingerprint, classification, checks,
-                 kk_dim=None):
+    """One ideal: its span, the fingerprint and classification of its
+    algebra alg (written in its own basis) and the Theorem 4.2 flags that
+    the report records for it."""
+
+    def __init__(self, kind, indices, span, alg, kk_dim=None):
         self.kind = kind                  # "Js" | "Ja"
         self.indices = indices            # (j, j') or (k,)
         self.span = span
-        self.fingerprint = fingerprint
-        self.classification = classification
-        self.checks = checks
+        self.fingerprint = classify.fingerprint(alg)
+        self.classification = classify.classify_fingerprint(alg)
+        self.flags = {}
         self.kk_dim = kk_dim
 
 
 def build_g_ideal(g, dec, j, jp):
     """a_j + a_j' + all mutual brackets; verified ideal with the simple
-    adjoint quotient checks."""
+    adjoint quotient checks, made in the ideal's own basis."""
     aj, ajp = dec.summands[j], dec.summands[jp]
     span = aj.sum(ajp)
     for u, w in ((aj, aj), (aj, ajp), (ajp, ajp)):
@@ -438,33 +436,21 @@ def build_g_ideal(g, dec, j, jp):
         raise DecompositionError("constructed subspace is not an ideal",
                                  evidence={"j": j})
     alg, vecs = subalgebra_from_subspace(g, span)
-    checks = {}
-    zg = center(g)
-    zi = centralizer(g, span, span)
-    checks["center_inside_ambient_center"] = zg.contains_subspace(zi)
-    if not checks["center_inside_ambient_center"]:
+    zi = center(alg)
+    if not center(g).contains_subspace(Subspace(g.dim, _lift(vecs, zi.basis))):
         raise DecompositionError("z(g(j)) is not contained in z(g)",
                                  evidence={"j": j})
     # a_j stays simple over the ideal's own even part
     ideal_even, _ = span.parity_components(g.space.parities)
-    acts = module_actions(g, ideal_even.basis, aj.basis)
-    parts = split_module(acts, aj.dim)
-    checks["a_j_simple_over_ideal"] = len(parts) == 1
-    if not checks["a_j_simple_over_ideal"]:
+    if len(split_module(module_actions(g, ideal_even.basis, aj.basis), aj.dim)) != 1:
         raise DecompositionError("a_j fails to stay simple over g(j)",
                                  evidence={"j": j})
-    # simple adjoint quotient g(j)/zi, zi graded as the bracket is even
-    quo = alg
-    if zi.dim:
-        ech = Echelon(g.dim)
-        ech.extend(zi.basis)
-        quo = algebra_in_basis(g, [vecs[i] for i in ech.extend(vecs)], zi.basis)
-    checks["quotient_center_trivial"] = center(quo).dim == 0
-    checks["quotient_perfect"] = derived(quo).dim == quo.dim
-    if not (checks["quotient_center_trivial"] and checks["quotient_perfect"]):
+    # simple adjoint quotient g(j)/z(g(j)), the centre graded as the bracket is even
+    quo = quotient_by_central(alg, zi)[0] if zi.dim else alg
+    if center(quo).dim or not is_perfect(quo):
         raise DecompositionError("adjoint quotient of g(j) is not simple-like",
                                  evidence={"j": j})
-    return span, alg, checks
+    return span, alg
 
 
 def build_c_ideal(g, dec, k, b0):
@@ -477,26 +463,19 @@ def build_c_ideal(g, dec, k, b0):
         raise DecompositionError("residue subspace is not an ideal",
                                  evidence={"k": k})
     alg, _ = subalgebra_from_subspace(g, span)
-    checks = {}
     if kk.dim == 0:
         raise DecompositionError("[b, a_k] vanishes for a residue index",
                                  evidence={"k": k})
     kk_alg, kk_vecs = subalgebra_from_subspace(g, kk)
-    checks["kk_center_trivial"] = centralizer(g, kk, kk).dim == 0
-    acts = module_actions(g, kk.basis, kk.basis)
-    parts = split_module(acts, kk.dim)
-    checks["kk_adjoint_simple"] = len(parts) == 1
-    checks["kk_adjoint_commutant_dim"] = parts[0][1]["commutant_dim"] if parts else None
-    if not (checks["kk_center_trivial"] and checks["kk_adjoint_simple"]):
+    simple = len(split_module(module_actions(g, kk.basis, kk.basis), kk.dim)) == 1
+    if center(kk_alg).dim or not simple:
         raise DecompositionError("[b, a_k] is not a simple Lie algebra",
                                  evidence={"k": k})
     # quotient by the center is the tangent algebra over kk
-    checks["tangent_quotient"] = _verify_tangent_quotient(g, kk_alg, kk_vecs,
-                                                          ak, b0)
-    if not checks["tangent_quotient"]:
+    if not _verify_tangent_quotient(g, kk_alg, kk_vecs, ak, b0):
         raise DecompositionError("c(k)/z(c(k)) is not the expected tangent algebra",
                                  evidence={"k": k})
-    return span, alg, checks, kk, kk_alg, kk_vecs
+    return span, alg, kk, kk_alg, kk_vecs
 
 
 def _pick_b0(g, b, ak):
@@ -633,7 +612,7 @@ class DecompositionReport:
             info = by_index[idx]
             flags = {key: {k: v if isinstance(v, bool) else str(v) for k, v in val.items()}
                      if isinstance(val, dict) else val
-                     for key, val in info.checks.get("theorem42", {}).items()}
+                     for key, val in info.flags.items()}
             entries.append({
                 "dim": str(summand.dim),
                 "kind": info.kind,
@@ -667,7 +646,7 @@ def structure_report(g):
     quotient is a central ideal) and that g_r and z_b(a) split the core up
     to that center.
     """
-    _require_superalgebra(g)
+    require_superalgebra(g)
     report = DecompositionReport(g)
     if g.d1 == 0:
         raise DecompositionError("odd-generation precondition: the odd part is zero")
@@ -702,11 +681,10 @@ def structure_report(g):
         jp = cls.pairing[j]
         seen.add(j)
         seen.add(jp)
-        span, alg, checks = build_g_ideal(g, dec, j, jp)
-        fp = classify.fingerprint(alg)
-        classification = classify.classify_fingerprint(alg)
-        flags = {}
-        tag = classification[0]
+        span, alg = build_g_ideal(g, dec, j, jp)
+        info = IdealInfo("Js", (j, jp), span, alg)
+        flags = info.flags
+        tag = info.classification[0]
         if tag in ("su(n|m)", "c"):
             flags["direct_summand"] = _direct_summand_flag(g, span)
             report.record("theorem42a_direct_summand_%d" % j, flags["direct_summand"])
@@ -714,21 +692,15 @@ def structure_report(g):
             flags["b_annihilates_ideal"] = bracket_span(g, dec.b, span).dim == 0
             report.record("theorem42b_b_annihilates_%d" % j,
                           flags["b_annihilates_ideal"])
-        info = IdealInfo("Js", (j, jp), span, fp, classification, checks)
         if tag == "q" and bracket_span(g, dec.b, dec.summands[j]).dim != 0:
             cert = qhat_embedding_certificate(g, dec, j, info)
             flags["qhat_embedding"] = cert
             report.record("theorem42c_qhat_embedding_%d" % j, cert["verified"])
-        info.checks["theorem42"] = flags
         report.ideals.append(info)
     for k in cls.ja:
         b0 = _pick_b0(g, dec.b, dec.summands[k])
-        span, alg, checks, kk, kk_alg, kk_vecs = build_c_ideal(g, dec, k, b0)
-        fp = classify.fingerprint(alg)
-        classification = classify.classify_fingerprint(alg)
-        info = IdealInfo("Ja", (k,), span, fp, classification, checks, kk_dim=kk.dim)
-        info.checks["theorem42"] = {}
-        report.ideals.append(info)
+        span, alg, kk, kk_alg, kk_vecs = build_c_ideal(g, dec, k, b0)
+        report.ideals.append(IdealInfo("Ja", (k,), span, alg, kk_dim=kk.dim))
         report.record("hat_c_quotient_is_extended_tangent_%d" % k,
                       build_hat_c(g, dec, k, b0, span, kk_alg, kk_vecs))
     # theorem: [core, core] = z(core) + sum of ideals, as subspaces

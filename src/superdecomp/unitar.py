@@ -27,9 +27,9 @@ from .exact import ZERO, ONE, MINUS_ONE, _lin_comb, kernel, vec_is_zero, vec_zer
 from .positivity import UnsolvedLP, feasible_point, is_positive_definite, quad_form
 from .core import (
     InvariantForm, SuperAlgebraError, _bracket_rows, even_center_dim, per_algebra,
-    verify_superalgebra,
+    require_superalgebra,
 )
-from .calculus import _int_columns, even_actions, module_commutant
+from .calculus import even_actions, module_commutant
 
 # candidates tried, and cutting-plane rounds run, by each positive-form search
 WITNESS_CAP = 200
@@ -328,14 +328,12 @@ def _rational_sqrt(q):
 def invariant_symmetric_forms(actions, dim):
     """Basis of symmetric B with M^T B + B M = 0 for every action M.
 
-    Each action is given in column form: cols[j] lists (i, M[i][j]) over
-    the nonzero entries of column j, as even_actions returns it.
+    Each action is given as integer columns: cols[j] lists (i, M[i][j])
+    over the nonzero entries of column j, as even_actions returns it, so
+    the equation rows are int dicts.
 
     Unknowns are the upper-triangle entries; returns a list of Gram
-    matrices, each a list of rows, spanning the solution space.  Each
-    action is scaled to integers first and its equation rows are int
-    dicts: the equations are homogeneous in each action, so the solution
-    space is the same.
+    matrices, each a list of rows, spanning the solution space.
     """
     pos = {}
     for r in range(dim):
@@ -347,7 +345,7 @@ def invariant_symmetric_forms(actions, dim):
         return pos[(r, s)] if r <= s else pos[(s, r)]
 
     def equations():
-        for cols in map(_int_columns, actions):
+        for cols in actions:
             for j in range(dim):
                 for k in range(j, dim):
                     # (M^T B + B M)[j][k] = sum_r M[r][j] B[r][k] + M[r][k] B[j][r]
@@ -515,9 +513,7 @@ def necessary_conditions_report(g):
     Raises SuperAlgebraError naming the first violated identity when g is
     not a Lie superalgebra.
     """
-    viol = verify_superalgebra(g)
-    if viol is not None:
-        raise SuperAlgebraError("input is not a Lie superalgebra: %r" % (viol,))
+    require_superalgebra(g)
     comp = compactness_check(g)
     wit = find_witness(g)
     cone = cone_pointedness(g)

@@ -20,7 +20,7 @@ from superdecomp.calculus import (
     bracket_span, derived, even_actions, is_ideal, is_perfect, module_commutant,
 )
 from superdecomp.realize import NotClosedError, SparseOp, from_matrix_span
-from superdecomp.decomp import subalgebra_from_subspace
+from superdecomp.decomp import _unit, spin_up, subalgebra_from_subspace
 from superdecomp.unitar import (
     find_witness, invariant_odd_forms, invariant_symmetric_forms,
 )
@@ -1271,9 +1271,13 @@ def scaled_actions(draw):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(scaled_actions())
 def test_invariant_forms_ignore_the_scale_of_each_action(case):
+    # and so do the commutant and the invariant subspaces
     actions, factors, dim = case
     scaled = [[[(i, f * a) for i, a in col] for col in cols]
               for f, cols in zip(factors, actions)]
     forms = invariant_symmetric_forms(actions, dim)
     assert invariant_symmetric_forms(scaled, dim) == forms
     assert dense_invariant_symmetric_forms(scaled, dim) == forms
+    assert module_commutant(scaled, dim) == module_commutant(actions, dim)
+    for i in range(dim):
+        assert spin_up(scaled, _unit(dim, i), dim) == spin_up(actions, _unit(dim, i), dim)
