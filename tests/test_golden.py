@@ -3,7 +3,9 @@ byte for byte, and so must the file a case writes through ``--out``
 (recorded as ``<name>.out.json``).  The constructors' structure constants
 are pinned by the SHA-256 of their algebra files, kept in
 ``family_digests.json``; ``check eq-square``'s exit code, stdout and
-stderr are pinned per invocation in ``eq_square.json``; and the
+stderr are pinned per invocation in ``eq_square.json``, and so are those
+of the argument parser's help, version and usage errors in
+``cli_surface.json``; and the
 classifier's table ``src/superdecomp/family_fingerprints.json`` must
 equal the fingerprints of the constructors' output.  The decomposition
 and unitarity reports of the probe families are pinned by SHA-256 in
@@ -42,6 +44,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 DIGESTS = os.path.join(GOLDEN, "family_digests.json")
 EQ_SQUARE = os.path.join(GOLDEN, "eq_square.json")
 PROBES = os.path.join(GOLDEN, "probe_reports.json")
+CLI_SURFACE = os.path.join(GOLDEN, "cli_surface.json")
 
 # the classifier's families, in matching order
 _TABLE_SPECS = tuple(
@@ -260,6 +263,40 @@ def run_eq_square(key, workdir):
     return [code, out.getvalue(), err.getvalue()]
 
 
+# the argument parser's surface: the help of the tool and of each command,
+# the version, a missing and an unknown command, and per command a missing
+# required argument and an unrecognized one; the files named are never read,
+# because parsing fails (or exits) first
+_REQUIRED = {"construct": ["--family", "su", "--params", "2,1", "--out", "x.json"],
+             "check": ["jacobi", "x.json"], "decompose": ["x.json"],
+             "unitarity": ["x.json"], "spinrep": ["--dim", "2"],
+             "tangent-rep": ["--k", "su2"]}
+CLI_SURFACE_CASES = ([[], ["-h"], ["--version"], ["bogus"]]
+                     + [[cmd, "-h"] for cmd in _REQUIRED]
+                     + [[cmd] for cmd in _REQUIRED]
+                     + [[cmd] + args + ["--bogus"] for cmd, args in _REQUIRED.items()])
+
+
+def run_cli_surface(argv):
+    """[exit code, stdout, stderr] of one invocation, formatted for an
+    80-column terminal."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+
+
+@pytest.mark.parametrize("argv", CLI_SURFACE_CASES,
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_cli_surface(argv):
+    with open(CLI_SURFACE) as fh:
+        assert run_cli_surface(argv) == json.load(fh)[" ".join(argv)]
+
+
 @pytest.mark.parametrize("key", sorted(EQ_SQUARE_CASES))
 def test_eq_square_output(key, tmp_path):
     with open(EQ_SQUARE) as fh:
@@ -322,6 +359,11 @@ if __name__ == "__main__":
         json.dump(eq_square, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print("recorded", EQ_SQUARE)
+    with open(CLI_SURFACE, "w") as fh:
+        json.dump({" ".join(argv): run_cli_surface(argv) for argv in CLI_SURFACE_CASES},
+                  fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print("recorded", CLI_SURFACE)
     with open(DIGESTS, "w") as fh:
         json.dump(family_digests(), fh, indent=1, sort_keys=True)
         fh.write("\n")
