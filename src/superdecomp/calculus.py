@@ -4,6 +4,8 @@ as integer columns and module commutants.  decomp, classify and unitar use
 it; check, construct and the spin representations load none of it.
 """
 
+from math import gcd
+
 from .exact import Echelon
 from .core import Subspace, _bracket_rows, per_algebra
 
@@ -59,13 +61,18 @@ def even_actions(g, part):
 
     Every action in column form, here and in decomp, has int entries and
     is known only up to a positive factor: these are the adjoint table's
-    entries, den times ad e_x.  The factor changes neither the commutant,
-    nor the invariant forms, nor the invariant subspaces, so readers take
-    the columns as they are."""
+    entries, den times ad e_x, divided by the gcd of the action's entries,
+    so that the equation rows built from them carry no common factor.  The
+    factor changes neither the commutant, nor the invariant forms, nor the
+    invariant subspaces, so readers take the columns as they are."""
     lo = part.start
     ad, _ = g.adjoint_table()
-    return [[sorted((k - lo, a) for k, a in ad[x][j].items()) for j in part]
-            for x in g.space.even_indices()]
+    out = []
+    for x in g.space.even_indices():
+        cols = [sorted((k - lo, a) for k, a in ad[x][j].items()) for j in part]
+        c = gcd(*(a for col in cols for _, a in col))
+        out.append([[(i, a // c) for i, a in col] for col in cols] if c > 1 else cols)
+    return out
 
 
 def module_commutant(actions, dim):

@@ -258,62 +258,70 @@ def cmd_tangent_rep(args):
     return OK
 
 
-def make_parser():
+# each command's function, help and arguments, as (name or flag, keyword
+# arguments of add_argument), in the order the help lists them
+_COMMANDS = {
+    "construct": (cmd_construct, "build a family member and write it", [
+        ("--family", {"required": True, "help": "family tag, e.g. u, su, psu or T_hat"}),
+        ("--params", {"required": True, "help": "comma separated, e.g. 2,1 or su,2"}),
+        ("--out", {"required": True}),
+        ("--name", {})]),
+    "check": (cmd_check, "run a verification on an algebra file", [
+        ("what", {"choices": ["jacobi", "killing", "center", "eq-square"]}),
+        ("file", {}),
+        ("--out", {}),
+        ("--seed", {"type": int, "help": "only echoed in the eq-square report"}),
+        ("--samples", {"type": int, "default": 200})]),
+    "decompose": (cmd_decompose, "run the structure pipeline", [
+        ("file", {}),
+        ("--report", {}),
+        ("--seed", {"type": int, "help": "only echoed in the report"})]),
+    "unitarity": (cmd_unitarity, "necessary-condition report", [
+        ("file", {}),
+        ("--out", {}),
+        ("--seed", {"type": int, "help": "only echoed in the report"})]),
+    "spinrep": (cmd_spinrep, "spin representation on the Fock space", [
+        ("--dim", {"type": int, "required": True}),
+        ("--variant", {"choices": ["spin_h", "spin_h_hat"], "default": "spin_h_hat"}),
+        ("--check", {"action": "store_true"}),
+        ("--out", {}),
+        ("--seed", {"type": int, "help": "accepted but not used"})]),
+    "tangent-rep": (cmd_tangent_rep, "spin representation of the extended tangent algebra", [
+        ("--k", {"required": True, "help": "compact simple tag, e.g. su2"}),
+        ("--check", {"action": "store_true"}),
+        ("--out", {})]),
+}
+
+
+def make_parser(command=None):
+    """The argument parser; given a command's name, with only that command's
+    subparser, since building all of them costs a one-command run several
+    milliseconds."""
     p = argparse.ArgumentParser(
         prog="superdecomp",
         description="Exact constructors, decomposition and unitarity "
                     "certificates for compact Lie superalgebras.")
     p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="build a family member and write it")
-    c.add_argument("--family", required=True, help="family tag, e.g. u, su, psu or T_hat")
-    c.add_argument("--params", required=True,
-                   help="comma separated, e.g. 2,1 or su,2")
-    c.add_argument("--out", required=True)
-    c.add_argument("--name")
-    c.set_defaults(func=cmd_construct)
-
-    c = sub.add_parser("check", help="run a verification on an algebra file")
-    c.add_argument("what", choices=["jacobi", "killing", "center", "eq-square"])
-    c.add_argument("file")
-    c.add_argument("--out")
-    c.add_argument("--seed", type=int, help="only echoed in the eq-square report")
-    c.add_argument("--samples", type=int, default=200)
-    c.set_defaults(func=cmd_check)
-
-    c = sub.add_parser("decompose", help="run the structure pipeline")
-    c.add_argument("file")
-    c.add_argument("--report")
-    c.add_argument("--seed", type=int, help="only echoed in the report")
-    c.set_defaults(func=cmd_decompose)
-
-    c = sub.add_parser("unitarity", help="necessary-condition report")
-    c.add_argument("file")
-    c.add_argument("--out")
-    c.add_argument("--seed", type=int, help="only echoed in the report")
-    c.set_defaults(func=cmd_unitarity)
-
-    c = sub.add_parser("spinrep", help="spin representation on the Fock space")
-    c.add_argument("--dim", type=int, required=True)
-    c.add_argument("--variant", choices=["spin_h", "spin_h_hat"],
-                   default="spin_h_hat")
-    c.add_argument("--check", action="store_true")
-    c.add_argument("--out")
-    c.add_argument("--seed", type=int, help="accepted but not used")
-    c.set_defaults(func=cmd_spinrep)
-
-    c = sub.add_parser("tangent-rep",
-                       help="spin representation of the extended tangent algebra")
-    c.add_argument("--k", required=True, help="compact simple tag, e.g. su2")
-    c.add_argument("--check", action="store_true")
-    c.add_argument("--out")
-    c.set_defaults(func=cmd_tangent_rep)
+    # with one subparser the usage line would name one command, so it gets
+    # the full list; with all of them argparse's own, which the errors for
+    # a missing or unknown command name "command" by, is kept
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        func, text, arguments = _COMMANDS[name]
+        c = sub.add_parser(name, help=text)
+        for flag, kwargs in arguments:
+            c.add_argument(flag, **kwargs)
+        c.set_defaults(func=func)
     return p
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser has options only, so a first argument that names
+    # a command is the command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = make_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except SuperAlgebraError as exc:

@@ -12,7 +12,7 @@ bracket them through that table; SuperAlgebra.bracket is the entry
 point for dense vectors.  Basis order is canonical:
 even vectors first, then odd.  algebra_in_basis writes every subalgebra
 and central quotient in a basis of its own.  Matrix realizations live in
-realize, extensions in families, bracket spans, ideals and module
+realize, extensions in extend, bracket spans, ideals and module
 commutants in calculus and invariant forms of the odd part in unitar, so
 the checks here load none of them.
 

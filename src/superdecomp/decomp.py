@@ -440,11 +440,12 @@ def build_g_ideal(g, dec, j, jp):
     if not center(g).contains_subspace(Subspace(g.dim, _lift(vecs, zi.basis))):
         raise DecompositionError("z(g(j)) is not contained in z(g)",
                                  evidence={"j": j})
-    # a_j stays simple over the ideal's own even part
+    # a_j and a_j' stay simple over the ideal's own even part
     ideal_even, _ = span.parity_components(g.space.parities)
-    if len(split_module(module_actions(g, ideal_even.basis, aj.basis), aj.dim)) != 1:
-        raise DecompositionError("a_j fails to stay simple over g(j)",
-                                 evidence={"j": j})
+    for a in (aj, ajp) if j != jp else (aj,):
+        if len(split_module(module_actions(g, ideal_even.basis, a.basis), a.dim)) != 1:
+            raise DecompositionError("a_j fails to stay simple over g(j)",
+                                     evidence={"j": j})
     # simple adjoint quotient g(j)/z(g(j)), the centre graded as the bracket is even
     quo = quotient_by_central(alg, zi)[0] if zi.dim else alg
     if center(quo).dim or not is_perfect(quo):
@@ -496,7 +497,7 @@ def _adjoin_b0(g, span, b0):
 def _verify_tangent_quotient(g, kk_alg, kk_vecs, ak, b0, hat=False):
     """Structure-constant isomorphism of c(k)/z with T kk (or hat c(k)/z
     with That kk), built on the canonical basis through ad b0."""
-    from .families import build_tangent_from_algebra
+    from .extend import build_tangent_from_algebra
     tk = build_tangent_from_algebra(kk_alg, "T_hat" if hat else "T")
     d = kk_alg.dim
     solver_k = LinSolver(kk_vecs, g.dim)

@@ -18,10 +18,8 @@ from superdecomp.core import (
     quotient_by_central, verify_superalgebra,
 )
 from superdecomp.calculus import derived
-from superdecomp.families import (
-    build_family, central_extension, expected_dims, is_trivial_cocycle,
-    prove_square_identity,
-)
+from superdecomp.extend import central_extension, is_trivial_cocycle
+from superdecomp.families import build_family, expected_dims, prove_square_identity
 from superdecomp.decomp import structure_report
 from superdecomp.classify import classify_fingerprint, fingerprint
 from superdecomp.unitar import (

@@ -430,11 +430,15 @@ def _src_env():
 def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
     path = str(tmp_path / "su21.json")
     run(capsys, "construct", "--family", "su", "--params", "2,1", "--out", path)
+    tangents = []
+    for tag in ("T_hat", "T_tilde"):
+        tangents.append(str(tmp_path / (tag + ".json")))
+        run(capsys, "construct", "--family", tag, "--params", "su,2", "--out", tangents[-1])
     # the Sylvester test and LP live in positivity, bracket spans and
-    # commutants in calculus: neither is compiled by a command that does
-    # not run them
-    checks = ("families", "realize", "poly", "unitar", "classify", "decomp", "fock",
-              "positivity", "calculus")
+    # commutants in calculus, the extensions in extend: none is compiled by
+    # a command that does not run it
+    checks = ("families", "realize", "extend", "poly", "unitar", "classify", "decomp",
+              "fock", "positivity", "calculus")
     for argv, absent in ((["check", "killing", path], checks),
                          (["check", "center", path], checks),
                          (["check", "jacobi", path], checks),
@@ -443,7 +447,8 @@ def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
                           ("poly", "unitar", "classify", "decomp", "fock", "positivity",
                            "calculus")),
                          (["unitarity", path],
-                          ("families", "realize", "poly", "classify", "decomp", "fock")),
+                          ("families", "realize", "extend", "poly", "classify", "decomp",
+                           "fock")),
                          (["spinrep", "--dim", "2", "--check"],
                           ("poly", "decomp", "unitar", "classify", "positivity",
                            "calculus")),
@@ -452,6 +457,12 @@ def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
                          # every ideal of su(2|1) is of kind Js: no family is
                          # built, and the classifier needs no unitarity code
                          (["decompose", path],
+                          ("families", "realize", "fock", "unitar", "positivity")),
+                         # a residue ideal is compared with a tangent algebra
+                         # built in extend; only the qhat certificate builds a family
+                         (["decompose", tangents[0]],
+                          ("families", "realize", "fock", "unitar", "positivity")),
+                         (["decompose", tangents[1]],
                           ("families", "realize", "fock", "unitar", "positivity"))):
         proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, json.dumps(argv)],
                               capture_output=True, text=True, env=_src_env(), timeout=600)
@@ -465,7 +476,7 @@ def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
 
 def test_refused_inputs_compile_no_pipeline(tmp_path):
     # the Jacobi check runs before decompose and unitarity import their layers
-    absent = ("decomp", "families", "realize", "poly", "unitar", "classify",
+    absent = ("decomp", "families", "realize", "extend", "poly", "unitar", "classify",
               "positivity", "calculus")
     for path in f1_files(tmp_path):
         for cmd in ("decompose", "unitarity"):

@@ -24,10 +24,10 @@ from superdecomp.decomp import _unit, spin_up, subalgebra_from_subspace
 from superdecomp.unitar import (
     find_witness, invariant_odd_forms, invariant_symmetric_forms,
 )
-from superdecomp.families import (
-    build_family, build_lie_algebra, central_extension, is_trivial_cocycle,
-    semidirect_by_derivation,
+from superdecomp.extend import (
+    central_extension, is_trivial_cocycle, semidirect_by_derivation,
 )
+from superdecomp.families import build_family, build_lie_algebra
 from test_families import to_matrix
 
 
@@ -1055,8 +1055,8 @@ def test_no_module_names_matrix():
     assert named == []
 
 
-RATIONAL_MODULES = ("calculus.py", "classify.py", "core.py", "decomp.py", "poly.py",
-                    "positivity.py", "unitar.py")
+RATIONAL_MODULES = ("calculus.py", "classify.py", "core.py", "decomp.py", "extend.py",
+                    "poly.py", "positivity.py", "unitar.py")
 
 
 def test_rational_modules_never_name_scalar():

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import time
 
@@ -293,6 +294,13 @@ def test_actions_hold_integer_columns(monkeypatch):
             pass
     assert seen
     assert all(type(a) is int for cols in seen for col in cols for _, a in col)
+    # each action of even_actions is primitive, also where the adjoint
+    # table carries a denominator: its entries have no common factor
+    g = direct_sum(build_family("su", 2, 2), build_family("psu", 2))
+    assert g.adjoint_table()[1] == 2
+    for part in (g.space.even_indices(), g.space.odd_indices()):
+        for cols in even_actions(g, part):
+            assert math.gcd(*(a for col in cols for _, a in col)) in (0, 1)
 
 
 def test_generator_actions_match_on_acceptance_odd_modules():
@@ -437,6 +445,33 @@ def test_structure_report_that():
     # hat c(k) assertion ran
     assert any(a["name"].startswith("hat_c_quotient") and a["ok"]
                for a in rep.assertions)
+
+
+def test_build_g_ideal_splits_both_odd_summands(monkeypatch):
+    # a paired ideal g(j) (j != j') holds two odd summands, and each must
+    # stay simple over the ideal's even part
+    inside, split = [], []
+    build, actions = decomp.build_g_ideal, decomp.module_actions
+
+    def building(*args):
+        inside.append(True)
+        try:
+            return build(*args)
+        finally:
+            inside.pop()
+
+    def acting(g, elements, basis_vecs):
+        if inside:
+            split.append(basis_vecs)
+        return actions(g, elements, basis_vecs)
+
+    monkeypatch.setattr(decomp, "build_g_ideal", building)
+    monkeypatch.setattr(decomp, "module_actions", acting)
+    rep = structure_report(build_family("su", 2, 2))
+    [info] = rep.ideals
+    j, jp = info.indices
+    assert j != jp
+    assert split == [rep.decomposition.summands[k].basis for k in (j, jp)]
 
 
 def test_structure_report_glued():
