@@ -69,9 +69,8 @@ def even_actions(g, part):
     ad, _ = g.adjoint_table()
     out = []
     for x in g.space.even_indices():
-        cols = [sorted((k - lo, a) for k, a in ad[x][j].items()) for j in part]
-        c = gcd(*(a for col in cols for _, a in col))
-        out.append([[(i, a // c) for i, a in col] for col in cols] if c > 1 else cols)
+        c = gcd(*(a for j in part for a in ad[x][j].values()))
+        out.append([sorted((k - lo, a // c) for k, a in ad[x][j].items()) for j in part])
     return out
 
 
