@@ -295,8 +295,8 @@ _COMMANDS = {
 
 def make_parser(command=None):
     """The argument parser; given a command's name, with only that command's
-    subparser, since building all of them costs a one-command run several
-    milliseconds."""
+    subparser, as building the other five costs each run about a
+    millisecond."""
     p = argparse.ArgumentParser(
         prog="superdecomp",
         description="Exact constructors, decomposition and unitarity "

@@ -2,7 +2,7 @@
 of its result: the semidirect product by one derivation, the central
 extension by an odd-odd cocycle and the test whether that cocycle is
 trivial, and the tangent algebras T k, That k and Ttilde k of a plain Lie
-algebra k built from them.
+algebra k, the last two built as such extensions of T k.
 
 families builds its tangent and spin_h_hat rows here, and decomp compares
 each residue ideal with a tangent algebra built here; as they are built

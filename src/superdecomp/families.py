@@ -6,9 +6,9 @@ Gaussian rational entries {(i, j): value}, made a SparseOp, and the span
 is turned into structure constants by from_matrix_span, which reads each
 matrix's parity off its blocks; the coordinate map back to the matrices
 is kept in meta["realization"].  Abstract families (spin_h, ch) are
-written down directly; the tangent algebras and spin_h_hat are extensions,
-built and certified in extend.  Each family tag is one row of _FAMILIES,
-which FamilySpec, family_name, expected_dims and build read.
+written down directly; the tangent algebras and spin_h_hat are built in
+extend.  Each family tag is one row of _FAMILIES, which FamilySpec,
+family_name, expected_dims and build read.
 
 Conventions fixed here:
   * u(p|q):  even = antihermitian diagonal blocks, odd = [[0, B], [iB*, 0]].
