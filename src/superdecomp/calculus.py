@@ -1,13 +1,15 @@
 """The subspace calculus on core's integer adjoint table and echelon
 rows: derived algebra, bracket spans of subspaces, ideals, even actions
-as integer columns and module commutants.  decomp, classify and unitar use
-it; check, construct and the spin representations load none of it.
+as integer columns and module commutants.  decomp, split, ideals,
+classify and unitar use it; check, construct and the spin
+representations load none of it.
 """
 
 from math import gcd
 
 from .exact import Echelon
-from .core import Subspace, _bracket_rows, per_algebra
+from .spaces import Subspace
+from .core import _bracket_rows, per_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +61,7 @@ def even_actions(g, part):
     odd indices), for even basis x, in column form: cols[j] lists (i, value)
     over the nonzero entries of column j, in increasing i.
 
-    Every action in column form, here and in decomp, has int entries and
+    Every action in column form, here and in split, has int entries and
     is known only up to a positive factor: these are the adjoint table's
     entries, den times ad e_x, divided by the gcd of the action's entries,
     so that the equation rows built from them carry no common factor.  The

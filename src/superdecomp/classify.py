@@ -11,7 +11,8 @@ import json
 import os
 from collections import namedtuple
 
-from .core import center, even_center_dim, killing_form, per_algebra
+from .core import center, per_algebra
+from .invariants import even_center_dim, killing_form
 from .calculus import bracket_span, even_actions, is_perfect, module_commutant
 
 

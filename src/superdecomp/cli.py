@@ -14,14 +14,14 @@ import os
 import sys
 
 from . import __version__
-from .core import (
-    SuperAlgebraError, algebra_from_json_dict, algebra_to_json_dict, center,
-    even_center_dim, killing_form, tables_equal, verify_superalgebra,
-)
+from .spaces import SuperAlgebraError
+from .core import algebra_from_json_dict, algebra_to_json_dict, center, tables_equal
+from .invariants import even_center_dim, killing_form, verify_superalgebra
 
-# families, decomp, unitar and fock are imported by the commands that use
-# them, so a command loads (and compiles) only the layers it runs; decompose
-# and unitarity import theirs only once the input has passed the Jacobi check
+# families, decomp, unitar, fock and tangentrep are imported by the commands
+# that use them, so a command loads (and compiles) only the layers it runs;
+# decompose and unitarity import theirs only once the input has passed the
+# Jacobi check
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -187,7 +187,8 @@ def cmd_decompose(args):
     alg, raw = _load_algebra(args.file)
     if not _is_superalgebra(alg):
         return FAIL
-    from .decomp import DecompositionError, structure_report
+    from .split import DecompositionError
+    from .decomp import structure_report
     seed = _seed_of(args)
     try:
         rep = structure_report(alg)
@@ -241,7 +242,7 @@ def cmd_spinrep(args):
 
 
 def cmd_tangent_rep(args):
-    from .fock import tilde_tangent_representation
+    from .tangentrep import tilde_tangent_representation
     try:
         rep = tilde_tangent_representation(*_parse_ktag(args.k))
     except ValueError as exc:

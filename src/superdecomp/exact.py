@@ -14,8 +14,7 @@ on rational rows only and is fraction-free: rows are scaled to coprime
 ints and updated by cross-multiplication with content removal (Bareiss
 style), so entries stay small integers instead of accumulating
 denominators.  The Sylvester test and the exact LP built on these rows
-are in positivity, which only unitar and fock's tangent representation
-load.
+are in positivity, which only witness and tangentrep load.
 
 Everything here is a pure function on immutable values and safe to call
 concurrently.
@@ -319,13 +318,25 @@ class LinSolver:
 
     def row_coords(self, row, den=1):
         """x with B x = row / den for a sparse row and a nonzero int den,
-        or None; the tracker entry den makes the residual's lam * den."""
+        or None."""
+        found = self.int_coords(row, den)
+        if found is None:
+            return None
+        ints, scale = found
+        out = vec_zero(self.n)
+        for i, a in ints.items():
+            out[i] = Fraction(a, scale)
+        return out
+
+    def int_coords(self, row, den=1):
+        """(x, s) with B x = s * row / den, x a sparse int row and s a
+        positive int, read off the residual; or None.  The tracker entry
+        den makes the residual's lam * den."""
         _, red = self.ech._reduce({**row, self.dim + self.n: den})
         if any(j < self.dim for j in red):
             return None
         scale = red[self.dim + self.n]
-        out = vec_zero(self.n)
-        for j, a in red.items():
-            if j < self.dim + self.n:
-                out[j - self.dim] = Fraction(-a, scale)
-        return out
+        # x_i = -red[dim + i] / scale, written over a positive scale
+        sign = -1 if scale > 0 else 1
+        return ({j - self.dim: sign * a for j, a in red.items() if j < self.dim + self.n},
+                -sign * scale)

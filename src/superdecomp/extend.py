@@ -4,17 +4,17 @@ extension by an odd-odd cocycle and the test whether that cocycle is
 trivial, and the tangent algebras T k, That k and Ttilde k of a plain Lie
 algebra k, the last two built as such extensions of T k.
 
-families builds its tangent and spin_h_hat rows here, and decomp compares
+families builds its tangent and spin_h_hat rows here, and ideals compares
 each residue ideal with a tangent algebra built here; as they are built
-on structure constants alone, this module loads exact and core only, so a
-decomposition that builds no family compiles neither families nor realize.
+on structure constants alone, this module loads exact, spaces, core and
+invariants only, so a decomposition that builds no family compiles
+neither families nor realize.
 """
 
 from .exact import ZERO, ONE, solve, vec_zero
-from .core import (
-    InvariantForm, SuperAlgebra, SuperAlgebraError, SuperSpace, killing_form,
-    verify_superalgebra,
-)
+from .spaces import SuperAlgebraError, SuperSpace
+from .core import SuperAlgebra
+from .invariants import InvariantForm, killing_form, verify_superalgebra
 
 
 class ExtensionError(SuperAlgebraError):

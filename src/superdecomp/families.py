@@ -2,10 +2,11 @@
 
 Matrix families (u, su, psu, q, pq, qhat, c, gl) are built from explicit
 anti-hermitian block realizations: each basis matrix is written as its
-Gaussian rational entries {(i, j): value}, made a SparseOp, and the span
-is turned into structure constants by from_matrix_span, which reads each
-matrix's parity off its blocks; the coordinate map back to the matrices
-is kept in meta["realization"].  Abstract families (spin_h, ch) are
+Gaussian rational entries {(i, j): value} (the building blocks, among
+them the bases of u(n), su(n), so(n) and sp(n), are in realize), made a
+SparseOp, and the span is turned into structure constants by
+from_matrix_span, which reads each matrix's parity off its blocks; the
+coordinate map back to the matrices is kept in meta["realization"].  Abstract families (spin_h, ch) are
 written down directly; the tangent algebras and spin_h_hat are built in
 extend.  Each family tag is one row of _FAMILIES, which FamilySpec,
 family_name, expected_dims and build read.
@@ -27,9 +28,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import Scalar, ONE, MINUS_ONE, I, kernel, vec_zero
-from .core import SuperAlgebra, SuperAlgebraError, SuperSpace, quotient_by_central
+from .spaces import SuperAlgebraError, SuperSpace
+from .core import SuperAlgebra, quotient_by_central
 from .extend import build_tangent_from_algebra, semidirect_by_derivation
-from .realize import SparseOp, from_matrix_span
+from .realize import (
+    SparseOp, _shift, _span, _u_odd_blocks, from_matrix_span, simple_matrix_basis,
+    sp_matrix_basis, su_matrix_basis, u_matrix_basis,
+)
 
 K_TAGS = ("su", "so", "sp")
 # the arity of the tangent families: a (su|so|sp, n) pair, not integers
@@ -69,76 +74,6 @@ def expected_dims(tag, params):
 
 def simple_dim(kind, n):
     return {"su": n * n - 1, "so": n * (n - 1) // 2, "sp": n * (2 * n + 1)}[kind]
-
-
-# ---------------------------------------------------------------------------
-# matrix building blocks: a matrix is written as its entries {(i, j): value}
-# ---------------------------------------------------------------------------
-
-def _shift(entries, r, c, f=lambda v: v):
-    """The entries moved down r rows and right c columns, each value v
-    replaced by f(v)."""
-    return {(i + r, j + c): f(v) for (i, j), v in entries.items()}
-
-
-# (a, b) of the antihermitian off-diagonal pairs a E_jk + b E_kj: the real
-# one, then the imaginary one
-_ANTIHERMITIAN = ((ONE, MINUS_ONE), (I, I))
-
-
-def _off_diagonal(n, pairs):
-    """a E_jk + b E_kj for j < k, interleaved: every (a, b) in pairs for
-    one (j, k) before the next."""
-    return [{(j, k): a, (k, j): b} for j in range(n) for k in range(j + 1, n)
-            for a, b in pairs]
-
-
-def u_matrix_basis(n):
-    """u(n, C): i E_jj, then E_jk - E_kj and i(E_jk + E_kj) for j < k."""
-    return [{(j, j): I} for j in range(n)] + _off_diagonal(n, _ANTIHERMITIAN)
-
-
-def su_matrix_basis(n):
-    """su(n, C): traceless diagonal i(E_jj - E_{j+1,j+1}) then off-diagonals."""
-    return ([{(j, j): I, (j + 1, j + 1): -I} for j in range(n - 1)]
-            + _off_diagonal(n, _ANTIHERMITIAN))
-
-
-def so_matrix_basis(n):
-    """so(n): the real half of the off-diagonals of u(n)."""
-    return _off_diagonal(n, _ANTIHERMITIAN[:1])
-
-
-def sp_matrix_basis(n):
-    """Compact sp(n) as 2n x 2n complex: [[A, B], [-conj(B), conj(A)]],
-    A antihermitian, B symmetric."""
-    out = [{**a, **_shift(a, n, n, lambda v: v.conjugate())}
-           for a in u_matrix_basis(n)]
-    sym = [{(j, j): v} for j in range(n) for v in (ONE, I)]
-    for b in sym + _off_diagonal(n, ((ONE, ONE), (I, I))):
-        out.append({**_shift(b, 0, n), **_shift(b, n, 0, lambda v: -v.conjugate())})
-    return out
-
-
-def simple_matrix_basis(kind, n):
-    if kind == "su":
-        return su_matrix_basis(n), n
-    if kind == "so":
-        return so_matrix_basis(n), n
-    if kind == "sp":
-        return sp_matrix_basis(n), 2 * n
-    raise ValueError("unknown compact simple tag %r" % (kind,))
-
-
-def _u_odd_blocks(p, q):
-    """Odd part of u(p|q): [[0, B], [iB*, 0]] for B = E_jk and iE_jk."""
-    return [{(j, p + k): v, (p + k, j): w}
-            for j in range(p) for k in range(q) for v, w in ((ONE, I), (I, ONE))]
-
-
-def _span(size, p, mats):
-    """The algebra spanned by the entry dicts mats, (p|size - p)-graded."""
-    return from_matrix_span([SparseOp.from_entries(size, e) for e in mats], p)[0]
 
 
 # ---------------------------------------------------------------------------

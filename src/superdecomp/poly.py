@@ -3,8 +3,8 @@ polynomial and its coprime rational splitting.
 
 A polynomial is a list of Fractions, low degree first, with no trailing
 zeros; the zero polynomial is [].  A square matrix m is the list of its
-dense columns, so m v is _lin_comb(v, m, n).  Only the module splitter in
-decomp needs these, so no other layer loads this module.
+dense columns, so m v is _lin_comb(v, m, n).  Only the module splitter,
+split, needs these, so no other layer loads this module.
 """
 
 from fractions import Fraction

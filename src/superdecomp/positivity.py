@@ -1,7 +1,7 @@
 """The Sylvester test and the exact feasibility LP, on rationals, each
-re-checking the certificate it returns.  unitar uses both; fock imports
-this only inside tilde_tangent_representation, so spinrep loads none of
-it.  The LP tableau runs on exact's fraction-free row updates.
+re-checking the certificate it returns.  The witness search uses both,
+and tangentrep the Sylvester test; spinrep loads none of it.  The LP
+tableau runs on exact's fraction-free row updates.
 """
 
 from fractions import Fraction

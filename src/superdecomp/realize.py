@@ -11,15 +11,19 @@ matrices; from_matrix_span reads each matrix's parity off its blocks,
 turns a bracket-closed span into structure constants and keeps the
 coordinate map back to the matrices.  Complex matrices are realified by
 one fixed convention: row-major, each entry a + bi contributing the
-real pair (a, b), in that order.
+real pair (a, b), in that order.  The matrix building blocks of the
+families (entry dicts {(i, j): value}, the bases of u(n), su(n), so(n)
+and sp(n), the odd blocks of u(p|q), and _span, which turns entry dicts
+into the algebra they span) are here as well.
 """
 
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .exact import LinSolver, ZERO
-from .core import SuperAlgebra, SuperAlgebraError, SuperSpace
+from .exact import LinSolver, ZERO, ONE, MINUS_ONE, I
+from .spaces import SuperAlgebraError, SuperSpace
+from .core import SuperAlgebra
 
 
 def _gaussian_ints(values):
@@ -230,3 +234,73 @@ def from_matrix_span(mats, p):
             table[(i, j)] = {k: c for k, c in enumerate(coords) if c}
     alg = SuperAlgebra(space, table, meta={"realization": real})
     return alg, real
+
+
+# ---------------------------------------------------------------------------
+# matrix building blocks: a matrix is written as its entries {(i, j): value}
+# ---------------------------------------------------------------------------
+
+def _shift(entries, r, c, f=lambda v: v):
+    """The entries moved down r rows and right c columns, each value v
+    replaced by f(v)."""
+    return {(i + r, j + c): f(v) for (i, j), v in entries.items()}
+
+
+# (a, b) of the antihermitian off-diagonal pairs a E_jk + b E_kj: the real
+# one, then the imaginary one
+_ANTIHERMITIAN = ((ONE, MINUS_ONE), (I, I))
+
+
+def _off_diagonal(n, pairs):
+    """a E_jk + b E_kj for j < k, interleaved: every (a, b) in pairs for
+    one (j, k) before the next."""
+    return [{(j, k): a, (k, j): b} for j in range(n) for k in range(j + 1, n)
+            for a, b in pairs]
+
+
+def u_matrix_basis(n):
+    """u(n, C): i E_jj, then E_jk - E_kj and i(E_jk + E_kj) for j < k."""
+    return [{(j, j): I} for j in range(n)] + _off_diagonal(n, _ANTIHERMITIAN)
+
+
+def su_matrix_basis(n):
+    """su(n, C): traceless diagonal i(E_jj - E_{j+1,j+1}) then off-diagonals."""
+    return ([{(j, j): I, (j + 1, j + 1): -I} for j in range(n - 1)]
+            + _off_diagonal(n, _ANTIHERMITIAN))
+
+
+def so_matrix_basis(n):
+    """so(n): the real half of the off-diagonals of u(n)."""
+    return _off_diagonal(n, _ANTIHERMITIAN[:1])
+
+
+def sp_matrix_basis(n):
+    """Compact sp(n) as 2n x 2n complex: [[A, B], [-conj(B), conj(A)]],
+    A antihermitian, B symmetric."""
+    out = [{**a, **_shift(a, n, n, lambda v: v.conjugate())}
+           for a in u_matrix_basis(n)]
+    sym = [{(j, j): v} for j in range(n) for v in (ONE, I)]
+    for b in sym + _off_diagonal(n, ((ONE, ONE), (I, I))):
+        out.append({**_shift(b, 0, n), **_shift(b, n, 0, lambda v: -v.conjugate())})
+    return out
+
+
+def simple_matrix_basis(kind, n):
+    if kind == "su":
+        return su_matrix_basis(n), n
+    if kind == "so":
+        return so_matrix_basis(n), n
+    if kind == "sp":
+        return sp_matrix_basis(n), 2 * n
+    raise ValueError("unknown compact simple tag %r" % (kind,))
+
+
+def _u_odd_blocks(p, q):
+    """Odd part of u(p|q): [[0, B], [iB*, 0]] for B = E_jk and iE_jk."""
+    return [{(j, p + k): v, (p + k, j): w}
+            for j in range(p) for k in range(q) for v, w in ((ONE, I), (I, ONE))]
+
+
+def _span(size, p, mats):
+    """The algebra spanned by the entry dicts mats, (p|size - p)-graded."""
+    return from_matrix_span([SparseOp.from_entries(size, e) for e in mats], p)[0]

@@ -13,22 +13,21 @@ from fractions import Fraction
 
 from superdecomp.exact import ONE, Scalar, ZERO, vec_is_zero, vec_zero
 from superdecomp.positivity import is_positive_definite
-from superdecomp.core import (
-    InvariantForm, center, centralizer, direct_sum, killing_form,
-    quotient_by_central, verify_superalgebra,
+from superdecomp.core import center, direct_sum, quotient_by_central
+from superdecomp.invariants import (
+    InvariantForm, centralizer, killing_form, verify_superalgebra,
 )
 from superdecomp.calculus import derived
 from superdecomp.extend import central_extension, is_trivial_cocycle
 from superdecomp.families import build_family, expected_dims, prove_square_identity
 from superdecomp.decomp import structure_report
 from superdecomp.classify import classify_fingerprint, fingerprint
-from superdecomp.unitar import (
-    gram_of_functional, invariant_odd_forms, necessary_conditions_report,
-)
+from superdecomp.witness import gram_of_functional
+from superdecomp.unitar import invariant_odd_forms, necessary_conditions_report
 from superdecomp.fock import (
-    check_car, check_unitary_representation, number_spectrum,
-    spin_representation, tilde_tangent_representation,
+    check_car, check_unitary_representation, number_spectrum, spin_representation,
 )
+from superdecomp.tangentrep import tilde_tangent_representation
 from superdecomp.cli import main as cli_main
 from superdecomp.realize import SparseOp
 from test_families import square_identity_samples, to_matrix

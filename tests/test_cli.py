@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from superdecomp import core, families
+from superdecomp import core, families, invariants
 from superdecomp.cli import main
 
 
@@ -33,8 +33,8 @@ def test_construct_verifies_an_extension_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(families, "_build_cached", functools.lru_cache(maxsize=None)(
         families._build_cached.__wrapped__))
     runs = []
-    body = core.verify_superalgebra.__wrapped__
-    monkeypatch.setattr(core.verify_superalgebra, "__wrapped__",
+    body = invariants.verify_superalgebra.__wrapped__
+    monkeypatch.setattr(invariants.verify_superalgebra, "__wrapped__",
                         lambda g: runs.append(g) or body(g))
     code, out, _ = run(capsys, "construct", "--family", "T_hat", "--params", "su,4",
                        "--out", str(tmp_path / "that4.json"))
@@ -245,6 +245,7 @@ def test_tangent_rep_refuses_a_large_k_before_building_it(capsys):
 def test_rep_commands_check_each_representation_once(capsys, monkeypatch):
     import superdecomp.cli as cli
     import superdecomp.fock as fock
+    import superdecomp.tangentrep as tangentrep
     calls = []
     body = fock.check_unitary_representation
 
@@ -253,6 +254,7 @@ def test_rep_commands_check_each_representation_once(capsys, monkeypatch):
         return body(g, rep)
 
     monkeypatch.setattr(fock, "check_unitary_representation", counted)
+    monkeypatch.setattr(tangentrep, "check_unitary_representation", counted)
     # a second check from the command itself would go through its own binding
     monkeypatch.setattr(cli, "check_unitary_representation", counted, raising=False)
     for argv in (["spinrep", "--dim", "2", "--check"],
@@ -435,35 +437,41 @@ def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
         tangents.append(str(tmp_path / (tag + ".json")))
         run(capsys, "construct", "--family", tag, "--params", "su,2", "--out", tangents[-1])
     # the Sylvester test and LP live in positivity, bracket spans and
-    # commutants in calculus, the extensions in extend: none is compiled by
-    # a command that does not run it
+    # commutants in calculus, the extensions in extend, the module splitter
+    # in split, the ideals in ideals, the witness search in witness and the
+    # Ttilde spin representation in tangentrep: none is compiled by a
+    # command that does not run it
     checks = ("families", "realize", "extend", "poly", "unitar", "classify", "decomp",
-              "fock", "positivity", "calculus")
+              "fock", "positivity", "calculus", "split", "ideals", "witness", "tangentrep")
     for argv, absent in ((["check", "killing", path], checks),
                          (["check", "center", path], checks),
                          (["check", "jacobi", path], checks),
                          (["construct", "--family", "su", "--params", "2,1",
                            "--out", str(tmp_path / "again.json")],
                           ("poly", "unitar", "classify", "decomp", "fock", "positivity",
-                           "calculus")),
+                           "calculus", "split", "ideals", "witness", "tangentrep")),
                          (["unitarity", path],
                           ("families", "realize", "extend", "poly", "classify", "decomp",
-                           "fock")),
+                           "fock", "split", "ideals", "tangentrep")),
                          (["spinrep", "--dim", "2", "--check"],
                           ("poly", "decomp", "unitar", "classify", "positivity",
-                           "calculus")),
+                           "calculus", "split", "ideals", "witness", "tangentrep")),
                          (["tangent-rep", "--k", "su2", "--check"],
-                          ("poly", "decomp", "unitar", "classify", "calculus")),
+                          ("poly", "decomp", "unitar", "classify", "calculus", "split",
+                           "ideals", "witness")),
                          # every ideal of su(2|1) is of kind Js: no family is
                          # built, and the classifier needs no unitarity code
                          (["decompose", path],
-                          ("families", "realize", "fock", "unitar", "positivity")),
+                          ("families", "realize", "fock", "unitar", "positivity", "witness",
+                           "tangentrep")),
                          # a residue ideal is compared with a tangent algebra
                          # built in extend; only the qhat certificate builds a family
                          (["decompose", tangents[0]],
-                          ("families", "realize", "fock", "unitar", "positivity")),
+                          ("families", "realize", "fock", "unitar", "positivity", "witness",
+                           "tangentrep")),
                          (["decompose", tangents[1]],
-                          ("families", "realize", "fock", "unitar", "positivity"))):
+                          ("families", "realize", "fock", "unitar", "positivity", "witness",
+                           "tangentrep"))):
         proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, json.dumps(argv)],
                               capture_output=True, text=True, env=_src_env(), timeout=600)
         assert proc.returncode == 0, proc.stderr
@@ -477,7 +485,7 @@ def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
 def test_refused_inputs_compile_no_pipeline(tmp_path):
     # the Jacobi check runs before decompose and unitarity import their layers
     absent = ("decomp", "families", "realize", "extend", "poly", "unitar", "classify",
-              "positivity", "calculus")
+              "positivity", "calculus", "split", "ideals", "witness", "tangentrep")
     for path in f1_files(tmp_path):
         for cmd in ("decompose", "unitarity"):
             proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER,
@@ -533,6 +541,29 @@ def test_benchmark_input_generator_finds_its_names():
             assert hasattr(mod, name), (module, name)
     # quotient_by_central writes the quotient through algebra_in_basis
     assert hasattr(importlib.import_module("superdecomp.core"), "algebra_in_basis")
+
+
+def test_benchmark_harness_imports_resolve():
+    # the names bench/gen_inputs.py imports, written out, and the modules
+    # bench/traced_cli.py wraps: a move that loses one breaks the
+    # benchmark's set-up with an ImportError
+    import ast
+    import importlib
+    from superdecomp.core import algebra_to_json_dict, direct_sum, quotient_by_central
+    from superdecomp.exact import ONE, Scalar, vec_zero
+    from superdecomp.families import build_family, family_name
+    assert all(callable(f) for f in (algebra_to_json_dict, direct_sum, quotient_by_central,
+                                     vec_zero, build_family, family_name))
+    assert ONE == 1 and isinstance(Scalar(0, 1), Scalar)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "traced_cli.py")) as fh:
+        tree = ast.parse(fh.read())
+    layers = sorted(a.name for n in ast.walk(tree)
+                    if isinstance(n, ast.ImportFrom) and n.module == "superdecomp"
+                    for a in n.names)
+    assert layers == ["cli", "core", "decomp", "exact", "families", "fock", "unitar"]
+    for name in layers:
+        importlib.import_module("superdecomp." + name)
 
 
 @pytest.mark.parametrize("optimize", [False, True])

@@ -10,20 +10,22 @@ from superdecomp.exact import (
     Echelon, I, LinSolver, ONE, Scalar, ZERO, _lin_comb, kernel, vec_add,
     vec_is_zero, vec_sub, vec_zero,
 )
+from superdecomp.spaces import SuperAlgebraError, SuperSpace, Subspace
 from superdecomp.core import (
-    AlgebraFileError, InvariantForm, SuperAlgebra, SuperAlgebraError,
-    SuperSpace, Subspace, Violation, algebra_from_json_dict, algebra_in_basis,
-    algebra_to_json_dict, center, centralizer, direct_sum, killing_form,
-    quotient_by_central, tables_equal, verify_superalgebra,
+    AlgebraFileError, SuperAlgebra, algebra_from_json_dict, algebra_in_basis,
+    algebra_to_json_dict, center, direct_sum, quotient_by_central, tables_equal,
+)
+from superdecomp.invariants import (
+    InvariantForm, Violation, centralizer, killing_form, verify_superalgebra,
 )
 from superdecomp.calculus import (
     bracket_span, derived, even_actions, is_ideal, is_perfect, module_commutant,
 )
 from superdecomp.realize import NotClosedError, SparseOp, from_matrix_span
-from superdecomp.decomp import _unit, spin_up, subalgebra_from_subspace
-from superdecomp.unitar import (
-    find_witness, invariant_odd_forms, invariant_symmetric_forms,
-)
+from superdecomp.split import _unit, spin_up
+from superdecomp.ideals import subalgebra_from_subspace
+from superdecomp.witness import find_witness
+from superdecomp.unitar import invariant_odd_forms, invariant_symmetric_forms
 from superdecomp.extend import (
     central_extension, is_trivial_cocycle, semidirect_by_derivation,
 )
@@ -502,6 +504,24 @@ def test_serialization_roundtrip():
     assert tables_equal(g, h)
 
 
+def test_tables_equal_refuses_a_changed_constant_parity_or_dimension():
+    g = build_family("su", 2, 1)
+    assert tables_equal(g, SuperAlgebra(g.space, g.table))
+    key = min(g.table)
+    k, v = min(g.table[key].items())
+    changed = {**g.table, key: {**g.table[key], k: v + 1}}
+    assert not tables_equal(g, SuperAlgebra(g.space, changed))
+    assert not tables_equal(SuperAlgebra(g.space, changed), g)
+    # the same (empty) table on a basis of another parity or dimension
+
+    def abelian(d0, d1):
+        return SuperAlgebra(SuperSpace.make(d0, d1), {})
+
+    assert tables_equal(abelian(2, 1), abelian(2, 1))
+    assert not tables_equal(abelian(2, 1), abelian(1, 2))
+    assert not tables_equal(abelian(2, 1), abelian(2, 2))
+
+
 # ---------------------------------------------------------------------------
 # dense reference oracles for the sparse integer Jacobi check and Killing form
 # ---------------------------------------------------------------------------
@@ -917,6 +937,24 @@ def _library_trees():
             yield os.path.basename(path), ast.parse(fh.read(), path)
 
 
+def test_no_library_module_exceeds_400_lines():
+    """Every command compiles the modules it imports from source when no
+    bytecode is cached.  The parser holds a whole module's tokens and AST
+    at once, about 2.8 KiB per line, and the process keeps that memory:
+    the largest module a command compiles sets much of its peak resident
+    set.  So no module of the library is longer than 400 lines."""
+    import os
+    import superdecomp
+    root = os.path.dirname(superdecomp.__file__)
+    long = {}
+    for name, _ in _library_trees():
+        with open(os.path.join(root, name)) as fh:
+            n = sum(1 for _ in fh)
+        if n > 400:
+            long[name] = n
+    assert long == {}
+
+
 def test_library_checks_do_not_use_assert():
     # python -O strips assert statements, so the library must raise instead
     names = []
@@ -971,7 +1009,7 @@ def test_core_subspaces_run_on_echelon_rows():
     # rows (test_kernels_and_solves_take_sparse_rows); bracket spans and
     # commutants moved to calculus.py keep to the same rule
     trees = dict(_library_trees())
-    for name in ("core.py", "calculus.py"):
+    for name in ("spaces.py", "core.py", "invariants.py", "calculus.py"):
         imported = [a.name for n in ast.walk(trees[name]) if isinstance(n, ast.ImportFrom)
                     for a in n.names]
         assert "Echelon" in imported, name
@@ -1022,25 +1060,27 @@ def test_splitter_modules_never_name_matrix():
     # the module splitter and poly hold module maps as lists of dense columns
     checked = set()
     for name, tree in _library_trees():
-        if name in ("decomp.py", "poly.py"):
+        if name in ("split.py", "ideals.py", "decomp.py", "poly.py"):
             checked.add(name)
             named = [n.lineno for n in ast.walk(tree)
                      if (isinstance(n, ast.Name) and n.id == "Matrix")
                      or (isinstance(n, ast.alias) and n.name == "Matrix")
                      or (isinstance(n, ast.Attribute) and n.attr == "Matrix")]
             assert named == [], (name, named)
-    assert checked == {"decomp.py", "poly.py"}
+    assert checked == {"split.py", "ideals.py", "decomp.py", "poly.py"}
 
 
 def test_decomp_builds_no_table_of_its_own():
     # every subalgebra, central quotient and tangent comparison table of
     # the decomposition is written by core.algebra_in_basis
-    tree = dict(_library_trees())["decomp.py"]
-    named = [n.lineno for n in ast.walk(tree)
-             if (isinstance(n, ast.Name) and n.id in ("SuperAlgebra", "SuperSpace"))
-             or (isinstance(n, ast.alias) and n.name in ("SuperAlgebra", "SuperSpace"))
-             or (isinstance(n, ast.Attribute) and n.attr in ("SuperAlgebra", "SuperSpace"))]
-    assert named == []
+    trees = dict(_library_trees())
+    for name in ("decomp.py", "split.py", "ideals.py"):
+        named = [n.lineno for n in ast.walk(trees[name])
+                 if (isinstance(n, ast.Name) and n.id in ("SuperAlgebra", "SuperSpace"))
+                 or (isinstance(n, ast.alias) and n.name in ("SuperAlgebra", "SuperSpace"))
+                 or (isinstance(n, ast.Attribute)
+                     and n.attr in ("SuperAlgebra", "SuperSpace"))]
+        assert named == [], name
 
 
 def test_no_module_names_matrix():
@@ -1056,7 +1096,8 @@ def test_no_module_names_matrix():
 
 
 RATIONAL_MODULES = ("calculus.py", "classify.py", "core.py", "decomp.py", "extend.py",
-                    "poly.py", "positivity.py", "unitar.py")
+                    "ideals.py", "invariants.py", "poly.py", "positivity.py", "spaces.py",
+                    "split.py", "unitar.py", "witness.py")
 
 
 def test_rational_modules_never_name_scalar():

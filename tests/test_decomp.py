@@ -6,19 +6,19 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superdecomp.core import (
-    SuperAlgebra, SuperAlgebraError, SuperSpace, Subspace, center, direct_sum,
-    quotient_by_central, verify_superalgebra,
-)
+from superdecomp.spaces import SuperAlgebraError, SuperSpace, Subspace
+from superdecomp.core import SuperAlgebra, center, direct_sum, quotient_by_central
+from superdecomp.invariants import verify_superalgebra
 from superdecomp.calculus import bracket_span, even_actions, module_commutant
 from superdecomp.exact import LinSolver, ONE, ZERO, Scalar, vec_zero
 from superdecomp.families import build_family, expected_dims
-from superdecomp import decomp
-from superdecomp.decomp import (
-    DecompositionError, _invariant_complement, classify_indices,
-    decompose_odd, lie_generators, module_actions, reduce_to_odd_generated,
-    spin_up, split_module, structure_report,
+from superdecomp import decomp, ideals, split
+from superdecomp.split import (
+    DecompositionError, _invariant_complement, lie_generators, module_actions, spin_up,
+    split_module,
 )
+from superdecomp.ideals import classify_indices
+from superdecomp.decomp import decompose_odd, reduce_to_odd_generated, structure_report
 from superdecomp.unitar import necessary_conditions_report
 
 
@@ -109,7 +109,7 @@ def every_action(g, elements, basis):
     """The actions on span(basis) of all the elements, in column form: the
     oracle for module_actions, which keeps their Lie generators only."""
     solver = LinSolver(basis, g.dim)
-    return [decomp._columns([g.bracket(x, v) for v in basis], solver) for x in elements]
+    return [split._columns([g.bracket(x, v) for v in basis], solver) for x in elements]
 
 
 def odd_module(tag, *params):
@@ -123,8 +123,8 @@ def odd_module(tag, *params):
 def test_split_module_inconclusive_cap(monkeypatch):
     # an action with a huge commutant exhausts a tiny budget
     actions, dim = odd_module("su", 2, 2)
-    monkeypatch.setattr(decomp, "SPLIT_CAP", 1)
-    with pytest.raises(decomp.InconclusiveSplit):
+    monkeypatch.setattr(split, "SPLIT_CAP", 1)
+    with pytest.raises(split.InconclusiveSplit):
         split_module(actions, dim)
 
 
@@ -228,13 +228,13 @@ def test_split_module_through_a_zero_divisor(monkeypatch):
     actions, first = so3_conjugated([unit(i) for i in (0, 1, 3, 5, 2, 4)])
     assert first == [unit(0), unit(1), unit(4)]
     calls = []
-    with_complement = decomp._with_complement
+    with_complement = split._with_complement
 
     def spy(comm, wbasis, dim):
         calls.append((len(comm), wbasis))
         return with_complement(comm, wbasis, dim)
 
-    monkeypatch.setattr(decomp, "_with_complement", spy)
+    monkeypatch.setattr(split, "_with_complement", spy)
     pieces = assert_split_fills(actions, 6)
     assert calls == [(4, first)]
     assert pieces == [(first, {"commutant_dim": 1}),
@@ -261,8 +261,8 @@ def assert_generators_act_as_all(g, elements, basis):
     dim = len(basis)
     assert module_commutant(gens, dim) == module_commutant(full, dim)
     for i in range(dim):
-        assert spin_up(gens, decomp._unit(dim, i), dim) == \
-            spin_up(full, decomp._unit(dim, i), dim)
+        assert spin_up(gens, split._unit(dim, i), dim) == \
+            spin_up(full, split._unit(dim, i), dim)
     assert split_module(gens, dim) == split_module(full, dim)
     return len(gens)
 
@@ -280,10 +280,11 @@ def test_actions_hold_integer_columns(monkeypatch):
             return out
         return wrapped
 
-    monkeypatch.setattr(decomp, "module_actions",
-                        recording(decomp.module_actions, lambda args, out: out))
-    monkeypatch.setattr(decomp, "_split_rec",
-                        recording(decomp._split_rec, lambda args, out: args[0]))
+    for mod in (decomp, ideals):
+        monkeypatch.setattr(mod, "module_actions",
+                            recording(split.module_actions, lambda args, out: out))
+    monkeypatch.setattr(split, "_split_rec",
+                        recording(split._split_rec, lambda args, out: args[0]))
     for tag, params in ACCEPT_FAMILIES:
         g = build_family(tag, *params)
         for part in (g.space.even_indices(), g.space.odd_indices()):
@@ -450,8 +451,8 @@ def test_structure_report_that():
 def test_build_g_ideal_splits_both_odd_summands(monkeypatch):
     # a paired ideal g(j) (j != j') holds two odd summands, and each must
     # stay simple over the ideal's even part
-    inside, split = [], []
-    build, actions = decomp.build_g_ideal, decomp.module_actions
+    inside, acted_on = [], []
+    build, actions = ideals.build_g_ideal, ideals.module_actions
 
     def building(*args):
         inside.append(True)
@@ -462,16 +463,16 @@ def test_build_g_ideal_splits_both_odd_summands(monkeypatch):
 
     def acting(g, elements, basis_vecs):
         if inside:
-            split.append(basis_vecs)
+            acted_on.append(basis_vecs)
         return actions(g, elements, basis_vecs)
 
     monkeypatch.setattr(decomp, "build_g_ideal", building)
-    monkeypatch.setattr(decomp, "module_actions", acting)
+    monkeypatch.setattr(ideals, "module_actions", acting)
     rep = structure_report(build_family("su", 2, 2))
     [info] = rep.ideals
     j, jp = info.indices
     assert j != jp
-    assert split == [rep.decomposition.summands[k].basis for k in (j, jp)]
+    assert acted_on == [rep.decomposition.summands[k].basis for k in (j, jp)]
 
 
 def test_structure_report_glued():
@@ -544,11 +545,11 @@ def test_tangent_quotient_check_refuses_a_wrong_basis(k, hat):
     dec = decompose_odd(g, red.core_even)
     [j] = classify_indices(g, dec).ja
     ak = dec.summands[j]
-    b0 = decomp._pick_b0(g, dec.b, ak)
-    _, _, _, kk_alg, kk_vecs = decomp.build_c_ideal(g, dec, j, b0)
+    b0 = ideals._pick_b0(g, dec.b, ak)
+    _, _, _, kk_alg, kk_vecs = ideals.build_c_ideal(g, dec, j, b0)
 
     def check(vecs):
-        return decomp._verify_tangent_quotient(g, kk_alg, vecs, ak, b0, hat=hat)
+        return ideals._verify_tangent_quotient(g, kk_alg, vecs, ak, b0, hat=hat)
 
     assert check(kk_vecs) is True
     negated = [[-a for a in kk_vecs[0]]] + kk_vecs[1:]

@@ -16,7 +16,7 @@ from superdecomp.positivity import (
 from superdecomp.poly import (
     char_poly, char_poly_and_rational_split, pdivmod, peval_matrix, pmul, rational_roots,
 )
-from superdecomp.core import Subspace
+from superdecomp.spaces import Subspace
 
 
 def M(rows):
@@ -572,7 +572,7 @@ def test_rational_roots_without_roots():
 
 
 # dense small systems, and wide sparse ones like the cutting planes of
-# unitar.find_posdef_in_span (78 unknowns, at most 3 nonzero entries a row)
+# witness.find_posdef_in_span (78 unknowns, at most 3 nonzero entries a row)
 @st.composite
 def lp_systems(draw):
     if draw(st.booleans()):

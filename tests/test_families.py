@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from superdecomp.exact import I, ONE, Scalar, vec_is_zero, vec_zero
-from superdecomp.core import (
-    SuperAlgebra, SuperAlgebraError, center, centralizer, killing_form,
-    verify_superalgebra,
-)
+from superdecomp.spaces import SuperAlgebraError
+from superdecomp.core import SuperAlgebra, center
+from superdecomp.invariants import centralizer, killing_form, verify_superalgebra
 from superdecomp.calculus import bracket_span, derived, is_ideal
-from superdecomp.decomp import subalgebra_from_subspace
+from superdecomp.ideals import subalgebra_from_subspace
 from superdecomp.positivity import is_positive_definite
 from superdecomp.families import (
     FamilySpec, build_family, build_lie_algebra, expected_dims,

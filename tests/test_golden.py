@@ -31,9 +31,8 @@ from unittest import mock
 import pytest
 
 from superdecomp.cli import main
-from superdecomp.core import (
-    SuperAlgebraError, algebra_to_json_dict, direct_sum, quotient_by_central,
-)
+from superdecomp.spaces import SuperAlgebraError
+from superdecomp.core import algebra_to_json_dict, direct_sum, quotient_by_central
 from superdecomp.decomp import structure_report
 from superdecomp.unitar import necessary_conditions_report
 from superdecomp.exact import ONE, Scalar, vec_zero

@@ -6,18 +6,20 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superdecomp import classify, positivity, unitar
+from superdecomp import classify, positivity, unitar, witness
 from superdecomp.classify import classify_fingerprint, fingerprint
-from superdecomp.core import SuperAlgebra, SuperSpace, direct_sum
+from superdecomp.spaces import SuperSpace
+from superdecomp.core import SuperAlgebra, direct_sum
 from superdecomp.calculus import even_actions
 from superdecomp.realize import SparseOp, from_matrix_span
 from superdecomp.exact import I, ONE, Scalar, ZERO, vec_is_zero, vec_zero
 from superdecomp.positivity import is_positive_definite
 from superdecomp.families import build_family, build_lie_algebra
-from superdecomp.unitar import (
-    compactness_check, cone_pointedness, find_posdef_in_span, find_witness,
-    gram_of_functional, invariant_functional_basis, necessary_conditions_report,
+from superdecomp.witness import (
+    cone_pointedness, find_posdef_in_span, find_witness, gram_of_functional,
+    invariant_functional_basis,
 )
+from superdecomp.unitar import compactness_check, necessary_conditions_report
 
 
 def test_invariant_functional_dims():
@@ -130,7 +132,7 @@ def test_compactness_certificate_is_the_sign_conflict_pair(monkeypatch):
     # through the pair search on its odd part, and the pair is printed
     g = build_family("gl", 1, 1)
     monkeypatch.setattr(unitar, "find_posdef_in_span",
-                        lambda grams: unitar.ConditionReport("inconclusive"))
+                        lambda grams: witness.ConditionReport("inconclusive"))
     out = compactness_check(g)
     assert out.verdict == "fail" and out.detail == "odd part: sign-conflict pair"
     v, w = out.certificate
@@ -141,7 +143,7 @@ def test_compactness_certificate_is_the_sign_conflict_pair(monkeypatch):
                          for s in grams)
     item = necessary_conditions_report(g).to_json_dict()["conditions"][0]
     assert item == {"condition": "i_compact", "verdict": "fail",
-                    "certificate": {"x1": unitar._vec_json(v), "x2": unitar._vec_json(w)},
+                    "certificate": {"x1": witness._vec_json(v), "x2": witness._vec_json(w)},
                     "detail": "odd part: sign-conflict pair"}
 
 
@@ -375,7 +377,7 @@ def test_repeat_classify_computes_no_fingerprint(monkeypatch):
 def test_report_runs_one_witness_search(monkeypatch):
     su21 = build_family("su", 2, 1)
     g = direct_sum(direct_sum(su21, su21), direct_sum(su21, su21))
-    calls = _count_body_calls(monkeypatch, unitar.find_witness)
+    calls = _count_body_calls(monkeypatch, witness.find_witness)
     rep = necessary_conditions_report(g)
     assert calls == [g]
     assert rep.overall == "all necessary conditions pass"
@@ -411,10 +413,10 @@ def oracle_find_posdef_in_span(grams):
     candidate."""
     n = len(grams)
     if n == 0:
-        return unitar.ConditionReport("fail", detail="empty solution space")
+        return witness.ConditionReport("fail", detail="empty solution space")
     dim = len(grams[0])
     if dim == 0:
-        return unitar.ConditionReport("pass", certificate=([Fraction(0)] * n, [], 0))
+        return witness.ConditionReport("pass", certificate=([Fraction(0)] * n, [], 0))
 
     entries = {}
     for i, gi in enumerate(grams):
@@ -438,28 +440,28 @@ def oracle_find_posdef_in_span(grams):
         tested += 1
         res = is_positive_definite(gram_at(t))
         if res.ok:
-            return unitar.ConditionReport("pass", certificate=(t, res.minors, tested))
-        if tested >= unitar.WITNESS_CAP:
+            return witness.ConditionReport("pass", certificate=(t, res.minors, tested))
+        if tested >= witness.WITNESS_CAP:
             break
     if n == 1:
-        return unitar.ConditionReport(
+        return witness.ConditionReport(
             "fail", detail="one-dimensional solution space with no definite generator")
     cuts = []
     t = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    for it in range(unitar.WITNESS_CAP):
+    for it in range(witness.WITNESS_CAP):
         res = is_positive_definite(gram_at(t))
         if res.ok:
-            return unitar.ConditionReport("pass", certificate=(t, res.minors, tested + it))
+            return witness.ConditionReport("pass", certificate=(t, res.minors, tested + it))
         cuts.append([positivity.quad_form(gi, res.witness) for gi in grams])
         try:
-            t = unitar.feasible_point(cuts, n)
+            t = witness.feasible_point(cuts, n)
         except positivity.UnsolvedLP as exc:
-            return unitar.ConditionReport("inconclusive", detail="exact LP unsolved: %s" % exc)
+            return witness.ConditionReport("inconclusive", detail="exact LP unsolved: %s" % exc)
         if t is None:
-            return unitar.ConditionReport(
+            return witness.ConditionReport(
                 "fail", certificate={"cuts": len(cuts)},
                 detail="exact LP over valid cutting planes is infeasible")
-    return unitar.ConditionReport("inconclusive", detail="iteration cap reached")
+    return witness.ConditionReport("inconclusive", detail="iteration cap reached")
 
 
 def search_summary(out):
@@ -494,7 +496,7 @@ def with_lp_budget(search, grams, calls=6):
             raise positivity.UnsolvedLP("LP budget spent")
         return positivity.feasible_point(rows, nvars)
 
-    with mock.patch.object(unitar, "feasible_point", budgeted):
+    with mock.patch.object(witness, "feasible_point", budgeted):
         return search_summary(search(grams))
 
 
@@ -534,14 +536,14 @@ def test_search_matches_the_fraction_oracle_on_form_spans(tag, params, copies):
 def record_sign_patterns(monkeypatch):
     """The list of candidates the search draws from now on."""
     drawn = []
-    patterns = unitar._sign_patterns
+    patterns = witness._sign_patterns
 
     def recorded(n):
         for t in patterns(n):
             drawn.append(list(t))
             yield t
 
-    monkeypatch.setattr(unitar, "_sign_patterns", recorded)
+    monkeypatch.setattr(witness, "_sign_patterns", recorded)
     return drawn
 
 
@@ -557,7 +559,7 @@ def test_sylvester_runs_only_on_a_positive_diagonal(monkeypatch):
         tested.append(gram)
         return is_positive_definite(gram)
 
-    monkeypatch.setattr(unitar, "is_positive_definite", sylvester)
+    monkeypatch.setattr(witness, "is_positive_definite", sylvester)
     out = find_posdef_in_span(grams)
     assert out.verdict == "pass" and out.certificate[2] == len(drawn) == 13
 
@@ -579,7 +581,7 @@ def test_the_search_stops_at_the_iteration_cap(monkeypatch):
     grams = [gram_of_functional(g, w) for w in invariant_functional_basis(g)]
     assert find_posdef_in_span(grams).certificate[2] == 30
     drawn = record_sign_patterns(monkeypatch)
-    monkeypatch.setattr(unitar, "WITNESS_CAP", 4)
+    monkeypatch.setattr(witness, "WITNESS_CAP", 4)
     out = find_posdef_in_span(grams)
     assert out.verdict == "inconclusive" and out.detail == "iteration cap reached"
     assert len(drawn) == 4
@@ -594,7 +596,7 @@ def oracle_isotropic_on_planes(g):
     """The first s u + e_k with zero square, by dense brackets."""
     basis = [(k, g.basis_vector(k)) for k in g.space.odd_indices()]
     basis = [(k, ek, g.bracket(ek, ek)) for k, ek in basis]
-    for u, su in unitar._candidate_squares(g):
+    for u, su in witness._candidate_squares(g):
         for k, ek, sk in basis:
             if u[k]:
                 continue
@@ -623,7 +625,7 @@ def odd_quadratics(draw):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(odd_quadratics())
 def test_plane_search_matches_the_dense_oracle(g):
-    if any(vec_is_zero(sq) for _, sq in unitar._candidate_squares(g)):
+    if any(vec_is_zero(sq) for _, sq in witness._candidate_squares(g)):
         return          # the report stops before the planes
     assert unitar._isotropic_on_planes(g) == oracle_isotropic_on_planes(g)
 
