@@ -564,6 +564,8 @@ def test_benchmark_harness_imports_resolve():
     assert layers == ["cli", "core", "decomp", "exact", "families", "fock", "unitar"]
     for name in layers:
         importlib.import_module("superdecomp." + name)
+    # traced_cli counts the Fock dimension through FockSpace.__init__
+    assert hasattr(importlib.import_module("superdecomp.fock"), "FockSpace")
 
 
 @pytest.mark.parametrize("optimize", [False, True])
