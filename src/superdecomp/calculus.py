@@ -1,15 +1,19 @@
 """The subspace calculus on core's integer adjoint table and echelon
-rows: derived algebra, bracket spans of subspaces, ideals, even actions
-as integer columns and module commutants.  decomp, split, ideals,
-classify and unitar use it; check, construct and the spin
-representations load none of it.
+rows: derived algebra, bracket spans of subspaces, ideals, module
+actions as integer columns and module commutants.  module_actions is
+the one writer of action columns; it acts by exactly the elements it is
+given, and a caller that wants fewer actions passes lie_generators of
+them, which have the same invariant subspaces and the same commutant.
+decomp, split, ideals, classify and unitar use it; check, construct and
+the spin representations load none of it.
 """
 
-from math import gcd
+from math import gcd, lcm
 
-from .exact import Echelon
-from .spaces import Subspace
-from .core import _bracket_rows, per_algebra
+from .exact import Echelon, LinSolver
+from .spaces import SuperAlgebraError, Subspace
+from .core import _bracket_rows, _int_row, per_algebra
+from .invariants import require_superalgebra
 
 
 # ---------------------------------------------------------------------------
@@ -53,33 +57,73 @@ def is_ideal(g, s):
 
 
 # ---------------------------------------------------------------------------
-# even actions and module commutants
+# module actions and module commutants
 # ---------------------------------------------------------------------------
 
-def even_actions(g, part):
-    """ad e_x restricted to the basis index range `part` (the even or the
-    odd indices), for even basis x, in column form: cols[j] lists (i, value)
-    over the nonzero entries of column j, in increasing i.
-
-    Every action in column form, here and in split, has int entries and
-    is known only up to a positive factor: these are the adjoint table's
-    entries, den times ad e_x, divided by the gcd of the action's entries,
-    so that the equation rows built from them carry no common factor.  The
-    factor changes neither the commutant, nor the invariant forms, nor the
-    invariant subspaces, so readers take the columns as they are."""
-    lo = part.start
+def lie_generators(g, vecs):
+    """Those of the homogeneous vecs, in order, outside the Lie algebra
+    generated by the earlier ones: by graded Jacobi, a subspace they leave
+    invariant, or a map commuting with them, is so for that whole algebra.
+    The closure is expanded on int rows only until the next vec lies in it."""
+    require_superalgebra(g)
     ad, _ = g.adjoint_table()
-    out = []
-    for x in g.space.even_indices():
-        c = gcd(*(a for j in part for a in ad[x][j].values()))
-        out.append([sorted((k - lo, a // c) for k, a in ad[x][j].items()) for j in part])
-    return out
+    ech = Echelon(g.dim)
+    rows, gens = [], []                 # rows span the closure found so far
+    done = 0                            # rows bracketed with every earlier one
+    for v in vecs:
+        row = _int_row(v)[0]
+        while done < len(rows) and ech.residual(row):
+            for w in rows[:done + 1]:
+                u = _bracket_rows(ad, rows[done], w)
+                if ech.add(u):
+                    rows.append(u)
+            done += 1
+        if ech.add(row):
+            gens.append(v)
+            rows.append(row)
+    return gens
+
+
+def _columns(images, solver):
+    """Integer columns, in the coordinates of solver's basis, of the map
+    that sends basis vector j to images[j] = (row, den), the vector
+    row / den for a sparse int row and a positive int den, scaled by a
+    positive factor to coprime ints; raises when an image leaves the span.
+    Each column is read off the solver's residual as ints over a scale of
+    its own, which takes in that image's den."""
+    found = [solver.int_coords(row, den) for row, den in images]
+    if None in found:
+        raise SuperAlgebraError("subspace is not invariant")
+    den = lcm(*[s for _, s in found])
+    cols = [sorted((i, a * (den // s)) for i, a in x.items()) for x, s in found]
+    c = gcd(*(a for col in cols for _, a in col))
+    return [[(i, a // c) for i, a in col] for col in cols] if c > 1 else cols
+
+
+def module_actions(g, elements, basis_vecs):
+    """ad x on span(basis_vecs) for each of the elements x, in column form:
+    cols[j] lists (i, value) over the nonzero entries of column j, in
+    increasing i, in the coordinates of basis_vecs.
+
+    Every action in column form has int entries and is known only up to a
+    positive factor.  On the int rows d_x x and d_j v_j the adjoint table
+    gives den d_x d_j [x, v_j]; column j is solved for over d_j, so every
+    column of an action carries the same factor den d_x, and the action
+    is divided by the gcd of its entries, so that the equation rows built
+    from it carry no common factor.  The factor changes neither the
+    commutant, nor the invariant forms, nor the invariant subspaces, so
+    readers take the columns as they are."""
+    ad, _ = g.adjoint_table()
+    solver = LinSolver(basis_vecs, g.dim)
+    rows = [_int_row(v) for v in basis_vecs]
+    return [_columns([(_bracket_rows(ad, x, v), d) for v, d in rows], solver)
+            for x, _ in map(_int_row, elements)]
 
 
 def module_commutant(actions, dim):
     """Basis of {T : A T = T A for every action A}, exact; the actions are
-    in column form and each basis element is the list of its dense
-    columns, so T v is _lin_comb(v, T, dim).
+    in column form, as module_actions writes them, and each basis element
+    is the list of its dense columns, so T v is _lin_comb(v, T, dim).
 
     The identity always commutes, so once the equations reach rank
     dim^2 - 1 the solution space is the scalars and the remaining

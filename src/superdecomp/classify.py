@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .core import center, per_algebra
 from .invariants import even_center_dim, killing_form
-from .calculus import bracket_span, even_actions, is_perfect, module_commutant
+from .calculus import bracket_span, is_perfect, module_actions, module_commutant
 
 
 class Fingerprint(namedtuple("Fingerprint", (
@@ -37,8 +37,10 @@ class Fingerprint(namedtuple("Fingerprint", (
 @per_algebra
 def fingerprint(g):
     _, krank = killing_form(g)
-    comm = module_commutant(even_actions(g, g.space.odd_indices()), g.d1) if g.d1 else []
     odd = g.odd_subspace()
+    # every even basis vector acts: lie_generators would run the Jacobi
+    # check on each ideal's algebra, which costs more than it saves here
+    comm = module_commutant(module_actions(g, g.even_subspace().basis, odd.basis), g.d1)
     return Fingerprint(
         g.d0, g.d1, center(g).dim, even_center_dim(g), krank,
         len(comm), is_perfect(g), bracket_span(g, odd, odd).dim)

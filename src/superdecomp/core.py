@@ -26,7 +26,7 @@ from math import lcm
 import re
 from types import MappingProxyType
 
-from .exact import Echelon, LinSolver, ONE, _row_from_list, kernel, vec_zero
+from .exact import Echelon, LinSolver, _row_from_list, kernel, vec_unit, vec_zero
 from .spaces import SuperAlgebraError, SuperSpace, Subspace
 
 
@@ -142,9 +142,7 @@ class SuperAlgebra:
         return out
 
     def basis_vector(self, i):
-        v = vec_zero(self.dim)
-        v[i] = ONE
-        return v
+        return vec_unit(self.dim, i)
 
     def subspace(self, vectors):
         return Subspace(self.dim, vectors)

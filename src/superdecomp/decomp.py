@@ -20,8 +20,8 @@ from .exact import Echelon, _lin_comb, kernel, vec_is_zero
 from .spaces import Subspace
 from .core import center
 from .invariants import centralizer, require_superalgebra
-from .calculus import bracket_span
-from .split import DecompositionError, _lift, module_actions, split_module
+from .calculus import bracket_span, lie_generators, module_actions
+from .split import DecompositionError, _lift, split_module
 from .ideals import (
     IdealInfo, _pick_b0, build_c_ideal, build_g_ideal, build_hat_c, classify_indices,
     qhat_embedding_certificate,
@@ -95,7 +95,7 @@ def decompose_odd(g, core_even):
             evidence={"b_dim": b.dim, "a_dim": a.dim, "d1": g1.dim})
     if a.dim == 0:
         return ModuleDecomposition(b, a, [], [])
-    actions = module_actions(g, core_even.basis, a.basis)
+    actions = module_actions(g, lie_generators(g, core_even.basis), a.basis)
     parts = split_module(actions, a.dim)
     summands = [(Subspace(g.dim, _lift(a.basis, vecs)), cert) for vecs, cert in parts]
     summands.sort(key=lambda sc: sc[0].sort_key())

@@ -91,6 +91,12 @@ def vec_zero(n):
     return [ZERO] * n
 
 
+def vec_unit(n, i):
+    v = [ZERO] * n
+    v[i] = ONE
+    return v
+
+
 def vec_add(u, v):
     return [a + b for a, b in zip(u, v)]
 
@@ -251,8 +257,7 @@ class Echelon:
         free = [j for j in range(self.ncols) if j not in pivset]
         out = []
         for f in free:
-            v = vec_zero(self.ncols)
-            v[f] = ONE
+            v = vec_unit(self.ncols, f)
             for c, row in rref:
                 a = row.get(f)
                 if a is not None:

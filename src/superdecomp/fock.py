@@ -25,7 +25,7 @@ when it is built, and is refused if the check fails.
 import json
 from fractions import Fraction
 
-from .exact import I, ZERO, ONE, MINUS_ONE, Echelon
+from .exact import I, ZERO, MINUS_ONE, Echelon, vec_unit
 from .spaces import SuperAlgebraError
 from .families import FamilySpec, build
 from .realize import SparseOp, _gaussian_ints, supercommutator
@@ -128,7 +128,7 @@ def check_car(n):
     """
     fock = FockSpace(n)
     eye, zero = SparseOp.identity(fock.dim), SparseOp.zero(fock.dim)
-    units = [[ONE if i == k else ZERO for i in range(n)] for k in range(n)]
+    units = [vec_unit(n, k) for k in range(n)]
     ann = [fock.annihilation(e) for e in units]
     cre = [fock.creation(e) for e in units]
     for f, af in zip(units, ann):
@@ -263,7 +263,7 @@ def spin_representation(variant, n):
     g = build(spec)
     fock = FockSpace(n)
     ops = [SparseOp.identity(fock.dim).scale(I)]
-    units = [[ONE if i == k else ZERO for i in range(n)] for k in range(n)]
+    units = [vec_unit(n, k) for k in range(n)]
     if variant == "spin_h_hat":
         ops.append(fock.second_quantised(units).scale(I))
     ladders = [(fock.creation(e), fock.annihilation(e)) for e in units]

@@ -13,11 +13,11 @@ tangent algebra it is compared with are written in their own basis by
 core.algebra_in_basis, through subalgebra_from_subspace.
 """
 
-from .exact import Echelon, LinSolver, vec_zero
+from .exact import Echelon, LinSolver, vec_unit, vec_zero
 from .spaces import SuperAlgebraError, Subspace
 from .core import algebra_in_basis, center, quotient_by_central, tables_equal
-from .calculus import bracket_span, is_ideal, is_perfect
-from .split import DecompositionError, _lift, _unit, module_actions, split_module
+from .calculus import bracket_span, is_ideal, is_perfect, lie_generators, module_actions
+from .split import DecompositionError, _lift, split_module
 from . import classify
 
 
@@ -131,8 +131,9 @@ def build_g_ideal(g, dec, j, jp):
                                  evidence={"j": j})
     # a_j and a_j' stay simple over the ideal's own even part
     ideal_even, _ = span.parity_components(g.space.parities)
+    gens = lie_generators(g, ideal_even.basis)
     for a in (aj, ajp) if j != jp else (aj,):
-        if len(split_module(module_actions(g, ideal_even.basis, a.basis), a.dim)) != 1:
+        if len(split_module(module_actions(g, gens, a.basis), a.dim)) != 1:
             raise DecompositionError("a_j fails to stay simple over g(j)",
                                      evidence={"j": j})
     # simple adjoint quotient g(j)/z(g(j)), the centre graded as the bracket is even
@@ -157,7 +158,8 @@ def build_c_ideal(g, dec, k, b0):
         raise DecompositionError("[b, a_k] vanishes for a residue index",
                                  evidence={"k": k})
     kk_alg, kk_vecs = subalgebra_from_subspace(g, kk)
-    simple = len(split_module(module_actions(g, kk.basis, kk.basis), kk.dim)) == 1
+    actions = module_actions(g, lie_generators(g, kk.basis), kk.basis)
+    simple = len(split_module(actions, kk.dim)) == 1
     if center(kk_alg).dim or not simple:
         raise DecompositionError("[b, a_k] is not a simple Lie algebra",
                                  evidence={"k": k})
@@ -191,7 +193,7 @@ def _verify_tangent_quotient(g, kk_alg, kk_vecs, ak, b0, hat=False):
     d = kk_alg.dim
     solver_k = LinSolver(kk_vecs, g.dim)
     sources = list(kk_vecs)
-    images = [_unit(tk.dim, i) for i in range(d)]
+    images = [vec_unit(tk.dim, i) for i in range(d)]
     for u in ak.basis:
         coords = solver_k.coords(g.bracket(b0, u))
         if coords is None:
@@ -202,7 +204,7 @@ def _verify_tangent_quotient(g, kk_alg, kk_vecs, ak, b0, hat=False):
         images.append(img)
     if hat:
         sources.append(b0)
-        images.append(_unit(tk.dim, 2 * d))
+        images.append(vec_unit(tk.dim, 2 * d))
     # ad b0 must be bijective from a_k onto kk
     if len(Echelon(tk.dim).extend(images)) != len(images):
         return False

@@ -1,29 +1,25 @@
 """Splitting a module into simple summands: an exact commutant MeatAxe.
 
-A module is given by its actions as integer columns (the contract is
-stated in calculus.even_actions).  decomp and ideals act on a subspace
-of an algebra by the Lie generators among the acting elements only
-(lie_generators): they have the same invariant subspaces and the same
-commutant.  split_module splits a piece by an element of its commutant
-basis (a coprime factorisation of its characteristic polynomial, or the
-kernel of a zero divisor) or by spin-up from a unit vector, then splits
-each part in its own coordinates, under the actions restricted to it.
-Every kernel and solve is read off integer echelon rows; commutant
-elements are held as lists of dense columns.  A search that hits its
-iteration cap raises InconclusiveSplit rather than guessing.
+A module is given by its actions as integer columns, as
+calculus.module_actions writes them (the contract is stated there).
+split_module splits a piece by an element of its commutant basis (a
+coprime factorisation of its characteristic polynomial, or the kernel
+of a zero divisor) or by spin-up from a unit vector, then splits each
+part in its own coordinates, under the actions restricted to it on int
+rows.  Every kernel and solve is read off integer echelon rows;
+commutant elements are held as lists of dense columns.  A search that
+hits its iteration cap raises InconclusiveSplit rather than guessing.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .exact import (
-    Echelon, LinSolver, ZERO, ONE, _lin_comb, _row_from_list, kernel, solve, vec_zero,
+    Echelon, LinSolver, _lin_comb, _row_from_list, kernel, solve, vec_unit, vec_zero,
 )
 from .poly import char_poly_and_rational_split, peval_matrix, pmul
 from .spaces import SuperAlgebraError, Subspace
-from .core import _bracket_rows, _int_row
-from .invariants import require_superalgebra
-from .calculus import module_commutant
+from .core import _int_row
+from .calculus import _columns, module_commutant
 
 SPLIT_CAP = 64
 
@@ -39,60 +35,13 @@ class InconclusiveSplit(DecompositionError):
         super().__init__("module splitting inconclusive after iteration cap")
 
 
-def _columns(images, solver):
-    """Integer columns, in the coordinates of solver's basis, of the map
-    that sends basis vector j to images[j], scaled by a positive factor to
-    coprime ints; raises when an image leaves the span.  Each column is
-    read off the solver's residual as ints over a scale of its own."""
-    found = [solver.int_coords(_row_from_list(w)) for w in images]
-    if None in found:
-        raise DecompositionError("subspace is not invariant")
-    den = lcm(*[s for _, s in found])
-    cols = [sorted((i, a * (den // s)) for i, a in x.items()) for x, s in found]
-    c = gcd(*(a for col in cols for _, a in col))
-    return [[(i, a // c) for i, a in col] for col in cols] if c > 1 else cols
-
-
-def lie_generators(g, vecs):
-    """Those of the homogeneous vecs, in order, outside the Lie algebra
-    generated by the earlier ones: by graded Jacobi, a subspace they leave
-    invariant, or a map commuting with them, is so for that whole algebra.
-    The closure is expanded on int rows only until the next vec lies in it."""
-    require_superalgebra(g)
-    ad, _ = g.adjoint_table()
-    ech = Echelon(g.dim)
-    rows, gens = [], []                 # rows span the closure found so far
-    done = 0                            # rows bracketed with every earlier one
-    for v in vecs:
-        row = _int_row(v)[0]
-        while done < len(rows) and ech.residual(row):
-            for w in rows[:done + 1]:
-                u = _bracket_rows(ad, rows[done], w)
-                if ech.add(u):
-                    rows.append(u)
-            done += 1
-        if ech.add(row):
-            gens.append(v)
-            rows.append(row)
-    return gens
-
-
-def module_actions(g, elements, basis_vecs):
-    """Actions on span(basis_vecs), as integer columns, of the Lie generators
-    among elements: they have the invariant subspaces and commutant of all."""
-    solver = LinSolver(basis_vecs, g.dim)
-    return [_columns([g.bracket(x, v) for v in basis_vecs], solver)
-            for x in lie_generators(g, elements)]
-
-
-def _apply(cols, v):
-    """m v for a square m in column form."""
-    out = [ZERO] * len(cols)
-    for j, x in enumerate(v):
-        if x:
-            for i, a in cols[j]:
-                out[i] = out[i] + a * x
-    return out
+def _act(cols, row):
+    """m row for a square m in column form and a sparse int row."""
+    u = {}
+    for j, x in row.items():
+        for i, a in cols[j]:
+            u[i] = u.get(i, 0) + a * x
+    return {i: a for i, a in u.items() if a}
 
 
 def spin_up(actions, v, dim):
@@ -106,12 +55,7 @@ def spin_up(actions, v, dim):
         idx += 1
         if not ech.add(w):
             continue
-        for cols in actions:
-            u = {}
-            for j, x in w.items():
-                for i, a in cols[j]:
-                    u[i] = u.get(i, 0) + a * x
-            rows.append({i: a for i, a in u.items() if a})
+        rows.extend(_act(cols, w) for cols in actions)
     return Subspace._spanned(ech)
 
 
@@ -152,12 +96,6 @@ def _invariant_complement(comm, wbasis, dim):
     return _kernel_of([_lin_comb(x, [c[s] for c in comm], dim) for s in range(dim)])
 
 
-def _unit(dim, i):
-    v = vec_zero(dim)
-    v[i] = ONE
-    return v
-
-
 class SplitBudget:
     def __init__(self, cap):
         self.left = cap
@@ -187,13 +125,14 @@ def _split_rec(actions, dim, budget):
     comm = module_commutant(actions, dim)
     parts = _split_parts(actions, dim, budget, comm)
     if parts is None:
-        return [([_unit(dim, i) for i in range(dim)], {"commutant_dim": len(comm)})]
+        return [([vec_unit(dim, i) for i in range(dim)], {"commutant_dim": len(comm)})]
     # each part is split in its own coordinates, under the actions
     # restricted to it, and its pieces are lifted back to these
     out = []
     for basis in parts:
         solver = LinSolver(basis, dim)
-        sub = [_columns([_apply(cols, v) for v in basis], solver) for cols in actions]
+        rows = [_int_row(v) for v in basis]
+        sub = [_columns([(_act(cols, v), d) for v, d in rows], solver) for cols in actions]
         out.extend((_lift(basis, vecs), cert)
                    for vecs, cert in _split_rec(sub, len(basis), budget))
     return out
@@ -227,7 +166,7 @@ def _split_parts(actions, dim, budget, comm):
             raise DecompositionError("primary decomposition dimensions do not add up")
         return parts
     for i in range(dim):
-        w = spin_up(actions, _unit(dim, i), dim)
+        w = spin_up(actions, vec_unit(dim, i), dim)
         if w.dim < dim:
             return _with_complement(comm, w.basis, dim)
     return None

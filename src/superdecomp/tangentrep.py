@@ -12,7 +12,7 @@ this module, and with it positivity.
 from fractions import Fraction
 from math import isqrt
 
-from .exact import I, LinSolver, Scalar, ZERO, ONE, _lin_comb
+from .exact import I, LinSolver, Scalar, ZERO, ONE, _lin_comb, vec_unit
 from .positivity import is_positive_definite
 from .spaces import SuperAlgebraError
 from .invariants import killing_form
@@ -60,8 +60,7 @@ def _matrix_inverse(m):
         solver = LinSolver(list(zip(*m)), n)
     except ValueError:
         raise SuperAlgebraError("singular matrix") from None
-    units = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
-    return [list(r) for r in zip(*map(solver.coords, units))]
+    return [list(r) for r in zip(*(solver.coords(vec_unit(n, j)) for j in range(n)))]
 
 
 def tilde_tangent_representation(kind, n):

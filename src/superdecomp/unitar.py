@@ -14,11 +14,11 @@ isotropic odd vectors run on integer rows of the adjoint table.
 
 from fractions import Fraction
 
-from .exact import ZERO, ONE, _lin_comb, kernel, vec_is_zero, vec_zero
+from .exact import ONE, kernel, vec_is_zero, vec_unit, vec_zero
 from .positivity import quad_form
 from .core import _bracket_rows
 from .invariants import InvariantForm, even_center_dim, require_superalgebra
-from .calculus import even_actions, module_commutant
+from .calculus import lie_generators, module_actions, module_commutant
 from .witness import (
     ConditionReport, Witness, _candidate_squares, _rational_sqrt, _vec_json,
     cone_pointedness, find_posdef_in_span, find_witness, invariant_functional_basis,
@@ -26,15 +26,16 @@ from .witness import (
 
 
 # ---------------------------------------------------------------------------
-# even actions and invariant symmetric forms
+# invariant symmetric forms
 # ---------------------------------------------------------------------------
 
 def invariant_symmetric_forms(actions, dim):
     """Basis of symmetric B with M^T B + B M = 0 for every action M.
 
     Each action is given as integer columns: cols[j] lists (i, M[i][j])
-    over the nonzero entries of column j, as even_actions returns it, so
-    the equation rows are int dicts.
+    over the nonzero entries of column j, as calculus.module_actions
+    writes it, so the equation rows are int dicts.  Forms invariant under
+    the Lie generators of the acting algebra are invariant under all of it.
 
     Unknowns are the upper-triangle entries; returns a list of Gram
     matrices, each a list of rows, spanning the solution space.
@@ -76,7 +77,8 @@ def invariant_symmetric_forms(actions, dim):
 
 def invariant_odd_forms(g):
     """Basis of even-invariant symmetric forms on the odd part."""
-    grams = invariant_symmetric_forms(even_actions(g, g.space.odd_indices()), g.d1)
+    gens = lie_generators(g, g.even_subspace().basis)
+    grams = invariant_symmetric_forms(module_actions(g, gens, g.odd_subspace().basis), g.d1)
     idx = list(g.space.odd_indices())
     return [InvariantForm(idx, gr) for gr in grams]
 
@@ -92,13 +94,11 @@ def _no_posdef_pair_certificate(grams, dim, actions):
     (multiplication-by-i operators of complex type); certifies that no
     form in the span is positive definite.
     """
-    if not grams:
-        return None
     comm = module_commutant(actions, dim)
     for vi in range(dim):
-        v = [ONE if a == vi else ZERO for a in range(dim)]
+        v = vec_unit(dim, vi)
         for j in comm:
-            w = _lin_comb(v, j, dim)
+            w = j[vi]                   # J e_v, the column v of J
             if vec_is_zero(w):
                 continue
             if all(quad_form(s, v) + quad_form(s, w) == 0 for s in grams):
@@ -116,12 +116,14 @@ def compactness_check(g):
     in the detail.
     """
     verdicts = []
-    for part, actions, dim in (
-            ("even", even_actions(g, g.space.even_indices()), g.d0),
-            ("odd", even_actions(g, g.space.odd_indices()), g.d1)):
+    even, odd = g.even_subspace(), g.odd_subspace()
+    gens = lie_generators(g, even.basis)
+    for part, sub in (("even", even), ("odd", odd)):
+        dim = sub.dim
         if dim == 0:
             verdicts.append("pass")
             continue
+        actions = module_actions(g, gens, sub.basis)
         grams = invariant_symmetric_forms(actions, dim)
         out = find_posdef_in_span(grams)
         if out.verdict == "inconclusive":

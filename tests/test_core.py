@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from superdecomp.exact import (
     Echelon, I, LinSolver, ONE, Scalar, ZERO, _lin_comb, kernel, vec_add,
-    vec_is_zero, vec_sub, vec_zero,
+    vec_is_zero, vec_sub, vec_unit, vec_zero,
 )
 from superdecomp.spaces import SuperAlgebraError, SuperSpace, Subspace
 from superdecomp.core import (
@@ -19,10 +19,10 @@ from superdecomp.invariants import (
     InvariantForm, Violation, centralizer, killing_form, verify_superalgebra,
 )
 from superdecomp.calculus import (
-    bracket_span, derived, even_actions, is_ideal, is_perfect, module_commutant,
+    bracket_span, derived, is_ideal, is_perfect, module_commutant,
 )
 from superdecomp.realize import NotClosedError, SparseOp, from_matrix_span
-from superdecomp.split import _unit, spin_up
+from superdecomp.split import spin_up
 from superdecomp.ideals import subalgebra_from_subspace
 from superdecomp.witness import find_witness
 from superdecomp.unitar import invariant_odd_forms, invariant_symmetric_forms
@@ -31,6 +31,7 @@ from superdecomp.extend import (
 )
 from superdecomp.families import build_family, build_lie_algebra
 from test_families import to_matrix
+from test_decomp import part_actions
 
 
 def test_ungraded_subspace_is_refused():
@@ -726,8 +727,8 @@ def test_module_equations_match_dense_oracles_on_acceptance_families():
     from test_acceptance import ACCEPT_FAMILIES
     for tag, params in ACCEPT_FAMILIES:
         g = build_family(tag, *params)
-        for actions, dim in ((even_actions(g, g.space.odd_indices()), g.d1),
-                             (even_actions(g, g.space.even_indices()), g.d0)):
+        for actions, dim in ((part_actions(g, g.space.odd_indices()), g.d1),
+                             (part_actions(g, g.space.even_indices()), g.d0)):
             assert module_commutant(actions, dim) == \
                 dense_module_commutant(actions, dim), (tag, params, dim)
             assert invariant_symmetric_forms(actions, dim) == \
@@ -1000,6 +1001,43 @@ def test_every_library_function_is_referenced():
                     and not (n.name.startswith("__") and n.name.endswith("__"))
                     and n.name not in used)
     assert unused == []
+
+
+def test_every_top_level_name_is_named_outside_its_definition():
+    # per module, unlike the test above: a top-level function or class of
+    # module m counts as named when m uses it outside its own definition,
+    # or a file imports it from m, reads it as m.name, or names "m.name"
+    # in a string; so a helper left behind in one module after another
+    # module's namesake replaced it is caught
+    import glob
+    import os
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    qualified = set()                   # (module, name) named from anywhere
+    lines = {}                          # (module, name) -> lines m uses it on
+    for part in ("src", "tests", "bench"):
+        for path in glob.glob(os.path.join(root, part, "**", "*.py"), recursive=True):
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            mod = os.path.basename(path)[:-3]
+            own = part == "src"
+            for n in ast.walk(tree):
+                if own and isinstance(n, ast.Name):
+                    lines.setdefault((mod, n.id), []).append(n.lineno)
+                elif isinstance(n, ast.ImportFrom):
+                    qualified.update(((n.module or "").split(".")[-1], a.name)
+                                     for a in n.names)
+                elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                    qualified.add((n.value.id, n.attr))
+                elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    parts = n.value.split(".")
+                    qualified.update(zip(parts, parts[1:]))
+    dead = sorted("%s:%s" % (name, n.name) for name, tree in _library_trees()
+                  for n in tree.body
+                  if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                  and (name[:-3], n.name) not in qualified
+                  and all(n.lineno <= i <= n.end_lineno
+                          for i in lines.get((name[:-3], n.name), [])))
+    assert dead == []
 
 
 def test_core_subspaces_run_on_echelon_rows():
@@ -1303,7 +1341,7 @@ def scaled_actions(draw):
     spec = draw(st.sampled_from(INT_FORM_CASES))
     g = build_family(spec[0], *spec[1])
     part = g.space.odd_indices() if draw(st.booleans()) else g.space.even_indices()
-    actions = even_actions(g, part)
+    actions = part_actions(g, part)
     factors = [Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 7)))
                for _ in actions]
     return actions, factors, len(part)
@@ -1321,4 +1359,4 @@ def test_invariant_forms_ignore_the_scale_of_each_action(case):
     assert dense_invariant_symmetric_forms(scaled, dim) == forms
     assert module_commutant(scaled, dim) == module_commutant(actions, dim)
     for i in range(dim):
-        assert spin_up(scaled, _unit(dim, i), dim) == spin_up(actions, _unit(dim, i), dim)
+        assert spin_up(scaled, vec_unit(dim, i), dim) == spin_up(actions, vec_unit(dim, i), dim)

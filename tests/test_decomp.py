@@ -9,14 +9,11 @@ from hypothesis import given, settings, strategies as st
 from superdecomp.spaces import SuperAlgebraError, SuperSpace, Subspace
 from superdecomp.core import SuperAlgebra, center, direct_sum, quotient_by_central
 from superdecomp.invariants import verify_superalgebra
-from superdecomp.calculus import bracket_span, even_actions, module_commutant
-from superdecomp.exact import LinSolver, ONE, ZERO, Scalar, vec_zero
+from superdecomp.calculus import bracket_span, lie_generators, module_actions, module_commutant
+from superdecomp.exact import LinSolver, ONE, ZERO, Scalar, vec_unit, vec_zero
 from superdecomp.families import build_family, expected_dims
-from superdecomp import decomp, ideals, split
-from superdecomp.split import (
-    DecompositionError, _invariant_complement, lie_generators, module_actions, spin_up,
-    split_module,
-)
+from superdecomp import calculus, decomp, ideals, split
+from superdecomp.split import DecompositionError, _invariant_complement, spin_up, split_module
 from superdecomp.ideals import classify_indices
 from superdecomp.decomp import decompose_odd, reduce_to_odd_generated, structure_report
 from superdecomp.unitar import necessary_conditions_report
@@ -107,9 +104,23 @@ def odd_module_of(g):
 
 def every_action(g, elements, basis):
     """The actions on span(basis) of all the elements, in column form: the
-    oracle for module_actions, which keeps their Lie generators only."""
+    oracle for calculus.module_actions.  Each action is solved for in
+    Fractions from the dense brackets and scaled to coprime ints."""
     solver = LinSolver(basis, g.dim)
-    return [split._columns([g.bracket(x, v) for v in basis], solver) for x in elements]
+    out = []
+    for x in elements:
+        cols = [solver.coords(g.bracket(x, v)) for v in basis]
+        den = math.lcm(*(a.denominator for col in cols for a in col))
+        ints = [[(i, int(a * den)) for i, a in enumerate(col) if a] for col in cols]
+        c = math.gcd(*(a for col in ints for _, a in col)) or 1
+        out.append([[(i, a // c) for i, a in col] for col in ints])
+    return out
+
+
+def part_actions(g, part):
+    """ad e_x on the basis vectors of the index range part, for every even
+    basis vector e_x, in column form."""
+    return module_actions(g, g.even_subspace().basis, [g.basis_vector(i) for i in part])
 
 
 def odd_module(tag, *params):
@@ -256,19 +267,18 @@ def assert_generators_act_as_all(g, elements, basis):
     """Commutant, spin-up from each unit vector and split are the same under
     the generators' actions as under those of every element; returns the
     number of generators kept."""
-    gens = module_actions(g, elements, basis)
+    gens = module_actions(g, lie_generators(g, elements), basis)
     full = every_action(g, elements, basis)
     dim = len(basis)
     assert module_commutant(gens, dim) == module_commutant(full, dim)
     for i in range(dim):
-        assert spin_up(gens, split._unit(dim, i), dim) == \
-            spin_up(full, split._unit(dim, i), dim)
+        assert spin_up(gens, vec_unit(dim, i), dim) == spin_up(full, vec_unit(dim, i), dim)
     assert split_module(gens, dim) == split_module(full, dim)
     return len(gens)
 
 
 def test_actions_hold_integer_columns(monkeypatch):
-    # the contract of calculus.even_actions: every action, and every action
+    # the contract of calculus.module_actions: every action, and every action
     # restricted to a piece by the splitter, has int entries
     from test_acceptance import ACCEPT_FAMILIES
     seen = []
@@ -282,25 +292,25 @@ def test_actions_hold_integer_columns(monkeypatch):
 
     for mod in (decomp, ideals):
         monkeypatch.setattr(mod, "module_actions",
-                            recording(split.module_actions, lambda args, out: out))
+                            recording(calculus.module_actions, lambda args, out: out))
     monkeypatch.setattr(split, "_split_rec",
                         recording(split._split_rec, lambda args, out: args[0]))
     for tag, params in ACCEPT_FAMILIES:
         g = build_family(tag, *params)
         for part in (g.space.even_indices(), g.space.odd_indices()):
-            seen.extend(even_actions(g, part))
+            seen.extend(part_actions(g, part))
         try:
             structure_report(g)
         except DecompositionError:
             pass
     assert seen
     assert all(type(a) is int for cols in seen for col in cols for _, a in col)
-    # each action of even_actions is primitive, also where the adjoint
+    # each action of module_actions is primitive, also where the adjoint
     # table carries a denominator: its entries have no common factor
     g = direct_sum(build_family("su", 2, 2), build_family("psu", 2))
     assert g.adjoint_table()[1] == 2
     for part in (g.space.even_indices(), g.space.odd_indices()):
-        for cols in even_actions(g, part):
+        for cols in part_actions(g, part):
             assert math.gcd(*(a for col in cols for _, a in col)) in (0, 1)
 
 
@@ -311,6 +321,31 @@ def test_generator_actions_match_on_acceptance_odd_modules():
         elements, basis = odd_module_of(g)
         if basis:
             assert_generators_act_as_all(g, elements, basis)
+
+
+def test_module_actions_read_each_column_over_its_own_denominator():
+    # su(2|1)'s odd module on basis vectors scaled by 1/2, 1/3, ...: with
+    # every image read as a bare int row the columns lose their relative
+    # scale, and the commutant drops from dimension 2 to 1
+    g = build_family("su", 2, 1)
+    elements = g.even_subspace().basis
+    basis = [[a / (k + 2) for a in g.basis_vector(i)]
+             for k, i in enumerate(g.space.odd_indices())]
+    actions, oracle = module_actions(g, elements, basis), every_action(g, elements, basis)
+    assert actions == oracle
+    comm = module_commutant(actions, g.d1)
+    assert len(comm) == 2 and comm == module_commutant(oracle, g.d1)
+    assert split_module(actions, g.d1) == split_module(oracle, g.d1)
+
+
+def test_report_record_appends_then_raises_with_its_detail():
+    report = decomp.DecompositionReport(build_family("su", 2, 1))
+    report.record("holds", True)
+    with pytest.raises(DecompositionError, match="assertion failed: fails") as err:
+        report.record("fails", False, detail={"ideal": (0,)})
+    assert err.value.evidence == {"ideal": (0,)}
+    assert report.assertions == [{"name": "holds", "ok": True},
+                                 {"name": "fails", "ok": False, "detail": "{'ideal': (0,)}"}]
 
 
 def so3_superalgebra(actions):

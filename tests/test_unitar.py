@@ -10,7 +10,7 @@ from superdecomp import classify, positivity, unitar, witness
 from superdecomp.classify import classify_fingerprint, fingerprint
 from superdecomp.spaces import SuperSpace
 from superdecomp.core import SuperAlgebra, direct_sum
-from superdecomp.calculus import even_actions
+from superdecomp.calculus import lie_generators, module_actions, module_commutant
 from superdecomp.realize import SparseOp, from_matrix_span
 from superdecomp.exact import I, ONE, Scalar, ZERO, vec_is_zero, vec_zero
 from superdecomp.positivity import is_positive_definite
@@ -20,6 +20,7 @@ from superdecomp.witness import (
     invariant_functional_basis,
 )
 from superdecomp.unitar import compactness_check, necessary_conditions_report
+from test_decomp import part_actions
 
 
 def test_invariant_functional_dims():
@@ -127,6 +128,22 @@ def test_no_posdef_pair_certificate():
     assert unitar._no_posdef_pair_certificate([[e0, e1]], 2, []) is None
 
 
+def test_generators_give_the_forms_and_commutant_of_every_even_element():
+    # compactness_check and invariant_odd_forms act by the Lie generators
+    # of g0 only
+    from test_acceptance import ACCEPT_FAMILIES
+    for tag, params in ACCEPT_FAMILIES:
+        g = build_family(tag, *params)
+        even = g.even_subspace().basis
+        gens = lie_generators(g, even)
+        for sub in (g.even_subspace(), g.odd_subspace()):
+            by_gens, by_all = (module_actions(g, x, sub.basis) for x in (gens, even))
+            assert unitar.invariant_symmetric_forms(by_gens, sub.dim) == \
+                unitar.invariant_symmetric_forms(by_all, sub.dim), (tag, params)
+            assert module_commutant(by_gens, sub.dim) == \
+                module_commutant(by_all, sub.dim), (tag, params)
+
+
 def test_compactness_certificate_is_the_sign_conflict_pair(monkeypatch):
     # with the positive-form search made inconclusive, gl(1|1) fails (i)
     # through the pair search on its odd part, and the pair is printed
@@ -137,7 +154,7 @@ def test_compactness_certificate_is_the_sign_conflict_pair(monkeypatch):
     assert out.verdict == "fail" and out.detail == "odd part: sign-conflict pair"
     v, w = out.certificate
     assert not vec_is_zero(v) and not vec_is_zero(w)
-    odd = even_actions(g, g.space.odd_indices())
+    odd = part_actions(g, g.space.odd_indices())
     grams = unitar.invariant_symmetric_forms(odd, g.d1)
     assert grams and all(positivity.quad_form(s, v) + positivity.quad_form(s, w) == 0
                          for s in grams)
@@ -521,7 +538,7 @@ POWERS = [("u", (1, 1), 6), ("spin_h", (2,), 3), ("ch_indefinite", (1, 1), 3)]
 
 
 def form_span(g, part):
-    return unitar.invariant_symmetric_forms(even_actions(g, part), len(part))
+    return unitar.invariant_symmetric_forms(part_actions(g, part), len(part))
 
 
 @pytest.mark.parametrize("tag,params,copies", POWERS)
