@@ -71,11 +71,12 @@ def _parse_params(raw):
 
 
 def _load_algebra(path):
-    """(algebra, raw JSON) of a file; UsageError if it cannot be read."""
+    """(algebra, name or "") of a file, dropping the parsed document so no
+    command holds it while it works; UsageError if it cannot be read."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
-        return algebra_from_json_dict(obj), obj
+        return algebra_from_json_dict(obj), obj.get("name", "")
     except (OSError, ValueError, KeyError, RecursionError) as exc:
         raise UsageError("cannot read algebra file: %s" % exc) from exc
 
@@ -99,11 +100,11 @@ def _seed_of(args):
         raise UsageError("SUPERDECOMP_SEED must be an integer, not %r" % env) from None
 
 
-def _report(rep, raw, seed):
+def _report(rep, name, seed):
     """A report's JSON with the envelope every report command writes: the
-    tool version, the echoed seed and the input's name."""
+    tool version, the echoed seed and the name _load_algebra read."""
     return {**rep.to_json_dict(), "version": __version__, "seed": str(seed),
-            "name": raw.get("name", "")}
+            "name": name}
 
 
 def _parse_ktag(raw):
@@ -133,8 +134,8 @@ def cmd_construct(args):
 
 
 def cmd_check(args):
-    alg, raw = _load_algebra(args.file)
-    base = {"version": __version__, "check": args.what, "name": raw.get("name", "")}
+    alg, name = _load_algebra(args.file)
+    base = {"version": __version__, "check": args.what, "name": name}
     if args.what == "jacobi":
         viol = verify_superalgebra(alg)
         if viol is None:
@@ -157,7 +158,6 @@ def cmd_check(args):
     from .families import FamilySpec, build, prove_square_identity
     if args.samples < 1:
         raise UsageError("--samples must be at least 1, not %d" % args.samples)
-    name = raw.get("name", "")
     if not name.startswith("u("):
         print("error: eq-square needs a file built from a u(p|q) constructor",
               file=sys.stderr)
@@ -184,7 +184,7 @@ def cmd_check(args):
 
 
 def cmd_decompose(args):
-    alg, raw = _load_algebra(args.file)
+    alg, name = _load_algebra(args.file)
     if not _is_superalgebra(alg):
         return FAIL
     from .split import DecompositionError
@@ -195,7 +195,7 @@ def cmd_decompose(args):
     except DecompositionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return FAIL
-    _emit(_report(rep, raw, seed), args.report)
+    _emit(_report(rep, name, seed), args.report)
     if args.report:
         print("report written to %s (|Js|=%d |Ja|=%d kernel=%d)"
               % (args.report, len(rep.classification.js),
@@ -204,12 +204,12 @@ def cmd_decompose(args):
 
 
 def cmd_unitarity(args):
-    alg, raw = _load_algebra(args.file)
+    alg, name = _load_algebra(args.file)
     if not _is_superalgebra(alg):
         return FAIL
     from .unitar import necessary_conditions_report
     seed = _seed_of(args)
-    _emit(_report(necessary_conditions_report(alg), raw, seed), args.out)
+    _emit(_report(necessary_conditions_report(alg), name, seed), args.out)
     return OK
 
 

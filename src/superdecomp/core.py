@@ -185,17 +185,20 @@ def _bracket_rows(ad, x, y):
 
 @per_algebra
 def center(g):
-    """{x : [x, g] = 0}, exact kernel computation."""
+    """{x : [x, g] = 0}: the kernel of sum_i x_i [e_i, e_j]_k = 0, fed one
+    column j of the adjoint table at a time, not a transposed copy of it."""
     n = g.dim
     ad, _ = g.adjoint_table()
-    # eqs[(j, k)][i] = [e_i, e_j]_k; the integer table scales every
-    # equation by den, which the kernel ignores
-    eqs = {}
-    for j in range(n):
+
+    def column(j):
+        # the rows {i: [e_i, e_j]_k}, one per k; the integer table scales
+        # every equation by den, which the kernel ignores
+        eqs = {}
         for i in range(n):
             for k, a in ad[i][j].items():
-                eqs.setdefault((j, k), {})[i] = a
-    return Subspace(n, kernel(eqs.values(), n))
+                eqs.setdefault(k, {})[i] = a
+        return eqs.values()
+    return Subspace(n, kernel((row for j in range(n) for row in column(j)), n))
 
 
 # ---------------------------------------------------------------------------

@@ -210,15 +210,15 @@ def structure_report(g):
         jp = cls.pairing[j]
         seen.add(j)
         seen.add(jp)
-        span, alg = build_g_ideal(g, dec, j, jp)
-        info = IdealInfo("Js", (j, jp), span, alg)
+        # the ideal's algebra lives only while IdealInfo fingerprints it
+        info = IdealInfo("Js", (j, jp), *build_g_ideal(g, dec, j, jp))
         flags = info.flags
         tag = info.classification[0]
         if tag in ("su(n|m)", "c"):
-            flags["direct_summand"] = _direct_summand_flag(g, span)
+            flags["direct_summand"] = _direct_summand_flag(g, info.span)
             report.record("theorem42a_direct_summand_%d" % j, flags["direct_summand"])
         if tag == "su(n|n)":
-            flags["b_annihilates_ideal"] = bracket_span(g, dec.b, span).dim == 0
+            flags["b_annihilates_ideal"] = bracket_span(g, dec.b, info.span).dim == 0
             report.record("theorem42b_b_annihilates_%d" % j,
                           flags["b_annihilates_ideal"])
         if tag == "q" and bracket_span(g, dec.b, dec.summands[j]).dim != 0:
@@ -230,6 +230,7 @@ def structure_report(g):
         b0 = _pick_b0(g, dec.b, dec.summands[k])
         span, alg, kk, kk_alg, kk_vecs = build_c_ideal(g, dec, k, b0)
         report.ideals.append(IdealInfo("Ja", (k,), span, alg, kk_dim=kk.dim))
+        del alg                           # fingerprinted; hat c(k) is built without it
         report.record("hat_c_quotient_is_extended_tangent_%d" % k,
                       build_hat_c(g, dec, k, b0, span, kk_alg, kk_vecs))
     # theorem: [core, core] = z(core) + sum of ideals, as subspaces

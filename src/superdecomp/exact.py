@@ -185,7 +185,6 @@ class Echelon:
     def __init__(self, ncols):
         self.ncols = ncols
         self.pivots = {}          # pivot column -> int row dict
-        self._rref = None
 
     @property
     def rank(self):
@@ -206,7 +205,6 @@ class Echelon:
         if c is None:
             return False
         self.pivots[c] = red
-        self._rref = None
         return True
 
     def add_list(self, vec):
@@ -224,9 +222,8 @@ class Echelon:
         return not self.residual(_row_from_list(vec))
 
     def rref(self):
-        """Fully reduced rows, pivots normalised to 1, sorted by pivot col."""
-        if self._rref is not None:
-            return self._rref
+        """Fully reduced rows, pivots normalised to 1, sorted by pivot col;
+        built on each call, not kept, as a Subspace keeps its echelon."""
         cols = sorted(self.pivots)
         done = {}                 # pivot column -> int row, zero at later pivots
         for c in reversed(cols):
@@ -236,9 +233,8 @@ class Echelon:
                     piv = done[c2]
                     row = _row_divide_content(_row_cross(piv, piv[c2], row, row[c2]))
             done[c] = row
-        self._rref = [(c, {j: Fraction(a, done[c][c]) for j, a in done[c].items()})
-                      for c in cols]
-        return self._rref
+        return [(c, {j: Fraction(a, done[c][c]) for j, a in done[c].items()})
+                for c in cols]
 
     def basis_vectors(self):
         """RREF basis as dense vectors (canonical basis of the row space)."""

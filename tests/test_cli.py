@@ -318,6 +318,19 @@ def test_report_seed_is_only_echoed(tmp_path, capsys):
             assert reports[0] == reports[1], (name, cmd)
 
 
+def test_reports_echo_the_file_name_or_an_empty_one(tmp_path, capsys):
+    # the name is read when the file is loaded; the parsed file is not kept
+    obj = core.algebra_to_json_dict(families.build_family("su", 2, 1), "my su(2|1)")
+    named = _write(tmp_path, "named.json", obj)
+    del obj["name"]
+    unnamed = _write(tmp_path, "unnamed.json", obj)
+    for argv in (("check", "center"), ("decompose",), ("unitarity",)):
+        for path, name in ((named, "my su(2|1)"), (unnamed, "")):
+            code, out, err = run(capsys, *argv, path)
+            assert code == 0, (argv, err)
+            assert json.loads(out)["name"] == name, (argv, path)
+
+
 def test_no_library_function_takes_a_seed():
     # the report seed is the CLI's concern; samplers take an rng
     import ast

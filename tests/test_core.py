@@ -213,6 +213,33 @@ def test_center_su22():
     assert derived(g).contains(z.basis[0])
 
 
+def test_center_is_the_centralizer_of_the_whole_algebra_on_acceptance_families():
+    # centralizer reads the table through its own bracket rows, so it checks
+    # the column-by-column equations of center; __wrapped__ skips the memo
+    from test_acceptance import ACCEPT_FAMILIES
+    for tag, params in ACCEPT_FAMILIES:
+        g = build_family(tag, *params)
+        full = g.full_subspace()
+        assert center.__wrapped__(g) == centralizer(g, full, full), (tag, params)
+
+
+CENTER_SUM_PARTS = [("su", (2, 1)), ("u", (1, 1)), ("q", (2,)), ("psu", (2,)),
+                    ("c", (2,)), ("T_tilde", ("su", 2)), ("spin_h", (2,))]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(CENTER_SUM_PARTS), min_size=2, max_size=3))
+def test_center_is_the_centralizer_of_the_whole_algebra_on_direct_sums(parts):
+    tag, params = parts[0]
+    g = build_family(tag, *params)
+    for tag, params in parts[1:]:
+        g = direct_sum(g, build_family(tag, *params))
+    full = g.full_subspace()
+    z = center.__wrapped__(g)
+    assert z == centralizer(g, full, full)
+    assert z.dim == sum(center(build_family(tag, *params)).dim for tag, params in parts)
+
+
 def test_derived_u11():
     assert derived(build_family("u", 1, 1)).dim == 3
 

@@ -1,7 +1,9 @@
 import functools
+import gc
 import math
 import random
 import time
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from superdecomp.spaces import SuperAlgebraError, SuperSpace, Subspace
 from superdecomp.core import SuperAlgebra, center, direct_sum, quotient_by_central
 from superdecomp.invariants import verify_superalgebra
 from superdecomp.calculus import bracket_span, lie_generators, module_actions, module_commutant
-from superdecomp.exact import LinSolver, ONE, ZERO, Scalar, vec_unit, vec_zero
+from superdecomp.exact import LinSolver, ONE, ZERO, Scalar, vec_add, vec_unit, vec_zero
 from superdecomp.families import build_family, expected_dims
 from superdecomp import calculus, decomp, ideals, split
 from superdecomp.split import DecompositionError, _invariant_complement, spin_up, split_module
@@ -569,19 +571,25 @@ def test_report_json_deterministic():
     assert a == b
 
 
+def that_residue(k):
+    """(g, dec, the residue summand a_k, b0, kk_alg, kk_vecs) of g = T-hat k:
+    a_k is the odd copy of k, kk = [b, a_k] = k and b0 = d/dxi."""
+    g = build_family("T_hat", *k)
+    dec = decompose_odd(g, reduce_to_odd_generated(g).core_even)
+    [j] = classify_indices(g, dec).ja
+    ak = dec.summands[j]
+    b0 = ideals._pick_b0(g, dec.b, ak)
+    _, _, _, kk_alg, kk_vecs = ideals.build_c_ideal(g, dec, j, b0)
+    return g, dec, ak, b0, kk_alg, kk_vecs
+
+
 @pytest.mark.parametrize("hat", [False, True])
 @pytest.mark.parametrize("k", [("su", 2), ("su", 3), ("so", 3)])
 def test_tangent_quotient_check_refuses_a_wrong_basis(k, hat):
     # T-hat k has one residue summand a_k; its c(k) certifies against T k
     # and its hat c(k) against T-hat k only in the basis kk_vecs that
     # ad b0 identifies with a_k
-    g = build_family("T_hat", *k)
-    red = reduce_to_odd_generated(g)
-    dec = decompose_odd(g, red.core_even)
-    [j] = classify_indices(g, dec).ja
-    ak = dec.summands[j]
-    b0 = ideals._pick_b0(g, dec.b, ak)
-    _, _, _, kk_alg, kk_vecs = ideals.build_c_ideal(g, dec, j, b0)
+    g, _, ak, b0, kk_alg, kk_vecs = that_residue(k)
 
     def check(vecs):
         return ideals._verify_tangent_quotient(g, kk_alg, vecs, ak, b0, hat=hat)
@@ -591,6 +599,61 @@ def test_tangent_quotient_check_refuses_a_wrong_basis(k, hat):
     assert check(negated) is False
     swapped = [kk_vecs[1], kk_vecs[0]] + kk_vecs[2:]
     assert check(swapped) is False
+
+
+def test_tangent_quotient_check_refuses_each_broken_hypothesis():
+    g, _, ak, b0, kk_alg, kk_vecs = that_residue(("su", 2))
+
+    def check(ak, b0, hat=False):
+        return ideals._verify_tangent_quotient(g, kk_alg, kk_vecs, ak, b0, hat=hat)
+
+    assert check(ak, b0) is True and check(ak, b0, hat=True) is True
+    # an element of kk maps a_k into a_k, not into kk
+    assert check(ak, kk_vecs[0]) is False
+    # an element of a_k brackets a_k to zero: ad b0 is not injective
+    assert check(ak, ak.basis[0]) is False
+    # b0 + u has [b0 + u, b0 + u] = 2 [b0, u] in kk, so quotienting by it
+    # leaves kk_vecs dependent
+    assert check(ak, vec_add(b0, ak.basis[0]), hat=True) is False
+    # two of the three odd vectors: k brackets them out of their span
+    part = Subspace(g.dim, ak.basis[:2])
+    assert check(part, b0) is False and check(part, b0, hat=True) is False
+
+
+def test_qhat_certificate_refuses_a_span_that_b0_leaves():
+    # b0 = d/dxi brackets the odd copy of k onto k, outside span + K b0
+    g, dec, ak, _, _, _ = that_residue(("su", 2))
+    cert = ideals.qhat_embedding_certificate(
+        g, dec, dec.summands.index(ak), types.SimpleNamespace(span=ak))
+    assert cert == {"verified": False, "reason": "not closed"}
+
+
+def live_algebras():
+    gc.collect()
+    return {id(o) for o in gc.get_objects() if isinstance(o, SuperAlgebra)}
+
+
+@pytest.mark.parametrize("make", [glued_su22_q2, lambda: build_family("T_hat", "su", 3)],
+                         ids=["glued_su22_q2", "T_hat_su3"])
+def test_report_drops_each_ideal_algebra_before_the_next_step(monkeypatch, make):
+    # glued su(2|2) + q(2) has two J_s ideals and T-hat su(3) one J_a ideal;
+    # when g(j) or hat c(k) is built, the only algebras alive beyond those
+    # alive before the report are the call's own arguments
+    g = make()
+    before = live_algebras()
+    extra = []
+
+    def watched(fn):
+        def call(*args):
+            own = {id(a) for a in args if isinstance(a, SuperAlgebra)}
+            extra.append((fn.__name__, len(live_algebras() - before - own)))
+            return fn(*args)
+        return call
+
+    for name in ("build_g_ideal", "build_hat_c"):
+        monkeypatch.setattr(decomp, name, watched(getattr(decomp, name)))
+    structure_report(g)
+    assert extra and all(n == 0 for _, n in extra), extra
 
 
 # ---------------------------------------------------------------------------
