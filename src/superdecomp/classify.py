@@ -11,8 +11,8 @@ import json
 import os
 from collections import namedtuple
 
-from .core import center, per_algebra
-from .invariants import even_center_dim, killing_form
+from .core import per_algebra
+from .invariants import center, even_center_dim, killing_form
 from .calculus import bracket_span, is_perfect, module_actions, module_commutant
 
 

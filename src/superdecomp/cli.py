@@ -15,8 +15,8 @@ import sys
 
 from . import __version__
 from .spaces import SuperAlgebraError
-from .core import algebra_from_json_dict, algebra_to_json_dict, center, tables_equal
-from .invariants import even_center_dim, killing_form, verify_superalgebra
+from .core import algebra_from_json_dict, algebra_to_json_dict, tables_equal
+from .invariants import center, even_center_dim, killing_form, verify_superalgebra
 
 # families, decomp, unitar, fock and tangentrep are imported by the commands
 # that use them, so a command loads (and compiles) only the layers it runs;

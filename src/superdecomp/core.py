@@ -1,5 +1,5 @@
-"""Lie superalgebras as structure constants, their center, and the
-combinators and file format built on them.
+"""Lie superalgebras as structure constants, and the combinators and
+file format built on them.
 
 A superalgebra is stored as a sparse structure-constant table over the
 rationals for basis pairs i <= j only; the remaining brackets follow from
@@ -11,11 +11,11 @@ point for dense vectors.  Basis order is canonical: even vectors first,
 then odd.  algebra_in_basis writes every subalgebra and central quotient
 in a basis of its own.
 
-Graded spaces and subspaces live in spaces; the Jacobi check,
-centralizers, the Killing form and invariant forms in invariants; matrix
-realizations in realize, extensions in extend, bracket spans, ideals and
-module commutants in calculus.  Each is its own module so that a command
-compiles only what it runs.
+Graded spaces and subspaces live in spaces; the Jacobi check, the
+center and centralizers, the Killing form and invariant forms in
+invariants; matrix realizations in realize, extensions in extend,
+bracket spans, ideals and module commutants in calculus.  Each is its
+own module so that a command compiles only what it runs.
 
 All values are immutable after construction; operations are pure.
 """
@@ -26,7 +26,7 @@ from math import lcm
 import re
 from types import MappingProxyType
 
-from .exact import Echelon, LinSolver, _row_from_list, kernel, vec_unit, vec_zero
+from .exact import Echelon, LinSolver, _row_from_list, vec_unit, vec_zero
 from .spaces import SuperAlgebraError, SuperSpace, Subspace
 
 
@@ -180,28 +180,6 @@ def _bracket_rows(ad, x, y):
 
 
 # ---------------------------------------------------------------------------
-# the center
-# ---------------------------------------------------------------------------
-
-@per_algebra
-def center(g):
-    """{x : [x, g] = 0}: the kernel of sum_i x_i [e_i, e_j]_k = 0, fed one
-    column j of the adjoint table at a time, not a transposed copy of it."""
-    n = g.dim
-    ad, _ = g.adjoint_table()
-
-    def column(j):
-        # the rows {i: [e_i, e_j]_k}, one per k; the integer table scales
-        # every equation by den, which the kernel ignores
-        eqs = {}
-        for i in range(n):
-            for k, a in ad[i][j].items():
-                eqs.setdefault(k, {})[i] = a
-        return eqs.values()
-    return Subspace(n, kernel((row for j in range(n) for row in column(j)), n))
-
-
-# ---------------------------------------------------------------------------
 # combinators
 # ---------------------------------------------------------------------------
 
@@ -267,7 +245,8 @@ def algebra_in_basis(g, vecs, modulo=()):
 def quotient_by_central(g, z):
     """g / z for a graded central subspace z, written in the basis vectors
     of g that extend a basis of z; returns (quotient, their indices)."""
-    if not center(g).contains_subspace(z):
+    ad, _ = g.adjoint_table()
+    if any(_bracket_rows(ad, x, {j: 1}) for x in z._rows() for j in range(g.dim)):
         raise SuperAlgebraError("subspace is not central")
     if not z.is_graded(g.space.parities):
         raise SuperAlgebraError("central subspace must be parity homogeneous")

@@ -13,13 +13,12 @@ Brackets are taken in the coordinates of the input algebra: the
 odd-generated core is an ideal, so all of them can be taken upstairs.
 The subspaces of the report (complements, intersections, the summation
 kernel) are read off integer echelon rows.  All verdicts are exact; the
-errors are split.DecompositionError and its InconclusiveSplit.
+errors are split.DecompositionError.
 """
 
 from .exact import Echelon, _lin_comb, kernel, vec_is_zero
 from .spaces import Subspace
-from .core import center
-from .invariants import centralizer, require_superalgebra
+from .invariants import center, centralizer, require_superalgebra
 from .calculus import bracket_span, lie_generators, module_actions
 from .split import DecompositionError, _lift, split_module
 from .ideals import (

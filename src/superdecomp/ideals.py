@@ -15,7 +15,8 @@ core.algebra_in_basis, through subalgebra_from_subspace.
 
 from .exact import Echelon, LinSolver, vec_unit, vec_zero
 from .spaces import SuperAlgebraError, Subspace
-from .core import algebra_in_basis, center, quotient_by_central, tables_equal
+from .core import algebra_in_basis, quotient_by_central, tables_equal
+from .invariants import center
 from .calculus import bracket_span, is_ideal, is_perfect, lie_generators, module_actions
 from .split import DecompositionError, _lift, split_module
 from . import classify

@@ -2,11 +2,10 @@
 
 The graded Jacobi check (verify_superalgebra, and require_superalgebra,
 which refuses an input naming its first Violation), centralizers, the
-dimension of the even center and the Killing form, each computed on
-core's integer adjoint table; and InvariantForm, the symmetric bilinear
-form on an index range that the extensions and the unitarity report
-hold.  The center of the algebra itself is core.center, which the
-central quotient needs.
+center and the dimension of the even center, which are centralizers
+too, and the Killing form, each computed on core's integer adjoint
+table; and InvariantForm, the symmetric bilinear form on an index range
+that the extensions and the unitarity report hold.
 """
 
 from fractions import Fraction
@@ -115,6 +114,13 @@ def _jacobi_sides(g, i, j, k):
 # ---------------------------------------------------------------------------
 
 @per_algebra
+def center(g):
+    """{x : [x, g] = 0}."""
+    full = g.full_subspace()
+    return centralizer(g, full, full)
+
+
+@per_algebra
 def even_center_dim(g):
     """Dimension of the centralizer of g0 in g0."""
     return centralizer(g, g.even_subspace(), g.even_subspace()).dim
@@ -125,19 +131,22 @@ def centralizer(g, targets, inside):
 
     Both Subspaces are taken as int rows spanning them, which scales each
     equation and each unknown by a positive integer and leaves the
-    solution space.
+    solution space.  The kernel is fed one target's equations at a time;
+    its basis is canonical, so their order changes nothing.
     """
-    tv = targets._rows()
     us = inside._rows()
     ad, _ = g.adjoint_table()
-    # eqs[(t, k)][a] = [u_a, t]_k over the coordinates each bracket touched
-    eqs = {}
-    for a, u in enumerate(us):
-        for ti, t in enumerate(tv):
+
+    def equations(t):
+        # eqs[k][a] = [u_a, t]_k over the coordinates each bracket touched
+        eqs = {}
+        for a, u in enumerate(us):
             for k, v in _bracket_rows(ad, u, t).items():
-                eqs.setdefault((ti, k), {})[a] = v
+                eqs.setdefault(k, {})[a] = v
+        return eqs.values()
     out = Echelon(g.dim)
-    for combo in kernel(eqs.values(), len(us)):
+    rows = (row for t in targets._rows() for row in equations(t))
+    for combo in kernel(rows, len(us)):
         acc = {}
         for a, c in _int_row(combo)[0].items():
             for j, b in us[a].items():

@@ -7,8 +7,7 @@ coprime factorisation of its characteristic polynomial, or the kernel
 of a zero divisor) or by spin-up from a unit vector, then splits each
 part in its own coordinates, under the actions restricted to it on int
 rows.  Every kernel and solve is read off integer echelon rows;
-commutant elements are held as lists of dense columns.  A search that
-hits its iteration cap raises InconclusiveSplit rather than guessing.
+commutant elements are held as lists of dense columns.
 """
 
 from fractions import Fraction
@@ -21,18 +20,11 @@ from .spaces import SuperAlgebraError, Subspace
 from .core import _int_row
 from .calculus import _columns, module_commutant
 
-SPLIT_CAP = 64
-
 
 class DecompositionError(SuperAlgebraError):
     def __init__(self, message, evidence=None):
         super().__init__(message)
         self.evidence = evidence
-
-
-class InconclusiveSplit(DecompositionError):
-    def __init__(self):
-        super().__init__("module splitting inconclusive after iteration cap")
 
 
 def _act(cols, row):
@@ -96,11 +88,6 @@ def _invariant_complement(comm, wbasis, dim):
     return _kernel_of([_lin_comb(x, [c[s] for c in comm], dim) for s in range(dim)])
 
 
-class SplitBudget:
-    def __init__(self, cap):
-        self.left = cap
-
-
 def split_module(actions, dim):
     """Decompose a semisimple module into pieces, exactly.
 
@@ -113,17 +100,16 @@ def split_module(actions, dim):
     {"commutant_dim": n}.  That proves the piece simple only when the
     commutant dimension is 1: once a simple module occurs with multiplicity
     2 or more, every vector may spin up to the whole piece while the
-    commutant basis yields no split.  More than SPLIT_CAP commutant
-    elements tried in all raises InconclusiveSplit.
+    commutant basis yields no split.
+
+    The search is finite: a piece tries each element of its commutant
+    basis at most once, then at most dim spin-ups, and the recursion
+    makes at most 2 dim - 1 pieces.
     """
-    return _split_rec(actions, dim, SplitBudget(SPLIT_CAP))
-
-
-def _split_rec(actions, dim, budget):
     if dim == 0:
         return []
     comm = module_commutant(actions, dim)
-    parts = _split_parts(actions, dim, budget, comm)
+    parts = _split_parts(actions, dim, comm)
     if parts is None:
         return [([vec_unit(dim, i) for i in range(dim)], {"commutant_dim": len(comm)})]
     # each part is split in its own coordinates, under the actions
@@ -134,19 +120,16 @@ def _split_rec(actions, dim, budget):
         rows = [_int_row(v) for v in basis]
         sub = [_columns([(_act(cols, v), d) for v, d in rows], solver) for cols in actions]
         out.extend((_lift(basis, vecs), cert)
-                   for vecs, cert in _split_rec(sub, len(basis), budget))
+                   for vecs, cert in split_module(sub, len(basis)))
     return out
 
 
-def _split_parts(actions, dim, budget, comm):
+def _split_parts(actions, dim, comm):
     """Bases of invariant subspaces whose direct sum is the module: the
     primary kernels of a commutant element, or W and an invariant
     complement of it.  None when neither the commutant basis nor spin-up
     from a unit vector splits the module."""
     for theta in comm:
-        if budget.left <= 0:
-            raise InconclusiveSplit()
-        budget.left -= 1
         _, factors, _ = char_poly_and_rational_split(theta)
         pieces = []
         for f, e in factors:

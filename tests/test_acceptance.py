@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from superdecomp.exact import ONE, Scalar, ZERO, vec_is_zero, vec_zero
 from superdecomp.positivity import is_positive_definite
-from superdecomp.core import center, direct_sum, quotient_by_central
+from superdecomp.core import direct_sum, quotient_by_central
 from superdecomp.invariants import (
-    InvariantForm, centralizer, killing_form, verify_superalgebra,
+    InvariantForm, center, centralizer, killing_form, verify_superalgebra,
 )
 from superdecomp.calculus import derived
 from superdecomp.extend import central_extension, is_trivial_cocycle

@@ -13,10 +13,10 @@ from superdecomp.exact import (
 from superdecomp.spaces import SuperAlgebraError, SuperSpace, Subspace
 from superdecomp.core import (
     AlgebraFileError, SuperAlgebra, algebra_from_json_dict, algebra_in_basis,
-    algebra_to_json_dict, center, direct_sum, quotient_by_central, tables_equal,
+    algebra_to_json_dict, direct_sum, quotient_by_central, tables_equal,
 )
 from superdecomp.invariants import (
-    InvariantForm, Violation, centralizer, killing_form, verify_superalgebra,
+    InvariantForm, Violation, center, centralizer, killing_form, verify_superalgebra,
 )
 from superdecomp.calculus import (
     bracket_span, derived, is_ideal, is_perfect, module_commutant,
@@ -214,13 +214,13 @@ def test_center_su22():
 
 
 def test_center_is_the_centralizer_of_the_whole_algebra_on_acceptance_families():
-    # centralizer reads the table through its own bracket rows, so it checks
-    # the column-by-column equations of center; __wrapped__ skips the memo
+    # center feeds the kernel one basis vector's equations at a time; the
+    # dense oracle solves them all at once; __wrapped__ skips the memo
     from test_acceptance import ACCEPT_FAMILIES
     for tag, params in ACCEPT_FAMILIES:
         g = build_family(tag, *params)
         full = g.full_subspace()
-        assert center.__wrapped__(g) == centralizer(g, full, full), (tag, params)
+        assert center.__wrapped__(g) == dense_centralizer(g, full.basis, full), (tag, params)
 
 
 CENTER_SUM_PARTS = [("su", (2, 1)), ("u", (1, 1)), ("q", (2,)), ("psu", (2,)),
@@ -236,7 +236,7 @@ def test_center_is_the_centralizer_of_the_whole_algebra_on_direct_sums(parts):
         g = direct_sum(g, build_family(tag, *params))
     full = g.full_subspace()
     z = center.__wrapped__(g)
-    assert z == centralizer(g, full, full)
+    assert z == dense_centralizer(g, full.basis, full)
     assert z.dim == sum(center(build_family(tag, *params)).dim for tag, params in parts)
 
 
@@ -313,9 +313,11 @@ def test_quotient_by_zero_is_identity():
 
 
 def test_quotient_rejects_noncentral():
-    g = build_family("su", 2, 1)
-    with pytest.raises(SuperAlgebraError):
-        quotient_by_central(g, g.subspace([g.basis_vector(0)]))
+    g = build_family("su", 2, 2)
+    z, x, y = center(g).basis[0], g.basis_vector(0), g.basis_vector(g.dim - 1)
+    for vecs in ([x], [z, x], [vec_add(z, y)]):
+        with pytest.raises(SuperAlgebraError, match="subspace is not central"):
+            quotient_by_central(g, g.subspace(vecs))
 
 
 def test_semidirect_that_su2():
@@ -981,6 +983,33 @@ def test_no_library_module_exceeds_400_lines():
         if n > 400:
             long[name] = n
     assert long == {}
+
+
+def test_readme_names_resolve_and_its_table_lists_every_module():
+    # a backticked dotted name in README.md that starts with a library
+    # module, after an optional "superdecomp.", names an attribute of that
+    # module, and the module table lists each module once: so README
+    # cannot keep a deleted name
+    import importlib
+    import os
+    import re
+    import superdecomp
+    modules = {name[:-3] for name in os.listdir(os.path.dirname(superdecomp.__file__))
+               if name.endswith(".py") and name != "__init__.py"}
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    unresolved = []
+    for name in re.findall(r"`(?:superdecomp\.)?(\w+(?:\.\w+)*)`", text):
+        first, *attrs = name.split(".")
+        if first in modules:
+            try:
+                functools.reduce(getattr, attrs, importlib.import_module("superdecomp." + first))
+            except AttributeError:
+                unresolved.append(name)
+    assert unresolved == []
+    table = re.findall(r"^\| `superdecomp\.(\w+)` \|", text, re.M)
+    assert sorted(table) == sorted(modules)
 
 
 def test_library_checks_do_not_use_assert():

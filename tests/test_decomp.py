@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superdecomp.spaces import SuperAlgebraError, SuperSpace, Subspace
-from superdecomp.core import SuperAlgebra, center, direct_sum, quotient_by_central
-from superdecomp.invariants import verify_superalgebra
+from superdecomp.core import SuperAlgebra, direct_sum, quotient_by_central
+from superdecomp.invariants import center, verify_superalgebra
 from superdecomp.calculus import bracket_span, lie_generators, module_actions, module_commutant
 from superdecomp.exact import LinSolver, ONE, ZERO, Scalar, vec_add, vec_unit, vec_zero
 from superdecomp.families import build_family, expected_dims
@@ -133,12 +133,12 @@ def odd_module(tag, *params):
     return every_action(g, elements, basis), len(basis)
 
 
-def test_split_module_inconclusive_cap(monkeypatch):
-    # an action with a huge commutant exhausts a tiny budget
-    actions, dim = odd_module("su", 2, 2)
-    monkeypatch.setattr(split, "SPLIT_CAP", 1)
-    with pytest.raises(split.InconclusiveSplit):
-        split_module(actions, dim)
+def test_split_module_into_33_eigenspaces():
+    # diag(1, ..., 33) on Q^33: the pieces try 2 * 33 - 1 commutant
+    # elements in all before every one is a line
+    pieces = split_module([[[(j, j + 1)] for j in range(33)]], 33)
+    assert sorted(pieces) == [([vec_unit(33, j)], {"commutant_dim": 1})
+                              for j in reversed(range(33))]
 
 
 def act(cols, v):
@@ -175,11 +175,14 @@ def unit(i):
     return [ONE if k == i else ZERO for k in range(6)]
 
 
-def so3_on_two_copies(seed):
-    """so3_conjugated for a seeded invertible integer matrix P."""
+def so3_on_two_copies(seed, in_first_copy=False):
+    """so3_conjugated for a seeded invertible integer matrix P; with
+    in_first_copy, P's first column lies in the first copy."""
     rng = random.Random(seed)
+    drawn = 3 if in_first_copy else 6
     while True:
-        cols = [[rng.randint(-3, 3) * ONE for _ in range(6)] for _ in range(6)]
+        cols = [[rng.randint(-3, 3) * ONE for _ in range(drawn)] + [ZERO] * (6 - drawn)]
+        cols += [[rng.randint(-3, 3) * ONE for _ in range(6)] for _ in range(5)]
         try:
             return so3_conjugated(cols)
         except ValueError:
@@ -254,6 +257,34 @@ def test_split_module_through_a_zero_divisor(monkeypatch):
                       ([unit(2), unit(3), unit(5)], {"commutant_dim": 1})]
 
 
+@pytest.mark.parametrize("seed", range(7))
+def test_split_module_by_spin_up(seed, monkeypatch):
+    # no element of the commutant basis (M_2(Q)) splits these modules; e_0,
+    # P's first column, spins up to the first copy, and its invariant
+    # complement completes the split
+    actions, first = so3_on_two_copies(seed, in_first_copy=True)
+    spun, completed = [], []
+    spin, complete = split.spin_up, split._with_complement
+
+    def spin_spy(acts, v, dim):
+        w = spin(acts, v, dim)
+        spun.append((dim, v, w))
+        return w
+
+    def complete_spy(comm, wbasis, dim):
+        completed.append((len(comm), wbasis))
+        return complete(comm, wbasis, dim)
+
+    monkeypatch.setattr(split, "spin_up", spin_spy)
+    monkeypatch.setattr(split, "_with_complement", complete_spy)
+    pieces = assert_split_fills(actions, 6)
+    dim, v, w = spun[0]
+    assert (dim, v, w) == (6, vec_unit(6, 0), Subspace(6, first))
+    assert completed == [(4, w.basis)]
+    assert pieces[0][0] == w.basis
+    assert [cert for _, cert in pieces] == [{"commutant_dim": 1}] * 2
+
+
 @pytest.mark.parametrize("tag,params", [
     ("su", (2, 1)), ("su", (2, 2)), ("q", (2,)), ("c", (2,)), ("T_hat", ("su", 2)),
 ])
@@ -295,8 +326,10 @@ def test_actions_hold_integer_columns(monkeypatch):
     for mod in (decomp, ideals):
         monkeypatch.setattr(mod, "module_actions",
                             recording(calculus.module_actions, lambda args, out: out))
-    monkeypatch.setattr(split, "_split_rec",
-                        recording(split._split_rec, lambda args, out: args[0]))
+    # split_module recurses through the module global, so each piece's
+    # restricted actions pass through the wrapper
+    monkeypatch.setattr(split, "split_module",
+                        recording(split.split_module, lambda args, out: args[0]))
     for tag, params in ACCEPT_FAMILIES:
         g = build_family(tag, *params)
         for part in (g.space.even_indices(), g.space.odd_indices()):

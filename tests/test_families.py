@@ -5,8 +5,8 @@ import pytest
 
 from superdecomp.exact import I, ONE, Scalar, vec_is_zero, vec_zero
 from superdecomp.spaces import SuperAlgebraError
-from superdecomp.core import SuperAlgebra, center
-from superdecomp.invariants import centralizer, killing_form, verify_superalgebra
+from superdecomp.core import SuperAlgebra
+from superdecomp.invariants import center, centralizer, killing_form, verify_superalgebra
 from superdecomp.calculus import bracket_span, derived, is_ideal
 from superdecomp.ideals import subalgebra_from_subspace
 from superdecomp.positivity import is_positive_definite
