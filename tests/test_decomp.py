@@ -137,8 +137,8 @@ def test_split_module_into_33_eigenspaces():
     # diag(1, ..., 33) on Q^33: the pieces try 2 * 33 - 1 commutant
     # elements in all before every one is a line
     pieces = split_module([[[(j, j + 1)] for j in range(33)]], 33)
-    assert sorted(pieces) == [([vec_unit(33, j)], {"commutant_dim": 1})
-                              for j in reversed(range(33))]
+    assert sorted(pieces, reverse=True) == [([vec_unit(33, j)], {"commutant_dim": 1})
+                                            for j in range(33)]
 
 
 def act(cols, v):
