@@ -97,14 +97,6 @@ def vec_unit(n, i):
     return v
 
 
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
 def vec_is_zero(v):
     return not any(v)
 
@@ -217,9 +209,6 @@ class Echelon:
 
     def residual(self, row):
         return self._reduce(row)[1]
-
-    def contains_list(self, vec):
-        return not self.residual(_row_from_list(vec))
 
     def rref(self):
         """Fully reduced rows, pivots normalised to 1, sorted by pivot col;

@@ -10,19 +10,18 @@ that the extensions and the unitarity report hold.
 
 from fractions import Fraction
 
-from .exact import Echelon, is_symmetric, kernel, vec_add, vec_sub, vec_zero
+from .exact import Echelon, is_symmetric, kernel, vec_zero
 from .spaces import SuperAlgebraError, Subspace
 from .core import _bracket_rows, _int_row, per_algebra
 
 
 class Violation:
-    """First failing identity found by verify_superalgebra."""
+    """First failing identity found by verify_superalgebra: its kind
+    ("parity", "skew" or "jacobi") and the basis indices it fails on."""
 
-    def __init__(self, kind, indices, lhs=None, rhs=None):
+    def __init__(self, kind, indices):
         self.kind = kind
         self.indices = indices
-        self.lhs = lhs
-        self.rhs = rhs
 
     def __repr__(self):
         return "Violation(%s, %s)" % (self.kind, self.indices)
@@ -36,8 +35,8 @@ class Violation:
 def verify_superalgebra(g):
     """Exact check of parity closure, super skew symmetry and graded Jacobi.
 
-    Returns None when everything holds, otherwise the first Violation with
-    both sides of the failing identity.  Computed once per algebra, so a
+    Returns None when everything holds, otherwise the first Violation,
+    named by its kind and indices.  Computed once per algebra, so a
     caller may re-check an extension its constructor already certified.
 
     Jacobi runs on the integer adjoint table, where both sides are scaled
@@ -86,8 +85,7 @@ def verify_superalgebra(g):
                     for c, b in ad_j[m].items():
                         defect[c] = defect.get(c, 0) - a * b
                 if any(defect.values()):
-                    lhs, rhs = _jacobi_sides(g, i, j, k)
-                    return Violation("jacobi", (i, j, k), lhs, rhs)
+                    return Violation("jacobi", (i, j, k))
     return None
 
 
@@ -96,17 +94,6 @@ def require_superalgebra(g):
     viol = verify_superalgebra(g)
     if viol is not None:
         raise SuperAlgebraError("input is not a Lie superalgebra: %r" % (viol,))
-
-
-def _jacobi_sides(g, i, j, k):
-    """[e_i,[e_j,e_k]] and [[e_i,e_j],e_k] + (-1)^{|i||j|}[e_j,[e_i,e_k]]."""
-    e = g.basis_vector
-    lhs = g.bracket(e(i), g.bracket(e(j), e(k)))
-    rhs = g.bracket(g.bracket(e(i), e(j)), e(k))
-    t2 = g.bracket(e(j), g.bracket(e(i), e(k)))
-    if g.parity(i) and g.parity(j):
-        return lhs, vec_sub(rhs, t2)
-    return lhs, vec_add(rhs, t2)
 
 
 # ---------------------------------------------------------------------------

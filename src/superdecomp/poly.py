@@ -1,13 +1,16 @@
 """Polynomials over the rationals: arithmetic, the characteristic
-polynomial and its coprime rational splitting.
+polynomial and its primary polynomials, the pairwise coprime f^e that
+the module splitter evaluates at a commutant element.
 
 A polynomial is a list of Fractions, low degree first, with no trailing
 zeros; the zero polynomial is [].  A square matrix m is the list of its
-dense columns, so m v is _lin_comb(v, m, n).  Only the module splitter,
-split, needs these, so no other layer loads this module.
+dense columns, so m v is _lin_comb(v, m, n).  Only split loads this
+module, and it reads no coefficient: it hands each primary polynomial
+to peval_matrix.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import isqrt, lcm
 
 from .exact import _F0, _F1, _lin_comb, vec_zero
@@ -19,16 +22,10 @@ def ptrim(p):
     return p
 
 
-def padd(p, q):
+def psub(p, q):
     n = max(len(p), len(q))
-    return ptrim([(p[i] if i < len(p) else _F0) + (q[i] if i < len(q) else _F0)
+    return ptrim([(p[i] if i < len(p) else _F0) - (q[i] if i < len(q) else _F0)
                   for i in range(n)])
-
-
-def pscale(c, p):
-    if not c:
-        return []
-    return [c * a for a in p]
 
 
 def pmul(p, q):
@@ -123,7 +120,7 @@ def squarefree_decomposition(p):
     if len(g) <= 1:
         return [(p, 1)]
     c = pdivmod(p, g)[0]
-    w = padd(pdivmod(d, g)[0], pscale(Fraction(-1), pderiv(c)))
+    w = psub(pdivmod(d, g)[0], pderiv(c))
     out = []
     i = 1
     while len(c) > 1:
@@ -131,7 +128,7 @@ def squarefree_decomposition(p):
         if len(y) > 1:
             out.append((y, i))
         c = pdivmod(c, y)[0]
-        w = padd(pdivmod(w, y)[0], pscale(Fraction(-1), pderiv(c)))
+        w = psub(pdivmod(w, y)[0], pderiv(c))
         i += 1
     return out
 
@@ -190,23 +187,20 @@ def rational_roots(p):
     return sorted(roots)
 
 
-def char_poly_and_rational_split(m):
-    """Characteristic polynomial with a coprime rational factorisation.
+def primary_polynomials(m):
+    """Pairwise coprime f^e whose product is the characteristic polynomial
+    of the square rational matrix m.
 
-    Returns (poly, factors, roots) where factors is a list of (g, e) with
-    the g pairwise coprime, poly == prod g^e, and roots lists the rational
-    roots of poly with multiplicity (each rational root gets its own linear
-    factor).  Full irreducible factorisation is deliberately not attempted.
+    For each class (g, e) of Yun's squarefree decomposition, in order:
+    (t - r)^e for each rational root r of g, ascending, then q^e for the
+    rest q of g when it is not constant.  Full irreducible factorisation
+    is deliberately not attempted.
     """
-    p = char_poly(m)
     factors = []
-    roots = []
-    for g, e in squarefree_decomposition(p):
-        rest = g
+    for g, e in squarefree_decomposition(char_poly(m)):
         for r in rational_roots(g):
-            roots.append((r, e))
-            rest = pdivmod(rest, [-r, _F1])[0]
+            g = pdivmod(g, [-r, _F1])[0]
             factors.append(([-r, _F1], e))
-        if len(rest) > 1:
-            factors.append((rest, e))
-    return p, factors, roots
+        if len(g) > 1:
+            factors.append((g, e))
+    return [reduce(pmul, [f] * e) for f, e in factors]

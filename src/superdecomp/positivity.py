@@ -21,20 +21,18 @@ class PosDefResult:
 
     ok          -- True iff the matrix is positive definite
     minors      -- leading principal minors D_1..D_k computed along the way
-    witness     -- on failure, exact v with v^T g v <= 0
-    witness_value -- the value v^T g v
+    witness     -- on failure, exact v with v^T g v <= 0, its value
+                   re-checked on g before it is returned
     congruence  -- on success, the rows of T with T^T g T diagonal; its
                    k-th diagonal entry is D_k / D_{k-1}
     """
 
-    __slots__ = ("ok", "minors", "witness", "witness_value", "congruence")
+    __slots__ = ("ok", "minors", "witness", "congruence")
 
-    def __init__(self, ok, minors, witness=None, witness_value=None,
-                 congruence=None):
+    def __init__(self, ok, minors, witness=None, congruence=None):
         self.ok = ok
         self.minors = minors
         self.witness = witness
-        self.witness_value = witness_value
         self.congruence = congruence
 
 
@@ -70,10 +68,9 @@ def is_positive_definite(g):
 
     def failure(v, holds):
         """The witness v, after re-checking its value on g itself."""
-        val = quad_form(g, v)
-        if not holds(val):
+        if not holds(quad_form(g, v)):
             raise ArithmeticError("Sylvester witness fails its exact re-check")
-        return PosDefResult(False, minors, v, val)
+        return PosDefResult(False, minors, v)
 
     for k in range(n):
         p = s[k][k]

@@ -10,7 +10,7 @@ defined here, the lowest layer that raises it.
 All values are immutable after construction; operations are pure.
 """
 
-from .exact import Echelon, ZERO
+from .exact import Echelon, ZERO, _row_from_list
 
 
 class SuperAlgebraError(Exception):
@@ -85,7 +85,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v):
-        return self._ech.contains_list(v)
+        return not self._ech.residual(_row_from_list(v))
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.basis)

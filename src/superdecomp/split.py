@@ -10,12 +10,10 @@ rows.  Every kernel and solve is read off integer echelon rows;
 commutant elements are held as lists of dense columns.
 """
 
-from fractions import Fraction
-
 from .exact import (
     Echelon, LinSolver, _lin_comb, _row_from_list, kernel, solve, vec_unit, vec_zero,
 )
-from .poly import char_poly_and_rational_split, peval_matrix, pmul
+from .poly import peval_matrix, primary_polynomials
 from .spaces import SuperAlgebraError, Subspace
 from .core import _int_row
 from .calculus import _columns, module_commutant
@@ -130,13 +128,7 @@ def _split_parts(actions, dim, comm):
     complement of it.  None when neither the commutant basis nor spin-up
     from a unit vector splits the module."""
     for theta in comm:
-        _, factors, _ = char_poly_and_rational_split(theta)
-        pieces = []
-        for f, e in factors:
-            p = [Fraction(1)]
-            for _ in range(e):
-                p = pmul(p, f)
-            pieces.append(p)
+        pieces = primary_polynomials(theta)
         if len(pieces) < 2:
             # a singular commutant element is a zero divisor: its kernel is
             # a proper invariant subspace even without a coprime factor split

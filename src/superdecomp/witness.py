@@ -61,12 +61,10 @@ def gram_of_functional(g, omega):
 
 
 class Witness:
-    """omega in annihilator coordinates plus its verified Gram data."""
+    """A verified functional omega with the Sylvester minors of its Gram."""
 
-    def __init__(self, coords, functional, gram, minors, iterations):
-        self.coords = coords                # in the annihilator basis
+    def __init__(self, functional, minors, iterations):
         self.functional = functional        # length-d0 vector
-        self.gram = gram
         self.minors = minors
         self.iterations = iterations
 
@@ -220,7 +218,7 @@ def find_witness(g):
                     acc = acc + functional[k] * v
             if acc:
                 raise SuperAlgebraError("witness functional fails invariance")
-    return ConditionReport("pass", certificate=Witness(t, functional, gram, res.minors, iters))
+    return ConditionReport("pass", certificate=Witness(functional, res.minors, iters))
 
 
 # ---------------------------------------------------------------------------

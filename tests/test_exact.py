@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,8 @@ from superdecomp.positivity import (
     UnsolvedLP, feasible_point, is_positive_definite, quad_form,
 )
 from superdecomp.poly import (
-    char_poly, char_poly_and_rational_split, pdivmod, peval_matrix, pmul, rational_roots,
+    char_poly, pdivmod, peval_matrix, pgcd, pmul, primary_polynomials, rational_roots,
+    squarefree_decomposition,
 )
 from superdecomp.spaces import Subspace
 
@@ -183,33 +186,34 @@ def test_span_basis_canonical():
 
 # --- characteristic polynomial ----------------------------------------------
 
-def test_char_poly_diag():
-    p, factors, roots = char_poly_and_rational_split(columns(M([[1, 0], [0, 2]])))
-    assert p == [Fraction(2), Fraction(-3), Fraction(1)]
-    assert sorted(r for r, _ in roots) == [1, 2]
+def primaries(m):
+    """primary_polynomials(m), after checking that they are pairwise coprime
+    and multiply to the characteristic polynomial."""
+    pieces = primary_polynomials(m)
+    for a in range(len(pieces)):
+        for b in range(a):
+            assert pgcd(pieces[a], pieces[b]) == [1]
     prod = [Fraction(1)]
-    for f, e in factors:
-        for _ in range(e):
-            prod = pmul(prod, f)
-    assert prod == p
+    for f in pieces:
+        prod = pmul(prod, f)
+    assert prod == char_poly(m)
+    return pieces
+
+
+def test_char_poly_diag():
+    assert char_poly(columns(M([[1, 0], [0, 2]]))) == _poly(2, -3, 1)
+    assert primaries(columns(M([[1, 0], [0, 2]]))) == [_poly(-1, 1), _poly(-2, 1)]
 
 
 def test_char_poly_rotation_no_rational_roots():
-    p, factors, roots = char_poly_and_rational_split(columns(M([[0, 1], [-1, 0]])))
-    assert p == [Fraction(1), Fraction(0), Fraction(1)]   # t^2 + 1
-    assert roots == []
-    assert len(factors) == 1
+    # t^2 + 1 has no rational root, so it is one piece
+    assert primaries(columns(M([[0, 1], [-1, 0]]))) == [_poly(1, 0, 1)]
 
 
 def test_char_poly_repeated():
-    p, factors, roots = char_poly_and_rational_split(
-        columns(M([[3, 0, 0], [0, 3, 0], [0, 0, 5]])))
-    assert dict((r, e) for r, e in roots) == {3: 2, 5: 1}
-    prod = [Fraction(1)]
-    for f, e in factors:
-        for _ in range(e):
-            prod = pmul(prod, f)
-    assert prod == p
+    # Yun's classes come in order of multiplicity: (t - 5)^1, then (t - 3)^2
+    pieces = primaries(columns(M([[3, 0, 0], [0, 3, 0], [0, 0, 5]])))
+    assert pieces == [_poly(-5, 1), _poly(9, -6, 1)]
 
 
 def test_char_poly_matches_cayley_hamilton():
@@ -239,15 +243,14 @@ def test_posdef_yes():
 def test_posdef_no_with_witness():
     res = is_positive_definite(M([[1, 2], [2, 1]]))
     assert not res.ok
-    assert quad_form(M([[1, 2], [2, 1]]), res.witness) == res.witness_value
-    assert res.witness_value <= 0
+    assert quad_form(M([[1, 2], [2, 1]]), res.witness) <= 0
 
 
 def test_posdef_degenerate():
     res = is_positive_definite(M([[0]]))
     assert not res.ok
     assert not vec_is_zero(res.witness)
-    assert res.witness_value == 0
+    assert quad_form(M([[0]]), res.witness) == 0
 
 
 def test_posdef_rejects_nonsymmetric():
@@ -284,7 +287,7 @@ def test_posdef_agrees_with_sampling():
                 v = random_vector(rng, n, nonzero=True)
                 assert quad_form(sym, v) > 0
         else:
-            assert quad_form(sym, res.witness) == res.witness_value <= 0
+            assert quad_form(sym, res.witness) <= 0
 
 
 # --- exact LP feasibility ----------------------------------------------------
@@ -514,12 +517,25 @@ def test_linsolver_coords_match_sympy(m, data):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(rational_matrices(square=True))
 def test_char_poly_matches_sympy(m):
-    p, factors, roots = char_poly_and_rational_split(columns(m))
     t = sympy.Symbol("t")
     want = sympy.Poly(_sym(m).charpoly(t).as_expr(), t, domain="QQ")
-    assert p == _fracs(reversed(want.all_coeffs()))
-    assert sorted(roots) == sorted((Fraction(int(r.p), int(r.q)), e)
-                                   for r, e in want.ground_roots().items())
+    assert char_poly(columns(m)) == _fracs(reversed(want.all_coeffs()))
+    pieces = primaries(columns(m))
+    # each rational root r of multiplicity e is exactly one piece (t - r)^e,
+    # and no other piece has a rational root
+    powers = []
+    for r, e in want.ground_roots().items():
+        power = [Fraction(1)]
+        for _ in range(e):
+            power = pmul(power, [-Fraction(int(r.p), int(r.q)), Fraction(1)])
+        assert pieces.count(power) == 1
+        powers.append(power)
+    assert not any(_sym_poly(q, t).ground_roots() for q in pieces if q not in powers)
+
+
+def _sym_poly(p, x):
+    return sympy.Poly([sympy.Rational(a.numerator, a.denominator) for a in reversed(p)],
+                      x, domain="QQ")
 
 
 def _poly(*coeffs):
@@ -543,10 +559,53 @@ def rooted_polys(draw):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(rooted_polys())
 def test_rational_roots_match_sympy(p):
-    x = sympy.Symbol("x")
-    want = sympy.Poly([sympy.Rational(a.numerator, a.denominator) for a in reversed(p)],
-                      x, domain="QQ").ground_roots()
+    want = _sym_poly(p, sympy.Symbol("x")).ground_roots()
     assert rational_roots(p) == sorted(Fraction(int(r.p), int(r.q)) for r in want)
+
+
+@st.composite
+def repeated_factor_polys(draw):
+    """c * x^k * prod f_i^e_i with k >= 1, each f_i of degree 1 to 3 with
+    small integer coefficients and e_i <= 3, so factors repeat, may
+    coincide, and may share roots with each other."""
+    small = st.integers(-6, 6)
+    p = pmul([Fraction(draw(small.filter(bool)), draw(st.integers(1, 9)))],
+             [Fraction(0)] * draw(st.integers(1, 3)) + [Fraction(1)])
+    for _ in range(draw(st.integers(0, 3))):
+        f = draw(st.lists(small, min_size=2, max_size=4))
+        if f[-1] == 0:
+            f[-1] = 1
+        for _ in range(draw(st.integers(1, 3))):
+            p = pmul(p, _poly(*f))
+    return p
+
+
+@contextmanager
+def _fails_after(seconds):
+    """Raise AssertionError in the body once it has run `seconds`: a wrong
+    Yun step can leave a factor that never divides out, and then Yun's loop
+    runs forever instead of returning a wrong answer."""
+    def expire(signum, frame):
+        raise AssertionError("still running after %s s" % seconds)
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(repeated_factor_polys())
+def test_squarefree_decomposition_matches_sympy(p):
+    x = sympy.Symbol("x")
+    _, want = sympy.sqf_list(_sym_poly(p, x))
+    with _fails_after(2):
+        got = squarefree_decomposition(p)
+    assert sorted(e for _, e in got) == sorted(e for _, e in want)
+    monic = {e: _fracs(reversed(f.monic().all_coeffs())) for f, e in want}
+    assert {e: f for f, e in got} == monic
 
 
 def test_rational_roots_repeated_factors_give_each_root_once():

@@ -15,6 +15,10 @@ from superdecomp.realize import SparseOp, from_matrix_span
 from superdecomp.exact import I, ONE, Scalar, ZERO, vec_is_zero, vec_zero
 from superdecomp.positivity import is_positive_definite
 from superdecomp.families import build_family, build_lie_algebra
+from superdecomp.fock import (
+    check_unitary_representation, defining_representation, spin_representation,
+)
+from superdecomp.tangentrep import tilde_tangent_representation
 from superdecomp.witness import (
     cone_pointedness, find_posdef_in_span, find_witness, gram_of_functional,
     invariant_functional_basis,
@@ -34,7 +38,7 @@ def test_witness_u21():
     out = find_witness(g)
     assert out.verdict == "pass"
     w = out.certificate
-    assert is_positive_definite(w.gram).ok
+    assert is_positive_definite(gram_of_functional(g, w.functional)).ok
     assert all(m > 0 for m in w.minors)
 
 
@@ -336,6 +340,34 @@ def test_lemma24_all_pass():
                         ("q", (2,)), ("c", (2,)), ("su", (3, 1))]:
         rep = necessary_conditions_report(build_family(tag, *params))
         assert rep.overall == "all necessary conditions pass", (tag, params)
+
+
+def _unitary_representations():
+    """A faithful unitary representation of each of 20 families: the
+    defining one of the matrix families, spin ones of spin_h and
+    spin_h_hat, and the Fock one of each T~k.  c(2) and c(3) are left out:
+    their realization is not written in the convention rho(X)* = -i^{|X|} rho(X)."""
+    for tag, params in [("u", (1, 1)), ("u", (2, 1)), ("u", (2, 2)), ("su", (2, 1)),
+                        ("su", (3, 1)), ("su", (2, 2)), ("su", (3, 2)), ("q", (1,)),
+                        ("q", (2,)), ("q", (3,)), ("q_hat", (2,))]:
+        yield (tag, params), defining_representation(build_family(tag, *params))
+    for variant in ("spin_h", "spin_h_hat"):
+        for n in (1, 2, 3):
+            yield (variant, (n,)), spin_representation(variant, n)
+    for kind, n in (("su", 2), ("so", 3), ("sp", 1)):
+        yield ("T_tilde", (kind, n)), tilde_tangent_representation(kind, n)
+
+
+def test_a_faithful_unitary_representation_refutes_every_obstruction():
+    # a Lie superalgebra with a faithful unitary representation is unitary,
+    # so no necessary condition of unitarity may fail on it
+    reps = list(_unitary_representations())
+    assert len(reps) == 20
+    for family, rep in reps:
+        g = rep.algebra
+        res = check_unitary_representation(g, rep)
+        assert res.ok and res.faithful, family
+        assert necessary_conditions_report(g).overall != "obstruction found", family
 
 
 def test_no_odd_part_makes_iv_and_v_vacuous():
