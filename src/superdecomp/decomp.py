@@ -58,11 +58,8 @@ def reduce_to_odd_generated(g):
         raise DecompositionError(
             "no even complement commuting with [g1, g1] was found",
             evidence={"h0_dim": h0.dim, "centralizer_dim": z.dim})
-    for u in comp.basis:
-        for w in comp.basis:
-            if not comp.contains(g.bracket(u, w)):
-                raise DecompositionError(
-                    "even complement is not a subalgebra", evidence=(u, w))
+    if not comp.contains_subspace(bracket_span(g, comp, comp)):
+        raise DecompositionError("even complement is not a subalgebra")
     return Reduction(h0, core, comp)
 
 
@@ -92,8 +89,6 @@ def decompose_odd(g, core_even):
         raise DecompositionError(
             "odd part is not the direct sum of b and [g0, g1]; module not semisimple",
             evidence={"b_dim": b.dim, "a_dim": a.dim, "d1": g1.dim})
-    if a.dim == 0:
-        return ModuleDecomposition(b, a, [], [])
     actions = module_actions(g, lie_generators(g, core_even.basis), a.basis)
     parts = split_module(actions, a.dim)
     summands = [(Subspace(g.dim, _lift(a.basis, vecs)), cert) for vecs, cert in parts]

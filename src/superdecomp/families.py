@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Scalar, ONE, MINUS_ONE, I, kernel, vec_zero
+from .exact import Scalar, ONE, MINUS_ONE, I, vec_zero
 from .spaces import SuperAlgebraError, SuperSpace
 from .core import SuperAlgebra, quotient_by_central
 from .extend import build_tangent_from_algebra, semidirect_by_derivation
@@ -132,15 +132,6 @@ def build_pq(n):
     return quo
 
 
-def _sympl_gram(size):
-    half = size // 2
-    jmat = [vec_zero(size) for _ in range(size)]
-    for i in range(half):
-        jmat[i][half + i] = ONE
-        jmat[half + i][i] = MINUS_ONE
-    return jmat
-
-
 def build_c(n):
     """Compact real form of osp(2|2n-2) for the Gram pair (I_2, J).
 
@@ -153,38 +144,24 @@ def build_c(n):
     commutes with the even action.  Correctness is certified after the
     fact: bracket closure is verified exactly, and the dimension, center
     and Killing checks pin the isomorphism type.
+
+    The involution's fixed space has a basis in closed form, with m = n - 1:
+    for each column c of B (ascending) and v in {1, i}, the entry B[1][c] = v
+    and the entry it forces, B[0][(c + m) mod 2m] = -conj(v) for c < m and
+    conj(v) otherwise; every other entry of B is zero.
     """
     m = n - 1
     mats = [{(0, 1): ONE, (1, 0): MINUS_ONE}]
     mats += [_shift(d, 2, 2) for d in sp_matrix_basis(m)]
-    j2 = _sympl_gram(2)
-    jbig = _sympl_gram(2 * m)
-    # unknowns: Re/Im of the 2 x 2m block B at 2 (r 2m + c) and the next;
-    # condition B + J_2 conj(B) J = 0, its real and imaginary parts
-    nb = 8 * m
-    rows = []
-    for r in range(2):
-        for c in range(2 * m):
-            var = 2 * (r * 2 * m + c)
-            re_row, im_row = {var: ONE}, {var + 1: ONE}
-            for u in range(2):
-                for v in range(2 * m):
-                    f = j2[r][u] * jbig[v][c]
-                    if f:
-                        # J_2 is off-diagonal, so u != r and w != var
-                        w = 2 * (u * 2 * m + v)
-                        re_row[w] = f
-                        im_row[w + 1] = -f
-            rows += [re_row, im_row]
-    for vvec in kernel(rows, nb):
-        vals = [Scalar(a, b) for a, b in zip(vvec[::2], vvec[1::2])]
-        b = {(r, c): vals[r * 2 * m + c] for r in range(2) for c in range(2 * m)}
-        odd = _shift(b, 0, 2)
-        # lower block C = -J B^T; row a of J is e_{a+m} for a < m, else -e_{a-m}
-        for a in range(2 * m):
-            for r in range(2):
-                odd[(2 + a, r)] = -b[r, a + m] if a < m else b[r, a - m]
-        mats.append(odd)
+    for c in range(2 * m):
+        for v in (ONE, I):
+            b = {(1, c): v, (0, (c + m) % (2 * m)): -v.conjugate() if c < m else v.conjugate()}
+            odd = _shift(b, 0, 2)
+            # lower block C = -J B^T; column k of J is -e_{k+m} for k < m,
+            # else e_{k-m}, so B[r][k] lands at C[(k + m) mod 2m][r]
+            for (r, k), x in b.items():
+                odd[(2 + (k + m) % (2 * m), r)] = -x if k >= m else x
+            mats.append(odd)
     return _span(2 + 2 * m, 2, mats)
 
 

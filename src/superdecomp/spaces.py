@@ -88,7 +88,7 @@ class Subspace:
         return not self._ech.residual(_row_from_list(v))
 
     def contains_subspace(self, other):
-        return all(self.contains(v) for v in other.basis)
+        return not any(self._ech.residual(u) for u in other._rows())
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)

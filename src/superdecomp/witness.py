@@ -16,6 +16,7 @@ the LP is re-solved, up to an iteration cap.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import isqrt, lcm
 
 from .exact import ZERO, ONE, MINUS_ONE, _lin_comb, kernel, vec_is_zero, vec_zero
@@ -96,14 +97,10 @@ def _sign_patterns(n):
             v[i] = s
             yield v
     if n <= 6:
-        for mask in range(3 ** n):
-            v = []
-            mm = mask
-            for _ in range(n):
-                v.append((1, -1, 0)[mm % 3])
-                mm //= 3
+        # product varies its last entry fastest; reversed, the first does
+        for v in product((1, -1, 0), repeat=n):
             if any(v):
-                yield v
+                yield list(v[::-1])
 
 
 def find_posdef_in_span(grams):

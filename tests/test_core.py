@@ -1161,6 +1161,18 @@ def test_splitter_modules_never_name_matrix():
     assert checked == {"split.py", "ideals.py", "decomp.py", "poly.py"}
 
 
+def test_families_solves_no_linear_system():
+    # the constructors only write matrix entries; realize.from_matrix_span
+    # alone turns the matrices into structure constants
+    solvers = ("kernel", "solve", "LinSolver", "Echelon")
+    tree = dict(_library_trees())["families.py"]
+    named = [n.lineno for n in ast.walk(tree)
+             if (isinstance(n, ast.Name) and n.id in solvers)
+             or (isinstance(n, ast.alias) and n.name in solvers)
+             or (isinstance(n, ast.Attribute) and n.attr in solvers)]
+    assert named == []
+
+
 def test_decomp_builds_no_table_of_its_own():
     # every subalgebra, central quotient and tangent comparison table of
     # the decomposition is written by core.algebra_in_basis

@@ -54,6 +54,15 @@ def test_reduce_direct_sum_with_even_algebra():
     assert red.complement.dim == 8
 
 
+def test_reduce_refuses_an_even_complement_that_is_not_a_subalgebra():
+    # even c, x, y with [x, y] = c and odd X with [X, X] = 2c: [g1, g1] is
+    # span(c), and its even complement span(x, y) commutes with it but does
+    # not close, since [x, y] = c lies outside it
+    g = SuperAlgebra(SuperSpace.make(3, 1), {(1, 2): {0: ONE}, (3, 3): {0: Scalar(2)}})
+    with pytest.raises(DecompositionError, match="even complement is not a subalgebra"):
+        reduce_to_odd_generated(g)
+
+
 def test_decompose_odd_su22_two_real_copies():
     # over the reals the odd part of su(2|2) is H + iH: two isomorphic
     # 4-dimensional simple summands (the complex module is irreducible,

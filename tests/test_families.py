@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from superdecomp.exact import I, ONE, Scalar, vec_is_zero, vec_zero
 from superdecomp.spaces import SuperAlgebraError
@@ -136,6 +137,37 @@ def test_c_real_dim_matches_complex_osp_dim():
         m = n - 1
         complex_dim = 1 + m * (2 * m + 1) + 4 * m
         assert g.dim == complex_dim
+
+
+def _sympl(h):
+    """The standard symplectic J = [[0, 1_h], [-1_h, 0]] in sympy."""
+    return sympy.Matrix(2 * h, 2 * h, lambda r, c: 1 if c == r + h else -1 if r == c + h else 0)
+
+
+def _sympy_blocks(op, p):
+    """The blocks A, B, C, D of a SparseOp [[A, B], [C, D]] with a p x p
+    upper-left block, as exact sympy matrices."""
+    full = sympy.zeros(op.dim, op.dim)
+    for j, col in enumerate(op.cols):
+        for i, (a, b) in col.items():
+            full[i, j] = sympy.Rational(a, op.den) + sympy.I * sympy.Rational(b, op.den)
+    return full[:p, :p], full[:p, p:], full[p:, :p], full[p:, p:]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_c_odd_matrices_are_fixed_by_the_quaternionic_involution(n):
+    # each odd realization matrix is [[0, B], [C, 0]] with B = -J_2 conj(B) J_2m
+    # and C = -J B^T, and the odd part has the fixed space's dimension 4m
+    g = build_family("c", n)
+    m = n - 1
+    j2, jbig = _sympl(1), _sympl(m)
+    assert g.d1 == 4 * m
+    mats = g.meta["realization"].mats
+    for i in g.space.odd_indices():
+        a, b, c, d = _sympy_blocks(mats[i], 2)
+        assert a.is_zero_matrix and d.is_zero_matrix and not b.is_zero_matrix
+        assert (b + j2 * b.conjugate() * jbig).expand().is_zero_matrix, i
+        assert (c + jbig * b.T).expand().is_zero_matrix, i
 
 
 def test_pq2_centers_vanish():

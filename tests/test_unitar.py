@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from superdecomp import classify, positivity, unitar, witness
 from superdecomp.classify import classify_fingerprint, fingerprint
 from superdecomp.spaces import SuperSpace
-from superdecomp.core import SuperAlgebra, direct_sum
+from superdecomp.core import (
+    SuperAlgebra, algebra_from_json_dict, algebra_to_json_dict, direct_sum,
+)
 from superdecomp.calculus import lie_generators, module_actions, module_commutant
 from superdecomp.realize import SparseOp, from_matrix_span
 from superdecomp.exact import I, ONE, Scalar, ZERO, vec_is_zero, vec_zero
@@ -389,6 +391,22 @@ def test_no_odd_part_makes_iv_and_v_vacuous():
     assert [it.verdict for it in rep.items.values()] == ["fail"] + ["pass"] * 4
 
 
+def test_an_inconclusive_search_lists_the_inconclusive_items(monkeypatch):
+    # with the positive-form search of (iv) made inconclusive, u(1|1) has
+    # no witness, so (ii) and (iii) find neither a proof nor a
+    # counterexample; (i) searches through unitar's own name and passes.
+    # A fresh copy: find_witness keeps its answer per algebra, and the
+    # family builder caches its algebras
+    u11 = build_family("u", 1, 1)
+    g = algebra_from_json_dict(algebra_to_json_dict(u11, "u(1|1)"))
+    monkeypatch.setattr(witness, "find_posdef_in_span",
+                        lambda grams: witness.ConditionReport("inconclusive"))
+    rep = necessary_conditions_report(g)
+    assert rep.overall == "inconclusive items listed"
+    assert [it.verdict for it in rep.items.values()] == (
+        ["pass"] + ["inconclusive"] * 3 + ["pass"])
+
+
 def test_lemma24_json_shape():
     rep = necessary_conditions_report(build_family("su", 2, 1))
     d = rep.to_json_dict()
@@ -455,6 +473,14 @@ def oracle_sign_patterns(n):
             if any(v):
                 out.append(v)
     return out
+
+
+def test_sign_patterns_follow_the_base_3_counter():
+    # the first entry varies fastest, as in the counter of the oracle
+    for n in range(7):
+        got = list(witness._sign_patterns(n))
+        assert got == oracle_sign_patterns(n), n
+        assert all(type(x) is int for v in got for x in v)
 
 
 def oracle_find_posdef_in_span(grams):
