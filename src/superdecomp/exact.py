@@ -10,11 +10,14 @@ Scalar(a, 0) is the Fraction a, so the two types never hold the same
 number.  A vector is a plain list, and a rational matrix (a Gram or
 derivation table) is a list of its rows.  All operations are exact:
 there is no floating point anywhere in this package.  Elimination runs
-on rational rows only and is fraction-free: rows are scaled to coprime
-ints and updated by cross-multiplication with content removal (Bareiss
-style), so entries stay small integers instead of accumulating
-denominators.  The Sylvester test and the exact LP built on these rows
-are in positivity, which only witness and tangentrep load.
+on rational rows only.  Echelon, kernel and solve are fraction-free:
+rows are scaled to coprime ints and updated by cross-multiplication with
+content removal (Bareiss style), so entries stay small integers instead
+of accumulating denominators.  Dense Fraction elimination remains in
+diagonalize, the congruence diagonalisation of a symmetric form that the
+Sylvester test (positivity) and tangentrep read, and in poly.char_poly.
+The exact LP on the fraction-free rows is in positivity, which only the
+unitarity report loads.
 
 Everything here is a pure function on immutable values and safe to call
 concurrently.
@@ -111,6 +114,41 @@ def _lin_comb(coeffs, vectors, n):
                 if a:
                     out[j] = out[j] + c * a
     return out
+
+
+def diagonalize(s):
+    """Congruence diagonalisation of the rows s of a rational symmetric
+    matrix: yields (d_k, t_k) for k = 0, 1, ... with T^T s T = diag(d)
+    and det T = 1 for the matrix T with columns t_k.
+
+    A column is final once yielded, so a reader may stop early.  A nonzero
+    pivot is eliminated symmetrically; a zero pivot whose row has a first
+    nonzero entry s_kj is made -1 first by (t_k, t_j) <- (tau t_k - t_j,
+    t_k) with tau = (s_jj + 1) / (2 s_kj).
+    """
+    n = len(s)
+    s = [row[:] for row in s]
+    t = [vec_unit(n, k) for k in range(n)]        # t[k] is column k of T
+    for k in range(n):
+        rk = s[k]
+        j = None if rk[k] else next((j for j in range(k + 1, n) if rk[j]), None)
+        if j is not None:
+            tau = (s[j][j] + 1) / (2 * rk[j])
+            t[k], t[j] = [tau * a - b for a, b in zip(t[k], t[j])], t[k]
+            s[k], s[j] = [tau * a - b for a, b in zip(rk, s[j])], rk
+            rk = s[k]
+            for row in s[k:]:
+                row[k], row[j] = tau * row[k] - row[j], row[k]
+        p = rk[k]
+        for i in range(k + 1, n):
+            if rk[i]:
+                f = rk[i] / p
+                ri = s[i]
+                for c in range(k + 1, n):
+                    if rk[c]:
+                        ri[c] -= f * rk[c]
+                t[i] = [b - f * a if a else b for a, b in zip(t[k], t[i])]
+        yield p, t[k]
 
 
 # ---------------------------------------------------------------------------

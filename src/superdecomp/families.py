@@ -37,6 +37,10 @@ from .realize import (
 )
 
 K_TAGS = ("su", "so", "sp")
+# the largest d0 + d1 a FamilySpec admits: `construct` checks gl(8|8), of
+# dimension 512, in 16 s CPU and 47 MiB on a 2-core x86-64 machine, and its
+# cost grows as dim^2.6
+FAMILY_DIM_CAP = 512
 # the arity of the tangent families: a (su|so|sp, n) pair, not integers
 K_PAIR = "k"
 
@@ -58,6 +62,10 @@ class FamilySpec:
             raise ValueError("family %s needs %d integer parameter(s)" % (tag, family.arity))
         if not family.valid(*params):
             raise ValueError(family.error.format(*params))
+        dim = sum(family.dims(*params))
+        if dim > FAMILY_DIM_CAP:
+            raise ValueError("%s has dimension %d, above the family dimension cap of %d"
+                             % (self.name(), dim, FAMILY_DIM_CAP))
 
     def name(self):
         return family_name(self.tag, self.params)

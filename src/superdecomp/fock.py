@@ -258,8 +258,9 @@ def spin_representation(variant, n):
     """
     if variant not in ("spin_h", "spin_h_hat"):
         raise ValueError("variant must be spin_h or spin_h_hat")
-    spec = FamilySpec(variant, (n,))
+    # the Fock cap is far below the family cap, so it refuses a large n first
     _require_fock_dim(n)
+    spec = FamilySpec(variant, (n,))
     g = build(spec)
     fock = FockSpace(n)
     ops = [SparseOp.identity(fock.dim).scale(I)]

@@ -29,8 +29,6 @@ def psub(p, q):
 
 
 def pmul(p, q):
-    if not p or not q:
-        return []
     out = [_F0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if not a:
@@ -54,16 +52,10 @@ def pdivmod(p, q):
         for i, b in enumerate(q):
             p[i + k] -= f * b
         ptrim(p)
-        if not p:
-            break
-        while len(p) >= len(q) and not p[-1]:
-            p.pop()
     return ptrim(quo), ptrim(p)
 
 
 def pmonic(p):
-    if not p:
-        return p
     c = p[-1]
     return [a / c for a in p]
 

@@ -1,14 +1,15 @@
 """The Sylvester test and the exact feasibility LP, on rationals, each
-re-checking the certificate it returns.  The witness search uses both,
-and tangentrep the Sylvester test; spinrep loads none of it.  The LP
-tableau runs on exact's fraction-free row updates.
+re-checking the certificate it returns.  The Sylvester test is a reading
+of exact.diagonalize; the LP tableau runs on exact's fraction-free row
+updates.  Only the unitarity report and its witness search load this
+module.
 """
 
 from fractions import Fraction
 
 from .exact import (
     _F0, _F1, _lin_comb, _row_content_reduce, _row_cross, _row_divide_content,
-    _row_from_list, is_symmetric,
+    _row_from_list, diagonalize, is_symmetric,
 )
 
 
@@ -49,7 +50,8 @@ def quad_form(g, v):
 
 
 def is_positive_definite(g):
-    """Sylvester criterion via symmetric elimination, exact witness on failure.
+    """Sylvester criterion read off exact.diagonalize, stopping at the first
+    pivot d <= 0, whose column is the witness: its value d is re-checked on g.
 
     g is a list of rows, symmetric with rational entries; a non-symmetric
     or complex input raises ValueError.
@@ -58,61 +60,17 @@ def is_positive_definite(g):
         raise ValueError("rational symmetric matrix required")
     if not is_symmetric(g):
         raise ValueError("non-symmetric input rejected")
-    n = len(g)
-    s = [row[:] for row in g]
-    # congruence transform T with T^T g T = s throughout; column k of T
-    # carries the witness coordinates back to the original basis.
-    t = [[_F1 if i == j else _F0 for j in range(n)] for i in range(n)]
-    minors = []
+    minors, cols = [], []
     det = _F1
-
-    def failure(v, holds):
-        """The witness v, after re-checking its value on g itself."""
-        if not holds(quad_form(g, v)):
-            raise ArithmeticError("Sylvester witness fails its exact re-check")
-        return PosDefResult(False, minors, v)
-
-    for k in range(n):
-        p = s[k][k]
-        if p > 0:
-            det *= p
-            minors.append(det)
-            fs = [s[k][j] / p for j in range(k + 1, n)]
-            for i in range(k + 1, n):
-                fi = fs[i - k - 1]
-                if not fi:
-                    continue
-                srow_k = s[k]
-                srow_i = s[i]
-                for j in range(k + 1, n):
-                    if srow_k[j]:
-                        srow_i[j] -= fi * srow_k[j]
-            for j in range(k + 1, n):
-                fj = fs[j - k - 1]
-                s[k][j] = _F0
-                s[j][k] = _F0
-                if fj:
-                    for i in range(n):
-                        if t[i][k]:
-                            t[i][j] -= fj * t[i][k]
-            continue
-        if p < 0:
-            return failure([t[i][k] for i in range(n)], lambda val: val == p)
-        # p == 0: degenerate direction, or a 2x2 indefinite block
-        row_nz = None
-        for j in range(k + 1, n):
-            if s[k][j]:
-                row_nz = j
-                break
-        if row_nz is None:
-            return failure([t[i][k] for i in range(n)], lambda val: val == 0)
-        j = row_nz
-        sv = s[k][j]
-        sigma = s[j][j]
-        tt = (sigma + 1) / (2 * sv)
-        return failure([tt * t[i][k] - t[i][j] for i in range(n)],
-                       lambda val: val < 0)
-    return PosDefResult(True, minors, congruence=t)
+    for d, v in diagonalize(g):
+        if d <= 0:
+            if quad_form(g, v) != d:
+                raise ArithmeticError("Sylvester witness fails its exact re-check")
+            return PosDefResult(False, minors, v)
+        det *= d
+        minors.append(det)
+        cols.append(v)
+    return PosDefResult(True, minors, congruence=[list(r) for r in zip(*cols)])
 
 
 # ---------------------------------------------------------------------------

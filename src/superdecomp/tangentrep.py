@@ -3,17 +3,16 @@
 tilde_tangent_representation builds the faithful unitary representation
 of Ttilde k, the central extension of the tangent algebra over a compact
 simple k, on the Fock space of the quadratic form beta = -Killing(k).
-The form is split by the congruence of the Sylvester test into a
-diagonal one, each diagonal value written as a sum of rational squares
+The form is split by exact.diagonalize's congruence into a diagonal
+one, each diagonal value written as a sum of rational squares
 (Lagrange), which gives the Fock generators.  Only `tangent-rep` loads
-this module, and with it positivity.
+this module; it needs neither positivity nor the witness search.
 """
 
 from fractions import Fraction
 from math import isqrt
 
-from .exact import I, LinSolver, Scalar, ZERO, ONE, _lin_comb, vec_unit
-from .positivity import is_positive_definite
+from .exact import I, LinSolver, Scalar, ZERO, _lin_comb, diagonalize, vec_unit
 from .spaces import SuperAlgebraError
 from .invariants import killing_form
 from .families import FamilySpec, build, build_lie_algebra, simple_dim
@@ -84,13 +83,11 @@ def tilde_tangent_representation(kind, n):
     k = build_lie_algebra(kind, n)
     gram, _ = killing_form(k)
     beta = [[-a for a in row] for row in gram]
-    # beta = P^-T D P^-1 with the congruence of the Sylvester test as P;
-    # D_kk is the ratio of consecutive leading minors
-    sylvester = is_positive_definite(beta)
-    if not sylvester.ok:
+    # beta = P^-T D P^-1 with P^T beta P = D from exact.diagonalize
+    diag, cols = zip(*diagonalize(beta))
+    if min(diag) <= 0:
         raise SuperAlgebraError("tangent form is not positive definite")
-    pmat = sylvester.congruence
-    diag = [m / prev for m, prev in zip(sylvester.minors, [ONE] + sylvester.minors)]
+    pmat = [list(r) for r in zip(*cols)]
     # choose the global scale lam minimising the generator count:
     # each diagonal value needs lam*d_alpha/2 written as a sum of squares
     best = None

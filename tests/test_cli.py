@@ -192,6 +192,23 @@ def test_decompose_rejects_even_only(tmp_path, capsys):
     assert "odd-generation" in err
 
 
+def test_decompose_refuses_an_odd_part_that_is_not_semisimple(tmp_path, capsys):
+    # the parabolic subalgebra of gl(2|1) spanned by E11, E22, E33, E12
+    # (even) and E13, E31, E32 (odd): b and [g0, g1] are each 1-dim in the
+    # 3-dim odd part, so the odd module is not semisimple
+    from superdecomp.exact import ONE
+    from superdecomp.realize import _span
+    units = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (2, 0), (2, 1)]
+    path = str(tmp_path / "parabolic.json")
+    with open(path, "w") as fh:
+        json.dump(core.algebra_to_json_dict(_span(3, 2, [{ij: ONE} for ij in units]),
+                                            "parabolic"), fh)
+    code, out, err = run(capsys, "decompose", path)
+    assert (code, out) == (1, "")
+    assert err == ("error: odd part is not the direct sum of b and [g0, g1]; "
+                   "module not semisimple\n")
+
+
 def test_unitarity_pq2(tmp_path, capsys):
     path = str(tmp_path / "pq2.json")
     run(capsys, "construct", "--family", "pq", "--params", "2", "--out", path)
@@ -449,7 +466,8 @@ def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
     for tag in ("T_hat", "T_tilde"):
         tangents.append(str(tmp_path / (tag + ".json")))
         run(capsys, "construct", "--family", tag, "--params", "su,2", "--out", tangents[-1])
-    # the Sylvester test and LP live in positivity, bracket spans and
+    # the Sylvester test and LP live in positivity (tangentrep reads the
+    # congruence diagonalisation in exact directly), bracket spans and
     # commutants in calculus, the extensions in extend, the module splitter
     # in split, the ideals in ideals, the witness search in witness and the
     # Ttilde spin representation in tangentrep: none is compiled by a
@@ -470,8 +488,8 @@ def test_commands_import_only_the_layers_they_use(tmp_path, capsys):
                           ("poly", "decomp", "unitar", "classify", "positivity",
                            "calculus", "split", "ideals", "witness", "tangentrep")),
                          (["tangent-rep", "--k", "su2", "--check"],
-                          ("poly", "decomp", "unitar", "classify", "calculus", "split",
-                           "ideals", "witness")),
+                          ("poly", "decomp", "unitar", "classify", "positivity", "calculus",
+                           "split", "ideals", "witness")),
                          # every ideal of su(2|1) is of kind Js: no family is
                          # built, and the classifier needs no unitarity code
                          (["decompose", path],

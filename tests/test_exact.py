@@ -10,7 +10,8 @@ from sympy.solvers.simplex import InfeasibleLPError, lpmin
 
 from superdecomp import positivity
 from superdecomp.exact import (
-    Echelon, LinSolver, Scalar, ZERO, I, is_symmetric, kernel, solve, vec_is_zero,
+    Echelon, LinSolver, Scalar, ZERO, I, diagonalize, is_symmetric, kernel, solve,
+    vec_is_zero,
 )
 from superdecomp.positivity import (
     UnsolvedLP, feasible_point, is_positive_definite, quad_form,
@@ -288,6 +289,56 @@ def test_posdef_agrees_with_sampling():
                 assert quad_form(sym, v) > 0
         else:
             assert quad_form(sym, res.witness) <= 0
+
+
+@pytest.mark.parametrize("rows, minors, witness", [
+    ([[2, 1, 0], [1, -1, 1], [0, 1, 3]], [2], [Fraction(-1, 2), 1, 0]),        # d < 0
+    ([[1, 1, 0], [1, 1, 0], [0, 0, 2]], [1], [-1, 1, 0]),                      # zero row
+    # a zero pivot with s_kj != 0, tau = 3/2
+    ([[1, 1, 1], [1, 1, 2], [1, 2, 3]], [1], [Fraction(-1, 2), Fraction(3, 2), -1]),
+    ([[1, 1, 1], [1, 1, 2], [1, 2, 0]], [1], [1, 0, -1]),                      # tau = 0
+])
+def test_posdef_failure_routes_keep_their_minors_and_witness(rows, minors, witness):
+    res = is_positive_definite(M(rows))
+    assert not res.ok and res.congruence is None
+    assert (res.minors, res.witness) == (minors, witness)
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Small rational symmetric matrices, about half their entries zero."""
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(ZERO), st.fractions(-4, 4, max_denominator=3))
+    s = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s[i][j] = s[j][i] = draw(entry)
+    return s
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_forms())
+def test_diagonalize_is_a_determinant_one_congruence_with_the_right_signature(s):
+    n = len(s)
+    pairs = [(d, t, list(t)) for d, t in diagonalize(s)]
+    # each column was final when it was yielded
+    assert [t for _, t, _ in pairs] == [c for _, _, c in pairs]
+    d = [dk for dk, _, _ in pairs]
+    cols = [t for _, t, _ in pairs]
+    assert [[sum(u[i] * s[i][j] * w[j] for i in range(n) for j in range(n)) for w in cols]
+            for u in cols] == [[d[a] if a == b else 0 for b in range(n)] for a in range(n)]
+    rat = lambda a: sympy.Rational(a.numerator, a.denominator)
+    assert sympy.Matrix(n, n, lambda i, k: rat(cols[k][i])).det() == 1
+    # Descartes' rule counts the roots of a real-rooted polynomial exactly
+    coeffs = sympy.Matrix(n, n, lambda i, j: rat(s[i][j])).charpoly().all_coeffs()[::-1]
+    assert sum(dk > 0 for dk in d) == _sign_changes(coeffs)
+    assert sum(dk < 0 for dk in d) == _sign_changes(
+        [c * (-1) ** k for k, c in enumerate(coeffs)])
 
 
 # --- exact LP feasibility ----------------------------------------------------

@@ -4,8 +4,8 @@ byte for byte, and so must the file a case writes through ``--out``
 are pinned by the SHA-256 of their algebra files, kept in
 ``family_digests.json``; ``check eq-square``'s exit code, stdout and
 stderr are pinned per invocation in ``eq_square.json``, and so are those
-of the argument parser's help, version and usage errors in
-``cli_surface.json``; and the
+of the argument parser's help, version and usage errors and of the
+refusal of an oversized family in ``cli_surface.json``; and the
 classifier's table ``src/superdecomp/family_fingerprints.json`` must
 equal the fingerprints of the constructors' output.  The decomposition
 and unitarity reports of the probe families are pinned by SHA-256 in
@@ -23,6 +23,8 @@ import io
 import json
 import os
 import random
+import resource
+import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -270,15 +272,32 @@ _REQUIRED = {"construct": ["--family", "su", "--params", "2,1", "--out", "x.json
              "check": ["jacobi", "x.json"], "decompose": ["x.json"],
              "unitarity": ["x.json"], "spinrep": ["--dim", "2"],
              "tangent-rep": ["--k", "su2"]}
+# a family too large to build is refused before it is built; a build would
+# grow its memory without bound, so this case runs in a child process whose
+# address space is limited to 1 GiB
+OVERSIZED = ["construct", "--family", "su", "--params", "99999999999999999999,1",
+             "--out", "x.json"]
 CLI_SURFACE_CASES = ([[], ["-h"], ["--version"], ["bogus"]]
                      + [[cmd, "-h"] for cmd in _REQUIRED]
                      + [[cmd] for cmd in _REQUIRED]
-                     + [[cmd] + args + ["--bogus"] for cmd, args in _REQUIRED.items()])
+                     + [[cmd] + args + ["--bogus"] for cmd, args in _REQUIRED.items()]
+                     + [OVERSIZED])
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def run_cli_surface(argv):
     """[exit code, stdout, stderr] of one invocation, formatted for an
     80-column terminal."""
+    if argv == OVERSIZED:
+        src = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src")
+        proc = subprocess.run([sys.executable, "-m", "superdecomp.cli"] + argv,
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src},
+                              preexec_fn=_limit_address_space)
+        return [proc.returncode, proc.stdout, proc.stderr]
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
             redirect_stdout(out), redirect_stderr(err):
