@@ -284,10 +284,6 @@ CLI_SURFACE_CASES = ([[], ["-h"], ["--version"], ["bogus"]]
                      + [OVERSIZED])
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
 def run_cli_surface(argv):
     """[exit code, stdout, stderr] of one invocation, formatted for an
     80-column terminal."""
@@ -296,7 +292,8 @@ def run_cli_surface(argv):
         proc = subprocess.run([sys.executable, "-m", "superdecomp.cli"] + argv,
                               capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": src},
-                              preexec_fn=_limit_address_space)
+                              preexec_fn=lambda: resource.setrlimit(
+                                  resource.RLIMIT_AS, (1 << 30, 1 << 30)))
         return [proc.returncode, proc.stdout, proc.stderr]
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
