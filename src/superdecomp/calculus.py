@@ -10,9 +10,9 @@ the spin representations load none of it.
 
 from math import gcd, lcm
 
-from .exact import Echelon, LinSolver
+from .exact import Echelon, LinSolver, _int_row
 from .spaces import SuperAlgebraError, Subspace
-from .core import _bracket_rows, _int_row, per_algebra
+from .core import _bracket_rows, per_algebra
 from .invariants import require_superalgebra
 
 
@@ -114,8 +114,8 @@ def module_actions(g, elements, basis_vecs):
     commutant, nor the invariant forms, nor the invariant subspaces, so
     readers take the columns as they are."""
     ad, _ = g.adjoint_table()
-    solver = LinSolver(basis_vecs, g.dim)
     rows = [_int_row(v) for v in basis_vecs]
+    solver = LinSolver(rows, g.dim)
     return [_columns([(_bracket_rows(ad, x, v), d) for v, d in rows], solver)
             for x, _ in map(_int_row, elements)]
 

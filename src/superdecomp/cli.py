@@ -11,6 +11,7 @@ output.  Exit codes: 0 ok, 1 verification failure, 2 usage or IO error.
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -159,15 +160,15 @@ def cmd_check(args):
     if args.samples < 1:
         raise UsageError("--samples must be at least 1, not %d" % args.samples)
     if not name.startswith("u("):
-        print("error: eq-square needs a file built from a u(p|q) constructor",
-              file=sys.stderr)
-        return USAGE
+        raise UsageError("eq-square needs a file built from a u(p|q) constructor")
+    # parsed apart from FamilySpec, which says why it refuses a valid name
+    parsed = re.fullmatch(r"u\(([0-9]+)\|([0-9]+)\)", name)
+    if parsed is None:
+        raise UsageError("unrecognised u-family name %r" % name)
     try:
-        p, q = name[2:-1].split("|")
-        spec = FamilySpec("u", (int(p), int(q)))
-    except ValueError:
-        print("error: unrecognised u-family name %r" % name, file=sys.stderr)
-        return USAGE
+        spec = FamilySpec("u", tuple(map(int, parsed.groups())))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     fresh = build(spec)
     if not tables_equal(alg, fresh):
         print("error: file constants do not match the named constructor",

@@ -26,7 +26,7 @@ from math import lcm
 import re
 from types import MappingProxyType
 
-from .exact import Echelon, LinSolver, _row_from_list, vec_unit, vec_zero
+from .exact import Echelon, LinSolver, _int_row, vec_unit, vec_zero
 from .spaces import SuperAlgebraError, SuperSpace, Subspace
 
 
@@ -157,13 +157,6 @@ class SuperAlgebra:
         return self.subspace([self.basis_vector(i) for i in self.space.odd_indices()])
 
 
-def _int_row(vec):
-    """(row, d): d * vec as a sparse int row, d the lcm of its denominators."""
-    row = _row_from_list(vec)
-    d = lcm(*[a.denominator for a in row.values()])
-    return {j: a.numerator * (d // a.denominator) for j, a in row.items()}, d
-
-
 def _bracket_rows(ad, x, y):
     """den * [x, y] for sparse int rows {index: int}, through the integer
     adjoint table (ad, den); no zero entries."""
@@ -222,9 +215,9 @@ def algebra_in_basis(g, vecs, modulo=()):
     Each pair is bracketed on int rows through the adjoint table, and
     only nonzero products are solved for.
     """
-    solver = LinSolver(list(modulo) + list(vecs), g.dim)
-    nz = len(modulo)
     rows = [_int_row(v) for v in vecs]
+    solver = LinSolver([_int_row(v) for v in modulo] + rows, g.dim)
+    nz = len(modulo)
     space = SuperSpace(["e%d" % a for a in range(len(vecs))],
                        [g.parity(min(x)) for x, _ in rows])
     ad, den = g.adjoint_table()

@@ -13,9 +13,11 @@ there is no floating point anywhere in this package.  Elimination runs
 on rational rows only.  Echelon, kernel and solve are fraction-free:
 rows are scaled to coprime ints and updated by cross-multiplication with
 content removal (Bareiss style), so entries stay small integers instead
-of accumulating denominators.  Dense Fraction elimination remains in
-diagonalize, the congruence diagonalisation of a symmetric form that the
-Sylvester test (positivity) and tangentrep read, and in poly.char_poly.
+of accumulating denominators; LinSolver takes its columns in that form,
+as (row, den) pairs of a sparse int row and its denominator.  Dense
+Fraction elimination remains in diagonalize, the congruence
+diagonalisation of a symmetric form that the Sylvester test (positivity)
+and tangentrep read, and in poly.char_poly.
 The exact LP on the fraction-free rows is in positivity, which only the
 unitarity report loads.
 
@@ -165,6 +167,13 @@ def _row_from_list(v):
     return {j: a for j, a in enumerate(v) if a is not ZERO and a}
 
 
+def _int_row(vec):
+    """(row, d): d * vec as a sparse int row, d the lcm of its denominators."""
+    row = _row_from_list(vec)
+    d = lcm(*[a.denominator for a in row.values()])
+    return {j: a.numerator * (d // a.denominator) for j, a in row.items()}, d
+
+
 def _row_content_reduce(row):
     """Scale a rational row to coprime ints, keeping the signs; a row of
     ints is only divided by its content."""
@@ -209,7 +218,7 @@ class Echelon:
     with coprime entries.  `add` reduces an incoming row by the current
     pivots and installs it if a new pivot survives; `residual` reduces
     without installing.  Fractions are built only by `rref` (and by
-    LinSolver.coords), when a row is divided by its pivot.
+    LinSolver.row_coords), when a row is divided by its pivot.
     """
 
     def __init__(self, ncols):
@@ -321,10 +330,12 @@ def solve(rows, rhs, ncols):
 class LinSolver:
     """Repeated exact solves of B x = v for a fixed column basis B.
 
-    Stores the echelon of [B^T | I] so each solve is a single reduction.
-    Columns must be linearly independent.  Fraction-free reduction rescales
-    rows, so the query carries its own tracker column: the residual of the
-    query row equals lam*(vec | 0 | 1) - sum mu_i*(col_i | e_i | 0), and a
+    Each column is given as a pair (row, den), the vector row / den for a
+    sparse int row and a positive int den, as _int_row writes it.  Stores
+    the echelon of [B^T | I] so each solve is a single reduction.  Columns
+    must be linearly independent.  Fraction-free reduction rescales rows,
+    so the query carries its own tracker column: the residual of the query
+    row equals lam*(vec | 0 | 1) - sum mu_i*(col_i | e_i | 0), and a
     vanishing main part gives vec = sum (mu_i/lam) col_i exactly.
     """
 
@@ -332,10 +343,8 @@ class LinSolver:
         self.dim = dim
         self.n = len(columns)
         self.ech = Echelon(dim + self.n + 1)
-        for i, col in enumerate(columns):
-            row = _row_from_list(col)
-            row[dim + i] = ONE
-            self.ech.add(row)
+        for i, (row, den) in enumerate(columns):
+            self.ech.add({**row, dim + i: den})
         # a column in the span of the earlier ones reduces to its tracker part
         if any(c >= dim for c in self.ech.pivots):
             raise ValueError("columns are linearly dependent")

@@ -81,6 +81,10 @@ def expected_dims(tag, params):
 
 
 def simple_dim(kind, n):
+    """dim k for the compact simple k = (kind, n); ValueError for a kind
+    outside K_TAGS, so a caller may ask before FamilySpec checks k."""
+    if kind not in K_TAGS:
+        raise ValueError("unknown compact simple tag %r" % (kind,))
     return {"su": n * n - 1, "so": n * (n - 1) // 2, "sp": n * (2 * n + 1)}[kind]
 
 

@@ -236,15 +236,9 @@ def check_unitary_representation(g, rep):
                 return RepCheck(False, False,
                                 {"kind": "homomorphism", "pair": (i, j),
                                  "lhs": prod, "rhs": want})
-    # faithfulness: the rank of the operators as real vectors, entry (i, j)
-    # at coordinates 2 (i dim + j) and 2 (i dim + j) + 1
-    dim = rep.space_dim
-    ech = Echelon(2 * dim * dim)
-    rank = 0
-    for op in ops:
-        if ech.add({2 * (i * dim + j) + part: x for j, col in enumerate(op.cols)
-                    for i, e in col.items() for part, x in enumerate(e) if x}):
-            rank += 1
+    # faithfulness: the rank of the operators as real vectors
+    ech = Echelon(2 * rep.space_dim ** 2)
+    rank = sum(ech.add(op.real_row()[0]) for op in ops)
     return RepCheck(True, rank == n)
 
 

@@ -13,7 +13,7 @@ tangent algebra it is compared with are written in their own basis by
 core.algebra_in_basis, through subalgebra_from_subspace.
 """
 
-from .exact import Echelon, LinSolver, vec_unit, vec_zero
+from .exact import Echelon, LinSolver, _int_row, vec_unit, vec_zero
 from .spaces import SuperAlgebraError, Subspace
 from .core import algebra_in_basis, quotient_by_central, tables_equal
 from .invariants import center
@@ -192,7 +192,7 @@ def _verify_tangent_quotient(g, kk_alg, kk_vecs, ak, b0, hat=False):
     from .extend import build_tangent_from_algebra
     tk = build_tangent_from_algebra(kk_alg, "T_hat" if hat else "T")
     d = kk_alg.dim
-    solver_k = LinSolver(kk_vecs, g.dim)
+    solver_k = LinSolver([_int_row(v) for v in kk_vecs], g.dim)
     sources = list(kk_vecs)
     images = [vec_unit(tk.dim, i) for i in range(d)]
     for u in ak.basis:

@@ -10,9 +10,9 @@ that the extensions and the unitarity report hold.
 
 from fractions import Fraction
 
-from .exact import Echelon, is_symmetric, kernel, vec_zero
+from .exact import Echelon, _int_row, is_symmetric, kernel, vec_zero
 from .spaces import SuperAlgebraError, Subspace
-from .core import _bracket_rows, _int_row, per_algebra
+from .core import _bracket_rows, per_algebra
 
 
 class Violation:

@@ -9,19 +9,20 @@ has no operators and is only read into Gaussian integers
 ints.  A matrix family is given as a real span of (p|q)-graded complex
 matrices; from_matrix_span reads each matrix's parity off its blocks,
 turns a bracket-closed span into structure constants and keeps the
-coordinate map back to the matrices.  Complex matrices are realified by
-one fixed convention: row-major, each entry a + bi contributing the
-real pair (a, b), in that order.  The matrix building blocks of the
-families (entry dicts {(i, j): value}, the bases of u(n), su(n), so(n)
-and sp(n), the odd blocks of u(p|q), and _span, which turns entry dicts
-into the algebra they span) are here as well.
+coordinate map back to the matrices.  Complex matrices are realified
+only by SparseOp.real_row, by one fixed convention: row-major, each
+entry a + bi contributing the real pair (a, b), in that order, as one
+sparse int row over the matrix's denominator.  The matrix building
+blocks of the families (entry dicts {(i, j): value}, the bases of u(n),
+su(n), so(n) and sp(n), the odd blocks of u(p|q), and _span, which
+turns entry dicts into the algebra they span) are here as well.
 """
 
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .exact import LinSolver, ZERO, ONE, MINUS_ONE, I
+from .exact import LinSolver, ONE, MINUS_ONE, I
 from .spaces import SuperAlgebraError, SuperSpace
 from .core import SuperAlgebra
 
@@ -142,27 +143,27 @@ class SparseOp:
     def is_zero(self):
         return not any(self.cols)
 
+    def real_row(self):
+        """(row, den): the real coordinates of the matrix as the vector
+        row / den for a sparse int row, entry (i, j) = (a + bi) / den of an
+        n x n matrix at 2 (i n + j) (a) and 2 (i n + j) + 1 (b)."""
+        n = self.dim
+        row = {}
+        for j, col in enumerate(self.cols):
+            for i, (a, b) in col.items():
+                k = 2 * (i * n + j)
+                if a:
+                    row[k] = a
+                if b:
+                    row[k + 1] = b
+        return row, self.den
+
     def __eq__(self, other):
         return (isinstance(other, SparseOp) and self.den == other.den
                 and self.cols == other.cols)
 
     def __repr__(self):
         return "SparseOp(%d, %r)" % (self.den, self.cols)
-
-
-def realify(op):
-    """Rational coordinates of a complex matrix: entry (i, j) = a + bi of
-    an n x n matrix sits at 2 (i n + j) (a) and 2 (i n + j) + 1 (b)."""
-    n = op.dim
-    out = [ZERO] * (2 * n * n)
-    for j, col in enumerate(op.cols):
-        for i, (a, b) in col.items():
-            k = 2 * (i * n + j)
-            if a:
-                out[k] = Fraction(a, op.den)
-            if b:
-                out[k + 1] = Fraction(b, op.den)
-    return out
 
 
 def block_parity(op, p):
@@ -197,11 +198,11 @@ class MatrixRealization:
         self.mats = mats
         self.p = p
         self.q = mats[0].dim - p
-        self.solver = LinSolver([realify(m) for m in mats], 2 * mats[0].dim ** 2)
+        self.solver = LinSolver([m.real_row() for m in mats], 2 * mats[0].dim ** 2)
 
     def from_matrix(self, m):
         """Real coordinates of a matrix in the spanning basis, or None."""
-        return self.solver.coords(realify(m))
+        return self.solver.row_coords(*m.real_row())
 
 
 def from_matrix_span(mats, p):
@@ -226,12 +227,13 @@ def from_matrix_span(mats, p):
             m = supercommutator(mats[i], mats[j], parities[i], parities[j])
             if m.is_zero():
                 continue
-            coords = real.from_matrix(m)
-            if coords is None:
+            found = real.solver.int_coords(*m.real_row())
+            if found is None:
                 raise NotClosedError(i, j, m)
             # each basis matrix has one parity and the basis is independent,
             # so a homogeneous bracket has no coordinates of the other parity
-            table[(i, j)] = {k: c for k, c in enumerate(coords) if c}
+            ints, scale = found
+            table[(i, j)] = {k: Fraction(a, scale) for k, a in ints.items()}
     alg = SuperAlgebra(space, table, meta={"realization": real})
     return alg, real
 

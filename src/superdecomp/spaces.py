@@ -10,7 +10,7 @@ defined here, the lowest layer that raises it.
 All values are immutable after construction; operations are pure.
 """
 
-from .exact import Echelon, ZERO, _row_from_list
+from .exact import Echelon, ZERO
 
 
 class SuperAlgebraError(Exception):
@@ -83,9 +83,6 @@ class Subspace:
     @property
     def dim(self):
         return len(self.basis)
-
-    def contains(self, v):
-        return not self._ech.residual(_row_from_list(v))
 
     def contains_subspace(self, other):
         return not any(self._ech.residual(u) for u in other._rows())

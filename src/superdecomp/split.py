@@ -11,11 +11,11 @@ commutant elements are held as lists of dense columns.
 """
 
 from .exact import (
-    Echelon, LinSolver, _lin_comb, _row_from_list, kernel, solve, vec_unit, vec_zero,
+    Echelon, LinSolver, _int_row, _lin_comb, _row_from_list, kernel, solve, vec_unit,
+    vec_zero,
 )
 from .poly import peval_matrix, primary_polynomials
 from .spaces import SuperAlgebraError, Subspace
-from .core import _int_row
 from .calculus import _columns, module_commutant
 
 
@@ -114,8 +114,8 @@ def split_module(actions, dim):
     # restricted to it, and its pieces are lifted back to these
     out = []
     for basis in parts:
-        solver = LinSolver(basis, dim)
         rows = [_int_row(v) for v in basis]
+        solver = LinSolver(rows, dim)
         sub = [_columns([(_act(cols, v), d) for v, d in rows], solver) for cols in actions]
         out.extend((_lift(basis, vecs), cert)
                    for vecs, cert in split_module(sub, len(basis)))

@@ -3,16 +3,17 @@
 tilde_tangent_representation builds the faithful unitary representation
 of Ttilde k, the central extension of the tangent algebra over a compact
 simple k, on the Fock space of the quadratic form beta = -Killing(k).
-The form is split by exact.diagonalize's congruence into a diagonal
-one, each diagonal value written as a sum of rational squares
-(Lagrange), which gives the Fock generators.  Only `tangent-rep` loads
+The form is split by exact.diagonalize's congruence P^T beta P = D into
+a diagonal one, each diagonal value written as a sum of rational squares
+(Lagrange), which gives the Fock generators; the same congruence gives
+P^-1 and beta^-1, so nothing is inverted.  Only `tangent-rep` loads
 this module; it needs neither positivity nor the witness search.
 """
 
 from fractions import Fraction
 from math import isqrt
 
-from .exact import I, LinSolver, Scalar, ZERO, _lin_comb, diagonalize, vec_unit
+from .exact import I, Scalar, ZERO, _lin_comb, diagonalize
 from .spaces import SuperAlgebraError
 from .invariants import killing_form
 from .families import FamilySpec, build, build_lie_algebra, simple_dim
@@ -51,17 +52,6 @@ def _matmul(a, b):
     return [_lin_comb(row, b, len(b[0])) for row in a]
 
 
-def _matrix_inverse(m):
-    """The rows of m^-1 for the rows m of a square rational matrix: column
-    j solves m x = e_j."""
-    n = len(m)
-    try:
-        solver = LinSolver(list(zip(*m)), n)
-    except ValueError:
-        raise SuperAlgebraError("singular matrix") from None
-    return [list(r) for r in zip(*(solver.coords(vec_unit(n, j)) for j in range(n)))]
-
-
 def tilde_tangent_representation(kind, n):
     """Faithful unitary representation of the central extension of the
     tangent algebra over a compact simple k, on the Fock space of the
@@ -74,20 +64,21 @@ def tilde_tangent_representation(kind, n):
     The homomorphism, adjointness and faithfulness checks run exactly and
     failure aborts.
     """
-    spec = FamilySpec("T_tilde", (kind, n))
     # each of the d positive diagonal entries of beta's LDL^T below needs
-    # at least one square, so the Fock space has at least 2^d states
+    # at least one square, so the Fock space has at least 2^d states; the
+    # Fock cap is far below the family cap, so it refuses a large k first
     d = simple_dim(kind, n)
     _require_fock_dim(d, "at least ")
-    g = build(spec)
+    g = build(FamilySpec("T_tilde", (kind, n)))
     k = build_lie_algebra(kind, n)
     gram, _ = killing_form(k)
     beta = [[-a for a in row] for row in gram]
-    # beta = P^-T D P^-1 with P^T beta P = D from exact.diagonalize
+    # P^T beta P = D from exact.diagonalize gives P^-1 = D^-1 P^T beta and
+    # beta^-1 = P D^-1 P^T
     diag, cols = zip(*diagonalize(beta))
     if min(diag) <= 0:
         raise SuperAlgebraError("tangent form is not positive definite")
-    pmat = [list(r) for r in zip(*cols)]
+    dinv_pt = [[a / dv for a in t] for dv, t in zip(diag, cols)]
     # choose the global scale lam minimising the generator count:
     # each diagonal value needs lam*d_alpha/2 written as a sum of squares
     best = None
@@ -104,14 +95,15 @@ def tilde_tangent_representation(kind, n):
     for alpha, bl in enumerate(blocks):
         for val in bl:
             u.append([val if a == alpha else ZERO for a in range(d)])
-    vmap = _matmul(u, _matrix_inverse(pmat))      # v(y_i) = column i
+    vmap = _matmul(u, _matmul(dinv_pt, beta))     # v(y_i) = column i
     vcols = list(zip(*vmap))
     if [[2 * a for a in row] for row in _matmul(vcols, vmap)] != \
             [[lam * a for a in row] for row in beta]:
         raise SuperAlgebraError("embedding scale verification failed")
     fock = FockSpace(total)
     # psi = v ad beta^-1 v^T (2 / lam), the last two factors shared
-    right = [[2 / lam * a for a in row] for row in _matmul(_matrix_inverse(beta), vcols)]
+    beta_inv = _matmul(list(zip(*cols)), dinv_pt)
+    right = [[2 / lam * a for a in row] for row in _matmul(beta_inv, vcols)]
     ops = [SparseOp.identity(fock.dim).scale(Scalar(0, lam))]   # central generator
     table, den = k.adjoint_table()
     for row in table:

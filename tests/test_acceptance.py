@@ -120,7 +120,7 @@ def test_acceptance_4_center_facts():
     su22 = build_family("su", 2, 2)
     z = center(su22)
     assert z.dim == 1
-    assert derived(su22).contains(z.basis[0])
+    assert derived(su22).contains_subspace(z)
     # the central line really is R i1 in the matrix realization
     real = su22.meta["realization"]
     zmat = to_matrix(real, z.basis[0])

@@ -166,6 +166,19 @@ def test_check_eq_square_rejects_non_u(tmp_path, capsys):
     assert "u(p|q)" in err
 
 
+@pytest.mark.parametrize("name, message", [
+    ("u(300|300)", "u(300|300) has dimension 360000, above the family dimension cap of 512"),
+    ("u(0|1)", "u(p|q) needs p, q >= 1"),
+    ("u(2|1)x", "unrecognised u-family name 'u(2|1)x'"),
+    ("u(2|-1)", "unrecognised u-family name 'u(2|-1)'")])
+def test_check_eq_square_says_why_it_refuses_a_name(tmp_path, capsys, name, message):
+    # a well-formed u(p|q) name that FamilySpec refuses gets FamilySpec's message
+    path = tmp_path / "u21.json"
+    run(capsys, "construct", "--family", "u", "--params", "2,1", "--out", str(path))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "name": name}))
+    assert run(capsys, "check", "eq-square", str(path)) == (2, "", "error: %s\n" % message)
+
+
 def test_decompose_that(tmp_path, capsys):
     path = str(tmp_path / "that.json")
     report = str(tmp_path / "report.json")
@@ -249,14 +262,17 @@ def test_bad_k_or_dim_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_tangent_rep_refuses_a_large_k_before_building_it(capsys):
-    # each of the 143 dimensions of su(12) needs at least one Fock
-    # generator; building T_tilde(su12) and its Killing form first took 9 s
+@pytest.mark.parametrize("k, d", [("su12", 143), ("su17", 288), ("so30", 435)])
+def test_tangent_rep_refuses_a_large_k_before_building_it(capsys, k, d):
+    # each of the d dimensions of k needs at least one Fock generator;
+    # building T_tilde(su12) and its Killing form first took 9 s.
+    # Ttilde(su17) and Ttilde(so30) are also above the family cap, which
+    # is checked after the Fock cap, so every k too large exits 1
     start = time.perf_counter()
-    code, out, err = run(capsys, "tangent-rep", "--k", "su12")
+    code, out, err = run(capsys, "tangent-rep", "--k", k)
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
-    assert err == "error: Fock dimension at least 2^143 exceeds the exact-construction cap\n"
+    assert err == "error: Fock dimension at least 2^%d exceeds the exact-construction cap\n" % d
 
 
 def test_rep_commands_check_each_representation_once(capsys, monkeypatch):

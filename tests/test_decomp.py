@@ -12,7 +12,7 @@ from superdecomp.spaces import SuperAlgebraError, SuperSpace, Subspace
 from superdecomp.core import SuperAlgebra, direct_sum, quotient_by_central
 from superdecomp.invariants import center, verify_superalgebra
 from superdecomp.calculus import bracket_span, lie_generators, module_actions, module_commutant
-from superdecomp.exact import LinSolver, ONE, ZERO, Scalar, vec_unit, vec_zero
+from superdecomp.exact import LinSolver, ONE, ZERO, Scalar, _int_row, vec_unit, vec_zero
 from superdecomp.families import build_family, expected_dims
 from superdecomp import calculus, decomp, ideals, split
 from superdecomp.split import DecompositionError, _invariant_complement, spin_up, split_module
@@ -117,7 +117,7 @@ def every_action(g, elements, basis):
     """The actions on span(basis) of all the elements, in column form: the
     oracle for calculus.module_actions.  Each action is solved for in
     Fractions from the dense brackets and scaled to coprime ints."""
-    solver = LinSolver(basis, g.dim)
+    solver = LinSolver([_int_row(v) for v in basis], g.dim)
     out = []
     for x in elements:
         cols = [solver.coords(g.bracket(x, v)) for v in basis]
@@ -164,7 +164,7 @@ def so3_conjugated(cols):
     cols of an invertible matrix P, with the first copy's basis in those
     coordinates; the actions are in column form.  Raises ValueError when
     P is singular."""
-    solver = LinSolver(cols, 6)
+    solver = LinSolver([_int_row(c) for c in cols], 6)
     actions = []
     for a, b in ((1, 2), (2, 0), (0, 1)):
         m = [[] for _ in range(6)]            # e_b -> e_a, e_a -> -e_b
@@ -208,7 +208,7 @@ def test_invariant_complement_of_one_copy(seed):
     assert Subspace(6, w + comp).dim == 6
     span = Subspace(6, comp)
     for cols in actions:
-        assert all(span.contains(act(cols, v)) for v in comp)
+        assert span.contains_subspace(Subspace(6, [act(cols, v) for v in comp]))
 
 
 def test_invariant_complement_none_for_jordan_block():
@@ -236,7 +236,7 @@ def assert_split_fills(actions, dim):
     for basis, _ in pieces:
         span = Subspace(dim, basis)
         for cols in actions:
-            assert all(span.contains(act(cols, v)) for v in basis)
+            assert span.contains_subspace(Subspace(dim, [act(cols, v) for v in basis]))
     return pieces
 
 
@@ -382,6 +382,13 @@ def test_module_actions_read_each_column_over_its_own_denominator():
     assert split_module(actions, g.d1) == split_module(oracle, g.d1)
 
 
+def test_module_actions_refuse_a_subspace_that_is_not_invariant():
+    # ad e_0 of su(2|1) moves the odd basis vector e_4 off its own line
+    g = build_family("su", 2, 1)
+    with pytest.raises(SuperAlgebraError, match="subspace is not invariant"):
+        module_actions(g, [g.basis_vector(0)], [g.basis_vector(g.d0)])
+
+
 def test_report_record_appends_then_raises_with_its_detail():
     report = decomp.DecompositionReport(build_family("su", 2, 1))
     report.record("holds", True)
@@ -404,7 +411,7 @@ def so3_superalgebra(actions):
         return [a for row in m for a in row]
 
     mats = [dense(cols) for cols in actions]
-    solver = LinSolver(mats, 36)
+    solver = LinSolver([_int_row(m) for m in mats], 36)
     table = {}
     for a in range(3):
         for b in range(a + 1, 3):
@@ -468,11 +475,12 @@ def test_lie_generators_generate_every_vector(family, parity, coeffs):
         vecs.append(v)
     gens = lie_generators(g, vecs)
     closure = lie_closure(g, gens)
-    assert all(closure.contains(v) for v in vecs)
+    assert closure.contains_subspace(Subspace(g.dim, vecs))
     kept = iter(gens)
     nxt = next(kept, None)
     for i, v in enumerate(vecs):
-        inside = lie_closure(g, vecs[:i]).contains(v) if i else not any(v)
+        inside = (lie_closure(g, vecs[:i]).contains_subspace(Subspace(g.dim, [v])) if i
+                  else not any(v))
         if nxt is v:
             assert not inside, i
             nxt = next(kept, None)

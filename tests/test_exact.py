@@ -10,8 +10,8 @@ from sympy.solvers.simplex import InfeasibleLPError, lpmin
 
 from superdecomp import positivity
 from superdecomp.exact import (
-    Echelon, LinSolver, Scalar, ZERO, I, diagonalize, is_symmetric, kernel, solve,
-    vec_is_zero,
+    Echelon, LinSolver, Scalar, ZERO, I, _int_row, diagonalize, is_symmetric, kernel,
+    solve, vec_is_zero,
 )
 from superdecomp.positivity import (
     UnsolvedLP, feasible_point, is_positive_definite, quad_form,
@@ -166,7 +166,7 @@ def test_linsolver_tracks_scaling():
             v = random_vector(rng, dim)
             if ech.add_list(v):
                 cols.append(v)
-        solver = LinSolver(cols, dim)
+        solver = LinSolver([_int_row(c) for c in cols], dim)
         coeffs = [Scalar(rng.randint(-4, 4)) for _ in range(k)]
         target = [sum((c * col[i] for c, col in zip(coeffs, cols)), ZERO)
                   for i in range(dim)]
@@ -176,7 +176,7 @@ def test_linsolver_tracks_scaling():
 
 def test_linsolver_refuses_dependent_columns():
     with pytest.raises(ValueError, match="columns are linearly dependent"):
-        LinSolver([V([1, 0, 1]), V([0, 1, 0]), V([2, 1, 2])], 3)
+        LinSolver([_int_row(V(c)) for c in ([1, 0, 1], [0, 1, 0], [2, 1, 2])], 3)
 
 
 def test_span_basis_canonical():
@@ -492,7 +492,7 @@ def test_echelon_rows_are_ints_and_results_fractions():
     ker = ech.kernel_basis()
     assert len(ker) == 2 and all(type(a) is Fraction for v in ker for a in v)
     target = [F(2, 3) * a - b for a, b in zip(ker[0], ker[1])]
-    coords = LinSolver(ker, 5).coords(target)
+    coords = LinSolver([_int_row(v) for v in ker], 5).coords(target)
     assert coords == [F(2, 3), F(-1)]
     assert all(type(a) is Fraction for a in coords)
 
@@ -554,7 +554,7 @@ def test_linsolver_coords_match_sympy(m, data):
     if not cols:
         return
     vec = [Fraction(data.draw(_entries)) for _ in range(ncols)]
-    got = LinSolver(cols, ncols).coords(vec)
+    got = LinSolver([_int_row(c) for c in cols], ncols).coords(vec)
     basis = sympy.Matrix.hstack(*[_sym_vec(v) for v in cols])
     sv = _sym_vec(vec)
     if basis.row_join(sv).rank() > basis.rank():

@@ -111,7 +111,7 @@ def test_su22_center_in_derived():
     g = build_family("su", 2, 2)
     z = center(g)
     assert z.dim == 1
-    assert derived(g).contains(z.basis[0])
+    assert derived(g).contains_subspace(z)
 
 
 def test_c2_structure():

@@ -9,7 +9,6 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import superdecomp.fock as fock_module
-import superdecomp.tangentrep as tangentrep
 from superdecomp.spaces import SuperAlgebraError
 from superdecomp.exact import I, ONE, Scalar, ZERO
 from superdecomp.families import build_family
@@ -18,7 +17,7 @@ from superdecomp.fock import (
     defining_representation, number_spectrum, spin_representation,
 )
 from superdecomp.tangentrep import tilde_tangent_representation
-from superdecomp.realize import SparseOp, block_parity, realify
+from superdecomp.realize import SparseOp, block_parity
 
 
 def unit(n, k):
@@ -264,13 +263,10 @@ def test_fock_cap_refuses_huge_n_without_allocating():
     assert peak < 1 << 20
 
 
-def test_matrix_inverse_reads_each_column_off_one_solver():
-    m = [[Fraction(2), Fraction(1, 3)], [ONE, -ONE]]
-    inv = tangentrep._matrix_inverse(m)
-    m, inv, eye = sym_rows(m), sym_rows(inv), sym_rows([unit(2, 0), unit(2, 1)])
-    assert dense_matmul(m, inv) == eye and dense_matmul(inv, m) == eye
-    with pytest.raises(SuperAlgebraError, match="singular matrix"):
-        tangentrep._matrix_inverse([[ONE, Fraction(2)], [ONE, Fraction(2)]])
+def test_tilde_tangent_refuses_an_unknown_kind_with_a_value_error():
+    # the Fock cap is checked before FamilySpec, so simple_dim meets the kind first
+    with pytest.raises(ValueError, match="unknown compact simple tag 'xx'"):
+        tilde_tangent_representation("xx", 3)
 
 
 def test_tilde_tangent_su2():
@@ -539,7 +535,9 @@ def test_from_entries_and_realify_match_dense_oracle(case):
         want[i][j] = v
     assert dense(op) == sym_rows(want)
     # row-major, each entry as its (real, imaginary) pair
-    assert realify(op) == [x for row in want for v in row for x in (v.real, v.imag)]
+    ints, den = op.real_row()
+    assert [Fraction(ints.get(k, 0), den) for k in range(2 * n * n)] == \
+        [x for row in want for v in row for x in (v.real, v.imag)]
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
