@@ -349,10 +349,6 @@ class LinSolver:
         if any(c >= dim for c in self.ech.pivots):
             raise ValueError("columns are linearly dependent")
 
-    def coords(self, vec):
-        """x with B x = vec, or None if vec is outside the span."""
-        return self.row_coords(_row_from_list(vec))
-
     def row_coords(self, row, den=1):
         """x with B x = row / den for a sparse row and a nonzero int den,
         or None."""

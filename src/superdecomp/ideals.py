@@ -15,7 +15,7 @@ core.algebra_in_basis, through subalgebra_from_subspace.
 
 from .exact import Echelon, LinSolver, _int_row, vec_unit, vec_zero
 from .spaces import SuperAlgebraError, Subspace
-from .core import algebra_in_basis, quotient_by_central, tables_equal
+from .core import _bracket_rows, algebra_in_basis, quotient_by_central, tables_equal
 from .invariants import center
 from .calculus import bracket_span, is_ideal, is_perfect, lie_generators, module_actions
 from .split import DecompositionError, _lift, split_module
@@ -193,10 +193,13 @@ def _verify_tangent_quotient(g, kk_alg, kk_vecs, ak, b0, hat=False):
     tk = build_tangent_from_algebra(kk_alg, "T_hat" if hat else "T")
     d = kk_alg.dim
     solver_k = LinSolver([_int_row(v) for v in kk_vecs], g.dim)
+    ad, den = g.adjoint_table()
+    b, db = _int_row(b0)
     sources = list(kk_vecs)
     images = [vec_unit(tk.dim, i) for i in range(d)]
     for u in ak.basis:
-        coords = solver_k.coords(g.bracket(b0, u))
+        w, du = _int_row(u)
+        coords = solver_k.row_coords(_bracket_rows(ad, b, w), den * db * du)
         if coords is None:
             return False
         img = vec_zero(tk.dim)

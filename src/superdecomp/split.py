@@ -2,12 +2,12 @@
 
 A module is given by its actions as integer columns, as
 calculus.module_actions writes them (the contract is stated there).
-split_module splits a piece by an element of its commutant basis (a
-coprime factorisation of its characteristic polynomial, or the kernel
-of a zero divisor) or by spin-up from a unit vector, then splits each
-part in its own coordinates, under the actions restricted to it on int
-rows.  Every kernel and solve is read off integer echelon rows;
-commutant elements are held as lists of dense columns.
+split_module solves the module's commutant once and splits by an element
+of its basis (a coprime factorisation of its characteristic polynomial,
+or the kernel of a zero divisor) or by spin-up from a unit vector, then
+splits each part under the actions restricted to it on int rows, with a
+corner of the parent's commutant as its own.  Every kernel and solve is
+read off integer echelon rows; commutant elements are dense columns.
 """
 
 from .exact import (
@@ -100,26 +100,52 @@ def split_module(actions, dim):
     2 or more, every vector may spin up to the whole piece while the
     commutant basis yields no split.
 
-    The search is finite: a piece tries each element of its commutant
-    basis at most once, then at most dim spin-ups, and the recursion
-    makes at most 2 dim - 1 pieces.
+    The commutant is solved once; each piece's is a corner of it.  A piece
+    tries each element of its commutant basis at most once, then at most
+    dim spin-ups, and the recursion makes at most 2 dim - 1 pieces.
     """
     if dim == 0:
         return []
-    comm = module_commutant(actions, dim)
+    return _split(actions, dim, module_commutant(actions, dim))
+
+
+def _split(actions, dim, comm):
+    """split_module given the commutant basis comm: each part's projection e
+    lies in span(comm) = E, and its commutant eEe is its block of comm."""
     parts = _split_parts(actions, dim, comm)
     if parts is None:
         return [([vec_unit(dim, i) for i in range(dim)], {"commutant_dim": len(comm)})]
-    # each part is split in its own coordinates, under the actions
-    # restricted to it, and its pieces are lifted back to these
-    out = []
-    for basis in parts:
-        rows = [_int_row(v) for v in basis]
-        solver = LinSolver(rows, dim)
-        sub = [_columns([(_act(cols, v), d) for v, d in rows], solver) for cols in actions]
-        out.extend((_lift(basis, vecs), cert)
-                   for vecs, cert in split_module(sub, len(basis)))
+    rows = [_int_row(v) for part in parts for v in part]
+    solver = LinSolver(rows, dim)
+    maps = [_columns([(_act(cols, v), d) for v, d in rows], solver)
+            for cols in actions + [_int_columns(t) for t in comm]]
+    out, hi = [], 0
+    for part in parts:
+        lo, hi = hi, hi + len(part)
+        sub = [[[(i - lo, a) for i, a in col if lo <= i < hi] for col in cols[lo:hi]]
+               for cols in maps]
+        corner = _canonical(sub[len(actions):], len(part))
+        out.extend((_lift(part, vecs), cert)
+                   for vecs, cert in _split(sub[:len(actions)], len(part), corner))
     return out
+
+
+def _int_columns(t):
+    """The dense columns of a map t as int columns, up to a positive factor."""
+    cols = [[] for _ in t]
+    for x, a in _int_row([e for col in t for e in col])[0].items():
+        cols[x // len(t)].append((x % len(t), a))
+    return cols
+
+
+def _canonical(maps, n):
+    """module_commutant's basis of the span of maps of Q^n in column form:
+    unit entries at the free columns of its equations, the entries of the
+    row-major matrix independent, on the span, of the free ones after them."""
+    ech = Echelon(n * n)
+    for cols in maps:
+        ech.add({n * n - 1 - r * n - s: a for s, col in enumerate(cols) for r, a in col})
+    return [[v[n * n - 1 - s::-n] for s in range(n)] for v in reversed(ech.basis_vectors())]
 
 
 def _split_parts(actions, dim, comm):

@@ -222,6 +222,23 @@ def test_decompose_refuses_an_odd_part_that_is_not_semisimple(tmp_path, capsys):
                    "module not semisimple\n")
 
 
+def test_decompose_refuses_an_even_part_with_no_complement(tmp_path, capsys):
+    # even c, d and odd X with [d, c] = 2c, [d, X] = X and [X, X] = c: a Lie
+    # superalgebra whose [g1, g1] = Qc is its own centraliser in g0, so g0
+    # has no complement to it that commutes with it (g0 is not reductive)
+    bracket = [("0", "1", "0", "-2"), ("1", "2", "2", "1"), ("2", "2", "0", "1")]
+    path = _write(tmp_path, "no_complement.json", {
+        "name": "no_complement",
+        "basis": [{"id": "c", "parity": 0}, {"id": "d", "parity": 0},
+                  {"id": "X", "parity": 1}],
+        "brackets": [{"i": i, "j": j, "terms": [{"k": k, "num": num, "den": "1"}]}
+                     for i, j, k, num in bracket]})
+    code, out, _ = run(capsys, "check", "jacobi", path)
+    assert code == 0 and json.loads(out)["verdict"] == "ok"
+    assert run(capsys, "decompose", path) == (
+        1, "", "error: no even complement commuting with [g1, g1] was found\n")
+
+
 def test_unitarity_pq2(tmp_path, capsys):
     path = str(tmp_path / "pq2.json")
     run(capsys, "construct", "--family", "pq", "--params", "2", "--out", path)

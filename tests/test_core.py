@@ -508,7 +508,8 @@ def test_rebased_algebra_is_a_superalgebra_and_rebases_back(tag, params, seed):
     assert verify_superalgebra(h) is None
     # the columns of P^-1 write h back in g's basis
     solver = LinSolver([_int_row(c) for c in cols], g.dim)
-    back = algebra_in_basis(h, [solver.coords(g.basis_vector(i)) for i in range(g.dim)])
+    back = algebra_in_basis(h, [solver.row_coords(*_int_row(g.basis_vector(i)))
+                                for i in range(g.dim)])
     assert tables_equal(back, g)
 
 
@@ -1274,7 +1275,7 @@ def test_rational_values_are_fractions(tag, params):
     assert all(type(a) is Fraction for row in gram for a in row)
     solver = LinSolver([_int_row(g.basis_vector(i)) for i in range(g.dim)], g.dim)
     x = g.bracket(g.basis_vector(g.d0), g.basis_vector(g.dim - 1))
-    coords = solver.coords(x)
+    coords = solver.row_coords(*_int_row(x))
     assert coords == x and all(type(a) is Fraction for a in coords)
     real = g.meta.get("realization")
     if real is not None:

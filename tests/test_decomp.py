@@ -14,7 +14,8 @@ from superdecomp.invariants import center, verify_superalgebra
 from superdecomp.calculus import bracket_span, lie_generators, module_actions, module_commutant
 from superdecomp.exact import LinSolver, ONE, ZERO, Scalar, _int_row, vec_unit, vec_zero
 from superdecomp.families import build_family, expected_dims
-from superdecomp import calculus, decomp, ideals, split
+from superdecomp.poly import char_poly
+from superdecomp import calculus, classify, decomp, ideals, split
 from superdecomp.split import DecompositionError, _invariant_complement, spin_up, split_module
 from superdecomp.ideals import classify_indices
 from superdecomp.decomp import decompose_odd, reduce_to_odd_generated, structure_report
@@ -120,7 +121,7 @@ def every_action(g, elements, basis):
     solver = LinSolver([_int_row(v) for v in basis], g.dim)
     out = []
     for x in elements:
-        cols = [solver.coords(g.bracket(x, v)) for v in basis]
+        cols = [solver.row_coords(*_int_row(g.bracket(x, v))) for v in basis]
         den = math.lcm(*(a.denominator for col in cols for a in col))
         ints = [[(i, int(a * den)) for i, a in enumerate(col) if a] for col in cols]
         c = math.gcd(*(a for col in ints for _, a in col)) or 1
@@ -173,10 +174,10 @@ def so3_conjugated(cols):
             m[off + a].append((off + b, -ONE))
         conj = []                             # P^-1 m P, column by column
         for col in cols:
-            coords = solver.coords(act(m, col))
+            coords = solver.row_coords(*_int_row(act(m, col)))
             conj.append([(i, c) for i, c in enumerate(coords) if c])
         actions.append(conj)
-    first = [solver.coords(unit(i)) for i in range(3)]
+    first = [solver.row_coords(*_int_row(unit(i))) for i in range(3)]
     return actions, first
 
 
@@ -301,6 +302,111 @@ def test_split_module_pieces_odd_modules(tag, params):
     assert_split_fills(*odd_module(tag, *params))
 
 
+def test_split_module_refuses_primary_kernels_that_do_not_add_up(monkeypatch):
+    # with the characteristic polynomial given twice as the primary
+    # polynomials, Cayley-Hamilton makes each kernel the whole module
+    monkeypatch.setattr(split, "primary_polynomials", lambda m: [char_poly(m)] * 2)
+    with pytest.raises(DecompositionError,
+                       match="primary decomposition dimensions do not add up"):
+        split_module([[[(0, 1)], [(1, 2)]]], 2)
+
+
+# ---------------------------------------------------------------------------
+# one commutant solve per module: each piece's commutant is a corner of it
+# ---------------------------------------------------------------------------
+
+def direct_sum_of(parts):
+    """The direct sum of the families (tag, params) in parts, in order."""
+    tag, params = parts[0]
+    s = build_family(tag, *params)
+    for tag, params in parts[1:]:
+        s = direct_sum(s, build_family(tag, *params))
+    return s
+
+
+def generator_odd_module(g):
+    """decompose_odd's module, a under the Lie generators of [g1, g1]:
+    (actions, dim)."""
+    elements, basis = odd_module_of(g)
+    return module_actions(g, lie_generators(g, elements), basis), len(basis)
+
+
+def assert_corners_are_commutants(actions, dim):
+    """split_module's pieces, after checking that every part it recurses
+    into is handed exactly the commutant basis a fresh solve gives."""
+    seen = []
+    inner = split._split
+
+    def spy(acts, n, comm):
+        seen.append((acts, n, comm))
+        return inner(acts, n, comm)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(split, "_split", spy)
+        pieces = split_module(actions, dim)
+    assert len(seen) >= len(pieces)
+    for acts, n, comm in seen:
+        assert comm == module_commutant(acts, n)
+    return pieces
+
+
+@pytest.mark.parametrize("in_first_copy", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_each_corner_is_the_commutant_so3_on_two_copies(seed, in_first_copy):
+    assert_corners_are_commutants(so3_on_two_copies(seed, in_first_copy)[0], 6)
+
+
+@pytest.mark.parametrize("tag,params", [
+    ("su", (2, 1)), ("su", (2, 2)), ("psu", (2,)), ("q", (3,)), ("c", (3,)),
+    ("su", (3, 2)), ("psu", (3,)), ("pq", (4,)),
+])
+def test_each_corner_is_the_commutant_odd_modules(tag, params):
+    assert_corners_are_commutants(*odd_module(tag, *params))
+
+
+def test_each_corner_is_the_commutant_su21_to_the_fourth():
+    pieces = assert_corners_are_commutants(
+        *generator_odd_module(direct_sum_of([("su", (2, 1))] * 4)))
+    assert [(len(basis), cert) for basis, cert in pieces] == \
+        [(4, {"commutant_dim": 2})] * 4
+
+
+def counting_solves(monkeypatch):
+    """Commutant solves made through split and classify, counted by
+    module name in the returned dict."""
+    counts = {}
+
+    def counted(mod):
+        solve = mod.module_commutant
+
+        def wrapped(*args):
+            counts[mod.__name__] = counts.get(mod.__name__, 0) + 1
+            return solve(*args)
+        return wrapped
+
+    for mod in (split, classify):
+        monkeypatch.setattr(mod, "module_commutant", counted(mod))
+    return counts
+
+
+def test_split_module_solves_one_commutant_per_call(monkeypatch):
+    # su(2|1)^8's odd module splits into 8 pieces through 15 parts
+    actions, dim = generator_odd_module(direct_sum_of([("su", (2, 1))] * 8))
+    counts = counting_solves(monkeypatch)
+    assert len(split_module(actions, dim)) == 8
+    assert counts == {"superdecomp.split": 1}
+
+
+@pytest.mark.parametrize("parts, solves", [
+    ([("su", (2, 2))], 4), ([("psu", (2,))], 4), ([("su", (2, 1))] * 8, 17),
+])
+def test_commutant_solves_per_structure_report(monkeypatch, parts, solves):
+    g = direct_sum_of(parts)
+    counts = counting_solves(monkeypatch)
+    structure_report(g)
+    assert sum(counts.values()) == solves
+
+
 # ---------------------------------------------------------------------------
 # module actions by Lie generators, against the actions of every element
 # ---------------------------------------------------------------------------
@@ -335,10 +441,10 @@ def test_actions_hold_integer_columns(monkeypatch):
     for mod in (decomp, ideals):
         monkeypatch.setattr(mod, "module_actions",
                             recording(calculus.module_actions, lambda args, out: out))
-    # split_module recurses through the module global, so each piece's
+    # split._split recurses through the module global, so each piece's
     # restricted actions pass through the wrapper
-    monkeypatch.setattr(split, "split_module",
-                        recording(split.split_module, lambda args, out: args[0]))
+    monkeypatch.setattr(split, "_split",
+                        recording(split._split, lambda args, out: args[0]))
     for tag, params in ACCEPT_FAMILIES:
         g = build_family(tag, *params)
         for part in (g.space.even_indices(), g.space.odd_indices()):
@@ -418,7 +524,8 @@ def so3_superalgebra(actions):
             comm = [sum(mats[a][6 * i + k] * mats[b][6 * k + j]
                         - mats[b][6 * i + k] * mats[a][6 * k + j] for k in range(6))
                     for i in range(6) for j in range(6)]
-            table[(a, b)] = {c: x for c, x in enumerate(solver.coords(comm)) if x}
+            coords = solver.row_coords(*_int_row(comm))
+            table[(a, b)] = {c: x for c, x in enumerate(coords) if x}
         for j, col in enumerate(actions[a]):
             table[(a, 3 + j)] = {3 + i: x for i, x in col}
     return SuperAlgebra(SuperSpace.make(3, 6), table)
@@ -736,11 +843,7 @@ def test_own_basis_direct_sum_answers_follow_from_the_parts(parts):
     # the summands of g + h are those of g and of h; (i)-(iv) hold for g + h
     # exactly when they hold for both, and (v), a nonzero even center, when
     # it holds for either.  "inconclusive" contradicts nothing.
-    tag, params = parts[0]
-    s = build_family(tag, *params)
-    for tag, params in parts[1:]:
-        s = direct_sum(s, build_family(tag, *params))
-    summands, verdicts = summands_and_verdicts(s)
+    summands, verdicts = summands_and_verdicts(direct_sum_of(parts))
     reports = [part_report(tag, params) for tag, params in parts]
     assert summands == sorted(e for ents, _ in reports for e in ents)
     for key, verdict in verdicts.items():
@@ -751,6 +854,13 @@ def test_own_basis_direct_sum_answers_follow_from_the_parts(parts):
             assert "fail" not in of_parts, key
         elif verdict == "fail":
             assert of_parts.count("pass") < len(of_parts), key
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(SUM_PARTS), min_size=2, max_size=3)
+       .filter(lambda ps: sum(sum(expected_dims(t, p)) for t, p in ps) <= 24))
+def test_each_corner_is_the_commutant_on_direct_sums(parts):
+    assert_corners_are_commutants(*generator_odd_module(direct_sum_of(parts)))
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def test_linsolver_tracks_scaling():
         coeffs = [Scalar(rng.randint(-4, 4)) for _ in range(k)]
         target = [sum((c * col[i] for c, col in zip(coeffs, cols)), ZERO)
                   for i in range(dim)]
-        got = solver.coords(target)
+        got = solver.row_coords(*_int_row(target))
         assert got == coeffs
 
 
@@ -492,7 +492,7 @@ def test_echelon_rows_are_ints_and_results_fractions():
     ker = ech.kernel_basis()
     assert len(ker) == 2 and all(type(a) is Fraction for v in ker for a in v)
     target = [F(2, 3) * a - b for a, b in zip(ker[0], ker[1])]
-    coords = LinSolver([_int_row(v) for v in ker], 5).coords(target)
+    coords = LinSolver([_int_row(v) for v in ker], 5).row_coords(*_int_row(target))
     assert coords == [F(2, 3), F(-1)]
     assert all(type(a) is Fraction for a in coords)
 
@@ -554,7 +554,7 @@ def test_linsolver_coords_match_sympy(m, data):
     if not cols:
         return
     vec = [Fraction(data.draw(_entries)) for _ in range(ncols)]
-    got = LinSolver([_int_row(c) for c in cols], ncols).coords(vec)
+    got = LinSolver([_int_row(c) for c in cols], ncols).row_coords(*_int_row(vec))
     basis = sympy.Matrix.hstack(*[_sym_vec(v) for v in cols])
     sv = _sym_vec(vec)
     if basis.row_join(sv).rank() > basis.rank():
