@@ -2,9 +2,9 @@
 
 A fingerprint is a tuple of isomorphism invariants of an algebra; the
 classifier looks it up in the committed family table
-family_fingerprints.json, built from the constructors, and fingerprints
-only the algebra it is given.  decompose names each ideal with it; the
-unitarity conditions do not use it, so they load none of this.
+family_fingerprints.json, built from the constructors, and builds no
+family.  decompose names each ideal with it, with the odd commutant
+read off the split where it can; unitarity loads none of this.
 """
 
 import json
@@ -36,14 +36,19 @@ class Fingerprint(namedtuple("Fingerprint", (
 
 @per_algebra
 def fingerprint(g):
-    _, krank = killing_form(g)
-    odd = g.odd_subspace()
     # every even basis vector acts: lie_generators would run the Jacobi
     # check on each ideal's algebra, which costs more than it saves here
-    comm = module_commutant(module_actions(g, g.even_subspace().basis, odd.basis), g.d1)
+    actions = module_actions(g, g.even_subspace().basis, g.odd_subspace().basis)
+    return fingerprint_with(g, len(module_commutant(actions, g.d1)))
+
+
+def fingerprint_with(g, odd_commutant_dim):
+    """g's fingerprint, given the commutant dimension of g1 under g0."""
+    _, krank = killing_form(g)
+    odd = g.odd_subspace()
     return Fingerprint(
         g.d0, g.d1, center(g).dim, even_center_dim(g), krank,
-        len(comm), is_perfect(g), bracket_span(g, odd, odd).dim)
+        odd_commutant_dim, is_perfect(g), bracket_span(g, odd, odd).dim)
 
 
 # the classifier's table: one row [tag, params, fingerprint] per family
@@ -59,10 +64,10 @@ def _class_tag(tag, params):
     return "su(n|m)" if params[0] > params[1] else "su(n|n)"
 
 
-def classify_fingerprint(g):
-    """Match fingerprint(g) against the rows of the committed family table
-    (family_fingerprints.json) that have g's dimension pair.  Only g is
-    fingerprinted; no family is built.
+def classify_fingerprint(fp):
+    """Match a fingerprint against the rows of the committed family table
+    (family_fingerprints.json) that have its dimension pair; no family is
+    built.
 
     Returns (tag, matches) where tag distinguishes su(n|m) n>m from
     su(n|n); "unknown" comes with the nearest dimension-compatible
@@ -70,13 +75,12 @@ def classify_fingerprint(g):
     across tags; the other repeats (T, T_hat, T_tilde over su2 and so3,
     over so5 and sp2) keep one tag.
     """
-    fp = fingerprint(g)
     with open(_TABLE) as fh:
         rows = json.load(fh)
     matches = []
     near = []
     for tag, params, want in rows:
-        if want[:2] != [g.d0, g.d1]:
+        if want[:2] != [fp.d0, fp.d1]:
             continue
         near.append((tag, tuple(params)))
         if Fingerprint(*want) == fp:

@@ -205,7 +205,7 @@ def structure_report(g):
         seen.add(j)
         seen.add(jp)
         # the ideal's algebra lives only while IdealInfo fingerprints it
-        info = IdealInfo("Js", (j, jp), *build_g_ideal(g, dec, j, jp))
+        info = IdealInfo("Js", (j, jp), *build_g_ideal(g, dec, j, jp), dec)
         flags = info.flags
         tag = info.classification[0]
         if tag in ("su(n|m)", "c"):
@@ -223,7 +223,7 @@ def structure_report(g):
     for k in cls.ja:
         b0 = _pick_b0(g, dec.b, dec.summands[k])
         span, alg, kk, kk_alg, kk_vecs = build_c_ideal(g, dec, k, b0)
-        report.ideals.append(IdealInfo("Ja", (k,), span, alg, kk_dim=kk.dim))
+        report.ideals.append(IdealInfo("Ja", (k,), span, alg, dec, kk_dim=kk.dim))
         del alg                           # fingerprinted; hat c(k) is built without it
         report.record("hat_c_quotient_is_extended_tangent_%d" % k,
                       build_hat_c(g, dec, k, b0, span, kk_alg, kk_vecs))

@@ -5,9 +5,10 @@ them into the self-interacting family J_s, whose paired summands a_j,
 a_j' generate the ideals g(j), and the residue family J_a, whose
 summands generate the ideals c(k) with the commuting odd vectors b.
 Each ideal is built and verified here: build_g_ideal checks the simple
-adjoint quotient, build_c_ideal and build_hat_c the isomorphism of the
-central quotients of c(k) and hat c(k) with the tangent algebras T and
-That over [b, a_k] (built in extend), and qhat_embedding_certificate
+adjoint quotient (its odd summands are simple over it as split, for the
+reason in its docstring), build_c_ideal and build_hat_c the isomorphism
+of the central quotients of c(k) and hat c(k) with the tangent algebras
+T and That over [b, a_k] (built in extend), and qhat_embedding_certificate
 the extended queer family.  Each ideal, its central quotient and the
 tangent algebra it is compared with are written in their own basis by
 core.algebra_in_basis, through subalgebra_from_subspace.
@@ -102,22 +103,33 @@ def classify_indices(g, dec):
 
 class IdealInfo:
     """One ideal: its span, the fingerprint and classification of its
-    algebra alg (written in its own basis) and the Theorem 4.2 flags that
-    the report records for it."""
+    algebra alg (written in its own basis; dec is the odd module's split)
+    and the Theorem 4.2 flags that the report records for it."""
 
-    def __init__(self, kind, indices, span, alg, kk_dim=None):
+    def __init__(self, kind, indices, span, alg, dec, kk_dim=None):
         self.kind = kind                  # "Js" | "Ja"
         self.indices = indices            # (j, j') or (k,)
         self.span = span
-        self.fingerprint = classify.fingerprint(alg)
-        self.classification = classify.classify_fingerprint(alg)
+        if len(set(indices)) == 1:        # one split piece: see build_g_ideal
+            self.fingerprint = classify.fingerprint_with(
+                alg, dec.certificates[indices[0]]["commutant_dim"])
+        else:
+            self.fingerprint = classify.fingerprint(alg)
+        self.classification = classify.classify_fingerprint(self.fingerprint)
         self.flags = {}
         self.kk_dim = kk_dim
 
 
 def build_g_ideal(g, dec, j, jp):
     """a_j + a_j' + all mutual brackets; verified ideal with the simple
-    adjoint quotient checks, made in the ideal's own basis."""
+    adjoint quotient checks, made in the ideal's own basis.
+
+    a_j needs no second split over g(j)_0, nor a c(k)'s a_k over c(k)_0:
+    the report checks that each ideal is one and that [core, core] =
+    z(core) + sum of ideals.  Distinct ideals have independent odd parts,
+    and z(core) has none and acts by zero, so each x in h0 = [g1, g1] acts
+    on a_j as its component in g(j)_0, which lies in h0: a_j is the module
+    decompose_odd split off over h0 as one piece, commutant and all."""
     aj, ajp = dec.summands[j], dec.summands[jp]
     span = aj.sum(ajp)
     for u, w in ((aj, aj), (aj, ajp), (ajp, ajp)):
@@ -130,13 +142,6 @@ def build_g_ideal(g, dec, j, jp):
     if not center(g).contains_subspace(Subspace(g.dim, _lift(vecs, zi.basis))):
         raise DecompositionError("z(g(j)) is not contained in z(g)",
                                  evidence={"j": j})
-    # a_j and a_j' stay simple over the ideal's own even part
-    ideal_even, _ = span.parity_components(g.space.parities)
-    gens = lie_generators(g, ideal_even.basis)
-    for a in (aj, ajp) if j != jp else (aj,):
-        if len(split_module(module_actions(g, gens, a.basis), a.dim)) != 1:
-            raise DecompositionError("a_j fails to stay simple over g(j)",
-                                     evidence={"j": j})
     # simple adjoint quotient g(j)/z(g(j)), the centre graded as the bracket is even
     quo = quotient_by_central(alg, zi)[0] if zi.dim else alg
     if center(quo).dim or not is_perfect(quo):

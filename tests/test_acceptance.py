@@ -309,7 +309,7 @@ def test_acceptance_8_central_extensions():
     assert is_trivial_cocycle(psu, form) is None
     rebuilt = central_extension(psu, form)
     assert fingerprint(rebuilt) == fingerprint(su)
-    assert classify_fingerprint(rebuilt)[0] == "su(n|n)"
+    assert classify_fingerprint(fingerprint(rebuilt))[0] == "su(n|n)"
     announce(8, "all invariant cocycles split on su(2|1) and c(2); the "
                 "psu(2|2) cocycle is nontrivial and rebuilds su(2|2)")
 

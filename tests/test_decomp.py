@@ -397,9 +397,13 @@ def test_split_module_solves_one_commutant_per_call(monkeypatch):
     assert counts == {"superdecomp.split": 1}
 
 
+# one split of the odd module, plus one fingerprint solve per paired ideal
+# (su(2|2), psu(2|2)) and one split of [b, a_k] per c(k) ideal (T_hat)
 @pytest.mark.parametrize("parts, solves", [
-    ([("su", (2, 2))], 4), ([("psu", (2,))], 4), ([("su", (2, 1))] * 8, 17),
-])
+    ([("su", (2, 2))], 2), ([("psu", (2,))], 2), ([("su", (2, 1))] * 8, 1),
+    ([("q", (3,))], 1), ([("su", (3, 2))], 1), ([("c", (3,))], 1),
+    ([("T_hat", ("su", 2))], 2),
+], ids=["su22", "psu22", "su21x8", "q3", "su32", "c3", "T_hat_su2"])
 def test_commutant_solves_per_structure_report(monkeypatch, parts, solves):
     g = direct_sum_of(parts)
     counts = counting_solves(monkeypatch)
@@ -642,33 +646,6 @@ def test_structure_report_that():
                for a in rep.assertions)
 
 
-def test_build_g_ideal_splits_both_odd_summands(monkeypatch):
-    # a paired ideal g(j) (j != j') holds two odd summands, and each must
-    # stay simple over the ideal's even part
-    inside, acted_on = [], []
-    build, actions = ideals.build_g_ideal, ideals.module_actions
-
-    def building(*args):
-        inside.append(True)
-        try:
-            return build(*args)
-        finally:
-            inside.pop()
-
-    def acting(g, elements, basis_vecs):
-        if inside:
-            acted_on.append(basis_vecs)
-        return actions(g, elements, basis_vecs)
-
-    monkeypatch.setattr(decomp, "build_g_ideal", building)
-    monkeypatch.setattr(ideals, "module_actions", acting)
-    rep = structure_report(build_family("su", 2, 2))
-    [info] = rep.ideals
-    j, jp = info.indices
-    assert j != jp
-    assert acted_on == [rep.decomposition.summands[k].basis for k in (j, jp)]
-
-
 def test_structure_report_glued():
     g = glued_su22_q2()
     rep = structure_report(g)
@@ -869,9 +846,10 @@ def test_each_corner_is_the_commutant_on_direct_sums(parts):
 
 REBASED_FAMILIES = [("su", (2, 1)), ("q", (2,)), ("spin_h", (2,)), ("c", (2,)),
                     ("T_tilde", ("su", 2)), ("T_hat", ("su", 2)), ("su", (3, 1)),
-                    ("pq", (2,)), ("u", (1, 1))]
-# CPU seconds allowed for one rebased report; the slowest, q(2), takes
-# about 0.3 s on a 2-core x86-64 machine
+                    ("pq", (2,)), ("u", (1, 1)), ("c", (3,)), ("T_hat", ("su", 3)),
+                    ("u", (2, 1))]
+# CPU seconds allowed for one rebased report; the slowest, c(3), takes
+# 0.6-0.8 s on a 2-core x86-64 machine
 REBASED_REPORT_CPU_S = 2.0
 SPLITS_ISOTYPIC_AS_ONE = pytest.mark.xfail(
     strict=True, reason="the odd module S + S comes back as one 8-dim piece "
@@ -899,3 +877,48 @@ def test_rebased_decompose_matches_the_own_basis(tag, params, seed):
     got, cpu_s = summand_kinds(rebased)
     assert cpu_s <= REBASED_REPORT_CPU_S, cpu_s
     assert got == summand_kinds(g)[0]
+
+
+# ---------------------------------------------------------------------------
+# the ideals read the split: an oracle that re-splits each odd summand over
+# its ideal's own even part and solves each fingerprint afresh
+# ---------------------------------------------------------------------------
+
+def assert_ideals_read_the_split(g):
+    """Every odd summand of an ideal is one piece over the ideal's own even
+    part, with the commutant dimension of its split certificate, and every
+    fingerprint is a fresh solve's."""
+    rep = structure_report(g)
+    dec = rep.decomposition
+    for info in rep.ideals:
+        ideal_even, _ = info.span.parity_components(g.space.parities)
+        gens = lie_generators(g, ideal_even.basis)
+        for k in sorted(set(info.indices)):
+            a = dec.summands[k]
+            [(_, cert)] = split_module(module_actions(g, gens, a.basis), a.dim)
+            assert cert == dec.certificates[k], (info.indices, k)
+        alg, _ = ideals.subalgebra_from_subspace(g, info.span)
+        assert info.fingerprint == classify.fingerprint.__wrapped__(alg), info.indices
+
+
+def test_ideals_read_the_split_on_families():
+    from test_acceptance import ACCEPT_FAMILIES
+    # T's report refuses the odd centre of its core
+    for tag, params in ACCEPT_FAMILIES:
+        if tag != "T":
+            assert_ideals_read_the_split(build_family(tag, *params))
+    assert_ideals_read_the_split(direct_sum_of([("su", (2, 1))] * 4))
+
+
+@pytest.mark.parametrize("tag, params, seed", [
+    (tag, params, seed) for tag, params in REBASED_FAMILIES for seed in range(2)])
+def test_ideals_read_the_split_rebased(tag, params, seed):
+    from test_core import rebase
+    assert_ideals_read_the_split(rebase(build_family(tag, *params), seed)[0])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(SUM_PARTS), min_size=2, max_size=3)
+       .filter(lambda ps: sum(sum(expected_dims(t, p)) for t, p in ps) <= 24))
+def test_ideals_read_the_split_on_direct_sums(parts):
+    assert_ideals_read_the_split(direct_sum_of(parts))

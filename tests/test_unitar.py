@@ -187,7 +187,7 @@ def test_classify_roundtrip():
              ("T_hat", ("su", 2), "T_hat"), ("T_tilde", ("su", 2), "T_tilde"),
              ("spin_h", (2,), "spin_h")]
     for tag, params, want in cases:
-        got, matches = classify_fingerprint(build_family(tag, *params))
+        got, matches = classify_fingerprint(fingerprint(build_family(tag, *params)))
         assert got == want, (tag, params, got)
         assert (tag, params) in matches
 
@@ -198,21 +198,21 @@ def test_classify_second_parameter_values():
              ("T_hat", ("so", 3), "T_hat"), ("spin_h", (1,), "spin_h"),
              ("spin_h", (3,), "spin_h")]
     for tag, params, want in cases:
-        got, _ = classify_fingerprint(build_family(tag, *params))
+        got, _ = classify_fingerprint(fingerprint(build_family(tag, *params)))
         assert got == want, (tag, params, got)
 
 
 def test_classify_quotient_of_su22_is_psu22():
     psu = build_family("psu", 2)
     assert fingerprint(psu)[:4] == (6, 8, 0, 0)
-    got, _ = classify_fingerprint(psu)
+    got, _ = classify_fingerprint(fingerprint(psu))
     assert got == "psu"
 
 
 def test_su21_c2_coincide():
     # compact forms of A(1,0) and C(2) are isomorphic: equal fingerprints
     assert fingerprint(build_family("su", 2, 1)) == fingerprint(build_family("c", 2))
-    got, matches = classify_fingerprint(build_family("c", 2))
+    got, matches = classify_fingerprint(fingerprint(build_family("c", 2)))
     assert got == "su(n|m)"
     assert ("c", (2,)) in matches and ("su", (2, 1)) in matches
 
@@ -245,7 +245,7 @@ def test_classify_builds_no_family(monkeypatch):
     monkeypatch.setattr(families, "build_family", refuse)
     monkeypatch.setattr(families, "build", refuse)
     calls = _count_body_calls(monkeypatch, classify.fingerprint)
-    assert classify_fingerprint(psu)[0] == "psu"
+    assert classify_fingerprint(fingerprint(psu))[0] == "psu"
     assert calls == [psu]
 
 
@@ -321,7 +321,7 @@ def test_report_reaches_the_empty_and_zero_dimensional_searches():
 
 
 def test_classify_ch_indefinite_is_unknown_with_no_candidates():
-    assert classify_fingerprint(build_family("ch_indefinite", 1, 2)) == ("unknown", [])
+    assert classify_fingerprint(fingerprint(build_family("ch_indefinite", 1, 2))) == ("unknown", [])
 
 
 def test_first_coordinate_roots():
@@ -435,9 +435,9 @@ def test_fingerprint_is_computed_once_per_algebra():
 
 def test_repeat_classify_computes_no_fingerprint(monkeypatch):
     psu = build_family("psu", 3)
-    first = classify_fingerprint(psu)
+    first = classify_fingerprint(fingerprint(psu))
     calls = _count_body_calls(monkeypatch, classify.fingerprint)
-    assert classify_fingerprint(build_family("psu", 3)) == first
+    assert classify_fingerprint(fingerprint(build_family("psu", 3))) == first
     assert calls == []
 
 
